@@ -167,76 +167,59 @@ def _strict_rc(rows, args) -> int:
     return 0
 
 
+def _emit_reports(keys, points, reports, args, command) -> int:
+    """Write one row per (point, report); ``keys`` name the point's coordinates."""
+    rows = []
+    for point, rep in zip(points, reports):
+        row = dict(zip(keys, point))
+        row.update({"value": rep.value, "abs_error": rep.abs_error_estimate,
+                    "cancel_digits": rep.cancellation_digits,
+                    "warnings": rep.warnings})
+        rows.append(row)
+    _emit(rows, list(keys) + ["value", "abs_error", "cancel_digits", "warnings"],
+          args, _jobspec(args, command))
+    return _strict_rc(rows, args)
+
+
+def _ab_points(args, what):
+    if args.a is None or args.b is None:
+        raise ValueError(f"{what} needs --a and --b grids")
+    agrid, bgrid = _parse_grid(args.a), _parse_grid(args.b)
+    return [(a, b) for a in agrid for b in bgrid if b > a]
+
+
+# Each grid job is one call into the engine, which evaluates the
+# determinants of all its points as one batched kernel call.
+
+
 def _cmd_cdf(args) -> int:
     case = _build_case(args)
     cfg = _eval_config(args)
     grid = _parse_grid(args.grid or "0.1:10:50:log")
-    fn = detform.cdf_max if args.stat == "max" else detform.cdf_min
-    rows = []
-    for lam in grid:
-        rep = fn(case, lam, cfg)
-        rows.append({"lambda": lam, "value": rep.value,
-                     "abs_error": rep.abs_error_estimate,
-                     "cancel_digits": rep.cancellation_digits,
-                     "warnings": rep.warnings})
-    _emit(rows, ["lambda", "value", "abs_error", "cancel_digits", "warnings"],
-          args, _jobspec(args, "cdf"))
-    return _strict_rc(rows, args)
+    fn = detform._cdf_max_grid if args.stat == "max" else detform._cdf_min_grid
+    return _emit_reports(["lambda"], [(lam,) for lam in grid], fn(case, grid, cfg),
+                         args, "cdf")
 
 
 def _cmd_pdf(args) -> int:
     case = _build_case(args)
     cfg = _eval_config(args)
     if args.stat == "joint":
-        if args.a is None or args.b is None:
-            raise ValueError("--stat joint needs --a and --b grids")
-        agrid = _parse_grid(args.a)
-        bgrid = _parse_grid(args.b)
-        rows = []
-        for a in agrid:
-            for b in bgrid:
-                if b <= a:
-                    continue
-                rep = detform.pdf_joint_minmax(case, a, b, cfg)
-                rows.append({"a": a, "b": b, "value": rep.value,
-                             "abs_error": rep.abs_error_estimate,
-                             "cancel_digits": rep.cancellation_digits,
-                             "warnings": rep.warnings})
-        _emit(rows, ["a", "b", "value", "abs_error", "cancel_digits", "warnings"],
-              args, _jobspec(args, "pdf"))
-        return _strict_rc(rows, args)
+        points = _ab_points(args, "--stat joint")
+        return _emit_reports(["a", "b"], points,
+                             detform._pdf_joint_grid(case, points, cfg), args, "pdf")
     grid = _parse_grid(args.grid or "0.1:10:50:log")
-    fn = detform.pdf_max if args.stat == "max" else detform.pdf_min
-    rows = []
-    for lam in grid:
-        rep = fn(case, lam, cfg)
-        rows.append({"lambda": lam, "value": rep.value,
-                     "abs_error": rep.abs_error_estimate,
-                     "cancel_digits": rep.cancellation_digits,
-                     "warnings": rep.warnings})
-    _emit(rows, ["lambda", "value", "abs_error", "cancel_digits", "warnings"],
-          args, _jobspec(args, "pdf"))
-    return _strict_rc(rows, args)
+    fn = detform._pdf_max_grid if args.stat == "max" else detform._pdf_min_grid
+    return _emit_reports(["lambda"], [(lam,) for lam in grid], fn(case, grid, cfg),
+                         args, "pdf")
 
 
 def _cmd_gap(args) -> int:
     case = _build_case(args)
     cfg = _eval_config(args)
-    if args.a is None or args.b is None:
-        raise ValueError("gap needs --a and --b grids")
-    rows = []
-    for a in _parse_grid(args.a):
-        for b in _parse_grid(args.b):
-            if b <= a:
-                continue
-            rep = detform.prob_gap(case, a, b, cfg)
-            rows.append({"a": a, "b": b, "value": rep.value,
-                         "abs_error": rep.abs_error_estimate,
-                         "cancel_digits": rep.cancellation_digits,
-                         "warnings": rep.warnings})
-    _emit(rows, ["a", "b", "value", "abs_error", "cancel_digits", "warnings"],
-          args, _jobspec(args, "gap"))
-    return _strict_rc(rows, args)
+    points = _ab_points(args, "gap")
+    return _emit_reports(["a", "b"], points, detform._prob_gap_grid(case, points, cfg),
+                         args, "gap")
 
 
 def _cmd_crosscheck(args) -> int:

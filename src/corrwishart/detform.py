@@ -115,52 +115,38 @@ def _slv_sum(terms: Sequence[SignedLogValue]) -> Tuple[SignedLogValue, float]:
 
 
 # ---------------------------------------------------------------------------
-# LU with partial pivoting (shared by the public logdet and the entry path)
+# determinant kernel: one LAPACK call per stack (shared by the public logdet
+# and the entry path)
 
 
-def _lu_factor(A: np.ndarray):
-    """In-place LU with partial pivoting; returns (LU, pivots, sign, growth)."""
-    A = A.copy()
-    N = A.shape[0]
-    piv = np.arange(N)
-    sign = 1
-    scale0 = float(np.max(np.abs(A))) if A.size else 0.0
-    gmax = scale0
-    for k in range(N):
-        p = k + int(np.argmax(np.abs(A[k:, k])))
-        if A[p, k] == 0.0:
-            return A, piv, 0, 0.0
-        if p != k:
-            A[[k, p], :] = A[[p, k], :]
-            piv[[k, p]] = piv[[p, k]]
-            sign = -sign
-        f = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= np.outer(f, A[k, k + 1:])
-        A[k + 1:, k] = f
-        m = float(np.max(np.abs(A[k:, k:]))) if k + 1 < N else abs(A[k, k])
-        gmax = max(gmax, m)
-    growth = gmax / scale0 if scale0 > 0 else 1.0
-    return A, piv, sign, growth
+def _scaled_det(A: np.ndarray, rel_entries: Optional[np.ndarray]):
+    """Determinants of a stack ``A`` (G, N, N) whose rows and columns are
+    scaled to magnitude about one.
 
-
-def _inverse_from_lu(LU: np.ndarray, piv: np.ndarray) -> np.ndarray:
-    N = LU.shape[0]
-    inv = np.zeros((N, N))
-    for col in range(N):
-        b = np.zeros(N)
-        b[np.where(piv == col)[0][0]] = 1.0
-        # forward solve L y = b (unit lower triangle)
-        y = b.copy()
-        for i in range(1, N):
-            y[i] -= LU[i, :i] @ y[:i]
-        # back solve U x = y
-        x = y.copy()
-        for i in range(N - 1, -1, -1):
-            if i + 1 < N:
-                x[i] -= LU[i, i + 1:] @ x[i + 1:]
-            x[i] /= LU[i, i]
-        inv[:, col] = x
-    return inv
+    Returns arrays (sign, log |det|, cancellation digits, relative error).
+    The cancellation is the Hadamard bound over |det| in decimal digits.
+    The error is the roundoff N eps (1 + growth), with the partial-pivoting
+    growth taken as its measured value 1, amplified by that cancellation,
+    plus the first-order propagation sum |A^-T| * rel_entries * |A| when
+    entry relative errors are given.  An exactly singular member gets sign 0 and infinite
+    cancellation and error; it is left out of the inverse.
+    """
+    N = A.shape[-1]
+    sign, log_abs = np.linalg.slogdet(A)
+    singular = sign == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hadamard = np.sum(0.5 * np.log(np.sum(A * A, axis=-1)), axis=-1)
+        cancel = np.maximum((hadamard - log_abs) / _LN10, 0.0)
+    rel = N * _EPS * 2.0 * 10.0 ** np.minimum(cancel, 250.0)
+    live = ~singular
+    if rel_entries is not None and live.any():
+        A_live = A[live]
+        inv = np.linalg.inv(A_live)
+        prop = np.abs(np.swapaxes(inv, -1, -2)) * rel_entries[live] * np.abs(A_live)
+        rel[live] += prop.reshape(len(A_live), -1).sum(axis=-1)
+    cancel[singular] = math.inf
+    rel[singular] = math.inf
+    return sign, log_abs, cancel, rel
 
 
 @dataclass
@@ -171,57 +157,63 @@ class _DetInfo:
 
 
 def _det_from_logs(log_entries: np.ndarray,
-                   entry_rel_err: Optional[np.ndarray] = None) -> _DetInfo:
-    """Determinant of a matrix given as logs of its (positive) entries."""
+                   entry_rel_err: Optional[np.ndarray] = None):
+    """Determinant of a matrix given as logs of its (positive) entries.
+
+    ``log_entries`` is one matrix (N, N), giving one `_DetInfo`, or a stack
+    (G, N, N), giving a list of G of them from a single batched call.  Each
+    member's rows, then columns, are shifted in log space to a largest
+    entry of one before exponentiating.  A member with a row of zeros or a
+    column that underflows to zero is an exact zero (no cancellation).
+    """
     L = np.asarray(log_entries, dtype=float)
-    N = L.shape[0]
-    if N == 0:
-        return _DetInfo(SignedLogValue.from_value(1.0), 0.0, 0.0)
-    row_shift = L.max(axis=1)
-    if not np.all(np.isfinite(row_shift)):
-        return _DetInfo(SignedLogValue.zero(), 0.0, 0.0)
-    A = np.exp(L - row_shift[:, None])
-    col_scale = A.max(axis=0)
-    if np.any(col_scale == 0.0):
-        return _DetInfo(SignedLogValue.zero(), 0.0, 0.0)
-    A /= col_scale
-    shift = float(row_shift.sum() + np.log(col_scale).sum())
+    single = L.ndim == 2
+    if single:
+        L = L[None]
+    N = L.shape[-1]
+    row_shift = L.max(axis=-1)
+    dead_rows = ~np.isfinite(row_shift)
+    zero = dead_rows.any(axis=-1)
+    row_shift[dead_rows] = 0.0
+    A = np.exp(L - row_shift[..., None])
+    col_scale = A.max(axis=-2)
+    zero |= (col_scale == 0.0).any(axis=-1)
+    col_scale[zero] = 1.0
+    A /= col_scale[:, None, :]
+    A[zero] = np.eye(N)
+    shift = row_shift.sum(axis=-1) + np.log(col_scale).sum(axis=-1)
 
-    LU, piv, sign, growth = _lu_factor(A)
-    if sign == 0:
-        return _DetInfo(SignedLogValue.zero(), math.inf, math.inf)
-    diag = np.diag(LU)
-    sign *= int(np.prod(np.sign(diag)))
-    log_abs = float(np.sum(np.log(np.abs(diag))))
-
-    hadamard = float(np.sum(0.5 * np.log(np.sum(A * A, axis=1))))
-    cancel = max((hadamard - log_abs) / _LN10, 0.0)
-
-    rel = N * _EPS * (1.0 + growth) * 10.0 ** min(cancel, 250.0)
+    rel_entries = None
     if entry_rel_err is not None:
-        inv = _inverse_from_lu(LU, piv)
-        abs_err = np.asarray(entry_rel_err, dtype=float) * A
-        rel += float(np.sum(np.abs(inv.T) * abs_err))
-    return _DetInfo(SignedLogValue.from_log(sign, log_abs + shift), cancel, rel)
+        rel_entries = np.broadcast_to(np.asarray(entry_rel_err, dtype=float), L.shape)
+    sign, log_abs, cancel, rel = _scaled_det(A, rel_entries)
+    sign[zero] = 0.0
+    cancel[zero] = 0.0
+    rel[zero] = 0.0
+    out = [_DetInfo(SignedLogValue.from_log(int(s), lg), c, r)
+           for s, lg, c, r in zip(sign.tolist(), (log_abs + shift).tolist(),
+                                  cancel.tolist(), rel.tolist())]
+    return out[0] if single else out
 
 
 def logdet(matrix, entry_abs_errors=None, with_diagnostics: bool = False):
     """Sign and log magnitude of the determinant of a real square matrix.
 
     Rows and columns are first rescaled by exact powers of two to bring the
-    largest magnitudes near one, then an LU factorization with partial
-    pivoting is taken.  An exactly singular matrix yields sign 0.  When
-    ``entry_abs_errors`` is given (same shape as the matrix), a first-order
-    relative error estimate for the determinant is propagated from those
-    entry errors and the elimination growth factor; request it with
-    ``with_diagnostics=True``.
+    largest magnitudes near one; the determinant of the scaled matrix then
+    comes from LAPACK (`numpy.linalg.slogdet`).  An exactly singular matrix
+    yields sign 0.  With ``with_diagnostics=True`` the result is paired with
+    a dict of ``cancellation_digits`` (decimal digits between the Hadamard
+    bound and |det|) and ``rel_err``, a first-order relative error estimate:
+    roundoff amplified by the cancellation, plus, when ``entry_abs_errors``
+    is given (same shape as the matrix), those entry errors propagated
+    through the inverse.
     """
     M = np.asarray(matrix, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"matrix must be square, got shape {M.shape}")
     if not np.all(np.isfinite(M)):
         raise ValueError("matrix entries must be finite")
-    N = M.shape[0]
 
     work = M.copy()
     log_scale = 0.0
@@ -234,31 +226,17 @@ def logdet(matrix, entry_abs_errors=None, with_diagnostics: bool = False):
             work = np.ldexp(work, -exps[None, :])
         log_scale += float(np.sum(exps)) * math.log(2.0)
 
-    LU, piv, sign, growth = _lu_factor(work)
-    if sign == 0:
-        result = SignedLogValue.zero()
-        diag = {"cancellation_digits": math.inf, "rel_err": math.inf,
-                "growth": growth}
-        return (result, diag) if with_diagnostics else result
-    d = np.diag(LU)
-    sign *= int(np.prod(np.sign(d)))
-    log_abs = float(np.sum(np.log(np.abs(d)))) + log_scale
-    result = SignedLogValue.from_log(sign, log_abs)
-    if not with_diagnostics:
-        return result
-
-    hadamard = float(np.sum(0.5 * np.log(np.sum(work * work, axis=1))))
-    cancel = max((hadamard - (log_abs - log_scale)) / _LN10, 0.0)
-    rel = N * _EPS * (1.0 + growth) * 10.0 ** min(cancel, 250.0)
-    if entry_abs_errors is not None:
-        inv = _inverse_from_lu(LU, piv)
+    rel_entries = None
+    if with_diagnostics and entry_abs_errors is not None:
         # errors on the scaled matrix: scaling is exact, relative errors keep
         errs = np.asarray(entry_abs_errors, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            rel_entries = np.where(M != 0.0, errs / np.abs(M), 0.0)
-        rel += float(np.sum(np.abs(inv.T) * rel_entries * np.abs(work)))
-    return result, {"cancellation_digits": cancel, "rel_err": rel,
-                    "growth": growth}
+            rel_entries = np.where(M != 0.0, errs / np.abs(M), 0.0)[None]
+    sign, log_abs, cancel, rel = _scaled_det(work[None], rel_entries)
+    result = SignedLogValue.from_log(int(sign[0]), float(log_abs[0]) + log_scale)
+    if not with_diagnostics:
+        return result
+    return result, {"cancellation_digits": float(cancel[0]), "rel_err": float(rel[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -451,43 +429,127 @@ def _doubly_pref_max(n: int, m: int, rvals, svals, lam: float) -> SignedLogValue
 
 
 # ---------------------------------------------------------------------------
+# grid plumbing
+#
+# Every internal (model, statistic) function takes a list of points and
+# returns one report per point; all the determinants it needs go into a
+# single kernel call.  The public functions evaluate a grid of one point.
+
+
+def _ext(name: str, *args) -> Callable[[int], float]:
+    """Deferred mpmath re-evaluation ``extended.<name>(*args, dps)``."""
+    def run(dps):
+        from . import extended
+        return getattr(extended, name)(*args, dps)
+    return run
+
+
+def _probability(slv: SignedLogValue, det: _DetInfo, cfg: EvalConfig,
+                 ext: Optional[Callable[[int], float]]) -> EvalReport:
+    return _finalize(slv, det.rel_err, det.cancel_digits, cfg, [], ext, True)
+
+
+def _density(terms: Sequence[SignedLogValue], dets: Sequence[_DetInfo],
+             cfg: EvalConfig) -> EvalReport:
+    """Density summed from determinant terms.
+
+    The determinants' own errors and the roundoff of the sum are both
+    amplified by the cancellation of the sum.
+    """
+    total, sum_cancel = _slv_sum(terms)
+    cancel = max([sum_cancel] + [d.cancel_digits for d in dets])
+    rel = ((sum(d.rel_err for d in dets) + len(terms) * _EPS)
+           * 10.0 ** min(sum_cancel, 250.0))
+    return _finalize(total, rel, cancel, cfg, [], None, False)
+
+
+def _replaced_dets(base: np.ndarray, base_rel: np.ndarray,
+                   replacements) -> List[List[_DetInfo]]:
+    """Determinants of column-replaced copies of G base matrices, per point.
+
+    ``replacements[k]`` lists the (column, logs (G, N), relative errors
+    (G, N)) put into copy k of every base matrix; an empty list keeps the
+    base matrix itself.  All G*K determinants come from one kernel call;
+    point g gets its K copies in order.
+    """
+    G, N = base.shape[0], base.shape[-1]
+    K = len(replacements)
+    L = np.repeat(base[:, None], K, axis=1)
+    R = np.repeat(base_rel[:, None], K, axis=1)
+    for k, cols in enumerate(replacements):
+        for c, logs, rels in cols:
+            L[:, k, :, c] = logs
+            R[:, k, :, c] = rels
+    dets = _det_from_logs(L.reshape(G * K, N, N), R.reshape(G * K, N, N))
+    return [dets[g * K:(g + 1) * K] for g in range(G)]
+
+
+def _power_col(c: int, logs: np.ndarray):
+    return c, logs, _power_rel(logs)
+
+
+def _gap_points(case, points, what: str) -> List[Tuple[float, float]]:
+    if not isinstance(case, RowCorrelated):
+        raise TypeError(f"{what} is available for the row-correlated model only")
+    out = []
+    for a, b in points:
+        a = _check_lambda(a)
+        b = float(b)
+        if not (math.isfinite(b) and b > a):
+            raise ValueError(f"require b > a > 0, got a={a}, b={b}")
+        out.append((a, b))
+    return out
+
+
+def _no_doubly_min(case) -> None:
+    if case.dims.m != case.dims.n:
+        raise ValueError(
+            "smallest-eigenvalue law for the doubly correlated model "
+            "requires m = n"
+        )
+
+
+# ---------------------------------------------------------------------------
 # CDF of the largest eigenvalue
 
 
 def cdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
     """Pr(largest eigenvalue of Z^H Z <= lam) for a validated model case."""
-    lam = _check_lambda(lam)
+    return _cdf_max_grid(case, [lam], cfg)[0]
+
+
+def _cdf_max_grid(case: ModelCase, lams: Sequence[float],
+                  cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
+    lams = [_check_lambda(lam) for lam in lams]
     if isinstance(case, RowCorrelated):
-        return _cdf_max_row(case.dims.n, case.dims.m, list(case.s), lam, cfg)
+        return _cdf_max_row(case.dims.n, case.dims.m, list(case.s), lams, cfg)
     if isinstance(case, ColumnCorrelated):
-        return _cdf_max_col(case.dims.n, case.dims.m, list(case.s), lam, cfg)
+        return _cdf_max_col(case.dims.n, case.dims.m, list(case.s), lams, cfg)
     if isinstance(case, DoublyCorrelated):
         return _cdf_max_doubly(case.dims.n, case.dims.m, list(case.r),
-                               list(case.s), lam, cfg)
+                               list(case.s), lams, cfg)
     raise TypeError(f"unknown model case {type(case).__name__}")
 
 
-def _cdf_max_row(n, m, svals, lam, cfg) -> EvalReport:
-    L = np.empty((m, m))
-    R = np.empty((m, m))
-    for j, s in enumerate(svals):
-        x = lam * s
-        for k in range(1, m + 1):
-            L[j, k - 1], R[j, k - 1] = _gamma_entry(n - m + k, x)
-    det = _det_from_logs(L, R)
+def _cdf_max_row(n, m, svals, lams, cfg) -> List[EvalReport]:
+    L = np.empty((len(lams), m, m))
+    R = np.empty_like(L)
+    for g, lam in enumerate(lams):
+        for j, s in enumerate(svals):
+            x = lam * s
+            for k in range(1, m + 1):
+                L[g, j, k - 1], R[g, j, k - 1] = _gamma_entry(n - m + k, x)
     M = m * (m - 1) // 2
-    pref_log = (n * sum(math.log(lam * s) for s in svals)
-                - M * math.log(lam) - _log_gaps(svals))
-    for k in range(1, m + 1):
-        pref_log -= math.lgamma(n - m + k)
-    pref = SignedLogValue.from_log(-1 if M % 2 else 1, pref_log)
-
-    def ext(dps):
-        from . import extended
-        return extended.cdf_max_row(n, m, svals, lam, dps)
-
-    return _finalize(pref * det.slv, det.rel_err, det.cancel_digits, cfg, [],
-                     ext, True)
+    reports = []
+    for lam, det in zip(lams, _det_from_logs(L, R)):
+        pref_log = (n * sum(math.log(lam * s) for s in svals)
+                    - M * math.log(lam) - _log_gaps(svals))
+        for k in range(1, m + 1):
+            pref_log -= math.lgamma(n - m + k)
+        pref = SignedLogValue.from_log(-1 if M % 2 else 1, pref_log)
+        reports.append(_probability(pref * det.slv, det, cfg,
+                                    _ext("cdf_max_row", n, m, svals, lam)))
+    return reports
 
 
 def _col_max_entry(k: int, s: float, lam: float) -> Tuple[float, float]:
@@ -497,45 +559,43 @@ def _col_max_entry(k: int, s: float, lam: float) -> Tuple[float, float]:
     return log_v, rel
 
 
-def _cdf_max_col(n, m, svals, lam, cfg) -> EvalReport:
-    L = np.empty((n, n))
-    R = np.empty((n, n))
+def _col_max_base(n, m, svals, lams):
+    """Stacked column cdf_max matrices: gamma columns, then spectral powers."""
+    L = np.empty((len(lams), n, n))
+    R = np.empty_like(L)
     for j, s in enumerate(svals):
-        for k in range(1, m + 1):
-            L[j, k - 1], R[j, k - 1] = _col_max_entry(k, s, lam)
         for i in range(1, n - m + 1):
-            L[j, m + i - 1] = (i - 1) * math.log(s)
-            R[j, m + i - 1] = _power_rel(L[j, m + i - 1])
-    det = _det_from_logs(L, R)
+            L[:, j, m + i - 1] = (i - 1) * math.log(s)
+            R[:, j, m + i - 1] = _power_rel((i - 1) * math.log(s))
+    for g, lam in enumerate(lams):
+        for j, s in enumerate(svals):
+            for k in range(1, m + 1):
+                L[g, j, k - 1], R[g, j, k - 1] = _col_max_entry(k, s, lam)
+    return L, R
+
+
+def _cdf_max_col(n, m, svals, lams, cfg) -> List[EvalReport]:
+    dets = _det_from_logs(*_col_max_base(n, m, svals, lams))
     pref = _col_pref_max(n, m, svals)
-
-    def ext(dps):
-        from . import extended
-        return extended.cdf_max_col(n, m, svals, lam, dps)
-
-    return _finalize(pref * det.slv, det.rel_err, det.cancel_digits, cfg, [],
-                     ext, True)
+    return [_probability(pref * det.slv, det, cfg,
+                         _ext("cdf_max_col", n, m, svals, lam))
+            for lam, det in zip(lams, dets)]
 
 
-def _cdf_max_doubly(n, m, rvals, svals, lam, cfg) -> EvalReport:
-    L = np.empty((n, n))
-    R = np.empty((n, n))
-    for j in range(m):
-        for l in range(n):
-            L[j, l], R[j, l] = _doubly_g_entry(n, lam * rvals[j] * svals[l])
-    for i in range(1, n - m + 1):
-        for l in range(n):
-            L[m + i - 1, l] = -i * math.log(lam * svals[l])
-            R[m + i - 1, l] = _power_rel(L[m + i - 1, l])
-    det = _det_from_logs(L, R)
-    pref = _doubly_pref_max(n, m, rvals, svals, lam)
-
-    def ext(dps):
-        from . import extended
-        return extended.cdf_max_doubly(n, m, rvals, svals, lam, dps)
-
-    return _finalize(pref * det.slv, det.rel_err, det.cancel_digits, cfg, [],
-                     ext, True)
+def _cdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
+    L = np.empty((len(lams), n, n))
+    R = np.empty_like(L)
+    for g, lam in enumerate(lams):
+        for j in range(m):
+            for l in range(n):
+                L[g, j, l], R[g, j, l] = _doubly_g_entry(n, lam * rvals[j] * svals[l])
+        for i in range(1, n - m + 1):
+            for l in range(n):
+                L[g, m + i - 1, l] = -i * math.log(lam * svals[l])
+    R[:, m:, :] = _power_rel(L[:, m:, :])
+    return [_probability(_doubly_pref_max(n, m, rvals, svals, lam) * det.slv, det, cfg,
+                         _ext("cdf_max_doubly", n, m, rvals, svals, lam))
+            for lam, det in zip(lams, _det_from_logs(L, R))]
 
 
 # ---------------------------------------------------------------------------
@@ -549,81 +609,80 @@ def cdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
     no closed determinant form (the extra zero eigenvalues of the padded
     problem pin the smallest eigenvalue at zero).
     """
-    lam = _check_lambda(lam)
+    return _cdf_min_grid(case, [lam], cfg)[0]
+
+
+def _cdf_min_grid(case: ModelCase, lams: Sequence[float],
+                  cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
+    lams = [_check_lambda(lam) for lam in lams]
     if isinstance(case, RowCorrelated):
-        return _cdf_min_row(case.dims.n, case.dims.m, list(case.s), lam, cfg)
+        return _cdf_min_row(case.dims.n, case.dims.m, list(case.s), lams, cfg)
     if isinstance(case, ColumnCorrelated):
-        return _cdf_min_col(case.dims.n, case.dims.m, list(case.s), lam, cfg)
+        return _cdf_min_col(case.dims.n, case.dims.m, list(case.s), lams, cfg)
     if isinstance(case, DoublyCorrelated):
-        if case.dims.m != case.dims.n:
-            raise ValueError(
-                "smallest-eigenvalue law for the doubly correlated model "
-                "requires m = n"
-            )
-        return _cdf_min_doubly(case.dims.n, list(case.r), list(case.s), lam, cfg)
+        _no_doubly_min(case)
+        return _cdf_min_doubly(case.dims.n, list(case.r), list(case.s), lams, cfg)
     raise TypeError(f"unknown model case {type(case).__name__}")
 
 
-def _cdf_min_row(n, m, svals, lam, cfg) -> EvalReport:
+def _row_min_base(n, m, svals, lams):
+    L = np.empty((len(lams), m, m))
+    R = np.empty_like(L)
+    for g, lam in enumerate(lams):
+        for j, s in enumerate(svals):
+            for k in range(1, m + 1):
+                L[g, j, k - 1], R[g, j, k - 1] = _row_min_fsum_log(n - m + k, lam, s)
+    return L, R
+
+
+def _cdf_min_row(n, m, svals, lams, cfg) -> List[EvalReport]:
     if n == m:
         # determinant is lambda-free; survival is a pure exponential
-        x = lam * sum(svals)
-        return _finalize(SignedLogValue.from_log(1, -x), (5.0 + x) * _EPS, 0.0,
-                         cfg, [], None, True)
-    L = np.empty((m, m))
-    R = np.empty((m, m))
-    for j, s in enumerate(svals):
-        for k in range(1, m + 1):
-            L[j, k - 1], R[j, k - 1] = _row_min_fsum_log(n - m + k, lam, s)
-    det = _det_from_logs(L, R)
+        xs = [lam * sum(svals) for lam in lams]
+        return [_finalize(SignedLogValue.from_log(1, -x), (5.0 + x) * _EPS, 0.0,
+                          cfg, [], None, True) for x in xs]
+    dets = _det_from_logs(*_row_min_base(n, m, svals, lams))
     pref = _row_pref(n, m, svals)
-    expf = SignedLogValue.from_log(1, -lam * sum(svals))
-
-    def ext(dps):
-        from . import extended
-        return extended.cdf_min_row(n, m, svals, lam, dps)
-
-    return _finalize(pref * expf * det.slv, det.rel_err, det.cancel_digits,
-                     cfg, [], ext, True)
+    reports = []
+    for lam, det in zip(lams, dets):
+        expf = SignedLogValue.from_log(1, -lam * sum(svals))
+        reports.append(_probability(pref * expf * det.slv, det, cfg,
+                                    _ext("cdf_min_row", n, m, svals, lam)))
+    return reports
 
 
-def _cdf_min_col(n, m, svals, lam, cfg) -> EvalReport:
-    L = np.empty((n, n))
-    R = np.empty((n, n))
-    for j, s in enumerate(svals):
-        for k in range(1, m + 1):
-            L[j, k - 1] = -k * math.log(s)
-            R[j, k - 1] = _power_rel(L[j, k - 1])
-        for i in range(1, n - m + 1):
-            L[j, m + i - 1] = lam * s + (i - 1) * math.log(s)
-            R[j, m + i - 1] = _power_rel(L[j, m + i - 1])
-    det = _det_from_logs(L, R)
-    pref = _col_pref_min(n, m, svals, lam)
-
-    def ext(dps):
-        from . import extended
-        return extended.cdf_min_col(n, m, svals, lam, dps)
-
-    return _finalize(pref * det.slv, det.rel_err, det.cancel_digits, cfg, [],
-                     ext, True)
+def _col_min_base(n, m, svals, lams):
+    """Stacked column cdf_min matrices: inverse powers, then exponentials."""
+    lam = np.asarray(lams, dtype=float)[:, None]
+    s = np.asarray(svals, dtype=float)[None, :]
+    log_s = np.array([math.log(v) for v in svals])[None, :]
+    L = np.empty((len(lams), n, n))
+    for k in range(1, m + 1):
+        L[:, :, k - 1] = -k * log_s
+    for i in range(1, n - m + 1):
+        L[:, :, m + i - 1] = lam * s + (i - 1) * log_s
+    return L, _power_rel(L)
 
 
-def _cdf_min_doubly(n, rvals, svals, lam, cfg) -> EvalReport:
-    L = np.empty((n, n))
-    R = np.empty((n, n))
-    for j in range(n):
-        for l in range(n):
-            L[j, l] = -lam * rvals[j] * svals[l]
-            R[j, l] = _power_rel(L[j, l])
-    det = _det_from_logs(L, R)
-    pref = _doubly_pref_min(n, rvals, svals, lam)
+def _cdf_min_col(n, m, svals, lams, cfg) -> List[EvalReport]:
+    dets = _det_from_logs(*_col_min_base(n, m, svals, lams))
+    return [_probability(_col_pref_min(n, m, svals, lam) * det.slv, det, cfg,
+                         _ext("cdf_min_col", n, m, svals, lam))
+            for lam, det in zip(lams, dets)]
 
-    def ext(dps):
-        from . import extended
-        return extended.cdf_min_doubly(n, rvals, svals, lam, dps)
 
-    return _finalize(pref * det.slv, det.rel_err, det.cancel_digits, cfg, [],
-                     ext, True)
+def _doubly_min_base(rvals, svals, lams):
+    L = (-np.asarray(lams, dtype=float)[:, None, None]
+         * np.asarray(rvals, dtype=float)[None, :, None]
+         * np.asarray(svals, dtype=float)[None, None, :])
+    return L, _power_rel(L)
+
+
+def _cdf_min_doubly(n, rvals, svals, lams, cfg) -> List[EvalReport]:
+    dets = _det_from_logs(*_doubly_min_base(rvals, svals, lams))
+    return [_probability(_doubly_pref_min(n, rvals, svals, lam) * det.slv, det, cfg,
+                         _ext("cdf_min_doubly", n, rvals, svals, lam))
+            for lam, det in zip(lams, dets)]
 
 
 # ---------------------------------------------------------------------------
@@ -633,37 +692,39 @@ def _cdf_min_doubly(n, rvals, svals, lam, cfg) -> EvalReport:
 def prob_gap(case: RowCorrelated, a: float, b: float,
              cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
     """Pr(no eigenvalue in (0, a) and none in (b, inf)), row model, 0 < a < b."""
-    if not isinstance(case, RowCorrelated):
-        raise TypeError("gap probability is available for the row-correlated model only")
-    a = _check_lambda(a)
-    b = float(b)
-    if not (math.isfinite(b) and b > a):
-        raise ValueError(f"require b > a > 0, got a={a}, b={b}")
+    return _prob_gap_grid(case, [(a, b)], cfg)[0]
+
+
+def _gap_base(n, m, svals, points):
+    """Stacked gap matrices: Gamma(a) [P(a, s b) - P(a, s a)] / s^a."""
+    L = np.empty((len(points), m, m))
+    R = np.empty_like(L)
+    for g, (a, b) in enumerate(points):
+        for j, s in enumerate(svals):
+            for k in range(1, m + 1):
+                ak = n - m + k
+                pb = reg_lower_gamma(ak, s * b)
+                pa = reg_lower_gamma(ak, s * a)
+                diff = pb.value - pa.value
+                if diff <= 0.0:
+                    L[g, j, k - 1] = -math.inf
+                    R[g, j, k - 1] = 1.0
+                else:
+                    L[g, j, k - 1] = math.lgamma(ak) + math.log(diff) - ak * math.log(s)
+                    R[g, j, k - 1] = (pb.abs_error_estimate + pa.abs_error_estimate) / diff
+    return L, R
+
+
+def _prob_gap_grid(case: RowCorrelated, points: Sequence[Tuple[float, float]],
+                   cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
+    points = _gap_points(case, points, "gap probability")
     n, m = case.dims.n, case.dims.m
     svals = list(case.s)
-    L = np.empty((m, m))
-    rel = np.empty((m, m))
-    for j, s in enumerate(svals):
-        for k in range(1, m + 1):
-            ak = n - m + k
-            pb = reg_lower_gamma(ak, s * b)
-            pa = reg_lower_gamma(ak, s * a)
-            diff = pb.value - pa.value
-            if diff <= 0.0:
-                L[j, k - 1] = -math.inf
-                rel[j, k - 1] = 1.0
-            else:
-                L[j, k - 1] = math.lgamma(ak) + math.log(diff) - ak * math.log(s)
-                rel[j, k - 1] = (pb.abs_error_estimate + pa.abs_error_estimate) / diff
-    det = _det_from_logs(L, rel)
+    dets = _det_from_logs(*_gap_base(n, m, svals, points))
     pref = _row_pref(n, m, svals)
-
-    def ext(dps):
-        from . import extended
-        return extended.prob_gap_row(n, m, svals, a, b, dps)
-
-    return _finalize(pref * det.slv, det.rel_err, det.cancel_digits, cfg, [],
-                     ext, True)
+    return [_probability(pref * det.slv, det, cfg,
+                         _ext("prob_gap_row", n, m, svals, a, b))
+            for (a, b), det in zip(points, dets)]
 
 
 def pdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
@@ -674,98 +735,78 @@ def pdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
     correlated case uses a Richardson-extrapolated central difference of
     the CDF.
     """
-    lam = _check_lambda(lam)
+    return _pdf_max_grid(case, [lam], cfg)[0]
+
+
+def _pdf_max_grid(case: ModelCase, lams: Sequence[float],
+                  cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
+    lams = [_check_lambda(lam) for lam in lams]
     if isinstance(case, RowCorrelated):
-        return _pdf_max_row(case.dims.n, case.dims.m, list(case.s), lam, cfg)
+        return _pdf_max_row(case.dims.n, case.dims.m, list(case.s), lams, cfg)
     if isinstance(case, ColumnCorrelated):
-        return _pdf_max_col(case.dims.n, case.dims.m, list(case.s), lam, cfg)
+        return _pdf_max_col(case.dims.n, case.dims.m, list(case.s), lams, cfg)
     if isinstance(case, DoublyCorrelated):
-        return _pdf_fd(lambda t: cdf_max(case, t, cfg), lam, sign=+1.0)
+        return _pdf_max_doubly(case.dims.n, case.dims.m, list(case.r),
+                               list(case.s), lams, cfg)
     raise TypeError(f"unknown model case {type(case).__name__}")
 
 
-def _pdf_max_row(n, m, svals, lam, cfg) -> EvalReport:
+def _pdf_max_row(n, m, svals, lams, cfg) -> List[EvalReport]:
     # unscaled entries int_0^lam t^(a-1) e^(-s t) dt = Gamma(a) P(a, lam s) / s^a,
     # so that the lambda dependence sits entirely inside the columns
-    log_lam = math.log(lam)
-    base = np.empty((m, m))
-    base_rel = np.empty((m, m))
-    for j, s in enumerate(svals):
-        for k in range(1, m + 1):
-            a = n - m + k
-            log_v, rel = _gamma_entry(a, lam * s)
-            base[j, k - 1] = log_v + a * log_lam
-            base_rel[j, k - 1] = rel
+    log_lams = [math.log(lam) for lam in lams]
+    base = np.empty((len(lams), m, m))
+    base_rel = np.empty_like(base)
+    for g, (lam, log_lam) in enumerate(zip(lams, log_lams)):
+        for j, s in enumerate(svals):
+            for k in range(1, m + 1):
+                a = n - m + k
+                log_v, rel = _gamma_entry(a, lam * s)
+                base[g, j, k - 1] = log_v + a * log_lam
+                base_rel[g, j, k - 1] = rel
+    log_lam = np.array(log_lams)[:, None]
+    decay = np.asarray(svals, dtype=float)[None, :] * np.asarray(lams, dtype=float)[:, None]
+    per_point = _replaced_dets(base, base_rel, [
+        [_power_col(c, (n - m + c) * log_lam - decay)] for c in range(m)])
     pref = _row_pref(n, m, svals)
-    terms = []
-    rel_sum = 0.0
-    cancel = 0.0
-    for c in range(m):
-        L = base.copy()
-        R = base_rel.copy()
-        for j, s in enumerate(svals):
-            L[j, c] = (n - m + c) * log_lam - s * lam
-            R[j, c] = _power_rel(L[j, c])
-        det = _det_from_logs(L, R)
-        terms.append(pref * det.slv)
-        rel_sum += det.rel_err
-        cancel = max(cancel, det.cancel_digits)
-    total, sum_cancel = _slv_sum(terms)
-    cancel = max(cancel, sum_cancel)
-    rel = rel_sum + len(terms) * _EPS * 10.0 ** min(sum_cancel, 250.0)
-    return _finalize(total, rel, cancel, cfg, [], None, False)
+    return [_density([pref * d.slv for d in dets], dets, cfg) for dets in per_point]
 
 
-def _pdf_max_col(n, m, svals, lam, cfg) -> EvalReport:
-    base = np.empty((n, n))
-    base_rel = np.empty((n, n))
-    for j, s in enumerate(svals):
-        for k in range(1, m + 1):
-            base[j, k - 1], base_rel[j, k - 1] = _col_max_entry(k, s, lam)
-        for i in range(1, n - m + 1):
-            base[j, m + i - 1] = (i - 1) * math.log(s)
-            base_rel[j, m + i - 1] = _power_rel(base[j, m + i - 1])
+def _pdf_max_col(n, m, svals, lams, cfg) -> List[EvalReport]:
+    base, base_rel = _col_max_base(n, m, svals, lams)
+    log_lam = np.array([math.log(lam) for lam in lams])[:, None]
+    decay = np.asarray(svals, dtype=float)[None, :] * np.asarray(lams, dtype=float)[:, None]
+    per_point = _replaced_dets(base, base_rel, [
+        [_power_col(c, c * log_lam - decay)] for c in range(m)])
     pref = _col_pref_max(n, m, svals)
-    log_lam = math.log(lam)
-    terms = []
-    rel_sum = 0.0
-    cancel = 0.0
-    for c in range(m):
-        L = base.copy()
-        R = base_rel.copy()
-        for j, s in enumerate(svals):
-            L[j, c] = c * log_lam - s * lam
-            R[j, c] = _power_rel(L[j, c])
-        det = _det_from_logs(L, R)
-        terms.append(pref * det.slv)
-        rel_sum += det.rel_err
-        cancel = max(cancel, det.cancel_digits)
-    total, sum_cancel = _slv_sum(terms)
-    cancel = max(cancel, sum_cancel)
-    rel = rel_sum + len(terms) * _EPS * 10.0 ** min(sum_cancel, 250.0)
-    return _finalize(total, rel, cancel, cfg, [], None, False)
+    return [_density([pref * d.slv for d in dets], dets, cfg) for dets in per_point]
 
 
-def _pdf_fd(cdf_fn: Callable[[float], EvalReport], lam: float,
-            sign: float) -> EvalReport:
-    """Richardson-extrapolated central difference of a CDF report."""
-    h = max(1e-5, 1e-4 * lam)
-    if h >= 0.5 * lam:
-        h = 0.25 * lam
-    reports = {}
+def _pdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
+    """Richardson-extrapolated central differences of the CDF, whose four
+    points per lambda are evaluated as one grid."""
+    steps = []
+    points = []
+    for lam in lams:
+        h = max(1e-5, 1e-4 * lam)
+        if h >= 0.5 * lam:
+            h = 0.25 * lam
+        steps.append(h)
+        points += [lam + h, lam - h, lam + h / 2, lam - h / 2]
+    cdfs = _cdf_max_doubly(n, m, rvals, svals, points, cfg)
+    return [_fd_density(cdfs[4 * g:4 * g + 4], h) for g, h in enumerate(steps)]
 
-    def val(t):
-        if t not in reports:
-            reports[t] = cdf_fn(t)
-        return reports[t].value
 
-    d1 = (val(lam + h) - val(lam - h)) / (2 * h)
-    d2 = (val(lam + h / 2) - val(lam - h / 2)) / h
+def _fd_density(reports: Sequence[EvalReport], h: float) -> EvalReport:
+    """Density from CDF reports at lam + h, lam - h, lam + h/2, lam - h/2."""
+    up, down, up_half, down_half = (r.value for r in reports)
+    d1 = (up - down) / (2 * h)
+    d2 = (up_half - down_half) / h
     deriv = (4.0 * d2 - d1) / 3.0
-    err = abs(deriv - d2) + sum(r.abs_error_estimate for r in reports.values()) / h
-    cancel = max(r.cancellation_digits for r in reports.values())
+    err = abs(deriv - d2) + sum(r.abs_error_estimate for r in reports) / h
+    cancel = max(r.cancellation_digits for r in reports)
     warnings = []
-    value = sign * deriv
+    value = deriv
     if value < 0.0:
         if value < -1e-8:
             warnings.append(f"clamp:negative density {value:.3e} set to 0")
@@ -780,111 +821,82 @@ def pdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
     the doubly correlated model at m = n (where the entries are pure
     exponentials and the prefactor contributes through the product rule).
     """
-    lam = _check_lambda(lam)
+    return _pdf_min_grid(case, [lam], cfg)[0]
+
+
+def _pdf_min_grid(case: ModelCase, lams: Sequence[float],
+                  cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
+    lams = [_check_lambda(lam) for lam in lams]
     if isinstance(case, RowCorrelated):
-        return _pdf_min_row(case.dims.n, case.dims.m, list(case.s), lam, cfg)
+        return _pdf_min_row(case.dims.n, case.dims.m, list(case.s), lams, cfg)
     if isinstance(case, ColumnCorrelated):
-        return _pdf_min_col(case.dims.n, case.dims.m, list(case.s), lam, cfg)
+        return _pdf_min_col(case.dims.n, case.dims.m, list(case.s), lams, cfg)
     if isinstance(case, DoublyCorrelated):
-        if case.dims.m != case.dims.n:
-            raise ValueError(
-                "smallest-eigenvalue law for the doubly correlated model "
-                "requires m = n"
-            )
-        return _pdf_min_doubly(case.dims.n, list(case.r), list(case.s), lam, cfg)
+        _no_doubly_min(case)
+        return _pdf_min_doubly(case.dims.n, list(case.r), list(case.s), lams, cfg)
     raise TypeError(f"unknown model case {type(case).__name__}")
 
 
-def _pdf_min_row(n, m, svals, lam, cfg) -> EvalReport:
+def _pdf_min_row(n, m, svals, lams, cfg) -> List[EvalReport]:
     ssum = sum(svals)
     if n == m:
-        value = ssum * math.exp(-lam * ssum)
-        return _finalize(SignedLogValue.from_value(value),
-                         (5.0 + lam * ssum) * _EPS, 0.0, cfg, [], None, False)
-    base = np.empty((m, m))
-    base_rel = np.empty((m, m))
-    for j, s in enumerate(svals):
-        for k in range(1, m + 1):
-            base[j, k - 1], base_rel[j, k - 1] = _row_min_fsum_log(n - m + k, lam, s)
-    pref = _row_pref(n, m, svals)
-    expf = SignedLogValue.from_log(1, -lam * ssum)
-    det0 = _det_from_logs(base, base_rel)
+        return [_finalize(SignedLogValue.from_value(ssum * math.exp(-lam * ssum)),
+                          (5.0 + lam * ssum) * _EPS, 0.0, cfg, [], None, False)
+                for lam in lams]
+    base, base_rel = _row_min_base(n, m, svals, lams)
     # Only the first column survives differentiation: every other derived
     # column is proportional to its left neighbour.
-    lowered = base.copy()
-    lowered_rel = base_rel.copy()
-    for j, s in enumerate(svals):
-        lowered[j, 0], lowered_rel[j, 0] = _row_min_fsum_log(n - m, lam, s)
-    det1 = _det_from_logs(lowered, lowered_rel)
-    t1 = pref * expf * SignedLogValue.from_value(ssum) * det0.slv
-    t2 = pref * expf * SignedLogValue.from_value(-(n - m)) * det1.slv
-    total, sum_cancel = _slv_sum([t1, t2])
-    cancel = max(det0.cancel_digits, det1.cancel_digits, sum_cancel)
-    rel = det0.rel_err + det1.rel_err + 2 * _EPS * 10.0 ** min(sum_cancel, 250.0)
-    return _finalize(total, rel, cancel, cfg, [], None, False)
-
-
-def _pdf_min_col(n, m, svals, lam, cfg) -> EvalReport:
-    base = np.empty((n, n))
-    base_rel = np.empty((n, n))
-    for j, s in enumerate(svals):
-        for k in range(1, m + 1):
-            base[j, k - 1] = -k * math.log(s)
-            base_rel[j, k - 1] = _power_rel(base[j, k - 1])
-        for i in range(1, n - m + 1):
-            base[j, m + i - 1] = lam * s + (i - 1) * math.log(s)
-            base_rel[j, m + i - 1] = _power_rel(base[j, m + i - 1])
-    pref = _col_pref_min(n, m, svals, lam)
-    det0 = _det_from_logs(base, base_rel)
-    ssum = sum(svals)
-    terms = [pref * SignedLogValue.from_value(ssum) * det0.slv]
-    rel_sum = det0.rel_err
-    cancel = det0.cancel_digits
-    for c in range(n - m):
-        L = base.copy()
-        R = base_rel.copy()
+    lowered = np.empty((len(lams), m))
+    lowered_rel = np.empty_like(lowered)
+    for g, lam in enumerate(lams):
         for j, s in enumerate(svals):
-            L[j, m + c] = lam * s + (c + 1) * math.log(s)
-            R[j, m + c] = _power_rel(L[j, m + c])
-        det = _det_from_logs(L, R)
-        terms.append(pref * SignedLogValue.from_value(-1.0) * det.slv)
-        rel_sum += det.rel_err
-        cancel = max(cancel, det.cancel_digits)
-    total, sum_cancel = _slv_sum(terms)
-    cancel = max(cancel, sum_cancel)
-    rel = rel_sum + len(terms) * _EPS * 10.0 ** min(sum_cancel, 250.0)
-    return _finalize(total, rel, cancel, cfg, [], None, False)
+            lowered[g, j], lowered_rel[g, j] = _row_min_fsum_log(n - m, lam, s)
+    per_point = _replaced_dets(base, base_rel, [[], [(0, lowered, lowered_rel)]])
+    pref = _row_pref(n, m, svals)
+    reports = []
+    for lam, (det0, det1) in zip(lams, per_point):
+        expf = SignedLogValue.from_log(1, -lam * ssum)
+        t1 = pref * expf * SignedLogValue.from_value(ssum) * det0.slv
+        t2 = pref * expf * SignedLogValue.from_value(-(n - m)) * det1.slv
+        reports.append(_density([t1, t2], [det0, det1], cfg))
+    return reports
 
 
-def _pdf_min_doubly(n, rvals, svals, lam, cfg) -> EvalReport:
-    base = np.empty((n, n))
-    base_rel = np.empty((n, n))
-    for j in range(n):
-        for l in range(n):
-            base[j, l] = -lam * rvals[j] * svals[l]
-            base_rel[j, l] = _power_rel(base[j, l])
-    pref = _doubly_pref_min(n, rvals, svals, lam)
+def _pdf_min_col(n, m, svals, lams, cfg) -> List[EvalReport]:
+    # Differentiating exponential column m+c gives a copy of column m+c+1
+    # for every c < n-m-1, so only the last exponential column survives.
+    base, base_rel = _col_min_base(n, m, svals, lams)
+    replacements = [[]]
+    if n > m:
+        last = (np.asarray(lams, dtype=float)[:, None] * np.asarray(svals, dtype=float)[None, :]
+                + (n - m) * np.array([math.log(s) for s in svals])[None, :])
+        replacements.append([_power_col(n - 1, last)])
+    ssum = sum(svals)
+    reports = []
+    for lam, dets in zip(lams, _replaced_dets(base, base_rel, replacements)):
+        pref = _col_pref_min(n, m, svals, lam)
+        terms = [pref * SignedLogValue.from_value(ssum) * dets[0].slv]
+        terms += [pref * SignedLogValue.from_value(-1.0) * d.slv for d in dets[1:]]
+        reports.append(_density(terms, dets, cfg))
+    return reports
+
+
+def _pdf_min_doubly(n, rvals, svals, lams, cfg) -> List[EvalReport]:
+    base, base_rel = _doubly_min_base(rvals, svals, lams)
+    # column c of every matrix differentiated: r_j s_c exp(-lam r_j s_c)
+    lam_r = np.asarray(lams, dtype=float)[:, None] * np.asarray(rvals, dtype=float)[None, :]
+    replacements = [[]] + [
+        [_power_col(c, np.array([math.log(r * svals[c]) for r in rvals])[None, :]
+                    - lam_r * svals[c])]
+        for c in range(n)]
     M = n * (n - 1) // 2
-    det0 = _det_from_logs(base, base_rel)
-    terms = []
-    rel_sum = det0.rel_err
-    cancel = det0.cancel_digits
-    if M > 0:
-        terms.append(pref * SignedLogValue.from_value(M / lam) * det0.slv)
-    for c in range(n):
-        L = base.copy()
-        R = base_rel.copy()
-        for j in range(n):
-            L[j, c] = math.log(rvals[j] * svals[c]) - lam * rvals[j] * svals[c]
-            R[j, c] = _power_rel(L[j, c])
-        det = _det_from_logs(L, R)
-        terms.append(pref * det.slv)
-        rel_sum += det.rel_err
-        cancel = max(cancel, det.cancel_digits)
-    total, sum_cancel = _slv_sum(terms)
-    cancel = max(cancel, sum_cancel)
-    rel = rel_sum + len(terms) * _EPS * 10.0 ** min(sum_cancel, 250.0)
-    return _finalize(total, rel, cancel, cfg, [], None, False)
+    reports = []
+    for lam, dets in zip(lams, _replaced_dets(base, base_rel, replacements)):
+        pref = _doubly_pref_min(n, rvals, svals, lam)
+        terms = [pref * SignedLogValue.from_value(M / lam) * dets[0].slv] if M > 0 else []
+        terms += [pref * d.slv for d in dets[1:]]
+        reports.append(_density(terms, dets, cfg))
+    return reports
 
 
 def pdf_joint_minmax(case: RowCorrelated, a: float, b: float,
@@ -895,51 +907,25 @@ def pdf_joint_minmax(case: RowCorrelated, a: float, b: float,
     pairs of determinants with one column differentiated at each endpoint.
     Identically zero at m = 1 (one eigenvalue cannot sit at two points).
     """
-    if not isinstance(case, RowCorrelated):
-        raise TypeError("joint density is available for the row-correlated model only")
-    a = _check_lambda(a)
-    b = float(b)
-    if not (math.isfinite(b) and b > a):
-        raise ValueError(f"require b > a > 0, got a={a}, b={b}")
+    return _pdf_joint_grid(case, [(a, b)], cfg)[0]
+
+
+def _pdf_joint_grid(case: RowCorrelated, points: Sequence[Tuple[float, float]],
+                    cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
+    points = _gap_points(case, points, "joint density")
     n, m = case.dims.n, case.dims.m
     svals = list(case.s)
     if m == 1:
-        return EvalReport(0.0, 0.0, 0.0, [])
-    base = np.empty((m, m))
-    rel0 = np.empty((m, m))
-    for j, s in enumerate(svals):
-        for k in range(1, m + 1):
-            ak = n - m + k
-            pb = reg_lower_gamma(ak, s * b)
-            pa = reg_lower_gamma(ak, s * a)
-            diff = pb.value - pa.value
-            if diff <= 0.0:
-                base[j, k - 1] = -math.inf
-                rel0[j, k - 1] = 1.0
-            else:
-                base[j, k - 1] = math.lgamma(ak) + math.log(diff) - ak * math.log(s)
-                rel0[j, k - 1] = (pb.abs_error_estimate + pa.abs_error_estimate) / diff
+        return [EvalReport(0.0, 0.0, 0.0, []) for _ in points]
+    base, base_rel = _gap_base(n, m, svals, points)
+    a = np.array([p[0] for p in points])[:, None]
+    b = np.array([p[1] for p in points])[:, None]
+    log_a = np.array([math.log(p[0]) for p in points])[:, None]
+    log_b = np.array([math.log(p[1]) for p in points])[:, None]
+    s = np.asarray(svals, dtype=float)[None, :]
+    pairs = [(c1, c2) for c1 in range(m) for c2 in range(m) if c1 != c2]
+    per_point = _replaced_dets(base, base_rel, [
+        [_power_col(c1, (n - m + c1) * log_a - s * a),
+         _power_col(c2, (n - m + c2) * log_b - s * b)] for c1, c2 in pairs])
     pref = _row_pref(n, m, svals)
-    log_a, log_b = math.log(a), math.log(b)
-    terms = []
-    rel_sum = 0.0
-    cancel = 0.0
-    for c1 in range(m):
-        for c2 in range(m):
-            if c1 == c2:
-                continue
-            L = base.copy()
-            rel = rel0.copy()
-            for j, s in enumerate(svals):
-                L[j, c1] = (n - m + c1) * log_a - s * a
-                L[j, c2] = (n - m + c2) * log_b - s * b
-                rel[j, c1] = _power_rel(L[j, c1])
-                rel[j, c2] = _power_rel(L[j, c2])
-            det = _det_from_logs(L, rel)
-            terms.append(pref * det.slv)
-            rel_sum += det.rel_err
-            cancel = max(cancel, det.cancel_digits)
-    total, sum_cancel = _slv_sum(terms)
-    cancel = max(cancel, sum_cancel)
-    rel = rel_sum + len(terms) * _EPS * 10.0 ** min(sum_cancel, 250.0)
-    return _finalize(total, rel, cancel, cfg, [], None, False)
+    return [_density([pref * d.slv for d in dets], dets, cfg) for dets in per_point]

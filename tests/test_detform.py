@@ -1,9 +1,11 @@
+import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
-from corrwishart import extended
+from corrwishart import cli, extended
 from corrwishart.detform import (
     EvalConfig,
     SignedLogValue,
@@ -15,7 +17,7 @@ from corrwishart.detform import (
     pdf_min,
     prob_gap,
 )
-from corrwishart.detform import _row_min_fsum_log
+from corrwishart.detform import _det_from_logs, _row_min_fsum_log
 from corrwishart.model import (
     ColumnCorrelated,
     Dimensions,
@@ -469,3 +471,104 @@ class TestExtendedAgreesWithDouble:
         ]
         for fast, precise in checks:
             assert fast() == pytest.approx(precise(), rel=1e-11)
+
+
+class TestStackedKernel:
+    def test_stack_matches_per_matrix_calls(self):
+        rng = np.random.default_rng(5)
+        for N in (1, 2, 4, 7, 12):
+            L = rng.normal(scale=3.0, size=(9, N, N))
+            R = rng.uniform(1e-16, 1e-13, size=L.shape)
+            stacked = _det_from_logs(L, R)
+            assert len(stacked) == len(L)
+            for g, got in enumerate(stacked):
+                one = _det_from_logs(L[g], R[g])
+                assert got.slv.sign == one.slv.sign != 0
+                assert got.slv.log_magnitude == pytest.approx(
+                    one.slv.log_magnitude, rel=1e-12, abs=1e-12)
+                assert got.cancel_digits == pytest.approx(one.cancel_digits, rel=1e-12)
+                assert got.rel_err == pytest.approx(one.rel_err, rel=1e-12)
+
+    def test_singular_member_does_not_spoil_the_stack(self):
+        rng = np.random.default_rng(6)
+        L = rng.normal(size=(3, 4, 4))
+        L[1, 3] = L[1, 0]  # two equal rows: exactly singular
+        out = _det_from_logs(L, np.full(L.shape, 1e-15))
+        assert out[1].slv.sign == 0
+        assert out[1].cancel_digits == math.inf and out[1].rel_err == math.inf
+        for g in (0, 2):
+            assert out[g].slv.sign != 0
+            assert math.isfinite(out[g].slv.log_magnitude)
+            assert math.isfinite(out[g].cancel_digits)
+            assert math.isfinite(out[g].rel_err)
+            assert out[g].slv.log_magnitude == pytest.approx(
+                np.linalg.slogdet(np.exp(L[g]))[1], rel=1e-12)
+
+
+class TestGridPath:
+    JOBS = [
+        (["cdf", "--case", "row", "--n", "6", "--m", "4", "--spectrum", "0.5,1,1.8,3",
+          "--stat", "max", "--grid", "0.3:40:6"], cdf_max, row_case(6, 4, [0.5, 1, 1.8, 3])),
+        (["cdf", "--case", "column", "--n", "5", "--m", "3", "--spectrum", "0.6,1.1,1.8,2.7,4",
+          "--stat", "min", "--grid", "0.01:2:6"], cdf_min,
+         col_case(5, 3, [0.6, 1.1, 1.8, 2.7, 4])),
+        (["pdf", "--case", "row", "--n", "8", "--m", "6",
+          "--spectrum", "0.5,1,1.7,2.4,3.3,4.1", "--stat", "max", "--grid", "0.2:30:6"],
+         pdf_max, row_case(8, 6, [0.5, 1, 1.7, 2.4, 3.3, 4.1])),
+        (["pdf", "--case", "column", "--n", "4", "--m", "2", "--spectrum", "0.8,1.6,2.4,4",
+          "--stat", "min", "--grid", "0.01:3:6"], pdf_min, col_case(4, 2, [0.8, 1.6, 2.4, 4])),
+        (["pdf", "--case", "row", "--n", "5", "--m", "3", "--spectrum", "0.7,1.5,3",
+          "--stat", "min", "--grid", "0.005:2:6"], pdf_min, row_case(5, 3, [0.7, 1.5, 3])),
+        (["pdf", "--case", "double", "--n", "3", "--m", "3", "--r", "1,2,3.2",
+          "--s", "0.9,1.8,3.1", "--stat", "max", "--grid", "0.05:10:6"], pdf_max,
+         doubly_case(3, 3, [1, 2, 3.2], [0.9, 1.8, 3.1])),
+        (["pdf", "--case", "double", "--n", "3", "--m", "3", "--r", "1,2,3.2",
+          "--s", "0.9,1.8,3.1", "--stat", "min", "--grid", "0.005:2:6"], pdf_min,
+         doubly_case(3, 3, [1, 2, 3.2], [0.9, 1.8, 3.1])),
+        (["gap", "--case", "row", "--n", "5", "--m", "3", "--spectrum", "0.7,1.5,3",
+          "--a", "0.02:0.5:3", "--b", "1:20:3"], prob_gap, row_case(5, 3, [0.7, 1.5, 3])),
+        (["pdf", "--case", "row", "--n", "6", "--m", "4", "--spectrum", "0.5,1,1.8,3",
+          "--stat", "joint", "--a", "0.02:0.5:3", "--b", "1:20:3"], pdf_joint_minmax,
+         row_case(6, 4, [0.5, 1, 1.8, 3])),
+    ]
+
+    @pytest.mark.parametrize("argv,fn,case", JOBS)
+    def test_cli_rows_equal_public_calls(self, argv, fn, case, tmp_path):
+        path = tmp_path / "out.json"
+        assert cli.main(argv + ["--format", "json", "--output", str(path)]) == 0
+        rows = json.loads(path.read_text())["rows"]
+        assert rows
+        for row in rows:
+            point = (row["lambda"],) if "lambda" in row else (row["a"], row["b"])
+            rep = fn(case, *point)
+            assert (row["value"], row["abs_error"], row["cancel_digits"], row["warnings"]) == \
+                (rep.value, rep.abs_error_estimate, rep.cancellation_digits, rep.warnings)
+
+
+def precise_survival_slope(raw_cdf, lam, monkeypatch):
+    """-dF/dlam at lam by a central difference of the 50-digit evaluation."""
+    monkeypatch.setattr(extended, "_self_validated", lambda raw, dps: raw(dps))
+    with mpmath.workdps(50):
+        x = mpmath.mpf(lam)
+        h = x * mpmath.mpf(10) ** -12
+        return float(-(raw_cdf(x + h, 50) - raw_cdf(x - h, 50)) / (2 * h))
+
+
+class TestSmallLambdaMinDensity:
+    @pytest.mark.parametrize("lam", [0.005, 0.01, 0.03])
+    def test_column_4x2(self, lam, monkeypatch):
+        s = [0.8, 1.6, 2.4, 4.0]
+        rep = pdf_min(col_case(4, 2, s), lam)
+        exact = precise_survival_slope(
+            lambda x, dps: extended.cdf_min_col(4, 2, s, x, dps), lam, monkeypatch)
+        assert not rep.warnings
+        assert abs(rep.value - exact) <= rep.abs_error_estimate
+
+    @pytest.mark.parametrize("lam", [0.005, 0.01, 0.03])
+    def test_row_5x3(self, lam, monkeypatch):
+        s = [0.7, 1.5, 3.0]
+        rep = pdf_min(row_case(5, 3, s), lam)
+        exact = precise_survival_slope(
+            lambda x, dps: extended.cdf_min_row(5, 3, s, x, dps), lam, monkeypatch)
+        assert not rep.warnings
+        assert abs(rep.value - exact) <= rep.abs_error_estimate
