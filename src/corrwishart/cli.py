@@ -21,6 +21,7 @@ Exit codes: 0 success, 2 argument error, 3 cancellation warning in
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -363,9 +364,16 @@ def _apply_config(args) -> None:
             setattr(args, attr, value)
 
 
+@functools.lru_cache(maxsize=1)
+def _shared_parser() -> argparse.ArgumentParser:
+    # built once per process: argparse spends ~3 ms on it, more than a
+    # whole grid job; parsing never changes it (`_apply_config` edits only
+    # the namespace)
+    return build_parser()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         _apply_config(args)
         if getattr(args, "stat", None) is None and args.command in ("cdf", "pdf"):

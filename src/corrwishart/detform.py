@@ -35,7 +35,8 @@ from .model import (
     ModelCase,
     RowCorrelated,
 )
-from .specfun import log_kummer_series, log_reg_lower_gamma, reg_lower_gamma
+from .specfun import (log_doubly_g, log_gamma_entries, log_shifted_power_integrals,
+                      reg_lower_gamma_orders)
 
 __all__ = [
     "SignedLogValue",
@@ -135,17 +136,19 @@ def _scaled_det(A: np.ndarray, rel_entries: Optional[np.ndarray]):
     sign, log_abs = np.linalg.slogdet(A)
     singular = sign == 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        hadamard = np.sum(0.5 * np.log(np.sum(A * A, axis=-1)), axis=-1)
+        hadamard = (0.5 * np.log((A * A).sum(axis=-1))).sum(axis=-1)
         cancel = np.maximum((hadamard - log_abs) / _LN10, 0.0)
     rel = N * _EPS * 2.0 * 10.0 ** np.minimum(cancel, 250.0)
-    live = ~singular
-    if rel_entries is not None and live.any():
+    live = slice(None)  # a plain view unless some member is singular
+    if singular.any():
+        live = ~singular
+        cancel[singular] = math.inf
+        rel[singular] = math.inf
+    if rel_entries is not None and not singular.all():
         A_live = A[live]
         inv = np.linalg.inv(A_live)
         prop = np.abs(np.swapaxes(inv, -1, -2)) * rel_entries[live] * np.abs(A_live)
         rel[live] += prop.reshape(len(A_live), -1).sum(axis=-1)
-    cancel[singular] = math.inf
-    rel[singular] = math.inf
     return sign, log_abs, cancel, rel
 
 
@@ -173,23 +176,24 @@ def _det_from_logs(log_entries: np.ndarray,
     N = L.shape[-1]
     row_shift = L.max(axis=-1)
     dead_rows = ~np.isfinite(row_shift)
-    zero = dead_rows.any(axis=-1)
     row_shift[dead_rows] = 0.0
     A = np.exp(L - row_shift[..., None])
     col_scale = A.max(axis=-2)
-    zero |= (col_scale == 0.0).any(axis=-1)
-    col_scale[zero] = 1.0
+    zero = dead_rows.any(axis=-1) | (col_scale == 0.0).any(axis=-1)
+    any_zero = zero.any()
+    if any_zero:
+        col_scale[zero] = 1.0
     A /= col_scale[:, None, :]
-    A[zero] = np.eye(N)
+    if any_zero:
+        A[zero] = np.eye(N)
     shift = row_shift.sum(axis=-1) + np.log(col_scale).sum(axis=-1)
 
-    rel_entries = None
-    if entry_rel_err is not None:
-        rel_entries = np.broadcast_to(np.asarray(entry_rel_err, dtype=float), L.shape)
+    rel_entries = None if entry_rel_err is None else np.asarray(entry_rel_err, dtype=float)
+    if rel_entries is not None and rel_entries.shape != L.shape:
+        rel_entries = np.broadcast_to(rel_entries, L.shape)
     sign, log_abs, cancel, rel = _scaled_det(A, rel_entries)
-    sign[zero] = 0.0
-    cancel[zero] = 0.0
-    rel[zero] = 0.0
+    if any_zero:
+        sign[zero] = cancel[zero] = rel[zero] = 0.0
     out = [_DetInfo(SignedLogValue.from_log(int(s), lg), c, r)
            for s, lg, c, r in zip(sign.tolist(), (log_abs + shift).tolist(),
                                   cancel.tolist(), rel.tolist())]
@@ -325,107 +329,87 @@ def _log_gaps(vals: Sequence[float]) -> float:
     return out
 
 
+def _sum_log(vals: Sequence[float]) -> float:
+    return sum(math.log(v) for v in vals)
+
+
 # ---------------------------------------------------------------------------
-# entry builders
+# entry arrays
 #
-# Each builder returns the log of the (positive) entry together with a
-# first-order relative error estimate.  The estimate tracks the absolute
-# size of the log-space terms that were combined: an absolute error
-# delta on a log is a relative error delta on the entry, and the individual
-# terms (x, a log x, lgamma) each carry roundoff proportional to their own
-# magnitude.
+# A grid's entries, as logs of the (positive) values, come from the array
+# kernels in `specfun` with first-order relative error estimates that track
+# the absolute size of the log-space terms combined (x, a log x, lgamma):
+# an absolute error on a log is a relative error on the entry.
 
 
-def _row_min_fsum_log(a: int, lam: float, s: float) -> Tuple[float, float]:
-    """log of sum_i C(a-1, i) lam^(a-1-i) i! / s^(i+1), the exact finite-sum
-    value of the shifted-power integral entering the smallest-eigenvalue
-    determinant (no exponential factor)."""
-    log_lam = math.log(lam)
-    log_s = math.log(s)
-    terms = []
-    for i in range(a):
-        terms.append(math.lgamma(a) - math.lgamma(i + 1) - math.lgamma(a - i)
-                     + math.lgamma(i + 1) + (a - 1 - i) * log_lam
-                     - (i + 1) * log_s)
-    top = max(terms)
-    log_v = top + math.log(sum(math.exp(t - top) for t in terms))
-    rel = _EPS * (10.0 + a + abs(log_v))
-    return log_v, rel
+def _gamma_logs(a_lo: int, a_hi: int, x: np.ndarray, log_scale) -> Tuple[np.ndarray, np.ndarray]:
+    """log int_0^1 t^(a-1) e^(-x t) dt for the orders a_lo..a_hi (last axis),
+    and its estimate with ``a |log_scale|`` for the size of a log x."""
+    orders = np.arange(a_lo, a_hi + 1)
+    lgam = np.array([math.lgamma(a) for a in orders])
+    rel = _EPS * (10.0 + np.abs(lgam) + np.abs(orders * log_scale[..., None])
+                  + np.minimum(x[..., None], orders + 1.0))
+    return log_gamma_entries(a_lo, a_hi, x), rel
 
 
-def _gamma_entry(a: int, x: float) -> Tuple[float, float]:
-    # log of integral_0^1 t^(a-1) e^(-x t) dt = lgamma(a) + log P(a,x) - a log x
-    log_v = math.lgamma(a) + log_reg_lower_gamma(a, x) - a * math.log(x)
-    rel = _EPS * (10.0 + abs(math.lgamma(a)) + a * abs(math.log(x))
-                  + min(x, a + 1.0))
-    return log_v, rel
+def _row_min_logs(a_lo: int, a_hi: int, lams, svals) -> Tuple[np.ndarray, np.ndarray]:
+    """log sum_i C(a-1, i) lam^(a-1-i) i! / s^(i+1), the smallest-eigenvalue
+    entries without their exponential factor: rows s, orders a_lo..a_hi."""
+    log_v = log_shifted_power_integrals(a_lo, a_hi, np.asarray(lams, dtype=float)[:, None],
+                                        np.asarray(svals, dtype=float))
+    return log_v, _EPS * (10.0 + np.arange(a_lo, a_hi + 1) + np.abs(log_v))
 
 
-def _doubly_g_entry(n: int, x: float) -> Tuple[float, float]:
-    # log of integral_0^1 (1-t)^(n-1) e^(-x t) dt = log[ 1F1(1; n+1; -x) / n ]
-    log_v = -math.log(n) - x + log_kummer_series(n, n + 1, x)
-    rel = _EPS * (20.0 + x)
-    return log_v, rel
-
-
-def _power_rel(log_v: float) -> float:
-    return _EPS * (5.0 + abs(log_v))
+def _power_rel(log_v):
+    return _EPS * (5.0 + np.abs(log_v))
 
 
 # ---------------------------------------------------------------------------
-# prefactors (everything as SignedLogValue)
+# prefactors: lambda-free parts as SignedLogValue, computed once per grid;
+# the grid functions add their lambda terms as arrays (`_with_logs`)
+
+
+def _with_logs(pref: SignedLogValue, logs) -> List[SignedLogValue]:
+    return [SignedLogValue.from_log(pref.sign, pref.log_magnitude + v)
+            for v in np.asarray(logs, dtype=float).tolist()]
+
+
+def _pref(pairs: int, log: float) -> SignedLogValue:
+    """e^log times the sign (-1)^pairs of a Vandermonde with that many pairs."""
+    return SignedLogValue.from_log(-1 if pairs % 2 else 1, log)
 
 
 def _row_pref(n: int, m: int, svals: Sequence[float]) -> SignedLogValue:
     # normalization (spectral powers over factorials) divided by the
-    # spectral Vandermonde; shared by both statistics
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    log = n * sum(math.log(v) for v in svals) - _log_gaps(svals)
-    for k in range(1, m + 1):
-        log -= math.lgamma(n - m + k)
-    return SignedLogValue.from_log(sign, log)
+    # spectral Vandermonde; shared by every row-model law
+    return _pref(m * (m - 1) // 2, n * _sum_log(svals) - _log_gaps(svals)
+                 - sum(math.lgamma(n - m + k) for k in range(1, m + 1)))
 
 
 def _col_pref_max(n: int, m: int, svals: Sequence[float]) -> SignedLogValue:
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    log = math.lgamma(m + 1) + m * sum(math.log(v) for v in svals)
-    for k in range(1, m + 1):
-        log -= math.lgamma(k + 1)
-    log -= _log_gaps(svals)
-    return SignedLogValue.from_log(sign, log)
+    return _pref(m * (m - 1) // 2, math.lgamma(m + 1) + m * _sum_log(svals) - _log_gaps(svals)
+                 - sum(math.lgamma(k + 1) for k in range(1, m + 1)))
 
 
-def _col_pref_min(n: int, m: int, svals: Sequence[float], lam: float) -> SignedLogValue:
-    sign = -1 if (m * (m - 1) // 2) % 2 else 1
-    log = m * sum(math.log(v) for v in svals) - lam * sum(svals) - _log_gaps(svals)
-    return SignedLogValue.from_log(sign, log)
+def _col_pref_min(n: int, m: int, svals: Sequence[float]) -> SignedLogValue:
+    # times exp(-lam sum(s))
+    return _pref(m * (m - 1) // 2, m * _sum_log(svals) - _log_gaps(svals))
 
 
-def _doubly_pref_min(n: int, rvals, svals, lam: float) -> SignedLogValue:
-    M = n * (n - 1) // 2
-    sign = -1 if M % 2 else 1
-    log = -M * math.log(lam) - _log_gaps(rvals) - _log_gaps(svals)
-    for j in range(1, n):
-        log += math.lgamma(j + 1)
-    return SignedLogValue.from_log(sign, log)
+def _doubly_pref_min(n: int, rvals, svals) -> SignedLogValue:
+    # times lam^(-M), M = n(n-1)/2
+    return _pref(n * (n - 1) // 2, sum(math.lgamma(j + 1) for j in range(1, n))
+                 - _log_gaps(rvals) - _log_gaps(svals))
 
 
-def _doubly_pref_max(n: int, m: int, rvals, svals, lam: float) -> SignedLogValue:
+def _doubly_pref_max(n: int, m: int, rvals, svals) -> SignedLogValue:
     # General m <= n prefactor, anchored so that the m = n case is exactly
     # the square evaluation and the m < n case matches the iterated
-    # large-eigenvalue limit of it (the overall sign depends on n only).
-    M = n * (n - 1) // 2
-    sign = -1 if M % 2 else 1
-    log = 0.0
-    for j in range(1, n):
-        log -= j * math.log(j)
-    for p in range(1, n - m):
-        log += math.lgamma(n) - math.lgamma(n - p)
-    log += n * sum(math.log(v) for v in rvals)
-    log += n * sum(math.log(lam * v) for v in svals)
-    log -= M * math.log(lam)
-    log -= _log_gaps(rvals) + _log_gaps(svals)
-    return SignedLogValue.from_log(sign, log)
+    # large-eigenvalue limit of it (the overall sign depends on n only);
+    # times lam^(n^2 - M), M = n(n-1)/2.
+    return _pref(n * (n - 1) // 2, sum(math.lgamma(n) - math.lgamma(n - p) for p in range(1, n - m))
+                 - sum(j * math.log(j) for j in range(1, n))
+                 + n * (_sum_log(rvals) + _sum_log(svals)) - _log_gaps(rvals) - _log_gaps(svals))
 
 
 # ---------------------------------------------------------------------------
@@ -444,9 +428,13 @@ def _ext(name: str, *args) -> Callable[[int], float]:
     return run
 
 
-def _probability(slv: SignedLogValue, det: _DetInfo, cfg: EvalConfig,
-                 ext: Optional[Callable[[int], float]]) -> EvalReport:
-    return _finalize(slv, det.rel_err, det.cancel_digits, cfg, [], ext, True)
+def _probabilities(prefs: Sequence[SignedLogValue], dets: Sequence[_DetInfo], cfg: EvalConfig,
+                   name: str, args: tuple, points) -> List[EvalReport]:
+    """One report per point: prefactor times determinant, re-evaluated by
+    ``extended.<name>(*args, *point, dps)`` when configured."""
+    return [_finalize(pref * det.slv, det.rel_err, det.cancel_digits, cfg, [],
+                      _ext(name, *args, *point), True)
+            for pref, det, point in zip(prefs, dets, points)]
 
 
 def _density(terms: Sequence[SignedLogValue], dets: Sequence[_DetInfo],
@@ -501,12 +489,22 @@ def _gap_points(case, points, what: str) -> List[Tuple[float, float]]:
     return out
 
 
-def _no_doubly_min(case) -> None:
-    if case.dims.m != case.dims.n:
-        raise ValueError(
-            "smallest-eigenvalue law for the doubly correlated model "
-            "requires m = n"
-        )
+def _by_model(case: ModelCase, lams: Sequence[float], cfg: EvalConfig,
+              row, col, doubly) -> List[EvalReport]:
+    """Check the lambdas and run the grid function for the case's model."""
+    lams = [_check_lambda(lam) for lam in lams]
+    n, m = case.dims.n, case.dims.m
+    if isinstance(case, DoublyCorrelated):
+        return doubly(n, m, list(case.r), list(case.s), lams, cfg)
+    for model, fn in ((RowCorrelated, row), (ColumnCorrelated, col)):
+        if isinstance(case, model):
+            return fn(n, m, list(case.s), lams, cfg)
+    raise TypeError(f"unknown model case {type(case).__name__}")
+
+
+def _no_doubly_min(n: int, m: int) -> None:
+    if m != n:
+        raise ValueError("smallest-eigenvalue law for the doubly correlated model requires m = n")
 
 
 # ---------------------------------------------------------------------------
@@ -520,82 +518,51 @@ def cdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
 
 def _cdf_max_grid(case: ModelCase, lams: Sequence[float],
                   cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    lams = [_check_lambda(lam) for lam in lams]
-    if isinstance(case, RowCorrelated):
-        return _cdf_max_row(case.dims.n, case.dims.m, list(case.s), lams, cfg)
-    if isinstance(case, ColumnCorrelated):
-        return _cdf_max_col(case.dims.n, case.dims.m, list(case.s), lams, cfg)
-    if isinstance(case, DoublyCorrelated):
-        return _cdf_max_doubly(case.dims.n, case.dims.m, list(case.r),
-                               list(case.s), lams, cfg)
-    raise TypeError(f"unknown model case {type(case).__name__}")
+    return _by_model(case, lams, cfg, _cdf_max_row, _cdf_max_col, _cdf_max_doubly)
 
 
 def _cdf_max_row(n, m, svals, lams, cfg) -> List[EvalReport]:
-    L = np.empty((len(lams), m, m))
-    R = np.empty_like(L)
-    for g, lam in enumerate(lams):
-        for j, s in enumerate(svals):
-            x = lam * s
-            for k in range(1, m + 1):
-                L[g, j, k - 1], R[g, j, k - 1] = _gamma_entry(n - m + k, x)
+    x = np.asarray(lams, dtype=float)[:, None] * np.asarray(svals, dtype=float)
+    dets = _det_from_logs(*_gamma_logs(n - m + 1, n, x, np.log(x)))
     M = m * (m - 1) // 2
-    reports = []
-    for lam, det in zip(lams, _det_from_logs(L, R)):
-        pref_log = (n * sum(math.log(lam * s) for s in svals)
-                    - M * math.log(lam) - _log_gaps(svals))
-        for k in range(1, m + 1):
-            pref_log -= math.lgamma(n - m + k)
-        pref = SignedLogValue.from_log(-1 if M % 2 else 1, pref_log)
-        reports.append(_probability(pref * det.slv, det, cfg,
-                                    _ext("cdf_max_row", n, m, svals, lam)))
-    return reports
-
-
-def _col_max_entry(k: int, s: float, lam: float) -> Tuple[float, float]:
-    log_v = math.lgamma(k) + log_reg_lower_gamma(k, lam * s) - k * math.log(s)
-    rel = _EPS * (10.0 + math.lgamma(k) + k * abs(math.log(s))
-                  + min(lam * s, k + 1.0))
-    return log_v, rel
+    prefs = _with_logs(_row_pref(n, m, svals), (n * m - M) * np.log(lams))
+    return _probabilities(prefs, dets, cfg, "cdf_max_row", (n, m, svals), zip(lams))
 
 
 def _col_max_base(n, m, svals, lams):
-    """Stacked column cdf_max matrices: gamma columns, then spectral powers."""
+    """Stacked column cdf_max matrices: gamma columns, then spectral powers.
+    Column k holds Gamma(k) P(k, lam s) / s^k = lam^k int_0^1 t^(k-1) e^(-lam s t) dt."""
+    lam = np.asarray(lams, dtype=float)[:, None]
+    s = np.asarray(svals, dtype=float)
+    log_s = np.log(s)
     L = np.empty((len(lams), n, n))
     R = np.empty_like(L)
-    for j, s in enumerate(svals):
-        for i in range(1, n - m + 1):
-            L[:, j, m + i - 1] = (i - 1) * math.log(s)
-            R[:, j, m + i - 1] = _power_rel((i - 1) * math.log(s))
-    for g, lam in enumerate(lams):
-        for j, s in enumerate(svals):
-            for k in range(1, m + 1):
-                L[g, j, k - 1], R[g, j, k - 1] = _col_max_entry(k, s, lam)
+    L[:, :, :m], R[:, :, :m] = _gamma_logs(1, m, lam * s, log_s)
+    L[:, :, :m] += np.arange(1, m + 1) * np.log(lam)[..., None]
+    L[:, :, m:] = log_s[:, None] * np.arange(n - m)
+    R[:, :, m:] = _power_rel(L[0, :, m:])
     return L, R
 
 
 def _cdf_max_col(n, m, svals, lams, cfg) -> List[EvalReport]:
     dets = _det_from_logs(*_col_max_base(n, m, svals, lams))
-    pref = _col_pref_max(n, m, svals)
-    return [_probability(pref * det.slv, det, cfg,
-                         _ext("cdf_max_col", n, m, svals, lam))
-            for lam, det in zip(lams, dets)]
+    prefs = [_col_pref_max(n, m, svals)] * len(lams)
+    return _probabilities(prefs, dets, cfg, "cdf_max_col", (n, m, svals), zip(lams))
 
 
 def _cdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
+    lam = np.asarray(lams, dtype=float)[:, None, None]
+    s = np.asarray(svals, dtype=float)
+    x = lam * np.asarray(rvals, dtype=float)[:, None] * s
     L = np.empty((len(lams), n, n))
     R = np.empty_like(L)
-    for g, lam in enumerate(lams):
-        for j in range(m):
-            for l in range(n):
-                L[g, j, l], R[g, j, l] = _doubly_g_entry(n, lam * rvals[j] * svals[l])
-        for i in range(1, n - m + 1):
-            for l in range(n):
-                L[g, m + i - 1, l] = -i * math.log(lam * svals[l])
-    R[:, m:, :] = _power_rel(L[:, m:, :])
-    return [_probability(_doubly_pref_max(n, m, rvals, svals, lam) * det.slv, det, cfg,
-                         _ext("cdf_max_doubly", n, m, rvals, svals, lam))
-            for lam, det in zip(lams, _det_from_logs(L, R))]
+    L[:, :m], R[:, :m] = log_doubly_g(n, x), _EPS * (20.0 + x)
+    L[:, m:] = -np.arange(1, n - m + 1)[:, None] * np.log(lam * s)
+    R[:, m:] = _power_rel(L[:, m:])
+    M = n * (n - 1) // 2
+    prefs = _with_logs(_doubly_pref_max(n, m, rvals, svals), (n * n - M) * np.log(lams))
+    return _probabilities(prefs, _det_from_logs(L, R), cfg, "cdf_max_doubly",
+                          (n, m, rvals, svals), zip(lams))
 
 
 # ---------------------------------------------------------------------------
@@ -614,61 +581,34 @@ def cdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
 
 def _cdf_min_grid(case: ModelCase, lams: Sequence[float],
                   cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    lams = [_check_lambda(lam) for lam in lams]
-    if isinstance(case, RowCorrelated):
-        return _cdf_min_row(case.dims.n, case.dims.m, list(case.s), lams, cfg)
-    if isinstance(case, ColumnCorrelated):
-        return _cdf_min_col(case.dims.n, case.dims.m, list(case.s), lams, cfg)
-    if isinstance(case, DoublyCorrelated):
-        _no_doubly_min(case)
-        return _cdf_min_doubly(case.dims.n, list(case.r), list(case.s), lams, cfg)
-    raise TypeError(f"unknown model case {type(case).__name__}")
-
-
-def _row_min_base(n, m, svals, lams):
-    L = np.empty((len(lams), m, m))
-    R = np.empty_like(L)
-    for g, lam in enumerate(lams):
-        for j, s in enumerate(svals):
-            for k in range(1, m + 1):
-                L[g, j, k - 1], R[g, j, k - 1] = _row_min_fsum_log(n - m + k, lam, s)
-    return L, R
+    return _by_model(case, lams, cfg, _cdf_min_row, _cdf_min_col, _cdf_min_doubly)
 
 
 def _cdf_min_row(n, m, svals, lams, cfg) -> List[EvalReport]:
+    decay = -np.asarray(lams, dtype=float) * sum(svals)
     if n == m:
         # determinant is lambda-free; survival is a pure exponential
-        xs = [lam * sum(svals) for lam in lams]
-        return [_finalize(SignedLogValue.from_log(1, -x), (5.0 + x) * _EPS, 0.0,
-                          cfg, [], None, True) for x in xs]
-    dets = _det_from_logs(*_row_min_base(n, m, svals, lams))
-    pref = _row_pref(n, m, svals)
-    reports = []
-    for lam, det in zip(lams, dets):
-        expf = SignedLogValue.from_log(1, -lam * sum(svals))
-        reports.append(_probability(pref * expf * det.slv, det, cfg,
-                                    _ext("cdf_min_row", n, m, svals, lam)))
-    return reports
+        return [_finalize(SignedLogValue.from_log(1, d), (5.0 - d) * _EPS, 0.0, cfg, [], None,
+                          True) for d in decay.tolist()]
+    dets = _det_from_logs(*_row_min_logs(n - m + 1, n, lams, svals))
+    prefs = _with_logs(_row_pref(n, m, svals), decay)
+    return _probabilities(prefs, dets, cfg, "cdf_min_row", (n, m, svals), zip(lams))
 
 
 def _col_min_base(n, m, svals, lams):
     """Stacked column cdf_min matrices: inverse powers, then exponentials."""
-    lam = np.asarray(lams, dtype=float)[:, None]
-    s = np.asarray(svals, dtype=float)[None, :]
-    log_s = np.array([math.log(v) for v in svals])[None, :]
+    lam = np.asarray(lams, dtype=float)[:, None, None]
+    s = np.asarray(svals, dtype=float)[:, None]
     L = np.empty((len(lams), n, n))
-    for k in range(1, m + 1):
-        L[:, :, k - 1] = -k * log_s
-    for i in range(1, n - m + 1):
-        L[:, :, m + i - 1] = lam * s + (i - 1) * log_s
+    L[:, :, :m] = -np.arange(1, m + 1) * np.log(s)
+    L[:, :, m:] = lam * s + np.arange(n - m) * np.log(s)
     return L, _power_rel(L)
 
 
 def _cdf_min_col(n, m, svals, lams, cfg) -> List[EvalReport]:
     dets = _det_from_logs(*_col_min_base(n, m, svals, lams))
-    return [_probability(_col_pref_min(n, m, svals, lam) * det.slv, det, cfg,
-                         _ext("cdf_min_col", n, m, svals, lam))
-            for lam, det in zip(lams, dets)]
+    prefs = _with_logs(_col_pref_min(n, m, svals), -np.asarray(lams) * sum(svals))
+    return _probabilities(prefs, dets, cfg, "cdf_min_col", (n, m, svals), zip(lams))
 
 
 def _doubly_min_base(rvals, svals, lams):
@@ -678,11 +618,11 @@ def _doubly_min_base(rvals, svals, lams):
     return L, _power_rel(L)
 
 
-def _cdf_min_doubly(n, rvals, svals, lams, cfg) -> List[EvalReport]:
+def _cdf_min_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
+    _no_doubly_min(n, m)
     dets = _det_from_logs(*_doubly_min_base(rvals, svals, lams))
-    return [_probability(_doubly_pref_min(n, rvals, svals, lam) * det.slv, det, cfg,
-                         _ext("cdf_min_doubly", n, rvals, svals, lam))
-            for lam, det in zip(lams, dets)]
+    prefs = _with_logs(_doubly_pref_min(n, rvals, svals), -(n * (n - 1) // 2) * np.log(lams))
+    return _probabilities(prefs, dets, cfg, "cdf_min_doubly", (n, rvals, svals), zip(lams))
 
 
 # ---------------------------------------------------------------------------
@@ -697,21 +637,15 @@ def prob_gap(case: RowCorrelated, a: float, b: float,
 
 def _gap_base(n, m, svals, points):
     """Stacked gap matrices: Gamma(a) [P(a, s b) - P(a, s a)] / s^a."""
-    L = np.empty((len(points), m, m))
-    R = np.empty_like(L)
-    for g, (a, b) in enumerate(points):
-        for j, s in enumerate(svals):
-            for k in range(1, m + 1):
-                ak = n - m + k
-                pb = reg_lower_gamma(ak, s * b)
-                pa = reg_lower_gamma(ak, s * a)
-                diff = pb.value - pa.value
-                if diff <= 0.0:
-                    L[g, j, k - 1] = -math.inf
-                    R[g, j, k - 1] = 1.0
-                else:
-                    L[g, j, k - 1] = math.lgamma(ak) + math.log(diff) - ak * math.log(s)
-                    R[g, j, k - 1] = (pb.abs_error_estimate + pa.abs_error_estimate) / diff
+    ends = np.asarray(points, dtype=float)[:, :, None] * np.asarray(svals, dtype=float)
+    p, err, _ = reg_lower_gamma_orders(n - m + 1, n, ends)
+    diff = p[:, 1] - p[:, 0]
+    live = diff > 0.0
+    orders = np.arange(n - m + 1, n + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        L = np.where(live, [math.lgamma(a) for a in orders] + np.log(diff)
+                     - orders * np.log(np.asarray(svals, dtype=float))[:, None], -np.inf)
+        R = np.where(live, (err[:, 0] + err[:, 1]) / diff, 1.0)
     return L, R
 
 
@@ -721,10 +655,8 @@ def _prob_gap_grid(case: RowCorrelated, points: Sequence[Tuple[float, float]],
     n, m = case.dims.n, case.dims.m
     svals = list(case.s)
     dets = _det_from_logs(*_gap_base(n, m, svals, points))
-    pref = _row_pref(n, m, svals)
-    return [_probability(pref * det.slv, det, cfg,
-                         _ext("prob_gap_row", n, m, svals, a, b))
-            for (a, b), det in zip(points, dets)]
+    prefs = [_row_pref(n, m, svals)] * len(points)
+    return _probabilities(prefs, dets, cfg, "prob_gap_row", (n, m, svals), points)
 
 
 def pdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
@@ -740,44 +672,28 @@ def pdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
 
 def _pdf_max_grid(case: ModelCase, lams: Sequence[float],
                   cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    lams = [_check_lambda(lam) for lam in lams]
-    if isinstance(case, RowCorrelated):
-        return _pdf_max_row(case.dims.n, case.dims.m, list(case.s), lams, cfg)
-    if isinstance(case, ColumnCorrelated):
-        return _pdf_max_col(case.dims.n, case.dims.m, list(case.s), lams, cfg)
-    if isinstance(case, DoublyCorrelated):
-        return _pdf_max_doubly(case.dims.n, case.dims.m, list(case.r),
-                               list(case.s), lams, cfg)
-    raise TypeError(f"unknown model case {type(case).__name__}")
+    return _by_model(case, lams, cfg, _pdf_max_row, _pdf_max_col, _pdf_max_doubly)
 
 
 def _pdf_max_row(n, m, svals, lams, cfg) -> List[EvalReport]:
     # unscaled entries int_0^lam t^(a-1) e^(-s t) dt = Gamma(a) P(a, lam s) / s^a,
     # so that the lambda dependence sits entirely inside the columns
-    log_lams = [math.log(lam) for lam in lams]
-    base = np.empty((len(lams), m, m))
-    base_rel = np.empty_like(base)
-    for g, (lam, log_lam) in enumerate(zip(lams, log_lams)):
-        for j, s in enumerate(svals):
-            for k in range(1, m + 1):
-                a = n - m + k
-                log_v, rel = _gamma_entry(a, lam * s)
-                base[g, j, k - 1] = log_v + a * log_lam
-                base_rel[g, j, k - 1] = rel
-    log_lam = np.array(log_lams)[:, None]
-    decay = np.asarray(svals, dtype=float)[None, :] * np.asarray(lams, dtype=float)[:, None]
+    lam = np.asarray(lams, dtype=float)[:, None]
+    x = lam * np.asarray(svals, dtype=float)
+    base, base_rel = _gamma_logs(n - m + 1, n, x, np.log(x))
+    base += np.arange(n - m + 1, n + 1) * np.log(lam)[..., None]
     per_point = _replaced_dets(base, base_rel, [
-        [_power_col(c, (n - m + c) * log_lam - decay)] for c in range(m)])
+        [_power_col(c, (n - m + c) * np.log(lam) - x)] for c in range(m)])
     pref = _row_pref(n, m, svals)
     return [_density([pref * d.slv for d in dets], dets, cfg) for dets in per_point]
 
 
 def _pdf_max_col(n, m, svals, lams, cfg) -> List[EvalReport]:
     base, base_rel = _col_max_base(n, m, svals, lams)
-    log_lam = np.array([math.log(lam) for lam in lams])[:, None]
-    decay = np.asarray(svals, dtype=float)[None, :] * np.asarray(lams, dtype=float)[:, None]
+    lam = np.asarray(lams, dtype=float)[:, None]
+    decay = lam * np.asarray(svals, dtype=float)
     per_point = _replaced_dets(base, base_rel, [
-        [_power_col(c, c * log_lam - decay)] for c in range(m)])
+        [_power_col(c, c * np.log(lam) - decay)] for c in range(m)])
     pref = _col_pref_max(n, m, svals)
     return [_density([pref * d.slv for d in dets], dets, cfg) for dets in per_point]
 
@@ -785,14 +701,10 @@ def _pdf_max_col(n, m, svals, lams, cfg) -> List[EvalReport]:
 def _pdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
     """Richardson-extrapolated central differences of the CDF, whose four
     points per lambda are evaluated as one grid."""
-    steps = []
-    points = []
-    for lam in lams:
-        h = max(1e-5, 1e-4 * lam)
-        if h >= 0.5 * lam:
-            h = 0.25 * lam
-        steps.append(h)
-        points += [lam + h, lam - h, lam + h / 2, lam - h / 2]
+    steps = [h if h < 0.5 * lam else 0.25 * lam
+             for lam, h in ((lam, max(1e-5, 1e-4 * lam)) for lam in lams)]
+    points = [p for lam, h in zip(lams, steps)
+              for p in (lam + h, lam - h, lam + h / 2, lam - h / 2)]
     cdfs = _cdf_max_doubly(n, m, rvals, svals, points, cfg)
     return [_fd_density(cdfs[4 * g:4 * g + 4], h) for g, h in enumerate(steps)]
 
@@ -826,15 +738,7 @@ def pdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
 
 def _pdf_min_grid(case: ModelCase, lams: Sequence[float],
                   cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    lams = [_check_lambda(lam) for lam in lams]
-    if isinstance(case, RowCorrelated):
-        return _pdf_min_row(case.dims.n, case.dims.m, list(case.s), lams, cfg)
-    if isinstance(case, ColumnCorrelated):
-        return _pdf_min_col(case.dims.n, case.dims.m, list(case.s), lams, cfg)
-    if isinstance(case, DoublyCorrelated):
-        _no_doubly_min(case)
-        return _pdf_min_doubly(case.dims.n, list(case.r), list(case.s), lams, cfg)
-    raise TypeError(f"unknown model case {type(case).__name__}")
+    return _by_model(case, lams, cfg, _pdf_min_row, _pdf_min_col, _pdf_min_doubly)
 
 
 def _pdf_min_row(n, m, svals, lams, cfg) -> List[EvalReport]:
@@ -843,23 +747,15 @@ def _pdf_min_row(n, m, svals, lams, cfg) -> List[EvalReport]:
         return [_finalize(SignedLogValue.from_value(ssum * math.exp(-lam * ssum)),
                           (5.0 + lam * ssum) * _EPS, 0.0, cfg, [], None, False)
                 for lam in lams]
-    base, base_rel = _row_min_base(n, m, svals, lams)
     # Only the first column survives differentiation: every other derived
-    # column is proportional to its left neighbour.
-    lowered = np.empty((len(lams), m))
-    lowered_rel = np.empty_like(lowered)
-    for g, lam in enumerate(lams):
-        for j, s in enumerate(svals):
-            lowered[g, j], lowered_rel[g, j] = _row_min_fsum_log(n - m, lam, s)
-    per_point = _replaced_dets(base, base_rel, [[], [(0, lowered, lowered_rel)]])
-    pref = _row_pref(n, m, svals)
-    reports = []
-    for lam, (det0, det1) in zip(lams, per_point):
-        expf = SignedLogValue.from_log(1, -lam * ssum)
-        t1 = pref * expf * SignedLogValue.from_value(ssum) * det0.slv
-        t2 = pref * expf * SignedLogValue.from_value(-(n - m)) * det1.slv
-        reports.append(_density([t1, t2], [det0, det1], cfg))
-    return reports
+    # column is proportional to its left neighbour.  Order n - m fills it.
+    logs, rels = _row_min_logs(n - m, n, lams, svals)
+    per_point = _replaced_dets(logs[..., 1:], rels[..., 1:],
+                               [[], [(0, logs[..., 0], rels[..., 0])]])
+    prefs = _with_logs(_row_pref(n, m, svals), -np.asarray(lams) * ssum)
+    return [_density([pref * SignedLogValue.from_value(ssum) * det0.slv,
+                      pref * SignedLogValue.from_value(-(n - m)) * det1.slv], [det0, det1], cfg)
+            for pref, (det0, det1) in zip(prefs, per_point)]
 
 
 def _pdf_min_col(n, m, svals, lams, cfg) -> List[EvalReport]:
@@ -868,35 +764,29 @@ def _pdf_min_col(n, m, svals, lams, cfg) -> List[EvalReport]:
     base, base_rel = _col_min_base(n, m, svals, lams)
     replacements = [[]]
     if n > m:
-        last = (np.asarray(lams, dtype=float)[:, None] * np.asarray(svals, dtype=float)[None, :]
-                + (n - m) * np.array([math.log(s) for s in svals])[None, :])
+        last = (np.asarray(lams, dtype=float)[:, None] * np.asarray(svals, dtype=float)
+                + (n - m) * np.log(np.asarray(svals, dtype=float)))
         replacements.append([_power_col(n - 1, last)])
     ssum = sum(svals)
-    reports = []
-    for lam, dets in zip(lams, _replaced_dets(base, base_rel, replacements)):
-        pref = _col_pref_min(n, m, svals, lam)
-        terms = [pref * SignedLogValue.from_value(ssum) * dets[0].slv]
-        terms += [pref * SignedLogValue.from_value(-1.0) * d.slv for d in dets[1:]]
-        reports.append(_density(terms, dets, cfg))
-    return reports
+    prefs = _with_logs(_col_pref_min(n, m, svals), -np.asarray(lams) * ssum)
+    return [_density([pref * SignedLogValue.from_value(ssum) * dets[0].slv]
+                     + [pref * SignedLogValue.from_value(-1.0) * d.slv for d in dets[1:]],
+                     dets, cfg)
+            for pref, dets in zip(prefs, _replaced_dets(base, base_rel, replacements))]
 
 
-def _pdf_min_doubly(n, rvals, svals, lams, cfg) -> List[EvalReport]:
+def _pdf_min_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
+    _no_doubly_min(n, m)
     base, base_rel = _doubly_min_base(rvals, svals, lams)
     # column c of every matrix differentiated: r_j s_c exp(-lam r_j s_c)
-    lam_r = np.asarray(lams, dtype=float)[:, None] * np.asarray(rvals, dtype=float)[None, :]
-    replacements = [[]] + [
-        [_power_col(c, np.array([math.log(r * svals[c]) for r in rvals])[None, :]
-                    - lam_r * svals[c])]
-        for c in range(n)]
+    rs = np.asarray(rvals, dtype=float)[:, None] * np.asarray(svals, dtype=float)
+    lam = np.asarray(lams, dtype=float)[:, None]
+    replacements = [[]] + [[_power_col(c, np.log(rs[:, c]) - lam * rs[:, c])] for c in range(n)]
     M = n * (n - 1) // 2
-    reports = []
-    for lam, dets in zip(lams, _replaced_dets(base, base_rel, replacements)):
-        pref = _doubly_pref_min(n, rvals, svals, lam)
-        terms = [pref * SignedLogValue.from_value(M / lam) * dets[0].slv] if M > 0 else []
-        terms += [pref * d.slv for d in dets[1:]]
-        reports.append(_density(terms, dets, cfg))
-    return reports
+    prefs = _with_logs(_doubly_pref_min(n, rvals, svals), -M * np.log(lams))
+    return [_density(([pref * SignedLogValue.from_value(M / lam) * dets[0].slv] if M > 0 else [])
+                     + [pref * d.slv for d in dets[1:]], dets, cfg)
+            for lam, pref, dets in zip(lams, prefs, _replaced_dets(base, base_rel, replacements))]
 
 
 def pdf_joint_minmax(case: RowCorrelated, a: float, b: float,
@@ -918,14 +808,11 @@ def _pdf_joint_grid(case: RowCorrelated, points: Sequence[Tuple[float, float]],
     if m == 1:
         return [EvalReport(0.0, 0.0, 0.0, []) for _ in points]
     base, base_rel = _gap_base(n, m, svals, points)
-    a = np.array([p[0] for p in points])[:, None]
-    b = np.array([p[1] for p in points])[:, None]
-    log_a = np.array([math.log(p[0]) for p in points])[:, None]
-    log_b = np.array([math.log(p[1]) for p in points])[:, None]
-    s = np.asarray(svals, dtype=float)[None, :]
+    a, b = (np.array([p[i] for p in points])[:, None] for i in (0, 1))
+    s = np.asarray(svals, dtype=float)
     pairs = [(c1, c2) for c1 in range(m) for c2 in range(m) if c1 != c2]
     per_point = _replaced_dets(base, base_rel, [
-        [_power_col(c1, (n - m + c1) * log_a - s * a),
-         _power_col(c2, (n - m + c2) * log_b - s * b)] for c1, c2 in pairs])
+        [_power_col(c1, (n - m + c1) * np.log(a) - s * a),
+         _power_col(c2, (n - m + c2) * np.log(b) - s * b)] for c1, c2 in pairs])
     pref = _row_pref(n, m, svals)
     return [_density([pref * d.slv for d in dets], dets, cfg) for dets in per_point]

@@ -9,6 +9,7 @@ import time
 import warnings
 
 import numpy as np
+import pytest
 import scipy.integrate
 
 from corrwishart.detform import (
@@ -161,6 +162,7 @@ def _mc_cases():
     ]
 
 
+@pytest.mark.slow
 def test_criterion_5_monte_carlo_validation():
     t0 = time.time()
     cfg = MCConfig(samples=200000, master_seed=20260808, confidence=0.99)
@@ -320,6 +322,7 @@ def _integrate_density(fn, hi, eps=1e-10):
     return total
 
 
+@pytest.mark.slow
 def test_criterion_8_density_checks():
     rng = np.random.default_rng(808)
     failures = []

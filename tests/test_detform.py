@@ -17,7 +17,16 @@ from corrwishart.detform import (
     pdf_min,
     prob_gap,
 )
-from corrwishart.detform import _det_from_logs, _row_min_fsum_log
+from corrwishart.detform import (
+    _cdf_max_grid,
+    _cdf_min_grid,
+    _det_from_logs,
+    _pdf_joint_grid,
+    _pdf_max_grid,
+    _pdf_min_grid,
+    _prob_gap_grid,
+    _row_min_logs,
+)
 from corrwishart.model import (
     ColumnCorrelated,
     Dimensions,
@@ -156,7 +165,7 @@ class TestCdfMinRow:
             a = n - m + k
             lam = float(rng.uniform(0.05, 5.0))
             s = float(rng.uniform(0.1, 10.0))
-            fsum = math.exp(_row_min_fsum_log(a, lam, s)[0])
+            fsum = math.exp(_row_min_logs(a, a, [lam], [s])[0][0, 0, 0])
             u_route = lam ** a * tricomi_u1(a + 1, lam * s).value
             worst = max(worst, abs(fsum - u_route) / u_route)
         assert worst <= 1e-11
@@ -543,6 +552,40 @@ class TestGridPath:
             rep = fn(case, *point)
             assert (row["value"], row["abs_error"], row["cancel_digits"], row["warnings"]) == \
                 (rep.value, rep.abs_error_estimate, rep.cancellation_digits, rep.warnings)
+
+
+GRID_CASES = {
+    "row": row_case(6, 4, [0.5, 1.0, 1.8, 3.0]),
+    "row_square": row_case(3, 3, [0.7, 1.5, 3.0]),
+    "column": col_case(5, 3, [0.6, 1.1, 1.8, 2.7, 4.0]),
+    "doubly": doubly_case(4, 3, [1.0, 1.7, 2.6], [0.8, 1.5, 2.6, 4.0]),
+    "doubly_square": doubly_case(3, 3, [1.0, 2.0, 3.2], [0.9, 1.8, 3.1]),
+}
+GRID_JOBS = (
+    [(grid, fn, kind) for grid, fn in [(_cdf_max_grid, cdf_max), (_pdf_max_grid, pdf_max)]
+     for kind in GRID_CASES]
+    + [(grid, fn, kind) for grid, fn in [(_cdf_min_grid, cdf_min), (_pdf_min_grid, pdf_min)]
+       for kind in GRID_CASES if kind != "doubly"]
+    + [(_prob_gap_grid, prob_gap, "row"), (_pdf_joint_grid, pdf_joint_minmax, "row")])
+
+
+class TestGridEqualsPointCalls:
+    # a G-point grid equals G one-point public calls bit for bit: the entry
+    # kernels work elementwise with series lengths fixed by the orders
+    LAMS = list(np.geomspace(0.004, 60.0, 13))
+    PAIRS = [(a, b) for a in (0.01, 0.2, 1.5) for b in (2.0, 9.0, 40.0)]
+
+    @pytest.mark.parametrize("grid,fn,kind", GRID_JOBS,
+                             ids=[f"{g.__name__}-{k}" for g, _, k in GRID_JOBS])
+    def test_grid_rows_equal_point_calls(self, grid, fn, kind):
+        case = GRID_CASES[kind]
+        points = self.PAIRS if fn in (prob_gap, pdf_joint_minmax) else self.LAMS
+        reports = grid(case, points)
+        assert len(reports) == len(points)
+        for point, rep in zip(points, reports):
+            one = fn(case, *(point if isinstance(point, tuple) else (point,)))
+            assert (rep.value, rep.abs_error_estimate, rep.cancellation_digits, rep.warnings) == \
+                (one.value, one.abs_error_estimate, one.cancellation_digits, one.warnings)
 
 
 def precise_survival_slope(raw_cdf, lam, monkeypatch):
