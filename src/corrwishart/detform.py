@@ -13,7 +13,10 @@ ratio for clustered spectra.  The engine therefore measures the decimal
 digits lost between the largest intermediate magnitude and the result
 (`cancellation_digits`), warns above a threshold, and -- when configured
 with ``precision="extended"`` -- re-runs the affected probability through
-the mpmath re-evaluation in `corrwishart.extended`.
+the mpmath re-evaluation in `corrwishart.extended`.  When that
+re-evaluation does not settle within its precision limit, the
+double-precision value and its estimate are kept and a ``nonconverged:``
+warning says so.
 
 Probability values are clamped to [0, 1] on output; the pre-clamp residual
 is recorded in the report's warnings when it exceeds 1e-8.  Densities are
@@ -291,11 +294,19 @@ def _finalize(slv: SignedLogValue, rel_err: float, cancel: float,
             "unreliable"
         )
         if cfg.precision == "extended" and extended_fn is not None:
-            value = extended_fn(cfg.extended_dps)
-            warnings.append(
-                f"extended:re-evaluated at >= {cfg.extended_dps} digits")
-            # the re-evaluation self-validates by agreement of two precisions
-            rel_err = 10.0 ** (10.0 - cfg.extended_dps)
+            from .extended import NotConverged  # mpmath loads on first escalation
+            try:
+                value = extended_fn(cfg.extended_dps)
+            except NotConverged as exc:
+                # the double-precision value and its estimate stand
+                warnings.append(
+                    f"nonconverged:mpmath results still disagreed at {exc.dps} "
+                    "digits; double-precision result kept")
+            else:
+                warnings.append(
+                    f"extended:re-evaluated at >= {cfg.extended_dps} digits")
+                # the re-evaluation self-validates by agreement of two precisions
+                rel_err = 10.0 ** (10.0 - cfg.extended_dps)
     if not math.isfinite(value):
         warnings.append("nonfinite:evaluation did not produce a finite value")
         return EvalReport(value, math.inf, cancel, warnings)

@@ -1,16 +1,34 @@
 """High-precision re-evaluation of the probability formulas.
 
-These are straight transcriptions of the same determinant expressions the
-double-precision engine evaluates, but carried out in mpmath arbitrary
-precision.  mpmath's unbounded exponent range makes log-space bookkeeping
-unnecessary here, so each formula is a few lines of linear arithmetic; the
-pair of independent code paths also cross-checks the log-space engine in
-the test suite.
+The same determinant expressions the double-precision engine evaluates,
+carried out in mpmath arbitrary precision.  mpmath's unbounded exponent
+range makes log-space bookkeeping unnecessary here, so each formula is a
+few lines of linear arithmetic around ``mpmath.det``.
+
+The row and column entries are built one matrix row at a time from
+positive recurrences in the order, at the working precision:
+
+* E_a(x) = int_0^1 t^(a-1) e^(-x t) dt, so that gamma(a, x) = x^a E_a(x):
+  the top order from one series per row, E_a = e^-x 1F1(1; a+1; x) / a
+  (``mpmath.hyp1f1``, all terms positive), the lower orders from
+  E_a = (e^-x + x E_(a+1)) / a.  It serves ``cdf_max_row`` (E_a(lam s)),
+  ``cdf_max_col`` (lam^k E_k(lam s)) and ``prob_gap_row``
+  (b^a E_a(s b) - a^a E_a(s a));
+* F_a = int_0^inf (t + lam)^(a-1) e^(-s t) dt, the ``cdf_min_row``
+  entries, from F_1 = 1/s and F_(a+1) = lam^a / s + (a / s) F_a.
+
+Every step adds positive terms, so it contributes at most about one
+rounding of relative error; no special function is called per entry.  The
+column-minimum and doubly correlated entries have one order per entry and
+are evaluated directly.  The double-precision engine uses the same
+recurrences (`corrwishart.specfun`); the test suite keeps an independent
+direct transcription of the formulas as an oracle.
 
 A fixed working precision is not enough by itself: the determinant rows
 can span more orders of magnitude than the mantissa holds (mpmath's LU
 then rounds them equal), so every evaluation is repeated at increasing
 precision until two consecutive results agree to the requested number of
+digits; `NotConverged` is raised when that takes more than ``_MAX_DPS``
 digits.  Spectra arrive as plain floats (already validated); only the
 arithmetic is promoted.
 """
@@ -20,6 +38,7 @@ from __future__ import annotations
 import mpmath
 
 __all__ = [
+    "NotConverged",
     "cdf_max_row",
     "cdf_min_row",
     "cdf_max_col",
@@ -32,26 +51,37 @@ __all__ = [
 _MAX_DPS = 1600
 
 
+class NotConverged(ArithmeticError):
+    """Two consecutive precisions never agreed within ``_MAX_DPS`` digits;
+    ``dps`` is the last precision tried."""
+
+    def __init__(self, dps: int):
+        super().__init__(f"mpmath results still disagreed at {dps} digits")
+        self.dps = dps
+
+
 def _self_validated(raw, dps: int) -> float:
     """Run ``raw`` at increasing precision until two results agree.
 
     ``raw(d)`` must return an mpf computed entirely at d significant
     digits.  Agreement to 10^-(dps-10) relative (or two exact zeros) is
-    accepted; the final value is returned as a double.
+    accepted; the final value is returned as a double.  Raises
+    `NotConverged` when the next precision would exceed ``_MAX_DPS``.
     """
     tol = mpmath.mpf(10) ** (-(dps - 10))
     prev = None
     d = dps
-    while d <= _MAX_DPS:
+    while True:
         val = raw(d)
         if prev is not None:
             if val == prev:
                 return float(val)
             if val != 0 and abs(prev - val) <= tol * abs(val):
                 return float(val)
+        if 2 * d + 20 > _MAX_DPS:
+            raise NotConverged(d)
         prev = val
         d = 2 * d + 20
-    return float(prev)
 
 
 def _gaps(vals):
@@ -62,8 +92,29 @@ def _gaps(vals):
     return out
 
 
-def _lower_gamma(a, x):
-    return mpmath.gammainc(a, 0, x)
+def _gamma_row(a_lo, a_hi, x, scale=1):
+    """scale^a E_a(x) for the orders a = a_lo..a_hi, x > 0: E_(a_hi) from
+    one positive series, the lower orders by E_a = (e^-x + x E_(a+1)) / a."""
+    ex = mpmath.exp(-x)
+    e = ex * mpmath.hyp1f1(1, a_hi + 1, x) / a_hi
+    row = [e]
+    for a in range(a_hi - 1, a_lo - 1, -1):
+        e = (ex + x * e) / a
+        row.append(e)
+    return [scale ** a * e for a, e in zip(range(a_lo, a_hi + 1), reversed(row))]
+
+
+def _shifted_power_row(a_lo, a_hi, lam, s):
+    """F_a = sum_i C(a-1, i) lam^(a-1-i) i! / s^(i+1) for the orders
+    a = a_lo..a_hi, by F_1 = 1/s and F_(a+1) = lam^a / s + (a / s) F_a."""
+    power = f = 1 / s
+    row = []
+    for a in range(1, a_hi + 1):
+        if a >= a_lo:
+            row.append(f)
+        power *= lam
+        f = power + a * f / s
+    return row
 
 
 def cdf_max_row(n, m, s, lam, dps=40):
@@ -71,12 +122,7 @@ def cdf_max_row(n, m, s, lam, dps=40):
         with mpmath.workdps(d):
             lm = mpmath.mpf(lam)
             sv = [mpmath.mpf(v) for v in s]
-            A = mpmath.matrix(m, m)
-            for j in range(m):
-                x = lm * sv[j]
-                for k in range(1, m + 1):
-                    a = n - m + k
-                    A[j, k - 1] = _lower_gamma(a, x) / x ** a
+            A = mpmath.matrix([_gamma_row(n - m + 1, n, lm * v) for v in sv])
             pref = mpmath.mpf(1)
             for k in range(1, m + 1):
                 pref /= mpmath.factorial(n - m + k - 1)
@@ -94,15 +140,7 @@ def cdf_min_row(n, m, s, lam, dps=40):
             sv = [mpmath.mpf(v) for v in s]
             if n == m:
                 return mpmath.exp(-lm * sum(sv))
-            A = mpmath.matrix(m, m)
-            for j in range(m):
-                for k in range(1, m + 1):
-                    a = n - m + k
-                    total = mpmath.mpf(0)
-                    for i in range(a):
-                        total += (mpmath.binomial(a - 1, i) * lm ** (a - 1 - i)
-                                  * mpmath.factorial(i) / sv[j] ** (i + 1))
-                    A[j, k - 1] = total
+            A = mpmath.matrix([_shifted_power_row(n - m + 1, n, lm, v) for v in sv])
             sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
             pref = sign * mpmath.exp(-lm * sum(sv))
             for v in sv:
@@ -119,12 +157,8 @@ def cdf_max_col(n, m, s, lam, dps=40):
         with mpmath.workdps(d):
             lm = mpmath.mpf(lam)
             sv = [mpmath.mpf(v) for v in s]
-            A = mpmath.matrix(n, n)
-            for j in range(n):
-                for k in range(1, m + 1):
-                    A[j, k - 1] = _lower_gamma(k, lm * sv[j]) / sv[j] ** k
-                for i in range(1, n - m + 1):
-                    A[j, m + i - 1] = sv[j] ** (i - 1)
+            A = mpmath.matrix([_gamma_row(1, m, lm * v, lm) + [v ** i for i in range(n - m)]
+                               for v in sv])
             sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
             pref = sign * mpmath.factorial(m)
             for k in range(1, m + 1):
@@ -208,12 +242,10 @@ def prob_gap_row(n, m, s, a, b, dps=40):
             av = mpmath.mpf(a)
             bv = mpmath.mpf(b)
             sv = [mpmath.mpf(v) for v in s]
-            A = mpmath.matrix(m, m)
-            for j in range(m):
-                for k in range(1, m + 1):
-                    ak = n - m + k
-                    A[j, k - 1] = (_lower_gamma(ak, sv[j] * bv)
-                                   - _lower_gamma(ak, sv[j] * av)) / sv[j] ** ak
+            A = mpmath.matrix([
+                [hi - lo for hi, lo in zip(_gamma_row(n - m + 1, n, v * bv, bv),
+                                           _gamma_row(n - m + 1, n, v * av, av))]
+                for v in sv])
             sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
             pref = sign
             for v in sv:

@@ -459,8 +459,10 @@ class TestReliabilitySurface:
 
 
 class TestExtendedAgreesWithDouble:
-    # the mpmath transcription and the log-space engine are independent
-    # code paths; on well-separated spectra they must coincide
+    # on well-separated spectra the mpmath re-evaluation and the log-space
+    # engine must coincide.  Both rest on the same entry recurrences, so this is
+    # not an independent check: that is the direct-transcription oracle in
+    # test_extended.py, and perfbench/reference.py
     def test_all_cases(self):
         checks = [
             (lambda: cdf_max(row_case(4, 2, [1.0, 2.0]), 1.3).value,
