@@ -20,8 +20,8 @@ warning says so.
 
 Probability values are clamped to [0, 1] on output; the pre-clamp residual
 is recorded in the report's warnings when it exceeds 1e-8.  Densities are
-returned as nonnegative functions of lambda (the derivative sign is chosen
-so that they integrate to one).
+the derivatives of the same determinants by Jacobi's formula, returned as
+nonnegative functions of lambda (signed so that they integrate to one).
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .model import (
     ModelCase,
     RowCorrelated,
 )
-from .specfun import (log_doubly_g, log_gamma_entries, log_shifted_power_integrals,
-                      reg_lower_gamma_orders)
+from .specfun import (_log_exp_partial_sums, log_doubly_g, log_gamma_entries,
+                      log_shifted_power_integrals, reg_lower_gamma_orders)
 
 __all__ = [
     "SignedLogValue",
@@ -100,24 +100,6 @@ class SignedLogValue:
         return self.sign * math.exp(self.log_magnitude)
 
 
-def _slv_sum(terms: Sequence[SignedLogValue]) -> Tuple[SignedLogValue, float]:
-    """Sum signed log values; also return decimal digits lost to cancellation."""
-    live = [t for t in terms if t.sign != 0]
-    if not live:
-        return SignedLogValue.zero(), 0.0
-    top = max(t.log_magnitude for t in live)
-    acc = 0.0
-    gross = 0.0
-    for t in live:
-        w = math.exp(t.log_magnitude - top)
-        acc += t.sign * w
-        gross += w
-    if acc == 0.0:
-        return SignedLogValue.zero(), 16.0 + math.log10(max(gross, 1.0))
-    cancel = math.log10(gross / abs(acc)) if gross > abs(acc) else 0.0
-    return SignedLogValue.from_value(acc) * SignedLogValue.from_log(1, top), cancel
-
-
 # ---------------------------------------------------------------------------
 # determinant kernel: one LAPACK call per stack (shared by the public logdet
 # and the entry path)
@@ -127,13 +109,13 @@ def _scaled_det(A: np.ndarray, rel_entries: Optional[np.ndarray]):
     """Determinants of a stack ``A`` (G, N, N) whose rows and columns are
     scaled to magnitude about one.
 
-    Returns arrays (sign, log |det|, cancellation digits, relative error).
-    The cancellation is the Hadamard bound over |det| in decimal digits.
-    The error is the roundoff N eps (1 + growth), with the partial-pivoting
-    growth taken as its measured value 1, amplified by that cancellation,
-    plus the first-order propagation sum |A^-T| * rel_entries * |A| when
-    entry relative errors are given.  An exactly singular member gets sign 0 and infinite
-    cancellation and error; it is left out of the inverse.
+    Returns arrays (sign, log |det|, cancellation digits, relative error)
+    and the inverses.  The cancellation is the Hadamard bound over |det| in
+    decimal digits.  The error is the roundoff N eps (1 + growth), with the
+    partial-pivoting growth taken as its measured value 1, amplified by that
+    cancellation, plus the first-order propagation sum |A^-T| * rel_entries
+    * |A| when entry relative errors are given (else no inverse, None).  An
+    exactly singular member gets sign 0, infinite cancellation and error.
     """
     N = A.shape[-1]
     sign, log_abs = np.linalg.slogdet(A)
@@ -142,17 +124,49 @@ def _scaled_det(A: np.ndarray, rel_entries: Optional[np.ndarray]):
         hadamard = (0.5 * np.log((A * A).sum(axis=-1))).sum(axis=-1)
         cancel = np.maximum((hadamard - log_abs) / _LN10, 0.0)
     rel = N * _EPS * 2.0 * 10.0 ** np.minimum(cancel, 250.0)
-    live = slice(None)  # a plain view unless some member is singular
-    if singular.any():
-        live = ~singular
-        cancel[singular] = math.inf
-        rel[singular] = math.inf
-    if rel_entries is not None and not singular.all():
-        A_live = A[live]
-        inv = np.linalg.inv(A_live)
-        prop = np.abs(np.swapaxes(inv, -1, -2)) * rel_entries[live] * np.abs(A_live)
-        rel[live] += prop.reshape(len(A_live), -1).sum(axis=-1)
-    return sign, log_abs, cancel, rel
+    if rel_entries is None:
+        return sign, log_abs, cancel, rel, None
+    cancel[singular] = rel[singular] = math.inf
+    inv = np.zeros_like(A)
+    inv[~singular] = np.linalg.inv(A[~singular])
+    prop = np.abs(np.swapaxes(inv, -1, -2)) * rel_entries * np.abs(A)
+    rel += prop.reshape(len(A), -1).sum(axis=-1)
+    return sign, log_abs, cancel, rel, inv
+
+
+def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
+    """Jacobi's formula on a scaled stack: d det / det, the sum of its terms'
+    magnitudes and its error, as arrays.
+
+    ``log_derivs`` holds one or two arrays D with dA = A o D.  One gives
+    tr X, X = A^-1 (A o D); two give the mixed derivative over det,
+    tr X tr Y - tr(XY), summed as 2 x 2 principal minors (entries linear in
+    each variable apart).  Scaling leaves X and Y similar, the values equal.
+    The error is first order: roundoff 2 N eps on every scaled entry and the
+    entry errors ``R`` through the sensitivity S (d value = -sum dA o S^T),
+    plus the largest entry error and a few roundings on every term.
+    """
+    G, N = len(A), A.shape[-1]
+    dA = [A * D for D in log_derivs]
+    X = [inv @ d for d in dA]
+    diag = [np.diagonal(x, axis1=-2, axis2=-1) for x in X]
+    if len(X) == 1:
+        value = diag[0].sum(axis=-1)
+        gross = np.abs(np.swapaxes(inv, -1, -2) * dA[0]).reshape(G, -1).sum(axis=-1)
+        S = X[0]
+    else:
+        tr = [d.sum(axis=-1)[:, None, None] for d in diag]
+        Xt = X[0] * np.swapaxes(X[1], -1, -2)
+        outer = diag[0][:, :, None] * diag[1][:, None, :]
+        value = (outer - Xt).reshape(G, -1).sum(axis=-1)  # the diagonal is exactly 0
+        gross = ((np.abs(outer) + np.abs(Xt)).reshape(G, -1).sum(axis=-1)
+                 - 2.0 * np.abs(diag[0] * diag[1]).sum(axis=-1))
+        S = tr[1] * X[0] + tr[0] * X[1] - X[0] @ X[1] - X[1] @ X[0]
+    S = np.abs(S @ inv)
+    err = (2 * N * _EPS * S.reshape(G, -1).sum(axis=-1)
+           + (R * np.abs(A) * np.swapaxes(S, -1, -2)).reshape(G, -1).sum(axis=-1)
+           + len(X) * (R.reshape(G, -1).max(axis=-1) + (N + 2) * _EPS) * gross)
+    return value, gross, err
 
 
 @dataclass
@@ -160,10 +174,15 @@ class _DetInfo:
     slv: SignedLogValue
     cancel_digits: float
     rel_err: float
+    # with entry log-derivatives: d det / det, its terms' magnitudes, its error
+    deriv: float = 0.0
+    deriv_gross: float = 0.0
+    deriv_err: float = 0.0
 
 
 def _det_from_logs(log_entries: np.ndarray,
-                   entry_rel_err: Optional[np.ndarray] = None):
+                   entry_rel_err: Optional[np.ndarray] = None,
+                   log_derivs: Sequence[np.ndarray] = ()):
     """Determinant of a matrix given as logs of its (positive) entries.
 
     ``log_entries`` is one matrix (N, N), giving one `_DetInfo`, or a stack
@@ -171,6 +190,8 @@ def _det_from_logs(log_entries: np.ndarray,
     member's rows, then columns, are shifted in log space to a largest
     entry of one before exponentiating.  A member with a row of zeros or a
     column that underflows to zero is an exact zero (no cancellation).
+    ``log_derivs``, one or two arrays of the entries' log-derivatives, add
+    the derivative of the determinant by Jacobi's formula (`_jacobi`).
     """
     L = np.asarray(log_entries, dtype=float)
     single = L.ndim == 2
@@ -194,12 +215,13 @@ def _det_from_logs(log_entries: np.ndarray,
     rel_entries = None if entry_rel_err is None else np.asarray(entry_rel_err, dtype=float)
     if rel_entries is not None and rel_entries.shape != L.shape:
         rel_entries = np.broadcast_to(rel_entries, L.shape)
-    sign, log_abs, cancel, rel = _scaled_det(A, rel_entries)
+    sign, log_abs, cancel, rel, inv = _scaled_det(A, rel_entries)
+    derivs = _jacobi(A, inv, log_derivs, rel_entries) if len(log_derivs) else ()
     if any_zero:
         sign[zero] = cancel[zero] = rel[zero] = 0.0
-    out = [_DetInfo(SignedLogValue.from_log(int(s), lg), c, r)
-           for s, lg, c, r in zip(sign.tolist(), (log_abs + shift).tolist(),
-                                  cancel.tolist(), rel.tolist())]
+    out = [_DetInfo(SignedLogValue.from_log(int(s), lg), *rest)
+           for s, lg, *rest in zip(sign.tolist(), (log_abs + shift).tolist(),
+                                   *(f.tolist() for f in (cancel, rel, *derivs)))]
     return out[0] if single else out
 
 
@@ -239,7 +261,7 @@ def logdet(matrix, entry_abs_errors=None, with_diagnostics: bool = False):
         errs = np.asarray(entry_abs_errors, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             rel_entries = np.where(M != 0.0, errs / np.abs(M), 0.0)[None]
-    sign, log_abs, cancel, rel = _scaled_det(work[None], rel_entries)
+    sign, log_abs, cancel, rel, _ = _scaled_det(work[None], rel_entries)
     result = SignedLogValue.from_log(int(sign[0]), float(log_abs[0]) + log_scale)
     if not with_diagnostics:
         return result
@@ -439,52 +461,39 @@ def _ext(name: str, *args) -> Callable[[int], float]:
     return run
 
 
-def _probabilities(prefs: Sequence[SignedLogValue], dets: Sequence[_DetInfo], cfg: EvalConfig,
+def _probabilities(prefs: Sequence[SignedLogValue], L, R, cfg: EvalConfig,
                    name: str, args: tuple, points) -> List[EvalReport]:
-    """One report per point: prefactor times determinant, re-evaluated by
-    ``extended.<name>(*args, *point, dps)`` when configured."""
+    """One report per point: prefactor times determinant of the entry logs
+    ``L`` (errors ``R``), re-evaluated by ``extended.<name>(*args, *point,
+    dps)`` when configured."""
     return [_finalize(pref * det.slv, det.rel_err, det.cancel_digits, cfg, [],
                       _ext(name, *args, *point), True)
-            for pref, det, point in zip(prefs, dets, points)]
+            for pref, det, point in zip(prefs, _det_from_logs(L, R), points)]
 
 
-def _density(terms: Sequence[SignedLogValue], dets: Sequence[_DetInfo],
-             cfg: EvalConfig) -> EvalReport:
-    """Density summed from determinant terms.
-
-    The determinants' own errors and the roundoff of the sum are both
-    amplified by the cancellation of the sum.
+def _densities(prefs: Sequence[SignedLogValue], L, R, log_derivs, sign: float,
+               cfg: EvalConfig, consts=None) -> List[EvalReport]:
+    """One density per point, sign * d(pref det) = sign * pref * det *
+    (c + d det / det), by Jacobi's formula on the entry logs ``L`` (errors
+    ``R``).  c is the prefactor's log-derivative plus the row and column
+    constants left out of ``log_derivs``: each adds exactly its value, as
+    every row and column of A^-T o A sums to one.  The factor's cancellation
+    counts with the determinant's, and its error adds to the determinant's.
     """
-    total, sum_cancel = _slv_sum(terms)
-    cancel = max([sum_cancel] + [d.cancel_digits for d in dets])
-    rel = ((sum(d.rel_err for d in dets) + len(terms) * _EPS)
-           * 10.0 ** min(sum_cancel, 250.0))
-    return _finalize(total, rel, cancel, cfg, [], None, False)
-
-
-def _replaced_dets(base: np.ndarray, base_rel: np.ndarray,
-                   replacements) -> List[List[_DetInfo]]:
-    """Determinants of column-replaced copies of G base matrices, per point.
-
-    ``replacements[k]`` lists the (column, logs (G, N), relative errors
-    (G, N)) put into copy k of every base matrix; an empty list keeps the
-    base matrix itself.  All G*K determinants come from one kernel call;
-    point g gets its K copies in order.
-    """
-    G, N = base.shape[0], base.shape[-1]
-    K = len(replacements)
-    L = np.repeat(base[:, None], K, axis=1)
-    R = np.repeat(base_rel[:, None], K, axis=1)
-    for k, cols in enumerate(replacements):
-        for c, logs, rels in cols:
-            L[:, k, :, c] = logs
-            R[:, k, :, c] = rels
-    dets = _det_from_logs(L.reshape(G * K, N, N), R.reshape(G * K, N, N))
-    return [dets[g * K:(g + 1) * K] for g in range(G)]
-
-
-def _power_col(c: int, logs: np.ndarray):
-    return c, logs, _power_rel(logs)
+    out = []
+    dets = _det_from_logs(L, R, log_derivs)
+    for pref, det, c in zip(prefs, dets, [0.0] * len(dets) if consts is None else consts):
+        factor = c + det.deriv
+        if det.slv.sign == 0:  # an exact zero determinant decides
+            factor, rel, lost = 1.0, det.rel_err, 1.0
+        elif factor:
+            rel = det.rel_err + (det.deriv_err + _EPS * abs(c)) / abs(factor)
+            lost = (abs(c) + det.deriv_gross) / abs(factor)
+        else:
+            rel = lost = math.inf
+        out.append(_finalize(pref * det.slv * SignedLogValue.from_value(sign * factor), rel,
+                             max(det.cancel_digits, math.log10(lost)), cfg, [], None, False))
+    return out
 
 
 def _gap_points(case, points, what: str) -> List[Tuple[float, float]]:
@@ -513,13 +522,11 @@ def _by_model(case: ModelCase, lams: Sequence[float], cfg: EvalConfig,
     raise TypeError(f"unknown model case {type(case).__name__}")
 
 
-def _no_doubly_min(n: int, m: int) -> None:
-    if m != n:
-        raise ValueError("smallest-eigenvalue law for the doubly correlated model requires m = n")
-
-
 # ---------------------------------------------------------------------------
 # CDF of the largest eigenvalue
+#
+# Each (model, statistic) has one matrix description, shared by its CDF and
+# its density: a builder of the entry logs, their errors and the prefactors.
 
 
 def cdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
@@ -532,12 +539,17 @@ def _cdf_max_grid(case: ModelCase, lams: Sequence[float],
     return _by_model(case, lams, cfg, _cdf_max_row, _cdf_max_col, _cdf_max_doubly)
 
 
-def _cdf_max_row(n, m, svals, lams, cfg) -> List[EvalReport]:
+def _row_max_base(n, m, svals, lams):
+    """Stacked row cdf_max matrices E_a(x), orders n-m+1..n; x = lam s; prefactors."""
     x = np.asarray(lams, dtype=float)[:, None] * np.asarray(svals, dtype=float)
-    dets = _det_from_logs(*_gamma_logs(n - m + 1, n, x, np.log(x)))
     M = m * (m - 1) // 2
     prefs = _with_logs(_row_pref(n, m, svals), (n * m - M) * np.log(lams))
-    return _probabilities(prefs, dets, cfg, "cdf_max_row", (n, m, svals), zip(lams))
+    return (*_gamma_logs(n - m + 1, n, x, np.log(x)), x, prefs)
+
+
+def _cdf_max_row(n, m, svals, lams, cfg) -> List[EvalReport]:
+    L, R, _, prefs = _row_max_base(n, m, svals, lams)
+    return _probabilities(prefs, L, R, cfg, "cdf_max_row", (n, m, svals), zip(lams))
 
 
 def _col_max_base(n, m, svals, lams):
@@ -556,12 +568,14 @@ def _col_max_base(n, m, svals, lams):
 
 
 def _cdf_max_col(n, m, svals, lams, cfg) -> List[EvalReport]:
-    dets = _det_from_logs(*_col_max_base(n, m, svals, lams))
     prefs = [_col_pref_max(n, m, svals)] * len(lams)
-    return _probabilities(prefs, dets, cfg, "cdf_max_col", (n, m, svals), zip(lams))
+    return _probabilities(prefs, *_col_max_base(n, m, svals, lams), cfg, "cdf_max_col",
+                          (n, m, svals), zip(lams))
 
 
-def _cdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
+def _doubly_max_base(n, m, rvals, svals, lams):
+    """Stacked doubly cdf_max matrices: g_n(lam r s) rows, then (lam s)^-i
+    rows for i = 1..n-m; also lam r s and the prefactors."""
     lam = np.asarray(lams, dtype=float)[:, None, None]
     s = np.asarray(svals, dtype=float)
     x = lam * np.asarray(rvals, dtype=float)[:, None] * s
@@ -572,8 +586,12 @@ def _cdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
     R[:, m:] = _power_rel(L[:, m:])
     M = n * (n - 1) // 2
     prefs = _with_logs(_doubly_pref_max(n, m, rvals, svals), (n * n - M) * np.log(lams))
-    return _probabilities(prefs, _det_from_logs(L, R), cfg, "cdf_max_doubly",
-                          (n, m, rvals, svals), zip(lams))
+    return L, R, x, prefs
+
+
+def _cdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
+    L, R, _, prefs = _doubly_max_base(n, m, rvals, svals, lams)
+    return _probabilities(prefs, L, R, cfg, "cdf_max_doubly", (n, m, rvals, svals), zip(lams))
 
 
 # ---------------------------------------------------------------------------
@@ -595,49 +613,57 @@ def _cdf_min_grid(case: ModelCase, lams: Sequence[float],
     return _by_model(case, lams, cfg, _cdf_min_row, _cdf_min_col, _cdf_min_doubly)
 
 
+def _row_min_base(n, m, svals, lams):
+    """Stacked row cdf_min matrices (`_row_min_logs`) and prefactors."""
+    prefs = _with_logs(_row_pref(n, m, svals), -np.asarray(lams, dtype=float) * sum(svals))
+    return (*_row_min_logs(n - m + 1, n, lams, svals), prefs)
+
+
 def _cdf_min_row(n, m, svals, lams, cfg) -> List[EvalReport]:
-    decay = -np.asarray(lams, dtype=float) * sum(svals)
     if n == m:
         # determinant is lambda-free; survival is a pure exponential
+        decay = -np.asarray(lams, dtype=float) * sum(svals)
         return [_finalize(SignedLogValue.from_log(1, d), (5.0 - d) * _EPS, 0.0, cfg, [], None,
                           True) for d in decay.tolist()]
-    dets = _det_from_logs(*_row_min_logs(n - m + 1, n, lams, svals))
-    prefs = _with_logs(_row_pref(n, m, svals), decay)
-    return _probabilities(prefs, dets, cfg, "cdf_min_row", (n, m, svals), zip(lams))
+    L, R, prefs = _row_min_base(n, m, svals, lams)
+    return _probabilities(prefs, L, R, cfg, "cdf_min_row", (n, m, svals), zip(lams))
 
 
 def _col_min_base(n, m, svals, lams):
-    """Stacked column cdf_min matrices: inverse powers, then exponentials."""
+    """Stacked column cdf_min matrices: inverse powers, then exponentials;
+    also the prefactors."""
     lam = np.asarray(lams, dtype=float)[:, None, None]
     s = np.asarray(svals, dtype=float)[:, None]
     L = np.empty((len(lams), n, n))
     L[:, :, :m] = -np.arange(1, m + 1) * np.log(s)
     L[:, :, m:] = lam * s + np.arange(n - m) * np.log(s)
-    return L, _power_rel(L)
+    prefs = _with_logs(_col_pref_min(n, m, svals), -np.asarray(lams, dtype=float) * sum(svals))
+    return L, _power_rel(L), prefs
 
 
 def _cdf_min_col(n, m, svals, lams, cfg) -> List[EvalReport]:
-    dets = _det_from_logs(*_col_min_base(n, m, svals, lams))
-    prefs = _with_logs(_col_pref_min(n, m, svals), -np.asarray(lams) * sum(svals))
-    return _probabilities(prefs, dets, cfg, "cdf_min_col", (n, m, svals), zip(lams))
+    L, R, prefs = _col_min_base(n, m, svals, lams)
+    return _probabilities(prefs, L, R, cfg, "cdf_min_col", (n, m, svals), zip(lams))
 
 
-def _doubly_min_base(rvals, svals, lams):
+def _doubly_min_base(n, m, rvals, svals, lams):
+    """Stacked doubly cdf_min matrices exp(-lam r s) and prefactors."""
+    if m != n:
+        raise ValueError("smallest-eigenvalue law for the doubly correlated model requires m = n")
     L = (-np.asarray(lams, dtype=float)[:, None, None]
          * np.asarray(rvals, dtype=float)[None, :, None]
          * np.asarray(svals, dtype=float)[None, None, :])
-    return L, _power_rel(L)
+    prefs = _with_logs(_doubly_pref_min(n, rvals, svals), -(n * (n - 1) // 2) * np.log(lams))
+    return L, _power_rel(L), prefs
 
 
 def _cdf_min_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
-    _no_doubly_min(n, m)
-    dets = _det_from_logs(*_doubly_min_base(rvals, svals, lams))
-    prefs = _with_logs(_doubly_pref_min(n, rvals, svals), -(n * (n - 1) // 2) * np.log(lams))
-    return _probabilities(prefs, dets, cfg, "cdf_min_doubly", (n, rvals, svals), zip(lams))
+    L, R, prefs = _doubly_min_base(n, m, rvals, svals, lams)
+    return _probabilities(prefs, L, R, cfg, "cdf_min_doubly", (n, rvals, svals), zip(lams))
 
 
 # ---------------------------------------------------------------------------
-# gap probability and densities (row-correlated analytics)
+# gap probability (row-correlated analytics)
 
 
 def prob_gap(case: RowCorrelated, a: float, b: float,
@@ -647,17 +673,26 @@ def prob_gap(case: RowCorrelated, a: float, b: float,
 
 
 def _gap_base(n, m, svals, points):
-    """Stacked gap matrices: Gamma(a) [P(a, s b) - P(a, s a)] / s^a."""
+    """Stacked gap matrices: Gamma(k) [P(k, s b) - P(k, s a)] / s^k, orders k.
+    Where P(k, s a) > 1/2 the difference is Q(k, s a) - Q(k, s b), from the
+    logs of the finite Q sums, which keep their digits where P rounds to 1."""
     ends = np.asarray(points, dtype=float)[:, :, None] * np.asarray(svals, dtype=float)
     p, err, _ = reg_lower_gamma_orders(n - m + 1, n, ends)
-    diff = p[:, 1] - p[:, 0]
-    live = diff > 0.0
     orders = np.arange(n - m + 1, n + 1)
+    upper = p[:, 0] > 0.5
     with np.errstate(divide="ignore", invalid="ignore"):
-        L = np.where(live, [math.lgamma(a) for a in orders] + np.log(diff)
+        diff = p[:, 1] - p[:, 0]
+        log_diff, R = np.log(diff), (err[:, 0] + err[:, 1]) / diff
+        if upper.any():
+            log_q = _log_exp_partial_sums(n - m + 1, n, ends) - ends[..., None]
+            gap = -np.expm1(log_q[:, 1] - log_q[:, 0])
+            log_diff = np.where(upper, log_q[:, 0] + np.log(gap), log_diff)
+            size = 10.0 + orders + 2.0 * ends[:, 1, :, None] * (1.0 + orders)  # of log Q
+            R = np.where(upper, size * _EPS * (2.0 - gap) / gap, R)
+        live = np.isfinite(log_diff)
+        L = np.where(live, [math.lgamma(a) for a in orders] + log_diff
                      - orders * np.log(np.asarray(svals, dtype=float))[:, None], -np.inf)
-        R = np.where(live, (err[:, 0] + err[:, 1]) / diff, 1.0)
-    return L, R
+    return L, np.where(live, R, 1.0)
 
 
 def _prob_gap_grid(case: RowCorrelated, points: Sequence[Tuple[float, float]],
@@ -665,18 +700,21 @@ def _prob_gap_grid(case: RowCorrelated, points: Sequence[Tuple[float, float]],
     points = _gap_points(case, points, "gap probability")
     n, m = case.dims.n, case.dims.m
     svals = list(case.s)
-    dets = _det_from_logs(*_gap_base(n, m, svals, points))
     prefs = [_row_pref(n, m, svals)] * len(points)
-    return _probabilities(prefs, dets, cfg, "prob_gap_row", (n, m, svals), points)
+    return _probabilities(prefs, *_gap_base(n, m, svals, points), cfg, "prob_gap_row",
+                          (n, m, svals), points)
+
+
+# ---------------------------------------------------------------------------
+# densities: Jacobi's formula on the CDF's matrices and entry log-derivatives
 
 
 def pdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
     """Density of the largest eigenvalue at lam (nonnegative).
 
-    Row and column cases differentiate the determinant column by column
-    (the lambda dependence sits in single-column integrals); the doubly
-    correlated case uses a Richardson-extrapolated central difference of
-    the CDF.
+    The lambda-derivative of the `cdf_max` determinant formula, from one
+    factorisation of its matrix by Jacobi's formula; analytic for every
+    model (the doubly correlated g_n rows through g_n' = g_(n+1) - g_n).
     """
     return _pdf_max_grid(case, [lam], cfg)[0]
 
@@ -687,62 +725,40 @@ def _pdf_max_grid(case: ModelCase, lams: Sequence[float],
 
 
 def _pdf_max_row(n, m, svals, lams, cfg) -> List[EvalReport]:
-    # unscaled entries int_0^lam t^(a-1) e^(-s t) dt = Gamma(a) P(a, lam s) / s^a,
-    # so that the lambda dependence sits entirely inside the columns
-    lam = np.asarray(lams, dtype=float)[:, None]
-    x = lam * np.asarray(svals, dtype=float)
-    base, base_rel = _gamma_logs(n - m + 1, n, x, np.log(x))
-    base += np.arange(n - m + 1, n + 1) * np.log(lam)[..., None]
-    per_point = _replaced_dets(base, base_rel, [
-        [_power_col(c, (n - m + c) * np.log(lam) - x)] for c in range(m)])
-    pref = _row_pref(n, m, svals)
-    return [_density([pref * d.slv for d in dets], dets, cfg) for dets in per_point]
+    # d/dlam lam^a E_a(lam s) = lam^(a-1) e^-x: e^-x / (lam E_a(x)) less the
+    # column constants a/lam, which sum to the prefactor's (nm - M)/lam
+    L, R, x, prefs = _row_max_base(n, m, svals, lams)
+    D = np.exp(-x[..., None] - L) / np.asarray(lams, dtype=float)[:, None, None]
+    return _densities(prefs, L, R, [D], 1.0, cfg)
 
 
 def _pdf_max_col(n, m, svals, lams, cfg) -> List[EvalReport]:
-    base, base_rel = _col_max_base(n, m, svals, lams)
-    lam = np.asarray(lams, dtype=float)[:, None]
-    decay = lam * np.asarray(svals, dtype=float)
-    per_point = _replaced_dets(base, base_rel, [
-        [_power_col(c, c * np.log(lam) - decay)] for c in range(m)])
-    pref = _col_pref_max(n, m, svals)
-    return [_density([pref * d.slv for d in dets], dets, cfg) for dets in per_point]
+    # the gamma columns lam^k E_k(lam s) have derivative lam^(k-1) e^(-lam s)
+    L, R = _col_max_base(n, m, svals, lams)
+    lam = np.asarray(lams, dtype=float)[:, None, None]
+    D = np.zeros_like(L)
+    D[:, :, :m] = np.exp(np.arange(m) * np.log(lam) - lam * np.asarray(svals)[:, None]
+                         - L[:, :, :m])
+    prefs = [_col_pref_max(n, m, svals)] * len(lams)
+    return _densities(prefs, L, R, [D], 1.0, cfg)
 
 
 def _pdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
-    """Richardson-extrapolated central differences of the CDF, whose four
-    points per lambda are evaluated as one grid."""
-    steps = [h if h < 0.5 * lam else 0.25 * lam
-             for lam, h in ((lam, max(1e-5, 1e-4 * lam)) for lam in lams)]
-    points = [p for lam, h in zip(lams, steps)
-              for p in (lam + h, lam - h, lam + h / 2, lam - h / 2)]
-    cdfs = _cdf_max_doubly(n, m, rvals, svals, points, cfg)
-    return [_fd_density(cdfs[4 * g:4 * g + 4], h) for g, h in enumerate(steps)]
-
-
-def _fd_density(reports: Sequence[EvalReport], h: float) -> EvalReport:
-    """Density from CDF reports at lam + h, lam - h, lam + h/2, lam - h/2."""
-    up, down, up_half, down_half = (r.value for r in reports)
-    d1 = (up - down) / (2 * h)
-    d2 = (up_half - down_half) / h
-    deriv = (4.0 * d2 - d1) / 3.0
-    err = abs(deriv - d2) + sum(r.abs_error_estimate for r in reports) / h
-    cancel = max(r.cancellation_digits for r in reports)
-    warnings = []
-    value = deriv
-    if value < 0.0:
-        if value < -1e-8:
-            warnings.append(f"clamp:negative density {value:.3e} set to 0")
-        value = 0.0
-    return EvalReport(value, err, cancel, warnings)
+    # g_n'(x) = -(g_n(x) - g_(n+1)(x)); each (lam s)^-i row has the constant -i/lam
+    L, R, x, prefs = _doubly_max_base(n, m, rvals, svals, lams)
+    lam = np.asarray(lams, dtype=float)
+    D = np.zeros_like(L)
+    D[:, :m] = x / lam[:, None, None] * np.expm1(log_doubly_g(n + 1, x) - L[:, :m])
+    consts = (n * n - n * (n - 1) // 2 - (n - m) * (n - m + 1) // 2) / lam
+    return _densities(prefs, L, R, [D], 1.0, cfg, consts.tolist())
 
 
 def pdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
     """Density of the smallest eigenvalue at lam (nonnegative).
 
-    Analytic column differentiation for the row and column models and for
-    the doubly correlated model at m = n (where the entries are pure
-    exponentials and the prefactor contributes through the product rule).
+    Minus the lambda-derivative of the `cdf_min` determinant formula, from
+    one factorisation of its matrix by Jacobi's formula; the doubly
+    correlated model requires m = n.
     """
     return _pdf_min_grid(case, [lam], cfg)[0]
 
@@ -754,59 +770,40 @@ def _pdf_min_grid(case: ModelCase, lams: Sequence[float],
 
 def _pdf_min_row(n, m, svals, lams, cfg) -> List[EvalReport]:
     ssum = sum(svals)
-    if n == m:
+    if n == m:  # the survival e^(-lam sum s) in closed form (see _cdf_min_row)
         return [_finalize(SignedLogValue.from_value(ssum * math.exp(-lam * ssum)),
-                          (5.0 + lam * ssum) * _EPS, 0.0, cfg, [], None, False)
-                for lam in lams]
-    # Only the first column survives differentiation: every other derived
-    # column is proportional to its left neighbour.  Order n - m fills it.
-    logs, rels = _row_min_logs(n - m, n, lams, svals)
-    per_point = _replaced_dets(logs[..., 1:], rels[..., 1:],
-                               [[], [(0, logs[..., 0], rels[..., 0])]])
-    prefs = _with_logs(_row_pref(n, m, svals), -np.asarray(lams) * ssum)
-    return [_density([pref * SignedLogValue.from_value(ssum) * det0.slv,
-                      pref * SignedLogValue.from_value(-(n - m)) * det1.slv], [det0, det1], cfg)
-            for pref, (det0, det1) in zip(prefs, per_point)]
+                          (5.0 + lam * ssum) * _EPS, 0.0, cfg, [], None, False) for lam in lams]
+    # d F_a / d lam = s F_a - lam^(a-1): the row constants s cancel the
+    # prefactor's e^(-lam sum s)
+    L, R, prefs = _row_min_base(n, m, svals, lams)
+    D = -np.exp(np.arange(n - m, n) * np.log(np.asarray(lams, dtype=float))[:, None, None] - L)
+    return _densities(prefs, L, R, [D], -1.0, cfg)
 
 
 def _pdf_min_col(n, m, svals, lams, cfg) -> List[EvalReport]:
-    # Differentiating exponential column m+c gives a copy of column m+c+1
-    # for every c < n-m-1, so only the last exponential column survives.
-    base, base_rel = _col_min_base(n, m, svals, lams)
-    replacements = [[]]
-    if n > m:
-        last = (np.asarray(lams, dtype=float)[:, None] * np.asarray(svals, dtype=float)
-                + (n - m) * np.log(np.asarray(svals, dtype=float)))
-        replacements.append([_power_col(n - 1, last)])
-    ssum = sum(svals)
-    prefs = _with_logs(_col_pref_min(n, m, svals), -np.asarray(lams) * ssum)
-    return [_density([pref * SignedLogValue.from_value(ssum) * dets[0].slv]
-                     + [pref * SignedLogValue.from_value(-1.0) * d.slv for d in dets[1:]],
-                     dets, cfg)
-            for pref, dets in zip(prefs, _replaced_dets(base, base_rel, replacements))]
+    # the exponential columns have log-derivative s; taking that row
+    # constant out leaves -s on the power columns and cancels e^(-lam sum s)
+    L, R, prefs = _col_min_base(n, m, svals, lams)
+    D = np.zeros((n, n))
+    D[:, :m] = -np.asarray(svals, dtype=float)[:, None]
+    return _densities(prefs, L, R, [D], -1.0, cfg)
 
 
 def _pdf_min_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
-    _no_doubly_min(n, m)
-    base, base_rel = _doubly_min_base(rvals, svals, lams)
-    # column c of every matrix differentiated: r_j s_c exp(-lam r_j s_c)
-    rs = np.asarray(rvals, dtype=float)[:, None] * np.asarray(svals, dtype=float)
-    lam = np.asarray(lams, dtype=float)[:, None]
-    replacements = [[]] + [[_power_col(c, np.log(rs[:, c]) - lam * rs[:, c])] for c in range(n)]
-    M = n * (n - 1) // 2
-    prefs = _with_logs(_doubly_pref_min(n, rvals, svals), -M * np.log(lams))
-    return [_density(([pref * SignedLogValue.from_value(M / lam) * dets[0].slv] if M > 0 else [])
-                     + [pref * d.slv for d in dets[1:]], dets, cfg)
-            for lam, pref, dets in zip(lams, prefs, _replaced_dets(base, base_rel, replacements))]
+    L, R, prefs = _doubly_min_base(n, m, rvals, svals, lams)
+    D = -np.outer(rvals, svals)
+    consts = -(n * (n - 1) // 2) / np.asarray(lams, dtype=float)
+    return _densities(prefs, L, R, [D], -1.0, cfg, consts.tolist())
 
 
 def pdf_joint_minmax(case: RowCorrelated, a: float, b: float,
                      cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
     """Joint density of (smallest, largest) eigenvalue at (a, b), row model.
 
-    The mixed partial of the gap probability: a sum over ordered column
-    pairs of determinants with one column differentiated at each endpoint.
-    Identically zero at m = 1 (one eigenvalue cannot sit at two points).
+    Minus the mixed partial of the `prob_gap` determinant formula, from one
+    factorisation of its matrix by Jacobi's formula (each entry is an
+    integral from a to b, so no entry has a mixed term).  Identically zero
+    at m = 1 (one eigenvalue cannot sit at two points).
     """
     return _pdf_joint_grid(case, [(a, b)], cfg)[0]
 
@@ -818,12 +815,12 @@ def _pdf_joint_grid(case: RowCorrelated, points: Sequence[Tuple[float, float]],
     svals = list(case.s)
     if m == 1:
         return [EvalReport(0.0, 0.0, 0.0, []) for _ in points]
-    base, base_rel = _gap_base(n, m, svals, points)
-    a, b = (np.array([p[i] for p in points])[:, None] for i in (0, 1))
-    s = np.asarray(svals, dtype=float)
-    pairs = [(c1, c2) for c1 in range(m) for c2 in range(m) if c1 != c2]
-    per_point = _replaced_dets(base, base_rel, [
-        [_power_col(c1, (n - m + c1) * np.log(a) - s * a),
-         _power_col(c2, (n - m + c2) * np.log(b) - s * b)] for c1, c2 in pairs])
-    pref = _row_pref(n, m, svals)
-    return [_density([pref * d.slv for d in dets], dets, cfg) for dets in per_point]
+    L, R = _gap_base(n, m, svals, points)
+    # d/db int_a^b t^(k-1) e^(-s t) dt = b^(k-1) e^(-s b), and d/da is minus
+    # the same at a; zero entries (-inf logs) stay zero
+    ends = np.asarray(points, dtype=float)[:, :, None, None]
+    slope = np.exp(np.arange(n - m, n) * np.log(ends)
+                   - np.asarray(svals, dtype=float)[:, None] * ends - L[:, None])
+    slope[~np.isfinite(L[:, None]).repeat(2, axis=1)] = 0.0
+    prefs = [_row_pref(n, m, svals)] * len(points)
+    return _densities(prefs, L, R, [-slope[:, 0], slope[:, 1]], -1.0, cfg)

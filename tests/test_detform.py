@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -617,3 +618,64 @@ class TestSmallLambdaMinDensity:
             lambda x, dps: extended.cdf_min_row(5, 3, s, x, dps), lam, monkeypatch)
         assert not rep.warnings
         assert abs(rep.value - exact) <= rep.abs_error_estimate
+
+
+def precise_partial(raw, point, monkeypatch):
+    """d/dlam of ``raw(lam, dps)``, or the mixed d^2/da db of ``raw(a, b, dps)``,
+    by central differences of the 50-digit evaluation."""
+    monkeypatch.setattr(extended, "_self_validated", lambda raw, dps: raw(dps))
+    with mpmath.workdps(50):
+        x = [mpmath.mpf(p) for p in point]
+        h = [v * mpmath.mpf(10) ** -12 for v in x]
+        total = 0
+        for signs in itertools.product((1, -1), repeat=len(x)):
+            total += math.prod(signs) * raw(*(v + sg * hv for v, sg, hv in zip(x, signs, h)), 50)
+        return float(total / math.prod(2 * hv for hv in h))
+
+
+ROW6 = [0.5, 1.0, 1.7, 2.4, 3.3, 4.1]
+ROW4 = [0.5, 1.0, 1.8, 3.0]
+DOUBLY = {"4x3": (4, 3, [1.0, 1.7, 2.6], [0.8, 1.5, 2.6, 4.0]),
+          "3x3": (3, 3, [1.0, 2.0, 3.2], [0.9, 1.8, 3.1])}
+ROW_DENSITIES = (
+    [(pdf_max, row_case(8, 6, ROW6), (lam,),
+      lambda x, dps: extended.cdf_max_row(8, 6, ROW6, x, dps)) for lam in (1.1, 3.0)]
+    + [(pdf_joint_minmax, row_case(6, 4, ROW4), (a, b),
+        lambda x, y, dps: -extended.prob_gap_row(6, 4, ROW4, x, y, dps))
+       for a, b in [(0.02, 1.0), (0.1, 3.0), (0.3, 2.0), (0.5, 20.0), (8.0, 30.0), (20.0, 30.0)]])
+
+
+class TestDensityAgainstPreciseDerivative:
+    # Jacobi's formula on the CDF determinant against central differences of
+    # the 50-digit CDF
+
+    @pytest.mark.parametrize("lam", [0.05, 0.3, 1.0, 3.0, 10.0])
+    @pytest.mark.parametrize("kind", sorted(DOUBLY))
+    def test_doubly_pdf_max(self, kind, lam, monkeypatch):
+        n, m, r, s = DOUBLY[kind]
+        rep = pdf_max(doubly_case(n, m, r, s), lam)
+        exact = precise_partial(lambda x, dps: extended.cdf_max_doubly(n, m, r, s, x, dps),
+                                (lam,), monkeypatch)
+        assert abs(rep.value - exact) <= 1e-6 * exact
+        assert abs(rep.value - exact) <= rep.abs_error_estimate
+
+    @pytest.mark.parametrize("fn,case,point,raw", ROW_DENSITIES,
+                             ids=[f"{fn.__name__}-{p}" for fn, _, p, _ in ROW_DENSITIES])
+    def test_row_densities(self, fn, case, point, raw, monkeypatch):
+        rep = fn(case, *point)
+        exact = precise_partial(raw, point, monkeypatch)
+        assert abs(rep.value - exact) <= 1e-7 * abs(exact)
+        if not any(w.startswith("cancellation:") for w in rep.warnings):
+            assert abs(rep.value - exact) <= rep.abs_error_estimate
+
+
+@pytest.mark.parametrize("n,m,s", [(4, 3, [0.5, 1.0, 3.0]), (6, 4, ROW4)])
+@pytest.mark.parametrize("a,b", [(8.0, 30.0), (20.0, 30.0)])
+def test_prob_gap_where_p_rounds_to_one(n, m, s, a, b, monkeypatch):
+    # P(k, s a) is 1 in double precision for the largest s: the entries come
+    # from the Q sums instead of a difference of P values
+    monkeypatch.setattr(extended, "_self_validated", lambda raw, dps: raw(dps))
+    rep = prob_gap(row_case(n, m, s), a, b)
+    exact = float(extended.prob_gap_row(n, m, s, mpmath.mpf(a), mpmath.mpf(b), 50))
+    assert not rep.warnings
+    assert abs(rep.value - exact) <= min(1e-9 * exact, rep.abs_error_estimate)
