@@ -44,7 +44,6 @@ from .schur_series import (
     pochhammer_partition,
     schur_poly,
 )
-from .specfun import SpecfunResult, kummer_1f1, log_gamma, reg_lower_gamma, tricomi_u1
 
 __version__ = "0.1.0"
 
@@ -82,9 +81,4 @@ __all__ = [
     "partitions",
     "pochhammer_partition",
     "schur_poly",
-    "SpecfunResult",
-    "kummer_1f1",
-    "log_gamma",
-    "reg_lower_gamma",
-    "tricomi_u1",
 ]

@@ -1,8 +1,8 @@
 """Stochastic validation of the analytic distributions.
 
 Samples correlated complex Gaussian data matrices, extracts extreme
-eigenvalues of Z^H Z with a self-contained cyclic-Jacobi Hermitian
-eigensolver, and accumulates empirical CDFs with distribution-free
+eigenvalues of Z^H Z with LAPACK's Hermitian eigensolver (`eigvalsh`),
+and accumulates empirical CDFs with distribution-free
 (Dvoretzky-Kiefer-Wolfowitz) confidence bands.  A Haar-unitary average of
 the exponential trace functional provides an independent matrix-integral
 estimate of the doubly correlated smallest-eigenvalue law.
@@ -167,93 +167,33 @@ def sample_matrix(case: ModelCase, sample_index: int, master_seed: int) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigenvalues by cyclic Jacobi rotations
-
-
-def _jacobi_batch(H: np.ndarray, tol: float = 1e-13, max_sweeps: int = 60,
-                  accumulate: bool = False):
-    """Cyclic Jacobi on a batch of Hermitian matrices, shape (B, n, n)."""
-    A = np.array(H, dtype=complex)
-    B, n, _ = A.shape
-    V = None
-    if accumulate:
-        V = np.broadcast_to(np.eye(n, dtype=complex), (B, n, n)).copy()
-    if n == 1:
-        w = A[:, 0, 0].real.copy()
-        return (w[:, None], V) if accumulate else (w[:, None], None)
-    norm = np.sqrt(np.sum(np.abs(A) ** 2, axis=(1, 2)))
-    norm = np.where(norm > 0, norm, 1.0)
-    for _ in range(max_sweeps):
-        off = np.sum(np.abs(A) ** 2, axis=(1, 2)) - np.sum(
-            np.abs(np.diagonal(A, axis1=1, axis2=2)) ** 2, axis=1)
-        # freeze matrices individually once converged, so a sample's
-        # eigenvalues never depend on which chunk-mates it was batched with
-        live = np.sqrt(np.maximum(off, 0.0)) > tol * norm
-        if not np.any(live):
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                hpq = A[:, p, q]
-                absh = np.abs(hpq)
-                active = (absh > 1e-300) & live
-                if not np.any(active):
-                    continue
-                phase = np.where(active, hpq / np.where(active, absh, 1.0), 1.0)
-                app = A[:, p, p].real
-                aqq = A[:, q, q].real
-                tau = np.where(active, (aqq - app) / (2.0 * np.where(active, absh, 1.0)), 0.0)
-                # tau*tau may overflow to inf for nearly converged pivots;
-                # the rotation angle then correctly underflows to zero
-                with np.errstate(over="ignore"):
-                    t = np.where(active,
-                                 np.sign(tau + (tau == 0)) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)),
-                                 0.0)
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # columns
-                colp = A[:, :, p].copy()
-                colq = A[:, :, q].copy()
-                A[:, :, p] = c[:, None] * colp - (s * np.conj(phase))[:, None] * colq
-                A[:, :, q] = (s * phase)[:, None] * colp + c[:, None] * colq
-                # rows
-                rowp = A[:, p, :].copy()
-                rowq = A[:, q, :].copy()
-                A[:, p, :] = c[:, None] * rowp - (s * phase)[:, None] * rowq
-                A[:, q, :] = (s * np.conj(phase))[:, None] * rowp + c[:, None] * rowq
-                A[:, p, q] = 0.0
-                A[:, q, p] = 0.0
-                if accumulate:
-                    vp = V[:, :, p].copy()
-                    vq = V[:, :, q].copy()
-                    V[:, :, p] = c[:, None] * vp - (s * np.conj(phase))[:, None] * vq
-                    V[:, :, q] = (s * phase)[:, None] * vp + c[:, None] * vq
-    w = np.diagonal(A, axis1=1, axis2=2).real.copy()
-    order = np.argsort(w, axis=1)
-    w_sorted = np.take_along_axis(w, order, axis=1)
-    if accumulate:
-        V = np.take_along_axis(V, order[:, None, :], axis=2)
-    return w_sorted, V
+# Hermitian eigenvalues by LAPACK
 
 
 def hermitian_eigs(H, with_vectors: bool = False):
     """All eigenvalues of a complex Hermitian matrix, ascending.
 
-    Self-contained cyclic Jacobi iteration, run until the off-diagonal
-    Frobenius mass falls below 1e-13 of the matrix norm.  With
+    LAPACK's Hermitian solver (`np.linalg.eigvalsh`).  With
     ``with_vectors=True`` returns ``(eigenvalues, V)`` with columns of V the
-    eigenvectors.  Rejects matrices that are not Hermitian to 1e-10
-    relative.
+    eigenvectors.  Rejects non-finite matrices and matrices that are not
+    Hermitian to 1e-10 relative.
     """
     A = np.asarray(H, dtype=complex)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix must be square, got shape {A.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("matrix must be finite")
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     if scale > 0 and np.max(np.abs(A - A.conj().T)) > 1e-10 * scale:
         raise ValueError("matrix must be Hermitian to 1e-10 relative")
-    w, V = _jacobi_batch(A[None, :, :], accumulate=with_vectors)
-    if with_vectors:
-        return w[0], V[0]
-    return w[0]
+    return np.linalg.eigh(A) if with_vectors else np.linalg.eigvalsh(A)
+
+
+def _gram_eigvals(z: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of Z^H Z for each Z of a stack (B, n, m).
+    LAPACK solves every matrix of the stack on its own, so a sample's
+    eigenvalues do not depend on its batch-mates."""
+    return np.linalg.eigvalsh(np.einsum("bij,bik->bjk", np.conj(z), z))
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +208,7 @@ def _extreme_eigs(case: ModelCase, cfg: MCConfig, which: str) -> np.ndarray:
     out = np.empty(cfg.samples)
     for start in range(0, cfg.samples, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, cfg.samples), dtype=np.uint64)
-        z = _sample_batch(case, idx, cfg.master_seed)
-        gram = np.einsum("bij,bik->bjk", np.conj(z), z)
-        w, _ = _jacobi_batch(gram)
+        w = _gram_eigvals(_sample_batch(case, idx, cfg.master_seed))
         out[start:start + len(idx)] = w[:, -1] if which == "max" else w[:, 0]
     return out
 
@@ -286,8 +224,8 @@ def empirical_extreme_cdf(case: ModelCase, stat: str, grid: Sequence[float],
     if stat not in ("max", "min"):
         raise ValueError(f"stat must be 'max' or 'min', got {stat!r}")
     grid = [float(g) for g in grid]
-    if any(b <= a for a, b in zip(grid, grid[1:])) or any(g <= 0 for g in grid):
-        raise ValueError("grid must be positive and strictly increasing")
+    if any(b <= a for a, b in zip(grid, grid[1:])) or not all(0 < g < math.inf for g in grid):
+        raise ValueError("grid must be finite, positive and strictly increasing")
     values = _extreme_eigs(case, cfg, stat)
     garr = np.asarray(grid)
     if stat == "max":
@@ -335,10 +273,10 @@ def haar_hciz_estimate(lam: float, r: Sequence[float], s: Sequence[float],
     """
     rv = np.asarray([float(v) for v in r])
     sv = np.asarray([float(v) for v in s])
-    if rv.shape != sv.shape:
-        raise ValueError("spectra must have the same length")
-    if not lam > 0:
-        raise ValueError("lam must be positive")
+    if rv.shape != sv.shape or rv.size == 0:
+        raise ValueError("spectra must be nonempty and of the same length")
+    if not all(0 < v < math.inf for v in [lam, *rv, *sv]):
+        raise ValueError("lam and the spectra must be finite and positive")
     n = len(rv)
     total = 0.0
     total_sq = 0.0

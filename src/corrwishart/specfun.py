@@ -19,8 +19,7 @@ one variable at integer order, evaluated here for arrays of arguments:
 
 Each kernel takes a number of numpy operations fixed by the orders alone,
 so an element's value never depends on the other elements: a point alone
-and inside a grid agree bit for bit.  The scalar `reg_lower_gamma`,
-`log_reg_lower_gamma` and `log_kummer_series` wrap the same kernels.
+and inside a grid agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,18 +27,10 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "SpecfunResult",
-    "reg_lower_gamma",
-    "kummer_1f1",
-    "tricomi_u1",
-    "log_gamma",
-    "log_reg_lower_gamma",
-    "log_kummer_series",
     "log_gamma_entries",
     "reg_lower_gamma_orders",
     "log_shifted_power_integrals",
@@ -48,38 +39,6 @@ __all__ = [
 
 _EPS = 2.220446049250313e-16
 _LOG_HALF_EPS = math.log(0.5 * _EPS)
-
-
-@dataclass(frozen=True)
-class SpecfunResult:
-    """Value of a scalar special function plus an absolute error estimate."""
-
-    value: float
-    abs_error_estimate: float
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of Gamma(x) for x > 0."""
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"log_gamma requires finite x > 0, got {x!r}")
-    return math.lgamma(x)
-
-
-def _check_int(name: str, value, minimum: int) -> int:
-    if not isinstance(value, (int,)) or isinstance(value, bool):
-        if isinstance(value, float) and value.is_integer():
-            value = int(value)
-        else:
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return int(value)
-
-
-def _check_x(x: float) -> float:
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"x must be finite and >= 0, got {x!r}")
-    return float(x)
 
 
 # ---------------------------------------------------------------------------
@@ -242,105 +201,3 @@ def log_doubly_g(n: int, x) -> np.ndarray:
     xs = x[~big]
     out[~big] = _kummer_log_sum(n, n + 1, xs, _poisson_terms(2.0 * n)) - xs - math.log(n)
     return out
-
-
-# ---------------------------------------------------------------------------
-# scalar wrappers
-
-
-def log_reg_lower_gamma(a: int, x: float) -> float:
-    """Natural log of P(a, x), robust where P itself underflows."""
-    a = _check_int("a", a, 1)
-    x = _check_x(x)
-    if x == 0.0:
-        return -math.inf
-    return float(reg_lower_gamma_orders(a, a, [x])[2][0, 0])
-
-
-def reg_lower_gamma(a: int, x: float) -> SpecfunResult:
-    """Regularized lower incomplete gamma function P(a, x), a integer >= 1.
-
-    P(a, x) = gamma(a, x) / Gamma(a) is nondecreasing in x with
-    P(a, 0) = 0 and limit 1 (`reg_lower_gamma_orders`).
-    """
-    a = _check_int("a", a, 1)
-    x = _check_x(x)
-    if x == 0.0:
-        return SpecfunResult(0.0, 0.0)
-    value, err, _ = reg_lower_gamma_orders(a, a, [x])
-    return SpecfunResult(float(value[0, 0]), float(err[0, 0]))
-
-
-def log_kummer_series(a: int, b: int, x: float) -> float:
-    """Natural log of 1F1(a; b; x) for x >= 0 from its positive series.
-
-    b = a + 1 goes through `log_doubly_g` (1F1(a; a+1; x) = a e^x g_a(x)),
-    which holds for every x; other b sum the series in double precision,
-    which limits x to 700.  Negative arguments are handled by the caller
-    through the Kummer transform.
-    """
-    if x < 0.0:
-        raise ValueError("log_kummer_series requires x >= 0")
-    if x == 0.0:
-        return 0.0
-    if b == a + 1:
-        return math.log(a) + x + float(log_doubly_g(a, [x])[0])
-    if x > 700.0:
-        raise ValueError(f"log_kummer_series with b != a + 1 requires x <= 700, got {x!r}")
-    return float(_kummer_log_sum(a, b, [x], _poisson_terms(x))[0])
-
-
-def kummer_1f1(a: int, b: int, x: float) -> SpecfunResult:
-    """Kummer's function 1F1(a; b; x) for integers b > a >= 1.
-
-    Negative arguments always go through the Kummer transform
-    1F1(a; b; x) = e^x 1F1(b-a; b; -x), so every summed term is positive
-    and the alternating-series cancellation of the raw expansion is
-    avoided.
-    """
-    a = _check_int("a", a, 1)
-    b = _check_int("b", b, 1)
-    if b <= a:
-        raise ValueError(f"kummer_1f1 requires b > a, got a={a}, b={b}")
-    if not math.isfinite(x):
-        raise ValueError(f"x must be finite, got {x!r}")
-    if x < 0.0:
-        log_v = x + log_kummer_series(b - a, b, -x)
-    else:
-        log_v = log_kummer_series(a, b, x)
-    value = math.exp(log_v) if log_v < 709.0 else math.inf
-    err = 50.0 * _EPS * abs(value) + 1e-300
-    return SpecfunResult(value, err)
-
-
-def tricomi_u1(b: int, z: float) -> SpecfunResult:
-    """Tricomi's function U(1, b, z) for integer b >= 2 and z > 0.
-
-    U(1, b, z) = integral_0^inf e^{-z t} (1 + t)^{b-2} dt, which for
-    integer b collapses to the finite sum over i of C(b-2, i) i! / z^{i+1}.
-    Strictly positive and decreasing in z; singular as z -> 0.
-    """
-    b = _check_int("b", b, 2)
-    if not math.isfinite(z) or z <= 0.0:
-        raise ValueError(f"z must be finite and > 0, got {z!r}")
-    log_z = math.log(z)
-    n = b - 2
-    log_terms = [
-        _log_choose(n, i) + math.lgamma(i + 1) - (i + 1) * log_z
-        for i in range(n + 1)
-    ]
-    log_v = _logsumexp(log_terms)
-    value = math.exp(log_v) if log_v < 709.0 else math.inf
-    err = (10.0 + n) * _EPS * abs(value) + 1e-300
-    return SpecfunResult(value, err)
-
-
-def _log_choose(n: int, k: int) -> float:
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-
-
-def _logsumexp(logs) -> float:
-    m = max(logs)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(v - m) for v in logs))

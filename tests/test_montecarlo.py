@@ -19,7 +19,7 @@ from corrwishart.montecarlo import (
     hermitian_eigs,
     sample_matrix,
 )
-from corrwishart.montecarlo import _haar_unitaries, _sample_batch
+from corrwishart.montecarlo import _gram_eigvals, _haar_unitaries, _sample_batch
 
 
 def row_case(n, m, s):
@@ -66,19 +66,24 @@ class TestHermitianEigs:
         with pytest.raises(ValueError):
             hermitian_eigs(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError):
+            hermitian_eigs(np.array([[1.0, math.nan], [math.nan, 2.0]]))
+        with pytest.raises(ValueError):
+            hermitian_eigs(np.diag([1.0, math.inf]))
+
     def test_batch_composition_does_not_change_results(self):
-        # an already-diagonal matrix batched with a slow-converging one must
-        # come out bit-identical to solving it alone
+        # a sample whose Gram matrix is already diagonal, batched with a
+        # dense one, must come out bit-identical to solving it alone
         rng = np.random.default_rng(55)
-        easy = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        hard = a @ a.conj().T
-        from corrwishart.montecarlo import _jacobi_batch
-        together, _ = _jacobi_batch(np.stack([easy, hard]))
-        alone_easy, _ = _jacobi_batch(easy[None])
-        alone_hard, _ = _jacobi_batch(hard[None])
+        easy = np.diag(np.sqrt([1.0, 2.0, 3.0])).astype(complex)
+        hard = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        together = _gram_eigvals(np.stack([easy, hard]))
+        alone_easy = _gram_eigvals(easy[None])
+        alone_hard = _gram_eigvals(hard[None])
         assert np.array_equal(together[0], alone_easy[0])
         assert np.array_equal(together[1], alone_hard[0])
+        assert np.allclose(together[0], [1.0, 2.0, 3.0], rtol=1e-14)
 
 
 class TestSampling:
@@ -166,8 +171,7 @@ class TestEmpiricalCDF:
         case = ColumnCorrelated(Dimensions(3, 2), validate_spectrum([1.0, 2.0, 3.0]))
         z = _sample_batch(case, np.arange(200, dtype=np.uint64), 3)
         gram = np.einsum("bij,bik->bjk", np.conj(z), z)
-        from corrwishart.montecarlo import _jacobi_batch
-        w, _ = _jacobi_batch(gram)
+        w = _gram_eigvals(z)
         assert w.shape == (200, 2)
         norms = np.linalg.norm(gram, axis=(1, 2))
         assert np.all(w[:, 0] >= -1e-10 * norms)
@@ -176,16 +180,13 @@ class TestEmpiricalCDF:
         # the two-sided event {lambda_min >= a and lambda_max <= b} has no DKW
         # band, so use a plain binomial error bar at a fixed seed
         from corrwishart.detform import prob_gap
-        from corrwishart.montecarlo import _jacobi_batch
         case = row_case(3, 2, [1.0, 2.0])
         a, b = 0.35, 3.0
         N = 200000
         count = 0
         for start in range(0, N, 20000):
             idx = np.arange(start, min(start + 20000, N), dtype=np.uint64)
-            z = _sample_batch(case, idx, 314159)
-            gram = np.einsum("bij,bik->bjk", np.conj(z), z)
-            w, _ = _jacobi_batch(gram)
+            w = _gram_eigvals(_sample_batch(case, idx, 314159))
             count += int(np.sum((w[:, 0] >= a) & (w[:, -1] <= b)))
         emp = count / N
         ana = prob_gap(case, a, b).value
@@ -233,3 +234,20 @@ class TestHaar:
     def test_rejects_mismatched_spectra(self):
         with pytest.raises(ValueError):
             haar_hciz_estimate(1.0, [1.0], [1.0, 2.0], MCConfig(samples=100))
+
+
+@pytest.mark.parametrize("call", [
+    lambda cfg: haar_hciz_estimate(math.inf, [1.0, 2.0], [1.0, 3.0], cfg),
+    lambda cfg: haar_hciz_estimate(math.nan, [1.0, 2.0], [1.0, 3.0], cfg),
+    lambda cfg: haar_hciz_estimate(0.5, [-1.0, 2.0], [1.0, 3.0], cfg),
+    lambda cfg: haar_hciz_estimate(0.5, [1.0, 2.0], [0.0, 3.0], cfg),
+    lambda cfg: haar_hciz_estimate(0.5, [1.0, math.nan], [1.0, 3.0], cfg),
+    lambda cfg: haar_hciz_estimate(0.5, [1.0, 2.0], [1.0, math.inf], cfg),
+    lambda cfg: haar_hciz_estimate(0.5, [], [], cfg),
+    lambda cfg: empirical_extreme_cdf(row_case(1, 1, [1.0]), "max", [math.nan], cfg),
+    lambda cfg: empirical_extreme_cdf(row_case(1, 1, [1.0]), "min", [1.0, math.inf], cfg),
+], ids=["lam-inf", "lam-nan", "r-negative", "s-zero", "r-nan", "s-inf", "empty-spectra",
+        "grid-nan", "grid-inf"])
+def test_monte_carlo_rejects_unusable_input(call):
+    with pytest.raises(ValueError):
+        call(MCConfig(samples=100))

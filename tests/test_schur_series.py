@@ -1,8 +1,10 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.special import gammainc
 
 from corrwishart.detform import cdf_max, cdf_min
 from corrwishart.model import Dimensions, RowCorrelated, validate_spectrum
@@ -16,7 +18,6 @@ from corrwishart.schur_series import (
     pochhammer_partition,
     schur_poly,
 )
-from corrwishart.specfun import kummer_1f1, reg_lower_gamma
 
 
 def count_partitions_dp(max_weight, max_part, length):
@@ -163,7 +164,7 @@ class TestHyp1F1Multivar:
 
     def test_single_variable_reduces_to_kummer(self):
         sv = hyp1f1_multivar(2.0, 4.0, [-1.3], max_weight=60)
-        kv = kummer_1f1(2, 4, -1.3).value
+        kv = float(mpmath.hyp1f1(2, 4, -1.3))
         assert sv.value == pytest.approx(kv, rel=1e-10)
 
     def test_equal_parameters_give_exponential(self):
@@ -248,7 +249,6 @@ class TestF3Identity:
                 xx = -x[j]
                 for k in range(1, m + 1):
                     a = n - m + k
-                    M[j, k - 1] = (reg_lower_gamma(a, xx).value
-                                   * math.gamma(a) / xx ** a)
+                    M[j, k - 1] = gammainc(a, xx) * math.gamma(a) / xx ** a
             det_side = pref / vdm * np.linalg.det(M)
             assert series == pytest.approx(det_side, rel=1e-8)
