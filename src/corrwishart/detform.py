@@ -277,8 +277,12 @@ class EvalConfig:
     """Precision policy for the determinant engine.
 
     ``precision="double"`` never escalates; ``"extended"`` re-runs an
-    evaluation through mpmath at ``extended_dps`` significant digits when
-    its cancellation diagnostic exceeds ``cancellation_warn_digits``.
+    evaluation through mpmath when its cancellation diagnostic exceeds
+    ``cancellation_warn_digits``, until two rounds agree to
+    ``extended_dps`` - 10 digits.  The first round runs at ``extended_dps``
+    plus the digits the double-precision evaluation lost, capped so that a
+    second round fits within the 1600-digit limit; each later round runs
+    at 2d + 20 digits (`extended.first_round`).
     """
 
     precision: str = "double"
@@ -307,7 +311,7 @@ class EvalReport:
 
 def _finalize(slv: SignedLogValue, rel_err: float, cancel: float,
               cfg: EvalConfig, warnings: List[str],
-              extended_fn: Optional[Callable[[int], float]],
+              extended_fn: Optional[Callable[[int, int], float]],
               is_probability: bool) -> EvalReport:
     value = slv.to_float()
     if cancel > cfg.cancellation_warn_digits:
@@ -316,9 +320,10 @@ def _finalize(slv: SignedLogValue, rel_err: float, cancel: float,
             "unreliable"
         )
         if cfg.precision == "extended" and extended_fn is not None:
-            from .extended import NotConverged  # mpmath loads on first escalation
+            # mpmath loads on first escalation
+            from .extended import NotConverged, first_round
             try:
-                value = extended_fn(cfg.extended_dps)
+                value = extended_fn(cfg.extended_dps, first_round(cfg.extended_dps, cancel))
             except NotConverged as exc:
                 # the double-precision value and its estimate stand
                 warnings.append(
@@ -453,11 +458,11 @@ def _doubly_pref_max(n: int, m: int, rvals, svals) -> SignedLogValue:
 # single kernel call.  The public functions evaluate a grid of one point.
 
 
-def _ext(name: str, *args) -> Callable[[int], float]:
-    """Deferred mpmath re-evaluation ``extended.<name>(*args, dps)``."""
-    def run(dps):
+def _ext(name: str, *args) -> Callable[[int, int], float]:
+    """Deferred mpmath re-evaluation ``extended.<name>(*args, dps, start=start)``."""
+    def run(dps, start):
         from . import extended
-        return getattr(extended, name)(*args, dps)
+        return getattr(extended, name)(*args, dps, start=start)
     return run
 
 

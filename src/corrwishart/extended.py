@@ -3,7 +3,12 @@
 The same determinant expressions the double-precision engine evaluates,
 carried out in mpmath arbitrary precision.  mpmath's unbounded exponent
 range makes log-space bookkeeping unnecessary here, so each formula is a
-few lines of linear arithmetic around ``mpmath.det``.
+few lines of linear arithmetic around `_det`: Gaussian elimination with
+partial pivoting on mpmath's raw binary floats (``mpmath.libmp``), every
+operation rounded to nearest at the working precision.  `_det` has no
+singularity tolerance: it returns an exact zero only when a pivot column
+is exactly zero, so a row of tiny entries is carried through, not read as
+singular.
 
 The row and column entries are built one matrix row at a time from
 positive recurrences in the order, at the working precision:
@@ -24,21 +29,28 @@ are evaluated directly.  The double-precision engine uses the same
 recurrences (`corrwishart.specfun`); the test suite keeps an independent
 direct transcription of the formulas as an oracle.
 
-A fixed working precision is not enough by itself: the determinant rows
-can span more orders of magnitude than the mantissa holds (mpmath's LU
-then rounds them equal), so every evaluation is repeated at increasing
-precision until two consecutive results agree to the requested number of
-digits; `NotConverged` is raised when that takes more than ``_MAX_DPS``
-digits.  Spectra arrive as plain floats (already validated); only the
-arithmetic is promoted.
+A fixed working precision is not enough by itself: the determinant can
+cancel more digits than the mantissa holds, so every evaluation is
+repeated at increasing precision until two consecutive results agree to
+the requested number of digits; `NotConverged` is raised when that takes
+more than ``_MAX_DPS`` digits.  The first round runs at ``dps`` digits, or
+at ``start`` when given: the engine passes `first_round`, ``dps`` plus the
+digits its double-precision determinant lost, so that the first two
+rounds can already agree.  Spectra arrive as plain floats (already
+validated); only the arithmetic is promoted.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath
+from mpmath.libmp import (fone, fzero, mpf_abs, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_sub,
+                          round_nearest)
 
 __all__ = [
     "NotConverged",
+    "first_round",
     "cdf_max_row",
     "cdf_min_row",
     "cdf_max_col",
@@ -60,17 +72,28 @@ class NotConverged(ArithmeticError):
         self.dps = dps
 
 
-def _self_validated(raw, dps: int) -> float:
+def first_round(dps: int, cancel: float) -> int:
+    """The first precision to try after a double-precision evaluation lost
+    ``cancel`` digits: dps + ceil(cancel), at least ``dps`` and at most
+    (``_MAX_DPS`` - 20) // 2, so that a second round always fits; infinite
+    cancellation takes that cap."""
+    cap = (_MAX_DPS - 20) // 2
+    return max(dps, min(dps + math.ceil(min(cap, cancel)), cap))
+
+
+def _self_validated(raw, dps: int, start: int | None = None) -> float:
     """Run ``raw`` at increasing precision until two results agree.
 
     ``raw(d)`` must return an mpf computed entirely at d significant
-    digits.  Agreement to 10^-(dps-10) relative (or two exact zeros) is
-    accepted; the final value is returned as a double.  Raises
-    `NotConverged` when the next precision would exceed ``_MAX_DPS``.
+    digits.  The first round runs at ``start`` digits (default ``dps``),
+    each later one at 2d + 20.  Agreement to 10^-(dps-10) relative (or two
+    exact zeros) is accepted; the final value is returned as a double.
+    Raises `NotConverged` when the next precision would exceed
+    ``_MAX_DPS``.
     """
     tol = mpmath.mpf(10) ** (-(dps - 10))
     prev = None
-    d = dps
+    d = dps if start is None else start
     while True:
         val = raw(d)
         if prev is not None:
@@ -82,6 +105,48 @@ def _self_validated(raw, dps: int) -> float:
             raise NotConverged(d)
         prev = val
         d = 2 * d + 20
+
+
+def _validated(raw, dps, start):
+    # without a start, the two-argument call that stand-ins of
+    # `_self_validated` accept
+    if start is None:
+        return _self_validated(raw, dps)
+    return _self_validated(raw, dps, start)
+
+
+def _det(rows):
+    """Determinant of the square matrix given as a list of rows of mpf, at
+    the working precision: Gaussian elimination with partial pivoting on
+    the raw ``_mpf_`` tuples, each operation rounded to nearest.  No
+    singularity tolerance: the result is an exact zero only when a pivot
+    column is exactly zero."""
+    prec, rnd = mpmath.mp.prec, round_nearest
+    a = [[x._mpf_ for x in row] for row in rows]
+    n = len(a)
+    det = fone
+    for k in range(n):
+        p = k
+        big = mpf_abs(a[k][k])
+        for i in range(k + 1, n):
+            mag = mpf_abs(a[i][k])
+            if mpf_lt(big, mag):
+                p, big = i, mag
+        if big == fzero:
+            return mpmath.mpf(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = mpf_neg(det)
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        det = mpf_mul(det, pivot, prec, rnd)
+        for row in a[k + 1:]:
+            f = mpf_div(row[k], pivot, prec, rnd)
+            if f == fzero:
+                continue
+            for j in range(k + 1, n):
+                row[j] = mpf_sub(row[j], mpf_mul(f, pivot_row[j], prec, rnd), prec, rnd)
+    return mpmath.mp.make_mpf(det)
 
 
 def _gaps(vals):
@@ -117,30 +182,30 @@ def _shifted_power_row(a_lo, a_hi, lam, s):
     return row
 
 
-def cdf_max_row(n, m, s, lam, dps=40):
+def cdf_max_row(n, m, s, lam, dps=40, start=None):
     def raw(d):
         with mpmath.workdps(d):
             lm = mpmath.mpf(lam)
             sv = [mpmath.mpf(v) for v in s]
-            A = mpmath.matrix([_gamma_row(n - m + 1, n, lm * v) for v in sv])
+            A = [_gamma_row(n - m + 1, n, lm * v) for v in sv]
             pref = mpmath.mpf(1)
             for k in range(1, m + 1):
                 pref /= mpmath.factorial(n - m + k - 1)
             for v in sv:
                 pref *= (lm * v) ** n
             pref /= (-lm) ** (m * (m - 1) // 2) * _gaps(sv)
-            return pref * mpmath.det(A)
-    return _self_validated(raw, dps)
+            return pref * _det(A)
+    return _validated(raw, dps, start)
 
 
-def cdf_min_row(n, m, s, lam, dps=40):
+def cdf_min_row(n, m, s, lam, dps=40, start=None):
     def raw(d):
         with mpmath.workdps(d):
             lm = mpmath.mpf(lam)
             sv = [mpmath.mpf(v) for v in s]
             if n == m:
                 return mpmath.exp(-lm * sum(sv))
-            A = mpmath.matrix([_shifted_power_row(n - m + 1, n, lm, v) for v in sv])
+            A = [_shifted_power_row(n - m + 1, n, lm, v) for v in sv]
             sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
             pref = sign * mpmath.exp(-lm * sum(sv))
             for v in sv:
@@ -148,17 +213,16 @@ def cdf_min_row(n, m, s, lam, dps=40):
             for k in range(1, m + 1):
                 pref /= mpmath.factorial(n - m + k - 1)
             pref /= _gaps(sv)
-            return pref * mpmath.det(A)
-    return _self_validated(raw, dps)
+            return pref * _det(A)
+    return _validated(raw, dps, start)
 
 
-def cdf_max_col(n, m, s, lam, dps=40):
+def cdf_max_col(n, m, s, lam, dps=40, start=None):
     def raw(d):
         with mpmath.workdps(d):
             lm = mpmath.mpf(lam)
             sv = [mpmath.mpf(v) for v in s]
-            A = mpmath.matrix([_gamma_row(1, m, lm * v, lm) + [v ** i for i in range(n - m)]
-                               for v in sv])
+            A = [_gamma_row(1, m, lm * v, lm) + [v ** i for i in range(n - m)] for v in sv]
             sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
             pref = sign * mpmath.factorial(m)
             for k in range(1, m + 1):
@@ -166,43 +230,34 @@ def cdf_max_col(n, m, s, lam, dps=40):
             for v in sv:
                 pref *= v ** m
             pref /= _gaps(sv)
-            return pref * mpmath.det(A)
-    return _self_validated(raw, dps)
+            return pref * _det(A)
+    return _validated(raw, dps, start)
 
 
-def cdf_min_col(n, m, s, lam, dps=40):
+def cdf_min_col(n, m, s, lam, dps=40, start=None):
     def raw(d):
         with mpmath.workdps(d):
             lm = mpmath.mpf(lam)
             sv = [mpmath.mpf(v) for v in s]
-            A = mpmath.matrix(n, n)
-            for j in range(n):
-                for k in range(1, m + 1):
-                    A[j, k - 1] = sv[j] ** mpmath.mpf(-k)
-                for i in range(1, n - m + 1):
-                    A[j, m + i - 1] = mpmath.exp(lm * sv[j]) * sv[j] ** (i - 1)
+            A = [[v ** -k for k in range(1, m + 1)]
+                 + [mpmath.exp(lm * v) * v ** i for i in range(n - m)] for v in sv]
             sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
             pref = sign * mpmath.exp(-lm * sum(sv))
             for v in sv:
                 pref *= v ** m
             pref /= _gaps(sv)
-            return pref * mpmath.det(A)
-    return _self_validated(raw, dps)
+            return pref * _det(A)
+    return _validated(raw, dps, start)
 
 
-def cdf_max_doubly(n, m, r, s, lam, dps=40):
+def cdf_max_doubly(n, m, r, s, lam, dps=40, start=None):
     def raw(d):
         with mpmath.workdps(d):
             lm = mpmath.mpf(lam)
             rv = [mpmath.mpf(v) for v in r]
             sv = [mpmath.mpf(v) for v in s]
-            A = mpmath.matrix(n, n)
-            for j in range(m):
-                for l in range(n):
-                    A[j, l] = mpmath.hyp1f1(1, n + 1, -lm * rv[j] * sv[l]) / n
-            for i in range(1, n - m + 1):
-                for l in range(n):
-                    A[m + i - 1, l] = (lm * sv[l]) ** mpmath.mpf(-i)
+            A = ([[mpmath.hyp1f1(1, n + 1, -lm * rj * v) / n for v in sv] for rj in rv]
+                 + [[(lm * v) ** -i for v in sv] for i in range(1, n - m + 1)])
             sign = mpmath.mpf(-1) ** (n * (n - 1) // 2)
             pref = sign
             for j in range(1, n):
@@ -214,38 +269,34 @@ def cdf_max_doubly(n, m, r, s, lam, dps=40):
             for v in sv:
                 pref *= (lm * v) ** n
             pref /= lm ** (n * (n - 1) // 2) * _gaps(rv) * _gaps(sv)
-            return pref * mpmath.det(A)
-    return _self_validated(raw, dps)
+            return pref * _det(A)
+    return _validated(raw, dps, start)
 
 
-def cdf_min_doubly(n, r, s, lam, dps=40):
+def cdf_min_doubly(n, r, s, lam, dps=40, start=None):
     def raw(d):
         with mpmath.workdps(d):
             lm = mpmath.mpf(lam)
             rv = [mpmath.mpf(v) for v in r]
             sv = [mpmath.mpf(v) for v in s]
-            A = mpmath.matrix(n, n)
-            for j in range(n):
-                for l in range(n):
-                    A[j, l] = mpmath.exp(-lm * rv[j] * sv[l])
+            A = [[mpmath.exp(-lm * rj * v) for v in sv] for rj in rv]
             pref = mpmath.mpf(1)
             for j in range(1, n):
                 pref *= mpmath.factorial(j)
             pref /= (-lm) ** (n * (n - 1) // 2) * _gaps(rv) * _gaps(sv)
-            return pref * mpmath.det(A)
-    return _self_validated(raw, dps)
+            return pref * _det(A)
+    return _validated(raw, dps, start)
 
 
-def prob_gap_row(n, m, s, a, b, dps=40):
+def prob_gap_row(n, m, s, a, b, dps=40, start=None):
     def raw(d):
         with mpmath.workdps(d):
             av = mpmath.mpf(a)
             bv = mpmath.mpf(b)
             sv = [mpmath.mpf(v) for v in s]
-            A = mpmath.matrix([
-                [hi - lo for hi, lo in zip(_gamma_row(n - m + 1, n, v * bv, bv),
-                                           _gamma_row(n - m + 1, n, v * av, av))]
-                for v in sv])
+            A = [[hi - lo for hi, lo in zip(_gamma_row(n - m + 1, n, v * bv, bv),
+                                            _gamma_row(n - m + 1, n, v * av, av))]
+                 for v in sv]
             sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
             pref = sign
             for v in sv:
@@ -253,5 +304,5 @@ def prob_gap_row(n, m, s, a, b, dps=40):
             for k in range(1, m + 1):
                 pref /= mpmath.factorial(n - m + k - 1)
             pref /= _gaps(sv)
-            return pref * mpmath.det(A)
-    return _self_validated(raw, dps)
+            return pref * _det(A)
+    return _validated(raw, dps, start)

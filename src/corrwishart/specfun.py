@@ -170,7 +170,9 @@ def reg_lower_gamma_orders(a_lo: int, a_hi: int, x):
     with np.errstate(divide="ignore", invalid="ignore"):
         a_log_x = orders * np.log(x)[..., None]
         log_p = a_log_x - x[..., None] - _log_factorials(a_hi + 1)[a_lo:] + log_s
-        size = 2.0 * (_log_factorials(a_hi + 1)[a_lo:] + np.abs(a_log_x) + x[..., None])
+        # at x = 0 the size is inf while P = 0 exactly: capped, it adds nothing
+        size = np.minimum(2.0 * (_log_factorials(a_hi + 1)[a_lo:] + np.abs(a_log_x)
+                                 + x[..., None]), 1e300)
     log_p[upper] = np.log1p(-q[upper])
     value = np.where(upper, 1.0 - np.where(upper, q, 0.0), np.exp(log_p))
     terms = np.where(upper, orders, _gamma_series_terms(a_hi) + a_hi - orders) + size

@@ -1,13 +1,17 @@
-"""The mpmath re-evaluation: its row recurrences, an independent oracle and
-its non-convergence report."""
+"""The mpmath re-evaluation: its determinant, its row recurrences, an
+independent oracle, its first round and its non-convergence report."""
+
+import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 from corrwishart import extended
-from corrwishart.detform import EvalConfig, cdf_max
-from corrwishart.model import Dimensions, RowCorrelated, validate_spectrum
+from corrwishart.detform import EvalConfig, cdf_max, cdf_min
+from corrwishart.model import (ColumnCorrelated, Dimensions, RowCorrelated, Spectrum,
+                               validate_spectrum)
 
 
 def evenly(lo, hi, count):
@@ -269,3 +273,177 @@ class TestNotConverged:
         rep = cdf_max(self.CASE, 0.5, EvalConfig(precision="extended"))
         assert any(w.startswith("extended:") for w in rep.warnings)
         assert not any(w.startswith("nonconverged:") for w in rep.warnings)
+
+
+# ---------------------------------------------------------------------------
+# the determinant against exact rational arithmetic on the same entries
+
+
+def exact(x):
+    """The mpf ``x`` as a Fraction, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def fraction_det(rows):
+    """Exact determinant of a matrix of Fractions by Gaussian elimination."""
+    a = [list(row) for row in rows]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+def dominant(n, rng):
+    """A random diagonally dominant n x n matrix of mpf (at the working
+    precision), both signs off the diagonal."""
+    rows = [[mpmath.mpf(rng.uniform(-1.0, 1.0)) / 3 for _ in range(n)] for _ in range(n)]
+    for j in range(n):
+        rows[j][j] = (n + rng.uniform(0.0, 1.0)) / mpmath.mpf(7) * (-1) ** j
+    return rows
+
+
+class TestDet:
+    @pytest.mark.parametrize("dps", [40, 220])
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    def test_against_exact_fraction(self, n, dps, scaled):
+        rng = np.random.default_rng(1000 * n + dps)
+        with mpmath.workdps(dps):
+            rows = dominant(n, rng)
+            if scaled:
+                # rows and columns scaled by 2^+-300: powers of two, exact
+                row_exp = rng.choice([-300, 0, 300], size=n)
+                col_exp = rng.choice([-300, 0, 300], size=n)
+                rows = [[mpmath.ldexp(x, int(row_exp[j] + col_exp[k])) for k, x in enumerate(row)]
+                        for j, row in enumerate(rows)]
+            got = extended._det(rows)
+        want = fraction_det([[exact(x) for x in row] for row in rows])
+        assert want != 0
+        assert abs(exact(got) - want) <= n * Fraction(10) ** (3 - dps) * abs(want)
+
+    def test_repeated_row_is_exactly_zero(self):
+        rng = np.random.default_rng(5)
+        with mpmath.workdps(40):
+            rows = dominant(7, rng)
+            rows[5] = list(rows[2])
+            assert extended._det(rows) == 0
+
+    def test_row_swap_flips_sign(self):
+        rng = np.random.default_rng(6)
+        with mpmath.workdps(40):
+            rows = dominant(8, rng)
+            det = extended._det(rows)
+            rows[1], rows[6] = rows[6], rows[1]
+            assert extended._det(rows) == -det != 0
+
+    def test_tiny_rows_are_not_singular(self):
+        # one row near 2^-3000 beside rows near one: no tolerance reads it as zero
+        rng = np.random.default_rng(7)
+        with mpmath.workdps(40):
+            rows = dominant(6, rng)
+            rows[3] = [mpmath.ldexp(x, -3000) for x in rows[3]]
+            got = extended._det(rows)
+        want = fraction_det([[exact(x) for x in row] for row in rows])
+        assert abs(exact(got) - want) <= 6 * Fraction(10) ** -37 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# a determinant whose rows span many orders of magnitude is not read as zero
+
+
+def exact_cdf_min_col(n, m, s, lam):
+    """The column-model Pr(lambda_min >= lam) from 80-digit entries whose
+    determinant is taken exactly in rationals."""
+    with mpmath.workdps(80):
+        lm = mpmath.mpf(lam)
+        sv = [mpmath.mpf(v) for v in s]
+        rows = [[exact(v ** -k) for k in range(1, m + 1)]
+                + [exact(mpmath.exp(lm * v) * v ** i) for i in range(n - m)] for v in sv]
+        det = fraction_det(rows)
+        pref = (-1) ** (m * (m - 1) // 2) * mpmath.exp(-lm * sum(sv)) / _gaps(sv)
+        for v in sv:
+            pref *= v ** m
+        return pref * mpmath.mpf(det.numerator) / det.denominator
+
+
+COLUMN_5x3 = [0.5, 1.0, 2.0, 3.0, 4.0]
+
+
+class TestColumnMinWideRows:
+    @pytest.mark.parametrize("lam", [80, 160])
+    def test_formula_against_exact_determinant(self, lam, monkeypatch):
+        want = exact_cdf_min_col(5, 3, COLUMN_5x3, lam)
+        monkeypatch.setattr(extended, "_self_validated", validated_mpf)
+        got = extended.cdf_min_col(5, 3, COLUMN_5x3, lam, DPS)
+        assert rel_gap(got, want) <= 1e-25
+
+    @pytest.mark.parametrize("lam", [80, 160])
+    def test_extended_report(self, lam):
+        want = exact_cdf_min_col(5, 3, COLUMN_5x3, lam)
+        case = ColumnCorrelated(Dimensions(5, 3), validate_spectrum(COLUMN_5x3))
+        rep = cdf_min(case, lam, EvalConfig(precision="extended"))
+        assert any(w.startswith("extended:") for w in rep.warnings)
+        assert rep.value != 0.0
+        assert rep.value == float(want)
+
+
+# ---------------------------------------------------------------------------
+# the first round is sized by the double path's cancellation
+
+
+def rounds_of(monkeypatch):
+    """Record the precision of every ``raw`` round of `_self_validated`."""
+    seen = []
+    validate = extended._self_validated
+
+    def counting(raw, *args):
+        def counted(d):
+            seen.append(d)
+            return raw(d)
+        return validate(counted, *args)
+
+    monkeypatch.setattr(extended, "_self_validated", counting)
+    return seen
+
+
+class TestFirstRound:
+    def test_sized_by_cancellation(self, monkeypatch):
+        case = RowCorrelated(Dimensions(12, 8), validate_spectrum(evenly(0.5, 4.0, 8)))
+        seen = rounds_of(monkeypatch)
+        rep = cdf_max(case, 0.5, EvalConfig(precision="extended"))
+        assert rep.cancellation_digits > 57
+        assert any(w.startswith("extended:") for w in rep.warnings)
+        assert len(seen) == 2 and seen[0] >= 97
+
+    def test_infinite_cancellation(self, monkeypatch):
+        # two eigenvalues one ulp apart: the double determinant is exactly singular
+        s = (1.0, 1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51)
+        case = RowCorrelated(Dimensions(5, 3), Spectrum(s))
+        seen = rounds_of(monkeypatch)
+        rep = cdf_max(case, 1.0, EvalConfig(precision="extended"))
+        assert rep.cancellation_digits == math.inf
+        assert any(w.startswith("extended:") for w in rep.warnings)
+        assert seen[0] == (extended._MAX_DPS - 20) // 2
+        want = validated_mpf(oracle_cdf_max_row(5, 3, s, 1.0), DPS)
+        assert rel_gap(rep.value, want) <= 1e-15
+
+    @pytest.mark.parametrize("cancel,first", [(0.0, 40), (12.5, 53), (57.3, 98),
+                                              (1e6, 790), (math.inf, 790)])
+    def test_bounds(self, cancel, first):
+        assert extended.first_round(40, cancel) == first
+
+    def test_direct_calls_start_at_dps(self, monkeypatch):
+        seen = rounds_of(monkeypatch)
+        extended.cdf_max_row(6, 4, evenly(0.5, 4.0, 4), 2.0)
+        assert seen[0] == 40

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -19,6 +20,11 @@ def log_p_at(a, x):
 
 class TestRegLowerGamma:
     def test_zero_argument(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            p, p_err, log_p = sf.reg_lower_gamma_orders(1, 6, [0.0, 0.5])
+        assert (p[0] == 0.0).all() and (log_p[0] == -math.inf).all()
+        assert np.isfinite(p_err).all()
         assert p_at(1, 0.0)[0] == 0.0
 
     def test_a1_closed_form(self):
