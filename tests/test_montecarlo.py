@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -19,7 +20,13 @@ from corrwishart.montecarlo import (
     hermitian_eigs,
     sample_matrix,
 )
-from corrwishart.montecarlo import _gram_eigvals, _haar_unitaries, _sample_batch
+from corrwishart.montecarlo import (
+    _complex_normals,
+    _gram_eigvals,
+    _haar_unitaries,
+    _philox_rounds,
+    _sample_batch,
+)
 
 
 def row_case(n, m, s):
@@ -134,6 +141,102 @@ class TestSampling:
         z = _sample_batch(case, np.arange(N, dtype=np.uint64), 99)[:, 0, 0]
         assert abs(np.mean(z.real)) <= 4.0 / math.sqrt(2 * N)
         assert abs(np.mean(np.abs(z) ** 2) - 1.0) <= 4.0 / math.sqrt(N)
+
+
+def digest(a):
+    """sha256 of an array's raw 64-bit words."""
+    return hashlib.sha256(np.ascontiguousarray(a).view(np.uint64).tobytes()).hexdigest()
+
+
+def reference_complex_normals(seed, idx, n_entries, purpose):
+    """Philox4x32-10 plus Box-Muller as whole-array expressions, unblocked."""
+    m32 = np.uint64(0xFFFFFFFF)
+    shape = (idx.size, n_entries)
+    x0 = np.broadcast_to((idx & m32)[:, None], shape).copy()
+    x1 = np.broadcast_to((idx >> np.uint64(32))[:, None], shape).copy()
+    x2 = np.broadcast_to(np.arange(n_entries, dtype=np.uint64)[None, :], shape).copy()
+    x3 = np.full(shape, np.uint64(purpose))
+    k0 = np.uint64(seed & 0xFFFFFFFF)
+    k1 = np.uint64(seed >> 32)
+    for _ in range(10):
+        p0 = np.uint64(0xD2511F53) * x0
+        p1 = np.uint64(0xCD9E8D57) * x2
+        x0, x1, x2, x3 = ((p1 >> np.uint64(32)) ^ x1 ^ k0, p1 & m32,
+                          (p0 >> np.uint64(32)) ^ x3 ^ k1, p0 & m32)
+        k0 = (k0 + np.uint64(0x9E3779B9)) & m32
+        k1 = (k1 + np.uint64(0xBB67AE85)) & m32
+    u1 = (((x0 << np.uint64(32)) | x1).astype(np.float64) + 1.0) / 2.0 ** 64
+    u2 = ((x2 << np.uint64(32)) | x3).astype(np.float64) / 2.0 ** 64
+    radius = np.sqrt(-np.log(u1))
+    angle = 2.0 * np.pi * u2
+    return radius * (np.cos(angle) + 1j * np.sin(angle))
+
+
+class TestStreamPinned:
+    """The random stream is part of the interface: a fixed (seed, index)
+    must give the same bits in every release.  The digests were taken with
+    numpy 2.4 on x86-64 (AVX-512 dispatch of log, sin and cos)."""
+
+    @pytest.mark.parametrize("counter,key,want", [
+        ((0, 0, 0, 0), (0, 0),
+         (0x6627e8d5, 0xe169c58d, 0xbc57ac4c, 0x9b00dbd8)),
+        ((0xffffffff,) * 4, (0xffffffff,) * 2,
+         (0x408f276d, 0x41c83b0e, 0xa20bc7c6, 0x6d5451fd)),
+        ((0x243f6a88, 0x85a308d3, 0x13198a2e, 0x03707344), (0xa4093822, 0x299f31d0),
+         (0xd16cfe09, 0x94fdcceb, 0x5001e420, 0x24126ea1)),
+    ], ids=["zeros", "ones", "pi"])
+    def test_philox_known_answers(self, counter, key, want):
+        # Random123's philox4x32_10 known-answer vectors
+        x = [np.array([c], dtype=np.uint64) for c in counter]
+        got = _philox_rounds(*x, key[0] | (key[1] << 32))
+        assert tuple(int(o[0]) for o in got) == want
+
+    @pytest.mark.parametrize("seed,lo,hi,n_entries,purpose,want", [
+        (0, 0, 5, 4, 0,
+         "0ae5ec8528db565438387e16e06380d727e88ebf8a94c1e366601b33297cfff8"),
+        (2 ** 64 - 1, 2 ** 32 - 3, 2 ** 32 + 3, 6, 0,
+         "cf01d188ca46e07421ff69f16cacce1a90defaf9746f0dc02201df8e93d28415"),
+        (123456789, 2 ** 63, 2 ** 63 + 10, 9, 1,
+         "88187c0649035007a9d9787c5c76660b85527fc149ce4d86b522997096d6beb1"),
+        (42, 0, 16383, 1, 0,
+         "7eae90effee431ec97459eb09df06e2b4c19b624eda3e3d0ce622e979505701e"),
+        (42, 0, 16385, 1, 0,
+         "334666f2ce14e3f33c1527739dd87f9cbac3242701e49d18eee9d98315c1bc11"),
+        (7, 0, 3, 16384, 0,
+         "e1a020bc4f6ba758277ad5679590fb1531f14e6345bae80913e753f6de0d12b6"),
+        (7, 5, 7, 16385, 1,
+         "97e58cb95cc1fffb9b0cf550a454e85825b073a3fb6f14e4229b9fa9bac1139f"),
+        (2026, 0, 700, 24, 0,
+         "65c3b9f7b4424ead667530812f3bdfb3896683125557bfea3b0d0100665f4cd8"),
+        (99, 2 ** 40, 2 ** 40 + 3641, 9, 1,
+         "a2d523167c28968e6e183eed0794b00adee71f1c8f3254836df644bfdf3f9759"),
+    ])
+    def test_complex_normals_digest(self, seed, lo, hi, n_entries, purpose, want):
+        g = _complex_normals(seed, np.arange(lo, hi, dtype=np.uint64), n_entries, purpose)
+        assert g.shape == (hi - lo, n_entries)
+        assert digest(g) == want
+
+    @pytest.mark.parametrize("rows,n_entries", [(0, 3), (1, 1), (16385, 1), (3, 16385),
+                                                (700, 24), (2000, 9)])
+    def test_complex_normals_match_reference(self, rows, n_entries):
+        # portable check of the same stream: one unblocked pass of the same ufuncs
+        idx = np.arange(2 ** 32 - 5, 2 ** 32 - 5 + rows, dtype=np.uint64)
+        got = _complex_normals(31337, idx, n_entries, 0)
+        want = reference_complex_normals(31337, idx, n_entries, 0)
+        assert got.shape == want.shape == (rows, n_entries)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_haar_digest(self):
+        V = _haar_unitaries(3, np.arange(64, dtype=np.uint64), 17)
+        assert digest(V) == \
+            "17408441048f8c31a97037ef3fd2e91e49866ab8cc2e33852df066f2404885b4"
+
+    def test_empirical_cdf_digest(self):
+        emp = empirical_extreme_cdf(row_case(3, 2, [1.0, 2.0]), "max",
+                                    list(np.linspace(0.5, 8.0, 16)),
+                                    MCConfig(samples=5000, master_seed=11))
+        assert digest(np.asarray(emp.fractions)) == \
+            "cbeba81910e4e6cb26431a3d193d0612ab8cee6029eecd5284252e8041798502"
 
 
 class TestEmpiricalCDF:
