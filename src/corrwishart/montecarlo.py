@@ -11,6 +11,9 @@ Randomness is counter based: every value drawn for sample i is a pure
 function of (master_seed, i), generated by a vectorized Philox4x32-10
 block cipher.  Results are therefore bit-identical for a fixed seed and
 sample count no matter how the samples are batched or ordered.
+Generation is blocked and in place: the cipher rounds and the Box-Muller
+map run on preallocated buffers of about 16k counters, written straight
+into the output.  The stream is bit-identical to earlier releases.
 """
 
 from __future__ import annotations
@@ -33,15 +36,26 @@ __all__ = [
 ]
 
 _M32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
 _PHILOX_M0 = np.uint64(0xD2511F53)
 _PHILOX_M1 = np.uint64(0xCD9E8D57)
 _WEYL0 = np.uint64(0x9E3779B9)
 _WEYL1 = np.uint64(0xBB67AE85)
 _TWO64 = 2.0 ** 64
+# counters per generation block; the block's buffers stay in cache
+_BLOCK = 16384
 
 # purpose tags separating independent streams drawn for the same sample
 _PURPOSE_GAUSSIAN = 0
 _PURPOSE_HAAR = 1
+
+
+def _check_u64(name: str, value) -> int:
+    """``value`` as a Python int; ValueError unless an integer in [0, 2**64)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or not 0 <= value < 2 ** 64):
+        raise ValueError(f"{name} must be an integer in [0, 2**64), got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -57,8 +71,7 @@ class MCConfig:
             raise ValueError("need at least 100 samples")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must lie in (0, 1)")
-        if not (0 <= self.master_seed < 2 ** 64):
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+        _check_u64("master_seed", self.master_seed)
 
 
 @dataclass(frozen=True)
@@ -87,20 +100,26 @@ def dkw_epsilon(samples: int, confidence: float) -> float:
 
 
 def _philox_rounds(x0, x1, x2, x3, seed: int):
-    """Ten Philox4x32 rounds on uint64 arrays holding 32-bit lanes."""
+    """Ten Philox4x32 rounds on uint64 arrays holding 32-bit lanes.
+
+    Works in place: the four counter arrays are overwritten by the output
+    words and returned.
+    """
     k0 = np.uint64(seed & 0xFFFFFFFF)
     k1 = np.uint64((seed >> 32) & 0xFFFFFFFF)
+    p0 = np.empty_like(x0)
+    p1 = np.empty_like(x2)
     for _ in range(10):
-        p0 = _PHILOX_M0 * x0
-        p1 = _PHILOX_M1 * x2
-        hi0 = p0 >> np.uint64(32)
-        lo0 = p0 & _M32
-        hi1 = p1 >> np.uint64(32)
-        lo1 = p1 & _M32
-        x0 = hi1 ^ x1 ^ k0
-        x1 = lo1
-        x2 = hi0 ^ x3 ^ k1
-        x3 = lo0
+        np.multiply(x0, _PHILOX_M0, out=p0)
+        np.multiply(x2, _PHILOX_M1, out=p1)
+        np.right_shift(p1, _SHIFT32, out=x0)   # x0 <- hi1 ^ x1 ^ k0
+        np.bitwise_xor(x0, x1, out=x0)
+        np.bitwise_xor(x0, k0, out=x0)
+        np.bitwise_and(p1, _M32, out=x1)       # x1 <- lo1
+        np.right_shift(p0, _SHIFT32, out=x2)   # x2 <- hi0 ^ x3 ^ k1
+        np.bitwise_xor(x2, x3, out=x2)
+        np.bitwise_xor(x2, k1, out=x2)
+        np.bitwise_and(p0, _M32, out=x3)       # x3 <- lo0
         k0 = (k0 + _WEYL0) & _M32
         k1 = (k1 + _WEYL1) & _M32
     return x0, x1, x2, x3
@@ -112,22 +131,46 @@ def _complex_normals(seed: int, sample_indices: np.ndarray, n_entries: int,
 
     Entry b of sample i is a pure function of (seed, i, b, purpose): one
     Philox block supplies two 64-bit uniforms, turned into a complex normal
-    by the Box-Muller map.
+    by the Box-Muller map.  Whole samples are generated about `_BLOCK`
+    counters at a time in reused buffers.
     """
     idx = np.asarray(sample_indices, dtype=np.uint64)
-    blocks = np.arange(n_entries, dtype=np.uint64)
-    x0 = np.broadcast_to((idx & _M32)[:, None], (idx.size, n_entries))
-    x1 = np.broadcast_to((idx >> np.uint64(32))[:, None], (idx.size, n_entries))
-    x2 = np.broadcast_to(blocks[None, :], (idx.size, n_entries))
-    x3 = np.full((idx.size, n_entries), np.uint64(purpose))
-    o0, o1, o2, o3 = _philox_rounds(x0.copy(), x1.copy(), x2.copy(), x3, seed)
-    u64a = (o0 << np.uint64(32)) | o1
-    u64b = (o2 << np.uint64(32)) | o3
-    u1 = (u64a.astype(np.float64) + 1.0) / _TWO64   # in (0, 1]
-    u2 = u64b.astype(np.float64) / _TWO64           # in [0, 1)
-    radius = np.sqrt(-np.log(u1))                   # Rayleigh for E|g|^2 = 1
-    angle = 2.0 * np.pi * u2
-    return radius * (np.cos(angle) + 1j * np.sin(angle))
+    out = np.empty((idx.size, n_entries), dtype=np.complex128)
+    flat = out.reshape(-1)
+    step = max(1, _BLOCK // max(n_entries, 1))        # samples per block
+    size = min(step, idx.size) * n_entries
+    x0, x1, x2, x3 = (np.empty(size, dtype=np.uint64) for _ in range(4))
+    radius, angle, trig = (np.empty(size) for _ in range(3))
+    entries = np.arange(n_entries, dtype=np.uint64)
+    for start in range(0, idx.size, step):
+        rows = idx[start:start + step]
+        k = rows.size * n_entries
+        c0, c1, c2, c3 = x0[:k], x1[:k], x2[:k], x3[:k]
+        c0.reshape(rows.size, n_entries)[...] = (rows & _M32)[:, None]
+        c1.reshape(rows.size, n_entries)[...] = (rows >> _SHIFT32)[:, None]
+        c2.reshape(rows.size, n_entries)[...] = entries
+        c3[...] = purpose
+        _philox_rounds(c0, c1, c2, c3, seed)
+        np.left_shift(c0, _SHIFT32, out=c0)            # two 64-bit uniforms
+        np.bitwise_or(c0, c1, out=c0)
+        np.left_shift(c2, _SHIFT32, out=c2)
+        np.bitwise_or(c2, c3, out=c2)
+        r, a, t = radius[:k], angle[:k], trig[:k]
+        r[...] = c0
+        np.add(r, 1.0, out=r)
+        np.divide(r, _TWO64, out=r)                    # u1 in (0, 1]
+        np.log(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)                              # Rayleigh for E|g|^2 = 1
+        a[...] = c2
+        np.divide(a, _TWO64, out=a)                    # u2 in [0, 1)
+        np.multiply(a, 2.0 * np.pi, out=a)
+        dst = flat[start * n_entries:start * n_entries + k]
+        np.cos(a, out=t)
+        np.multiply(r, t, out=dst.real)
+        np.sin(a, out=t)
+        np.multiply(r, t, out=dst.imag)
+    return out
 
 
 def _case_scales(case: ModelCase) -> Tuple[int, int, np.ndarray, np.ndarray]:
@@ -151,7 +194,9 @@ def _sample_batch(case: ModelCase, sample_indices: np.ndarray,
     n, m, row_scale, col_scale = _case_scales(case)
     g = _complex_normals(master_seed, sample_indices, n * m, _PURPOSE_GAUSSIAN)
     z = g.reshape(len(sample_indices), n, m)
-    return z * row_scale[None, :, None] * col_scale[None, None, :]
+    z *= row_scale[None, :, None]
+    z *= col_scale[None, None, :]
+    return z
 
 
 def sample_matrix(case: ModelCase, sample_index: int, master_seed: int) -> np.ndarray:
@@ -161,9 +206,11 @@ def sample_matrix(case: ModelCase, sample_index: int, master_seed: int) -> np.nd
     factors of the two covariances; with spectra given directly the factors
     are diagonal (unitary invariance makes that choice harmless).  The draw
     depends only on (master_seed, sample_index), independent of batching.
+    Both must be integers in [0, 2**64).
     """
-    return _sample_batch(case, np.array([sample_index], dtype=np.uint64),
-                         master_seed)[0]
+    index = _check_u64("sample_index", sample_index)
+    seed = _check_u64("master_seed", master_seed)
+    return _sample_batch(case, np.array([index], dtype=np.uint64), seed)[0]
 
 
 # ---------------------------------------------------------------------------

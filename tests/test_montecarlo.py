@@ -21,6 +21,7 @@ from corrwishart.montecarlo import (
     sample_matrix,
 )
 from corrwishart.montecarlo import (
+    _BLOCK,
     _complex_normals,
     _gram_eigvals,
     _haar_unitaries,
@@ -105,6 +106,46 @@ class TestSampling:
         batch = _sample_batch(case, np.arange(5, dtype=np.uint64), 42)
         for i in range(5):
             assert np.array_equal(batch[i], sample_matrix(case, i, 42))
+
+    @pytest.mark.parametrize("case", [
+        row_case(1, 1, [1.0]),
+        row_case(3, 2, [1.0, 2.0]),
+        DoublyCorrelated(Dimensions(3, 3), validate_spectrum([1.0, 2.0, 3.0]),
+                         validate_spectrum([0.5, 1.5, 2.5])),
+    ], ids=["1x1", "row3x2", "doubly3x3"])
+    def test_batch_equals_single_across_blocks(self, case):
+        # generation walks whole samples in blocks of about _BLOCK counters;
+        # a sample's bits must not depend on where a block boundary falls
+        N = _BLOCK + 6
+        batch = _sample_batch(case, np.arange(N, dtype=np.uint64), 2024)
+        step = max(1, _BLOCK // (case.dims.n * case.dims.m))
+        boundaries = range(step, N, step)
+        check = {0, 1, N - 1, *boundaries, *(b - 1 for b in boundaries)}
+        for i in sorted(check):
+            assert np.array_equal(batch[i], sample_matrix(case, i, 2024))
+
+    def test_empty_batch(self):
+        case = row_case(3, 2, [1.0, 2.0])
+        assert _sample_batch(case, np.arange(0, dtype=np.uint64), 1).shape == (0, 3, 2)
+        assert _complex_normals(1, np.arange(0, dtype=np.uint64), 7, 0).shape == (0, 7)
+
+    @pytest.mark.parametrize("index,seed", [
+        (0, 2 ** 64), (0, -1), (0, 1.0), (0, None),
+        (2 ** 64, 0), (-1, 0), (1.5, 0), (np.float64(2.0), 0),
+    ], ids=["seed-2^64", "seed-negative", "seed-float", "seed-none",
+            "index-2^64", "index-negative", "index-float", "index-numpy-float"])
+    def test_sample_matrix_rejects_out_of_range(self, index, seed):
+        # out-of-range values used to wrap modulo 2^64 or truncate silently
+        with pytest.raises(ValueError):
+            sample_matrix(row_case(2, 2, [1.0, 2.0]), index, seed)
+
+    def test_sample_matrix_accepts_full_range(self):
+        case = row_case(2, 2, [1.0, 2.0])
+        top = sample_matrix(case, 2 ** 64 - 1, 2 ** 64 - 1)
+        assert np.array_equal(top, sample_matrix(case, np.uint64(2 ** 64 - 1),
+                                                 np.uint64(2 ** 64 - 1)))
+        assert not np.array_equal(sample_matrix(case, 0, 2 ** 64 - 1),
+                                  sample_matrix(case, 0, 0))
 
     def test_different_indices_differ(self):
         case = row_case(2, 2, [1.0, 2.0])
@@ -301,6 +342,10 @@ class TestEmpiricalCDF:
             MCConfig(samples=50)
         with pytest.raises(ValueError):
             MCConfig(samples=1000, confidence=1.0)
+        with pytest.raises(ValueError):
+            MCConfig(samples=1000, master_seed=2 ** 64)
+        with pytest.raises(ValueError):
+            MCConfig(samples=1000, master_seed=1.5)
         with pytest.raises(ValueError):
             empirical_extreme_cdf(row_case(1, 1, [1.0]), "median", [1.0],
                                   MCConfig(samples=100))
