@@ -332,8 +332,10 @@ def _finalize(slv: SignedLogValue, rel_err: float, cancel: float,
             else:
                 warnings.append(
                     f"extended:re-evaluated at >= {cfg.extended_dps} digits")
-                # the re-evaluation self-validates by agreement of two precisions
-                rel_err = 10.0 ** (10.0 - cfg.extended_dps)
+                # the re-evaluation self-validates by agreement of two
+                # precisions; rounding the agreed mpf to a double adds the
+                # unit roundoff 2^-53
+                rel_err = 10.0 ** (10.0 - cfg.extended_dps) + 0.5 * _EPS
     if not math.isfinite(value):
         warnings.append("nonfinite:evaluation did not produce a finite value")
         return EvalReport(value, math.inf, cancel, warnings)

@@ -396,6 +396,9 @@ class TestColumnMinWideRows:
         assert any(w.startswith("extended:") for w in rep.warnings)
         assert rep.value != 0.0
         assert rep.value == float(want)
+        # the estimate covers the rounding of the agreed mpf to a double
+        with mpmath.workdps(80):
+            assert abs(mpmath.mpf(rep.value) - want) <= rep.abs_error_estimate
 
 
 # ---------------------------------------------------------------------------
