@@ -127,7 +127,6 @@ class TestSampling:
     def test_empty_batch(self):
         case = row_case(3, 2, [1.0, 2.0])
         assert _sample_batch(case, np.arange(0, dtype=np.uint64), 1).shape == (0, 3, 2)
-        assert _complex_normals(1, np.arange(0, dtype=np.uint64), 7, 0).shape == (0, 7)
 
     @pytest.mark.parametrize("index,seed", [
         (0, 2 ** 64), (0, -1), (0, 1.0), (0, None),
