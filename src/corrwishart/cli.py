@@ -260,9 +260,9 @@ def _cmd_validate(args) -> int:
     if (stat == "min" and isinstance(case, DoublyCorrelated)
             and case.dims.m != case.dims.n):
         raise ValueError("the doubly correlated smallest-eigenvalue law requires m = n")
-    mc = MCConfig(samples=args.samples or 200000,
-                  master_seed=args.seed or 0,
-                  confidence=args.confidence or 0.99)
+    mc = MCConfig(samples=200000 if args.samples is None else args.samples,
+                  master_seed=0 if args.seed is None else args.seed,
+                  confidence=0.99 if args.confidence is None else args.confidence)
     if args.grid:
         grid = _parse_grid(args.grid)
     else:

@@ -126,9 +126,12 @@ def _scaled_det(A: np.ndarray, rel_entries: Optional[np.ndarray]):
     rel = N * _EPS * 2.0 * 10.0 ** np.minimum(cancel, 250.0)
     if rel_entries is None:
         return sign, log_abs, cancel, rel, None
-    cancel[singular] = rel[singular] = math.inf
-    inv = np.zeros_like(A)
-    inv[~singular] = np.linalg.inv(A[~singular])
+    if singular.any():
+        cancel[singular] = rel[singular] = math.inf
+        inv = np.zeros_like(A)
+        inv[~singular] = np.linalg.inv(A[~singular])
+    else:
+        inv = np.linalg.inv(A)
     prop = np.abs(np.swapaxes(inv, -1, -2)) * rel_entries * np.abs(A)
     rel += prop.reshape(len(A), -1).sum(axis=-1)
     return sign, log_abs, cancel, rel, inv
@@ -281,8 +284,9 @@ class EvalConfig:
     ``cancellation_warn_digits``, until two rounds agree to
     ``extended_dps`` - 10 digits.  The first round runs at ``extended_dps``
     plus the digits the double-precision evaluation lost, capped so that a
-    second round fits within the 1600-digit limit; each later round runs
-    at 2d + 20 digits (`extended.first_round`).
+    second round fits within the 1600-digit limit (`extended.first_round`);
+    the second round confirms it 20 digits up, and each later one, needed
+    only when those two disagree, runs at 2d + 20 digits.
     """
 
     precision: str = "double"

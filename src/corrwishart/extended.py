@@ -36,8 +36,10 @@ the requested number of digits; `NotConverged` is raised when that takes
 more than ``_MAX_DPS`` digits.  The first round runs at ``dps`` digits, or
 at ``start`` when given: the engine passes `first_round`, ``dps`` plus the
 digits its double-precision determinant lost, so that the first two
-rounds can already agree.  Spectra arrive as plain floats (already
-validated); only the arithmetic is promoted.
+rounds can already agree.  Such a first round is confirmed 20 digits up;
+every other round runs at 2d + 20 digits (40, 100, 220, ... without a
+start).  Spectra arrive as plain floats (already validated); only the
+arithmetic is promoted.
 """
 
 from __future__ import annotations
@@ -85,11 +87,20 @@ def _self_validated(raw, dps: int, start: int | None = None) -> float:
     """Run ``raw`` at increasing precision until two results agree.
 
     ``raw(d)`` must return an mpf computed entirely at d significant
-    digits.  The first round runs at ``start`` digits (default ``dps``),
-    each later one at 2d + 20.  Agreement to 10^-(dps-10) relative (or two
-    exact zeros) is accepted; the final value is returned as a double.
-    Raises `NotConverged` when the next precision would exceed
-    ``_MAX_DPS``.
+    digits.  Agreement to 10^-(dps-10) relative (or two exact zeros) is
+    accepted; the final value is returned as a double.  Without ``start``
+    the rounds run at ``dps``, then 2d + 20 each.  With ``start`` (the
+    engine's `first_round`, already sized by the measured cancellation) the
+    second round runs only 20 digits up, at start + 20, and any later one
+    at 2d + 20 again.
+
+    A confirming round 20 digits up gives the same evidence as one at twice
+    the precision: its error is about 10^-20 of the first round's, so when
+    the two agree to 10^-(dps-10) the first round was already that accurate,
+    and the value returned, from the second round, is at least as accurate.
+    When they disagree (say a gap entry cancelled more than the engine's
+    measure saw), the doubling takes over.  Raises `NotConverged`, carrying
+    the last precision tried, when the next round would exceed ``_MAX_DPS``.
     """
     tol = mpmath.mpf(10) ** (-(dps - 10))
     prev = None
@@ -101,10 +112,10 @@ def _self_validated(raw, dps: int, start: int | None = None) -> float:
                 return float(val)
             if val != 0 and abs(prev - val) <= tol * abs(val):
                 return float(val)
-        if 2 * d + 20 > _MAX_DPS:
+        next_d = d + 20 if prev is None and start is not None else 2 * d + 20
+        if next_d > _MAX_DPS:
             raise NotConverged(d)
-        prev = val
-        d = 2 * d + 20
+        prev, d = val, next_d
 
 
 def _validated(raw, dps, start):

@@ -138,6 +138,18 @@ class TestOtherCommands:
         assert rc == 0
         assert "PASS" in out
 
+    def test_validate_rejects_zero_samples(self, capsys):
+        rc, out, err = run(capsys, "validate", "--case", "row", "--n", "3", "--m", "2",
+                           "--spectrum", "1,2", "--samples", "0")
+        assert rc == 2
+        assert "samples" in err and out == ""
+
+    def test_validate_rejects_zero_confidence(self, capsys):
+        rc, out, err = run(capsys, "validate", "--case", "row", "--n", "3", "--m", "2",
+                           "--spectrum", "1,2", "--samples", "1000", "--confidence", "0")
+        assert rc == 2
+        assert "confidence" in err and out == ""
+
     def test_config_file_supplies_defaults(self, tmp_path, capsys):
         cfg = {"case": "row", "n": 2, "m": 1, "spectrum": "1",
                "grid": "0.5:2:4:linear"}

@@ -1,6 +1,7 @@
 """The mpmath re-evaluation: its determinant, its row recurrences, an
-independent oracle, its first round and its non-convergence report."""
+independent oracle, its round schedule and its non-convergence report."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from corrwishart import extended
-from corrwishart.detform import EvalConfig, cdf_max, cdf_min
+from corrwishart.detform import EvalConfig, cdf_max, cdf_min, prob_gap
 from corrwishart.model import (ColumnCorrelated, Dimensions, RowCorrelated, Spectrum,
                                validate_spectrum)
 
@@ -237,13 +238,94 @@ def _row_cases():
 ORACLE_CASES = list(_row_cases())
 
 
+@functools.lru_cache(maxsize=None)
+def oracle_value(name):
+    """The oracle at ``DPS`` on the `ORACLE_CASES` entry ``name``, once per run."""
+    _, _, oracle, args = next(c for c in ORACLE_CASES if c[0] == name)
+    return validated_mpf(oracle(*args), DPS)
+
+
 @pytest.mark.parametrize("name,fn,oracle,args", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
 def test_agrees_with_direct_transcription(name, fn, oracle, args, monkeypatch):
-    want = validated_mpf(oracle(*args), DPS)
+    want = oracle_value(name)
     monkeypatch.setattr(extended, "_self_validated", validated_mpf)
     got = fn(*args, DPS)
     assert want != 0
     assert rel_gap(got, want) <= mpmath.mpf(10) ** (10 - DPS), name
+
+
+# the public API on the same shapes, through the real schedule: two are
+# left out, row 10x6 and 11x7 min, whose double path loses 7.6 and 11.1
+# digits and so never escalates
+PUBLIC = {extended.cdf_max_row: (RowCorrelated, cdf_max),
+          extended.cdf_min_row: (RowCorrelated, cdf_min),
+          extended.prob_gap_row: (RowCorrelated, prob_gap),
+          extended.cdf_max_col: (ColumnCorrelated, cdf_max)}
+ESCALATED_CASES = [c for c in ORACLE_CASES if c[0] not in ("row 10x6 min", "row 11x7 min")]
+
+
+@pytest.mark.parametrize("name,fn,oracle,args", ESCALATED_CASES,
+                         ids=[c[0] for c in ESCALATED_CASES])
+def test_escalated_report_against_oracle(name, fn, oracle, args):
+    want = oracle_value(name)
+    model, public = PUBLIC[fn]
+    n, m, s = args[:3]
+    rep = public(model(Dimensions(n, m), validate_spectrum(s)), *args[3:],
+                 EvalConfig(precision="extended"))
+    assert any(w.startswith("extended:") for w in rep.warnings), name
+    with mpmath.workdps(DPS):
+        assert abs(mpmath.mpf(rep.value) - want) <= rep.abs_error_estimate, name
+    assert rel_gap(rep.value, want) <= 2.0 ** -52, name
+
+
+# ---------------------------------------------------------------------------
+# the schedule: a confirming round 20 digits up after a sized first round,
+# doubling otherwise
+
+
+def settling_at(precision, seen):
+    """A stand-in ``raw`` recording its precisions: every round below
+    ``precision`` disagrees with every other round, those at or above it
+    agree."""
+    def raw(d):
+        seen.append(d)
+        return mpmath.mpf(1) if d >= precision else mpmath.mpf(1) + d
+    return raw
+
+
+class TestSchedule:
+    @pytest.mark.parametrize("start", [40, 98, 790])
+    def test_confirms_20_digits_up(self, start):
+        seen = []
+        assert extended._self_validated(settling_at(0, seen), DPS, start) == 1.0
+        assert seen == [start, start + 20]
+
+    def test_doubles_after_a_disagreement(self):
+        seen = []
+        extended._self_validated(settling_at(121, seen), DPS, 100)
+        assert seen == [100, 120, 260, 540]
+
+    def test_direct_schedule_unchanged(self):
+        seen = []
+        extended._self_validated(settling_at(100, seen), DPS)
+        assert seen == [40, 100, 220]
+
+    @pytest.mark.parametrize("limit,start,last", [(130, 100, 120), (110, 100, 100),
+                                                  (1600, 790, 810), (1600, 100, 1100)])
+    def test_raises_before_passing_the_limit(self, monkeypatch, limit, start, last):
+        monkeypatch.setattr(extended, "_MAX_DPS", limit)
+        seen = []
+        with pytest.raises(extended.NotConverged) as info:
+            extended._self_validated(settling_at(math.inf, seen), DPS, start)
+        assert info.value.dps == last == seen[-1]
+        assert max(seen) <= limit
+
+    def test_direct_schedule_raises_with_last_precision(self, monkeypatch):
+        monkeypatch.setattr(extended, "_MAX_DPS", 220)
+        seen = []
+        with pytest.raises(extended.NotConverged) as info:
+            extended._self_validated(settling_at(math.inf, seen), DPS)
+        assert info.value.dps == 220 and seen == [40, 100, 220]
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +509,7 @@ class TestFirstRound:
         rep = cdf_max(case, 0.5, EvalConfig(precision="extended"))
         assert rep.cancellation_digits > 57
         assert any(w.startswith("extended:") for w in rep.warnings)
-        assert len(seen) == 2 and seen[0] >= 97
+        assert len(seen) == 2 and seen[0] >= 97 and seen[1] == seen[0] + 20
 
     def test_infinite_cancellation(self, monkeypatch):
         # two eigenvalues one ulp apart: the double determinant is exactly singular
@@ -437,7 +519,7 @@ class TestFirstRound:
         rep = cdf_max(case, 1.0, EvalConfig(precision="extended"))
         assert rep.cancellation_digits == math.inf
         assert any(w.startswith("extended:") for w in rep.warnings)
-        assert seen[0] == (extended._MAX_DPS - 20) // 2
+        assert seen == [(extended._MAX_DPS - 20) // 2, (extended._MAX_DPS + 20) // 2]
         want = validated_mpf(oracle_cdf_max_row(5, 3, s, 1.0), DPS)
         assert rel_gap(rep.value, want) <= 1e-15
 
