@@ -254,9 +254,7 @@ def _cmd_crosscheck(args) -> int:
 def _cmd_validate(args) -> int:
     case = _build_case(args)
     cfg = _eval_config(args)
-    stat = args.stat or "max"
-    if stat not in ("max", "min"):
-        raise ValueError("validate supports --stat max or min")
+    stat = args.stat
     if (stat == "min" and isinstance(case, DoublyCorrelated)
             and case.dims.m != case.dims.n):
         raise ValueError("the doubly correlated smallest-eigenvalue law requires m = n")
@@ -298,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "complex Wishart matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_stat=True, with_grid=True):
+    def add_common(p, stats=("max", "min"), with_grid=True):
+        p.set_defaults(parser=p)
         p.add_argument("--config", help="JSON file with defaults for these options")
         p.add_argument("--case", choices=["row", "column", "double"])
         p.add_argument("--n", type=int)
@@ -310,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s", help="doubly case: inverse-covariance spectrum, length n")
         p.add_argument("--covariance-r", dest="covariance_r")
         p.add_argument("--covariance-s", dest="covariance_s")
-        if with_stat:
-            p.add_argument("--stat", choices=["max", "min", "joint"], default=None)
+        if stats:
+            p.add_argument("--stat", choices=stats, default=None)
         if with_grid:
             p.add_argument("--grid", help="start:stop:points[:linear|log]")
         p.add_argument("--format", choices=["csv", "json"])
@@ -325,20 +324,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_cdf.set_defaults(func=_cmd_cdf)
 
     p_pdf = sub.add_parser("pdf", help="tabulate an extreme-eigenvalue density")
-    add_common(p_pdf)
+    add_common(p_pdf, stats=("max", "min", "joint"))
     p_pdf.add_argument("--a", help="grid for the smallest eigenvalue (joint)")
     p_pdf.add_argument("--b", help="grid for the largest eigenvalue (joint)")
     p_pdf.set_defaults(func=_cmd_pdf)
 
     p_gap = sub.add_parser("gap", help="tabulate the two-sided gap probability")
-    add_common(p_gap, with_stat=False, with_grid=False)
+    add_common(p_gap, stats=(), with_grid=False)
     p_gap.add_argument("--a", help="grid start:stop:points[:spacing] for a")
     p_gap.add_argument("--b", help="grid for b")
     p_gap.set_defaults(func=_cmd_gap)
 
     p_cc = sub.add_parser("crosscheck",
                           help="determinant engine vs. series oracle")
-    add_common(p_cc, with_stat=False, with_grid=False)
+    add_common(p_cc, stats=(), with_grid=False)
     p_cc.add_argument("--tol", type=float, default=1e-8)
     p_cc.set_defaults(func=_cmd_crosscheck)
 
@@ -356,11 +355,15 @@ def _apply_config(args) -> None:
         return
     with open(args.config) as fh:
         data = json.load(fh)
+    choices = {a.dest: a.choices for a in args.parser._actions if a.choices}
     for key, value in data.items():
         attr = key.replace("-", "_")
         if not hasattr(args, attr):
             continue
         if getattr(args, attr) in (None, False):
+            if attr in choices and value not in choices[attr]:
+                raise ValueError(f"config {key}: {value!r} is not one of "
+                                 + ", ".join(choices[attr]))
             setattr(args, attr, value)
 
 
@@ -376,7 +379,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _shared_parser().parse_args(argv)
     try:
         _apply_config(args)
-        if getattr(args, "stat", None) is None and args.command in ("cdf", "pdf"):
+        if hasattr(args, "stat") and args.stat is None:
             args.stat = "max"
         return args.func(args)
     except (ValueError, TypeError, OSError, KeyError) as exc:

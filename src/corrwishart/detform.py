@@ -57,6 +57,8 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _LN10 = math.log(10.0)
 _CLAMP_RESIDUAL = 1e-8
+# the most digits an mpmath re-evaluation may use (`extended` imports it)
+_MAX_DPS = 1600
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +288,8 @@ class EvalConfig:
     plus the digits the double-precision evaluation lost, capped so that a
     second round fits within the 1600-digit limit (`extended.first_round`);
     the second round confirms it 20 digits up, and each later one, needed
-    only when those two disagree, runs at 2d + 20 digits.
+    only when those two disagree, runs at 2d + 20 digits.  ``extended_dps``
+    is at most 1580, so that the confirming round fits.
     """
 
     precision: str = "double"
@@ -296,8 +299,9 @@ class EvalConfig:
     def __post_init__(self):
         if self.precision not in ("double", "extended"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if self.extended_dps < 30:
-            raise ValueError("extended_dps must guarantee >= 30 digits")
+        if not 30 <= self.extended_dps <= _MAX_DPS - 20:
+            raise ValueError(f"extended_dps must be in [30, {_MAX_DPS - 20}]: at least 30 "
+                             "digits, and room for the round 20 digits up")
 
 
 _DEFAULT_CONFIG = EvalConfig()

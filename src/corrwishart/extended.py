@@ -29,17 +29,17 @@ are evaluated directly.  The double-precision engine uses the same
 recurrences (`corrwishart.specfun`); the test suite keeps an independent
 direct transcription of the formulas as an oracle.
 
-A fixed working precision is not enough by itself: the determinant can
-cancel more digits than the mantissa holds, so every evaluation is
-repeated at increasing precision until two consecutive results agree to
-the requested number of digits; `NotConverged` is raised when that takes
-more than ``_MAX_DPS`` digits.  The first round runs at ``dps`` digits, or
-at ``start`` when given: the engine passes `first_round`, ``dps`` plus the
-digits its double-precision determinant lost, so that the first two
-rounds can already agree.  Such a first round is confirmed 20 digits up;
-every other round runs at 2d + 20 digits (40, 100, 220, ... without a
-start).  Spectra arrive as plain floats (already validated); only the
-arithmetic is promoted.
+Each formula is a builder returning its prefactor and the rows of its
+determinant; `_evaluate` runs it with the arguments (plain floats, already
+validated) promoted to mpf at each round's precision.  A fixed precision
+is not enough by itself: the determinant can cancel more digits than the
+mantissa holds, so every evaluation is repeated at increasing precision
+until two consecutive results agree to the requested number of digits;
+`NotConverged` is raised when that takes more than ``_MAX_DPS`` digits.
+The first round runs at ``start``, or at ``dps`` when none is given: the
+engine passes `first_round`, ``dps`` plus the digits its double-precision
+determinant lost.  The second round confirms it 20 digits up; only after
+a disagreement do later rounds run at 2d + 20 digits.
 """
 
 from __future__ import annotations
@@ -49,6 +49,8 @@ import math
 import mpmath
 from mpmath.libmp import (fone, fzero, mpf_abs, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_sub,
                           round_nearest)
+
+from .detform import _MAX_DPS
 
 __all__ = [
     "NotConverged",
@@ -61,8 +63,6 @@ __all__ = [
     "cdf_min_doubly",
     "prob_gap_row",
 ]
-
-_MAX_DPS = 1600
 
 
 class NotConverged(ArithmeticError):
@@ -83,47 +83,47 @@ def first_round(dps: int, cancel: float) -> int:
     return max(dps, min(dps + math.ceil(min(cap, cancel)), cap))
 
 
-def _self_validated(raw, dps: int, start: int | None = None) -> float:
+def _self_validated(raw, dps: int, start: int) -> float:
     """Run ``raw`` at increasing precision until two results agree.
 
     ``raw(d)`` must return an mpf computed entirely at d significant
     digits.  Agreement to 10^-(dps-10) relative (or two exact zeros) is
-    accepted; the final value is returned as a double.  Without ``start``
-    the rounds run at ``dps``, then 2d + 20 each.  With ``start`` (the
-    engine's `first_round`, already sized by the measured cancellation) the
-    second round runs only 20 digits up, at start + 20, and any later one
-    at 2d + 20 again.
+    accepted; the final value is returned as a double.  The first round
+    runs at ``start`` (the engine's `first_round`, or ``dps`` for a direct
+    call), the second 20 digits up, any later one at 2d + 20.
 
     A confirming round 20 digits up gives the same evidence as one at twice
-    the precision: its error is about 10^-20 of the first round's, so when
-    the two agree to 10^-(dps-10) the first round was already that accurate,
-    and the value returned, from the second round, is at least as accurate.
-    When they disagree (say a gap entry cancelled more than the engine's
-    measure saw), the doubling takes over.  Raises `NotConverged`, carrying
-    the last precision tried, when the next round would exceed ``_MAX_DPS``.
+    the precision, however ``start`` was chosen: its error is about 10^-20
+    of the first round's, so agreement to 10^-(dps-10) shows the first
+    round, and so the second, which is returned, that accurate.  After a
+    disagreement (say a gap entry cancelled more than the engine's measure
+    saw) the doubling takes over.  Raises `NotConverged`, carrying the last
+    precision tried, when the next round would exceed ``_MAX_DPS``.
     """
     tol = mpmath.mpf(10) ** (-(dps - 10))
-    prev = None
-    d = dps if start is None else start
+    prev, d = None, start
     while True:
         val = raw(d)
-        if prev is not None:
-            if val == prev:
-                return float(val)
-            if val != 0 and abs(prev - val) <= tol * abs(val):
-                return float(val)
-        next_d = d + 20 if prev is None and start is not None else 2 * d + 20
+        if prev is not None and (val == prev or val != 0 and abs(prev - val) <= tol * abs(val)):
+            return float(val)
+        next_d = d + 20 if prev is None else 2 * d + 20
         if next_d > _MAX_DPS:
             raise NotConverged(d)
         prev, d = val, next_d
 
 
-def _validated(raw, dps, start):
-    # without a start, the two-argument call that stand-ins of
-    # `_self_validated` accept
-    if start is None:
-        return _self_validated(raw, dps)
-    return _self_validated(raw, dps, start)
+def _evaluate(build, args, dps: int, start: int | None) -> float:
+    """``pref * det(rows)`` for ``(pref, rows) = build(*args)``, through
+    `_self_validated` from ``start`` (``dps`` when None).  Each round
+    promotes the arguments at its own precision: integers (the dimensions)
+    pass through, sequences become lists of mpf, anything else one mpf."""
+    def raw(d):
+        with mpmath.workdps(d):
+            pref, rows = build(*(a if isinstance(a, int) else
+                                 [mpmath.mpf(v) for v in a] if isinstance(a, (list, tuple)) else
+                                 mpmath.mpf(a) for a in args))
+            return pref * _det(rows)
+    return _self_validated(raw, dps, dps if start is None else start)
 
 
 def _det(rows):
@@ -193,127 +193,103 @@ def _shifted_power_row(a_lo, a_hi, lam, s):
     return row
 
 
+def _col_pref(m, s):
+    """(-1)^M prod s^m / Delta(s), M = m(m-1)/2: the column-model
+    normalisation (`detform._col_pref_min`)."""
+    pref = (-1) ** (m * (m - 1) // 2) / _gaps(s)
+    for v in s:
+        pref *= v ** m
+    return pref
+
+
+def _row_pref(n, m, s):
+    """(-1)^M prod s^n / prod_k (n-m+k-1)! / Delta(s): the normalisation
+    every row-model law shares (`detform._row_pref`)."""
+    pref = _col_pref(m, s)
+    for v in s:
+        pref *= v ** (n - m)
+    for k in range(n - m, n):
+        pref /= mpmath.factorial(k)
+    return pref
+
+
+# the builders: each formula as (prefactor, rows of its determinant)
+
+
+def _max_row(n, m, s, lam):
+    return (_row_pref(n, m, s) * lam ** (n * m - m * (m - 1) // 2),
+            [_gamma_row(n - m + 1, n, lam * v) for v in s])
+
+
+def _min_row(n, m, s, lam):
+    decay = mpmath.exp(-lam * sum(s))
+    if n == m:
+        return decay, []
+    return decay * _row_pref(n, m, s), [_shifted_power_row(n - m + 1, n, lam, v) for v in s]
+
+
+def _max_col(n, m, s, lam):
+    pref = _col_pref(m, s) * mpmath.factorial(m)
+    for k in range(1, m + 1):
+        pref /= mpmath.factorial(k)
+    return pref, [_gamma_row(1, m, lam * v, lam) + [v ** i for i in range(n - m)] for v in s]
+
+
+def _min_col(n, m, s, lam):
+    return (_col_pref(m, s) * mpmath.exp(-lam * sum(s)),
+            [[v ** -k for k in range(1, m + 1)]
+             + [mpmath.exp(lam * v) * v ** i for i in range(n - m)] for v in s])
+
+
+def _max_doubly(n, m, r, s, lam):
+    M = n * (n - 1) // 2
+    pref = (-1) ** M * lam ** (n * n - M) / (_gaps(r) * _gaps(s))
+    for j in range(1, n):
+        pref /= mpmath.mpf(j) ** j
+    for p in range(1, n - m):
+        pref *= mpmath.gamma(n) / mpmath.gamma(n - p)
+    for v in r + s:
+        pref *= v ** n
+    return pref, ([[mpmath.hyp1f1(1, n + 1, -lam * rj * v) / n for v in s] for rj in r]
+                  + [[(lam * v) ** -i for v in s] for i in range(1, n - m + 1)])
+
+
+def _min_doubly(n, r, s, lam):
+    pref = 1 / ((-lam) ** (n * (n - 1) // 2) * _gaps(r) * _gaps(s))
+    for j in range(1, n):
+        pref *= mpmath.factorial(j)
+    return pref, [[mpmath.exp(-lam * rj * v) for v in s] for rj in r]
+
+
+def _gap_row(n, m, s, a, b):
+    return _row_pref(n, m, s), [[hi - lo for hi, lo in zip(_gamma_row(n - m + 1, n, v * b, b),
+                                                           _gamma_row(n - m + 1, n, v * a, a))]
+                                for v in s]
+
+
 def cdf_max_row(n, m, s, lam, dps=40, start=None):
-    def raw(d):
-        with mpmath.workdps(d):
-            lm = mpmath.mpf(lam)
-            sv = [mpmath.mpf(v) for v in s]
-            A = [_gamma_row(n - m + 1, n, lm * v) for v in sv]
-            pref = mpmath.mpf(1)
-            for k in range(1, m + 1):
-                pref /= mpmath.factorial(n - m + k - 1)
-            for v in sv:
-                pref *= (lm * v) ** n
-            pref /= (-lm) ** (m * (m - 1) // 2) * _gaps(sv)
-            return pref * _det(A)
-    return _validated(raw, dps, start)
+    return _evaluate(_max_row, (n, m, s, lam), dps, start)
 
 
 def cdf_min_row(n, m, s, lam, dps=40, start=None):
-    def raw(d):
-        with mpmath.workdps(d):
-            lm = mpmath.mpf(lam)
-            sv = [mpmath.mpf(v) for v in s]
-            if n == m:
-                return mpmath.exp(-lm * sum(sv))
-            A = [_shifted_power_row(n - m + 1, n, lm, v) for v in sv]
-            sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
-            pref = sign * mpmath.exp(-lm * sum(sv))
-            for v in sv:
-                pref *= v ** n
-            for k in range(1, m + 1):
-                pref /= mpmath.factorial(n - m + k - 1)
-            pref /= _gaps(sv)
-            return pref * _det(A)
-    return _validated(raw, dps, start)
+    return _evaluate(_min_row, (n, m, s, lam), dps, start)
 
 
 def cdf_max_col(n, m, s, lam, dps=40, start=None):
-    def raw(d):
-        with mpmath.workdps(d):
-            lm = mpmath.mpf(lam)
-            sv = [mpmath.mpf(v) for v in s]
-            A = [_gamma_row(1, m, lm * v, lm) + [v ** i for i in range(n - m)] for v in sv]
-            sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
-            pref = sign * mpmath.factorial(m)
-            for k in range(1, m + 1):
-                pref /= mpmath.factorial(k)
-            for v in sv:
-                pref *= v ** m
-            pref /= _gaps(sv)
-            return pref * _det(A)
-    return _validated(raw, dps, start)
+    return _evaluate(_max_col, (n, m, s, lam), dps, start)
 
 
 def cdf_min_col(n, m, s, lam, dps=40, start=None):
-    def raw(d):
-        with mpmath.workdps(d):
-            lm = mpmath.mpf(lam)
-            sv = [mpmath.mpf(v) for v in s]
-            A = [[v ** -k for k in range(1, m + 1)]
-                 + [mpmath.exp(lm * v) * v ** i for i in range(n - m)] for v in sv]
-            sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
-            pref = sign * mpmath.exp(-lm * sum(sv))
-            for v in sv:
-                pref *= v ** m
-            pref /= _gaps(sv)
-            return pref * _det(A)
-    return _validated(raw, dps, start)
+    return _evaluate(_min_col, (n, m, s, lam), dps, start)
 
 
 def cdf_max_doubly(n, m, r, s, lam, dps=40, start=None):
-    def raw(d):
-        with mpmath.workdps(d):
-            lm = mpmath.mpf(lam)
-            rv = [mpmath.mpf(v) for v in r]
-            sv = [mpmath.mpf(v) for v in s]
-            A = ([[mpmath.hyp1f1(1, n + 1, -lm * rj * v) / n for v in sv] for rj in rv]
-                 + [[(lm * v) ** -i for v in sv] for i in range(1, n - m + 1)])
-            sign = mpmath.mpf(-1) ** (n * (n - 1) // 2)
-            pref = sign
-            for j in range(1, n):
-                pref /= mpmath.mpf(j) ** j
-            for p in range(1, n - m):
-                pref *= mpmath.gamma(n) / mpmath.gamma(n - p)
-            for v in rv:
-                pref *= v ** n
-            for v in sv:
-                pref *= (lm * v) ** n
-            pref /= lm ** (n * (n - 1) // 2) * _gaps(rv) * _gaps(sv)
-            return pref * _det(A)
-    return _validated(raw, dps, start)
+    return _evaluate(_max_doubly, (n, m, r, s, lam), dps, start)
 
 
 def cdf_min_doubly(n, r, s, lam, dps=40, start=None):
-    def raw(d):
-        with mpmath.workdps(d):
-            lm = mpmath.mpf(lam)
-            rv = [mpmath.mpf(v) for v in r]
-            sv = [mpmath.mpf(v) for v in s]
-            A = [[mpmath.exp(-lm * rj * v) for v in sv] for rj in rv]
-            pref = mpmath.mpf(1)
-            for j in range(1, n):
-                pref *= mpmath.factorial(j)
-            pref /= (-lm) ** (n * (n - 1) // 2) * _gaps(rv) * _gaps(sv)
-            return pref * _det(A)
-    return _validated(raw, dps, start)
+    return _evaluate(_min_doubly, (n, r, s, lam), dps, start)
 
 
 def prob_gap_row(n, m, s, a, b, dps=40, start=None):
-    def raw(d):
-        with mpmath.workdps(d):
-            av = mpmath.mpf(a)
-            bv = mpmath.mpf(b)
-            sv = [mpmath.mpf(v) for v in s]
-            A = [[hi - lo for hi, lo in zip(_gamma_row(n - m + 1, n, v * bv, bv),
-                                            _gamma_row(n - m + 1, n, v * av, av))]
-                 for v in sv]
-            sign = mpmath.mpf(-1) ** (m * (m - 1) // 2)
-            pref = sign
-            for v in sv:
-                pref *= v ** n
-            for k in range(1, m + 1):
-                pref /= mpmath.factorial(n - m + k - 1)
-            pref /= _gaps(sv)
-            return pref * _det(A)
-    return _validated(raw, dps, start)
+    return _evaluate(_gap_row, (n, m, s, a, b), dps, start)

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from corrwishart.cli import main
 
 
@@ -81,6 +83,28 @@ class TestErrorPaths:
                          "--a", "0.1:0.2:2:linear", "--b", "1:2:2:linear")
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["cdf", "validate"])
+    def test_joint_stat_rejected(self, command, capsys):
+        # only pdf has a joint law; cdf used to print the min table for it
+        with pytest.raises(SystemExit) as info:
+            main([command, "--case", "row", "--n", "3", "--m", "2",
+                  "--spectrum", "1,2", "--stat", "joint"])
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,key,value", [("pdf", "stat", "bogus"),
+                                                   ("cdf", "stat", "joint"),
+                                                   ("cdf", "format", "xml"),
+                                                   ("cdf", "precision", "quad"),
+                                                   ("cdf", "case", "diagonal")])
+    def test_config_value_outside_choices(self, command, key, value, tmp_path, capsys):
+        cfg = {"case": "row", "n": 3, "m": 2, "spectrum": "1,2", key: value}
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, err = run(capsys, command, "--config", str(path))
+        assert rc == 2
+        assert key in err and repr(value) in err and out == ""
+
     def test_strict_mode_flags_cancellation(self, capsys):
         rc, out, _ = run(capsys, "cdf", "--case", "row", "--n", "5", "--m", "3",
                          "--spectrum", "1,1.0001,1.0002", "--stat", "min",
@@ -158,6 +182,16 @@ class TestOtherCommands:
         rc, out, _ = run(capsys, "cdf", "--config", str(path))
         assert rc == 0
         assert len(out.strip().splitlines()) == 5
+
+    def test_config_stat_selects_the_table(self, tmp_path, capsys):
+        job = ["--case", "row", "--n", "3", "--m", "2", "--spectrum", "1,2",
+               "--grid", "0.5:2:4:linear"]
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({"stat": "min"}))
+        rc, from_config, _ = run(capsys, "cdf", "--config", str(path), *job)
+        assert rc == 0
+        assert from_config == run(capsys, "cdf", "--stat", "min", *job)[1]
+        assert from_config != run(capsys, "cdf", "--stat", "max", *job)[1]
 
     def test_precision_flag_accepted(self, capsys):
         rc, out, _ = run(capsys, "cdf", "--case", "row", "--n", "5", "--m", "3",

@@ -457,6 +457,18 @@ class TestReliabilitySurface:
         with pytest.raises(ValueError):
             EvalConfig(extended_dps=10)
 
+    @pytest.mark.parametrize("dps", [1581, 1590])
+    def test_extended_dps_leaves_room_for_the_confirming_round(self, dps):
+        # a first round past 1580 digits has no room for the round 20 digits
+        # up, so every escalation would end nonconverged
+        with pytest.raises(ValueError, match="1580"):
+            EvalConfig(precision="extended", extended_dps=dps)
+
+    def test_largest_extended_dps_converges(self):
+        rep = cdf_min(row_case(5, 3, [1.0, 1.0001, 1.0002]), 0.3,
+                      EvalConfig(precision="extended", extended_dps=1580))
+        assert any(w.startswith("extended:") for w in rep.warnings)
+
 
 class TestExtendedAgreesWithDouble:
     # on well-separated spectra the mpmath re-evaluation and the log-space
@@ -592,7 +604,7 @@ class TestGridEqualsPointCalls:
 
 def precise_survival_slope(raw_cdf, lam, monkeypatch):
     """-dF/dlam at lam by a central difference of the 50-digit evaluation."""
-    monkeypatch.setattr(extended, "_self_validated", lambda raw, dps: raw(dps))
+    monkeypatch.setattr(extended, "_self_validated", lambda raw, dps, start: raw(dps))
     with mpmath.workdps(50):
         x = mpmath.mpf(lam)
         h = x * mpmath.mpf(10) ** -12
@@ -622,7 +634,7 @@ class TestSmallLambdaMinDensity:
 def precise_partial(raw, point, monkeypatch):
     """d/dlam of ``raw(lam, dps)``, or the mixed d^2/da db of ``raw(a, b, dps)``,
     by central differences of the 50-digit evaluation."""
-    monkeypatch.setattr(extended, "_self_validated", lambda raw, dps: raw(dps))
+    monkeypatch.setattr(extended, "_self_validated", lambda raw, dps, start: raw(dps))
     with mpmath.workdps(50):
         x = [mpmath.mpf(p) for p in point]
         h = [v * mpmath.mpf(10) ** -12 for v in x]
@@ -673,7 +685,7 @@ class TestDensityAgainstPreciseDerivative:
 def test_prob_gap_where_p_rounds_to_one(n, m, s, a, b, monkeypatch):
     # P(k, s a) is 1 in double precision for the largest s: the entries come
     # from the Q sums instead of a difference of P values
-    monkeypatch.setattr(extended, "_self_validated", lambda raw, dps: raw(dps))
+    monkeypatch.setattr(extended, "_self_validated", lambda raw, dps, start: raw(dps))
     rep = prob_gap(row_case(n, m, s), a, b)
     exact = float(extended.prob_gap_row(n, m, s, mpmath.mpf(a), mpmath.mpf(b), 50))
     assert not rep.warnings

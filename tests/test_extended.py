@@ -130,10 +130,11 @@ def oracle_prob_gap_row(n, m, s, a, b):
     return raw
 
 
-def validated_mpf(raw, dps):
-    """The self-validation schedule, returning the agreed mpf itself."""
+def validated_mpf(raw, dps, start=None):
+    """A doubling self-validation schedule from ``start`` (``dps`` when
+    None), returning the agreed mpf itself."""
     tol = mpmath.mpf(10) ** (10 - dps)
-    prev, d = None, dps
+    prev, d = None, dps if start is None else start
     while True:
         assert d <= extended._MAX_DPS, "oracle did not converge"
         val = raw(d)
@@ -279,8 +280,8 @@ def test_escalated_report_against_oracle(name, fn, oracle, args):
 
 
 # ---------------------------------------------------------------------------
-# the schedule: a confirming round 20 digits up after a sized first round,
-# doubling otherwise
+# the schedule: a confirming round 20 digits up after the first round,
+# doubling after a disagreement
 
 
 def settling_at(precision, seen):
@@ -305,10 +306,10 @@ class TestSchedule:
         extended._self_validated(settling_at(121, seen), DPS, 100)
         assert seen == [100, 120, 260, 540]
 
-    def test_direct_schedule_unchanged(self):
-        seen = []
-        extended._self_validated(settling_at(100, seen), DPS)
-        assert seen == [40, 100, 220]
+    def test_direct_call_confirms_20_digits_up(self, monkeypatch):
+        seen = rounds_of(monkeypatch)
+        extended.cdf_max_row(6, 4, evenly(0.5, 4.0, 4), 2.0)
+        assert seen == [40, 60]
 
     @pytest.mark.parametrize("limit,start,last", [(130, 100, 120), (110, 100, 100),
                                                   (1600, 790, 810), (1600, 100, 1100)])
@@ -320,12 +321,18 @@ class TestSchedule:
         assert info.value.dps == last == seen[-1]
         assert max(seen) <= limit
 
-    def test_direct_schedule_raises_with_last_precision(self, monkeypatch):
+    def test_direct_call_raises_with_last_precision(self, monkeypatch):
         monkeypatch.setattr(extended, "_MAX_DPS", 220)
         seen = []
+
+        def drifting():
+            # a value that moves with the working precision never settles
+            seen.append(mpmath.mp.dps)
+            return mpmath.mpf(1) + mpmath.mp.dps, []
+
         with pytest.raises(extended.NotConverged) as info:
-            extended._self_validated(settling_at(math.inf, seen), DPS)
-        assert info.value.dps == 220 and seen == [40, 100, 220]
+            extended._evaluate(drifting, (), DPS, None)
+        assert info.value.dps == 140 and seen == [40, 60, 140]
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +346,7 @@ class TestNotConverged:
         monkeypatch.setattr(extended, "_MAX_DPS", 100)
         with pytest.raises(extended.NotConverged) as info:
             extended.cdf_max_row(16, 12, evenly(0.5, 4.0, 12), 0.5)
-        assert info.value.dps == 100
+        assert info.value.dps == 60
 
     def test_report_keeps_double_value(self, monkeypatch):
         monkeypatch.setattr(extended, "_MAX_DPS", 100)
