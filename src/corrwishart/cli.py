@@ -197,9 +197,8 @@ def _cmd_cdf(args) -> int:
     case = _build_case(args)
     cfg = _eval_config(args)
     grid = _parse_grid(args.grid or "0.1:10:50:log")
-    fn = detform._cdf_max_grid if args.stat == "max" else detform._cdf_min_grid
-    return _emit_reports(["lambda"], [(lam,) for lam in grid], fn(case, grid, cfg),
-                         args, "cdf")
+    return _emit_reports(["lambda"], [(lam,) for lam in grid],
+                         detform._grid(case, args.stat, grid, cfg), args, "cdf")
 
 
 def _cmd_pdf(args) -> int:
@@ -208,18 +207,17 @@ def _cmd_pdf(args) -> int:
     if args.stat == "joint":
         points = _ab_points(args, "--stat joint")
         return _emit_reports(["a", "b"], points,
-                             detform._pdf_joint_grid(case, points, cfg), args, "pdf")
+                             detform._grid(case, "gap", points, cfg, density=True), args, "pdf")
     grid = _parse_grid(args.grid or "0.1:10:50:log")
-    fn = detform._pdf_max_grid if args.stat == "max" else detform._pdf_min_grid
-    return _emit_reports(["lambda"], [(lam,) for lam in grid], fn(case, grid, cfg),
-                         args, "pdf")
+    return _emit_reports(["lambda"], [(lam,) for lam in grid],
+                         detform._grid(case, args.stat, grid, cfg, density=True), args, "pdf")
 
 
 def _cmd_gap(args) -> int:
     case = _build_case(args)
     cfg = _eval_config(args)
     points = _ab_points(args, "gap")
-    return _emit_reports(["a", "b"], points, detform._prob_gap_grid(case, points, cfg),
+    return _emit_reports(["a", "b"], points, detform._grid(case, "gap", points, cfg),
                          args, "gap")
 
 
@@ -235,15 +233,14 @@ def _cmd_crosscheck(args) -> int:
     lams = list(np.geomspace(0.15 / smax, 6.0 / smax, 12))
     worst_max = 0.0
     worst_min = 0.0
-    for lam in lams:
-        det_max = detform.cdf_max(case, lam, cfg).value
+    for lam, det_max, det_min in zip(lams, detform._grid(case, "max", lams, cfg),
+                                     detform._grid(case, "min", lams, cfg)):
         oracle_max = schur_series.cdf_max_schur(lam, case.dims, case.s.values).value
-        det_min = detform.cdf_min(case, lam, cfg).value
         oracle_min = schur_series.cdf_min_schur(lam, case.dims, case.s.values)
         if oracle_max > 1e-280:
-            worst_max = max(worst_max, abs(det_max - oracle_max) / oracle_max)
+            worst_max = max(worst_max, abs(det_max.value - oracle_max) / oracle_max)
         if oracle_min > 1e-280:
-            worst_min = max(worst_min, abs(det_min - oracle_min) / oracle_min)
+            worst_min = max(worst_min, abs(det_min.value - oracle_min) / oracle_min)
     print(f"crosscheck row n={n} m={m}: max-statistic rel discrepancy {worst_max:.3e}")
     print(f"crosscheck row n={n} m={m}: min-statistic rel discrepancy {worst_min:.3e}")
     ok = worst_max <= tol and worst_min <= tol
@@ -266,13 +263,13 @@ def _cmd_validate(args) -> int:
     else:
         grid = _default_validation_grid(case, stat, mc)
     emp = montecarlo.empirical_extreme_cdf(case, stat, grid, mc)
-    analytic_fn = detform.cdf_max if stat == "max" else detform.cdf_min
+    analytic = detform._grid(case, stat, emp.grid, cfg)
     ok = True
     print(f"validate {args.case} n={case.dims.n} m={case.dims.m} stat={stat} "
           f"N={mc.samples} dkw_epsilon={emp.dkw_epsilon:.5f}")
     print("lambda,empirical,analytic,margin")
-    for lam, frac in zip(emp.grid, emp.fractions):
-        ana = analytic_fn(case, lam, cfg).value
+    for lam, frac, rep in zip(emp.grid, emp.fractions, analytic):
+        ana = rep.value
         margin = emp.dkw_epsilon - abs(ana - frac)
         ok = ok and margin >= 0.0
         print(f"{lam:.6g},{frac:.6f},{ana:.6f},{margin:+.6f}")
@@ -355,13 +352,15 @@ def _apply_config(args) -> None:
         return
     with open(args.config) as fh:
         data = json.load(fh)
-    choices = {a.dest: a.choices for a in args.parser._actions if a.choices}
+    # the subcommand's own options; help and config are not job settings
+    choices = {a.dest: a.choices for a in args.parser._actions
+               if a.dest not in ("help", "config")}
     for key, value in data.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            continue
+        if attr not in choices:
+            raise ValueError(f"config {key}: not an option of {args.command}")
         if getattr(args, attr) in (None, False):
-            if attr in choices and value not in choices[attr]:
+            if choices[attr] and value not in choices[attr]:
                 raise ValueError(f"config {key}: {value!r} is not one of "
                                  + ", ".join(choices[attr]))
             setattr(args, attr, value)

@@ -5,8 +5,9 @@ determinant whose entries are incomplete-gamma, confluent-hypergeometric
 or pure-exponential values, multiplied by a prefactor of factorials,
 spectral powers and Vandermonde products.  Raw magnitudes of those pieces
 overflow double precision long before the probabilities become
-interesting, so everything is carried as a sign plus log magnitude
-(`SignedLogValue`); only the final combination is exponentiated.
+interesting, so a law is described on a grid of points by the logs of its
+entries and of its prefactor, held as arrays; each point's value is
+exponentiated only once, from its sign and log magnitude (`_finalize`).
 
 The one genuine numerical weak point of these formulas is the Vandermonde
 ratio for clustered spectra.  The engine therefore measures the decimal
@@ -16,7 +17,8 @@ with ``precision="extended"`` -- re-runs the affected probability through
 the mpmath re-evaluation in `corrwishart.extended`.  When that
 re-evaluation does not settle within its precision limit, the
 double-precision value and its estimate are kept and a ``nonconverged:``
-warning says so.
+warning says so.  A spectrum that `validate_spectrum` nudged apart gives
+the law of the nudged spectrum, and every report says so (``perturbed:``).
 
 Probability values are clamped to [0, 1] on output; the pre-clamp residual
 is recorded in the report's warnings when it exceeds 1e-8.  Densities are
@@ -28,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .model import (
+    PERTURB_EPS,
     ColumnCorrelated,
     DoublyCorrelated,
     ModelCase,
@@ -59,10 +62,6 @@ _LN10 = math.log(10.0)
 _CLAMP_RESIDUAL = 1e-8
 # the most digits an mpmath re-evaluation may use (`extended` imports it)
 _MAX_DPS = 1600
-
-
-# ---------------------------------------------------------------------------
-# signed log arithmetic
 
 
 @dataclass(frozen=True)
@@ -174,34 +173,21 @@ def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
     return value, gross, err
 
 
-@dataclass
-class _DetInfo:
-    slv: SignedLogValue
-    cancel_digits: float
-    rel_err: float
-    # with entry log-derivatives: d det / det, its terms' magnitudes, its error
-    deriv: float = 0.0
-    deriv_gross: float = 0.0
-    deriv_err: float = 0.0
-
-
 def _det_from_logs(log_entries: np.ndarray,
                    entry_rel_err: Optional[np.ndarray] = None,
                    log_derivs: Sequence[np.ndarray] = ()):
-    """Determinant of a matrix given as logs of its (positive) entries.
+    """Determinants of a stack (G, N, N) of matrices given as logs of their
+    (positive) entries, from a single batched call.
 
-    ``log_entries`` is one matrix (N, N), giving one `_DetInfo`, or a stack
-    (G, N, N), giving a list of G of them from a single batched call.  Each
-    member's rows, then columns, are shifted in log space to a largest
-    entry of one before exponentiating.  A member with a row of zeros or a
-    column that underflows to zero is an exact zero (no cancellation).
-    ``log_derivs``, one or two arrays of the entries' log-derivatives, add
-    the derivative of the determinant by Jacobi's formula (`_jacobi`).
+    Returns arrays over the stack: sign, log |det|, cancellation digits and
+    relative error; with ``log_derivs`` (one or two arrays of the entries'
+    log-derivatives) also d det / det, its terms' magnitudes and its error by
+    Jacobi's formula (`_jacobi`).  Each member's rows, then columns, are
+    shifted in log space to a largest entry of one before exponentiating.  A
+    member with a row of zeros or a column that underflows to zero is an
+    exact zero (sign 0, no cancellation).
     """
     L = np.asarray(log_entries, dtype=float)
-    single = L.ndim == 2
-    if single:
-        L = L[None]
     N = L.shape[-1]
     row_shift = L.max(axis=-1)
     dead_rows = ~np.isfinite(row_shift)
@@ -224,10 +210,7 @@ def _det_from_logs(log_entries: np.ndarray,
     derivs = _jacobi(A, inv, log_derivs, rel_entries) if len(log_derivs) else ()
     if any_zero:
         sign[zero] = cancel[zero] = rel[zero] = 0.0
-    out = [_DetInfo(SignedLogValue.from_log(int(s), lg), *rest)
-           for s, lg, *rest in zip(sign.tolist(), (log_abs + shift).tolist(),
-                                   *(f.tolist() for f in (cancel, rel, *derivs)))]
-    return out[0] if single else out
+    return (sign, log_abs + shift, cancel, rel, *derivs)
 
 
 def logdet(matrix, entry_abs_errors=None, with_diagnostics: bool = False):
@@ -317,11 +300,15 @@ class EvalReport:
     warnings: List[str] = field(default_factory=list)
 
 
-def _finalize(slv: SignedLogValue, rel_err: float, cancel: float,
+def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
               cfg: EvalConfig, warnings: List[str],
               extended_fn: Optional[Callable[[int, int], float]],
               is_probability: bool) -> EvalReport:
-    value = slv.to_float()
+    """One point's report from the sign and log magnitude of its value."""
+    if sign == 0 or log_mag == -math.inf:
+        value = 0.0
+    else:
+        value = sign * (math.inf if log_mag > 709.0 else math.exp(log_mag))
     if cancel > cfg.cancellation_warn_digits:
         warnings.append(
             f"cancellation:{cancel:.1f} digits lost; double-precision result "
@@ -369,6 +356,13 @@ def _check_lambda(lam: float) -> float:
     return lam
 
 
+def _check_pair(a: float, b: float) -> Tuple[float, float]:
+    a, b = _check_lambda(a), float(b)
+    if not (math.isfinite(b) and b > a):
+        raise ValueError(f"require b > a > 0, got a={a}, b={b}")
+    return a, b
+
+
 def _log_gaps(vals: Sequence[float]) -> float:
     out = 0.0
     for j in range(len(vals)):
@@ -413,44 +407,39 @@ def _power_rel(log_v):
 
 
 # ---------------------------------------------------------------------------
-# prefactors: lambda-free parts as SignedLogValue, computed once per grid;
-# the grid functions add their lambda terms as arrays (`_with_logs`)
+# prefactors: the lambda-free parts as (sign, log), computed once per grid;
+# each law adds its lambda terms as an array
 
 
-def _with_logs(pref: SignedLogValue, logs) -> List[SignedLogValue]:
-    return [SignedLogValue.from_log(pref.sign, pref.log_magnitude + v)
-            for v in np.asarray(logs, dtype=float).tolist()]
+def _pref(pairs: int, log: float) -> Tuple[int, float]:
+    """e^log with the sign (-1)^pairs of a Vandermonde with that many pairs."""
+    return -1 if pairs % 2 else 1, log
 
 
-def _pref(pairs: int, log: float) -> SignedLogValue:
-    """e^log times the sign (-1)^pairs of a Vandermonde with that many pairs."""
-    return SignedLogValue.from_log(-1 if pairs % 2 else 1, log)
-
-
-def _row_pref(n: int, m: int, svals: Sequence[float]) -> SignedLogValue:
+def _row_pref(n: int, m: int, svals: Sequence[float]) -> Tuple[int, float]:
     # normalization (spectral powers over factorials) divided by the
     # spectral Vandermonde; shared by every row-model law
     return _pref(m * (m - 1) // 2, n * _sum_log(svals) - _log_gaps(svals)
                  - sum(math.lgamma(n - m + k) for k in range(1, m + 1)))
 
 
-def _col_pref_max(n: int, m: int, svals: Sequence[float]) -> SignedLogValue:
+def _col_pref_max(n: int, m: int, svals: Sequence[float]) -> Tuple[int, float]:
     return _pref(m * (m - 1) // 2, math.lgamma(m + 1) + m * _sum_log(svals) - _log_gaps(svals)
                  - sum(math.lgamma(k + 1) for k in range(1, m + 1)))
 
 
-def _col_pref_min(n: int, m: int, svals: Sequence[float]) -> SignedLogValue:
+def _col_pref_min(n: int, m: int, svals: Sequence[float]) -> Tuple[int, float]:
     # times exp(-lam sum(s))
     return _pref(m * (m - 1) // 2, m * _sum_log(svals) - _log_gaps(svals))
 
 
-def _doubly_pref_min(n: int, rvals, svals) -> SignedLogValue:
+def _doubly_pref_min(n: int, rvals, svals) -> Tuple[int, float]:
     # times lam^(-M), M = n(n-1)/2
     return _pref(n * (n - 1) // 2, sum(math.lgamma(j + 1) for j in range(1, n))
                  - _log_gaps(rvals) - _log_gaps(svals))
 
 
-def _doubly_pref_max(n: int, m: int, rvals, svals) -> SignedLogValue:
+def _doubly_pref_max(n: int, m: int, rvals, svals) -> Tuple[int, float]:
     # General m <= n prefactor, anchored so that the m = n case is exactly
     # the square evaluation and the m < n case matches the iterated
     # large-eigenvalue limit of it (the overall sign depends on n only);
@@ -461,116 +450,50 @@ def _doubly_pref_max(n: int, m: int, rvals, svals) -> SignedLogValue:
 
 
 # ---------------------------------------------------------------------------
-# grid plumbing
+# laws
 #
-# Every internal (model, statistic) function takes a list of points and
-# returns one report per point; all the determinants it needs go into a
-# single kernel call.  The public functions evaluate a grid of one point.
+# Each (model, statistic) has one description on a grid, shared by its CDF
+# and its density.  The builders take (n, m, spectra..., points), the points
+# an array of lambdas (G,) or of (a, b) pairs (G, 2).
 
 
-def _ext(name: str, *args) -> Callable[[int, int], float]:
-    """Deferred mpmath re-evaluation ``extended.<name>(*args, dps, start=start)``."""
-    def run(dps, start):
-        from . import extended
-        return getattr(extended, name)(*args, dps, start=start)
-    return run
+class _Law(NamedTuple):
+    """sign * e^logs * det e^L on a grid, entry errors R.
 
-
-def _probabilities(prefs: Sequence[SignedLogValue], L, R, cfg: EvalConfig,
-                   name: str, args: tuple, points) -> List[EvalReport]:
-    """One report per point: prefactor times determinant of the entry logs
-    ``L`` (errors ``R``), re-evaluated by ``extended.<name>(*args, *point,
-    dps)`` when configured."""
-    return [_finalize(pref * det.slv, det.rel_err, det.cancel_digits, cfg, [],
-                      _ext(name, *args, *point), True)
-            for pref, det, point in zip(prefs, _det_from_logs(L, R), points)]
-
-
-def _densities(prefs: Sequence[SignedLogValue], L, R, log_derivs, sign: float,
-               cfg: EvalConfig, consts=None) -> List[EvalReport]:
-    """One density per point, sign * d(pref det) = sign * pref * det *
-    (c + d det / det), by Jacobi's formula on the entry logs ``L`` (errors
-    ``R``).  c is the prefactor's log-derivative plus the row and column
-    constants left out of ``log_derivs``: each adds exactly its value, as
-    every row and column of A^-T o A sums to one.  The factor's cancellation
-    counts with the determinant's, and its error adds to the determinant's.
+    ``ext`` = (name, *args) names the mpmath re-evaluation
+    ``extended.<name>(*args, *point, dps, start=start)``.  ``deriv()``,
+    called for densities only, gives the derivative part: the arrays D of
+    the entries' log-derivatives (dA = A o D), the constants c (the
+    prefactor's log-derivative plus the row and column constants left out of
+    D) and the density's sign.  L is None for a closed form: no determinant,
+    the value's relative error ``rel``.
     """
-    out = []
-    dets = _det_from_logs(L, R, log_derivs)
-    for pref, det, c in zip(prefs, dets, [0.0] * len(dets) if consts is None else consts):
-        factor = c + det.deriv
-        if det.slv.sign == 0:  # an exact zero determinant decides
-            factor, rel, lost = 1.0, det.rel_err, 1.0
-        elif factor:
-            rel = det.rel_err + (det.deriv_err + _EPS * abs(c)) / abs(factor)
-            lost = (abs(c) + det.deriv_gross) / abs(factor)
-        else:
-            rel = lost = math.inf
-        out.append(_finalize(pref * det.slv * SignedLogValue.from_value(sign * factor), rel,
-                             max(det.cancel_digits, math.log10(lost)), cfg, [], None, False))
-    return out
+
+    sign: int
+    logs: np.ndarray
+    L: Optional[np.ndarray]
+    R: Optional[np.ndarray]
+    ext: tuple
+    deriv: Callable[[], tuple]
+    rel: Optional[np.ndarray] = None
 
 
-def _gap_points(case, points, what: str) -> List[Tuple[float, float]]:
-    if not isinstance(case, RowCorrelated):
-        raise TypeError(f"{what} is available for the row-correlated model only")
-    out = []
-    for a, b in points:
-        a = _check_lambda(a)
-        b = float(b)
-        if not (math.isfinite(b) and b > a):
-            raise ValueError(f"require b > a > 0, got a={a}, b={b}")
-        out.append((a, b))
-    return out
+def _row_max(n, m, svals, lams):
+    """E_a(lam s), orders n-m+1..n, times lam^(nm - M)."""
+    x = lams[:, None] * np.asarray(svals, dtype=float)
+    L, R = _gamma_logs(n - m + 1, n, x, np.log(x))
+    sign, log = _row_pref(n, m, svals)
+    # d/dlam lam^a E_a(lam s) = lam^(a-1) e^-x: e^-x / (lam E_a(x)) less the
+    # column constants a/lam, which sum to the prefactor's (nm - M)/lam
+    return _Law(sign, log + (n * m - m * (m - 1) // 2) * np.log(lams), L, R,
+                ("cdf_max_row", n, m, svals),
+                lambda: ([np.exp(-x[..., None] - L) / lams[:, None, None]], 0.0, 1.0))
 
 
-def _by_model(case: ModelCase, lams: Sequence[float], cfg: EvalConfig,
-              row, col, doubly) -> List[EvalReport]:
-    """Check the lambdas and run the grid function for the case's model."""
-    lams = [_check_lambda(lam) for lam in lams]
-    n, m = case.dims.n, case.dims.m
-    if isinstance(case, DoublyCorrelated):
-        return doubly(n, m, list(case.r), list(case.s), lams, cfg)
-    for model, fn in ((RowCorrelated, row), (ColumnCorrelated, col)):
-        if isinstance(case, model):
-            return fn(n, m, list(case.s), lams, cfg)
-    raise TypeError(f"unknown model case {type(case).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# CDF of the largest eigenvalue
-#
-# Each (model, statistic) has one matrix description, shared by its CDF and
-# its density: a builder of the entry logs, their errors and the prefactors.
-
-
-def cdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
-    """Pr(largest eigenvalue of Z^H Z <= lam) for a validated model case."""
-    return _cdf_max_grid(case, [lam], cfg)[0]
-
-
-def _cdf_max_grid(case: ModelCase, lams: Sequence[float],
-                  cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    return _by_model(case, lams, cfg, _cdf_max_row, _cdf_max_col, _cdf_max_doubly)
-
-
-def _row_max_base(n, m, svals, lams):
-    """Stacked row cdf_max matrices E_a(x), orders n-m+1..n; x = lam s; prefactors."""
-    x = np.asarray(lams, dtype=float)[:, None] * np.asarray(svals, dtype=float)
-    M = m * (m - 1) // 2
-    prefs = _with_logs(_row_pref(n, m, svals), (n * m - M) * np.log(lams))
-    return (*_gamma_logs(n - m + 1, n, x, np.log(x)), x, prefs)
-
-
-def _cdf_max_row(n, m, svals, lams, cfg) -> List[EvalReport]:
-    L, R, _, prefs = _row_max_base(n, m, svals, lams)
-    return _probabilities(prefs, L, R, cfg, "cdf_max_row", (n, m, svals), zip(lams))
-
-
-def _col_max_base(n, m, svals, lams):
-    """Stacked column cdf_max matrices: gamma columns, then spectral powers.
-    Column k holds Gamma(k) P(k, lam s) / s^k = lam^k int_0^1 t^(k-1) e^(-lam s t) dt."""
-    lam = np.asarray(lams, dtype=float)[:, None]
+def _col_max(n, m, svals, lams):
+    """Gamma columns, then spectral powers.  Column k holds
+    Gamma(k) P(k, lam s) / s^k = lam^k int_0^1 t^(k-1) e^(-lam s t) dt."""
+    lam = lams[:, None]
     s = np.asarray(svals, dtype=float)
     log_s = np.log(s)
     L = np.empty((len(lams), n, n))
@@ -579,19 +502,21 @@ def _col_max_base(n, m, svals, lams):
     L[:, :, :m] += np.arange(1, m + 1) * np.log(lam)[..., None]
     L[:, :, m:] = log_s[:, None] * np.arange(n - m)
     R[:, :, m:] = _power_rel(L[0, :, m:])
-    return L, R
+
+    def deriv():
+        # the gamma columns lam^k E_k(lam s) have derivative lam^(k-1) e^(-lam s)
+        lam3 = lams[:, None, None]
+        D = np.zeros_like(L)
+        D[:, :, :m] = np.exp(np.arange(m) * np.log(lam3) - lam3 * s[:, None] - L[:, :, :m])
+        return [D], 0.0, 1.0
+
+    sign, log = _col_pref_max(n, m, svals)
+    return _Law(sign, np.full(len(lams), log), L, R, ("cdf_max_col", n, m, svals), deriv)
 
 
-def _cdf_max_col(n, m, svals, lams, cfg) -> List[EvalReport]:
-    prefs = [_col_pref_max(n, m, svals)] * len(lams)
-    return _probabilities(prefs, *_col_max_base(n, m, svals, lams), cfg, "cdf_max_col",
-                          (n, m, svals), zip(lams))
-
-
-def _doubly_max_base(n, m, rvals, svals, lams):
-    """Stacked doubly cdf_max matrices: g_n(lam r s) rows, then (lam s)^-i
-    rows for i = 1..n-m; also lam r s and the prefactors."""
-    lam = np.asarray(lams, dtype=float)[:, None, None]
+def _doubly_max(n, m, rvals, svals, lams):
+    """g_n(lam r s) rows, then (lam s)^-i rows for i = 1..n-m."""
+    lam = lams[:, None, None]
     s = np.asarray(svals, dtype=float)
     x = lam * np.asarray(rvals, dtype=float)[:, None] * s
     L = np.empty((len(lams), n, n))
@@ -600,98 +525,68 @@ def _doubly_max_base(n, m, rvals, svals, lams):
     L[:, m:] = -np.arange(1, n - m + 1)[:, None] * np.log(lam * s)
     R[:, m:] = _power_rel(L[:, m:])
     M = n * (n - 1) // 2
-    prefs = _with_logs(_doubly_pref_max(n, m, rvals, svals), (n * n - M) * np.log(lams))
-    return L, R, x, prefs
+
+    def deriv():
+        # g_n'(x) = -(g_n(x) - g_(n+1)(x)); each (lam s)^-i row has the constant -i/lam
+        D = np.zeros_like(L)
+        D[:, :m] = x / lam * np.expm1(log_doubly_g(n + 1, x) - L[:, :m])
+        return [D], (n * n - M - (n - m) * (n - m + 1) // 2) / lams, 1.0
+
+    sign, log = _doubly_pref_max(n, m, rvals, svals)
+    return _Law(sign, log + (n * n - M) * np.log(lams), L, R,
+                ("cdf_max_doubly", n, m, rvals, svals), deriv)
 
 
-def _cdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
-    L, R, _, prefs = _doubly_max_base(n, m, rvals, svals, lams)
-    return _probabilities(prefs, L, R, cfg, "cdf_max_doubly", (n, m, rvals, svals), zip(lams))
-
-
-# ---------------------------------------------------------------------------
-# CDF (survival) of the smallest eigenvalue
-
-
-def cdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
-    """Pr(smallest eigenvalue of Z^H Z >= lam) for a validated model case.
-
-    For the doubly correlated model this requires m = n; the m < n law has
-    no closed determinant form (the extra zero eigenvalues of the padded
-    problem pin the smallest eigenvalue at zero).
-    """
-    return _cdf_min_grid(case, [lam], cfg)[0]
-
-
-def _cdf_min_grid(case: ModelCase, lams: Sequence[float],
-                  cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    return _by_model(case, lams, cfg, _cdf_min_row, _cdf_min_col, _cdf_min_doubly)
-
-
-def _row_min_base(n, m, svals, lams):
-    """Stacked row cdf_min matrices (`_row_min_logs`) and prefactors."""
-    prefs = _with_logs(_row_pref(n, m, svals), -np.asarray(lams, dtype=float) * sum(svals))
-    return (*_row_min_logs(n - m + 1, n, lams, svals), prefs)
-
-
-def _cdf_min_row(n, m, svals, lams, cfg) -> List[EvalReport]:
+def _row_min(n, m, svals, lams):
+    """`_row_min_logs` times e^(-lam sum s); at n = m the determinant is
+    lambda-free and the survival is that exponential alone."""
+    ssum = sum(svals)
+    decay = -lams * ssum
     if n == m:
-        # determinant is lambda-free; survival is a pure exponential
-        decay = -np.asarray(lams, dtype=float) * sum(svals)
-        return [_finalize(SignedLogValue.from_log(1, d), (5.0 - d) * _EPS, 0.0, cfg, [], None,
-                          True) for d in decay.tolist()]
-    L, R, prefs = _row_min_base(n, m, svals, lams)
-    return _probabilities(prefs, L, R, cfg, "cdf_min_row", (n, m, svals), zip(lams))
+        return _Law(1, decay, None, None, (), lambda: ([], -ssum, -1.0),
+                    (5.0 - decay) * _EPS)
+    L, R = _row_min_logs(n - m + 1, n, lams, svals)
+    sign, log = _row_pref(n, m, svals)
+    # d F_a / d lam = s F_a - lam^(a-1): the row constants s cancel the
+    # prefactor's e^(-lam sum s)
+    return _Law(sign, log + decay, L, R, ("cdf_min_row", n, m, svals),
+                lambda: ([-np.exp(np.arange(n - m, n) * np.log(lams)[:, None, None] - L)],
+                         0.0, -1.0))
 
 
-def _col_min_base(n, m, svals, lams):
-    """Stacked column cdf_min matrices: inverse powers, then exponentials;
-    also the prefactors."""
-    lam = np.asarray(lams, dtype=float)[:, None, None]
+def _col_min(n, m, svals, lams):
+    """Inverse powers, then exponentials; times e^(-lam sum s)."""
     s = np.asarray(svals, dtype=float)[:, None]
     L = np.empty((len(lams), n, n))
     L[:, :, :m] = -np.arange(1, m + 1) * np.log(s)
-    L[:, :, m:] = lam * s + np.arange(n - m) * np.log(s)
-    prefs = _with_logs(_col_pref_min(n, m, svals), -np.asarray(lams, dtype=float) * sum(svals))
-    return L, _power_rel(L), prefs
+    L[:, :, m:] = lams[:, None, None] * s + np.arange(n - m) * np.log(s)
+
+    sign, log = _col_pref_min(n, m, svals)
+    # the exponential columns have log-derivative s; taking that row constant
+    # out leaves -s on the power columns and cancels e^(-lam sum s)
+    return _Law(sign, log + -lams * sum(svals), L, _power_rel(L), ("cdf_min_col", n, m, svals),
+                lambda: ([np.where(np.arange(n) < m, -s, 0.0)], 0.0, -1.0))
 
 
-def _cdf_min_col(n, m, svals, lams, cfg) -> List[EvalReport]:
-    L, R, prefs = _col_min_base(n, m, svals, lams)
-    return _probabilities(prefs, L, R, cfg, "cdf_min_col", (n, m, svals), zip(lams))
-
-
-def _doubly_min_base(n, m, rvals, svals, lams):
-    """Stacked doubly cdf_min matrices exp(-lam r s) and prefactors."""
+def _doubly_min(n, m, rvals, svals, lams):
+    """exp(-lam r s), times lam^(-M)."""
     if m != n:
         raise ValueError("smallest-eigenvalue law for the doubly correlated model requires m = n")
-    L = (-np.asarray(lams, dtype=float)[:, None, None]
-         * np.asarray(rvals, dtype=float)[None, :, None]
+    L = (-lams[:, None, None] * np.asarray(rvals, dtype=float)[None, :, None]
          * np.asarray(svals, dtype=float)[None, None, :])
-    prefs = _with_logs(_doubly_pref_min(n, rvals, svals), -(n * (n - 1) // 2) * np.log(lams))
-    return L, _power_rel(L), prefs
+    M = n * (n - 1) // 2
+    sign, log = _doubly_pref_min(n, rvals, svals)
+    return _Law(sign, log + -M * np.log(lams), L, _power_rel(L),
+                ("cdf_min_doubly", n, rvals, svals),
+                lambda: ([-np.outer(rvals, svals)], -M / lams, -1.0))
 
 
-def _cdf_min_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
-    L, R, prefs = _doubly_min_base(n, m, rvals, svals, lams)
-    return _probabilities(prefs, L, R, cfg, "cdf_min_doubly", (n, rvals, svals), zip(lams))
-
-
-# ---------------------------------------------------------------------------
-# gap probability (row-correlated analytics)
-
-
-def prob_gap(case: RowCorrelated, a: float, b: float,
-             cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
-    """Pr(no eigenvalue in (0, a) and none in (b, inf)), row model, 0 < a < b."""
-    return _prob_gap_grid(case, [(a, b)], cfg)[0]
-
-
-def _gap_base(n, m, svals, points):
-    """Stacked gap matrices: Gamma(k) [P(k, s b) - P(k, s a)] / s^k, orders k.
-    Where P(k, s a) > 1/2 the difference is Q(k, s a) - Q(k, s b), from the
-    logs of the finite Q sums, which keep their digits where P rounds to 1."""
-    ends = np.asarray(points, dtype=float)[:, :, None] * np.asarray(svals, dtype=float)
+def _gap(n, m, svals, points):
+    """Gamma(k) [P(k, s b) - P(k, s a)] / s^k, orders k.  Where P(k, s a) >
+    1/2 the difference is Q(k, s a) - Q(k, s b), from the logs of the finite
+    Q sums, which keep their digits where P rounds to 1."""
+    s = np.asarray(svals, dtype=float)
+    ends = points[:, :, None] * s
     p, err, _ = reg_lower_gamma_orders(n - m + 1, n, ends)
     orders = np.arange(n - m + 1, n + 1)
     upper = p[:, 0] > 0.5
@@ -706,22 +601,130 @@ def _gap_base(n, m, svals, points):
             R = np.where(upper, size * _EPS * (2.0 - gap) / gap, R)
         live = np.isfinite(log_diff)
         L = np.where(live, [math.lgamma(a) for a in orders] + log_diff
-                     - orders * np.log(np.asarray(svals, dtype=float))[:, None], -np.inf)
-    return L, np.where(live, R, 1.0)
+                     - orders * np.log(s)[:, None], -np.inf)
+
+    def deriv():
+        # d/db int_a^b t^(k-1) e^(-s t) dt = b^(k-1) e^(-s b), and d/da is minus
+        # the same at a; zero entries (-inf logs) stay zero
+        at = points[:, :, None, None]
+        slope = np.exp(np.arange(n - m, n) * np.log(at) - s[:, None] * at - L[:, None])
+        slope[~np.isfinite(L[:, None]).repeat(2, axis=1)] = 0.0
+        return [-slope[:, 0], slope[:, 1]], 0.0, -1.0
+
+    sign, log = _row_pref(n, m, svals)
+    return _Law(sign, np.full(len(points), log), L, np.where(live, R, 1.0),
+                ("prob_gap_row", n, m, svals), deriv)
 
 
-def _prob_gap_grid(case: RowCorrelated, points: Sequence[Tuple[float, float]],
-                   cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    points = _gap_points(case, points, "gap probability")
-    n, m = case.dims.n, case.dims.m
-    svals = list(case.s)
-    prefs = [_row_pref(n, m, svals)] * len(points)
-    return _probabilities(prefs, *_gap_base(n, m, svals, points), cfg, "prob_gap_row",
-                          (n, m, svals), points)
+_LAWS = {
+    (RowCorrelated, "max"): _row_max,
+    (ColumnCorrelated, "max"): _col_max,
+    (DoublyCorrelated, "max"): _doubly_max,
+    (RowCorrelated, "min"): _row_min,
+    (ColumnCorrelated, "min"): _col_min,
+    (DoublyCorrelated, "min"): _doubly_min,
+    (RowCorrelated, "gap"): _gap,
+}
+
+_PERTURBED = (f"perturbed:coincident spectrum values nudged apart in relative steps of "
+              f"{PERTURB_EPS:g} (the value is that of the nudged spectrum)")
+
+
+def _ext(name: str, *args) -> Callable[[int, int], float]:
+    """Deferred mpmath re-evaluation ``extended.<name>(*args, dps, start=start)``."""
+    def run(dps, start):
+        from . import extended
+        return getattr(extended, name)(*args, dps, start=start)
+    return run
 
 
 # ---------------------------------------------------------------------------
-# densities: Jacobi's formula on the CDF's matrices and entry log-derivatives
+# the one entry: a statistic's law on a grid of points
+
+
+def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
+          density: bool = False) -> List[EvalReport]:
+    """One report per point of the ``stat`` law ("max", "min" or "gap") of
+    ``case``: its CDF (the gap probability), or with ``density`` its density
+    (the joint min/max density for "gap").
+
+    The points are lambdas, or (a, b) pairs for "gap".  All the determinants
+    go into one kernel call.  A density is sign * d(pref det) = sign * pref *
+    det * (c + d det / det) by Jacobi's formula: each constant in c adds
+    exactly its value, as every row and column of A^-T o A sums to one.  The
+    factor's cancellation counts with the determinant's, and its error adds
+    to the determinant's.
+    """
+    build = _LAWS.get((type(case), stat))
+    if build is None:
+        if stat == "gap":
+            raise TypeError(f"{'joint density' if density else 'gap probability'} "
+                            "is available for the row-correlated model only")
+        raise TypeError(f"unknown model case {type(case).__name__}")
+    if stat == "gap":
+        points = [_check_pair(a, b) for a, b in points]
+    else:
+        points = [(_check_lambda(lam),) for lam in points]
+    spectra = (case.r, case.s) if isinstance(case, DoublyCorrelated) else (case.s,)
+    warnings = [_PERTURBED] if any(sp.perturbed for sp in spectra) else []
+    n, m, G = case.dims.n, case.dims.m, len(points)
+    if density and stat == "gap" and m == 1:
+        # one eigenvalue cannot sit at two points
+        return [EvalReport(0.0, 0.0, 0.0, list(warnings)) for _ in points]
+    grid = np.asarray(points, dtype=float)
+    law = build(n, m, *(list(sp) for sp in spectra), grid if stat == "gap" else grid[:, 0])
+    Ds, consts, dsign = law.deriv() if density else ((), 0.0, 1.0)
+    if law.L is None:  # a closed form: det = 1 exactly, no derivative
+        zeros = [0.0] * G
+        dets = [[1.0] * G, zeros, zeros, law.rel.tolist(), zeros, zeros, zeros]
+    else:
+        dets = [a.tolist() for a in _det_from_logs(law.L, law.R, Ds)]
+    logs = law.logs.tolist()
+    if not density:
+        return [_finalize(law.sign * sign, log + log_det, rel, cancel, cfg, list(warnings),
+                          _ext(*law.ext, *point) if law.ext else None, True)
+                for point, log, sign, log_det, cancel, rel
+                in zip(points, logs, *dets[:4])]
+    out = []
+    consts = np.broadcast_to(consts, (G,)).tolist()
+    for log, c, sign, log_det, cancel, rel, deriv, gross, err in zip(logs, consts, *dets):
+        factor = c + deriv
+        if sign == 0:  # an exact zero determinant decides
+            factor, lost = 1.0, 1.0
+        elif factor:
+            rel += (err + _EPS * abs(c)) / abs(factor)
+            lost = (abs(c) + gross) / abs(factor)
+        else:
+            rel = lost = math.inf
+        value_sign = law.sign * sign * (dsign if factor > 0 else -dsign if factor else 0)
+        out.append(_finalize(value_sign, log + log_det + math.log(abs(factor or 1.0)), rel,
+                             max(cancel, math.log10(lost)), cfg, list(warnings), None, False))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# public functions: a grid of one point
+
+
+def cdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
+    """Pr(largest eigenvalue of Z^H Z <= lam) for a validated model case."""
+    return _grid(case, "max", [lam], cfg)[0]
+
+
+def cdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
+    """Pr(smallest eigenvalue of Z^H Z >= lam) for a validated model case.
+
+    For the doubly correlated model this requires m = n; the m < n law has
+    no closed determinant form (the extra zero eigenvalues of the padded
+    problem pin the smallest eigenvalue at zero).
+    """
+    return _grid(case, "min", [lam], cfg)[0]
+
+
+def prob_gap(case: RowCorrelated, a: float, b: float,
+             cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
+    """Pr(no eigenvalue in (0, a) and none in (b, inf)), row model, 0 < a < b."""
+    return _grid(case, "gap", [(a, b)], cfg)[0]
 
 
 def pdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
@@ -731,41 +734,7 @@ def pdf_max(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
     factorisation of its matrix by Jacobi's formula; analytic for every
     model (the doubly correlated g_n rows through g_n' = g_(n+1) - g_n).
     """
-    return _pdf_max_grid(case, [lam], cfg)[0]
-
-
-def _pdf_max_grid(case: ModelCase, lams: Sequence[float],
-                  cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    return _by_model(case, lams, cfg, _pdf_max_row, _pdf_max_col, _pdf_max_doubly)
-
-
-def _pdf_max_row(n, m, svals, lams, cfg) -> List[EvalReport]:
-    # d/dlam lam^a E_a(lam s) = lam^(a-1) e^-x: e^-x / (lam E_a(x)) less the
-    # column constants a/lam, which sum to the prefactor's (nm - M)/lam
-    L, R, x, prefs = _row_max_base(n, m, svals, lams)
-    D = np.exp(-x[..., None] - L) / np.asarray(lams, dtype=float)[:, None, None]
-    return _densities(prefs, L, R, [D], 1.0, cfg)
-
-
-def _pdf_max_col(n, m, svals, lams, cfg) -> List[EvalReport]:
-    # the gamma columns lam^k E_k(lam s) have derivative lam^(k-1) e^(-lam s)
-    L, R = _col_max_base(n, m, svals, lams)
-    lam = np.asarray(lams, dtype=float)[:, None, None]
-    D = np.zeros_like(L)
-    D[:, :, :m] = np.exp(np.arange(m) * np.log(lam) - lam * np.asarray(svals)[:, None]
-                         - L[:, :, :m])
-    prefs = [_col_pref_max(n, m, svals)] * len(lams)
-    return _densities(prefs, L, R, [D], 1.0, cfg)
-
-
-def _pdf_max_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
-    # g_n'(x) = -(g_n(x) - g_(n+1)(x)); each (lam s)^-i row has the constant -i/lam
-    L, R, x, prefs = _doubly_max_base(n, m, rvals, svals, lams)
-    lam = np.asarray(lams, dtype=float)
-    D = np.zeros_like(L)
-    D[:, :m] = x / lam[:, None, None] * np.expm1(log_doubly_g(n + 1, x) - L[:, :m])
-    consts = (n * n - n * (n - 1) // 2 - (n - m) * (n - m + 1) // 2) / lam
-    return _densities(prefs, L, R, [D], 1.0, cfg, consts.tolist())
+    return _grid(case, "max", [lam], cfg, density=True)[0]
 
 
 def pdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
@@ -775,40 +744,7 @@ def pdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
     one factorisation of its matrix by Jacobi's formula; the doubly
     correlated model requires m = n.
     """
-    return _pdf_min_grid(case, [lam], cfg)[0]
-
-
-def _pdf_min_grid(case: ModelCase, lams: Sequence[float],
-                  cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    return _by_model(case, lams, cfg, _pdf_min_row, _pdf_min_col, _pdf_min_doubly)
-
-
-def _pdf_min_row(n, m, svals, lams, cfg) -> List[EvalReport]:
-    ssum = sum(svals)
-    if n == m:  # the survival e^(-lam sum s) in closed form (see _cdf_min_row)
-        return [_finalize(SignedLogValue.from_value(ssum * math.exp(-lam * ssum)),
-                          (5.0 + lam * ssum) * _EPS, 0.0, cfg, [], None, False) for lam in lams]
-    # d F_a / d lam = s F_a - lam^(a-1): the row constants s cancel the
-    # prefactor's e^(-lam sum s)
-    L, R, prefs = _row_min_base(n, m, svals, lams)
-    D = -np.exp(np.arange(n - m, n) * np.log(np.asarray(lams, dtype=float))[:, None, None] - L)
-    return _densities(prefs, L, R, [D], -1.0, cfg)
-
-
-def _pdf_min_col(n, m, svals, lams, cfg) -> List[EvalReport]:
-    # the exponential columns have log-derivative s; taking that row
-    # constant out leaves -s on the power columns and cancels e^(-lam sum s)
-    L, R, prefs = _col_min_base(n, m, svals, lams)
-    D = np.zeros((n, n))
-    D[:, :m] = -np.asarray(svals, dtype=float)[:, None]
-    return _densities(prefs, L, R, [D], -1.0, cfg)
-
-
-def _pdf_min_doubly(n, m, rvals, svals, lams, cfg) -> List[EvalReport]:
-    L, R, prefs = _doubly_min_base(n, m, rvals, svals, lams)
-    D = -np.outer(rvals, svals)
-    consts = -(n * (n - 1) // 2) / np.asarray(lams, dtype=float)
-    return _densities(prefs, L, R, [D], -1.0, cfg, consts.tolist())
+    return _grid(case, "min", [lam], cfg, density=True)[0]
 
 
 def pdf_joint_minmax(case: RowCorrelated, a: float, b: float,
@@ -820,22 +756,4 @@ def pdf_joint_minmax(case: RowCorrelated, a: float, b: float,
     integral from a to b, so no entry has a mixed term).  Identically zero
     at m = 1 (one eigenvalue cannot sit at two points).
     """
-    return _pdf_joint_grid(case, [(a, b)], cfg)[0]
-
-
-def _pdf_joint_grid(case: RowCorrelated, points: Sequence[Tuple[float, float]],
-                    cfg: EvalConfig = _DEFAULT_CONFIG) -> List[EvalReport]:
-    points = _gap_points(case, points, "joint density")
-    n, m = case.dims.n, case.dims.m
-    svals = list(case.s)
-    if m == 1:
-        return [EvalReport(0.0, 0.0, 0.0, []) for _ in points]
-    L, R = _gap_base(n, m, svals, points)
-    # d/db int_a^b t^(k-1) e^(-s t) dt = b^(k-1) e^(-s b), and d/da is minus
-    # the same at a; zero entries (-inf logs) stay zero
-    ends = np.asarray(points, dtype=float)[:, :, None, None]
-    slope = np.exp(np.arange(n - m, n) * np.log(ends)
-                   - np.asarray(svals, dtype=float)[:, None] * ends - L[:, None])
-    slope[~np.isfinite(L[:, None]).repeat(2, axis=1)] = 0.0
-    prefs = [_row_pref(n, m, svals)] * len(points)
-    return _densities(prefs, L, R, [-slope[:, 0], slope[:, 1]], -1.0, cfg)
+    return _grid(case, "gap", [(a, b)], cfg, density=True)[0]

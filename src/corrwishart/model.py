@@ -8,8 +8,10 @@ converts a covariance matrix for callers who have one.
 
 The determinant formulas divide by products of spectral gaps, so a
 validated spectrum is strictly increasing.  Near-degenerate inputs are
-deterministically perturbed (and flagged) rather than silently producing
-garbage; the exact confluent limit is deliberately not implemented.
+deterministically perturbed rather than silently producing garbage, and
+flagged: `Spectrum.perturbed` is set, and every report the engine gives for
+such a case carries a ``perturbed:`` warning.  The exact confluent limit is
+deliberately not implemented.
 """
 
 from __future__ import annotations

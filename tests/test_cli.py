@@ -105,6 +105,26 @@ class TestErrorPaths:
         assert rc == 2
         assert key in err and repr(value) in err and out == ""
 
+    @pytest.mark.parametrize("command,key,value", [("cdf", "stats", "min"),
+                                                   ("gap", "stat", "min"),
+                                                   ("cdf", "func", 1)])
+    def test_config_key_names_no_option(self, command, key, value, tmp_path, capsys):
+        cfg = {"case": "row", "n": 3, "m": 2, "spectrum": "1,2", key: value}
+        if command == "gap":
+            cfg.update(a="0.1:0.2:2", b="1:2:2")
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(cfg))
+        rc, out, err = run(capsys, command, "--config", str(path))
+        assert rc == 2
+        assert key in err and out == ""
+
+    def test_strict_mode_ignores_perturbed(self, capsys):
+        # a nudged spectrum losing fewer digits than the threshold is not an error
+        rc, out, _ = run(capsys, "cdf", "--case", "row", "--n", "3", "--m", "2",
+                         "--spectrum", "1,1", "--grid", "0.7:0.7:1", "--strict")
+        assert rc == 0
+        assert "perturbed:" in out and "cancellation:" not in out
+
     def test_strict_mode_flags_cancellation(self, capsys):
         rc, out, _ = run(capsys, "cdf", "--case", "row", "--n", "5", "--m", "3",
                          "--spectrum", "1,1.0001,1.0002", "--stat", "min",

@@ -19,13 +19,8 @@ from corrwishart.detform import (
     prob_gap,
 )
 from corrwishart.detform import (
-    _cdf_max_grid,
-    _cdf_min_grid,
     _det_from_logs,
-    _pdf_joint_grid,
-    _pdf_max_grid,
-    _pdf_min_grid,
-    _prob_gap_grid,
+    _grid,
     _row_min_logs,
 )
 from corrwishart.model import (
@@ -502,30 +497,28 @@ class TestStackedKernel:
         for N in (1, 2, 4, 7, 12):
             L = rng.normal(scale=3.0, size=(9, N, N))
             R = rng.uniform(1e-16, 1e-13, size=L.shape)
-            stacked = _det_from_logs(L, R)
-            assert len(stacked) == len(L)
-            for g, got in enumerate(stacked):
-                one = _det_from_logs(L[g], R[g])
-                assert got.slv.sign == one.slv.sign != 0
-                assert got.slv.log_magnitude == pytest.approx(
-                    one.slv.log_magnitude, rel=1e-12, abs=1e-12)
-                assert got.cancel_digits == pytest.approx(one.cancel_digits, rel=1e-12)
-                assert got.rel_err == pytest.approx(one.rel_err, rel=1e-12)
+            sign, log_mag, cancel, rel = _det_from_logs(L, R)
+            assert len(sign) == len(L)
+            for g in range(len(L)):
+                one = _det_from_logs(L[g:g + 1], R[g:g + 1])
+                assert sign[g] == one[0][0] != 0
+                assert log_mag[g] == pytest.approx(one[1][0], rel=1e-12, abs=1e-12)
+                assert cancel[g] == pytest.approx(one[2][0], rel=1e-12)
+                assert rel[g] == pytest.approx(one[3][0], rel=1e-12)
 
     def test_singular_member_does_not_spoil_the_stack(self):
         rng = np.random.default_rng(6)
         L = rng.normal(size=(3, 4, 4))
         L[1, 3] = L[1, 0]  # two equal rows: exactly singular
-        out = _det_from_logs(L, np.full(L.shape, 1e-15))
-        assert out[1].slv.sign == 0
-        assert out[1].cancel_digits == math.inf and out[1].rel_err == math.inf
+        sign, log_mag, cancel, rel = _det_from_logs(L, np.full(L.shape, 1e-15))
+        assert sign[1] == 0
+        assert cancel[1] == math.inf and rel[1] == math.inf
         for g in (0, 2):
-            assert out[g].slv.sign != 0
-            assert math.isfinite(out[g].slv.log_magnitude)
-            assert math.isfinite(out[g].cancel_digits)
-            assert math.isfinite(out[g].rel_err)
-            assert out[g].slv.log_magnitude == pytest.approx(
-                np.linalg.slogdet(np.exp(L[g]))[1], rel=1e-12)
+            assert sign[g] != 0
+            assert math.isfinite(log_mag[g])
+            assert math.isfinite(cancel[g])
+            assert math.isfinite(rel[g])
+            assert log_mag[g] == pytest.approx(np.linalg.slogdet(np.exp(L[g]))[1], rel=1e-12)
 
 
 class TestGridPath:
@@ -575,12 +568,16 @@ GRID_CASES = {
     "doubly": doubly_case(4, 3, [1.0, 1.7, 2.6], [0.8, 1.5, 2.6, 4.0]),
     "doubly_square": doubly_case(3, 3, [1.0, 2.0, 3.2], [0.9, 1.8, 3.1]),
 }
+# test id -> _grid's (stat, density)
+GRID_ENTRIES = {"_cdf_max_grid": ("max", False), "_pdf_max_grid": ("max", True),
+                "_cdf_min_grid": ("min", False), "_pdf_min_grid": ("min", True),
+                "_prob_gap_grid": ("gap", False), "_pdf_joint_grid": ("gap", True)}
 GRID_JOBS = (
-    [(grid, fn, kind) for grid, fn in [(_cdf_max_grid, cdf_max), (_pdf_max_grid, pdf_max)]
+    [(grid, fn, kind) for grid, fn in [("_cdf_max_grid", cdf_max), ("_pdf_max_grid", pdf_max)]
      for kind in GRID_CASES]
-    + [(grid, fn, kind) for grid, fn in [(_cdf_min_grid, cdf_min), (_pdf_min_grid, pdf_min)]
+    + [(grid, fn, kind) for grid, fn in [("_cdf_min_grid", cdf_min), ("_pdf_min_grid", pdf_min)]
        for kind in GRID_CASES if kind != "doubly"]
-    + [(_prob_gap_grid, prob_gap, "row"), (_pdf_joint_grid, pdf_joint_minmax, "row")])
+    + [("_prob_gap_grid", prob_gap, "row"), ("_pdf_joint_grid", pdf_joint_minmax, "row")])
 
 
 class TestGridEqualsPointCalls:
@@ -590,16 +587,65 @@ class TestGridEqualsPointCalls:
     PAIRS = [(a, b) for a in (0.01, 0.2, 1.5) for b in (2.0, 9.0, 40.0)]
 
     @pytest.mark.parametrize("grid,fn,kind", GRID_JOBS,
-                             ids=[f"{g.__name__}-{k}" for g, _, k in GRID_JOBS])
+                             ids=[f"{g}-{k}" for g, _, k in GRID_JOBS])
     def test_grid_rows_equal_point_calls(self, grid, fn, kind):
         case = GRID_CASES[kind]
         points = self.PAIRS if fn in (prob_gap, pdf_joint_minmax) else self.LAMS
-        reports = grid(case, points)
+        stat, density = GRID_ENTRIES[grid]
+        reports = _grid(case, stat, points, density=density)
         assert len(reports) == len(points)
         for point, rep in zip(points, reports):
             one = fn(case, *(point if isinstance(point, tuple) else (point,)))
             assert (rep.value, rep.abs_error_estimate, rep.cancellation_digits, rep.warnings) == \
                 (one.value, one.abs_error_estimate, one.cancellation_digits, one.warnings)
+
+
+PUBLIC = [(cdf_max, (0.3,)), (cdf_min, (1.0,)), (pdf_max, (0.3,)), (pdf_min, (1.0,)),
+          (prob_gap, (0.3, 2.0)), (pdf_joint_minmax, (0.3, 2.0))]
+NAN, INF = math.nan, math.inf
+REJECTED = (
+    [(fn, kind, (0.3, 2.0), TypeError) for fn in (prob_gap, pdf_joint_minmax)
+     for kind in ("column", "doubly")]
+    + [(fn, "doubly", (0.5,), ValueError) for fn in (cdf_min, pdf_min)]  # 4x3: needs m = n
+    + [(fn, "row", (lam,), ValueError) for fn in (cdf_max, cdf_min, pdf_max, pdf_min)
+       for lam in (0.0, -1.0, NAN, INF)]
+    + [(fn, "row", ab, ValueError) for fn in (prob_gap, pdf_joint_minmax)
+       for ab in ((0.0, 2.0), (-1.0, 2.0), (NAN, 2.0), (INF, INF), (0.5, INF), (0.5, NAN),
+                  (2.0, 1.0))])
+
+
+@pytest.mark.parametrize("fn,kind,point,error", REJECTED,
+                         ids=[f"{fn.__name__}-{k}-{p}" for fn, k, p, _ in REJECTED])
+def test_entry_rejects(fn, kind, point, error):
+    with pytest.raises(error):
+        fn(GRID_CASES[kind], *point)
+
+
+class TestPerturbedSpectrum:
+    # a nudged spectrum gives the law of the nudged values, and says so
+    NUDGED = {"row": row_case(5, 3, [1.0, 1.0, 1.0]),
+              "column": col_case(4, 2, [1.0, 1.0, 2.0, 3.0]),
+              "doubly": doubly_case(3, 3, [1.0, 1.0, 2.0], [0.9, 1.8, 3.1])}
+
+    @staticmethod
+    def perturbed(rep):
+        return any(w.startswith("perturbed:") for w in rep.warnings)
+
+    @pytest.mark.parametrize("fn,point", PUBLIC, ids=[fn.__name__ for fn, _ in PUBLIC])
+    def test_row_5x3(self, fn, point):
+        assert self.perturbed(fn(self.NUDGED["row"], *point))
+        assert not self.perturbed(fn(row_case(5, 3, [1.0, 2.0, 3.0]), *point))
+
+    @pytest.mark.parametrize("kind", ["column", "doubly"])
+    def test_other_models(self, kind):
+        case = self.NUDGED[kind]
+        assert all(self.perturbed(fn(case, 0.7)) for fn in (cdf_max, cdf_min, pdf_max, pdf_min))
+
+    def test_every_grid_and_extended_report(self):
+        case = self.NUDGED["row"]
+        assert all(self.perturbed(rep) for rep in _grid(case, "max", [0.1, 0.3, 1.0, 4.0]))
+        rep = cdf_max(case, 0.3, EvalConfig(precision="extended"))
+        assert self.perturbed(rep) and any(w.startswith("extended:") for w in rep.warnings)
 
 
 def precise_survival_slope(raw_cdf, lam, monkeypatch):
