@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -49,6 +50,8 @@ def _parse_grid(spec: str) -> List[float]:
     if len(parts) not in (3, 4):
         raise ValueError(f"grid must be start:stop:points[:spacing], got {spec!r}")
     start, stop = float(parts[0]), float(parts[1])
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValueError(f"grid start and stop must be finite, got {spec!r}")
     points = int(parts[2])
     spacing = parts[3] if len(parts) == 4 else "log"
     if spacing not in ("linear", "log"):

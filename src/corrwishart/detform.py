@@ -14,11 +14,13 @@ ratio for clustered spectra.  The engine therefore measures the decimal
 digits lost between the largest intermediate magnitude and the result
 (`cancellation_digits`), warns above a threshold, and -- when configured
 with ``precision="extended"`` -- re-runs the affected probability through
-the mpmath re-evaluation in `corrwishart.extended`.  When that
-re-evaluation does not settle within its precision limit, the
+the mpmath re-evaluation in `corrwishart.extended`.  When no round of
+that re-evaluation certifies itself within its precision limit, the
 double-precision value and its estimate are kept and a ``nonconverged:``
-warning says so.  A spectrum that `validate_spectrum` nudged apart gives
-the law of the nudged spectrum, and every report says so (``perturbed:``).
+warning says so.  A value that underflows a double carries its log10
+magnitude in an ``underflow:`` warning.  A spectrum that
+`validate_spectrum` nudged apart gives the law of the nudged spectrum, and
+every report says so (``perturbed:``).
 
 Probability values are clamped to [0, 1] on output; the pre-clamp residual
 is recorded in the report's warnings when it exceeds 1e-8.  Densities are
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -266,13 +268,13 @@ class EvalConfig:
 
     ``precision="double"`` never escalates; ``"extended"`` re-runs an
     evaluation through mpmath when its cancellation diagnostic exceeds
-    ``cancellation_warn_digits``, until two rounds agree to
-    ``extended_dps`` - 10 digits.  The first round runs at ``extended_dps``
-    plus the digits the double-precision evaluation lost, capped so that a
-    second round fits within the 1600-digit limit (`extended.first_round`);
-    the second round confirms it 20 digits up, and each later one, needed
-    only when those two disagree, runs at 2d + 20 digits.  ``extended_dps``
-    is at most 1580, so that the confirming round fits.
+    ``cancellation_warn_digits``, until one round's a-posteriori error
+    bound certifies it to 10^-(``extended_dps`` - 10) relative.  The first
+    round runs at ``extended_dps`` plus the digits the double-precision
+    evaluation lost, capped at 790 so that a retry fits within the
+    1600-digit limit (`extended.first_round`); a round whose bound misses
+    runs once more, higher by the digits it fell short plus a guard of 5.
+    ``extended_dps`` is at most 1580, so that such a retry fits.
     """
 
     precision: str = "double"
@@ -284,7 +286,7 @@ class EvalConfig:
             raise ValueError(f"unknown precision {self.precision!r}")
         if not 30 <= self.extended_dps <= _MAX_DPS - 20:
             raise ValueError(f"extended_dps must be in [30, {_MAX_DPS - 20}]: at least 30 "
-                             "digits, and room for the round 20 digits up")
+                             "digits, and room for a retry")
 
 
 _DEFAULT_CONFIG = EvalConfig()
@@ -302,13 +304,18 @@ class EvalReport:
 
 def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
               cfg: EvalConfig, warnings: List[str],
-              extended_fn: Optional[Callable[[int, int], float]],
+              extended_fn: Optional[Callable[[int, int], Any]],
               is_probability: bool) -> EvalReport:
-    """One point's report from the sign and log magnitude of its value."""
+    """One point's report from the sign and log magnitude of its value.
+
+    A value that rounds to 0.0 from a nonzero sign and a finite log
+    magnitude carries an ``underflow:`` warning with its log10 magnitude.
+    """
     if sign == 0 or log_mag == -math.inf:
-        value = 0.0
+        value, log10_mag = 0.0, -math.inf
     else:
         value = sign * (math.inf if log_mag > 709.0 else math.exp(log_mag))
+        log10_mag = log_mag / math.log(10.0)
     if cancel > cfg.cancellation_warn_digits:
         warnings.append(
             f"cancellation:{cancel:.1f} digits lost; double-precision result "
@@ -316,21 +323,25 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
         )
         if cfg.precision == "extended" and extended_fn is not None:
             # mpmath loads on first escalation
+            import mpmath
             from .extended import NotConverged, first_round
             try:
-                value = extended_fn(cfg.extended_dps, first_round(cfg.extended_dps, cancel))
+                r = extended_fn(cfg.extended_dps, first_round(cfg.extended_dps, cancel))
             except NotConverged as exc:
                 # the double-precision value and its estimate stand
                 warnings.append(
-                    f"nonconverged:mpmath results still disagreed at {exc.dps} "
-                    "digits; double-precision result kept")
+                    f"nonconverged:no mpmath round was certified up to {exc.dps} digits; "
+                    "double-precision result kept")
             else:
-                warnings.append(
-                    f"extended:re-evaluated at >= {cfg.extended_dps} digits")
-                # the re-evaluation self-validates by agreement of two
-                # precisions; rounding the agreed mpf to a double adds the
-                # unit roundoff 2^-53
-                rel_err = 10.0 ** (10.0 - cfg.extended_dps) + 0.5 * _EPS
+                value = float(r.value)
+                log10_mag = float(mpmath.log10(abs(r.value))) if r.value else -math.inf
+                warnings.append(f"extended:re-evaluated at {r.dps} digits with relative "
+                                f"error <= {mpmath.nstr(r.bound, 2)}")
+                # the round's certified bound, plus the unit roundoff 2^-53
+                # of rounding its mpf to a double
+                rel_err = float(r.bound) + 0.5 * _EPS
+    if value == 0.0 and math.isfinite(log10_mag):
+        warnings.append(f"underflow:value below the double range, log10|value| = {log10_mag:.4f}")
     if not math.isfinite(value):
         warnings.append("nonfinite:evaluation did not produce a finite value")
         return EvalReport(value, math.inf, cancel, warnings)
@@ -630,11 +641,12 @@ _PERTURBED = (f"perturbed:coincident spectrum values nudged apart in relative st
               f"{PERTURB_EPS:g} (the value is that of the nudged spectrum)")
 
 
-def _ext(name: str, *args) -> Callable[[int, int], float]:
-    """Deferred mpmath re-evaluation ``extended.<name>(*args, dps, start=start)``."""
+def _ext(name: str, *args) -> Callable[[int, int], Any]:
+    """Deferred mpmath re-evaluation ``extended.<name>(*args, dps, start=start)``,
+    returning its certified `extended.Round`."""
     def run(dps, start):
         from . import extended
-        return getattr(extended, name)(*args, dps, start=start)
+        return getattr(extended, name)(*args, dps, start=start, certified=True)
     return run
 
 

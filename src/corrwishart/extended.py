@@ -1,176 +1,209 @@
 """High-precision re-evaluation of the probability formulas.
 
-The same determinant expressions the double-precision engine evaluates,
-carried out in mpmath arbitrary precision.  mpmath's unbounded exponent
-range makes log-space bookkeeping unnecessary here, so each formula is a
-few lines of linear arithmetic around `_det`: Gaussian elimination with
-partial pivoting on mpmath's raw binary floats (``mpmath.libmp``), every
-operation rounded to nearest at the working precision.  `_det` has no
-singularity tolerance: it returns an exact zero only when a pivot column
-is exactly zero, so a row of tiny entries is carried through, not read as
-singular.
+The determinant expressions of the double-precision engine in mpmath
+arbitrary precision, whose unbounded exponent range needs no log-space
+bookkeeping.  `_bounded_det` runs Gaussian elimination with partial
+pivoting on mpmath's raw binary floats (``mpmath.libmp``), rounded to
+nearest at the working precision, with no singularity tolerance: the
+determinant is an exact zero only when a pivot column is exactly zero.
+The row and column entries come one matrix row at a time from positive
+recurrences in the order, as in `corrwishart.specfun` (`_gamma_row`,
+`_shifted_power_row`); the others have one order each and are evaluated
+directly.  The test suite keeps an independent direct transcription of
+the formulas as an oracle.
 
-The row and column entries are built one matrix row at a time from
-positive recurrences in the order, at the working precision:
-
-* E_a(x) = int_0^1 t^(a-1) e^(-x t) dt, so that gamma(a, x) = x^a E_a(x):
-  the top order from one series per row, E_a = e^-x 1F1(1; a+1; x) / a
-  (``mpmath.hyp1f1``, all terms positive), the lower orders from
-  E_a = (e^-x + x E_(a+1)) / a.  It serves ``cdf_max_row`` (E_a(lam s)),
-  ``cdf_max_col`` (lam^k E_k(lam s)) and ``prob_gap_row``
-  (b^a E_a(s b) - a^a E_a(s a));
-* F_a = int_0^inf (t + lam)^(a-1) e^(-s t) dt, the ``cdf_min_row``
-  entries, from F_1 = 1/s and F_(a+1) = lam^a / s + (a / s) F_a.
-
-Every step adds positive terms, so it contributes at most about one
-rounding of relative error; no special function is called per entry.  The
-column-minimum and doubly correlated entries have one order per entry and
-are evaluated directly.  The double-precision engine uses the same
-recurrences (`corrwishart.specfun`); the test suite keeps an independent
-direct transcription of the formulas as an oracle.
-
-Each formula is a builder returning its prefactor and the rows of its
-determinant; `_evaluate` runs it with the arguments (plain floats, already
-validated) promoted to mpf at each round's precision.  A fixed precision
-is not enough by itself: the determinant can cancel more digits than the
-mantissa holds, so every evaluation is repeated at increasing precision
-until two consecutive results agree to the requested number of digits;
-`NotConverged` is raised when that takes more than ``_MAX_DPS`` digits.
-The first round runs at ``start``, or at ``dps`` when none is given: the
-engine passes `first_round`, ``dps`` plus the digits its double-precision
-determinant lost.  The second round confirms it 20 digits up; only after
-a disagreement do later rounds run at 2d + 20 digits.
+Each builder returns its prefactor and the rows of its determinant, each
+with a bound on its relative error in ulps (units of u = 2^-p at the
+working precision p): one per rounded operation, `_FN` per mpmath call,
+an argument's ulps times the function's sensitivity to it, and for a gap
+entry hi - lo the condition (|hi| + |lo|) / |hi - lo|.  `_evaluate` runs
+it at each round's precision, and `_bounded_det` turns those errors and
+the elimination's backward error into a bound on the value.  A round is
+accepted when that bound is at most 10^-(dps-10), with no second round
+to confirm it.  The first round runs at ``start`` (the engine's
+`first_round`: ``dps`` plus the digits its double path lost) or ``dps``;
+one whose bound misses runs again, higher by the shortfall in digits plus
+`_GUARD`.  `NotConverged` is raised when that would pass ``_MAX_DPS``.
+The public functions return the value as an mpf, or with ``certified``
+the accepted `Round`.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Any, NamedTuple
 
 import mpmath
-from mpmath.libmp import (fone, fzero, mpf_abs, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import (fone, mpf_abs, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub,
+                          round_nearest, to_float)
 
 from .detform import _MAX_DPS
 
-__all__ = [
-    "NotConverged",
-    "first_round",
-    "cdf_max_row",
-    "cdf_min_row",
-    "cdf_max_col",
-    "cdf_min_col",
-    "cdf_max_doubly",
-    "cdf_min_doubly",
-    "prob_gap_row",
-]
+__all__ = ["NotConverged", "Round", "first_round", "cdf_max_row", "cdf_min_row", "cdf_max_col",
+           "cdf_min_col", "cdf_max_doubly", "cdf_min_doubly", "prob_gap_row"]
+
+# ulps charged per mpmath call (exp, hyp1f1, factorial, gamma, an integer
+# power), each computed with guard bits and stated to be within a few ulps
+_FN = 4
+# digits a retry adds beyond the shortfall its rejected round measured
+_GUARD = 5
 
 
 class NotConverged(ArithmeticError):
-    """Two consecutive precisions never agreed within ``_MAX_DPS`` digits;
-    ``dps`` is the last precision tried."""
+    """No round certified its value within ``_MAX_DPS``; ``dps``: the last tried."""
 
     def __init__(self, dps: int):
-        super().__init__(f"mpmath results still disagreed at {dps} digits")
+        super().__init__(f"no mpmath round was certified up to {dps} digits")
         self.dps = dps
 
 
+# a round's value, the bound on its relative error (mpfs; inf: none), digits
+Round = NamedTuple("Round", [("value", Any), ("bound", Any), ("dps", int)])
+
+
 def first_round(dps: int, cancel: float) -> int:
-    """The first precision to try after a double-precision evaluation lost
-    ``cancel`` digits: dps + ceil(cancel), at least ``dps`` and at most
-    (``_MAX_DPS`` - 20) // 2, so that a second round always fits; infinite
-    cancellation takes that cap."""
+    """The first precision after a double-precision evaluation lost ``cancel``
+    digits: dps + ceil(cancel), at least ``dps`` and at most (``_MAX_DPS`` -
+    20) // 2, the cap infinite cancellation takes, so that a retry fits."""
     cap = (_MAX_DPS - 20) // 2
     return max(dps, min(dps + math.ceil(min(cap, cancel)), cap))
 
 
-def _self_validated(raw, dps: int, start: int) -> float:
-    """Run ``raw`` at increasing precision until two results agree.
-
-    ``raw(d)`` must return an mpf computed entirely at d significant
-    digits.  Agreement to 10^-(dps-10) relative (or two exact zeros) is
-    accepted; the final value is returned as a double.  The first round
-    runs at ``start`` (the engine's `first_round`, or ``dps`` for a direct
-    call), the second 20 digits up, any later one at 2d + 20.
-
-    A confirming round 20 digits up gives the same evidence as one at twice
-    the precision, however ``start`` was chosen: its error is about 10^-20
-    of the first round's, so agreement to 10^-(dps-10) shows the first
-    round, and so the second, which is returned, that accurate.  After a
-    disagreement (say a gap entry cancelled more than the engine's measure
-    saw) the doubling takes over.  Raises `NotConverged`, carrying the last
-    precision tried, when the next round would exceed ``_MAX_DPS``.
-    """
-    tol = mpmath.mpf(10) ** (-(dps - 10))
-    prev, d = None, start
+def _self_validated(raw, dps: int, start: int) -> Round:
+    """The first `Round` ``raw(d)`` (computed entirely at d digits) from d =
+    ``start`` whose bound is at most 10^-(dps-10).  After a miss the next
+    round runs at d + ceil(log10(bound / 10^-(dps-10))) + `_GUARD`; an exact
+    zero is accepted only when the next round, 20 digits up, repeats it.
+    Raises `NotConverged`, carrying the last precision tried, when the next
+    round would exceed ``_MAX_DPS``."""
+    tol = mpmath.mpf(10) ** (10 - dps)
+    d, zero = start, False
     while True:
-        val = raw(d)
-        if prev is not None and (val == prev or val != 0 and abs(prev - val) <= tol * abs(val)):
-            return float(val)
-        next_d = d + 20 if prev is None else 2 * d + 20
-        if next_d > _MAX_DPS:
+        r = raw(d)
+        if r.value == 0:
+            if zero:
+                return r
+            zero, step = True, 20
+        elif r.bound <= tol:
+            return r
+        else:
+            zero = False
+            step = (math.ceil(float(mpmath.log10(r.bound / tol))) + _GUARD
+                    if mpmath.isfinite(r.bound) else math.inf)
+        if d + step > _MAX_DPS:
             raise NotConverged(d)
-        prev, d = val, next_d
+        d += step
 
 
-def _evaluate(build, args, dps: int, start: int | None) -> float:
-    """``pref * det(rows)`` for ``(pref, rows) = build(*args)``, through
-    `_self_validated` from ``start`` (``dps`` when None).  Each round
-    promotes the arguments at its own precision: integers (the dimensions)
-    pass through, sequences become lists of mpf, anything else one mpf."""
+def _evaluate(build, args, dps: int, start: int | None, certified: bool):
+    """``pref * det(rows)``, ``(pref, pref_ulps, rows, ulps) = build(*args)``,
+    through `_self_validated` from ``start`` (``dps`` when None): the
+    accepted `Round` when ``certified``, else its value.  Each round
+    promotes the arguments: integers (the dimensions) pass through,
+    sequences become lists of mpf, anything else one mpf."""
     def raw(d):
         with mpmath.workdps(d):
-            pref, rows = build(*(a if isinstance(a, int) else
-                                 [mpmath.mpf(v) for v in a] if isinstance(a, (list, tuple)) else
-                                 mpmath.mpf(a) for a in args))
-            return pref * _det(rows)
-    return _self_validated(raw, dps, dps if start is None else start)
+            pref, pref_ulps, rows, ulps = build(*(
+                a if isinstance(a, int) else
+                [mpmath.mpf(v) for v in a] if isinstance(a, (list, tuple)) else
+                mpmath.mpf(a) for a in args))
+            det, bound = _bounded_det(rows, ulps)
+            # the prefactor's and the product's ulps add; 1 + y covers products
+            y = (pref_ulps + 1) * mpmath.ldexp(1, -mpmath.mp.prec)
+            return Round(pref * det, (bound + y) * (1 + y), d)
+    r = _self_validated(raw, dps, dps if start is None else start)
+    return r if certified else r.value
 
 
-def _det(rows):
-    """Determinant of the square matrix given as a list of rows of mpf, at
-    the working precision: Gaussian elimination with partial pivoting on
-    the raw ``_mpf_`` tuples, each operation rounded to nearest.  No
-    singularity tolerance: the result is an exact zero only when a pivot
-    column is exactly zero."""
+def _bounded_det(rows, ulps):
+    """(det, bound): the determinant of the rows of mpf at the working
+    precision p, and its relative error bound when each entry is within
+    ``ulps`` ulps (infinite for an exact zero).
+
+    Columns, then rows, are scaled exactly by powers of two so that each
+    row's largest entry is in [1/2, 1).  With u = 2^-p, g = nu / (1 - nu)
+    and rho = max |U_ij|, LU = PA + dA with |dA| <= g |L||U| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 9.3): each
+    row of dA is within 2 n^1.5 g rho of its row's norm, and the entry
+    errors within 2 ulps u.  By rows, with Hadamard's inequality on the
+    cofactors, row errors eps move det by at most ((1 + eps)^n - 1)
+    prod ||r_k||_2 <= n eps (1 + n eps) prod ||r_k||_2 (n eps <= 1, else
+    the bound exceeds one anyway); the pivots' product adds g.
+    """
     prec, rnd = mpmath.mp.prec, round_nearest
+    zero = mpmath.mpf(0), mpmath.inf
     a = [[x._mpf_ for x in row] for row in rows]
-    n = len(a)
+    n, shift = len(a), 0
+    for axis in (0, 1):  # x = (sign, man, exp, bc) has |x| < 2^(exp + bc)
+        tops = [max((t[2] + t[3] for t in line if t[1]), default=None)
+                for line in (zip(*a) if axis == 0 else a)]
+        if None in tops:
+            return zero
+        shift += sum(tops)
+        a = [[mpf_shift(t, -tops[j if axis == 0 else i]) for j, t in enumerate(row)]
+             for i, row in enumerate(a)]
+    norms = math.prod(math.sqrt(math.fsum(to_float(t) ** 2 for t in row)) for row in a)
     det = fone
     for k in range(n):
-        p = k
-        big = mpf_abs(a[k][k])
+        p, big = k, mpf_abs(a[k][k])
         for i in range(k + 1, n):
-            mag = mpf_abs(a[i][k])
-            if mpf_lt(big, mag):
-                p, big = i, mag
-        if big == fzero:
-            return mpmath.mpf(0)
+            if mpf_lt(big, mpf_abs(a[i][k])):
+                p, big = i, mpf_abs(a[i][k])
+        if not big[1]:
+            return zero
         if p != k:
             a[k], a[p] = a[p], a[k]
             det = mpf_neg(det)
-        pivot_row = a[k]
-        pivot = pivot_row[k]
+        pivot_row, pivot = a[k], a[k][k]
         det = mpf_mul(det, pivot, prec, rnd)
         for row in a[k + 1:]:
             f = mpf_div(row[k], pivot, prec, rnd)
-            if f == fzero:
-                continue
-            for j in range(k + 1, n):
-                row[j] = mpf_sub(row[j], mpf_mul(f, pivot_row[j], prec, rnd), prec, rnd)
-    return mpmath.mp.make_mpf(det)
+            if f[1]:
+                for j in range(k + 1, n):
+                    row[j] = mpf_sub(row[j], mpf_mul(f, pivot_row[j], prec, rnd), prec, rnd)
+    rho = 2.0 ** max((t[2] + t[3] for k, row in enumerate(a) for t in row[k:] if t[1]), default=0)
+    u = mpmath.ldexp(1, -prec)
+    g = n * u / (1 - n * u)
+    eps = 2 * ulps * u + 2 * n ** 1.5 * rho * g
+    det = mpmath.mp.make_mpf(det)
+    # the double row norms and their product, rounded up
+    hadamard = mpmath.mpf(norms * (1 + 2.0 ** -30)) / abs(det)
+    return mpmath.ldexp(det, shift), g / (1 - g) + n * eps * (1 + n * eps) * hadamard
 
 
-def _gaps(vals):
-    out = mpmath.mpf(1)
-    for j in range(len(vals)):
-        for k in range(j + 1, len(vals)):
-            out *= vals[k] - vals[j]
-    return out
+def _det(rows):
+    """The determinant alone, from `_bounded_det`."""
+    return _bounded_det(rows, 0)[0]
+
+
+def _diffs(vals):
+    return [vals[k] - vals[j] for j in range(len(vals)) for k in range(j + 1, len(vals))]
+
+
+def _ratio(num, den, ulps=0):
+    """(prod num / prod den, its ulps): each factor one operation on exact
+    values, charged as a call, and ``ulps`` for an argument's rounding."""
+    return mpmath.fprod(num) / mpmath.fprod(den), (_FN + 1) * (len(num) + len(den)) + 1 + ulps
+
+
+def _row_pref(n, m, s, *num):
+    """(-1)^M prod s^n / prod_k (n-m+k-1)! / Delta(s) times ``num``: the
+    row-model normalisation (`detform._row_pref`), M = m(m-1)/2."""
+    return _ratio([(-1) ** (m * (m - 1) // 2), *num] + [v ** n for v in s],
+                  _diffs(s) + [mpmath.factorial(k) for k in range(n - m, n)])
+
+
+def _decay(lam, s):
+    """e^(-lam sum s) and its exponent's sensitivity in ulps: len(s)
+    roundings, times its size."""
+    x = lam * sum(s)
+    return mpmath.exp(-x), len(s) * float(x)
 
 
 def _gamma_row(a_lo, a_hi, x, scale=1):
-    """scale^a E_a(x) for the orders a = a_lo..a_hi, x > 0: E_(a_hi) from
-    one positive series, the lower orders by E_a = (e^-x + x E_(a+1)) / a."""
+    """scale^a E_a(x), E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = gamma(a, x) / x^a,
+    for the orders a = a_lo..a_hi, x > 0: E_(a_hi) = e^-x 1F1(1; a+1; x) / a
+    (positive terms), the lower orders by E_a = (e^-x + x E_(a+1)) / a."""
     ex = mpmath.exp(-x)
     e = ex * mpmath.hyp1f1(1, a_hi + 1, x) / a_hi
     row = [e]
@@ -178,6 +211,12 @@ def _gamma_row(a_lo, a_hi, x, scale=1):
         e = (ex + x * e) / a
         row.append(e)
     return [scale ** a * e for a, e in zip(range(a_lo, a_hi + 1), reversed(row))]
+
+
+def _gamma_ulps(a_lo, a_hi, x, scaled=False):
+    """`_gamma_row`'s ulps: two calls and roundings atop, three roundings a
+    step, x for x's rounding (|d log E_a / d log x| <= x), and the scale's."""
+    return 2 * _FN + 2 + 3 * (a_hi - a_lo) + float(x) + (_FN + 1 if scaled else 0)
 
 
 def _shifted_power_row(a_lo, a_hi, lam, s):
@@ -193,103 +232,97 @@ def _shifted_power_row(a_lo, a_hi, lam, s):
     return row
 
 
-def _col_pref(m, s):
-    """(-1)^M prod s^m / Delta(s), M = m(m-1)/2: the column-model
-    normalisation (`detform._col_pref_min`)."""
-    pref = (-1) ** (m * (m - 1) // 2) / _gaps(s)
-    for v in s:
-        pref *= v ** m
-    return pref
-
-
-def _row_pref(n, m, s):
-    """(-1)^M prod s^n / prod_k (n-m+k-1)! / Delta(s): the normalisation
-    every row-model law shares (`detform._row_pref`)."""
-    pref = _col_pref(m, s)
-    for v in s:
-        pref *= v ** (n - m)
-    for k in range(n - m, n):
-        pref /= mpmath.factorial(k)
-    return pref
-
-
-# the builders: each formula as (prefactor, rows of its determinant)
+# the builders: each formula as (prefactor, its ulps, rows, their ulps)
 
 
 def _max_row(n, m, s, lam):
-    return (_row_pref(n, m, s) * lam ** (n * m - m * (m - 1) // 2),
-            [_gamma_row(n - m + 1, n, lam * v) for v in s])
+    return (*_row_pref(n, m, s, lam ** (n * m - m * (m - 1) // 2)),
+            [_gamma_row(n - m + 1, n, lam * v) for v in s], _gamma_ulps(n - m + 1, n, lam * max(s)))
 
 
 def _min_row(n, m, s, lam):
-    decay = mpmath.exp(-lam * sum(s))
+    decay, ulps = _decay(lam, s)
     if n == m:
-        return decay, []
-    return decay * _row_pref(n, m, s), [_shifted_power_row(n - m + 1, n, lam, v) for v in s]
+        return decay, _FN + ulps, [], 0
+    pref, pref_ulps = _row_pref(n, m, s, decay)
+    # F_a: three roundings a step, from one
+    return (pref, pref_ulps + ulps, [_shifted_power_row(n - m + 1, n, lam, v) for v in s],
+            3 * n + 1)
 
 
 def _max_col(n, m, s, lam):
-    pref = _col_pref(m, s) * mpmath.factorial(m)
-    for k in range(1, m + 1):
-        pref /= mpmath.factorial(k)
-    return pref, [_gamma_row(1, m, lam * v, lam) + [v ** i for i in range(n - m)] for v in s]
+    # v^i: one call
+    return (*_ratio([(-1) ** (m * (m - 1) // 2), mpmath.factorial(m)] + [v ** m for v in s],
+                    _diffs(s) + [mpmath.factorial(k) for k in range(1, m + 1)]),
+            [_gamma_row(1, m, lam * v, lam) + [v ** i for i in range(n - m)] for v in s],
+            _gamma_ulps(1, m, lam * max(s), True))
 
 
 def _min_col(n, m, s, lam):
-    return (_col_pref(m, s) * mpmath.exp(-lam * sum(s)),
+    decay, ulps = _decay(lam, s)
+    # v^-k: one call; e^(lam v) v^i: two calls and lam v's ulp times its size
+    return (*_ratio([(-1) ** (m * (m - 1) // 2), decay] + [v ** m for v in s], _diffs(s), ulps),
             [[v ** -k for k in range(1, m + 1)]
-             + [mpmath.exp(lam * v) * v ** i for i in range(n - m)] for v in s])
+             + [mpmath.exp(lam * v) * v ** i for i in range(n - m)] for v in s],
+            2 * _FN + 1 + float(lam * max(s)))
 
 
 def _max_doubly(n, m, r, s, lam):
     M = n * (n - 1) // 2
-    pref = (-1) ** M * lam ** (n * n - M) / (_gaps(r) * _gaps(s))
-    for j in range(1, n):
-        pref /= mpmath.mpf(j) ** j
-    for p in range(1, n - m):
-        pref *= mpmath.gamma(n) / mpmath.gamma(n - p)
-    for v in r + s:
-        pref *= v ** n
-    return pref, ([[mpmath.hyp1f1(1, n + 1, -lam * rj * v) / n for v in s] for rj in r]
-                  + [[(lam * v) ** -i for v in s] for i in range(1, n - m + 1)])
+    # 1F1(1; n+1; -y) = n int_0^1 (1-t)^(n-1) e^(-y t) dt has sensitivity at
+    # most y to y = lam r s (two roundings); (lam v)^-i has i to lam v (one)
+    return (*_ratio([(-1) ** M * lam ** (n * n - M)] + [mpmath.gamma(n)] * (n - m - 1)
+                    + [v ** n for v in r + s],
+                    _diffs(r) + _diffs(s) + [mpmath.mpf(j) ** j for j in range(1, n)]
+                    + [mpmath.gamma(n - p) for p in range(1, n - m)]),
+            [[mpmath.hyp1f1(1, n + 1, -lam * rj * v) / n for v in s] for rj in r]
+            + [[(lam * v) ** -i for v in s] for i in range(1, n - m + 1)],
+            max(2 * float(lam * max(r) * max(s)) + _FN + 1, n + _FN))
 
 
 def _min_doubly(n, r, s, lam):
-    pref = 1 / ((-lam) ** (n * (n - 1) // 2) * _gaps(r) * _gaps(s))
-    for j in range(1, n):
-        pref *= mpmath.factorial(j)
-    return pref, [[mpmath.exp(-lam * rj * v) for v in s] for rj in r]
+    return (*_ratio([mpmath.factorial(j) for j in range(1, n)],
+                    [(-lam) ** (n * (n - 1) // 2)] + _diffs(r) + _diffs(s)),
+            [[mpmath.exp(-lam * rj * v) for v in s] for rj in r],
+            2 * float(lam * max(r) * max(s)) + _FN)
 
 
 def _gap_row(n, m, s, a, b):
-    return _row_pref(n, m, s), [[hi - lo for hi, lo in zip(_gamma_row(n - m + 1, n, v * b, b),
-                                                           _gamma_row(n - m + 1, n, v * a, a))]
-                                for v in s]
+    """Entries hi - lo, each within (|hi| e_hi + |lo| e_lo) / |hi - lo| + 1
+    ulps."""
+    rows, worst = [], 0
+    for v in s:
+        hi, lo = _gamma_row(n - m + 1, n, v * b, b), _gamma_row(n - m + 1, n, v * a, a)
+        e_hi, e_lo = _gamma_ulps(n - m + 1, n, v * b, True), _gamma_ulps(n - m + 1, n, v * a, True)
+        rows.append([h - l for h, l in zip(hi, lo)])
+        worst = max([worst] + [(e_hi * abs(h) + e_lo * abs(l)) / abs(g) + 1 if g else mpmath.inf
+                               for h, l, g in zip(hi, lo, rows[-1])])
+    return (*_row_pref(n, m, s), rows, worst)
 
 
-def cdf_max_row(n, m, s, lam, dps=40, start=None):
-    return _evaluate(_max_row, (n, m, s, lam), dps, start)
+def cdf_max_row(n, m, s, lam, dps=40, start=None, certified=False):
+    return _evaluate(_max_row, (n, m, s, lam), dps, start, certified)
 
 
-def cdf_min_row(n, m, s, lam, dps=40, start=None):
-    return _evaluate(_min_row, (n, m, s, lam), dps, start)
+def cdf_min_row(n, m, s, lam, dps=40, start=None, certified=False):
+    return _evaluate(_min_row, (n, m, s, lam), dps, start, certified)
 
 
-def cdf_max_col(n, m, s, lam, dps=40, start=None):
-    return _evaluate(_max_col, (n, m, s, lam), dps, start)
+def cdf_max_col(n, m, s, lam, dps=40, start=None, certified=False):
+    return _evaluate(_max_col, (n, m, s, lam), dps, start, certified)
 
 
-def cdf_min_col(n, m, s, lam, dps=40, start=None):
-    return _evaluate(_min_col, (n, m, s, lam), dps, start)
+def cdf_min_col(n, m, s, lam, dps=40, start=None, certified=False):
+    return _evaluate(_min_col, (n, m, s, lam), dps, start, certified)
 
 
-def cdf_max_doubly(n, m, r, s, lam, dps=40, start=None):
-    return _evaluate(_max_doubly, (n, m, r, s, lam), dps, start)
+def cdf_max_doubly(n, m, r, s, lam, dps=40, start=None, certified=False):
+    return _evaluate(_max_doubly, (n, m, r, s, lam), dps, start, certified)
 
 
-def cdf_min_doubly(n, r, s, lam, dps=40, start=None):
-    return _evaluate(_min_doubly, (n, r, s, lam), dps, start)
+def cdf_min_doubly(n, r, s, lam, dps=40, start=None, certified=False):
+    return _evaluate(_min_doubly, (n, r, s, lam), dps, start, certified)
 
 
-def prob_gap_row(n, m, s, a, b, dps=40, start=None):
-    return _evaluate(_gap_row, (n, m, s, a, b), dps, start)
+def prob_gap_row(n, m, s, a, b, dps=40, start=None, certified=False):
+    return _evaluate(_gap_row, (n, m, s, a, b), dps, start, certified)

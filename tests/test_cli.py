@@ -70,6 +70,19 @@ class TestErrorPaths:
                          "--spectrum", "1", "--grid", "0:1:5")
         assert rc == 2
 
+    @pytest.mark.parametrize("command,grids", [
+        ("gap", ["--a", "0.1:inf:2", "--b", "1:2:2"]),
+        ("gap", ["--a", "0.1:0.2:2", "--b", "nan:2:2"]),
+        ("cdf", ["--grid", "0.1:inf:3:linear"]),
+        ("cdf", ["--grid", "0.1:nan:3"]),
+        ("pdf", ["--grid", "inf:inf:1"])])
+    def test_non_finite_grid_end(self, command, grids, capsys):
+        # a = inf used to be dropped by the b > a filter, and inf reached
+        # numpy's linspace with a RuntimeWarning
+        rc, out, err = run(capsys, command, "--case", "row", "--n", "3", "--m", "2",
+                           "--spectrum", "1,2", *grids)
+        assert rc == 2 and "finite" in err and out == ""
+
     def test_gap_rejects_non_row_case(self, capsys):
         rc, _, err = run(capsys, "gap", "--case", "column", "--n", "3", "--m", "2",
                          "--spectrum", "1,2,3", "--a", "0.1:0.2:2:linear",

@@ -453,9 +453,9 @@ class TestReliabilitySurface:
             EvalConfig(extended_dps=10)
 
     @pytest.mark.parametrize("dps", [1581, 1590])
-    def test_extended_dps_leaves_room_for_the_confirming_round(self, dps):
-        # a first round past 1580 digits has no room for the round 20 digits
-        # up, so every escalation would end nonconverged
+    def test_extended_dps_leaves_room_for_a_retry(self, dps):
+        # a first round past 1580 digits leaves a round whose bound misses by
+        # a few digits no room to run again
         with pytest.raises(ValueError, match="1580"):
             EvalConfig(precision="extended", extended_dps=dps)
 
@@ -463,6 +463,24 @@ class TestReliabilitySurface:
         rep = cdf_min(row_case(5, 3, [1.0, 1.0001, 1.0002]), 0.3,
                       EvalConfig(precision="extended", extended_dps=1580))
         assert any(w.startswith("extended:") for w in rep.warnings)
+
+
+class TestUnderflow:
+    # row 3x1: P(3, lam) ~ lam^3 / 3!, its density lam^2 e^-lam / 2
+    @pytest.mark.parametrize("fn,want", [(cdf_max, -600 - math.log10(6)),
+                                         (pdf_max, -400 - math.log10(2))])
+    def test_double_path_keeps_log_magnitude(self, fn, want):
+        rep = fn(row_case(3, 1, [1.0]), 1e-200)
+        (warning,) = [w for w in rep.warnings if w.startswith("underflow:")]
+        assert rep.value == 0.0
+        assert float(warning.rsplit("= ", 1)[1]) == pytest.approx(want, abs=1e-4)
+
+    def test_only_below_the_double_range(self):
+        # 1.7e-301 is a double; an exact zero (all digits cancelled) has no
+        # magnitude to report
+        assert not cdf_max(row_case(3, 1, [1.0]), 1e-100).warnings
+        rep = cdf_max(row_case(4, 2, [1.0, 3.0]), 1e-100)
+        assert rep.value == 0.0 and not any(w.startswith("underflow:") for w in rep.warnings)
 
 
 class TestExtendedAgreesWithDouble:

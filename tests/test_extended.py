@@ -132,14 +132,17 @@ def oracle_prob_gap_row(n, m, s, a, b):
 
 def validated_mpf(raw, dps, start=None):
     """A doubling self-validation schedule from ``start`` (``dps`` when
-    None), returning the agreed mpf itself."""
+    None), returning the agreed mpf itself.  In place of
+    `extended._self_validated`, whose ``raw`` gives `extended.Round`s, it
+    compares their values and returns the later Round."""
     tol = mpmath.mpf(10) ** (10 - dps)
     prev, d = None, dps if start is None else start
     while True:
         assert d <= extended._MAX_DPS, "oracle did not converge"
-        val = raw(d)
+        out = raw(d)
+        val = getattr(out, "value", out)
         if prev is not None and (val == prev or abs(val - prev) <= tol * abs(val)):
-            return val
+            return out
         prev, d = val, 2 * d + 20
 
 
@@ -280,59 +283,84 @@ def test_escalated_report_against_oracle(name, fn, oracle, args):
 
 
 # ---------------------------------------------------------------------------
-# the schedule: a confirming round 20 digits up after the first round,
-# doubling after a disagreement
+# the schedule: a round is accepted on its own bound; one that misses runs
+# again, higher by its shortfall in digits plus the guard
 
 
-def settling_at(precision, seen):
-    """A stand-in ``raw`` recording its precisions: every round below
-    ``precision`` disagrees with every other round, those at or above it
-    agree."""
+TOL = mpmath.mpf(10) ** (10 - DPS)
+
+
+def short_by(digits, seen):
+    """A stand-in ``raw`` recording its precisions: its bound is
+    ``digits(d)`` digits short of 10^-(DPS-10) at d digits."""
     def raw(d):
         seen.append(d)
-        return mpmath.mpf(1) if d >= precision else mpmath.mpf(1) + d
+        return extended.Round(mpmath.mpf(1), TOL * mpmath.mpf(10) ** digits(d), d)
     return raw
 
 
 class TestSchedule:
     @pytest.mark.parametrize("start", [40, 98, 790])
-    def test_confirms_20_digits_up(self, start):
+    def test_accepts_a_certified_round(self, start):
         seen = []
-        assert extended._self_validated(settling_at(0, seen), DPS, start) == 1.0
-        assert seen == [start, start + 20]
+        r = extended._self_validated(short_by(lambda d: 0, seen), DPS, start)
+        assert (r.value, r.dps, seen) == (1, start, [start])
 
-    def test_doubles_after_a_disagreement(self):
+    def test_retry_sized_by_the_shortfall(self):
+        # a bound that falls as 10^-d: 9.5 digits short at 100 digits
         seen = []
-        extended._self_validated(settling_at(121, seen), DPS, 100)
-        assert seen == [100, 120, 260, 540]
+        r = extended._self_validated(short_by(lambda d: 109.5 - d, seen), DPS, 100)
+        assert seen == [100, 100 + 10 + extended._GUARD] and r.dps == seen[-1]
 
-    def test_direct_call_confirms_20_digits_up(self, monkeypatch):
+    def test_exact_zero_needs_a_repeat(self):
+        seen = []
+
+        def zero_then(value):
+            def raw(d):
+                seen.append(d)
+                return extended.Round(mpmath.mpf(0) if len(seen) == 1 else value, TOL, d)
+            return raw
+
+        assert extended._self_validated(zero_then(mpmath.mpf(0)), DPS, 60).value == 0
+        assert seen == [60, 80]
+        seen.clear()
+        assert extended._self_validated(zero_then(mpmath.mpf(2)), DPS, 60).value == 2
+        assert seen == [60, 80]
+
+    def test_direct_call_takes_one_round(self, monkeypatch):
         seen = rounds_of(monkeypatch)
         extended.cdf_max_row(6, 4, evenly(0.5, 4.0, 4), 2.0)
-        assert seen == [40, 60]
+        assert seen == [40]
 
     @pytest.mark.parametrize("limit,start,last", [(130, 100, 120), (110, 100, 100),
-                                                  (1600, 790, 810), (1600, 100, 1100)])
+                                                  (1600, 790, 1590), (1600, 100, 1600)])
     def test_raises_before_passing_the_limit(self, monkeypatch, limit, start, last):
+        # 15 digits short every time: each retry 15 + 5 digits up
         monkeypatch.setattr(extended, "_MAX_DPS", limit)
         seen = []
         with pytest.raises(extended.NotConverged) as info:
-            extended._self_validated(settling_at(math.inf, seen), DPS, start)
+            extended._self_validated(short_by(lambda d: 15, seen), DPS, start)
         assert info.value.dps == last == seen[-1]
         assert max(seen) <= limit
+
+    def test_no_bound_raises_at_once(self):
+        seen = []
+        with pytest.raises(extended.NotConverged) as info:
+            extended._self_validated(short_by(lambda d: mpmath.inf, seen), DPS, 100)
+        assert info.value.dps == 100 and seen == [100]
 
     def test_direct_call_raises_with_last_precision(self, monkeypatch):
         monkeypatch.setattr(extended, "_MAX_DPS", 220)
         seen = []
 
-        def drifting():
-            # a value that moves with the working precision never settles
+        def uncertified():
+            # a prefactor error of 2^p ulps, one unit: never within 10^-30
             seen.append(mpmath.mp.dps)
-            return mpmath.mpf(1) + mpmath.mp.dps, []
+            return mpmath.mpf(1), 2 ** mpmath.mp.prec, [], 0
 
         with pytest.raises(extended.NotConverged) as info:
-            extended._evaluate(drifting, (), DPS, None)
-        assert info.value.dps == 140 and seen == [40, 60, 140]
+            extended._evaluate(uncertified, (), DPS, None, False)
+        assert info.value.dps == 220 and seen == [40, 76, 112, 148, 184, 220]
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +371,13 @@ class TestNotConverged:
     CASE = RowCorrelated(Dimensions(16, 12), validate_spectrum(evenly(0.5, 4.0, 12)))
 
     def test_schedule_raises_with_last_precision(self, monkeypatch):
+        # 40 digits certify nothing of a value that loses 118: the retry
+        # would pass the limit
         monkeypatch.setattr(extended, "_MAX_DPS", 100)
+        seen = rounds_of(monkeypatch)
         with pytest.raises(extended.NotConverged) as info:
             extended.cdf_max_row(16, 12, evenly(0.5, 4.0, 12), 0.5)
-        assert info.value.dps == 60
+        assert info.value.dps == seen[-1] == 40
 
     def test_report_keeps_double_value(self, monkeypatch):
         monkeypatch.setattr(extended, "_MAX_DPS", 100)
@@ -402,20 +433,26 @@ def dominant(n, rng):
     return rows
 
 
+def det_matrix(n, dps, scaled):
+    """`TestDet`'s matrix: `dominant`, with its rows and columns scaled by
+    2^+-300 (powers of two, exact) when ``scaled``."""
+    rng = np.random.default_rng(1000 * n + dps)
+    rows = dominant(n, rng)
+    if scaled:
+        row_exp = rng.choice([-300, 0, 300], size=n)
+        col_exp = rng.choice([-300, 0, 300], size=n)
+        rows = [[mpmath.ldexp(x, int(row_exp[j] + col_exp[k])) for k, x in enumerate(row)]
+                for j, row in enumerate(rows)]
+    return rows
+
+
 class TestDet:
     @pytest.mark.parametrize("dps", [40, 220])
     @pytest.mark.parametrize("n", range(1, 13))
     @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
     def test_against_exact_fraction(self, n, dps, scaled):
-        rng = np.random.default_rng(1000 * n + dps)
         with mpmath.workdps(dps):
-            rows = dominant(n, rng)
-            if scaled:
-                # rows and columns scaled by 2^+-300: powers of two, exact
-                row_exp = rng.choice([-300, 0, 300], size=n)
-                col_exp = rng.choice([-300, 0, 300], size=n)
-                rows = [[mpmath.ldexp(x, int(row_exp[j] + col_exp[k])) for k, x in enumerate(row)]
-                        for j, row in enumerate(rows)]
+            rows = det_matrix(n, dps, scaled)
             got = extended._det(rows)
         want = fraction_det([[exact(x) for x in row] for row in rows])
         assert want != 0
@@ -445,6 +482,102 @@ class TestDet:
             got = extended._det(rows)
         want = fraction_det([[exact(x) for x in row] for row in rows])
         assert abs(exact(got) - want) <= 6 * Fraction(10) ** -37 * abs(want)
+
+
+# ---------------------------------------------------------------------------
+# the a-posteriori bound: it covers the determinant's error against exact
+# rationals, and each builder's stated errors cover its entries' errors
+
+
+def covered(rows, ulps=0):
+    """The bound of `_bounded_det` on ``rows`` and the actual relative error
+    of its determinant against the exact one (infinite for a zero)."""
+    got, bound = extended._bounded_det(rows, ulps)
+    want = fraction_det([[exact(x) for x in row] for row in rows])
+    assert want != 0
+    if got == 0:
+        return bound, mpmath.inf
+    err = abs(exact(got) - want) / abs(exact(got))
+    with mpmath.workprec(200):
+        return bound, mpmath.mpf(err.numerator) / err.denominator
+
+
+class TestBound:
+    @pytest.mark.parametrize("dps", [40, 220])
+    @pytest.mark.parametrize("n", range(1, 13))
+    @pytest.mark.parametrize("scaled", [False, True], ids=["plain", "scaled"])
+    def test_covers_exact_fraction(self, n, dps, scaled):
+        with mpmath.workdps(dps):
+            bound, err = covered(det_matrix(n, dps, scaled))
+        assert err <= bound <= mpmath.mpf(10) ** (10 - dps)
+
+    @pytest.mark.parametrize("nudge", [-60, -200])
+    def test_nearly_singular(self, nudge):
+        # row 4 a copy of row 1 moved by 2^nudge, exactly: 18 digits lost to
+        # cancellation at 40, or all of them
+        with mpmath.workdps(40):
+            rows = dominant(6, np.random.default_rng(8))
+            with mpmath.workprec(400):
+                rows[4] = [x + mpmath.ldexp(k + 1, nudge) for k, x in enumerate(rows[1])]
+            bound, err = covered(rows)
+        assert err <= bound
+        assert bound > (mpmath.mpf(10) ** -25 if nudge == -60 else 1)
+
+    def test_tiny_rows(self):
+        with mpmath.workdps(40):
+            rows = dominant(6, np.random.default_rng(7))
+            rows[3] = [mpmath.ldexp(x, -3000) for x in rows[3]]
+            bound, err = covered(rows)
+        assert err <= bound <= mpmath.mpf(10) ** -30
+
+    def test_entry_errors_add(self):
+        # each of the 6 rows moves by twice its entries' 1000 ulps, at least
+        with mpmath.workdps(40):
+            rows = det_matrix(6, 40, False)
+            added = extended._bounded_det(rows, 1000)[1] - extended._bounded_det(rows, 0)[1]
+            assert added >= 6 * 2 * 1000 * mpmath.ldexp(1, -mpmath.mp.prec)
+
+
+def _builder_cases():
+    for m in (6, 8, 10, 12):
+        s, n = evenly(0.5, 4.0, m), m + 4
+        for lam in (0.5, 2.0):
+            yield f"row {n}x{m} max {lam}", extended._max_row, (n, m, s, lam)
+        yield f"row {n}x{m} min", extended._min_row, (n, m, s, 0.2)
+        yield f"row {n}x{m} gap", extended._gap_row, (n, m, s, 0.05, 2.0)
+    for m in (6, 8):
+        s = evenly(0.5, 4.0, m + 2)
+        yield f"column {m + 2}x{m} max", extended._max_col, (m + 2, m, s, 0.5)
+        yield f"column {m + 2}x{m} min", extended._min_col, (m + 2, m, s, 0.05)
+    for n in (6, 8):
+        r, s = evenly(0.5, 4.0, n), evenly(0.6, 3.0, n)
+        yield f"doubly {n}x{n} max", extended._max_doubly, (n, n, r, s, 0.5)
+        yield f"doubly {n}x{n} min", extended._min_doubly, (n, r, s, 0.05)
+    yield "clustered row 5x3 min", extended._min_row, (5, 3, [1.0, 1.0001, 1.0002], 0.3)
+
+
+BUILDER_CASES = list(_builder_cases())
+
+
+def built(build, args, prec):
+    with mpmath.workprec(prec):
+        return build(*(a if isinstance(a, int) else
+                       [mpmath.mpf(v) for v in a] if isinstance(a, list) else mpmath.mpf(a)
+                       for a in args))
+
+
+@pytest.mark.parametrize("name,build,args", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
+def test_builder_errors_within_their_ulps(name, build, args):
+    # at p bits against p + 60 bits, whose own error is 2^-60 of the allowance
+    prec = 136
+    pref, pref_ulps, rows, ulps = built(build, args, prec)
+    want_pref, _, want_rows, _ = built(build, args, prec + 60)
+    tol = mpmath.ldexp(1 + mpmath.ldexp(1, -50), -prec)
+    with mpmath.workprec(prec + 200):
+        assert abs(pref - want_pref) <= pref_ulps * tol * abs(want_pref), name
+        for row, want_row in zip(rows, want_rows):
+            for got, want in zip(row, want_row):
+                assert abs(got - want) <= ulps * tol * abs(want), name
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +649,19 @@ class TestFirstRound:
         rep = cdf_max(case, 0.5, EvalConfig(precision="extended"))
         assert rep.cancellation_digits > 57
         assert any(w.startswith("extended:") for w in rep.warnings)
-        assert len(seen) == 2 and seen[0] >= 97 and seen[1] == seen[0] + 20
+        assert len(seen) == 1 and seen[0] >= 97
+
+    def test_forced_low_first_round_is_rejected(self, monkeypatch):
+        # at 40 digits the 57 lost leave nothing certified: the bound rejects
+        # the round, and the retry lands on the oracle
+        case = RowCorrelated(Dimensions(12, 8), validate_spectrum(evenly(0.5, 4.0, 8)))
+        monkeypatch.setattr(extended, "first_round", lambda dps, cancel: dps)
+        seen = rounds_of(monkeypatch)
+        rep = cdf_max(case, 0.5, EvalConfig(precision="extended"))
+        assert seen[0] == DPS and len(seen) > 1
+        assert any(w.startswith(f"extended:re-evaluated at {seen[-1]} digits")
+                   for w in rep.warnings)
+        assert rel_gap(rep.value, oracle_value("row 12x8 max 0.5")) <= 2.0 ** -52
 
     def test_infinite_cancellation(self, monkeypatch):
         # two eigenvalues one ulp apart: the double determinant is exactly singular
@@ -526,7 +671,7 @@ class TestFirstRound:
         rep = cdf_max(case, 1.0, EvalConfig(precision="extended"))
         assert rep.cancellation_digits == math.inf
         assert any(w.startswith("extended:") for w in rep.warnings)
-        assert seen == [(extended._MAX_DPS - 20) // 2, (extended._MAX_DPS + 20) // 2]
+        assert seen == [(extended._MAX_DPS - 20) // 2]
         want = validated_mpf(oracle_cdf_max_row(5, 3, s, 1.0), DPS)
         assert rel_gap(rep.value, want) <= 1e-15
 
@@ -539,3 +684,16 @@ class TestFirstRound:
         seen = rounds_of(monkeypatch)
         extended.cdf_max_row(6, 4, evenly(0.5, 4.0, 4), 2.0)
         assert seen[0] == 40
+
+
+def test_escalated_underflow_keeps_log_magnitude():
+    # clustered row 5x3 at lam = 1e-40 is about 1e-608: the double path loses
+    # every digit, and the escalated mpf carries the magnitude
+    s = [1.0, 1.0001, 1.0002]
+    rep = cdf_max(RowCorrelated(Dimensions(5, 3), validate_spectrum(s)), 1e-40,
+                  EvalConfig(precision="extended"))
+    assert rep.value == 0.0 and any(w.startswith("extended:") for w in rep.warnings)
+    (warning,) = [w for w in rep.warnings if w.startswith("underflow:")]
+    with mpmath.workdps(200):
+        want = mpmath.log10(abs(oracle_cdf_max_row(5, 3, validate_spectrum(s).values, 1e-40)(200)))
+    assert float(warning.rsplit("= ", 1)[1]) == pytest.approx(float(want), abs=1e-4)
