@@ -334,12 +334,16 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
                     "double-precision result kept")
             else:
                 value = float(r.value)
-                log10_mag = float(mpmath.log10(abs(r.value))) if r.value else -math.inf
-                warnings.append(f"extended:re-evaluated at {r.dps} digits with relative "
-                                f"error <= {mpmath.nstr(r.bound, 2)}")
-                # the round's certified bound, plus the unit roundoff 2^-53
-                # of rounding its mpf to a double
-                rel_err = float(r.bound) + 0.5 * _EPS
+                if r.value:
+                    log10_mag = float(mpmath.log10(abs(r.value)))
+                    warnings.append(f"extended:re-evaluated at {r.dps} digits with relative "
+                                    f"error <= {mpmath.nstr(r.bound, 2)}")
+                    # the round's certified bound, plus the unit roundoff 2^-53
+                    # of rounding its mpf to a double
+                    rel_err = float(r.bound) + 0.5 * _EPS
+                else:  # a zero repeated by the next round carries no bound
+                    log10_mag, rel_err = -math.inf, 0.0
+                    warnings.append(f"extended:exact zero confirmed at {r.dps} digits")
     if value == 0.0 and math.isfinite(log10_mag):
         warnings.append(f"underflow:value below the double range, log10|value| = {log10_mag:.4f}")
     if not math.isfinite(value):
@@ -646,7 +650,7 @@ def _ext(name: str, *args) -> Callable[[int, int], Any]:
     returning its certified `extended.Round`."""
     def run(dps, start):
         from . import extended
-        return getattr(extended, name)(*args, dps, start=start, certified=True)
+        return getattr(extended, name)(*args, dps, start=start)
     return run
 
 

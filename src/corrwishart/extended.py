@@ -2,30 +2,26 @@
 
 The determinant expressions of the double-precision engine in mpmath
 arbitrary precision, whose unbounded exponent range needs no log-space
-bookkeeping.  `_bounded_det` runs Gaussian elimination with partial
-pivoting on mpmath's raw binary floats (``mpmath.libmp``), rounded to
-nearest at the working precision, with no singularity tolerance: the
-determinant is an exact zero only when a pivot column is exactly zero.
-The row and column entries come one matrix row at a time from positive
-recurrences in the order, as in `corrwishart.specfun` (`_gamma_row`,
-`_shifted_power_row`); the others have one order each and are evaluated
-directly.  The test suite keeps an independent direct transcription of
-the formulas as an oracle.
+bookkeeping.  The row and column entries come one matrix row at a time
+from positive recurrences in the order, as in `corrwishart.specfun`
+(`_gamma_row`, `_shifted_power_row`); the others have one order each and
+are evaluated directly.  The test suite keeps an independent direct
+transcription of the formulas as an oracle.
 
 Each builder returns its prefactor and the rows of its determinant, each
 with a bound on its relative error in ulps (units of u = 2^-p at the
 working precision p): one per rounded operation, `_FN` per mpmath call,
 an argument's ulps times the function's sensitivity to it, and for a gap
 entry hi - lo the condition (|hi| + |lo|) / |hi - lo|.  `_evaluate` runs
-it at each round's precision, and `_bounded_det` turns those errors and
-the elimination's backward error into a bound on the value.  A round is
-accepted when that bound is at most 10^-(dps-10), with no second round
-to confirm it.  The first round runs at ``start`` (the engine's
-`first_round`: ``dps`` plus the digits its double path lost) or ``dps``;
-one whose bound misses runs again, higher by the shortfall in digits plus
-`_GUARD`.  `NotConverged` is raised when that would pass ``_MAX_DPS``.
-The public functions return the value as an mpf, or with ``certified``
-the accepted `Round`.
+it at each round's precision, and `_bounded_det` (Gaussian elimination on
+mpmath's raw binary floats, with no singularity tolerance) turns those
+errors and the elimination's backward error into a bound on the value.
+A round is accepted when that bound is at most 10^-(dps-10), with no
+second round to confirm it.  The first round runs at ``start`` (the
+engine's `first_round`: ``dps`` plus the digits its double path lost) or
+``dps``; one whose bound misses runs again, higher by the shortfall in
+digits plus `_GUARD`.  `NotConverged` is raised when that would pass
+``_MAX_DPS``.  The public functions return the accepted `Round`.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ from typing import Any, NamedTuple
 
 import mpmath
 from mpmath.libmp import (fone, mpf_abs, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub,
-                          round_nearest, to_float)
+                          round_nearest)
 
 from .detform import _MAX_DPS
 
@@ -43,7 +39,8 @@ __all__ = ["NotConverged", "Round", "first_round", "cdf_max_row", "cdf_min_row",
            "cdf_min_col", "cdf_max_doubly", "cdf_min_doubly", "prob_gap_row"]
 
 # ulps charged per mpmath call (exp, hyp1f1, factorial, gamma, an integer
-# power), each computed with guard bits and stated to be within a few ulps
+# power): mpmath states no bound, but works with guard bits and rounds once;
+# `test_builder_errors_within_their_ulps` checks it against 60 more bits
 _FN = 4
 # digits a retry adds beyond the shortfall its rejected round measured
 _GUARD = 5
@@ -71,11 +68,10 @@ def first_round(dps: int, cancel: float) -> int:
 
 def _self_validated(raw, dps: int, start: int) -> Round:
     """The first `Round` ``raw(d)`` (computed entirely at d digits) from d =
-    ``start`` whose bound is at most 10^-(dps-10).  After a miss the next
-    round runs at d + ceil(log10(bound / 10^-(dps-10))) + `_GUARD`; an exact
-    zero is accepted only when the next round, 20 digits up, repeats it.
-    Raises `NotConverged`, carrying the last precision tried, when the next
-    round would exceed ``_MAX_DPS``."""
+    ``start`` whose bound is at most 10^-(dps-10).  A miss runs again at d +
+    ceil(log10(bound / 10^-(dps-10))) + `_GUARD`; an exact zero is accepted
+    only when the next round, 20 digits up, repeats it.  `NotConverged`
+    (the last precision tried) when the next round would pass ``_MAX_DPS``."""
     tol = mpmath.mpf(10) ** (10 - dps)
     d, zero = start, False
     while True:
@@ -95,10 +91,9 @@ def _self_validated(raw, dps: int, start: int) -> Round:
         d += step
 
 
-def _evaluate(build, args, dps: int, start: int | None, certified: bool):
-    """``pref * det(rows)``, ``(pref, pref_ulps, rows, ulps) = build(*args)``,
-    through `_self_validated` from ``start`` (``dps`` when None): the
-    accepted `Round` when ``certified``, else its value.  Each round
+def _evaluate(build, args, dps: int, start: int | None) -> Round:
+    """The accepted `Round` of ``pref * det(rows)``, ``(pref, pref_ulps, rows,
+    ulps) = build(*args)``, from ``start`` (``dps`` when None).  Each round
     promotes the arguments: integers (the dimensions) pass through,
     sequences become lists of mpf, anything else one mpf."""
     def raw(d):
@@ -111,8 +106,7 @@ def _evaluate(build, args, dps: int, start: int | None, certified: bool):
             # the prefactor's and the product's ulps add; 1 + y covers products
             y = (pref_ulps + 1) * mpmath.ldexp(1, -mpmath.mp.prec)
             return Round(pref * det, (bound + y) * (1 + y), d)
-    r = _self_validated(raw, dps, dps if start is None else start)
-    return r if certified else r.value
+    return _self_validated(raw, dps, dps if start is None else start)
 
 
 def _bounded_det(rows, ulps):
@@ -121,17 +115,17 @@ def _bounded_det(rows, ulps):
     ``ulps`` ulps (infinite for an exact zero).
 
     Columns, then rows, are scaled exactly by powers of two so that each
-    row's largest entry is in [1/2, 1).  With u = 2^-p, g = nu / (1 - nu)
-    and rho = max |U_ij|, LU = PA + dA with |dA| <= g |L||U| (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thm 9.3): each
-    row of dA is within 2 n^1.5 g rho of its row's norm, and the entry
-    errors within 2 ulps u.  By rows, with Hadamard's inequality on the
-    cofactors, row errors eps move det by at most ((1 + eps)^n - 1)
-    prod ||r_k||_2 <= n eps (1 + n eps) prod ||r_k||_2 (n eps <= 1, else
-    the bound exceeds one anyway); the pivots' product adds g.
+    row's largest entry is in [1/2, 1).  With u = 2^-p and g = nu/(1 - nu),
+    partial pivoting gives LU = PA + dA, |dA| <= g |L||U| (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., Thm 9.3); the exact
+    entries are within e|A| <= e (1 + g) |L||U|, e = 2 ulps u.  So the exact
+    determinant is det(LU) det(I - F), |F| <= c |U^-1||L^-1||L||U|, c = g +
+    e (1 + g), and as |T^-1| <= M(T)^-1 for triangular T and its comparison
+    matrix (Thm 8.12), F's eigenvalues are at most x = c max M(U)^-1 M(L)^-1
+    |L||U| 1, nonnegative sums taken in log2.  As |det(I - F) - 1| <= d =
+    n x (1 + n x) for n x <= 1, the bound is (g + d) / (1 - d).
     """
-    prec, rnd = mpmath.mp.prec, round_nearest
-    zero = mpmath.mpf(0), mpmath.inf
+    prec, rnd, zero = mpmath.mp.prec, round_nearest, (mpmath.mpf(0), mpmath.inf)
     a = [[x._mpf_ for x in row] for row in rows]
     n, shift = len(a), 0
     for axis in (0, 1):  # x = (sign, man, exp, bc) has |x| < 2^(exp + bc)
@@ -142,7 +136,6 @@ def _bounded_det(rows, ulps):
         shift += sum(tops)
         a = [[mpf_shift(t, -tops[j if axis == 0 else i]) for j, t in enumerate(row)]
              for i, row in enumerate(a)]
-    norms = math.prod(math.sqrt(math.fsum(to_float(t) ** 2 for t in row)) for row in a)
     det = fone
     for k in range(n):
         p, big = k, mpf_abs(a[k][k])
@@ -157,23 +150,32 @@ def _bounded_det(rows, ulps):
         pivot_row, pivot = a[k], a[k][k]
         det = mpf_mul(det, pivot, prec, rnd)
         for row in a[k + 1:]:
-            f = mpf_div(row[k], pivot, prec, rnd)
+            row[k] = f = mpf_div(row[k], pivot, prec, rnd)  # L below the diagonal
             if f[1]:
                 for j in range(k + 1, n):
                     row[j] = mpf_sub(row[j], mpf_mul(f, pivot_row[j], prec, rnd), prec, rnd)
-    rho = 2.0 ** max((t[2] + t[3] for k, row in enumerate(a) for t in row[k:] if t[1]), default=0)
     u = mpmath.ldexp(1, -prec)
-    g = n * u / (1 - n * u)
-    eps = 2 * ulps * u + 2 * n ** 1.5 * rho * g
-    det = mpmath.mp.make_mpf(det)
-    # the double row norms and their product, rounded up
-    hadamard = mpmath.mpf(norms * (1 + 2.0 ** -30)) / abs(det)
-    return mpmath.ldexp(det, shift), g / (1 - g) + n * eps * (1 + n * eps) * hadamard
+    g, e = n * u / (1 - n * u), 2 * ulps * u
+    det = mpmath.ldexp(mpmath.mp.make_mpf(det), shift)
+    if not mpmath.isfinite(e):
+        return det, mpmath.inf
+    lg = [[t[2] + math.log2(t[1]) if t[1] else -math.inf for t in row] for row in a]
+    lu = [_log2_sum(row[k:]) for k, row in enumerate(lg)]  # |U| 1, then |L||U| 1
+    lu = [_log2_sum([lu[i]] + [l + v for l, v in zip(row[:i], lu)]) for i, row in enumerate(lg)]
+    y = []  # M(L)^-1 |L||U| 1, then M(U)^-1 of it
+    for i, row in enumerate(lg):
+        y.append(_log2_sum([lu[i]] + [l + v for l, v in zip(row[:i], y)]))
+    for i in reversed(range(n)):
+        y[i] = _log2_sum([y[i]] + [l + v for l, v in zip(lg[i][i + 1:], y[i + 1:])]) - lg[i][i]
+    w = max(y, default=0.0) + 2.0 ** -10  # covers the log2 sums' roundings, generously
+    nx = n * (g + e * (1 + g)) * mpmath.ldexp(2.0 ** (w % 1), math.floor(w))
+    d = nx * (1 + nx)
+    return det, (g + d) / (1 - d) if d < 1 else mpmath.inf
 
 
-def _det(rows):
-    """The determinant alone, from `_bounded_det`."""
-    return _bounded_det(rows, 0)[0]
+def _log2_sum(terms):  # log2 sum 2^t over terms, the largest finite
+    top = max(terms)
+    return top + math.log2(sum(2.0 ** (t - top) for t in terms))
 
 
 def _diffs(vals):
@@ -288,8 +290,7 @@ def _min_doubly(n, r, s, lam):
 
 
 def _gap_row(n, m, s, a, b):
-    """Entries hi - lo, each within (|hi| e_hi + |lo| e_lo) / |hi - lo| + 1
-    ulps."""
+    """Entries hi - lo, each within (|hi| e_hi + |lo| e_lo) / |hi - lo| + 1 ulps."""
     rows, worst = [], 0
     for v in s:
         hi, lo = _gamma_row(n - m + 1, n, v * b, b), _gamma_row(n - m + 1, n, v * a, a)
@@ -300,29 +301,29 @@ def _gap_row(n, m, s, a, b):
     return (*_row_pref(n, m, s), rows, worst)
 
 
-def cdf_max_row(n, m, s, lam, dps=40, start=None, certified=False):
-    return _evaluate(_max_row, (n, m, s, lam), dps, start, certified)
+def cdf_max_row(n, m, s, lam, dps=40, start=None):
+    return _evaluate(_max_row, (n, m, s, lam), dps, start)
 
 
-def cdf_min_row(n, m, s, lam, dps=40, start=None, certified=False):
-    return _evaluate(_min_row, (n, m, s, lam), dps, start, certified)
+def cdf_min_row(n, m, s, lam, dps=40, start=None):
+    return _evaluate(_min_row, (n, m, s, lam), dps, start)
 
 
-def cdf_max_col(n, m, s, lam, dps=40, start=None, certified=False):
-    return _evaluate(_max_col, (n, m, s, lam), dps, start, certified)
+def cdf_max_col(n, m, s, lam, dps=40, start=None):
+    return _evaluate(_max_col, (n, m, s, lam), dps, start)
 
 
-def cdf_min_col(n, m, s, lam, dps=40, start=None, certified=False):
-    return _evaluate(_min_col, (n, m, s, lam), dps, start, certified)
+def cdf_min_col(n, m, s, lam, dps=40, start=None):
+    return _evaluate(_min_col, (n, m, s, lam), dps, start)
 
 
-def cdf_max_doubly(n, m, r, s, lam, dps=40, start=None, certified=False):
-    return _evaluate(_max_doubly, (n, m, r, s, lam), dps, start, certified)
+def cdf_max_doubly(n, m, r, s, lam, dps=40, start=None):
+    return _evaluate(_max_doubly, (n, m, r, s, lam), dps, start)
 
 
-def cdf_min_doubly(n, r, s, lam, dps=40, start=None, certified=False):
-    return _evaluate(_min_doubly, (n, r, s, lam), dps, start, certified)
+def cdf_min_doubly(n, r, s, lam, dps=40, start=None):
+    return _evaluate(_min_doubly, (n, r, s, lam), dps, start)
 
 
-def prob_gap_row(n, m, s, a, b, dps=40, start=None, certified=False):
-    return _evaluate(_gap_row, (n, m, s, a, b), dps, start, certified)
+def prob_gap_row(n, m, s, a, b, dps=40, start=None):
+    return _evaluate(_gap_row, (n, m, s, a, b), dps, start)

@@ -208,7 +208,7 @@ class TestDoublyCase:
         s = [1.0, 2.0, 3.5]
         lam = 1.1
         gen = cdf_max(doubly_case(3, 2, r, s), lam).value
-        pad = extended.cdf_max_doubly(3, 3, r + [1e9], s, lam, dps=60)
+        pad = extended.cdf_max_doubly(3, 3, r + [1e9], s, lam, dps=60).value
         assert gen == pytest.approx(pad, rel=1e-7)
 
     def test_min_reduces_to_pure_exponential(self):
@@ -491,19 +491,19 @@ class TestExtendedAgreesWithDouble:
     def test_all_cases(self):
         checks = [
             (lambda: cdf_max(row_case(4, 2, [1.0, 2.0]), 1.3).value,
-             lambda: extended.cdf_max_row(4, 2, [1.0, 2.0], 1.3)),
+             lambda: extended.cdf_max_row(4, 2, [1.0, 2.0], 1.3).value),
             (lambda: cdf_min(row_case(4, 2, [1.0, 2.0]), 0.4).value,
-             lambda: extended.cdf_min_row(4, 2, [1.0, 2.0], 0.4)),
+             lambda: extended.cdf_min_row(4, 2, [1.0, 2.0], 0.4).value),
             (lambda: cdf_max(col_case(3, 2, [1.0, 2.0, 3.0]), 1.1).value,
-             lambda: extended.cdf_max_col(3, 2, [1.0, 2.0, 3.0], 1.1)),
+             lambda: extended.cdf_max_col(3, 2, [1.0, 2.0, 3.0], 1.1).value),
             (lambda: cdf_min(col_case(3, 2, [1.0, 2.0, 3.0]), 0.2).value,
-             lambda: extended.cdf_min_col(3, 2, [1.0, 2.0, 3.0], 0.2)),
+             lambda: extended.cdf_min_col(3, 2, [1.0, 2.0, 3.0], 0.2).value),
             (lambda: cdf_max(doubly_case(3, 2, [1.0, 2.5], [1.0, 2.0, 3.5]), 1.1).value,
-             lambda: extended.cdf_max_doubly(3, 2, [1.0, 2.5], [1.0, 2.0, 3.5], 1.1)),
+             lambda: extended.cdf_max_doubly(3, 2, [1.0, 2.5], [1.0, 2.0, 3.5], 1.1).value),
             (lambda: cdf_min(doubly_case(2, 2, [1.0, 2.0], [1.3, 2.7]), 0.7).value,
-             lambda: extended.cdf_min_doubly(2, [1.0, 2.0], [1.3, 2.7], 0.7)),
+             lambda: extended.cdf_min_doubly(2, [1.0, 2.0], [1.3, 2.7], 0.7).value),
             (lambda: prob_gap(row_case(3, 2, [1.0, 2.0]), 0.4, 2.5).value,
-             lambda: extended.prob_gap_row(3, 2, [1.0, 2.0], 0.4, 2.5)),
+             lambda: extended.prob_gap_row(3, 2, [1.0, 2.0], 0.4, 2.5).value),
         ]
         for fast, precise in checks:
             assert fast() == pytest.approx(precise(), rel=1e-11)
@@ -681,7 +681,7 @@ class TestSmallLambdaMinDensity:
         s = [0.8, 1.6, 2.4, 4.0]
         rep = pdf_min(col_case(4, 2, s), lam)
         exact = precise_survival_slope(
-            lambda x, dps: extended.cdf_min_col(4, 2, s, x, dps), lam, monkeypatch)
+            lambda x, dps: extended.cdf_min_col(4, 2, s, x, dps).value, lam, monkeypatch)
         assert not rep.warnings
         assert abs(rep.value - exact) <= rep.abs_error_estimate
 
@@ -690,7 +690,7 @@ class TestSmallLambdaMinDensity:
         s = [0.7, 1.5, 3.0]
         rep = pdf_min(row_case(5, 3, s), lam)
         exact = precise_survival_slope(
-            lambda x, dps: extended.cdf_min_row(5, 3, s, x, dps), lam, monkeypatch)
+            lambda x, dps: extended.cdf_min_row(5, 3, s, x, dps).value, lam, monkeypatch)
         assert not rep.warnings
         assert abs(rep.value - exact) <= rep.abs_error_estimate
 
@@ -714,9 +714,9 @@ DOUBLY = {"4x3": (4, 3, [1.0, 1.7, 2.6], [0.8, 1.5, 2.6, 4.0]),
           "3x3": (3, 3, [1.0, 2.0, 3.2], [0.9, 1.8, 3.1])}
 ROW_DENSITIES = (
     [(pdf_max, row_case(8, 6, ROW6), (lam,),
-      lambda x, dps: extended.cdf_max_row(8, 6, ROW6, x, dps)) for lam in (1.1, 3.0)]
+      lambda x, dps: extended.cdf_max_row(8, 6, ROW6, x, dps).value) for lam in (1.1, 3.0)]
     + [(pdf_joint_minmax, row_case(6, 4, ROW4), (a, b),
-        lambda x, y, dps: -extended.prob_gap_row(6, 4, ROW4, x, y, dps))
+        lambda x, y, dps: -extended.prob_gap_row(6, 4, ROW4, x, y, dps).value)
        for a, b in [(0.02, 1.0), (0.1, 3.0), (0.3, 2.0), (0.5, 20.0), (8.0, 30.0), (20.0, 30.0)]])
 
 
@@ -729,7 +729,7 @@ class TestDensityAgainstPreciseDerivative:
     def test_doubly_pdf_max(self, kind, lam, monkeypatch):
         n, m, r, s = DOUBLY[kind]
         rep = pdf_max(doubly_case(n, m, r, s), lam)
-        exact = precise_partial(lambda x, dps: extended.cdf_max_doubly(n, m, r, s, x, dps),
+        exact = precise_partial(lambda x, dps: extended.cdf_max_doubly(n, m, r, s, x, dps).value,
                                 (lam,), monkeypatch)
         assert abs(rep.value - exact) <= 1e-6 * exact
         assert abs(rep.value - exact) <= rep.abs_error_estimate
@@ -751,6 +751,6 @@ def test_prob_gap_where_p_rounds_to_one(n, m, s, a, b, monkeypatch):
     # from the Q sums instead of a difference of P values
     monkeypatch.setattr(extended, "_self_validated", lambda raw, dps, start: raw(dps))
     rep = prob_gap(row_case(n, m, s), a, b)
-    exact = float(extended.prob_gap_row(n, m, s, mpmath.mpf(a), mpmath.mpf(b), 50))
+    exact = float(extended.prob_gap_row(n, m, s, mpmath.mpf(a), mpmath.mpf(b), 50).value)
     assert not rep.warnings
     assert abs(rep.value - exact) <= min(1e-9 * exact, rep.abs_error_estimate)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from corrwishart import extended
-from corrwishart.detform import EvalConfig, cdf_max, cdf_min, prob_gap
+from corrwishart.detform import EvalConfig, _finalize, cdf_max, cdf_min, prob_gap
 from corrwishart.model import (ColumnCorrelated, Dimensions, RowCorrelated, Spectrum,
                                validate_spectrum)
 
@@ -253,7 +253,7 @@ def oracle_value(name):
 def test_agrees_with_direct_transcription(name, fn, oracle, args, monkeypatch):
     want = oracle_value(name)
     monkeypatch.setattr(extended, "_self_validated", validated_mpf)
-    got = fn(*args, DPS)
+    got = fn(*args, DPS).value
     assert want != 0
     assert rel_gap(got, want) <= mpmath.mpf(10) ** (10 - DPS), name
 
@@ -359,7 +359,7 @@ class TestSchedule:
             return mpmath.mpf(1), 2 ** mpmath.mp.prec, [], 0
 
         with pytest.raises(extended.NotConverged) as info:
-            extended._evaluate(uncertified, (), DPS, None, False)
+            extended._evaluate(uncertified, (), DPS, None)
         assert info.value.dps == 220 and seen == [40, 76, 112, 148, 184, 220]
 
 
@@ -371,16 +371,16 @@ class TestNotConverged:
     CASE = RowCorrelated(Dimensions(16, 12), validate_spectrum(evenly(0.5, 4.0, 12)))
 
     def test_schedule_raises_with_last_precision(self, monkeypatch):
-        # 40 digits certify nothing of a value that loses 118: the retry
+        # at 40 digits the bound is about 0.03, 28 digits short: the retry
         # would pass the limit
-        monkeypatch.setattr(extended, "_MAX_DPS", 100)
+        monkeypatch.setattr(extended, "_MAX_DPS", 60)
         seen = rounds_of(monkeypatch)
         with pytest.raises(extended.NotConverged) as info:
             extended.cdf_max_row(16, 12, evenly(0.5, 4.0, 12), 0.5)
         assert info.value.dps == seen[-1] == 40
 
     def test_report_keeps_double_value(self, monkeypatch):
-        monkeypatch.setattr(extended, "_MAX_DPS", 100)
+        monkeypatch.setattr(extended, "_MAX_DPS", 60)
         double = cdf_max(self.CASE, 0.5)
         rep = cdf_max(self.CASE, 0.5, EvalConfig(precision="extended"))
         assert any(w.startswith("cancellation:") for w in rep.warnings)
@@ -453,7 +453,7 @@ class TestDet:
     def test_against_exact_fraction(self, n, dps, scaled):
         with mpmath.workdps(dps):
             rows = det_matrix(n, dps, scaled)
-            got = extended._det(rows)
+            got = extended._bounded_det(rows, 0)[0]
         want = fraction_det([[exact(x) for x in row] for row in rows])
         assert want != 0
         assert abs(exact(got) - want) <= n * Fraction(10) ** (3 - dps) * abs(want)
@@ -463,15 +463,15 @@ class TestDet:
         with mpmath.workdps(40):
             rows = dominant(7, rng)
             rows[5] = list(rows[2])
-            assert extended._det(rows) == 0
+            assert extended._bounded_det(rows, 0)[0] == 0
 
     def test_row_swap_flips_sign(self):
         rng = np.random.default_rng(6)
         with mpmath.workdps(40):
             rows = dominant(8, rng)
-            det = extended._det(rows)
+            det = extended._bounded_det(rows, 0)[0]
             rows[1], rows[6] = rows[6], rows[1]
-            assert extended._det(rows) == -det != 0
+            assert extended._bounded_det(rows, 0)[0] == -det != 0
 
     def test_tiny_rows_are_not_singular(self):
         # one row near 2^-3000 beside rows near one: no tolerance reads it as zero
@@ -479,7 +479,7 @@ class TestDet:
         with mpmath.workdps(40):
             rows = dominant(6, rng)
             rows[3] = [mpmath.ldexp(x, -3000) for x in rows[3]]
-            got = extended._det(rows)
+            got = extended._bounded_det(rows, 0)[0]
         want = fraction_det([[exact(x) for x in row] for row in rows])
         assert abs(exact(got) - want) <= 6 * Fraction(10) ** -37 * abs(want)
 
@@ -554,6 +554,17 @@ def _builder_cases():
         yield f"doubly {n}x{n} max", extended._max_doubly, (n, n, r, s, 0.5)
         yield f"doubly {n}x{n} min", extended._min_doubly, (n, r, s, 0.05)
     yield "clustered row 5x3 min", extended._min_row, (5, 3, [1.0, 1.0001, 1.0002], 0.3)
+    # large arguments: lam s (row, column) and lam r s (doubly) up to 50-500
+    s, r = evenly(0.5, 4.0, 8), evenly(0.5, 4.0, 6)
+    for lam in (15.0, 120.0):
+        yield f"row 12x8 max {lam}", extended._max_row, (12, 8, s, lam)
+        yield f"row 12x8 min {lam}", extended._min_row, (12, 8, s, lam)
+        yield f"row 12x8 gap {lam}", extended._gap_row, (12, 8, s, lam / 10, lam)
+        yield f"column 10x8 max {lam}", extended._max_col, (10, 8, s + [5.0, 6.0], lam)
+        yield f"column 10x8 min {lam}", extended._min_col, (10, 8, s + [5.0, 6.0], lam / 3)
+    for lam in (5.0, 40.0):
+        yield f"doubly 6x6 max {lam}", extended._max_doubly, (6, 6, r, evenly(0.6, 3.0, 6), lam)
+        yield f"doubly 6x6 min {lam}", extended._min_doubly, (6, r, evenly(0.6, 3.0, 6), lam)
 
 
 BUILDER_CASES = list(_builder_cases())
@@ -607,7 +618,7 @@ class TestColumnMinWideRows:
     def test_formula_against_exact_determinant(self, lam, monkeypatch):
         want = exact_cdf_min_col(5, 3, COLUMN_5x3, lam)
         monkeypatch.setattr(extended, "_self_validated", validated_mpf)
-        got = extended.cdf_min_col(5, 3, COLUMN_5x3, lam, DPS)
+        got = extended.cdf_min_col(5, 3, COLUMN_5x3, lam, DPS).value
         assert rel_gap(got, want) <= 1e-25
 
     @pytest.mark.parametrize("lam", [80, 160])
@@ -675,6 +686,16 @@ class TestFirstRound:
         want = validated_mpf(oracle_cdf_max_row(5, 3, s, 1.0), DPS)
         assert rel_gap(rep.value, want) <= 1e-15
 
+    def test_large_m_takes_one_round(self, monkeypatch):
+        # row 36x32 loses 492 digits in double; at 533 digits the bound
+        # certifies the round with hundreds of digits to spare
+        case = RowCorrelated(Dimensions(36, 32), validate_spectrum(evenly(0.5, 4.0, 32)))
+        seen = rounds_of(monkeypatch)
+        rep = cdf_max(case, 0.5, EvalConfig(precision="extended"))
+        assert len(seen) == 1
+        assert any(w.startswith(f"extended:re-evaluated at {seen[0]} digits") for w in rep.warnings)
+        assert any(w.startswith("underflow:") for w in rep.warnings)
+
     @pytest.mark.parametrize("cancel,first", [(0.0, 40), (12.5, 53), (57.3, 98),
                                               (1e6, 790), (math.inf, 790)])
     def test_bounds(self, cancel, first):
@@ -697,3 +718,14 @@ def test_escalated_underflow_keeps_log_magnitude():
     with mpmath.workdps(200):
         want = mpmath.log10(abs(oracle_cdf_max_row(5, 3, validate_spectrum(s).values, 1e-40)(200)))
     assert float(warning.rsplit("= ", 1)[1]) == pytest.approx(float(want), abs=1e-4)
+
+
+def test_accepted_exact_zero_report():
+    # a zero the next round repeated carries no bound, and the warning says so
+    zero = extended.Round(mpmath.mpf(0), mpmath.inf, 60)
+    rep = _finalize(1.0, -2.0, 1e-3, 20.0, EvalConfig(precision="extended"), [],
+                    lambda dps, start: zero, True)
+    assert [w for w in rep.warnings if w.startswith("extended:")] == \
+        ["extended:exact zero confirmed at 60 digits"]
+    assert (rep.value, rep.abs_error_estimate) == (0.0, 1e-300)
+    assert not any(w.startswith("underflow:") for w in rep.warnings)
