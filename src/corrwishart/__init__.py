@@ -6,10 +6,8 @@ Schur-polynomial series oracle and Monte Carlo simulation."""
 from .detform import (
     EvalConfig,
     EvalReport,
-    SignedLogValue,
     cdf_max,
     cdf_min,
-    logdet,
     pdf_joint_minmax,
     pdf_max,
     pdf_min,
@@ -50,10 +48,8 @@ __version__ = "0.1.0"
 __all__ = [
     "EvalConfig",
     "EvalReport",
-    "SignedLogValue",
     "cdf_max",
     "cdf_min",
-    "logdet",
     "pdf_joint_minmax",
     "pdf_max",
     "pdf_min",

@@ -189,7 +189,10 @@ def _ab_points(args, what):
     if args.a is None or args.b is None:
         raise ValueError(f"{what} needs --a and --b grids")
     agrid, bgrid = _parse_grid(args.a), _parse_grid(args.b)
-    return [(a, b) for a in agrid for b in bgrid if b > a]
+    points = [(a, b) for a in agrid for b in bgrid if b > a]
+    if not points:
+        raise ValueError(f"{what}: no pair of the --a and --b grids has b > a")
+    return points
 
 
 # Each grid job is one call into the engine, which evaluates the

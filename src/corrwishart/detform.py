@@ -47,10 +47,8 @@ from .specfun import (_log_exp_partial_sums, log_doubly_g, log_gamma_entries,
                       log_shifted_power_integrals, reg_lower_gamma_orders)
 
 __all__ = [
-    "SignedLogValue",
     "EvalConfig",
     "EvalReport",
-    "logdet",
     "cdf_max",
     "cdf_min",
     "prob_gap",
@@ -66,78 +64,8 @@ _CLAMP_RESIDUAL = 1e-8
 _MAX_DPS = 1600
 
 
-@dataclass(frozen=True)
-class SignedLogValue:
-    """A real number stored as sign in {-1, 0, +1} and log magnitude."""
-
-    sign: int
-    log_magnitude: float
-
-    @classmethod
-    def zero(cls) -> "SignedLogValue":
-        return cls(0, -math.inf)
-
-    @classmethod
-    def from_value(cls, v: float) -> "SignedLogValue":
-        if v == 0.0:
-            return cls.zero()
-        return cls(1 if v > 0 else -1, math.log(abs(v)))
-
-    @classmethod
-    def from_log(cls, sign: int, log_magnitude: float) -> "SignedLogValue":
-        if sign == 0 or log_magnitude == -math.inf:
-            return cls.zero()
-        return cls(1 if sign > 0 else -1, log_magnitude)
-
-    def __mul__(self, other: "SignedLogValue") -> "SignedLogValue":
-        if self.sign == 0 or other.sign == 0:
-            return SignedLogValue.zero()
-        return SignedLogValue(self.sign * other.sign,
-                              self.log_magnitude + other.log_magnitude)
-
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        if self.log_magnitude > 709.0:
-            return self.sign * math.inf
-        return self.sign * math.exp(self.log_magnitude)
-
-
 # ---------------------------------------------------------------------------
-# determinant kernel: one LAPACK call per stack (shared by the public logdet
-# and the entry path)
-
-
-def _scaled_det(A: np.ndarray, rel_entries: Optional[np.ndarray]):
-    """Determinants of a stack ``A`` (G, N, N) whose rows and columns are
-    scaled to magnitude about one.
-
-    Returns arrays (sign, log |det|, cancellation digits, relative error)
-    and the inverses.  The cancellation is the Hadamard bound over |det| in
-    decimal digits.  The error is the roundoff N eps (1 + growth), with the
-    partial-pivoting growth taken as its measured value 1, amplified by that
-    cancellation, plus the first-order propagation sum |A^-T| * rel_entries
-    * |A| when entry relative errors are given (else no inverse, None).  An
-    exactly singular member gets sign 0, infinite cancellation and error.
-    """
-    N = A.shape[-1]
-    sign, log_abs = np.linalg.slogdet(A)
-    singular = sign == 0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        hadamard = (0.5 * np.log((A * A).sum(axis=-1))).sum(axis=-1)
-        cancel = np.maximum((hadamard - log_abs) / _LN10, 0.0)
-    rel = N * _EPS * 2.0 * 10.0 ** np.minimum(cancel, 250.0)
-    if rel_entries is None:
-        return sign, log_abs, cancel, rel, None
-    if singular.any():
-        cancel[singular] = rel[singular] = math.inf
-        inv = np.zeros_like(A)
-        inv[~singular] = np.linalg.inv(A[~singular])
-    else:
-        inv = np.linalg.inv(A)
-    prop = np.abs(np.swapaxes(inv, -1, -2)) * rel_entries * np.abs(A)
-    rel += prop.reshape(len(A), -1).sum(axis=-1)
-    return sign, log_abs, cancel, rel, inv
+# determinant kernel: one slogdet and one inverse per stack, for every law
 
 
 def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
@@ -175,8 +103,7 @@ def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
     return value, gross, err
 
 
-def _det_from_logs(log_entries: np.ndarray,
-                   entry_rel_err: Optional[np.ndarray] = None,
+def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
                    log_derivs: Sequence[np.ndarray] = ()):
     """Determinants of a stack (G, N, N) of matrices given as logs of their
     (positive) entries, from a single batched call.
@@ -188,6 +115,13 @@ def _det_from_logs(log_entries: np.ndarray,
     shifted in log space to a largest entry of one before exponentiating.  A
     member with a row of zeros or a column that underflows to zero is an
     exact zero (sign 0, no cancellation).
+
+    The cancellation is the Hadamard bound over |det| of the scaled matrix A
+    in decimal digits.  The error is the roundoff N eps (1 + growth), with
+    the partial-pivoting growth taken as its measured value 1, amplified by
+    that cancellation, plus the first-order propagation sum |A^-T| o
+    ``entry_rel_err`` o |A|.  An exactly singular member gets sign 0,
+    infinite cancellation and error.
     """
     L = np.asarray(log_entries, dtype=float)
     N = L.shape[-1]
@@ -204,58 +138,27 @@ def _det_from_logs(log_entries: np.ndarray,
     if any_zero:
         A[zero] = np.eye(N)
     shift = row_shift.sum(axis=-1) + np.log(col_scale).sum(axis=-1)
+    R = np.asarray(entry_rel_err, dtype=float)
+    if R.shape != L.shape:
+        R = np.broadcast_to(R, L.shape)
 
-    rel_entries = None if entry_rel_err is None else np.asarray(entry_rel_err, dtype=float)
-    if rel_entries is not None and rel_entries.shape != L.shape:
-        rel_entries = np.broadcast_to(rel_entries, L.shape)
-    sign, log_abs, cancel, rel, inv = _scaled_det(A, rel_entries)
-    derivs = _jacobi(A, inv, log_derivs, rel_entries) if len(log_derivs) else ()
+    sign, log_abs = np.linalg.slogdet(A)
+    singular = sign == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hadamard = (0.5 * np.log((A * A).sum(axis=-1))).sum(axis=-1)
+        cancel = np.maximum((hadamard - log_abs) / _LN10, 0.0)
+    rel = N * _EPS * 2.0 * 10.0 ** np.minimum(cancel, 250.0)
+    if singular.any():
+        cancel[singular] = rel[singular] = math.inf
+        inv = np.zeros_like(A)
+        inv[~singular] = np.linalg.inv(A[~singular])
+    else:
+        inv = np.linalg.inv(A)
+    rel += (np.abs(np.swapaxes(inv, -1, -2)) * R * np.abs(A)).reshape(len(A), -1).sum(axis=-1)
+    derivs = _jacobi(A, inv, log_derivs, R) if len(log_derivs) else ()
     if any_zero:
         sign[zero] = cancel[zero] = rel[zero] = 0.0
     return (sign, log_abs + shift, cancel, rel, *derivs)
-
-
-def logdet(matrix, entry_abs_errors=None, with_diagnostics: bool = False):
-    """Sign and log magnitude of the determinant of a real square matrix.
-
-    Rows and columns are first rescaled by exact powers of two to bring the
-    largest magnitudes near one; the determinant of the scaled matrix then
-    comes from LAPACK (`numpy.linalg.slogdet`).  An exactly singular matrix
-    yields sign 0.  With ``with_diagnostics=True`` the result is paired with
-    a dict of ``cancellation_digits`` (decimal digits between the Hadamard
-    bound and |det|) and ``rel_err``, a first-order relative error estimate:
-    roundoff amplified by the cancellation, plus, when ``entry_abs_errors``
-    is given (same shape as the matrix), those entry errors propagated
-    through the inverse.
-    """
-    M = np.asarray(matrix, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-
-    work = M.copy()
-    log_scale = 0.0
-    for axis in (1, 0):
-        amax = np.max(np.abs(work), axis=axis)
-        exps = np.where(amax > 0.0, np.frexp(amax)[1], 0).astype(int)
-        if axis == 1:
-            work = np.ldexp(work, -exps[:, None])
-        else:
-            work = np.ldexp(work, -exps[None, :])
-        log_scale += float(np.sum(exps)) * math.log(2.0)
-
-    rel_entries = None
-    if with_diagnostics and entry_abs_errors is not None:
-        # errors on the scaled matrix: scaling is exact, relative errors keep
-        errs = np.asarray(entry_abs_errors, dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel_entries = np.where(M != 0.0, errs / np.abs(M), 0.0)[None]
-    sign, log_abs, cancel, rel, _ = _scaled_det(work[None], rel_entries)
-    result = SignedLogValue.from_log(int(sign[0]), float(log_abs[0]) + log_scale)
-    if not with_diagnostics:
-        return result
-    return result, {"cancellation_digits": float(cancel[0]), "rel_err": float(rel[0])}
 
 
 # ---------------------------------------------------------------------------
@@ -272,9 +175,12 @@ class EvalConfig:
     bound certifies it to 10^-(``extended_dps`` - 10) relative.  The first
     round runs at ``extended_dps`` plus the digits the double-precision
     evaluation lost, capped at 790 so that a retry fits within the
-    1600-digit limit (`extended.first_round`); a round whose bound misses
-    runs once more, higher by the digits it fell short plus a guard of 5.
-    ``extended_dps`` is at most 1580, so that such a retry fits.
+    1600-digit limit (`extended.first_round`).  A round whose bound misses
+    runs again, higher by the digits it fell short plus a guard of 5; a
+    round with no finite bound, an exact zero included, runs again at twice
+    its digits.  When the next round would pass 1600 digits, the
+    double-precision value is kept with a ``nonconverged:`` warning.
+    ``extended_dps`` is at most 1580, so that a retry fits.
     """
 
     precision: str = "double"
@@ -318,8 +224,8 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
         log10_mag = log_mag / math.log(10.0)
     if cancel > cfg.cancellation_warn_digits:
         warnings.append(
-            f"cancellation:{cancel:.1f} digits lost; double-precision result "
-            "unreliable"
+            f"cancellation:{cancel:.1f} digits lost so the double-precision result "
+            "is unreliable"
         )
         if cfg.precision == "extended" and extended_fn is not None:
             # mpmath loads on first escalation
@@ -330,22 +236,19 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
             except NotConverged as exc:
                 # the double-precision value and its estimate stand
                 warnings.append(
-                    f"nonconverged:no mpmath round was certified up to {exc.dps} digits; "
-                    "double-precision result kept")
-            else:
+                    f"nonconverged:no mpmath round was certified up to {exc.dps} digits "
+                    "so the double-precision result is kept")
+            else:  # an accepted round is never an exact zero: that has no bound
                 value = float(r.value)
-                if r.value:
-                    log10_mag = float(mpmath.log10(abs(r.value)))
-                    warnings.append(f"extended:re-evaluated at {r.dps} digits with relative "
-                                    f"error <= {mpmath.nstr(r.bound, 2)}")
-                    # the round's certified bound, plus the unit roundoff 2^-53
-                    # of rounding its mpf to a double
-                    rel_err = float(r.bound) + 0.5 * _EPS
-                else:  # a zero repeated by the next round carries no bound
-                    log10_mag, rel_err = -math.inf, 0.0
-                    warnings.append(f"extended:exact zero confirmed at {r.dps} digits")
+                log10_mag = float(mpmath.log10(abs(r.value)))
+                warnings.append(f"extended:re-evaluated at {r.dps} digits with relative "
+                                f"error <= {mpmath.nstr(r.bound, 2)}")
+                # the round's certified bound, plus the unit roundoff 2^-53
+                # of rounding its mpf to a double
+                rel_err = float(r.bound) + 0.5 * _EPS
     if value == 0.0 and math.isfinite(log10_mag):
-        warnings.append(f"underflow:value below the double range, log10|value| = {log10_mag:.4f}")
+        warnings.append("underflow:value below the double range with "
+                        f"log10|value| = {log10_mag:.4f}")
     if not math.isfinite(value):
         warnings.append("nonfinite:evaluation did not produce a finite value")
         return EvalReport(value, math.inf, cancel, warnings)
@@ -354,7 +257,7 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
         clamped = min(max(value, 0.0), 1.0)
         residual = value - clamped
         if abs(residual) > _CLAMP_RESIDUAL:
-            warnings.append(f"clamp:residual {residual:.3e} outside [0,1]")
+            warnings.append(f"clamp:residual {residual:.3e} outside the unit interval")
         value = clamped
     else:
         if value < 0.0:

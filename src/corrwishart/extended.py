@@ -19,9 +19,12 @@ errors and the elimination's backward error into a bound on the value.
 A round is accepted when that bound is at most 10^-(dps-10), with no
 second round to confirm it.  The first round runs at ``start`` (the
 engine's `first_round`: ``dps`` plus the digits its double path lost) or
-``dps``; one whose bound misses runs again, higher by the shortfall in
-digits plus `_GUARD`.  `NotConverged` is raised when that would pass
-``_MAX_DPS``.  The public functions return the accepted `Round`.
+``dps``.  One whose bound misses runs again, higher by the shortfall in
+digits plus `_GUARD`; one with no finite bound runs again at twice its
+digits.  An exact zero has no bound: no value of these laws is zero, so a
+zero only says that the precision was too low to see the entries differ.
+`NotConverged` is raised when the next round would pass ``_MAX_DPS``.
+The public functions return the accepted `Round`.
 """
 
 from __future__ import annotations
@@ -69,23 +72,17 @@ def first_round(dps: int, cancel: float) -> int:
 def _self_validated(raw, dps: int, start: int) -> Round:
     """The first `Round` ``raw(d)`` (computed entirely at d digits) from d =
     ``start`` whose bound is at most 10^-(dps-10).  A miss runs again at d +
-    ceil(log10(bound / 10^-(dps-10))) + `_GUARD`; an exact zero is accepted
-    only when the next round, 20 digits up, repeats it.  `NotConverged`
-    (the last precision tried) when the next round would pass ``_MAX_DPS``."""
+    ceil(log10(bound / 10^-(dps-10))) + `_GUARD`, and a round with no finite
+    bound, an exact zero included, at 2d.  `NotConverged` (the last
+    precision tried) when the next round would pass ``_MAX_DPS``."""
     tol = mpmath.mpf(10) ** (10 - dps)
-    d, zero = start, False
+    d = start
     while True:
         r = raw(d)
-        if r.value == 0:
-            if zero:
-                return r
-            zero, step = True, 20
-        elif r.bound <= tol:
+        if r.bound <= tol:
             return r
-        else:
-            zero = False
-            step = (math.ceil(float(mpmath.log10(r.bound / tol))) + _GUARD
-                    if mpmath.isfinite(r.bound) else math.inf)
+        step = (math.ceil(float(mpmath.log10(r.bound / tol))) + _GUARD
+                if mpmath.isfinite(r.bound) else d)
         if d + step > _MAX_DPS:
             raise NotConverged(d)
         d += step

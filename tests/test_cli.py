@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from corrwishart import extended
 from corrwishart.cli import main
+from corrwishart.detform import EvalConfig, cdf_max, cdf_min
+from corrwishart.model import Dimensions, RowCorrelated, validate_spectrum
 
 
 def run(capsys, *args):
@@ -89,6 +92,13 @@ class TestErrorPaths:
                          "--b", "1:2:2:linear")
         assert rc == 2
         assert "row" in err
+
+    @pytest.mark.parametrize("command", [["gap"], ["pdf", "--stat", "joint"]])
+    def test_no_pair_with_b_above_a(self, command, capsys):
+        # every a of the grid lies above every b: no point to evaluate
+        rc, out, err = run(capsys, *command, "--case", "row", "--n", "3", "--m", "2",
+                           "--spectrum", "1,2", "--a", "5:6:2", "--b", "1:2:2")
+        assert rc == 2 and "b > a" in err and out == ""
 
     def test_joint_rejects_non_row_case(self, capsys):
         rc, _, err = run(capsys, "pdf", "--case", "double", "--n", "2", "--m", "2",
@@ -236,3 +246,27 @@ class TestOtherCommands:
         from corrwishart.model import Dimensions
         oracle = cdf_min_schur(0.3, Dimensions(5, 3), [1.0, 1.0001, 1.0002])
         assert abs(value - oracle) <= 1e-8 * oracle
+
+
+class TestWarningsCell:
+    # the CSV cell joins a report's warnings with ";", and no warning text
+    # holds a ";" or a ",", so the cell splits back into exactly those warnings
+    @pytest.mark.parametrize("n,m,spectrum,stat,lam,prefixes", [
+        (5, 3, "1,1,1.0002", "min", 0.3, ["perturbed", "cancellation", "extended"]),
+        (3, 1, "1", "max", 1e-200, ["underflow"]),
+        (16, 12, ",".join(str(0.5 + 3.5 * k / 11) for k in range(12)), "max", 0.5,
+         ["cancellation", "nonconverged"])])
+    def test_splits_into_the_reports_warnings(self, n, m, spectrum, stat, lam, prefixes,
+                                              capsys, monkeypatch):
+        # a 60-digit limit leaves row 16x12 unconverged after one round
+        monkeypatch.setattr(extended, "_MAX_DPS", 60)
+        rc, out, _ = run(capsys, "cdf", "--case", "row", "--n", str(n), "--m", str(m),
+                         "--spectrum", spectrum, "--stat", stat, "--grid", f"{lam}:{lam}:1",
+                         "--precision", "extended")
+        assert rc == 0
+        cell = out.splitlines()[1].split(",")[4]
+        case = RowCorrelated(Dimensions(n, m), validate_spectrum(
+            [float(v) for v in spectrum.split(",")]))
+        rep = {"max": cdf_max, "min": cdf_min}[stat](case, lam, EvalConfig(precision="extended"))
+        assert cell.split(";") == rep.warnings
+        assert [w.split(":", 1)[0] for w in rep.warnings] == prefixes

@@ -9,10 +9,8 @@ import pytest
 from corrwishart import cli, extended
 from corrwishart.detform import (
     EvalConfig,
-    SignedLogValue,
     cdf_max,
     cdf_min,
-    logdet,
     pdf_joint_minmax,
     pdf_max,
     pdf_min,
@@ -44,72 +42,6 @@ def col_case(n, m, s):
 def doubly_case(n, m, r, s):
     return DoublyCorrelated(Dimensions(n, m), validate_spectrum(r),
                             validate_spectrum(s))
-
-
-class TestSignedLogValue:
-    def test_zero_invariant(self):
-        z = SignedLogValue.zero()
-        assert z.sign == 0 and z.log_magnitude == -math.inf
-        assert SignedLogValue.from_value(0.0).sign == 0
-
-    def test_roundtrip_and_product(self):
-        a = SignedLogValue.from_value(-3.0)
-        b = SignedLogValue.from_value(2.0)
-        assert (a * b).to_float() == pytest.approx(-6.0, rel=1e-15)
-        assert (a * SignedLogValue.zero()).sign == 0
-
-
-class TestLogdet:
-    def test_scalar(self):
-        r = logdet([[2.0]])
-        assert r.sign == 1
-        assert r.log_magnitude == pytest.approx(math.log(2.0), abs=1e-15)
-
-    def test_negative_determinant(self):
-        r = logdet([[1.0, 2.0], [3.0, 4.0]])
-        assert r.sign == -1
-        assert r.log_magnitude == pytest.approx(math.log(2.0), abs=1e-13)
-
-    def test_vandermonde(self):
-        x = [1.0, 2.0, 4.0]
-        M = [[xi ** k for k in range(3)] for xi in x]
-        r = logdet(M)
-        assert r.sign == 1
-        assert r.log_magnitude == pytest.approx(math.log(6.0), rel=1e-13)
-
-    def test_singular(self):
-        r = logdet([[1.0, 2.0], [2.0, 4.0]])
-        assert r.sign == 0
-        assert r.log_magnitude == -math.inf
-
-    def test_extreme_scales_handled_by_equilibration(self):
-        M = [[1e200, 2e200], [3e-180, 5e-180]]
-        r = logdet(M)
-        expect = math.log(abs(1e200 * 5e-180 - 2e200 * 3e-180))
-        assert r.log_magnitude == pytest.approx(expect, rel=1e-10)
-
-    def test_random_against_numpy(self):
-        rng = np.random.default_rng(17)
-        for _ in range(30):
-            n = int(rng.integers(1, 8))
-            M = rng.normal(size=(n, n))
-            sgn_np, log_np = np.linalg.slogdet(M)
-            r = logdet(M)
-            assert r.sign == int(sgn_np)
-            assert r.log_magnitude == pytest.approx(log_np, rel=1e-10, abs=1e-10)
-
-    def test_diagnostics(self):
-        r, diag = logdet([[1.0, 1.0], [1.0, 1.0 + 1e-9]],
-                         entry_abs_errors=np.full((2, 2), 1e-16),
-                         with_diagnostics=True)
-        assert diag["cancellation_digits"] > 8.0
-        assert diag["rel_err"] > 1e-8
-
-    def test_rejects_nonsquare_and_nonfinite(self):
-        with pytest.raises(ValueError):
-            logdet([[1.0, 2.0]])
-        with pytest.raises(ValueError):
-            logdet([[math.inf, 1.0], [0.0, 1.0]])
 
 
 class TestCdfMaxRow:
@@ -529,7 +461,7 @@ class TestStackedKernel:
         L = rng.normal(size=(3, 4, 4))
         L[1, 3] = L[1, 0]  # two equal rows: exactly singular
         sign, log_mag, cancel, rel = _det_from_logs(L, np.full(L.shape, 1e-15))
-        assert sign[1] == 0
+        assert sign[1] == 0 and log_mag[1] == -math.inf
         assert cancel[1] == math.inf and rel[1] == math.inf
         for g in (0, 2):
             assert sign[g] != 0
@@ -537,6 +469,48 @@ class TestStackedKernel:
             assert math.isfinite(cancel[g])
             assert math.isfinite(rel[g])
             assert log_mag[g] == pytest.approx(np.linalg.slogdet(np.exp(L[g]))[1], rel=1e-12)
+
+    def test_zero_members_are_exact(self):
+        # a row of zeros, or a column 800 e-folds under its row: an exact zero
+        # with no cancellation and no error, beside an untouched member
+        rng = np.random.default_rng(9)
+        L = rng.normal(size=(3, 3, 3))
+        L[0, 1] = -np.inf
+        L[1, :, 2] = -800.0
+        sign, log_mag, cancel, rel = _det_from_logs(L, np.full(L.shape, 1e-16))
+        assert sign[:2].tolist() == [0, 0]
+        assert cancel[:2].tolist() == [0, 0] and rel[:2].tolist() == [0, 0]
+        assert sign[2] != 0
+        assert log_mag[2] == pytest.approx(np.linalg.slogdet(np.exp(L[2]))[1], rel=1e-12)
+
+    def test_signs_and_magnitudes_against_numpy(self):
+        # N = 1 to 7 at once: the determinants of positive entries take both signs
+        rng = np.random.default_rng(17)
+        for N in range(1, 8):
+            L = rng.normal(size=(30, N, N))
+            sign, log_mag, cancel, rel = _det_from_logs(L, np.full(L.shape, 1e-16))
+            want_sign, want_log = np.linalg.slogdet(np.exp(L))
+            assert (sign == want_sign).all()
+            assert log_mag == pytest.approx(want_log, rel=1e-10, abs=1e-10)
+            if N > 1:
+                assert (sign < 0).any() and (sign > 0).any()
+
+    def test_rows_beyond_the_double_range(self):
+        # rows of magnitude e^800 and e^-800 overflow and underflow a double:
+        # only the kernel's log-space shifts can take this determinant
+        rng = np.random.default_rng(8)
+        L = rng.normal(size=(1, 4, 4)) + np.array([800.0, -800.0, 400.0, -400.0])[:, None]
+        sign, log_mag, cancel, rel = _det_from_logs(L, np.full(L.shape, 1e-16))
+        with mpmath.workdps(50):
+            # the Leibniz sum: mpmath.det calls such a matrix singular
+            E = [[mpmath.exp(mpmath.mpf(v)) for v in row] for row in L[0]]
+            want = mpmath.fsum(
+                (-1) ** sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+                * mpmath.fprod(E[i][p[i]] for i in range(4))
+                for p in itertools.permutations(range(4)))
+            assert sign[0] == mpmath.sign(want)
+            assert abs(log_mag[0] - float(mpmath.log(abs(want)))) <= 1e-12 * abs(log_mag[0])
+        assert math.isfinite(rel[0]) and rel[0] < 1e-10
 
 
 class TestGridPath:

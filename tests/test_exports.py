@@ -1,5 +1,8 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -15,3 +18,35 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_double_precision_never_loads_mpmath():
+    # importing mpmath adds about 30 ms to a process; only an escalation may
+    # load it.  Row 8x6 pdf max is flagged in double precision, which must not
+    # escalate
+    script = """
+import sys
+from corrwishart import (ColumnCorrelated, Dimensions, DoublyCorrelated, RowCorrelated,
+                         cdf_max, cdf_min, pdf_joint_minmax, pdf_max, pdf_min, prob_gap,
+                         validate_spectrum)
+from corrwishart.cli import main
+main(["pdf", "--case", "row", "--n", "8", "--m", "6", "--spectrum", "0.5,1,1.7,2.4,3.3,4.1",
+      "--stat", "max", "--grid", "0.2:30:10"])
+row = RowCorrelated(Dimensions(5, 3), validate_spectrum([1.0, 1.0001, 1.0002]))
+col = ColumnCorrelated(Dimensions(4, 2), validate_spectrum([0.8, 1.6, 2.4, 4.0]))
+dbl = DoublyCorrelated(Dimensions(3, 3), validate_spectrum([1.0, 2.0, 3.2]),
+                       validate_spectrum([0.9, 1.8, 3.1]))
+for case in (row, col, dbl):
+    for fn in (cdf_max, cdf_min, pdf_max, pdf_min):
+        fn(case, 0.3)
+prob_gap(row, 0.2, 3.0)
+pdf_joint_minmax(row, 0.2, 3.0)
+print("mpmath loaded:", "mpmath" in sys.modules)
+"""
+    src = os.path.dirname(os.path.dirname(corrwishart.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "cancellation:" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "mpmath loaded: False"

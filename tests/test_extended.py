@@ -313,19 +313,33 @@ class TestSchedule:
         assert seen == [100, 100 + 10 + extended._GUARD] and r.dps == seen[-1]
 
     def test_exact_zero_needs_a_repeat(self):
+        # an exact zero has no bound, however often it repeats
         seen = []
 
-        def zero_then(value):
+        def zeros_then(count, value):
             def raw(d):
                 seen.append(d)
-                return extended.Round(mpmath.mpf(0) if len(seen) == 1 else value, TOL, d)
+                if len(seen) <= count:
+                    return extended.Round(mpmath.mpf(0), mpmath.inf, d)
+                return extended.Round(value, TOL, d)
             return raw
 
-        assert extended._self_validated(zero_then(mpmath.mpf(0)), DPS, 60).value == 0
-        assert seen == [60, 80]
+        assert extended._self_validated(zeros_then(2, mpmath.mpf(2)), DPS, 60).value == 2
+        assert seen == [60, 120, 240]
         seen.clear()
-        assert extended._self_validated(zero_then(mpmath.mpf(2)), DPS, 60).value == 2
-        assert seen == [60, 80]
+        with pytest.raises(extended.NotConverged) as info:
+            extended._self_validated(zeros_then(99, mpmath.mpf(2)), DPS, 60)
+        assert info.value.dps == 960 and seen == [60, 120, 240, 480, 960]
+
+    def test_false_exact_zero_is_resolved(self, monkeypatch):
+        # at lam = 1e-200 the rows E_a(lam s_j) agree to 200 digits: the rounds
+        # at 40, 80 and 160 digits are exact zeros, the one at 320 sees them differ
+        seen = rounds_of(monkeypatch)
+        r = extended.cdf_max_row(3, 2, [1.0, 2.0], 1e-200)
+        assert seen == [40, 80, 160, 320] and r.dps == 320
+        want = extended.cdf_max_row(3, 2, [1.0, 2.0], 1e-200, start=790)
+        assert want.dps == 790 and want.bound < mpmath.mpf(10) ** -500
+        assert r.value != 0 and rel_gap(r.value, want.value) <= r.bound <= TOL
 
     def test_direct_call_takes_one_round(self, monkeypatch):
         seen = rounds_of(monkeypatch)
@@ -343,11 +357,11 @@ class TestSchedule:
         assert info.value.dps == last == seen[-1]
         assert max(seen) <= limit
 
-    def test_no_bound_raises_at_once(self):
+    def test_no_bound_doubles_the_digits(self):
         seen = []
         with pytest.raises(extended.NotConverged) as info:
             extended._self_validated(short_by(lambda d: mpmath.inf, seen), DPS, 100)
-        assert info.value.dps == 100 and seen == [100]
+        assert info.value.dps == 1600 and seen == [100, 200, 400, 800, 1600]
 
     def test_direct_call_raises_with_last_precision(self, monkeypatch):
         monkeypatch.setattr(extended, "_MAX_DPS", 220)
@@ -720,12 +734,14 @@ def test_escalated_underflow_keeps_log_magnitude():
     assert float(warning.rsplit("= ", 1)[1]) == pytest.approx(float(want), abs=1e-4)
 
 
-def test_accepted_exact_zero_report():
-    # a zero the next round repeated carries no bound, and the warning says so
-    zero = extended.Round(mpmath.mpf(0), mpmath.inf, 60)
-    rep = _finalize(1.0, -2.0, 1e-3, 20.0, EvalConfig(precision="extended"), [],
-                    lambda dps, start: zero, True)
-    assert [w for w in rep.warnings if w.startswith("extended:")] == \
-        ["extended:exact zero confirmed at 60 digits"]
-    assert (rep.value, rep.abs_error_estimate) == (0.0, 1e-300)
-    assert not any(w.startswith("underflow:") for w in rep.warnings)
+def test_exact_zeros_are_not_accepted_report():
+    # rounds that only ever give an exact zero end without a certified round:
+    # the double-precision value and its estimate stand
+    def zeros(dps, start):
+        return extended._self_validated(
+            lambda d: extended.Round(mpmath.mpf(0), mpmath.inf, d), dps, start)
+
+    rep = _finalize(1.0, -2.0, 1e-3, 20.0, EvalConfig(precision="extended"), [], zeros, True)
+    assert [w.split(":", 1)[0] for w in rep.warnings] == ["cancellation", "nonconverged"]
+    assert "up to 960 digits" in rep.warnings[1]
+    assert (rep.value, rep.abs_error_estimate) == (math.exp(-2.0), math.exp(-2.0) * 1e-3 + 1e-300)
