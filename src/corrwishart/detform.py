@@ -3,10 +3,11 @@
 Each (model, statistic) pair reduces to a single m x m or n x n
 determinant whose entries are incomplete-gamma, confluent-hypergeometric
 or pure-exponential values, multiplied by a prefactor of factorials,
-spectral powers and Vandermonde products.  Raw magnitudes of those pieces
-overflow double precision long before the probabilities become
-interesting, so a law is described on a grid of points by the logs of its
-entries and of its prefactor, held as arrays; each point's value is
+spectral powers and Vandermonde products, described once per law as data
+(`_PREFS`, which `corrwishart.extended` reads too).  Raw magnitudes of
+those pieces overflow double precision long before the probabilities
+become interesting, so a law is described on a grid of points by the logs
+of its entries and of its prefactor, held as arrays; each point's value is
 exponentiated only once, from its sign and log magnitude (`_finalize`).
 
 The one genuine numerical weak point of these formulas is the Vandermonde
@@ -62,6 +63,11 @@ _LN10 = math.log(10.0)
 _CLAMP_RESIDUAL = 1e-8
 # the most digits an mpmath re-evaluation may use (`extended` imports it)
 _MAX_DPS = 1600
+# the cancellation that flags a value, and the digits an escalated value is
+# certified to plus 10: a value is returned as a double, so more certified
+# digits would only cost time
+_WARN_DIGITS = 12.0
+_EXTENDED_DPS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -96,10 +102,11 @@ def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
         gross = ((np.abs(outer) + np.abs(Xt)).reshape(G, -1).sum(axis=-1)
                  - 2.0 * np.abs(diag[0] * diag[1]).sum(axis=-1))
         S = tr[1] * X[0] + tr[0] * X[1] - X[0] @ X[1] - X[1] @ X[0]
-    S = np.abs(S @ inv)
-    err = (2 * N * _EPS * S.reshape(G, -1).sum(axis=-1)
-           + (R * np.abs(A) * np.swapaxes(S, -1, -2)).reshape(G, -1).sum(axis=-1)
-           + len(X) * (R.reshape(G, -1).max(axis=-1) + (N + 2) * _EPS) * gross)
+    with np.errstate(over="ignore", invalid="ignore"):  # an ill-conditioned member's error is inf
+        S = np.abs(S @ inv)
+        err = (2 * N * _EPS * S.reshape(G, -1).sum(axis=-1)
+               + (R * np.abs(A) * np.swapaxes(S, -1, -2)).reshape(G, -1).sum(axis=-1)
+               + len(X) * (R.reshape(G, -1).max(axis=-1) + (N + 2) * _EPS) * gross)
     return value, gross, err
 
 
@@ -114,7 +121,8 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
     Jacobi's formula (`_jacobi`).  Each member's rows, then columns, are
     shifted in log space to a largest entry of one before exponentiating.  A
     member with a row of zeros or a column that underflows to zero is an
-    exact zero (sign 0, no cancellation).
+    exact zero (sign 0, no cancellation), and an empty (G, 0, 0) stack is one
+    (sign 1, log 0, no cancellation and no error).
 
     The cancellation is the Hadamard bound over |det| of the scaled matrix A
     in decimal digits.  The error is the roundoff N eps (1 + growth), with
@@ -125,6 +133,9 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
     """
     L = np.asarray(log_entries, dtype=float)
     N = L.shape[-1]
+    if N == 0:
+        one, zero = np.ones(len(L)), np.zeros(len(L))
+        return (one, zero, zero, zero) + (zero,) * (3 if len(log_derivs) else 0)
     row_shift = L.max(axis=-1)
     dead_rows = ~np.isfinite(row_shift)
     row_shift[dead_rows] = 0.0
@@ -170,29 +181,23 @@ class EvalConfig:
     """Precision policy for the determinant engine.
 
     ``precision="double"`` never escalates; ``"extended"`` re-runs an
-    evaluation through mpmath when its cancellation diagnostic exceeds
-    ``cancellation_warn_digits``, until one round's a-posteriori error
-    bound certifies it to 10^-(``extended_dps`` - 10) relative.  The first
-    round runs at ``extended_dps`` plus the digits the double-precision
-    evaluation lost, capped at 790 so that a retry fits within the
-    1600-digit limit (`extended.first_round`).  A round whose bound misses
-    runs again, higher by the digits it fell short plus a guard of 5; a
-    round with no finite bound, an exact zero included, runs again at twice
-    its digits.  When the next round would pass 1600 digits, the
-    double-precision value is kept with a ``nonconverged:`` warning.
-    ``extended_dps`` is at most 1580, so that a retry fits.
+    evaluation through mpmath when it lost more than `_WARN_DIGITS` digits
+    to cancellation, until one round's a-posteriori error bound certifies
+    it to 10^-(`_EXTENDED_DPS` - 10) = 10^-30 relative.  The first round runs
+    at `_EXTENDED_DPS` plus the digits the double-precision evaluation lost,
+    capped at 790 so that a retry fits within the 1600-digit limit
+    (`extended.first_round`).  A round whose bound misses runs again, higher
+    by the digits it fell short plus a guard of 5; a round with no finite
+    bound, an exact zero included, runs again at twice its digits.  When the
+    next round would pass 1600 digits, the double-precision value is kept
+    with a ``nonconverged:`` warning.
     """
 
     precision: str = "double"
-    extended_dps: int = 40
-    cancellation_warn_digits: float = 12.0
 
     def __post_init__(self):
         if self.precision not in ("double", "extended"):
             raise ValueError(f"unknown precision {self.precision!r}")
-        if not 30 <= self.extended_dps <= _MAX_DPS - 20:
-            raise ValueError(f"extended_dps must be in [30, {_MAX_DPS - 20}]: at least 30 "
-                             "digits, and room for a retry")
 
 
 _DEFAULT_CONFIG = EvalConfig()
@@ -222,7 +227,7 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
     else:
         value = sign * (math.inf if log_mag > 709.0 else math.exp(log_mag))
         log10_mag = log_mag / math.log(10.0)
-    if cancel > cfg.cancellation_warn_digits:
+    if cancel > _WARN_DIGITS:
         warnings.append(
             f"cancellation:{cancel:.1f} digits lost so the double-precision result "
             "is unreliable"
@@ -232,7 +237,7 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
             import mpmath
             from .extended import NotConverged, first_round
             try:
-                r = extended_fn(cfg.extended_dps, first_round(cfg.extended_dps, cancel))
+                r = extended_fn(_EXTENDED_DPS, first_round(_EXTENDED_DPS, cancel))
             except NotConverged as exc:
                 # the double-precision value and its estimate stand
                 warnings.append(
@@ -281,18 +286,6 @@ def _check_pair(a: float, b: float) -> Tuple[float, float]:
     return a, b
 
 
-def _log_gaps(vals: Sequence[float]) -> float:
-    out = 0.0
-    for j in range(len(vals)):
-        for k in range(j + 1, len(vals)):
-            out += math.log(vals[k] - vals[j])
-    return out
-
-
-def _sum_log(vals: Sequence[float]) -> float:
-    return sum(math.log(v) for v in vals)
-
-
 # ---------------------------------------------------------------------------
 # entry arrays
 #
@@ -325,46 +318,67 @@ def _power_rel(log_v):
 
 
 # ---------------------------------------------------------------------------
-# prefactors: the lambda-free parts as (sign, log), computed once per grid;
-# each law adds its lambda terms as an array
+# prefactors: one description per law, the same data for the double path
+# (`_log_pref`) and the mpmath path (`extended._pref`)
 
 
-def _pref(pairs: int, log: float) -> Tuple[int, float]:
-    """e^log with the sign (-1)^pairs of a Vandermonde with that many pairs."""
-    return -1 if pairs % 2 else 1, log
+class _Pref(NamedTuple):
+    """A law's prefactor as data,
+
+        (-1)^pairs lam^lam_power e^(-lam sum decay) prod_(k, v in powers) prod_j v_j^k
+        * prod_(a in above) Gamma(a) / prod_(a in below) Gamma(a)
+        / prod_(v in vandermonde) prod_(j < k) (v_k - v_j),
+
+    its spectra sequences of floats here and of mpfs in `extended`."""
+
+    pairs: int
+    powers: tuple = ()
+    above: tuple = ()
+    below: tuple = ()
+    vandermonde: tuple = ()
+    lam_power: int = 0
+    decay: Sequence = ()
 
 
-def _row_pref(n: int, m: int, svals: Sequence[float]) -> Tuple[int, float]:
+def _row_norm(n: int, m: int, s, lam_power: int = 0, decay=()) -> _Pref:
     # normalization (spectral powers over factorials) divided by the
     # spectral Vandermonde; shared by every row-model law
-    return _pref(m * (m - 1) // 2, n * _sum_log(svals) - _log_gaps(svals)
-                 - sum(math.lgamma(n - m + k) for k in range(1, m + 1)))
+    return _Pref(m * (m - 1) // 2, ((n, s),), (), tuple(range(n - m + 1, n + 1)), (s,),
+                 lam_power, decay)
 
 
-def _col_pref_max(n: int, m: int, svals: Sequence[float]) -> Tuple[int, float]:
-    return _pref(m * (m - 1) // 2, math.lgamma(m + 1) + m * _sum_log(svals) - _log_gaps(svals)
-                 - sum(math.lgamma(k + 1) for k in range(1, m + 1)))
+# each law's prefactor, keyed by the name of its mpmath re-evaluation
+# `extended.<name>` and taking its arguments without the points
+_PREFS = {
+    "cdf_max_row": lambda n, m, s: _row_norm(n, m, s, n * m - m * (m - 1) // 2),
+    # at n = m the survival is e^(-lam sum s) times an empty determinant
+    "cdf_min_row": lambda n, m, s: _row_norm(n, m, s, decay=s) if n > m else _Pref(0, decay=s),
+    "prob_gap_row": _row_norm,
+    "cdf_max_col": lambda n, m, s: _Pref(m * (m - 1) // 2, ((m, s),), (m + 1,),
+                                         tuple(range(2, m + 2)), (s,)),
+    "cdf_min_col": lambda n, m, s: _Pref(m * (m - 1) // 2, ((m, s),), vandermonde=(s,), decay=s),
+    # prod_(k < m) k! / ((n-1)!)^m: anchored so that the m = n case is
+    # exactly the square evaluation and the m < n case matches the iterated
+    # large-eigenvalue limit of it (the overall sign depends on n only)
+    "cdf_max_doubly": lambda n, m, r, s: _Pref(n * (n - 1) // 2, ((n, r), (n, s)),
+                                               tuple(range(2, m + 1)), (n,) * m, (r, s),
+                                               n * n - n * (n - 1) // 2),
+    "cdf_min_doubly": lambda n, r, s: _Pref(n * (n - 1) // 2, (), tuple(range(2, n + 1)), (),
+                                            (r, s), -(n * (n - 1) // 2)),
+}
 
 
-def _col_pref_min(n: int, m: int, svals: Sequence[float]) -> Tuple[int, float]:
-    # times exp(-lam sum(s))
-    return _pref(m * (m - 1) // 2, m * _sum_log(svals) - _log_gaps(svals))
-
-
-def _doubly_pref_min(n: int, rvals, svals) -> Tuple[int, float]:
-    # times lam^(-M), M = n(n-1)/2
-    return _pref(n * (n - 1) // 2, sum(math.lgamma(j + 1) for j in range(1, n))
-                 - _log_gaps(rvals) - _log_gaps(svals))
-
-
-def _doubly_pref_max(n: int, m: int, rvals, svals) -> Tuple[int, float]:
-    # General m <= n prefactor, anchored so that the m = n case is exactly
-    # the square evaluation and the m < n case matches the iterated
-    # large-eigenvalue limit of it (the overall sign depends on n only);
-    # times lam^(n^2 - M), M = n(n-1)/2.
-    return _pref(n * (n - 1) // 2, sum(math.lgamma(n) - math.lgamma(n - p) for p in range(1, n - m))
-                 - sum(j * math.log(j) for j in range(1, n))
-                 + n * (_sum_log(rvals) + _sum_log(svals)) - _log_gaps(rvals) - _log_gaps(svals))
+def _log_pref(p: _Pref, lams: np.ndarray) -> Tuple[int, np.ndarray]:
+    """The sign of ``p`` and its log at each lambda of ``lams``."""
+    log = (sum(math.lgamma(a) for a in p.above)
+           + sum(k * sum(math.log(x) for x in v) for k, v in p.powers))
+    for v in p.vandermonde:
+        log -= sum(math.log(y - x) for j, x in enumerate(v) for y in v[j + 1:])
+    log -= sum(math.lgamma(a) for a in p.below)
+    logs = log + p.lam_power * np.log(lams) if p.lam_power else np.full(len(lams), float(log))
+    if p.decay:
+        logs = logs - lams * sum(p.decay)
+    return -1 if p.pairs % 2 else 1, logs
 
 
 # ---------------------------------------------------------------------------
@@ -376,35 +390,31 @@ def _doubly_pref_max(n: int, m: int, rvals, svals) -> Tuple[int, float]:
 
 
 class _Law(NamedTuple):
-    """sign * e^logs * det e^L on a grid, entry errors R.
+    """The prefactor ``_PREFS[name](*args)`` times det e^L on a grid, entry
+    errors R; a (G, 0, 0) L is the empty determinant, one.
 
-    ``ext`` = (name, *args) names the mpmath re-evaluation
+    ``name`` and ``args`` also name the mpmath re-evaluation
     ``extended.<name>(*args, *point, dps, start=start)``.  ``deriv()``,
     called for densities only, gives the derivative part: the arrays D of
     the entries' log-derivatives (dA = A o D), the constants c (the
     prefactor's log-derivative plus the row and column constants left out of
-    D) and the density's sign.  L is None for a closed form: no determinant,
-    the value's relative error ``rel``.
+    D) and the density's sign.
     """
 
-    sign: int
-    logs: np.ndarray
-    L: Optional[np.ndarray]
-    R: Optional[np.ndarray]
-    ext: tuple
+    name: str
+    args: tuple
+    L: np.ndarray
+    R: np.ndarray
     deriv: Callable[[], tuple]
-    rel: Optional[np.ndarray] = None
 
 
 def _row_max(n, m, svals, lams):
     """E_a(lam s), orders n-m+1..n, times lam^(nm - M)."""
     x = lams[:, None] * np.asarray(svals, dtype=float)
     L, R = _gamma_logs(n - m + 1, n, x, np.log(x))
-    sign, log = _row_pref(n, m, svals)
     # d/dlam lam^a E_a(lam s) = lam^(a-1) e^-x: e^-x / (lam E_a(x)) less the
     # column constants a/lam, which sum to the prefactor's (nm - M)/lam
-    return _Law(sign, log + (n * m - m * (m - 1) // 2) * np.log(lams), L, R,
-                ("cdf_max_row", n, m, svals),
+    return _Law("cdf_max_row", (n, m, svals), L, R,
                 lambda: ([np.exp(-x[..., None] - L) / lams[:, None, None]], 0.0, 1.0))
 
 
@@ -428,8 +438,7 @@ def _col_max(n, m, svals, lams):
         D[:, :, :m] = np.exp(np.arange(m) * np.log(lam3) - lam3 * s[:, None] - L[:, :, :m])
         return [D], 0.0, 1.0
 
-    sign, log = _col_pref_max(n, m, svals)
-    return _Law(sign, np.full(len(lams), log), L, R, ("cdf_max_col", n, m, svals), deriv)
+    return _Law("cdf_max_col", (n, m, svals), L, R, deriv)
 
 
 def _doubly_max(n, m, rvals, svals, lams):
@@ -450,26 +459,20 @@ def _doubly_max(n, m, rvals, svals, lams):
         D[:, :m] = x / lam * np.expm1(log_doubly_g(n + 1, x) - L[:, :m])
         return [D], (n * n - M - (n - m) * (n - m + 1) // 2) / lams, 1.0
 
-    sign, log = _doubly_pref_max(n, m, rvals, svals)
-    return _Law(sign, log + (n * n - M) * np.log(lams), L, R,
-                ("cdf_max_doubly", n, m, rvals, svals), deriv)
+    return _Law("cdf_max_doubly", (n, m, rvals, svals), L, R, deriv)
 
 
 def _row_min(n, m, svals, lams):
-    """`_row_min_logs` times e^(-lam sum s); at n = m the determinant is
-    lambda-free and the survival is that exponential alone."""
-    ssum = sum(svals)
-    decay = -lams * ssum
-    if n == m:
-        return _Law(1, decay, None, None, (), lambda: ([], -ssum, -1.0),
-                    (5.0 - decay) * _EPS)
-    L, R = _row_min_logs(n - m + 1, n, lams, svals)
-    sign, log = _row_pref(n, m, svals)
-    # d F_a / d lam = s F_a - lam^(a-1): the row constants s cancel the
-    # prefactor's e^(-lam sum s)
-    return _Law(sign, log + decay, L, R, ("cdf_min_row", n, m, svals),
-                lambda: ([-np.exp(np.arange(n - m, n) * np.log(lams)[:, None, None] - L)],
-                         0.0, -1.0))
+    """`_row_min_logs` times e^(-lam sum s), a row for each value that the
+    prefactor's Vandermonde divides by: none at n = m, where the survival is
+    that exponential alone."""
+    rows = [v for vals in _PREFS["cdf_min_row"](n, m, svals).vandermonde for v in vals]
+    L, R = _row_min_logs(n - len(rows) + 1, n, lams, rows)
+    # d F_a / d lam = s F_a - lam^(a-1): the row constants s add to the
+    # prefactor's -sum s
+    return _Law("cdf_min_row", (n, m, svals), L, R,
+                lambda: ([-np.exp(np.arange(n - len(rows), n) * np.log(lams)[:, None, None] - L)],
+                         -sum(svals) + sum(rows), -1.0))
 
 
 def _col_min(n, m, svals, lams):
@@ -479,10 +482,9 @@ def _col_min(n, m, svals, lams):
     L[:, :, :m] = -np.arange(1, m + 1) * np.log(s)
     L[:, :, m:] = lams[:, None, None] * s + np.arange(n - m) * np.log(s)
 
-    sign, log = _col_pref_min(n, m, svals)
     # the exponential columns have log-derivative s; taking that row constant
     # out leaves -s on the power columns and cancels e^(-lam sum s)
-    return _Law(sign, log + -lams * sum(svals), L, _power_rel(L), ("cdf_min_col", n, m, svals),
+    return _Law("cdf_min_col", (n, m, svals), L, _power_rel(L),
                 lambda: ([np.where(np.arange(n) < m, -s, 0.0)], 0.0, -1.0))
 
 
@@ -492,11 +494,8 @@ def _doubly_min(n, m, rvals, svals, lams):
         raise ValueError("smallest-eigenvalue law for the doubly correlated model requires m = n")
     L = (-lams[:, None, None] * np.asarray(rvals, dtype=float)[None, :, None]
          * np.asarray(svals, dtype=float)[None, None, :])
-    M = n * (n - 1) // 2
-    sign, log = _doubly_pref_min(n, rvals, svals)
-    return _Law(sign, log + -M * np.log(lams), L, _power_rel(L),
-                ("cdf_min_doubly", n, rvals, svals),
-                lambda: ([-np.outer(rvals, svals)], -M / lams, -1.0))
+    return _Law("cdf_min_doubly", (n, rvals, svals), L, _power_rel(L),
+                lambda: ([-np.outer(rvals, svals)], -(n * (n - 1) // 2) / lams, -1.0))
 
 
 def _gap(n, m, svals, points):
@@ -529,9 +528,7 @@ def _gap(n, m, svals, points):
         slope[~np.isfinite(L[:, None]).repeat(2, axis=1)] = 0.0
         return [-slope[:, 0], slope[:, 1]], 0.0, -1.0
 
-    sign, log = _row_pref(n, m, svals)
-    return _Law(sign, np.full(len(points), log), L, np.where(live, R, 1.0),
-                ("prob_gap_row", n, m, svals), deriv)
+    return _Law("prob_gap_row", (n, m, svals), L, np.where(live, R, 1.0), deriv)
 
 
 _LAWS = {
@@ -592,18 +589,19 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
         return [EvalReport(0.0, 0.0, 0.0, list(warnings)) for _ in points]
     grid = np.asarray(points, dtype=float)
     law = build(n, m, *(list(sp) for sp in spectra), grid if stat == "gap" else grid[:, 0])
+    # (a gap law has no lambda terms)
+    pref_sign, logs = _log_pref(_PREFS[law.name](*law.args), grid[:, 0])
     Ds, consts, dsign = law.deriv() if density else ((), 0.0, 1.0)
-    if law.L is None:  # a closed form: det = 1 exactly, no derivative
-        zeros = [0.0] * G
-        dets = [[1.0] * G, zeros, zeros, law.rel.tolist(), zeros, zeros, zeros]
-    else:
-        dets = [a.tolist() for a in _det_from_logs(law.L, law.R, Ds)]
-    logs = law.logs.tolist()
+    sign, log_det, cancel, rel, *derivs = _det_from_logs(law.L, law.R, Ds)
+    # every value also carries the rounding of the logs it is exponentiated from
+    rel = rel + (5.0 + np.abs(logs) + np.abs(log_det)) * _EPS
+    dets = [a.tolist() for a in (sign, log_det, cancel, rel, *derivs)]
+    logs = logs.tolist()
     if not density:
-        return [_finalize(law.sign * sign, log + log_det, rel, cancel, cfg, list(warnings),
-                          _ext(*law.ext, *point) if law.ext else None, True)
+        return [_finalize(pref_sign * sign, log + log_det, rel, cancel, cfg, list(warnings),
+                          _ext(law.name, *law.args, *point), True)
                 for point, log, sign, log_det, cancel, rel
-                in zip(points, logs, *dets[:4])]
+                in zip(points, logs, *dets)]
     out = []
     consts = np.broadcast_to(consts, (G,)).tolist()
     for log, c, sign, log_det, cancel, rel, deriv, gross, err in zip(logs, consts, *dets):
@@ -615,7 +613,7 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
             lost = (abs(c) + gross) / abs(factor)
         else:
             rel = lost = math.inf
-        value_sign = law.sign * sign * (dsign if factor > 0 else -dsign if factor else 0)
+        value_sign = pref_sign * sign * (dsign if factor > 0 else -dsign if factor else 0)
         out.append(_finalize(value_sign, log + log_det + math.log(abs(factor or 1.0)), rel,
                              max(cancel, math.log10(lost)), cfg, list(warnings), None, False))
     return out

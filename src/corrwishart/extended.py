@@ -10,21 +10,23 @@ transcription of the formulas as an oracle.
 
 Each builder returns its prefactor and the rows of its determinant, each
 with a bound on its relative error in ulps (units of u = 2^-p at the
-working precision p): one per rounded operation, `_FN` per mpmath call,
-an argument's ulps times the function's sensitivity to it, and for a gap
-entry hi - lo the condition (|hi| + |lo|) / |hi - lo|.  `_evaluate` runs
-it at each round's precision, and `_bounded_det` (Gaussian elimination on
-mpmath's raw binary floats, with no singularity tolerance) turns those
-errors and the elimination's backward error into a bound on the value.
-A round is accepted when that bound is at most 10^-(dps-10), with no
-second round to confirm it.  The first round runs at ``start`` (the
-engine's `first_round`: ``dps`` plus the digits its double path lost) or
-``dps``.  One whose bound misses runs again, higher by the shortfall in
-digits plus `_GUARD`; one with no finite bound runs again at twice its
-digits.  An exact zero has no bound: no value of these laws is zero, so a
-zero only says that the precision was too low to see the entries differ.
-`NotConverged` is raised when the next round would pass ``_MAX_DPS``.
-The public functions return the accepted `Round`.
+working precision p).  A builder builds only its rows: its prefactor is the
+law's description in `corrwishart.detform` (``_PREFS``, the same data the
+double path takes the log of), evaluated by `_pref`.  The ulps are one per
+rounded operation, `_FN` per mpmath call, an argument's ulps times the
+function's sensitivity to it, and for a gap entry hi - lo the condition
+(|hi| + |lo|) / |hi - lo|.  `_evaluate` runs it at each round's precision,
+and `_bounded_det` (Gaussian elimination on mpmath's raw binary floats,
+with no singularity tolerance) turns those errors and the elimination's
+backward error into a bound on the value.  A round is accepted when that
+bound is at most 10^-(dps-10), with no second round to confirm it.  The
+first round runs at ``start`` (the engine's `first_round`: ``dps`` plus
+the digits its double path lost) or ``dps``.  One whose bound misses runs
+again, higher by the shortfall in digits plus `_GUARD`; one with no finite
+bound runs again at twice its digits.  An exact zero has no bound: no value
+of these laws is zero, so a zero only says that the precision was too low
+to see the entries differ.  `NotConverged` is raised when the next round
+would pass ``_MAX_DPS``.  The public functions return the accepted `Round`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import mpmath
 from mpmath.libmp import (fone, mpf_abs, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub,
                           round_nearest)
 
-from .detform import _MAX_DPS
+from .detform import _MAX_DPS, _PREFS
 
 __all__ = ["NotConverged", "Round", "first_round", "cdf_max_row", "cdf_min_row", "cdf_max_col",
            "cdf_min_col", "cdf_max_doubly", "cdf_min_doubly", "prob_gap_row"]
@@ -175,28 +177,22 @@ def _log2_sum(terms):  # log2 sum 2^t over terms, the largest finite
     return top + math.log2(sum(2.0 ** (t - top) for t in terms))
 
 
-def _diffs(vals):
-    return [vals[k] - vals[j] for j in range(len(vals)) for k in range(j + 1, len(vals))]
-
-
-def _ratio(num, den, ulps=0):
-    """(prod num / prod den, its ulps): each factor one operation on exact
-    values, charged as a call, and ``ulps`` for an argument's rounding."""
+def _pref(p, lam):
+    """The `detform._Pref` ``p`` at ``lam`` as an mpf, and its ulps: each
+    factor, the sign included, one operation on exact values charged as a
+    call, and the ulps of e^(-lam sum decay): len(decay) roundings of its
+    exponent, times the exponent's size."""
+    num, den, ulps = [(-1) ** p.pairs], [], 0
+    if p.lam_power:
+        (num if p.lam_power > 0 else den).append(lam ** abs(p.lam_power))
+    if p.decay:
+        x = lam * sum(p.decay)
+        num.append(mpmath.exp(-x))
+        ulps = len(p.decay) * float(x)
+    num += [mpmath.gamma(a) for a in p.above] + [v ** k for k, vals in p.powers for v in vals]
+    den += [y - x for v in p.vandermonde for j, x in enumerate(v) for y in v[j + 1:]]
+    den += [mpmath.gamma(a) for a in p.below]
     return mpmath.fprod(num) / mpmath.fprod(den), (_FN + 1) * (len(num) + len(den)) + 1 + ulps
-
-
-def _row_pref(n, m, s, *num):
-    """(-1)^M prod s^n / prod_k (n-m+k-1)! / Delta(s) times ``num``: the
-    row-model normalisation (`detform._row_pref`), M = m(m-1)/2."""
-    return _ratio([(-1) ** (m * (m - 1) // 2), *num] + [v ** n for v in s],
-                  _diffs(s) + [mpmath.factorial(k) for k in range(n - m, n)])
-
-
-def _decay(lam, s):
-    """e^(-lam sum s) and its exponent's sensitivity in ulps: len(s)
-    roundings, times its size."""
-    x = lam * sum(s)
-    return mpmath.exp(-x), len(s) * float(x)
 
 
 def _gamma_row(a_lo, a_hi, x, scale=1):
@@ -231,57 +227,51 @@ def _shifted_power_row(a_lo, a_hi, lam, s):
     return row
 
 
-# the builders: each formula as (prefactor, its ulps, rows, their ulps)
+# the builders: each formula as (prefactor, its ulps, rows, their ulps),
+# the prefactor from its description `detform._PREFS[<name>]`
 
 
 def _max_row(n, m, s, lam):
-    return (*_row_pref(n, m, s, lam ** (n * m - m * (m - 1) // 2)),
-            [_gamma_row(n - m + 1, n, lam * v) for v in s], _gamma_ulps(n - m + 1, n, lam * max(s)))
+    return (*_pref(_PREFS["cdf_max_row"](n, m, s), lam),
+            [_gamma_row(n - m + 1, n, lam * v) for v in s],
+            _gamma_ulps(n - m + 1, n, lam * max(s)))
 
 
 def _min_row(n, m, s, lam):
-    decay, ulps = _decay(lam, s)
-    if n == m:
-        return decay, _FN + ulps, [], 0
-    pref, pref_ulps = _row_pref(n, m, s, decay)
-    # F_a: three roundings a step, from one
-    return (pref, pref_ulps + ulps, [_shifted_power_row(n - m + 1, n, lam, v) for v in s],
+    # a row for each value that the prefactor's Vandermonde divides by: none
+    # at n = m; F_a: three roundings a step, from one
+    pref = _PREFS["cdf_min_row"](n, m, s)
+    return (*_pref(pref, lam),
+            [_shifted_power_row(n - m + 1, n, lam, v) for vals in pref.vandermonde for v in vals],
             3 * n + 1)
 
 
 def _max_col(n, m, s, lam):
     # v^i: one call
-    return (*_ratio([(-1) ** (m * (m - 1) // 2), mpmath.factorial(m)] + [v ** m for v in s],
-                    _diffs(s) + [mpmath.factorial(k) for k in range(1, m + 1)]),
+    return (*_pref(_PREFS["cdf_max_col"](n, m, s), lam),
             [_gamma_row(1, m, lam * v, lam) + [v ** i for i in range(n - m)] for v in s],
             _gamma_ulps(1, m, lam * max(s), True))
 
 
 def _min_col(n, m, s, lam):
-    decay, ulps = _decay(lam, s)
     # v^-k: one call; e^(lam v) v^i: two calls and lam v's ulp times its size
-    return (*_ratio([(-1) ** (m * (m - 1) // 2), decay] + [v ** m for v in s], _diffs(s), ulps),
+    return (*_pref(_PREFS["cdf_min_col"](n, m, s), lam),
             [[v ** -k for k in range(1, m + 1)]
              + [mpmath.exp(lam * v) * v ** i for i in range(n - m)] for v in s],
             2 * _FN + 1 + float(lam * max(s)))
 
 
 def _max_doubly(n, m, r, s, lam):
-    M = n * (n - 1) // 2
     # 1F1(1; n+1; -y) = n int_0^1 (1-t)^(n-1) e^(-y t) dt has sensitivity at
     # most y to y = lam r s (two roundings); (lam v)^-i has i to lam v (one)
-    return (*_ratio([(-1) ** M * lam ** (n * n - M)] + [mpmath.gamma(n)] * (n - m - 1)
-                    + [v ** n for v in r + s],
-                    _diffs(r) + _diffs(s) + [mpmath.mpf(j) ** j for j in range(1, n)]
-                    + [mpmath.gamma(n - p) for p in range(1, n - m)]),
+    return (*_pref(_PREFS["cdf_max_doubly"](n, m, r, s), lam),
             [[mpmath.hyp1f1(1, n + 1, -lam * rj * v) / n for v in s] for rj in r]
             + [[(lam * v) ** -i for v in s] for i in range(1, n - m + 1)],
             max(2 * float(lam * max(r) * max(s)) + _FN + 1, n + _FN))
 
 
 def _min_doubly(n, r, s, lam):
-    return (*_ratio([mpmath.factorial(j) for j in range(1, n)],
-                    [(-lam) ** (n * (n - 1) // 2)] + _diffs(r) + _diffs(s)),
+    return (*_pref(_PREFS["cdf_min_doubly"](n, r, s), lam),
             [[mpmath.exp(-lam * rj * v) for v in s] for rj in r],
             2 * float(lam * max(r) * max(s)) + _FN)
 
@@ -295,7 +285,7 @@ def _gap_row(n, m, s, a, b):
         rows.append([h - l for h, l in zip(hi, lo)])
         worst = max([worst] + [(e_hi * abs(h) + e_lo * abs(l)) / abs(g) + 1 if g else mpmath.inf
                                for h, l, g in zip(hi, lo, rows[-1])])
-    return (*_row_pref(n, m, s), rows, worst)
+    return (*_pref(_PREFS["prob_gap_row"](n, m, s), None), rows, worst)
 
 
 def cdf_max_row(n, m, s, lam, dps=40, start=None):

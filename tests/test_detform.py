@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -381,20 +382,6 @@ class TestReliabilitySurface:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EvalConfig(precision="quad")
-        with pytest.raises(ValueError):
-            EvalConfig(extended_dps=10)
-
-    @pytest.mark.parametrize("dps", [1581, 1590])
-    def test_extended_dps_leaves_room_for_a_retry(self, dps):
-        # a first round past 1580 digits leaves a round whose bound misses by
-        # a few digits no room to run again
-        with pytest.raises(ValueError, match="1580"):
-            EvalConfig(precision="extended", extended_dps=dps)
-
-    def test_largest_extended_dps_converges(self):
-        rep = cdf_min(row_case(5, 3, [1.0, 1.0001, 1.0002]), 0.3,
-                      EvalConfig(precision="extended", extended_dps=1580))
-        assert any(w.startswith("extended:") for w in rep.warnings)
 
 
 class TestUnderflow:
@@ -413,6 +400,30 @@ class TestUnderflow:
         assert not cdf_max(row_case(3, 1, [1.0]), 1e-100).warnings
         rep = cdf_max(row_case(4, 2, [1.0, 3.0]), 1e-100)
         assert rep.value == 0.0 and not any(w.startswith("underflow:") for w in rep.warnings)
+
+
+class TestEstimateContractInTheTails:
+    # row 2x1 survival e^(-lam s) (1 + lam s) far in its tail: the double
+    # value is exponentiated from logs of size lam s, whose rounding its
+    # estimate must count
+    @pytest.mark.parametrize("s,lam", [([3.6], 12.0), ([3.6], 38.0), ([3.6], 115.0),
+                                       ([2.0], 38.0), ([2.0], 300.0),
+                                       ([1.0], 115.0), ([1.0], 300.0)])
+    def test_unflagged_cdf_min_within_its_estimate(self, s, lam):
+        rep = cdf_min(row_case(2, 1, s), lam)
+        want = extended.cdf_min_row(2, 1, s, lam, 50).value
+        assert not rep.warnings
+        with mpmath.workdps(50):
+            assert abs(rep.value - want) <= rep.abs_error_estimate
+
+    def test_overflowing_density_sensitivity_is_flagged(self):
+        # Jacobi's formula overflows its sensitivity products on this member:
+        # the report is flagged and returned, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = pdf_min(doubly_case(3, 3, [1.0, 2.0, 3.0], [0.6, 0.9, 1.8]), 200.0)
+        assert rep.value == 0.0
+        assert [w.split(":")[0] for w in rep.warnings] == ["cancellation", "underflow"]
 
 
 class TestExtendedAgreesWithDouble:

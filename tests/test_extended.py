@@ -20,9 +20,44 @@ def evenly(lo, hi, count):
 
 
 # ---------------------------------------------------------------------------
-# oracle: direct transcriptions of the row and column formulas, one mpmath
-# special function (or binomial sum) per entry.  ``raw(d)`` evaluates at d
-# digits; none of it shares code with `corrwishart.extended`.
+# oracle: direct transcriptions of every formula, each with its own
+# prefactor and one mpmath special function (or binomial sum) per entry,
+# and its determinant taken exactly in rationals (`exact_det`).  ``raw(d)``
+# evaluates at d digits; none of it shares code with `corrwishart.extended`
+# or with the prefactor descriptions of `corrwishart.detform`.
+
+
+def exact(x):
+    """The mpf ``x`` as a Fraction, exactly."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def fraction_det(rows):
+    """Exact determinant of a matrix of Fractions by Gaussian elimination."""
+    a = [list(row) for row in rows]
+    n, det = len(a), Fraction(1)
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k + 1, n):
+                a[i][j] -= f * a[k][j]
+    return det
+
+
+def exact_det(A):
+    """The determinant of the mpmath matrix ``A``, exact in rationals, then
+    rounded to the working precision: no tolerance reads a matrix whose rows
+    span many orders of magnitude as singular."""
+    det = fraction_det([[exact(x) for x in row] for row in A.tolist()])
+    return mpmath.mpf(det.numerator) / det.denominator
 
 
 def _gaps(vals):
@@ -54,7 +89,7 @@ def oracle_cdf_max_row(n, m, s, lam):
             for v in sv:
                 pref *= (lm * v) ** n
             pref /= (-lm) ** (m * (m - 1) // 2) * _gaps(sv)
-            return pref * mpmath.det(A)
+            return pref * exact_det(A)
     return raw
 
 
@@ -63,8 +98,6 @@ def oracle_cdf_min_row(n, m, s, lam):
         with mpmath.workdps(d):
             lm = mpmath.mpf(lam)
             sv = [mpmath.mpf(v) for v in s]
-            if n == m:
-                return mpmath.exp(-lm * sum(sv))
             A = mpmath.matrix(m, m)
             for j in range(m):
                 for k in range(1, m + 1):
@@ -81,7 +114,7 @@ def oracle_cdf_min_row(n, m, s, lam):
             for k in range(1, m + 1):
                 pref /= mpmath.factorial(n - m + k - 1)
             pref /= _gaps(sv)
-            return pref * mpmath.det(A)
+            return pref * exact_det(A)
     return raw
 
 
@@ -103,7 +136,7 @@ def oracle_cdf_max_col(n, m, s, lam):
             for v in sv:
                 pref *= v ** m
             pref /= _gaps(sv)
-            return pref * mpmath.det(A)
+            return pref * exact_det(A)
     return raw
 
 
@@ -126,7 +159,72 @@ def oracle_prob_gap_row(n, m, s, a, b):
             for k in range(1, m + 1):
                 pref /= mpmath.factorial(n - m + k - 1)
             pref /= _gaps(sv)
-            return pref * mpmath.det(A)
+            return pref * exact_det(A)
+    return raw
+
+
+def oracle_cdf_min_col(n, m, s, lam):
+    def raw(d):
+        with mpmath.workdps(d):
+            lm = mpmath.mpf(lam)
+            sv = [mpmath.mpf(v) for v in s]
+            A = mpmath.matrix(n, n)
+            for j in range(n):
+                for k in range(1, m + 1):
+                    A[j, k - 1] = sv[j] ** -k
+                for i in range(n - m):
+                    A[j, m + i] = mpmath.exp(lm * sv[j]) * sv[j] ** i
+            pref = mpmath.mpf(-1) ** (m * (m - 1) // 2) * mpmath.exp(-lm * sum(sv)) / _gaps(sv)
+            for v in sv:
+                pref *= v ** m
+            return pref * exact_det(A)
+    return raw
+
+
+def _doubly_g(n, x):
+    # int_0^1 (1-t)^(n-1) e^(-x t) dt by Kummer's transformation of
+    # 1F1(1; n+1; -x) / n
+    return mpmath.exp(-x) * mpmath.hyp1f1(n, n + 1, x) / n
+
+
+def oracle_cdf_max_doubly(n, m, r, s, lam):
+    def raw(d):
+        with mpmath.workdps(d):
+            lm = mpmath.mpf(lam)
+            rv = [mpmath.mpf(v) for v in r]
+            sv = [mpmath.mpf(v) for v in s]
+            A = mpmath.matrix(n, n)
+            for k in range(n):
+                for j in range(m):
+                    A[j, k] = _doubly_g(n, lm * rv[j] * sv[k])
+                for i in range(1, n - m + 1):
+                    A[m + i - 1, k] = (lm * sv[k]) ** -i
+            M = n * (n - 1) // 2
+            pref = mpmath.mpf(-1) ** M * lm ** (n * n - M) / (_gaps(rv) * _gaps(sv))
+            for v in rv + sv:
+                pref *= v ** n
+            for j in range(1, n):
+                pref /= mpmath.mpf(j) ** j
+            for p in range(1, n - m):
+                pref *= mpmath.factorial(n - 1) / mpmath.factorial(n - p - 1)
+            return pref * exact_det(A)
+    return raw
+
+
+def oracle_cdf_min_doubly(n, r, s, lam):
+    def raw(d):
+        with mpmath.workdps(d):
+            lm = mpmath.mpf(lam)
+            rv = [mpmath.mpf(v) for v in r]
+            sv = [mpmath.mpf(v) for v in s]
+            A = mpmath.matrix(n, n)
+            for j in range(n):
+                for k in range(n):
+                    A[j, k] = mpmath.exp(-lm * rv[j] * sv[k])
+            pref = 1 / ((-lm) ** (n * (n - 1) // 2) * _gaps(rv) * _gaps(sv))
+            for j in range(1, n):
+                pref *= mpmath.factorial(j)
+            return pref * exact_det(A)
     return raw
 
 
@@ -217,7 +315,8 @@ class TestRowRecurrences:
 
 # ---------------------------------------------------------------------------
 # function level: the recurrences inside the formulas against the oracle,
-# on the shapes of the benchmark's escalation workload
+# on the shapes of the benchmark's escalation workload, and every law's
+# prefactor (which the double path shares) against its transcription
 
 DPS = 40
 
@@ -239,7 +338,22 @@ def _row_cases():
            (8, 6, evenly(0.5, 4.0, 6), 1.0, 1.0001))
 
 
-ORACLE_CASES = list(_row_cases())
+def _other_cases():
+    # every other law, each prefactor against its own transcription; row
+    # n = m is the prefactor alone in `corrwishart`, a full determinant here
+    for n in (3, 4):
+        yield (f"row {n}x{n} min", extended.cdf_min_row, oracle_cdf_min_row,
+               (n, n, evenly(0.5, 4.0, n), 0.6))
+    yield ("column 5x3 min", extended.cdf_min_col, oracle_cdf_min_col,
+           (5, 3, evenly(0.5, 4.0, 5), 0.8))
+    r, s = evenly(0.5, 2.5, 4), evenly(0.6, 1.8, 6)
+    yield "doubly 6x4 max", extended.cdf_max_doubly, oracle_cdf_max_doubly, (6, 4, r, s, 0.7)
+    yield ("doubly 4x4 max", extended.cdf_max_doubly, oracle_cdf_max_doubly,
+           (4, 4, r, s[:4], 1.3))
+    yield "doubly 4x4 min", extended.cdf_min_doubly, oracle_cdf_min_doubly, (4, r, s[:4], 0.4)
+
+
+ORACLE_CASES = list(_row_cases()) + list(_other_cases())
 
 
 @functools.lru_cache(maxsize=None)
@@ -265,7 +379,7 @@ PUBLIC = {extended.cdf_max_row: (RowCorrelated, cdf_max),
           extended.cdf_min_row: (RowCorrelated, cdf_min),
           extended.prob_gap_row: (RowCorrelated, prob_gap),
           extended.cdf_max_col: (ColumnCorrelated, cdf_max)}
-ESCALATED_CASES = [c for c in ORACLE_CASES if c[0] not in ("row 10x6 min", "row 11x7 min")]
+ESCALATED_CASES = [c for c in _row_cases() if c[0] not in ("row 10x6 min", "row 11x7 min")]
 
 
 @pytest.mark.parametrize("name,fn,oracle,args", ESCALATED_CASES,
@@ -411,31 +525,6 @@ class TestNotConverged:
 
 # ---------------------------------------------------------------------------
 # the determinant against exact rational arithmetic on the same entries
-
-
-def exact(x):
-    """The mpf ``x`` as a Fraction, exactly."""
-    sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
-
-
-def fraction_det(rows):
-    """Exact determinant of a matrix of Fractions by Gaussian elimination."""
-    a = [list(row) for row in rows]
-    n, det = len(a), Fraction(1)
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k] != 0), None)
-        if p is None:
-            return Fraction(0)
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k + 1, n):
-                a[i][j] -= f * a[k][j]
-    return det
 
 
 def dominant(n, rng):
@@ -609,35 +698,20 @@ def test_builder_errors_within_their_ulps(name, build, args):
 # a determinant whose rows span many orders of magnitude is not read as zero
 
 
-def exact_cdf_min_col(n, m, s, lam):
-    """The column-model Pr(lambda_min >= lam) from 80-digit entries whose
-    determinant is taken exactly in rationals."""
-    with mpmath.workdps(80):
-        lm = mpmath.mpf(lam)
-        sv = [mpmath.mpf(v) for v in s]
-        rows = [[exact(v ** -k) for k in range(1, m + 1)]
-                + [exact(mpmath.exp(lm * v) * v ** i) for i in range(n - m)] for v in sv]
-        det = fraction_det(rows)
-        pref = (-1) ** (m * (m - 1) // 2) * mpmath.exp(-lm * sum(sv)) / _gaps(sv)
-        for v in sv:
-            pref *= v ** m
-        return pref * mpmath.mpf(det.numerator) / det.denominator
-
-
 COLUMN_5x3 = [0.5, 1.0, 2.0, 3.0, 4.0]
 
 
 class TestColumnMinWideRows:
     @pytest.mark.parametrize("lam", [80, 160])
     def test_formula_against_exact_determinant(self, lam, monkeypatch):
-        want = exact_cdf_min_col(5, 3, COLUMN_5x3, lam)
+        want = oracle_cdf_min_col(5, 3, COLUMN_5x3, lam)(80)
         monkeypatch.setattr(extended, "_self_validated", validated_mpf)
         got = extended.cdf_min_col(5, 3, COLUMN_5x3, lam, DPS).value
         assert rel_gap(got, want) <= 1e-25
 
     @pytest.mark.parametrize("lam", [80, 160])
     def test_extended_report(self, lam):
-        want = exact_cdf_min_col(5, 3, COLUMN_5x3, lam)
+        want = oracle_cdf_min_col(5, 3, COLUMN_5x3, lam)(80)
         case = ColumnCorrelated(Dimensions(5, 3), validate_spectrum(COLUMN_5x3))
         rep = cdf_min(case, lam, EvalConfig(precision="extended"))
         assert any(w.startswith("extended:") for w in rep.warnings)
