@@ -4,8 +4,10 @@ import pytest
 
 from corrwishart import extended
 from corrwishart.cli import main
-from corrwishart.detform import EvalConfig, cdf_max, cdf_min
-from corrwishart.model import Dimensions, RowCorrelated, validate_spectrum
+from corrwishart.detform import (EvalConfig, cdf_max, cdf_min, pdf_joint_minmax, pdf_max,
+                                 pdf_min, prob_gap)
+from corrwishart.model import (ColumnCorrelated, Dimensions, DoublyCorrelated, RowCorrelated,
+                               validate_spectrum)
 
 
 def run(capsys, *args):
@@ -270,3 +272,54 @@ class TestWarningsCell:
         rep = {"max": cdf_max, "min": cdf_min}[stat](case, lam, EvalConfig(precision="extended"))
         assert cell.split(";") == rep.warnings
         assert [w.split(":", 1)[0] for w in rep.warnings] == prefixes
+
+
+class TestRowsMatchTheApi:
+    # every table row carries exactly the fields of the matching one-point call
+    @pytest.mark.parametrize("argv,call", [
+        (["cdf", "--case", "row", "--n", "4", "--m", "3", "--spectrum", "1,2,3",
+          "--stat", "max", "--grid", "1e-30:20:6:log"], cdf_max),
+        (["cdf", "--case", "column", "--n", "5", "--m", "3", "--spectrum", "0.5,1,2,3,4",
+          "--stat", "min", "--grid", "0.01:3:6:log"], cdf_min),
+        (["pdf", "--case", "double", "--n", "3", "--m", "3", "--r", "1,2,3",
+          "--s", "0.6,0.9,1.8", "--stat", "max", "--grid", "0.05:200:6:log"], pdf_max),
+        (["pdf", "--case", "row", "--n", "5", "--m", "3", "--spectrum", "1,1.0001,3",
+          "--stat", "min", "--grid", "0.1:40:6:log"], pdf_min),
+        (["gap", "--case", "row", "--n", "4", "--m", "3", "--spectrum", "1,1,2",
+          "--a", "0.05:0.5:3", "--b", "1:8:3"], prob_gap),
+        (["pdf", "--case", "row", "--n", "4", "--m", "2", "--spectrum", "1,2",
+          "--stat", "joint", "--a", "0.1:2:3:linear", "--b", "1:4:3:linear"],
+         pdf_joint_minmax)])
+    def test_csv_and_json_rows(self, argv, call, capsys, monkeypatch):
+        monkeypatch.delenv("CORRWISHART_PRECISION", raising=False)
+        opts = dict(zip(argv[1::2], argv[2::2]))
+        dims = Dimensions(int(opts["--n"]), int(opts["--m"]))
+
+        def spectrum(key):
+            return validate_spectrum([float(v) for v in opts[key].split(",")])
+        if opts["--case"] == "double":
+            case = DoublyCorrelated(dims, spectrum("--r"), spectrum("--s"))
+        else:
+            model = {"row": RowCorrelated, "column": ColumnCorrelated}[opts["--case"]]
+            case = model(dims, spectrum("--spectrum"))
+        rc, out, _ = run(capsys, *argv, "--format", "csv")
+        assert rc == 0
+        header, *lines = out.splitlines()
+        width = len(header.split(",")) - 4
+        reports = []
+        for line in lines:
+            *point, value, abs_error, cancel, cell = line.split(",")
+            rep = call(case, *map(float, point))
+            assert [float(value).hex(), float(abs_error).hex(), float(cancel).hex()] == [
+                rep.value.hex(), rep.abs_error_estimate.hex(), rep.cancellation_digits.hex()]
+            assert (cell.split(";") if cell else []) == rep.warnings
+            reports.append(([float(x) for x in point], rep))
+        assert len(point) == width and len(reports) >= 6
+        rc, out, _ = run(capsys, *argv, "--format", "json")
+        assert rc == 0
+        rows = json.loads(out)["rows"]
+        keys = header.split(",")[:width]
+        assert [([row[k] for k in keys], row["value"], row["abs_error"],
+                 row["cancel_digits"], row["warnings"]) for row in rows] == [
+            (point, rep.value, rep.abs_error_estimate, rep.cancellation_digits, rep.warnings)
+            for point, rep in reports]
