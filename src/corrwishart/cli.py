@@ -14,6 +14,13 @@ covariance itself.  To start from a covariance matrix use the
 ``--covariance*`` options with a JSON file of the form
 ``{"hermitian": [[{"re": ..., "im": ...}, ...], ...]}``.
 
+The three table commands (``cdf``, ``pdf``, ``gap``) share one handler: one
+batched engine call over the job's points, written as CSV or JSON rows.
+Only they take ``--format``, ``--output`` and ``--strict``; ``crosscheck``
+and ``validate`` print a fixed report to stdout.  ``--config FILE`` reads
+defaults from a JSON object keyed by option name: a string or number is
+read as on the command line, and ``--strict`` takes ``true`` or ``false``.
+
 Exit codes: 0 success, 2 argument error, 3 cancellation warning in
 ``--strict`` mode, 4 crosscheck/validation failure.
 """
@@ -43,6 +50,7 @@ from .model import (
 from .montecarlo import MCConfig
 
 _ENV_PRECISION = "CORRWISHART_PRECISION"
+_VALIDATION_POINTS = 30  # lambdas of a validate run without --grid
 
 
 def _parse_grid(spec: str) -> List[float]:
@@ -81,108 +89,39 @@ def _load_covariance(path: str):
                      for row in rows])
 
 
+def _spectrum(path, values, missing: str):
+    if path:
+        return spectrum_from_covariance(_load_covariance(path))
+    if values:
+        return validate_spectrum(_parse_values(values))
+    raise ValueError(missing)
+
+
 def _build_case(args):
     kind = args.case
     if kind is None:
         raise ValueError("--case is required")
-    n, m = args.n, args.m
-    if n is None or m is None:
+    if args.n is None or args.m is None:
         raise ValueError("--n and --m are required")
-    dims = Dimensions(int(n), int(m))
-    if kind == "row":
-        return RowCorrelated(dims, _case_spectrum(args))
-    if kind == "column":
-        return ColumnCorrelated(dims, _case_spectrum(args))
+    dims = Dimensions(args.n, args.m)
     if kind == "double":
-        if args.covariance_r:
-            r = spectrum_from_covariance(_load_covariance(args.covariance_r))
-        elif args.r:
-            r = validate_spectrum(_parse_values(args.r))
-        else:
-            raise ValueError("double case needs --r or --covariance-r")
-        if args.covariance_s:
-            s = spectrum_from_covariance(_load_covariance(args.covariance_s))
-        elif args.s:
-            s = validate_spectrum(_parse_values(args.s))
-        else:
-            raise ValueError("double case needs --s or --covariance-s")
-        return DoublyCorrelated(dims, r, s)
-    raise ValueError(f"unknown case kind {kind!r}")
+        return DoublyCorrelated(
+            dims, _spectrum(args.covariance_r, args.r, "double case needs --r or --covariance-r"),
+            _spectrum(args.covariance_s, args.s, "double case needs --s or --covariance-s"))
+    model = RowCorrelated if kind == "row" else ColumnCorrelated
+    return model(dims, _spectrum(args.covariance, args.spectrum,
+                                 f"{kind} case needs --spectrum or --covariance"))
 
 
-def _case_spectrum(args):
-    if args.covariance:
-        return spectrum_from_covariance(_load_covariance(args.covariance))
-    if args.spectrum:
-        return validate_spectrum(_parse_values(args.spectrum))
-    raise ValueError(f"{args.case} case needs --spectrum or --covariance")
-
-
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
-
-
-def _emit(rows, columns, args, jobspec) -> None:
-    out_fmt = args.format or "csv"
-    if out_fmt == "csv":
-        lines = [",".join(columns)]
-        for row in rows:
-            cells = []
-            for col in columns:
-                v = row[col]
-                if col == "warnings":
-                    cells.append(";".join(v).replace(",", " "))
-                else:
-                    cells.append(_fmt(v))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-    else:
-        payload = {"jobspec": jobspec, "rows": rows}
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _jobspec(args, command) -> dict:
-    keys = ("case", "n", "m", "spectrum", "r", "s", "stat", "grid", "a", "b",
-            "format", "precision", "samples", "seed", "confidence")
-    spec = {"command": command}
-    for key in keys:
-        val = getattr(args, key, None)
-        if val is not None:
-            spec[key] = val
-    return spec
+def _jobspec(args) -> dict:
+    keys = ("command", "case", "n", "m", "spectrum", "r", "s", "stat", "grid", "a", "b",
+            "format", "precision")
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 def _eval_config(args) -> EvalConfig:
     precision = args.precision or os.environ.get(_ENV_PRECISION) or "double"
     return EvalConfig(precision=precision)
-
-
-def _strict_rc(rows, args) -> int:
-    if args.strict and any(any(w.startswith("cancellation:") for w in row["warnings"])
-                           for row in rows):
-        return 3
-    return 0
-
-
-def _emit_reports(keys, points, reports, args, command) -> int:
-    """Write one row per (point, report); ``keys`` name the point's coordinates."""
-    rows = []
-    for point, rep in zip(points, reports):
-        row = dict(zip(keys, point))
-        row.update({"value": rep.value, "abs_error": rep.abs_error_estimate,
-                    "cancel_digits": rep.cancellation_digits,
-                    "warnings": rep.warnings})
-        rows.append(row)
-    _emit(rows, list(keys) + ["value", "abs_error", "cancel_digits", "warnings"],
-          args, _jobspec(args, command))
-    return _strict_rc(rows, args)
 
 
 def _ab_points(args, what):
@@ -195,36 +134,40 @@ def _ab_points(args, what):
     return points
 
 
-# Each grid job is one call into the engine, which evaluates the
-# determinants of all its points as one batched kernel call.
-
-
-def _cmd_cdf(args) -> int:
+def _cmd_table(args) -> int:
+    """``cdf``, ``pdf`` and ``gap``: one batched engine call over the job's
+    points, written as one row per point."""
     case = _build_case(args)
     cfg = _eval_config(args)
-    grid = _parse_grid(args.grid or "0.1:10:50:log")
-    return _emit_reports(["lambda"], [(lam,) for lam in grid],
-                         detform._grid(case, args.stat, grid, cfg), args, "cdf")
-
-
-def _cmd_pdf(args) -> int:
-    case = _build_case(args)
-    cfg = _eval_config(args)
-    if args.stat == "joint":
-        points = _ab_points(args, "--stat joint")
-        return _emit_reports(["a", "b"], points,
-                             detform._grid(case, "gap", points, cfg, density=True), args, "pdf")
-    grid = _parse_grid(args.grid or "0.1:10:50:log")
-    return _emit_reports(["lambda"], [(lam,) for lam in grid],
-                         detform._grid(case, args.stat, grid, cfg, density=True), args, "pdf")
-
-
-def _cmd_gap(args) -> int:
-    case = _build_case(args)
-    cfg = _eval_config(args)
-    points = _ab_points(args, "gap")
-    return _emit_reports(["a", "b"], points, detform._grid(case, "gap", points, cfg),
-                         args, "gap")
+    if args.command == "gap" or args.stat == "joint":
+        keys, stat = ["a", "b"], "gap"
+        points = coords = _ab_points(args, "gap" if args.command == "gap" else "--stat joint")
+    else:
+        keys, stat = ["lambda"], args.stat
+        points = _parse_grid(args.grid or "0.1:10:50:log")
+        coords = [(lam,) for lam in points]
+    reports = detform._grid(case, stat, points, cfg, density=args.command == "pdf")
+    columns = keys + ["value", "abs_error", "cancel_digits", "warnings"]
+    if args.format == "json":
+        rows = [dict(zip(columns, (*point, rep.value, rep.abs_error_estimate,
+                                   rep.cancellation_digits, rep.warnings)))
+                for point, rep in zip(coords, reports)]
+        text = json.dumps({"jobspec": _jobspec(args), "rows": rows},
+                          indent=2, sort_keys=True) + "\n"
+    else:
+        lines = [",".join(columns)]
+        for point, rep in zip(coords, reports):
+            nums = (*point, rep.value, rep.abs_error_estimate, rep.cancellation_digits)
+            lines.append(",".join([f"{x:.17g}" for x in nums]
+                                  + [";".join(rep.warnings).replace(",", " ")]))
+        text = "\n".join(lines) + "\n"
+    if args.output:
+        with open(args.output, "w", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    flagged = any(w.startswith("cancellation:") for rep in reports for w in rep.warnings)
+    return 3 if args.strict and flagged else 0
 
 
 def _cmd_crosscheck(args) -> int:
@@ -283,13 +226,13 @@ def _cmd_validate(args) -> int:
     return 0 if ok else 4
 
 
-def _default_validation_grid(case, stat, mc, points: int = 30) -> List[float]:
+def _default_validation_grid(case, stat, mc) -> List[float]:
     pilot_cfg = MCConfig(samples=min(2000, mc.samples), master_seed=mc.master_seed,
                          confidence=mc.confidence)
     vals = montecarlo._extreme_eigs(case, pilot_cfg, stat)
     lo, hi = np.quantile(vals, [0.02, 0.98])
     lo = max(lo, 1e-12)
-    return list(np.linspace(lo, hi, points))
+    return list(np.linspace(lo, hi, _VALIDATION_POINTS))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -299,8 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "complex Wishart matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, stats=("max", "min"), with_grid=True):
-        p.set_defaults(parser=p)
+    def add_command(name, func, help, stats=("max", "min"), with_grid=True):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(parser=p, func=func)
         p.add_argument("--config", help="JSON file with defaults for these options")
         p.add_argument("--case", choices=["row", "column", "double"])
         p.add_argument("--n", type=int)
@@ -316,41 +260,47 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--stat", choices=stats, default=None)
         if with_grid:
             p.add_argument("--grid", help="start:stop:points[:linear|log]")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--output", help="write output here instead of stdout")
         p.add_argument("--precision", choices=["double", "extended"])
-        p.add_argument("--strict", action="store_true",
-                       help="exit 3 when any evaluation raised a cancellation warning")
+        if func is _cmd_table:
+            p.add_argument("--format", choices=["csv", "json"])
+            p.add_argument("--output", help="write output here instead of stdout")
+            p.add_argument("--strict", action="store_true",
+                           help="exit 3 when any evaluation raised a cancellation warning")
+        return p
 
-    p_cdf = sub.add_parser("cdf", help="tabulate an extreme-eigenvalue CDF")
-    add_common(p_cdf)
-    p_cdf.set_defaults(func=_cmd_cdf)
-
-    p_pdf = sub.add_parser("pdf", help="tabulate an extreme-eigenvalue density")
-    add_common(p_pdf, stats=("max", "min", "joint"))
+    add_command("cdf", _cmd_table, "tabulate an extreme-eigenvalue CDF")
+    p_pdf = add_command("pdf", _cmd_table, "tabulate an extreme-eigenvalue density",
+                        stats=("max", "min", "joint"))
     p_pdf.add_argument("--a", help="grid for the smallest eigenvalue (joint)")
     p_pdf.add_argument("--b", help="grid for the largest eigenvalue (joint)")
-    p_pdf.set_defaults(func=_cmd_pdf)
-
-    p_gap = sub.add_parser("gap", help="tabulate the two-sided gap probability")
-    add_common(p_gap, stats=(), with_grid=False)
+    p_gap = add_command("gap", _cmd_table, "tabulate the two-sided gap probability",
+                        stats=(), with_grid=False)
     p_gap.add_argument("--a", help="grid start:stop:points[:spacing] for a")
     p_gap.add_argument("--b", help="grid for b")
-    p_gap.set_defaults(func=_cmd_gap)
-
-    p_cc = sub.add_parser("crosscheck",
-                          help="determinant engine vs. series oracle")
-    add_common(p_cc, stats=(), with_grid=False)
-    p_cc.add_argument("--tol", type=float, default=1e-8)
-    p_cc.set_defaults(func=_cmd_crosscheck)
-
-    p_val = sub.add_parser("validate", help="determinant engine vs. Monte Carlo")
-    add_common(p_val)
+    add_command("crosscheck", _cmd_crosscheck, "determinant engine vs. series oracle",
+                stats=(), with_grid=False).add_argument("--tol", type=float, default=1e-8)
+    p_val = add_command("validate", _cmd_validate, "determinant engine vs. Monte Carlo")
     p_val.add_argument("--samples", type=int)
     p_val.add_argument("--seed", type=int)
     p_val.add_argument("--confidence", type=float)
-    p_val.set_defaults(func=_cmd_validate)
     return parser
+
+
+def _config_value(key: str, action, value):
+    """A config file's ``value`` for ``action``, read as the command line reads it."""
+    if action.nargs == 0:  # a flag
+        if isinstance(value, bool):
+            return value
+        raise ValueError(f"config {key}: takes true or false, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError(f"config {key}: takes a string or a number, got {value!r}")
+    try:
+        typed = (action.type or str)(str(value))
+    except ValueError:
+        raise ValueError(f"config {key}: invalid {action.type.__name__} value {value!r}") from None
+    if action.choices and typed not in action.choices:
+        raise ValueError(f"config {key}: {value!r} is not one of " + ", ".join(action.choices))
+    return typed
 
 
 def _apply_config(args) -> None:
@@ -359,17 +309,14 @@ def _apply_config(args) -> None:
     with open(args.config) as fh:
         data = json.load(fh)
     # the subcommand's own options; help and config are not job settings
-    choices = {a.dest: a.choices for a in args.parser._actions
-               if a.dest not in ("help", "config")}
+    actions = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if attr not in choices:
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise ValueError(f"config {key}: not an option of {args.command}")
-        if getattr(args, attr) in (None, False):
-            if choices[attr] and value not in choices[attr]:
-                raise ValueError(f"config {key}: {value!r} is not one of "
-                                 + ", ".join(choices[attr]))
-            setattr(args, attr, value)
+        # an option left off the command line still holds its default object
+        if getattr(args, action.dest) is action.default:
+            setattr(args, action.dest, _config_value(key, action, value))
 
 
 @functools.lru_cache(maxsize=1)

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import corrwishart
 from corrwishart import extended
 from corrwishart.cli import main
 from corrwishart.detform import (EvalConfig, cdf_max, cdf_min, pdf_joint_minmax, pdf_max,
@@ -289,7 +293,9 @@ class TestRowsMatchTheApi:
           "--a", "0.05:0.5:3", "--b", "1:8:3"], prob_gap),
         (["pdf", "--case", "row", "--n", "4", "--m", "2", "--spectrum", "1,2",
           "--stat", "joint", "--a", "0.1:2:3:linear", "--b", "1:4:3:linear"],
-         pdf_joint_minmax)])
+         pdf_joint_minmax)],
+        ids=["row-cdf-max", "column-cdf-min", "double-pdf-max", "row-pdf-min", "row-gap",
+             "row-pdf-joint"])
     def test_csv_and_json_rows(self, argv, call, capsys, monkeypatch):
         monkeypatch.delenv("CORRWISHART_PRECISION", raising=False)
         opts = dict(zip(argv[1::2], argv[2::2]))
@@ -323,3 +329,101 @@ class TestRowsMatchTheApi:
                  row["cancel_digits"], row["warnings"]) for row in rows] == [
             (point, rep.value, rep.abs_error_estimate, rep.cancellation_digits, rep.warnings)
             for point, rep in reports]
+
+
+class TestConfigValues:
+    # a config value is read as the command line reads the option
+    JOB = {"case": "row", "n": 3, "m": 2, "spectrum": "1,2", "grid": "0.5:2:3"}
+
+    def run_config(self, capsys, tmp_path, command, cfg, *argv):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps(cfg))
+        return run(capsys, command, "--config", str(path), *argv)
+
+    def test_list_spectrum_is_argument_error(self, capsys, tmp_path):
+        rc, out, err = self.run_config(capsys, tmp_path, "cdf",
+                                       dict(self.JOB, spectrum=[1.0, 2.0]))
+        assert rc == 2 and "config spectrum" in err and out == ""
+
+    def test_number_grid_is_argument_error(self, capsys, tmp_path):
+        rc, out, err = self.run_config(capsys, tmp_path, "cdf", dict(self.JOB, grid=5))
+        assert rc == 2 and "grid" in err and out == ""
+
+    def test_fractional_m_is_rejected(self, capsys, tmp_path):
+        # as `--m 2.5` is; it used to become m = 2
+        rc, out, err = self.run_config(capsys, tmp_path, "cdf", dict(self.JOB, m=2.5))
+        assert rc == 2 and "config m" in err and "2.5" in err and out == ""
+
+    def test_strict_takes_only_true_or_false(self, capsys, tmp_path):
+        job = dict(self.JOB, n=5, m=3, spectrum="1,1.0001,1.0002", stat="min",
+                   grid="0.3:0.3:1")
+        rc, out, err = self.run_config(capsys, tmp_path, "cdf", dict(job, strict="no"))
+        assert rc == 2 and "config strict" in err and out == ""
+        assert self.run_config(capsys, tmp_path, "cdf", dict(job, strict=False))[0] == 0
+        assert self.run_config(capsys, tmp_path, "cdf", dict(job, strict=True))[0] == 3
+
+    def test_string_samples_read_as_int(self, capsys, tmp_path):
+        job = ["--case", "row", "--n", "3", "--m", "2", "--spectrum", "1,2", "--seed", "7"]
+        rc, out, err = self.run_config(capsys, tmp_path, "validate", {"samples": "3000"}, *job)
+        assert rc == 0 and err == ""
+        assert out == run(capsys, "validate", "--samples", "3000", *job)[1]
+
+    def test_number_tol_is_applied(self, capsys, tmp_path):
+        # an option with a non-None default used to ignore its config value
+        job = ["--case", "row", "--n", "4", "--m", "3", "--spectrum", "1,2,3"]
+        rc, out, _ = self.run_config(capsys, tmp_path, "crosscheck", {"tol": 1e-18}, *job)
+        assert rc == 4 and "tolerance 1e-18" in out
+        rc, out, _ = self.run_config(capsys, tmp_path, "crosscheck", {"tol": 1e-18},
+                                     *job, "--tol", "1e-8")
+        assert rc == 0 and "tolerance 1e-08" in out
+
+
+class TestReportCommandOptions:
+    # crosscheck and validate print a fixed report: no table options
+    JOB = ["--case", "row", "--n", "3", "--m", "2", "--spectrum", "1,2"]
+
+    @pytest.mark.parametrize("command", ["crosscheck", "validate"])
+    @pytest.mark.parametrize("option", [["--output", "out.txt"], ["--format", "json"],
+                                        ["--strict"]], ids=["output", "format", "strict"])
+    def test_table_option_rejected(self, command, option, capsys):
+        with pytest.raises(SystemExit) as info:
+            main([command, *self.JOB, *option])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["crosscheck", "validate"])
+    @pytest.mark.parametrize("key,value", [("output", "out.txt"), ("format", "json"),
+                                           ("strict", True)])
+    def test_table_option_in_config_rejected(self, command, key, value, tmp_path, capsys):
+        path = tmp_path / "job.json"
+        path.write_text(json.dumps({key: value}))
+        rc, out, err = run(capsys, command, "--config", str(path), *self.JOB)
+        assert rc == 2 and f"config {key}: not an option of {command}" in err and out == ""
+
+
+class TestShellRun:
+    # `python -m corrwishart.cli` as a shell runs it: sys.exit(main()) and
+    # argparse's own exit, with no traceback on any argument error
+    ROW = ["--case", "row", "--n", "3", "--m", "2", "--spectrum", "1,2"]
+
+    @pytest.mark.parametrize("argv,code", [
+        (["cdf", *ROW, "--grid", "0.5:2:3"], 0),
+        (["cdf", "--case", "row", "--n", "3", "--m", "2.5", "--spectrum", "1,2"], 2),
+        (["cdf", *ROW, "--config", "{config}"], 2),
+        (["cdf", "--case", "row", "--n", "5", "--m", "3", "--spectrum", "1,1.0001,1.0002",
+          "--stat", "min", "--grid", "0.3:0.3:1", "--strict"], 3)],
+        ids=["table", "fractional-m", "bad-config-value", "strict-flagged"])
+    def test_exit_code(self, argv, code, tmp_path):
+        config = tmp_path / "job.json"
+        config.write_text(json.dumps({"grid": 5}))
+        env = {k: v for k, v in os.environ.items() if k != "CORRWISHART_PRECISION"}
+        src = os.path.dirname(os.path.dirname(corrwishart.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "corrwishart.cli",
+             *[a.format(config=config) for a in argv]],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert (proc.stdout.startswith("lambda,value,") if code in (0, 3)
+                else proc.stdout == "" and proc.stderr)
