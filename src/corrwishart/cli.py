@@ -242,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "complex Wishart matrices.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_command(name, func, help, stats=("max", "min"), with_grid=True):
-        p = sub.add_parser(name, help=help)
+    def add_command(name, func, summary, stats=("max", "min"), with_grid=True):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(parser=p, func=func)
         p.add_argument("--config", help="JSON file with defaults for these options")
         p.add_argument("--case", choices=["row", "column", "double"])
@@ -308,6 +308,8 @@ def _apply_config(args) -> None:
         return
     with open(args.config) as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config {args.config}: not a JSON object")
     # the subcommand's own options; help and config are not job settings
     actions = {a.dest: a for a in args.parser._actions if a.dest not in ("help", "config")}
     for key, value in data.items():

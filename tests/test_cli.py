@@ -362,6 +362,10 @@ class TestConfigValues:
         assert self.run_config(capsys, tmp_path, "cdf", dict(job, strict=False))[0] == 0
         assert self.run_config(capsys, tmp_path, "cdf", dict(job, strict=True))[0] == 3
 
+    def test_config_must_be_an_object(self, capsys, tmp_path):
+        rc, out, err = self.run_config(capsys, tmp_path, "cdf", [self.JOB])
+        assert rc == 2 and "not a JSON object" in err and out == ""
+
     def test_string_samples_read_as_int(self, capsys, tmp_path):
         job = ["--case", "row", "--n", "3", "--m", "2", "--spectrum", "1,2", "--seed", "7"]
         rc, out, err = self.run_config(capsys, tmp_path, "validate", {"samples": "3000"}, *job)
