@@ -16,17 +16,17 @@ double path takes the log of), evaluated by `_pref`.  The ulps are one per
 rounded operation, `_FN` per mpmath call, an argument's ulps times the
 function's sensitivity to it, and for a gap entry hi - lo the condition
 (|hi| + |lo|) / |hi - lo|.  `_evaluate` runs it at each round's precision,
-and `_bounded_det` (Gaussian elimination on mpmath's raw binary floats,
-with no singularity tolerance) turns those errors and the elimination's
-backward error into a bound on the value.  A round is accepted when that
-bound is at most 10^-(dps-10), with no second round to confirm it.  The
-first round runs at ``start`` (the engine's `first_round`: ``dps`` plus
-the digits its double path lost) or ``dps``.  One whose bound misses runs
-again, higher by the shortfall in digits plus `_GUARD`; one with no finite
-bound runs again at twice its digits.  An exact zero has no bound: no value
-of these laws is zero, so a zero only says that the precision was too low
-to see the entries differ.  `NotConverged` is raised when the next round
-would pass ``_MAX_DPS``.  The public functions return the accepted `Round`.
+and `_bounded_det` (elimination on integers in units of 2^-p, with no
+singularity tolerance) turns those errors and its own roundings into a
+bound on the value.  A round is accepted when that bound is at most
+10^-(dps-10), with no second round to confirm it.  The first round runs at
+``start`` (the engine's `first_round`: ``dps`` plus the digits its double
+path lost) or ``dps``.  One whose bound misses runs again, higher by the
+shortfall in digits plus `_GUARD`; one with no finite bound runs again at
+twice its digits.  An exact zero has no bound: no value of these laws is
+zero, so a zero only says that the precision was too low to see the entries
+differ.  `NotConverged` is raised when the next round would pass
+``_MAX_DPS``.  The public functions return the accepted `Round`.
 """
 
 from __future__ import annotations
@@ -35,8 +35,7 @@ import math
 from typing import Any, NamedTuple
 
 import mpmath
-from mpmath.libmp import (fone, mpf_abs, mpf_div, mpf_lt, mpf_mul, mpf_neg, mpf_shift, mpf_sub,
-                          round_nearest)
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .detform import _MAX_DPS, _PREFS
 
@@ -114,62 +113,68 @@ def _bounded_det(rows, ulps):
     ``ulps`` ulps (infinite for an exact zero).
 
     Columns, then rows, are scaled exactly by powers of two so that each
-    row's largest entry is in [1/2, 1).  With u = 2^-p and g = nu/(1 - nu),
-    partial pivoting gives LU = PA + dA, |dA| <= g |L||U| (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., Thm 9.3); the exact
-    entries are within e|A| <= e (1 + g) |L||U|, e = 2 ulps u.  So the exact
-    determinant is det(LU) det(I - F), |F| <= c |U^-1||L^-1||L||U|, c = g +
-    e (1 + g), and as |T^-1| <= M(T)^-1 for triangular T and its comparison
-    matrix (Thm 8.12), F's eigenvalues are at most x = c max M(U)^-1 M(L)^-1
-    |L||U| 1, nonnegative sums taken in log2.  As |det(I - F) - 1| <= d =
-    n x (1 + n x) for n x <= 1, the bound is (g + d) / (1 - d).
+    row's largest entry is in [1/2, 1), and each scaled entry is rounded to
+    an integer in units of u = 2^-p.  Partial pivoting eliminates on these
+    integers exactly, rounding each multiplier (|l| <= 1) and each product
+    l u_kj to the nearest unit, and the pivots' exact product is rounded
+    once, within u.  One half-unit for the conversion, one per product an
+    entry receives and one per multiplier times its pivot give LU = PA + E,
+    |E| <= (n + max|U_kk|) u/2 entrywise.  The exact entries are within
+    e|A|, e = 2 ulps u, and |A| 1 <= (s + n/2) u for the integers' row sums
+    s.  So the exact determinant is det(LU) det(I - F), |F| <= |U^-1||L^-1|
+    G, G 1 = |E| 1 + e |PA| 1, and as |T^-1| <= M(T)^-1 for triangular T and
+    its comparison matrix (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., Thm 8.12), F's eigenvalues are at most x = max
+    M(U)^-1 M(L)^-1 G 1, nonnegative sums taken in log2.  As |det(I - F) -
+    1| <= d = n x (1 + n x) for n x <= 1, the bound is (u + d) / (1 - u - d).
     """
-    prec, rnd, zero = mpmath.mp.prec, round_nearest, (mpmath.mpf(0), mpmath.inf)
+    prec, n, zero = mpmath.mp.prec, len(rows), (mpmath.mpf(0), mpmath.inf)
     a = [[x._mpf_ for x in row] for row in rows]
-    n, shift = len(a), 0
-    for axis in (0, 1):  # x = (sign, man, exp, bc) has |x| < 2^(exp + bc)
-        tops = [max((t[2] + t[3] for t in line if t[1]), default=None)
-                for line in (zip(*a) if axis == 0 else a)]
-        if None in tops:
-            return zero
-        shift += sum(tops)
-        a = [[mpf_shift(t, -tops[j if axis == 0 else i]) for j, t in enumerate(row)]
-             for i, row in enumerate(a)]
-    det = fone
+    # x = (sign, man, exp, bc) has |x| < 2^(exp + bc): the columns' tops, then the rows'
+    cols = [max((t[2] + t[3] for t in col if t[1]), default=None) for col in zip(*a)]
+    if None in cols:
+        return zero
+    tops = [max((t[2] + t[3] - c for t, c in zip(row, cols) if t[1]), default=None) for row in a]
+    if None in tops:
+        return zero
+    a = [[_fixed(t, prec - c - r) for t, c in zip(row, cols)] for row, r in zip(a, tops)]
+    sums, det, half = [sum(map(abs, row)) for row in a], 1, 1 << (prec - 1)
     for k in range(n):
-        p, big = k, mpf_abs(a[k][k])
-        for i in range(k + 1, n):
-            if mpf_lt(big, mpf_abs(a[i][k])):
-                p, big = i, mpf_abs(a[i][k])
-        if not big[1]:
+        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        pivot = a[p][k]
+        if not pivot:
             return zero
         if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = mpf_neg(det)
-        pivot_row, pivot = a[k], a[k][k]
-        det = mpf_mul(det, pivot, prec, rnd)
+            a[k], a[p], sums[k], sums[p], det = a[p], a[k], sums[p], sums[k], -det
+        det *= pivot
+        tail = a[k][k + 1:]
         for row in a[k + 1:]:
-            row[k] = f = mpf_div(row[k], pivot, prec, rnd)  # L below the diagonal
-            if f[1]:
-                for j in range(k + 1, n):
-                    row[j] = mpf_sub(row[j], mpf_mul(f, pivot_row[j], prec, rnd), prec, rnd)
-    u = mpmath.ldexp(1, -prec)
-    g, e = n * u / (1 - n * u), 2 * ulps * u
-    det = mpmath.ldexp(mpmath.mp.make_mpf(det), shift)
-    if not mpmath.isfinite(e):
+            if row[k]:  # L below the diagonal, then the row's update
+                row[k] = f = ((row[k] << (prec + 1)) + pivot) // (2 * pivot)
+                row[k + 1:] = [x - ((f * y + half) >> prec) for x, y in zip(row[k + 1:], tail)]
+    det = mpmath.mp.make_mpf(from_man_exp(det, sum(cols) + sum(tops) - n * prec, prec,
+                                          round_nearest))
+    if not mpmath.isfinite(ulps):
         return det, mpmath.inf
-    lg = [[t[2] + math.log2(t[1]) if t[1] else -math.inf for t in row] for row in a]
-    lu = [_log2_sum(row[k:]) for k, row in enumerate(lg)]  # |U| 1, then |L||U| 1
-    lu = [_log2_sum([lu[i]] + [l + v for l, v in zip(row[:i], lu)]) for i, row in enumerate(lg)]
-    y = []  # M(L)^-1 |L||U| 1, then M(U)^-1 of it
+    lg = [[math.log2(abs(x)) - prec if x else -math.inf for x in row] for row in a]
+    # G 1 in log2, in units of u^2: n (n / u + max|U_kk| / u) / 2 + ulps (2 s + n)
+    le = float(mpmath.log(ulps, 2)) if ulps else -math.inf
+    top = max((abs(row[k]) for k, row in enumerate(a)), default=0)
+    y = []  # M(L)^-1 G 1, then M(U)^-1 of it
     for i, row in enumerate(lg):
-        y.append(_log2_sum([lu[i]] + [l + v for l, v in zip(row[:i], y)]))
+        g = _log2_sum([math.log2(n * ((n << prec) + top)) - 1, le + math.log2(2 * sums[i] + n)])
+        y.append(_log2_sum([g - 2 * prec] + [l + v for l, v in zip(row[:i], y)]))
     for i in reversed(range(n)):
         y[i] = _log2_sum([y[i]] + [l + v for l, v in zip(lg[i][i + 1:], y[i + 1:])]) - lg[i][i]
     w = max(y, default=0.0) + 2.0 ** -10  # covers the log2 sums' roundings, generously
-    nx = n * (g + e * (1 + g)) * mpmath.ldexp(2.0 ** (w % 1), math.floor(w))
-    d = nx * (1 + nx)
-    return det, (g + d) / (1 - d) if d < 1 else mpmath.inf
+    nx = n * mpmath.ldexp(2.0 ** (w % 1), math.floor(w))
+    d = nx * (1 + nx) + mpmath.ldexp(1, -prec)
+    return det, d / (1 - d) if d < 1 else mpmath.inf
+
+
+def _fixed(t, shift):  # the mpf tuple t times 2^shift, rounded to the nearest integer
+    man, shift = -t[1] if t[0] else t[1], shift + t[2]
+    return man << shift if shift >= 0 else ((man >> (-shift - 1)) + 1) >> 1
 
 
 def _log2_sum(terms):  # log2 sum 2^t over terms, the largest finite
@@ -195,9 +200,10 @@ def _pref(p, lam):
     return mpmath.fprod(num) / mpmath.fprod(den), (_FN + 1) * (len(num) + len(den)) + 1 + ulps
 
 
-def _gamma_row(a_lo, a_hi, x, scale=1):
-    """scale^a E_a(x), E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = gamma(a, x) / x^a,
-    for the orders a = a_lo..a_hi, x > 0: E_(a_hi) = e^-x 1F1(1; a+1; x) / a
+def _gamma_row(a_lo, a_hi, x, powers=None):
+    """E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = gamma(a, x) / x^a, times
+    ``powers[a - a_lo]`` when given (the scale^a of a scaled row), for the
+    orders a = a_lo..a_hi, x > 0: E_(a_hi) = e^-x 1F1(1; a+1; x) / a
     (positive terms), the lower orders by E_a = (e^-x + x E_(a+1)) / a."""
     ex = mpmath.exp(-x)
     e = ex * mpmath.hyp1f1(1, a_hi + 1, x) / a_hi
@@ -205,7 +211,7 @@ def _gamma_row(a_lo, a_hi, x, scale=1):
     for a in range(a_hi - 1, a_lo - 1, -1):
         e = (ex + x * e) / a
         row.append(e)
-    return [scale ** a * e for a, e in zip(range(a_lo, a_hi + 1), reversed(row))]
+    return [p * e for p, e in zip(powers, reversed(row))] if powers else row[::-1]
 
 
 def _gamma_ulps(a_lo, a_hi, x, scaled=False):
@@ -248,8 +254,9 @@ def _min_row(n, m, s, lam):
 
 def _max_col(n, m, s, lam):
     # v^i: one call
+    powers = [lam ** a for a in range(1, m + 1)]
     return (*_pref(_PREFS["cdf_max_col"](n, m, s), lam),
-            [_gamma_row(1, m, lam * v, lam) + [v ** i for i in range(n - m)] for v in s],
+            [_gamma_row(1, m, lam * v, powers) + [v ** i for i in range(n - m)] for v in s],
             _gamma_ulps(1, m, lam * max(s), True))
 
 
@@ -279,8 +286,9 @@ def _min_doubly(n, r, s, lam):
 def _gap_row(n, m, s, a, b):
     """Entries hi - lo, each within (|hi| e_hi + |lo| e_lo) / |hi - lo| + 1 ulps."""
     rows, worst = [], 0
+    pb, pa = ([x ** k for k in range(n - m + 1, n + 1)] for x in (b, a))
     for v in s:
-        hi, lo = _gamma_row(n - m + 1, n, v * b, b), _gamma_row(n - m + 1, n, v * a, a)
+        hi, lo = _gamma_row(n - m + 1, n, v * b, pb), _gamma_row(n - m + 1, n, v * a, pa)
         e_hi, e_lo = _gamma_ulps(n - m + 1, n, v * b, True), _gamma_ulps(n - m + 1, n, v * a, True)
         rows.append([h - l for h, l in zip(hi, lo)])
         worst = max([worst] + [(e_hi * abs(h) + e_lo * abs(l)) / abs(g) + 1 if g else mpmath.inf

@@ -41,7 +41,7 @@ _PHILOX_M0 = np.uint64(0xD2511F53)
 _PHILOX_M1 = np.uint64(0xCD9E8D57)
 _WEYL0 = np.uint64(0x9E3779B9)
 _WEYL1 = np.uint64(0xBB67AE85)
-_TWO64 = 2.0 ** 64
+_TWO32, _TWO_M64 = 2.0 ** 32, 2.0 ** -64
 # counters per generation block; the block's buffers stay in cache
 _BLOCK = 16384
 
@@ -151,19 +151,19 @@ def _complex_normals(seed: int, sample_indices: np.ndarray, n_entries: int,
         c2.reshape(rows.size, n_entries)[...] = entries
         c3[...] = purpose
         _philox_rounds(c0, c1, c2, c3, seed)
-        np.left_shift(c0, _SHIFT32, out=c0)            # two 64-bit uniforms
-        np.bitwise_or(c0, c1, out=c0)
-        np.left_shift(c2, _SHIFT32, out=c2)
-        np.bitwise_or(c2, c3, out=c2)
         r, a, t = radius[:k], angle[:k], trig[:k]
-        r[...] = c0
+        # two 64-bit uniforms hi 2^32 + lo: the words are below 2^32, so their
+        # int64 views convert exactly, and the sum rounds once, as a uint64 cast would
+        for u, hi, lo in ((r, c0, c1), (a, c2, c3)):
+            u[...] = hi.view(np.int64)
+            np.multiply(u, _TWO32, out=u)
+            np.add(u, lo.view(np.int64), out=u)
         np.add(r, 1.0, out=r)
-        np.divide(r, _TWO64, out=r)                    # u1 in (0, 1]
+        np.multiply(r, _TWO_M64, out=r)                # u1 in (0, 1]
         np.log(r, out=r)
         np.negative(r, out=r)
         np.sqrt(r, out=r)                              # Rayleigh for E|g|^2 = 1
-        a[...] = c2
-        np.divide(a, _TWO64, out=a)                    # u2 in [0, 1)
+        np.multiply(a, _TWO_M64, out=a)                # u2 in [0, 1)
         np.multiply(a, 2.0 * np.pi, out=a)
         dst = flat[start * n_entries:start * n_entries + k]
         np.cos(a, out=t)

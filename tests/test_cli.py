@@ -6,12 +6,16 @@ import sys
 import pytest
 
 import corrwishart
-from corrwishart import extended
+from corrwishart import detform, extended, schur_series
 from corrwishart.cli import main
-from corrwishart.detform import (EvalConfig, cdf_max, cdf_min, pdf_joint_minmax, pdf_max,
-                                 pdf_min, prob_gap)
+from corrwishart.detform import (EvalConfig, EvalReport, cdf_max, cdf_min, pdf_joint_minmax,
+                                 pdf_max, pdf_min, prob_gap)
 from corrwishart.model import (ColumnCorrelated, Dimensions, DoublyCorrelated, RowCorrelated,
                                validate_spectrum)
+
+
+def never(*args, **kwargs):
+    raise AssertionError("must not be called")
 
 
 def run(capsys, *args):
@@ -195,6 +199,45 @@ class TestOtherCommands:
                          "--m", "3", "--spectrum", "1,2,3", "--tol", "1e-18")
         assert rc == 4
         assert "FAIL" in out
+
+    # row 8x4 at 0.5,1,2,3 in double precision: 8 of the 24 values carry a
+    # cancellation warning, and the worst of them is off by 6e-7
+    WIDE = ["crosscheck", "--case", "row", "--n", "8", "--m", "4", "--spectrum", "0.5,1,2,3"]
+
+    def test_crosscheck_skips_flagged_values(self, capsys):
+        rc, out, _ = run(capsys, *self.WIDE)
+        assert rc == 0 and "PASS" in out
+        assert "8 flagged values skipped, 16 compared" in out
+
+    def test_crosscheck_compares_escalated_values(self, capsys):
+        rc, out, _ = run(capsys, *self.WIDE, "--precision", "extended")
+        assert rc == 0 and "PASS" in out
+        assert "0 flagged values skipped, 24 compared" in out
+
+    def test_crosscheck_fails_with_nothing_compared(self, capsys, monkeypatch):
+        def flagged(case, stat, points, cfg, density=False):
+            return [EvalReport(0.5, 1e-3, 9.0, ["cancellation:9.0 digits lost"])
+                    for _ in points]
+
+        monkeypatch.setattr(detform, "_grid", flagged)
+        monkeypatch.setattr(schur_series, "cdf_max_schur", never)
+        monkeypatch.setattr(schur_series, "cdf_min_schur", never)
+        rc, out, _ = run(capsys, "crosscheck", "--case", "row", "--n", "4",
+                         "--m", "3", "--spectrum", "1,2,3")
+        assert rc == 4
+        assert "24 flagged values skipped, 0 compared" in out
+        assert "FAIL (no value to compare)" in out
+
+    @pytest.mark.parametrize("n,m", [(9, 4), (7, 5)])
+    def test_crosscheck_refuses_sizes_beyond_the_oracle(self, n, m, capsys, monkeypatch):
+        # refused before any evaluation: neither the engine nor the oracle runs
+        for module, name in ((detform, "_grid"), (schur_series, "cdf_max_schur"),
+                             (schur_series, "cdf_min_schur")):
+            monkeypatch.setattr(module, name, never)
+        rc, out, err = run(capsys, "crosscheck", "--case", "row", "--n", str(n), "--m", str(m),
+                           "--spectrum", ",".join(str(v + 1) for v in range(m)))
+        assert rc == 2 and out == ""
+        assert "the series oracle covers m <= 4 and n <= 8" in err
 
     def test_env_var_sets_precision(self, capsys, monkeypatch):
         monkeypatch.setenv("CORRWISHART_PRECISION", "extended")

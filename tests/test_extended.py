@@ -8,6 +8,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corrwishart import extended
 from corrwishart.detform import EvalConfig, _finalize, cdf_max, cdf_min, prob_gap
@@ -275,7 +276,8 @@ class TestRowRecurrences:
             lm = mpmath.mpf(lam)
             for s in ("0.5", "1.7", "5"):
                 sv = mpmath.mpf(s)
-                row = extended._gamma_row(1, ORDERS, lm * sv, lm)
+                powers = [lm ** k for k in range(1, ORDERS + 1)]
+                row = extended._gamma_row(1, ORDERS, lm * sv, powers)
                 with mpmath.workdps(90):
                     for k, got in enumerate(row, start=1):
                         want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
@@ -304,8 +306,9 @@ class TestRowRecurrences:
             av, bv = mpmath.mpf(a), mpmath.mpf(b)
             for s in ("0.4", "1.3"):
                 sv = mpmath.mpf(s)
-                row = [hi - lo for hi, lo in zip(extended._gamma_row(1, ORDERS, sv * bv, bv),
-                                                 extended._gamma_row(1, ORDERS, sv * av, av))]
+                pb, pa = ([x ** k for k in range(1, ORDERS + 1)] for x in (bv, av))
+                row = [hi - lo for hi, lo in zip(extended._gamma_row(1, ORDERS, sv * bv, pb),
+                                                 extended._gamma_row(1, ORDERS, sv * av, pa))]
                 with mpmath.workdps(120):
                     for k, got in enumerate(row, start=1):
                         want = (mpmath.gammainc(k, 0, sv * bv)
@@ -639,6 +642,109 @@ class TestBound:
             rows = det_matrix(6, 40, False)
             added = extended._bounded_det(rows, 1000)[1] - extended._bounded_det(rows, 0)[1]
             assert added >= 6 * 2 * 1000 * mpmath.ldexp(1, -mpmath.mp.prec)
+
+
+def unscaled(rows):
+    """``rows`` of Fractions as mpf, asserting that each row's and each
+    column's largest entry is already in [1/2, 1): `_bounded_det` scales
+    none of them, so the integers it eliminates are the entries over u."""
+    for line in rows + [list(c) for c in zip(*rows)]:
+        assert Fraction(1, 2) <= max(map(abs, line)) < 1
+    return [[mpmath.mpf(x.numerator) / x.denominator for x in row] for row in rows]
+
+
+class TestIntegerKernel:
+    # the elimination on integers in units of u = 2^-p: cases that reach
+    # each rounding the bound counts, checked against exact Fractions
+    def test_half_unit_multiplier_with_negative_pivots(self):
+        # pivots -1/2, -1/2, -2; row 3 reaches step 2 as -u, so its
+        # multiplier -u / -2 is exactly half a unit and is rounded
+        with mpmath.workdps(40):
+            u = Fraction(1, 2 ** mpmath.mp.prec)
+            h = Fraction(1, 2)
+            rows = unscaled([[-h, 0, -3 * h / 2, h], [h, -h, -h / 2, 0],
+                             [h, h, -h / 2, -h], [h, 0, 3 * h / 2 - u, 5 * h / 4]])
+            bound, err = covered(rows)
+        assert 0 < err <= bound
+
+    def test_entries_below_a_unit(self):
+        # t1 = 3u/8 rounds to 0, and det = (t2 - t1) / 8 depends on it: the
+        # conversion's error is about 2^18 u, inside the bound
+        with mpmath.workdps(40):
+            u = Fraction(1, 2 ** mpmath.mp.prec)
+            h = Fraction(1, 2)
+            for t1 in (3 * u / 8, -3 * u / 8):
+                rows = unscaled([[h, h, t1], [h, h, Fraction(1, 2 ** 20)], [h, h / 2, h]])
+                bound, err = covered(rows)
+                assert mpmath.ldexp(1, 10 - mpmath.mp.prec) < err <= bound
+
+    def test_pivot_growth(self):
+        # diagonal 1/2, below it -x with x in (0.45, 0.5), last column 1/2: the
+        # pivots stay on the diagonal and the last column grows, so |U_nn| > 1
+        rng = np.random.default_rng(9)
+        n = 8
+        rows = [[Fraction(1, 2) if j == i or j == n - 1 else
+                 -Fraction(rng.uniform(0.45, 0.5)) if j < i else Fraction(0)
+                 for j in range(n)] for i in range(n)]
+        assert abs(fraction_det(rows)) * 2 ** (n - 1) > 1
+        for dps in (40, 120):
+            with mpmath.workdps(dps):
+                bound, err = covered(unscaled(rows))
+            assert err <= bound <= mpmath.mpf(10) ** (5 - dps)
+
+    def test_integer_singular_is_zero(self):
+        # nonsingular, but t1 and t2 both round to 0: the integers are singular
+        with mpmath.workdps(40):
+            u = Fraction(1, 2 ** mpmath.mp.prec)
+            h = Fraction(1, 2)
+            rows = unscaled([[h, h, u / 4], [h, h, -u / 3], [h, h / 2, h]])
+            assert fraction_det([[exact(x) for x in row] for row in rows]) != 0
+            assert extended._bounded_det(rows, 0) == (0, mpmath.inf)
+
+    def test_empty_and_one_by_one(self):
+        with mpmath.workdps(40):
+            assert extended._bounded_det([], 0)[0] == 1
+            assert covered([])[1] == 0
+            x = mpmath.mpf(-3) / 7
+            got, bound = extended._bounded_det([[mpmath.ldexp(x, 500)]], 4)
+            u = mpmath.ldexp(1, -mpmath.mp.prec)
+            assert got == mpmath.ldexp(x, 500)
+            assert 8 * u <= bound <= 1024 * u  # the entry's 2 ulps u times 4, and more
+
+
+@st.composite
+def nearly_singular(draw):
+    """Sizes 1-8, entries of both signs (uniform on (-1, 1) from a drawn
+    seed), some rows i a near-copy of another row j (row j plus 2^-20 to
+    2^-400 times row i), then each row scaled by a power of two."""
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = rng.uniform(-1.0, 1.0, (n, n)).tolist()
+    copies = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                                     st.integers(-400, -20)), max_size=3))
+    scales = draw(st.lists(st.integers(-300, 300), min_size=n, max_size=n))
+    return rows, copies, scales
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(nearly_singular(), st.sampled_from([40, 120]))
+def test_bound_covers_exact_determinant(case, dps):
+    rows, copies, scales = case
+    rows = [[mpmath.mpf(x) for x in row] for row in rows]
+    for i, j, nudge in copies:
+        rows[i] = [mpmath.fadd(x, mpmath.ldexp(y, nudge), exact=True)
+                   for x, y in zip(rows[j], rows[i])]
+    rows = [[mpmath.ldexp(x, k) for x in row] for row, k in zip(rows, scales)]
+    with mpmath.workdps(dps):
+        got, bound = extended._bounded_det(rows, 0)
+    want = fraction_det([[exact(x) for x in row] for row in rows])
+    if got == 0 or want == 0:
+        # no bound below one can hold for a singular matrix: d >= 1
+        assert bound == mpmath.inf
+    else:
+        err = abs(exact(got) - want) / abs(exact(got))
+        with mpmath.workprec(200):
+            assert mpmath.mpf(err.numerator) / err.denominator <= bound
 
 
 def _builder_cases():
