@@ -3,12 +3,15 @@
 Each (model, statistic) pair reduces to a single m x m or n x n
 determinant whose entries are incomplete-gamma, confluent-hypergeometric
 or pure-exponential values, multiplied by a prefactor of factorials,
-spectral powers and Vandermonde products, described once per law as data
-(`_PREFS`, which `corrwishart.extended` reads too).  Raw magnitudes of
-those pieces overflow double precision long before the probabilities
-become interesting, so a law is described on a grid of points by the logs
-of its entries and of its prefactor, held as arrays; each point's value is
-exponentiated only once, from its sign and log magnitude (`_finalize`).
+spectral powers and Vandermonde products.  Each law is described once, as
+data (`_LAWS`, which `corrwishart.extended` reads too): its prefactor, and
+its matrix as blocks of columns, each an entry family over a range of
+orders or over the other spectrum.  Raw magnitudes of those pieces
+overflow double precision long before the probabilities become
+interesting, so a law is evaluated on a grid of points as the logs of its
+entries and of its prefactor, held as arrays (`_entries`, `_log_pref`);
+each point's value is exponentiated only once, from its sign and log
+magnitude (`_finalize`).
 
 The one genuine numerical weak point of these formulas is the Vandermonde
 ratio for clustered spectra.  The engine therefore measures the decimal
@@ -26,7 +29,9 @@ every report says so (``perturbed:``).
 Probability values are clamped to [0, 1] on output; the pre-clamp residual
 is recorded in the report's warnings when it exceeds 1e-8.  Densities are
 the derivatives of the same determinants by Jacobi's formula, returned as
-nonnegative functions of lambda (signed so that they integrate to one).
+nonnegative functions of lambda (signed so that they integrate to one):
+each family gives its entries' log-derivatives, and the constant terms
+follow from the description.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from .model import (
     ModelCase,
     RowCorrelated,
 )
-from .specfun import (_log_exp_partial_sums, log_doubly_g, log_gamma_entries,
+from .specfun import (_log_exp_partial_sums, _log_factorials, log_doubly_g, log_gamma_entries,
                       log_shifted_power_integrals, reg_lower_gamma_orders)
 
 __all__ = [
@@ -92,11 +97,11 @@ def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
     diag = [np.diagonal(x, axis1=-2, axis2=-1) for x in X]
     if len(X) == 1:
         value = diag[0].sum(axis=-1)
-        gross = np.abs(np.swapaxes(inv, -1, -2) * dA[0]).reshape(G, -1).sum(axis=-1)
+        gross = np.abs(inv.swapaxes(-1, -2) * dA[0]).reshape(G, -1).sum(axis=-1)
         S = X[0]
     else:
         tr = [d.sum(axis=-1)[:, None, None] for d in diag]
-        Xt = X[0] * np.swapaxes(X[1], -1, -2)
+        Xt = X[0] * X[1].swapaxes(-1, -2)
         outer = diag[0][:, :, None] * diag[1][:, None, :]
         value = (outer - Xt).reshape(G, -1).sum(axis=-1)  # the diagonal is exactly 0
         gross = ((np.abs(outer) + np.abs(Xt)).reshape(G, -1).sum(axis=-1)
@@ -105,7 +110,7 @@ def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):  # an ill-conditioned member's error is inf
         S = np.abs(S @ inv)
         err = (2 * N * _EPS * S.reshape(G, -1).sum(axis=-1)
-               + (R * np.abs(A) * np.swapaxes(S, -1, -2)).reshape(G, -1).sum(axis=-1)
+               + (R * np.abs(A) * S.swapaxes(-1, -2)).reshape(G, -1).sum(axis=-1)
                + len(X) * (R.reshape(G, -1).max(axis=-1) + (N + 2) * _EPS) * gross)
     return value, gross, err
 
@@ -165,7 +170,7 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
         inv[~singular] = np.linalg.inv(A[~singular])
     else:
         inv = np.linalg.inv(A)
-    rel += (np.abs(np.swapaxes(inv, -1, -2)) * R * np.abs(A)).reshape(len(A), -1).sum(axis=-1)
+    rel += (np.abs(inv.swapaxes(-1, -2)) * R * np.abs(A)).reshape(len(A), -1).sum(axis=-1)
     derivs = _jacobi(A, inv, log_derivs, R) if len(log_derivs) else ()
     if any_zero:
         sign[zero] = cancel[zero] = rel[zero] = 0.0
@@ -299,8 +304,8 @@ def _gamma_logs(a_lo: int, a_hi: int, x: np.ndarray, log_scale) -> Tuple[np.ndar
     """log int_0^1 t^(a-1) e^(-x t) dt for the orders a_lo..a_hi (last axis),
     and its estimate with ``a |log_scale|`` for the size of a log x."""
     orders = np.arange(a_lo, a_hi + 1)
-    lgam = np.array([math.lgamma(a) for a in orders])
-    rel = _EPS * (10.0 + np.abs(lgam) + np.abs(orders * log_scale[..., None])
+    lgam = _log_factorials(a_hi)[a_lo - 1:]  # lgamma(a) = log (a-1)! >= 0
+    rel = _EPS * (10.0 + lgam + np.abs(orders * log_scale[..., None])
                   + np.minimum(x[..., None], orders + 1.0))
     return log_gamma_entries(a_lo, a_hi, x), rel
 
@@ -318,8 +323,8 @@ def _power_rel(log_v):
 
 
 # ---------------------------------------------------------------------------
-# prefactors: one description per law, the same data for the double path
-# (`_log_pref`) and the mpmath path (`extended._pref`)
+# laws: one description per (model, statistic), read as logs here
+# (`_log_pref`, `_entries`) and as mpfs by `extended._build`
 
 
 class _Pref(NamedTuple):
@@ -340,6 +345,36 @@ class _Pref(NamedTuple):
     decay: Sequence = ()
 
 
+class _Law(NamedTuple):
+    """A law as data: ``pref`` times the determinant of a matrix whose rows
+    run over the values ``rows`` and whose columns come in ``blocks``
+    (family, index), each column the family's entry at the rows' values for
+    one index k, an order or a value of the other spectrum:
+
+        E       E_k(lam v) = int_0^1 t^(k-1) e^(-lam v t) dt
+        lamE    lam^k E_k(lam v)
+        pow     v^k
+        exp     e^(lam v) v^k
+        F       F_k(lam, v) = int_0^inf (t + lam)^(k-1) e^(-v t) dt
+        g       g_n(lam k v) = int_0^1 (1-t)^(n-1) e^(-lam k v t) dt, n the matrix order
+        lampow  (lam v)^k
+        expr    e^(-lam k v)
+        gap     Gamma(k) [P(k, v b) - P(k, v a)] / v^k at the point (a, b)
+
+    A ``transposed`` law's determinant has these columns as its rows."""
+
+    pref: _Pref
+    rows: Sequence
+    blocks: tuple
+    transposed: bool = False
+
+
+# the families whose columns share a constant of the entries'
+# log-derivatives, sign * k / lam, and whose rows share the constant v
+_COL_CONST = {"E": -1, "lampow": 1}
+_ROW_CONST = ("F", "exp")
+
+
 def _row_norm(n: int, m: int, s, lam_power: int = 0, decay=()) -> _Pref:
     # normalization (spectral powers over factorials) divided by the
     # spectral Vandermonde; shared by every row-model law
@@ -347,199 +382,161 @@ def _row_norm(n: int, m: int, s, lam_power: int = 0, decay=()) -> _Pref:
                  lam_power, decay)
 
 
-# each law's prefactor, keyed by the name of its mpmath re-evaluation
-# `extended.<name>` and taking its arguments without the points
-_PREFS = {
-    "cdf_max_row": lambda n, m, s: _row_norm(n, m, s, n * m - m * (m - 1) // 2),
-    # at n = m the survival is e^(-lam sum s) times an empty determinant
-    "cdf_min_row": lambda n, m, s: _row_norm(n, m, s, decay=s) if n > m else _Pref(0, decay=s),
-    "prob_gap_row": _row_norm,
-    "cdf_max_col": lambda n, m, s: _Pref(m * (m - 1) // 2, ((m, s),), (m + 1,),
-                                         tuple(range(2, m + 2)), (s,)),
-    "cdf_min_col": lambda n, m, s: _Pref(m * (m - 1) // 2, ((m, s),), vandermonde=(s,), decay=s),
+def _row_min(n: int, m: int, s) -> _Law:
+    # a row for each value that the prefactor's Vandermonde divides by: none
+    # at n = m, where the survival is e^(-lam sum s) times an empty determinant
+    rows = s if n > m else ()
+    return _Law(_row_norm(n, m, s, decay=s) if rows else _Pref(0, decay=s), rows,
+                (("F", range(n - len(rows) + 1, n + 1)),))
+
+
+# each law, keyed by the name of its mpmath re-evaluation `extended.<name>`
+# and taking its arguments without the points
+_LAWS = {
+    "cdf_max_row": lambda n, m, s: _Law(_row_norm(n, m, s, n * m - m * (m - 1) // 2), s,
+                                        (("E", range(n - m + 1, n + 1)),)),
+    "cdf_min_row": _row_min,
+    "prob_gap_row": lambda n, m, s: _Law(_row_norm(n, m, s), s,
+                                         (("gap", range(n - m + 1, n + 1)),)),
+    "cdf_max_col": lambda n, m, s: _Law(
+        _Pref(m * (m - 1) // 2, ((m, s),), (m + 1,), tuple(range(2, m + 2)), (s,)), s,
+        (("lamE", range(1, m + 1)), ("pow", range(n - m)))),
+    "cdf_min_col": lambda n, m, s: _Law(
+        _Pref(m * (m - 1) // 2, ((m, s),), vandermonde=(s,), decay=s), s,
+        (("pow", range(-1, -m - 1, -1)), ("exp", range(n - m)))),
     # prod_(k < m) k! / ((n-1)!)^m: anchored so that the m = n case is
     # exactly the square evaluation and the m < n case matches the iterated
     # large-eigenvalue limit of it (the overall sign depends on n only)
-    "cdf_max_doubly": lambda n, m, r, s: _Pref(n * (n - 1) // 2, ((n, r), (n, s)),
-                                               tuple(range(2, m + 1)), (n,) * m, (r, s),
-                                               n * n - n * (n - 1) // 2),
-    "cdf_min_doubly": lambda n, r, s: _Pref(n * (n - 1) // 2, (), tuple(range(2, n + 1)), (),
-                                            (r, s), -(n * (n - 1) // 2)),
+    "cdf_max_doubly": lambda n, m, r, s: _Law(
+        _Pref(n * (n - 1) // 2, ((n, r), (n, s)), tuple(range(2, m + 1)), (n,) * m, (r, s),
+              n * n - n * (n - 1) // 2), s,
+        (("g", r), ("lampow", range(-1, m - n - 1, -1))), True),
+    "cdf_min_doubly": lambda n, r, s: _Law(
+        _Pref(n * (n - 1) // 2, (), tuple(range(2, n + 1)), (), (r, s), -(n * (n - 1) // 2)), s,
+        (("expr", r),), True),
 }
 
 
 def _log_pref(p: _Pref, lams: np.ndarray) -> Tuple[int, np.ndarray]:
     """The sign of ``p`` and its log at each lambda of ``lams``."""
-    log = (sum(math.lgamma(a) for a in p.above)
-           + sum(k * sum(math.log(x) for x in v) for k, v in p.powers))
+    log = sum(map(math.lgamma, p.above)) + sum([k * sum(map(math.log, v)) for k, v in p.powers])
     for v in p.vandermonde:
-        log -= sum(math.log(y - x) for j, x in enumerate(v) for y in v[j + 1:])
-    log -= sum(math.lgamma(a) for a in p.below)
+        log -= sum([math.log(y - x) for j, x in enumerate(v) for y in v[j + 1:]])
+    log -= sum(map(math.lgamma, p.below))
     logs = log + p.lam_power * np.log(lams) if p.lam_power else np.full(len(lams), float(log))
     if p.decay:
         logs = logs - lams * sum(p.decay)
     return -1 if p.pairs % 2 else 1, logs
 
 
-# ---------------------------------------------------------------------------
-# laws
-#
-# Each (model, statistic) has one description on a grid, shared by its CDF
-# and its density.  The builders take (n, m, spectra..., points), the points
-# an array of lambdas (G,) or of (a, b) pairs (G, 2).
+def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool,
+           transposed: bool = False):
+    """One column block of a law on a grid of points, rows ``v`` (N,), index
+    ``k``: its logs L and errors R (broadcastable to (G, N, K), or to
+    (G, K, N) for a ``transposed`` law) and, with ``density``, the list of
+    its log-derivative arrays D (dA = A o D), less the family's constants:
+    one for a lambda, two for a gap (in a, then b)."""
+    if family == "gap":
+        # where P(k, v a) > 1/2 the difference is Q(k, v a) - Q(k, v b), from
+        # the logs of the finite Q sums, which keep their digits where P rounds to 1
+        orders = np.asarray(k)
+        ends = points[:, :, None] * v
+        p, err, _ = reg_lower_gamma_orders(k.start, k.stop - 1, ends)
+        upper = p[:, 0] > 0.5
+        with np.errstate(divide="ignore", invalid="ignore"):
+            diff = p[:, 1] - p[:, 0]
+            log_diff, R = np.log(diff), (err[:, 0] + err[:, 1]) / diff
+            if upper.any():
+                log_q = _log_exp_partial_sums(k.start, k.stop - 1, ends) - ends[..., None]
+                gap = -np.expm1(log_q[:, 1] - log_q[:, 0])
+                log_diff = np.where(upper, log_q[:, 0] + np.log(gap), log_diff)
+                size = 10.0 + orders + 2.0 * ends[:, 1, :, None] * (1.0 + orders)  # of log Q
+                R = np.where(upper, size * _EPS * (2.0 - gap) / gap, R)
+            live = np.isfinite(log_diff)
+            L = np.where(live, [math.lgamma(a) for a in orders] + log_diff
+                         - orders * np.log(v)[:, None], -np.inf)
+        Ds = []
+        if density:
+            # d/db int_a^b t^(k-1) e^(-v t) dt = b^(k-1) e^(-v b), and d/da is
+            # minus the same at a; zero entries (-inf logs) stay zero
+            at = points[:, :, None, None]
+            slope = np.exp((orders - 1) * np.log(at) - v[:, None] * at - L[:, None])
+            slope[~np.isfinite(L[:, None]).repeat(2, axis=1)] = 0.0
+            Ds = [-slope[:, 0], slope[:, 1]]
+        return L, np.where(live, R, 1.0), Ds
+    lam = points[:, None, None]
+    if family == "E":
+        x = points[:, None] * v
+        L, R = _gamma_logs(k.start, k.stop - 1, x, np.log(x))
+        # d/dlam E_k(lam v) = (e^-x / lam) - (k / lam) E_k(x), x = lam v
+        return L, R, [np.exp(-x[..., None] - L) / lam] if density else []
+    ks = np.asarray(k, dtype=float if family in ("g", "expr") else int)
+    if family == "lamE":
+        x = points[:, None] * v
+        L, R = _gamma_logs(k.start, k.stop - 1, x, np.log(v))
+        L = L + ks * np.log(lam)
+        # d/dlam lam^k E_k(lam v) = lam^(k-1) e^(-lam v)
+        return L, R, [np.exp((ks - 1) * np.log(lam) - x[..., None] - L)] if density else []
+    if family == "F":
+        # d F_k / d lam = v F_k - lam^(k-1)
+        L, R = _row_min_logs(k.start, k.stop - 1, points, v)
+        return L, R, [-np.exp((ks - 1) * np.log(lam) - L)] if density else []
+    # the other families broadcast v and k along the law's rows and columns
+    v, ks = (v, ks[:, None]) if transposed else (v[:, None], ks)
+    if family in ("g", "expr"):
+        x = lam * ks * v
+        if family == "expr":
+            return -x, _power_rel(x), [-(v * ks)] if density else []
+        L = log_doubly_g(len(v), x)
+        # g_n'(y) = -(g_n(y) - g_(n+1)(y))
+        D = x / lam * np.expm1(log_doubly_g(len(v) + 1, x) - L) if density else None
+        return L, _EPS * (20.0 + x), [D] if density else []
+    if family == "pow":
+        L = np.log(v) * ks
+    elif family == "exp":
+        L = lam * v + ks * np.log(v)
+    else:  # lampow
+        L = np.log(lam * v) * ks
+    return L, _power_rel(L), [0.0] if density else []
 
 
-class _Law(NamedTuple):
-    """The prefactor ``_PREFS[name](*args)`` times det e^L on a grid, entry
-    errors R; a (G, 0, 0) L is the empty determinant, one.
-
-    ``name`` and ``args`` also name the mpmath re-evaluation
-    ``extended.<name>(*args, *point, dps, start=start)``.  ``deriv()``,
-    called for densities only, gives the derivative part: the arrays D of
-    the entries' log-derivatives (dA = A o D), the constants c (the
-    prefactor's log-derivative plus the row and column constants left out of
-    D) and the density's sign.
-    """
-
-    name: str
-    args: tuple
-    L: np.ndarray
-    R: np.ndarray
-    deriv: Callable[[], tuple]
-
-
-def _row_max(n, m, svals, lams):
-    """E_a(lam s), orders n-m+1..n, times lam^(nm - M)."""
-    x = lams[:, None] * np.asarray(svals, dtype=float)
-    L, R = _gamma_logs(n - m + 1, n, x, np.log(x))
-    # d/dlam lam^a E_a(lam s) = lam^(a-1) e^-x: e^-x / (lam E_a(x)) less the
-    # column constants a/lam, which sum to the prefactor's (nm - M)/lam
-    return _Law("cdf_max_row", (n, m, svals), L, R,
-                lambda: ([np.exp(-x[..., None] - L) / lams[:, None, None]], 0.0, 1.0))
-
-
-def _col_max(n, m, svals, lams):
-    """Gamma columns, then spectral powers.  Column k holds
-    Gamma(k) P(k, lam s) / s^k = lam^k int_0^1 t^(k-1) e^(-lam s t) dt."""
-    lam = lams[:, None]
-    s = np.asarray(svals, dtype=float)
-    log_s = np.log(s)
-    L = np.empty((len(lams), n, n))
-    R = np.empty_like(L)
-    L[:, :, :m], R[:, :, :m] = _gamma_logs(1, m, lam * s, log_s)
-    L[:, :, :m] += np.arange(1, m + 1) * np.log(lam)[..., None]
-    L[:, :, m:] = log_s[:, None] * np.arange(n - m)
-    R[:, :, m:] = _power_rel(L[0, :, m:])
-
-    def deriv():
-        # the gamma columns lam^k E_k(lam s) have derivative lam^(k-1) e^(-lam s)
-        lam3 = lams[:, None, None]
-        D = np.zeros_like(L)
-        D[:, :, :m] = np.exp(np.arange(m) * np.log(lam3) - lam3 * s[:, None] - L[:, :, :m])
-        return [D], 0.0, 1.0
-
-    return _Law("cdf_max_col", (n, m, svals), L, R, deriv)
+def _entries(law: _Law, points: np.ndarray, density: bool):
+    """``law``'s matrix on a grid of points, the lambdas (G,) or the (a, b)
+    pairs (G, 2): its logs L and errors R and, with ``density``, the arrays
+    D of its entries' log-derivatives less the blocks' constants, and those
+    constants with the prefactor's log-derivative, c = (lam_power + sum of
+    the columns' k) / lam - sum decay + sum of the rows' v."""
+    v = np.asarray(law.rows, dtype=float)
+    row_const = any(f in _ROW_CONST for f, _ in law.blocks)
+    # (an empty block adds nothing, unless the matrix is empty)
+    blocks = [b for b in law.blocks if len(b[1])] or law.blocks[:1]
+    parts = []
+    for family, k in blocks:
+        L, R, Ds = _block(family, k, v, points, density, law.transposed)
+        if row_const and family not in _ROW_CONST:
+            Ds = [D - v[:, None] for D in Ds]
+        parts.append((L, R, *Ds))
+    L, R, *Ds = parts[0]
+    if len(parts) > 1 or L.ndim < 3:
+        # one (G, N, N) array each, a transposed law's blocks as its rows
+        L, R, *Ds = out = [np.empty((len(points), len(v), len(v))) for _ in parts[0]]
+        j = 0
+        for (_, k), part in zip(blocks, parts):
+            cut = slice(j, j + len(k))
+            cut = (slice(None), cut) if law.transposed else (..., cut)
+            for o, p in zip(out, part):
+                o[cut] = p
+            j += len(k)
+    if not density:
+        return L, R, (), 0.0
+    lam_power = law.pref.lam_power + sum(_COL_CONST[f] * sum(k) for f, k in law.blocks
+                                         if f in _COL_CONST)
+    return L, R, Ds, ((lam_power / (points if points.ndim == 1 else points[:, 0])
+                       if lam_power else 0.0)
+                      - sum(law.pref.decay) + (sum(law.rows) if row_const else 0))
 
 
-def _doubly_max(n, m, rvals, svals, lams):
-    """g_n(lam r s) rows, then (lam s)^-i rows for i = 1..n-m."""
-    lam = lams[:, None, None]
-    s = np.asarray(svals, dtype=float)
-    x = lam * np.asarray(rvals, dtype=float)[:, None] * s
-    L = np.empty((len(lams), n, n))
-    R = np.empty_like(L)
-    L[:, :m], R[:, :m] = log_doubly_g(n, x), _EPS * (20.0 + x)
-    L[:, m:] = -np.arange(1, n - m + 1)[:, None] * np.log(lam * s)
-    R[:, m:] = _power_rel(L[:, m:])
-    M = n * (n - 1) // 2
-
-    def deriv():
-        # g_n'(x) = -(g_n(x) - g_(n+1)(x)); each (lam s)^-i row has the constant -i/lam
-        D = np.zeros_like(L)
-        D[:, :m] = x / lam * np.expm1(log_doubly_g(n + 1, x) - L[:, :m])
-        return [D], (n * n - M - (n - m) * (n - m + 1) // 2) / lams, 1.0
-
-    return _Law("cdf_max_doubly", (n, m, rvals, svals), L, R, deriv)
-
-
-def _row_min(n, m, svals, lams):
-    """`_row_min_logs` times e^(-lam sum s), a row for each value that the
-    prefactor's Vandermonde divides by: none at n = m, where the survival is
-    that exponential alone."""
-    rows = [v for vals in _PREFS["cdf_min_row"](n, m, svals).vandermonde for v in vals]
-    L, R = _row_min_logs(n - len(rows) + 1, n, lams, rows)
-    # d F_a / d lam = s F_a - lam^(a-1): the row constants s add to the
-    # prefactor's -sum s
-    return _Law("cdf_min_row", (n, m, svals), L, R,
-                lambda: ([-np.exp(np.arange(n - len(rows), n) * np.log(lams)[:, None, None] - L)],
-                         -sum(svals) + sum(rows), -1.0))
-
-
-def _col_min(n, m, svals, lams):
-    """Inverse powers, then exponentials; times e^(-lam sum s)."""
-    s = np.asarray(svals, dtype=float)[:, None]
-    L = np.empty((len(lams), n, n))
-    L[:, :, :m] = -np.arange(1, m + 1) * np.log(s)
-    L[:, :, m:] = lams[:, None, None] * s + np.arange(n - m) * np.log(s)
-
-    # the exponential columns have log-derivative s; taking that row constant
-    # out leaves -s on the power columns and cancels e^(-lam sum s)
-    return _Law("cdf_min_col", (n, m, svals), L, _power_rel(L),
-                lambda: ([np.where(np.arange(n) < m, -s, 0.0)], 0.0, -1.0))
-
-
-def _doubly_min(n, m, rvals, svals, lams):
-    """exp(-lam r s), times lam^(-M)."""
-    if m != n:
-        raise ValueError("smallest-eigenvalue law for the doubly correlated model requires m = n")
-    L = (-lams[:, None, None] * np.asarray(rvals, dtype=float)[None, :, None]
-         * np.asarray(svals, dtype=float)[None, None, :])
-    return _Law("cdf_min_doubly", (n, rvals, svals), L, _power_rel(L),
-                lambda: ([-np.outer(rvals, svals)], -(n * (n - 1) // 2) / lams, -1.0))
-
-
-def _gap(n, m, svals, points):
-    """Gamma(k) [P(k, s b) - P(k, s a)] / s^k, orders k.  Where P(k, s a) >
-    1/2 the difference is Q(k, s a) - Q(k, s b), from the logs of the finite
-    Q sums, which keep their digits where P rounds to 1."""
-    s = np.asarray(svals, dtype=float)
-    ends = points[:, :, None] * s
-    p, err, _ = reg_lower_gamma_orders(n - m + 1, n, ends)
-    orders = np.arange(n - m + 1, n + 1)
-    upper = p[:, 0] > 0.5
-    with np.errstate(divide="ignore", invalid="ignore"):
-        diff = p[:, 1] - p[:, 0]
-        log_diff, R = np.log(diff), (err[:, 0] + err[:, 1]) / diff
-        if upper.any():
-            log_q = _log_exp_partial_sums(n - m + 1, n, ends) - ends[..., None]
-            gap = -np.expm1(log_q[:, 1] - log_q[:, 0])
-            log_diff = np.where(upper, log_q[:, 0] + np.log(gap), log_diff)
-            size = 10.0 + orders + 2.0 * ends[:, 1, :, None] * (1.0 + orders)  # of log Q
-            R = np.where(upper, size * _EPS * (2.0 - gap) / gap, R)
-        live = np.isfinite(log_diff)
-        L = np.where(live, [math.lgamma(a) for a in orders] + log_diff
-                     - orders * np.log(s)[:, None], -np.inf)
-
-    def deriv():
-        # d/db int_a^b t^(k-1) e^(-s t) dt = b^(k-1) e^(-s b), and d/da is minus
-        # the same at a; zero entries (-inf logs) stay zero
-        at = points[:, :, None, None]
-        slope = np.exp(np.arange(n - m, n) * np.log(at) - s[:, None] * at - L[:, None])
-        slope[~np.isfinite(L[:, None]).repeat(2, axis=1)] = 0.0
-        return [-slope[:, 0], slope[:, 1]], 0.0, -1.0
-
-    return _Law("prob_gap_row", (n, m, svals), L, np.where(live, R, 1.0), deriv)
-
-
-_LAWS = {
-    (RowCorrelated, "max"): _row_max,
-    (ColumnCorrelated, "max"): _col_max,
-    (DoublyCorrelated, "max"): _doubly_max,
-    (RowCorrelated, "min"): _row_min,
-    (ColumnCorrelated, "min"): _col_min,
-    (DoublyCorrelated, "min"): _doubly_min,
-    (RowCorrelated, "gap"): _gap,
-}
+_MODELS = {RowCorrelated: "row", ColumnCorrelated: "col", DoublyCorrelated: "doubly"}
 
 _PERTURBED = (f"perturbed:coincident spectrum values nudged apart in relative steps of "
               f"{PERTURB_EPS:g} (the value is that of the nudged spectrum)")
@@ -571,8 +568,8 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     factor's cancellation counts with the determinant's, and its error adds
     to the determinant's.
     """
-    build = _LAWS.get((type(case), stat))
-    if build is None:
+    name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{_MODELS.get(type(case))}"
+    if name not in _LAWS:
         if stat == "gap":
             raise TypeError(f"{'joint density' if density else 'gap probability'} "
                             "is available for the row-correlated model only")
@@ -583,27 +580,35 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
         points = [(_check_lambda(lam),) for lam in points]
     spectra = (case.r, case.s) if isinstance(case, DoublyCorrelated) else (case.s,)
     warnings = [_PERTURBED] if any(sp.perturbed for sp in spectra) else []
-    n, m, G = case.dims.n, case.dims.m, len(points)
+    n, m = case.dims.n, case.dims.m
     if density and stat == "gap" and m == 1:
         # one eigenvalue cannot sit at two points
         return [EvalReport(0.0, 0.0, 0.0, list(warnings)) for _ in points]
+    args = (n, m, *(list(sp) for sp in spectra))
+    if name == "cdf_min_doubly":
+        if m != n:
+            raise ValueError("smallest-eigenvalue law for the doubly correlated model "
+                             "requires m = n")
+        args = args[:1] + args[2:]
     grid = np.asarray(points, dtype=float)
-    law = build(n, m, *(list(sp) for sp in spectra), grid if stat == "gap" else grid[:, 0])
+    law = _LAWS[name](*args)
     # (a gap law has no lambda terms)
-    pref_sign, logs = _log_pref(_PREFS[law.name](*law.args), grid[:, 0])
-    Ds, consts, dsign = law.deriv() if density else ((), 0.0, 1.0)
-    sign, log_det, cancel, rel, *derivs = _det_from_logs(law.L, law.R, Ds)
+    pref_sign, logs = _log_pref(law.pref, grid[:, 0])
+    L, R, Ds, consts = _entries(law, grid if stat == "gap" else grid[:, 0], density)
+    sign, log_det, cancel, rel, *derivs = _det_from_logs(L, R, Ds)
     # every value also carries the rounding of the logs it is exponentiated from
     rel = rel + (5.0 + np.abs(logs) + np.abs(log_det)) * _EPS
     dets = [a.tolist() for a in (sign, log_det, cancel, rel, *derivs)]
     logs = logs.tolist()
     if not density:
         return [_finalize(pref_sign * sign, log + log_det, rel, cancel, cfg, list(warnings),
-                          _ext(law.name, *law.args, *point), True)
+                          _ext(name, *args, *point), True)
                 for point, log, sign, log_det, cancel, rel
                 in zip(points, logs, *dets)]
+    # the density of a survival (min, gap) is minus the derivative
+    dsign = 1.0 if stat == "max" else -1.0
     out = []
-    consts = np.broadcast_to(consts, (G,)).tolist()
+    consts = consts.tolist() if isinstance(consts, np.ndarray) else [consts] * len(points)
     for log, c, sign, log_det, cancel, rel, deriv, gross, err in zip(logs, consts, *dets):
         factor = c + deriv
         if sign == 0:  # an exact zero determinant decides

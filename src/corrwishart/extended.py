@@ -2,30 +2,32 @@
 
 The determinant expressions of the double-precision engine in mpmath
 arbitrary precision, whose unbounded exponent range needs no log-space
-bookkeeping.  The row and column entries come one matrix row at a time
-from positive recurrences in the order, as in `corrwishart.specfun`
-(`_gamma_row`, `_shifted_power_row`); the others have one order each and
-are evaluated directly.  The test suite keeps an independent direct
-transcription of the formulas as an oracle.
+bookkeeping.  A law is its description in `corrwishart.detform`
+(``_LAWS``, the same data the double path takes the logs of), evaluated by
+`_build`: the prefactor by `_pref`, and the matrix one column block at a
+time by `_block`, one evaluator for every entry family.  The order-indexed
+gamma and shifted-power families come one matrix row at a time from
+positive recurrences in the order, as in `corrwishart.specfun`
+(`_gamma_row`, `_shifted_power_row`); the others are evaluated entry by
+entry.  The test suite keeps an independent direct transcription of the
+formulas as an oracle.
 
-Each builder returns its prefactor and the rows of its determinant, each
-with a bound on its relative error in ulps (units of u = 2^-p at the
-working precision p).  A builder builds only its rows: its prefactor is the
-law's description in `corrwishart.detform` (``_PREFS``, the same data the
-double path takes the log of), evaluated by `_pref`.  The ulps are one per
-rounded operation, `_FN` per mpmath call, an argument's ulps times the
+Each block comes with a bound on its entries' relative error in ulps
+(units of u = 2^-p at the working precision p), and a matrix's bound is
+the largest of its blocks', an empty block's included.  The ulps are one
+per rounded operation, `_FN` per mpmath call, an argument's ulps times the
 function's sensitivity to it, and for a gap entry hi - lo the condition
-(|hi| + |lo|) / |hi - lo|.  `_evaluate` runs it at each round's precision,
-and `_bounded_det` (elimination on integers in units of 2^-p, with no
-singularity tolerance) turns those errors and its own roundings into a
-bound on the value.  A round is accepted when that bound is at most
+(|hi| + |lo|) / |hi - lo|.  `_evaluate` runs `_build` at each round's
+precision, and `_bounded_det` (elimination on integers in units of 2^-p,
+with no singularity tolerance) turns those errors and its own roundings
+into a bound on the value.  A round is accepted when that bound is at most
 10^-(dps-10), with no second round to confirm it.  The first round runs at
 ``start`` (the engine's `first_round`: ``dps`` plus the digits its double
 path lost) or ``dps``.  One whose bound misses runs again, higher by the
 shortfall in digits plus `_GUARD`; one with no finite bound runs again at
 twice its digits.  An exact zero has no bound: no value of these laws is
-zero, so a zero only says that the precision was too low to see the entries
-differ.  `NotConverged` is raised when the next round would pass
+zero, so a zero only says that the precision was too low to see the
+entries differ.  `NotConverged` is raised when the next round would pass
 ``_MAX_DPS``.  The public functions return the accepted `Round`.
 """
 
@@ -37,7 +39,7 @@ from typing import Any, NamedTuple
 import mpmath
 from mpmath.libmp import from_man_exp, round_nearest
 
-from .detform import _MAX_DPS, _PREFS
+from .detform import _LAWS, _MAX_DPS
 
 __all__ = ["NotConverged", "Round", "first_round", "cdf_max_row", "cdf_min_row", "cdf_max_col",
            "cdf_min_col", "cdf_max_doubly", "cdf_min_doubly", "prob_gap_row"]
@@ -89,14 +91,14 @@ def _self_validated(raw, dps: int, start: int) -> Round:
         d += step
 
 
-def _evaluate(build, args, dps: int, start: int | None) -> Round:
+def _evaluate(name: str, args, dps: int, start: int | None) -> Round:
     """The accepted `Round` of ``pref * det(rows)``, ``(pref, pref_ulps, rows,
-    ulps) = build(*args)``, from ``start`` (``dps`` when None).  Each round
-    promotes the arguments: integers (the dimensions) pass through,
+    ulps) = _build(name, *args)``, from ``start`` (``dps`` when None).  Each
+    round promotes the arguments: integers (the dimensions) pass through,
     sequences become lists of mpf, anything else one mpf."""
     def raw(d):
         with mpmath.workdps(d):
-            pref, pref_ulps, rows, ulps = build(*(
+            pref, pref_ulps, rows, ulps = _build(name, *(
                 a if isinstance(a, int) else
                 [mpmath.mpf(v) for v in a] if isinstance(a, (list, tuple)) else
                 mpmath.mpf(a) for a in args))
@@ -233,92 +235,80 @@ def _shifted_power_row(a_lo, a_hi, lam, s):
     return row
 
 
-# the builders: each formula as (prefactor, its ulps, rows, their ulps),
-# the prefactor from its description `detform._PREFS[<name>]`
-
-
-def _max_row(n, m, s, lam):
-    return (*_pref(_PREFS["cdf_max_row"](n, m, s), lam),
-            [_gamma_row(n - m + 1, n, lam * v) for v in s],
-            _gamma_ulps(n - m + 1, n, lam * max(s)))
-
-
-def _min_row(n, m, s, lam):
-    # a row for each value that the prefactor's Vandermonde divides by: none
-    # at n = m; F_a: three roundings a step, from one
-    pref = _PREFS["cdf_min_row"](n, m, s)
-    return (*_pref(pref, lam),
-            [_shifted_power_row(n - m + 1, n, lam, v) for vals in pref.vandermonde for v in vals],
-            3 * n + 1)
-
-
-def _max_col(n, m, s, lam):
-    # v^i: one call
-    powers = [lam ** a for a in range(1, m + 1)]
-    return (*_pref(_PREFS["cdf_max_col"](n, m, s), lam),
-            [_gamma_row(1, m, lam * v, powers) + [v ** i for i in range(n - m)] for v in s],
-            _gamma_ulps(1, m, lam * max(s), True))
-
-
-def _min_col(n, m, s, lam):
-    # v^-k: one call; e^(lam v) v^i: two calls and lam v's ulp times its size
-    return (*_pref(_PREFS["cdf_min_col"](n, m, s), lam),
-            [[v ** -k for k in range(1, m + 1)]
-             + [mpmath.exp(lam * v) * v ** i for i in range(n - m)] for v in s],
-            2 * _FN + 1 + float(lam * max(s)))
-
-
-def _max_doubly(n, m, r, s, lam):
-    # 1F1(1; n+1; -y) = n int_0^1 (1-t)^(n-1) e^(-y t) dt has sensitivity at
-    # most y to y = lam r s (two roundings); (lam v)^-i has i to lam v (one)
-    return (*_pref(_PREFS["cdf_max_doubly"](n, m, r, s), lam),
-            [[mpmath.hyp1f1(1, n + 1, -lam * rj * v) / n for v in s] for rj in r]
-            + [[(lam * v) ** -i for v in s] for i in range(1, n - m + 1)],
-            max(2 * float(lam * max(r) * max(s)) + _FN + 1, n + _FN))
-
-
-def _min_doubly(n, r, s, lam):
-    return (*_pref(_PREFS["cdf_min_doubly"](n, r, s), lam),
-            [[mpmath.exp(-lam * rj * v) for v in s] for rj in r],
-            2 * float(lam * max(r) * max(s)) + _FN)
-
-
-def _gap_row(n, m, s, a, b):
-    """Entries hi - lo, each within (|hi| e_hi + |lo| e_lo) / |hi - lo| + 1 ulps."""
+def _block(family, k, v, point):
+    """The rows (one list per value of ``v``) of a column block of a
+    `detform._Law` at the point, and the ulps of its entries."""
+    lam = point[0]
+    if family in ("g", "expr"):
+        # 1F1(1; n+1; -y) = n int_0^1 (1-t)^(n-1) e^(-y t) dt and e^-y have
+        # sensitivity at most y to y = lam r v (two roundings)
+        n, y = len(v), 2 * float(lam * max(k) * max(v))
+        if family == "expr":
+            return [[mpmath.exp(-lam * r * x) for r in k] for x in v], y + _FN
+        return [[mpmath.hyp1f1(1, n + 1, -lam * r * x) / n for r in k] for x in v], y + _FN + 1
+    if family == "pow":  # one call
+        return [[x ** a for a in k] for x in v], _FN
+    if family == "exp":  # two calls and lam v's ulp times its size
+        return ([[mpmath.exp(lam * x) * x ** a for a in k] for x in v],
+                2 * _FN + 1 + float(lam * max(v)))
+    if family == "lampow":  # sensitivity |k| < n to lam v (one rounding)
+        return [[(lam * x) ** a for a in k] for x in v], len(v) + _FN
+    lo, hi = k.start, k.stop - 1
+    if family == "F":  # three roundings a step, from one
+        return [_shifted_power_row(lo, hi, lam, x) for x in v], 3 * hi + 1
+    if family != "gap":  # E, or lamE: lam^k E_k with the scale's ulps on top
+        powers = [lam ** a for a in k] if family == "lamE" else None
+        return ([_gamma_row(lo, hi, lam * x, powers) for x in v],
+                _gamma_ulps(lo, hi, lam * max(v), family == "lamE"))
+    # entries hi - lo, each within (|hi| e_hi + |lo| e_lo) / |hi - lo| + 1 ulps
+    a, b = point
     rows, worst = [], 0
-    pb, pa = ([x ** k for k in range(n - m + 1, n + 1)] for x in (b, a))
-    for v in s:
-        hi, lo = _gamma_row(n - m + 1, n, v * b, pb), _gamma_row(n - m + 1, n, v * a, pa)
-        e_hi, e_lo = _gamma_ulps(n - m + 1, n, v * b, True), _gamma_ulps(n - m + 1, n, v * a, True)
-        rows.append([h - l for h, l in zip(hi, lo)])
-        worst = max([worst] + [(e_hi * abs(h) + e_lo * abs(l)) / abs(g) + 1 if g else mpmath.inf
-                               for h, l, g in zip(hi, lo, rows[-1])])
-    return (*_pref(_PREFS["prob_gap_row"](n, m, s), None), rows, worst)
+    pb, pa = ([x ** i for i in k] for x in (b, a))
+    for x in v:
+        up, down = _gamma_row(lo, hi, x * b, pb), _gamma_row(lo, hi, x * a, pa)
+        e_up, e_down = _gamma_ulps(lo, hi, x * b, True), _gamma_ulps(lo, hi, x * a, True)
+        rows.append([u - d for u, d in zip(up, down)])
+        worst = max([worst] + [(e_up * abs(u) + e_down * abs(d)) / abs(g) + 1 if g else mpmath.inf
+                               for u, d, g in zip(up, down, rows[-1])])
+    return rows, worst
+
+
+def _build(name, *args):
+    """The law `detform._LAWS[name]` at the point that ends ``args`` (lam, or
+    a, b for the gap), at the working precision: (prefactor, its ulps, rows,
+    their ulps), the ulps the most of any block's."""
+    point = args[-2:] if name == "prob_gap_row" else args[-1:]
+    law = _LAWS[name](*args[:-len(point)])
+    blocks = [_block(family, k, law.rows, point) for family, k in law.blocks]
+    rows = [sum((b[i] for b, _ in blocks), []) for i in range(len(law.rows))]
+    if law.transposed:
+        rows = [list(col) for col in zip(*rows)]
+    return (*_pref(law.pref, point[0]), rows, max(ulps for _, ulps in blocks))
 
 
 def cdf_max_row(n, m, s, lam, dps=40, start=None):
-    return _evaluate(_max_row, (n, m, s, lam), dps, start)
+    return _evaluate("cdf_max_row", (n, m, s, lam), dps, start)
 
 
 def cdf_min_row(n, m, s, lam, dps=40, start=None):
-    return _evaluate(_min_row, (n, m, s, lam), dps, start)
+    return _evaluate("cdf_min_row", (n, m, s, lam), dps, start)
 
 
 def cdf_max_col(n, m, s, lam, dps=40, start=None):
-    return _evaluate(_max_col, (n, m, s, lam), dps, start)
+    return _evaluate("cdf_max_col", (n, m, s, lam), dps, start)
 
 
 def cdf_min_col(n, m, s, lam, dps=40, start=None):
-    return _evaluate(_min_col, (n, m, s, lam), dps, start)
+    return _evaluate("cdf_min_col", (n, m, s, lam), dps, start)
 
 
 def cdf_max_doubly(n, m, r, s, lam, dps=40, start=None):
-    return _evaluate(_max_doubly, (n, m, r, s, lam), dps, start)
+    return _evaluate("cdf_max_doubly", (n, m, r, s, lam), dps, start)
 
 
 def cdf_min_doubly(n, r, s, lam, dps=40, start=None):
-    return _evaluate(_min_doubly, (n, r, s, lam), dps, start)
+    return _evaluate("cdf_min_doubly", (n, r, s, lam), dps, start)
 
 
 def prob_gap_row(n, m, s, a, b, dps=40, start=None):
-    return _evaluate(_gap_row, (n, m, s, a, b), dps, start)
+    return _evaluate("prob_gap_row", (n, m, s, a, b), dps, start)

@@ -484,13 +484,14 @@ class TestSchedule:
         monkeypatch.setattr(extended, "_MAX_DPS", 220)
         seen = []
 
-        def uncertified():
+        def uncertified(name):
             # a prefactor error of 2^p ulps, one unit: never within 10^-30
             seen.append(mpmath.mp.dps)
             return mpmath.mpf(1), 2 ** mpmath.mp.prec, [], 0
 
+        monkeypatch.setattr(extended, "_build", uncertified)
         with pytest.raises(extended.NotConverged) as info:
-            extended._evaluate(uncertified, (), DPS, None)
+            extended._evaluate("uncertified", (), DPS, None)
         assert info.value.dps == 220 and seen == [40, 76, 112, 148, 184, 220]
 
 
@@ -751,47 +752,47 @@ def _builder_cases():
     for m in (6, 8, 10, 12):
         s, n = evenly(0.5, 4.0, m), m + 4
         for lam in (0.5, 2.0):
-            yield f"row {n}x{m} max {lam}", extended._max_row, (n, m, s, lam)
-        yield f"row {n}x{m} min", extended._min_row, (n, m, s, 0.2)
-        yield f"row {n}x{m} gap", extended._gap_row, (n, m, s, 0.05, 2.0)
+            yield f"row {n}x{m} max {lam}", "cdf_max_row", (n, m, s, lam)
+        yield f"row {n}x{m} min", "cdf_min_row", (n, m, s, 0.2)
+        yield f"row {n}x{m} gap", "prob_gap_row", (n, m, s, 0.05, 2.0)
     for m in (6, 8):
         s = evenly(0.5, 4.0, m + 2)
-        yield f"column {m + 2}x{m} max", extended._max_col, (m + 2, m, s, 0.5)
-        yield f"column {m + 2}x{m} min", extended._min_col, (m + 2, m, s, 0.05)
+        yield f"column {m + 2}x{m} max", "cdf_max_col", (m + 2, m, s, 0.5)
+        yield f"column {m + 2}x{m} min", "cdf_min_col", (m + 2, m, s, 0.05)
     for n in (6, 8):
         r, s = evenly(0.5, 4.0, n), evenly(0.6, 3.0, n)
-        yield f"doubly {n}x{n} max", extended._max_doubly, (n, n, r, s, 0.5)
-        yield f"doubly {n}x{n} min", extended._min_doubly, (n, r, s, 0.05)
-    yield "clustered row 5x3 min", extended._min_row, (5, 3, [1.0, 1.0001, 1.0002], 0.3)
+        yield f"doubly {n}x{n} max", "cdf_max_doubly", (n, n, r, s, 0.5)
+        yield f"doubly {n}x{n} min", "cdf_min_doubly", (n, r, s, 0.05)
+    yield "clustered row 5x3 min", "cdf_min_row", (5, 3, [1.0, 1.0001, 1.0002], 0.3)
     # large arguments: lam s (row, column) and lam r s (doubly) up to 50-500
     s, r = evenly(0.5, 4.0, 8), evenly(0.5, 4.0, 6)
     for lam in (15.0, 120.0):
-        yield f"row 12x8 max {lam}", extended._max_row, (12, 8, s, lam)
-        yield f"row 12x8 min {lam}", extended._min_row, (12, 8, s, lam)
-        yield f"row 12x8 gap {lam}", extended._gap_row, (12, 8, s, lam / 10, lam)
-        yield f"column 10x8 max {lam}", extended._max_col, (10, 8, s + [5.0, 6.0], lam)
-        yield f"column 10x8 min {lam}", extended._min_col, (10, 8, s + [5.0, 6.0], lam / 3)
+        yield f"row 12x8 max {lam}", "cdf_max_row", (12, 8, s, lam)
+        yield f"row 12x8 min {lam}", "cdf_min_row", (12, 8, s, lam)
+        yield f"row 12x8 gap {lam}", "prob_gap_row", (12, 8, s, lam / 10, lam)
+        yield f"column 10x8 max {lam}", "cdf_max_col", (10, 8, s + [5.0, 6.0], lam)
+        yield f"column 10x8 min {lam}", "cdf_min_col", (10, 8, s + [5.0, 6.0], lam / 3)
     for lam in (5.0, 40.0):
-        yield f"doubly 6x6 max {lam}", extended._max_doubly, (6, 6, r, evenly(0.6, 3.0, 6), lam)
-        yield f"doubly 6x6 min {lam}", extended._min_doubly, (6, r, evenly(0.6, 3.0, 6), lam)
+        yield f"doubly 6x6 max {lam}", "cdf_max_doubly", (6, 6, r, evenly(0.6, 3.0, 6), lam)
+        yield f"doubly 6x6 min {lam}", "cdf_min_doubly", (6, r, evenly(0.6, 3.0, 6), lam)
 
 
 BUILDER_CASES = list(_builder_cases())
 
 
-def built(build, args, prec):
+def built(name, args, prec):
     with mpmath.workprec(prec):
-        return build(*(a if isinstance(a, int) else
+        return extended._build(name, *(a if isinstance(a, int) else
                        [mpmath.mpf(v) for v in a] if isinstance(a, list) else mpmath.mpf(a)
                        for a in args))
 
 
-@pytest.mark.parametrize("name,build,args", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
-def test_builder_errors_within_their_ulps(name, build, args):
+@pytest.mark.parametrize("name,law,args", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
+def test_builder_errors_within_their_ulps(name, law, args):
     # at p bits against p + 60 bits, whose own error is 2^-60 of the allowance
     prec = 136
-    pref, pref_ulps, rows, ulps = built(build, args, prec)
-    want_pref, _, want_rows, _ = built(build, args, prec + 60)
+    pref, pref_ulps, rows, ulps = built(law, args, prec)
+    want_pref, _, want_rows, _ = built(law, args, prec + 60)
     tol = mpmath.ldexp(1 + mpmath.ldexp(1, -50), -prec)
     with mpmath.workprec(prec + 200):
         assert abs(pref - want_pref) <= pref_ulps * tol * abs(want_pref), name
