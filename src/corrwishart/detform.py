@@ -125,9 +125,10 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
     log-derivatives) also d det / det, its terms' magnitudes and its error by
     Jacobi's formula (`_jacobi`).  Each member's rows, then columns, are
     shifted in log space to a largest entry of one before exponentiating.  A
-    member with a row of zeros or a column that underflows to zero is an
-    exact zero (sign 0, no cancellation), and an empty (G, 0, 0) stack is one
-    (sign 1, log 0, no cancellation and no error).
+    member with a row of zeros (-inf logs) is an exact zero (sign 0, no
+    cancellation), and an empty (G, 0, 0) stack is one (sign 1, log 0, no
+    cancellation and no error).  A column that underflows to zero under its
+    rows' shifts is not exact: it leaves its member singular.
 
     The cancellation is the Hadamard bound over |det| of the scaled matrix A
     in decimal digits.  The error is the roundoff N eps (1 + growth), with
@@ -146,7 +147,10 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
     row_shift[dead_rows] = 0.0
     A = np.exp(L - row_shift[..., None])
     col_scale = A.max(axis=-2)
-    zero = dead_rows.any(axis=-1) | (col_scale == 0.0).any(axis=-1)
+    underflowed = col_scale == 0.0
+    if underflowed.any():
+        col_scale[underflowed] = 1.0  # the column stays zero
+    zero = dead_rows.any(axis=-1)
     any_zero = zero.any()
     if any_zero:
         col_scale[zero] = 1.0
@@ -453,8 +457,10 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool,
                 size = 10.0 + orders + 2.0 * ends[:, 1, :, None] * (1.0 + orders)  # of log Q
                 R = np.where(upper, size * _EPS * (2.0 - gap) / gap, R)
             live = np.isfinite(log_diff)
-            L = np.where(live, [math.lgamma(a) for a in orders] + log_diff
-                         - orders * np.log(v)[:, None], -np.inf)
+            lgam, k_log_v = _log_factorials(k.stop - 1)[k.start - 1:], orders * np.log(v)[:, None]
+            L = np.where(live, lgam + log_diff - k_log_v, -np.inf)
+            # with the roundings of that sum
+            R = R + _EPS * (lgam + np.abs(log_diff) + 2.0 * np.abs(k_log_v))
         Ds = []
         if density:
             # d/db int_a^b t^(k-1) e^(-v t) dt = b^(k-1) e^(-v b), and d/da is
@@ -470,11 +476,12 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool,
         L, R = _gamma_logs(k.start, k.stop - 1, x, np.log(x))
         # d/dlam E_k(lam v) = (e^-x / lam) - (k / lam) E_k(x), x = lam v
         return L, R, [np.exp(-x[..., None] - L) / lam] if density else []
-    ks = np.asarray(k, dtype=float if family in ("g", "expr") else int)
+    ks = np.asarray(k)
     if family == "lamE":
         x = points[:, None] * v
         L, R = _gamma_logs(k.start, k.stop - 1, x, np.log(v))
-        L = L + ks * np.log(lam)
+        k_log_lam = ks * np.log(lam)
+        L, R = L + k_log_lam, R + _EPS * np.abs(k_log_lam)
         # d/dlam lam^k E_k(lam v) = lam^(k-1) e^(-lam v)
         return L, R, [np.exp((ks - 1) * np.log(lam) - x[..., None] - L)] if density else []
     if family == "F":
@@ -531,8 +538,7 @@ def _entries(law: _Law, points: np.ndarray, density: bool):
         return L, R, (), 0.0
     lam_power = law.pref.lam_power + sum(_COL_CONST[f] * sum(k) for f, k in law.blocks
                                          if f in _COL_CONST)
-    return L, R, Ds, ((lam_power / (points if points.ndim == 1 else points[:, 0])
-                       if lam_power else 0.0)
+    return L, R, Ds, (lam_power / (points if points.ndim == 1 else points[:, 0])
                       - sum(law.pref.decay) + (sum(law.rows) if row_const else 0))
 
 
@@ -608,8 +614,7 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     # the density of a survival (min, gap) is minus the derivative
     dsign = 1.0 if stat == "max" else -1.0
     out = []
-    consts = consts.tolist() if isinstance(consts, np.ndarray) else [consts] * len(points)
-    for log, c, sign, log_det, cancel, rel, deriv, gross, err in zip(logs, consts, *dets):
+    for log, c, sign, log_det, cancel, rel, deriv, gross, err in zip(logs, consts.tolist(), *dets):
         factor = c + deriv
         if sign == 0:  # an exact zero determinant decides
             factor, lost = 1.0, 1.0

@@ -482,17 +482,37 @@ class TestStackedKernel:
             assert log_mag[g] == pytest.approx(np.linalg.slogdet(np.exp(L[g]))[1], rel=1e-12)
 
     def test_zero_members_are_exact(self):
-        # a row of zeros, or a column 800 e-folds under its row: an exact zero
-        # with no cancellation and no error, beside an untouched member
+        # a row of zeros: an exact zero with no cancellation and no error,
+        # beside an untouched member
         rng = np.random.default_rng(9)
-        L = rng.normal(size=(3, 3, 3))
+        L = rng.normal(size=(2, 3, 3))
         L[0, 1] = -np.inf
-        L[1, :, 2] = -800.0
         sign, log_mag, cancel, rel = _det_from_logs(L, np.full(L.shape, 1e-16))
-        assert sign[:2].tolist() == [0, 0]
-        assert cancel[:2].tolist() == [0, 0] and rel[:2].tolist() == [0, 0]
-        assert sign[2] != 0
-        assert log_mag[2] == pytest.approx(np.linalg.slogdet(np.exp(L[2]))[1], rel=1e-12)
+        assert sign[0] == 0 and cancel[0] == 0 and rel[0] == 0
+        assert sign[1] != 0
+        assert log_mag[1] == pytest.approx(np.linalg.slogdet(np.exp(L[1]))[1], rel=1e-12)
+
+    def test_underflowed_column_is_flagged(self):
+        # a column 800 e-folds under its rows underflows, but its entries are
+        # not zeros: the member is singular, with infinite cancellation and
+        # error, beside an untouched member
+        rng = np.random.default_rng(9)
+        L = rng.normal(size=(2, 3, 3))
+        L[0, :, 2] = -800.0
+        sign, log_mag, cancel, rel = _det_from_logs(L, np.full(L.shape, 1e-16))
+        assert sign[0] == 0 and cancel[0] == math.inf and rel[0] == math.inf
+        assert sign[1] != 0 and math.isfinite(cancel[1])
+        assert log_mag[1] == pytest.approx(np.linalg.slogdet(np.exp(L[1]))[1], rel=1e-12)
+
+    @pytest.mark.parametrize("n,m,s,lam", [(3, 2, [1e-200, 2e-200, 3e-200], 1.0),
+                                           (5, 3, [0.5, 1.0, 2.0, 3.0, 4.0], 2000.0)])
+    @pytest.mark.parametrize("fn", [cdf_min, pdf_min])
+    def test_column_min_underflow_is_flagged(self, fn, n, m, s, lam):
+        # the power columns of these column-model matrices underflow under
+        # the exponential ones: no value read from them can be trusted
+        rep = fn(col_case(n, m, s), lam)
+        assert rep.cancellation_digits == math.inf
+        assert any(w.startswith("cancellation:") for w in rep.warnings)
 
     def test_signs_and_magnitudes_against_numpy(self):
         # N = 1 to 7 at once: the determinants of positive entries take both signs

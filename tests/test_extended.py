@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from corrwishart import extended
-from corrwishart.detform import EvalConfig, _finalize, cdf_max, cdf_min, prob_gap
+from corrwishart.detform import (EvalConfig, _LAWS, _entries, _finalize, cdf_max, cdf_min,
+                                 prob_gap)
 from corrwishart.model import (ColumnCorrelated, Dimensions, RowCorrelated, Spectrum,
                                validate_spectrum)
 
@@ -802,7 +803,69 @@ def test_builder_errors_within_their_ulps(name, law, args):
 
 
 # ---------------------------------------------------------------------------
+# entry level across precisions: each law's double-precision entries
+# against its mpmath rows, both read from the one description
+
+
+ROW_8x6 = [0.5, 1.0, 1.7, 2.4, 3.3, 4.1]
+ENTRY_CASES = [
+    ("cdf_max_row", (8, 6, ROW_8x6), [(0.005,), (1.3,), (100.0,)]),
+    ("cdf_min_row", (8, 6, ROW_8x6), [(0.005,), (1.3,), (100.0,)]),
+    # the last pair is on the Q branch, where s a reaches 155 and hi - lo
+    # cancels about 70 digits
+    ("prob_gap_row", (8, 6, ROW_8x6), [(0.5, 30.0), (0.005, 2.0), (38.0, 60.0)]),
+    ("cdf_max_col", (10, 6, evenly(0.5, 4.0, 10)), [(0.0047,), (1.3,), (100.0,)]),
+    ("cdf_min_col", (5, 3, evenly(0.5, 4.0, 5)), [(0.005,), (1.3,), (100.0,)]),
+    ("cdf_max_doubly", (6, 4, evenly(0.5, 2.5, 4), evenly(0.6, 1.8, 6)),
+     [(0.005,), (1.3,), (100.0,)]),
+    ("cdf_min_doubly", (4, evenly(0.5, 2.5, 4), evenly(0.6, 1.8, 4)), [(0.005,), (1.3,), (100.0,)]),
+]
+
+
+def precise_rows(name, args):
+    """`extended._build`'s rows at a precision that doubles until their ulps
+    are below 1e-40 relative."""
+    prec = 136
+    while True:
+        _, _, rows, ulps = built(name, args, prec)
+        if ulps * mpmath.ldexp(1, -prec) < 1e-40:
+            return rows
+        prec *= 2
+
+
+@pytest.mark.parametrize("name,args,points", ENTRY_CASES, ids=[c[0] for c in ENTRY_CASES])
+def test_double_entries_within_their_estimates(name, args, points):
+    grid = np.array(points)
+    L, R, _, _ = _entries(_LAWS[name](*args), grid if len(points[0]) == 2 else grid[:, 0], False)
+    R = np.broadcast_to(R, L.shape)
+    for g, point in enumerate(points):
+        with mpmath.workdps(60):
+            for i, row in enumerate(precise_rows(name, args + point)):
+                for j, want in enumerate(row):
+                    err = abs(mpmath.expm1(mpmath.mpf(L[g, i, j]) - mpmath.log(want)))
+                    assert err <= R[g, i, j], (point, i, j, float(err / R[g, i, j]))
+
+
+# ---------------------------------------------------------------------------
 # a determinant whose rows span many orders of magnitude is not read as zero
+
+
+@pytest.mark.parametrize("n,m,s,lam,log10_value", [
+    (3, 2, [1e-200, 2e-200, 3e-200], 1.0, 0.0),
+    (5, 3, [0.5, 1.0, 2.0, 3.0, 4.0], 2000.0, -3038.845)])
+def test_column_min_underflow_is_escalated(n, m, s, lam, log10_value):
+    # the double path's power columns underflow; the flagged value escalates
+    case = ColumnCorrelated(Dimensions(n, m), validate_spectrum(s))
+    rep = cdf_min(case, lam, EvalConfig(precision="extended"))
+    assert any(w.startswith("extended:") for w in rep.warnings)
+    want = extended.cdf_min_col(n, m, s, lam, start=790).value
+    assert abs(float(mpmath.log10(want)) - log10_value) < 1e-3
+    if log10_value == 0.0:
+        assert rep.value == float(want)
+    else:
+        assert rep.value == 0.0
+        assert f"underflow:value below the double range with log10|value| = {log10_value:.4f}" \
+            in rep.warnings
 
 
 COLUMN_5x3 = [0.5, 1.0, 2.0, 3.0, 4.0]
