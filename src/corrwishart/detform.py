@@ -144,14 +144,15 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
         return (one, zero, zero, zero) + (zero,) * (3 if len(log_derivs) else 0)
     row_shift = L.max(axis=-1)
     dead_rows = ~np.isfinite(row_shift)
-    row_shift[dead_rows] = 0.0
+    zero = dead_rows.any(axis=-1)
+    any_zero = zero.any()
+    if any_zero:
+        row_shift[dead_rows] = 0.0
     A = np.exp(L - row_shift[..., None])
     col_scale = A.max(axis=-2)
     underflowed = col_scale == 0.0
     if underflowed.any():
         col_scale[underflowed] = 1.0  # the column stays zero
-    zero = dead_rows.any(axis=-1)
-    any_zero = zero.any()
     if any_zero:
         col_scale[zero] = 1.0
     A /= col_scale[:, None, :]
@@ -322,10 +323,6 @@ def _row_min_logs(a_lo: int, a_hi: int, lams, svals) -> Tuple[np.ndarray, np.nda
     return log_v, _EPS * (10.0 + np.arange(a_lo, a_hi + 1) + np.abs(log_v))
 
 
-def _power_rel(log_v):
-    return _EPS * (5.0 + np.abs(log_v))
-
-
 # ---------------------------------------------------------------------------
 # laws: one description per (model, statistic), read as logs here
 # (`_log_pref`, `_entries`) and as mpfs by `extended._build`
@@ -433,8 +430,7 @@ def _log_pref(p: _Pref, lams: np.ndarray) -> Tuple[int, np.ndarray]:
     return -1 if p.pairs % 2 else 1, logs
 
 
-def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool,
-           transposed: bool = False):
+def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool, transposed: bool):
     """One column block of a law on a grid of points, rows ``v`` (N,), index
     ``k``: its logs L and errors R (broadcastable to (G, N, K), or to
     (G, K, N) for a ``transposed`` law) and, with ``density``, the list of
@@ -493,18 +489,18 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool,
     if family in ("g", "expr"):
         x = lam * ks * v
         if family == "expr":
-            return -x, _power_rel(x), [-(v * ks)] if density else []
+            return -x, _EPS * (5.0 + x), [-(v * ks)] if density else []
         L = log_doubly_g(len(v), x)
         # g_n'(y) = -(g_n(y) - g_(n+1)(y))
-        D = x / lam * np.expm1(log_doubly_g(len(v) + 1, x) - L) if density else None
-        return L, _EPS * (20.0 + x), [D] if density else []
+        return (L, _EPS * (20.0 + x),
+                [x / lam * np.expm1(log_doubly_g(len(v) + 1, x) - L)] if density else [])
     if family == "pow":
         L = np.log(v) * ks
     elif family == "exp":
         L = lam * v + ks * np.log(v)
     else:  # lampow
         L = np.log(lam * v) * ks
-    return L, _power_rel(L), [0.0] if density else []
+    return L, _EPS * (5.0 + np.abs(L)), [0.0] if density else []
 
 
 def _entries(law: _Law, points: np.ndarray, density: bool):
@@ -538,8 +534,9 @@ def _entries(law: _Law, points: np.ndarray, density: bool):
         return L, R, (), 0.0
     lam_power = law.pref.lam_power + sum(_COL_CONST[f] * sum(k) for f, k in law.blocks
                                          if f in _COL_CONST)
-    return L, R, Ds, (lam_power / (points if points.ndim == 1 else points[:, 0])
-                      - sum(law.pref.decay) + (sum(law.rows) if row_const else 0))
+    decay, rows = sum(law.pref.decay), sum(law.rows) if row_const else 0
+    return L, R, Ds, [lam_power / lam - decay + rows
+                      for lam in (points if points.ndim == 1 else points[:, 0]).tolist()]
 
 
 _MODELS = {RowCorrelated: "row", ColumnCorrelated: "col", DoublyCorrelated: "doubly"}
@@ -614,7 +611,7 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     # the density of a survival (min, gap) is minus the derivative
     dsign = 1.0 if stat == "max" else -1.0
     out = []
-    for log, c, sign, log_det, cancel, rel, deriv, gross, err in zip(logs, consts.tolist(), *dets):
+    for log, c, sign, log_det, cancel, rel, deriv, gross, err in zip(logs, consts, *dets):
         factor = c + deriv
         if sign == 0:  # an exact zero determinant decides
             factor, lost = 1.0, 1.0

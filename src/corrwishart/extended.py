@@ -280,7 +280,7 @@ def _build(name, *args):
     point = args[-2:] if name == "prob_gap_row" else args[-1:]
     law = _LAWS[name](*args[:-len(point)])
     blocks = [_block(family, k, law.rows, point) for family, k in law.blocks]
-    rows = [sum((b[i] for b, _ in blocks), []) for i in range(len(law.rows))]
+    rows = [sum(parts, []) for parts in zip(*(rows for rows, _ in blocks))]
     if law.transposed:
         rows = [list(col) for col in zip(*rows)]
     return (*_pref(law.pref, point[0]), rows, max(ulps for _, ulps in blocks))

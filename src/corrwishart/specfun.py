@@ -131,7 +131,7 @@ def _lower_gamma(a_lo: int, a_hi: int, x):
     with np.errstate(over="ignore"):
         # orders with x >= a + 1 may overflow here; they are not used
         for i in range(len(orders) - 2, -1, -1):
-            S[..., i] = 1.0 + xs / (orders[i] + 1.0) * S[..., i + 1]
+            S[..., i] = 1.0 + xs / (a_lo + i + 1.0) * S[..., i + 1]
     upper = x[..., None] >= orders + 1.0
     q = None
     if upper.any():
