@@ -455,8 +455,9 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool, tra
             live = np.isfinite(log_diff)
             lgam, k_log_v = _log_factorials(k.stop - 1)[k.start - 1:], orders * np.log(v)[:, None]
             L = np.where(live, lgam + log_diff - k_log_v, -np.inf)
-            # with the roundings of that sum
-            R = R + _EPS * (lgam + np.abs(log_diff) + 2.0 * np.abs(k_log_v))
+            # with the roundings of the difference, of lgamma, log and the
+            # product, and of that sum
+            R = R + _EPS * (1.0 + 2.0 * (lgam + np.abs(log_diff) + np.abs(k_log_v)))
         Ds = []
         if density:
             # d/db int_a^b t^(k-1) e^(-v t) dt = b^(k-1) e^(-v b), and d/da is

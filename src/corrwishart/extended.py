@@ -260,7 +260,7 @@ def _block(family, k, v, point):
         powers = [lam ** a for a in k] if family == "lamE" else None
         return ([_gamma_row(lo, hi, lam * x, powers) for x in v],
                 _gamma_ulps(lo, hi, lam * max(v), family == "lamE"))
-    # entries hi - lo, each within (|hi| e_hi + |lo| e_lo) / |hi - lo| + 1 ulps
+    # entries up - down, each within (|up| e_up + |down| e_down) / |up - down| + 1 ulps
     a, b = point
     rows, worst = [], 0
     pb, pa = ([x ** i for i in k] for x in (b, a))

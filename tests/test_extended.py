@@ -784,8 +784,8 @@ BUILDER_CASES = list(_builder_cases())
 def built(name, args, prec):
     with mpmath.workprec(prec):
         return extended._build(name, *(a if isinstance(a, int) else
-                       [mpmath.mpf(v) for v in a] if isinstance(a, list) else mpmath.mpf(a)
-                       for a in args))
+                                       [mpmath.mpf(v) for v in a] if isinstance(a, list) else
+                                       mpmath.mpf(a) for a in args))
 
 
 @pytest.mark.parametrize("name,law,args", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
