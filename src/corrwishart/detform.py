@@ -49,8 +49,7 @@ from .model import (
     ModelCase,
     RowCorrelated,
 )
-from .specfun import (_log_exp_partial_sums, _log_factorials, log_doubly_g, log_gamma_entries,
-                      log_shifted_power_integrals, reg_lower_gamma_orders)
+from .specfun import _log_factorials, log_doubly_g, log_gamma_entries, log_shifted_power_integrals
 
 __all__ = [
     "EvalConfig",
@@ -267,7 +266,8 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
     if not math.isfinite(value):
         warnings.append("nonfinite:evaluation did not produce a finite value")
         return EvalReport(value, math.inf, cancel, warnings)
-    abs_err = abs(value) * min(rel_err, 1e30) + 1e-300
+    # a value with no finite relative error has no finite absolute one either
+    abs_err = abs(value) * min(rel_err, 1e30) + 1e-300 if math.isfinite(rel_err) else math.inf
     if is_probability:
         clamped = min(max(value, 0.0), 1.0)
         residual = value - clamped
@@ -279,7 +279,8 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
             if value < -_CLAMP_RESIDUAL:
                 warnings.append(f"clamp:negative density {value:.3e} set to 0")
             value = 0.0
-    return EvalReport(value, abs_err, cancel, warnings)
+    # (+ 0.0 turns a clamped or underflowed -0.0 into 0.0)
+    return EvalReport(value + 0.0, abs_err, cancel, warnings)
 
 
 def _check_lambda(lam: float) -> float:
@@ -360,7 +361,7 @@ class _Law(NamedTuple):
         g       g_n(lam k v) = int_0^1 (1-t)^(n-1) e^(-lam k v t) dt, n the matrix order
         lampow  (lam v)^k
         expr    e^(-lam k v)
-        gap     Gamma(k) [P(k, v b) - P(k, v a)] / v^k at the point (a, b)
+        gap     int_a^b t^(k-1) e^(-v t) dt = b^k E_k(v b) - a^k E_k(v a) at the point (a, b)
 
     A ``transposed`` law's determinant has these columns as its rows."""
 
@@ -437,27 +438,32 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool, tra
     its log-derivative arrays D (dA = A o D), less the family's constants:
     one for a lambda, two for a gap (in a, then b)."""
     if family == "gap":
-        # where P(k, v a) > 1/2 the difference is Q(k, v a) - Q(k, v b), from
-        # the logs of the finite Q sums, which keep their digits where P rounds to 1
-        orders = np.asarray(k)
+        # int_a^b t^(k-1) e^(-v t) dt = b^k E_k(v b) - a^k E_k(v a), and where
+        # v a >= k, where that difference would cancel, the difference of the
+        # tails e^(-v a) F_k(a, v) - e^(-v b) F_k(b, v): the logs of the larger
+        # (big) and smaller (small) term, errors R_big and R_small
+        orders, lo, hi = np.asarray(k), k.start, k.stop - 1
         ends = points[:, :, None] * v
-        p, err, _ = reg_lower_gamma_orders(k.start, k.stop - 1, ends)
-        upper = p[:, 0] > 0.5
+        k_log = orders * np.log(points)[:, :, None, None]
+        log_e, R_e = _gamma_logs(lo, hi, ends, np.log(ends))
+        log_e = log_e + k_log
+        R_e = R_e + _EPS * (np.abs(k_log) + np.abs(log_e))
+        big, small, R_big, R_small = log_e[:, 1], log_e[:, 0], R_e[:, 1], R_e[:, 0]
+        tail = ends[:, 0, :, None] >= orders
+        if tail.any():
+            log_f, R_f = _row_min_logs(lo, hi, points.ravel(), v)
+            log_t = log_f.reshape(log_e.shape) - ends[..., None]
+            R_t = R_f.reshape(log_e.shape) + _EPS * (ends[..., None] + np.abs(log_t))
+            big, small = np.where(tail, log_t[:, 0], big), np.where(tail, log_t[:, 1], small)
+            R_big, R_small = np.where(tail, R_t[:, 0], R_big), np.where(tail, R_t[:, 1], R_small)
+        d = small - big
+        ratio, diff = np.exp(d), -np.expm1(d)
         with np.errstate(divide="ignore", invalid="ignore"):
-            diff = p[:, 1] - p[:, 0]
-            log_diff, R = np.log(diff), (err[:, 0] + err[:, 1]) / diff
-            if upper.any():
-                log_q = _log_exp_partial_sums(k.start, k.stop - 1, ends) - ends[..., None]
-                gap = -np.expm1(log_q[:, 1] - log_q[:, 0])
-                log_diff = np.where(upper, log_q[:, 0] + np.log(gap), log_diff)
-                size = 10.0 + orders + 2.0 * ends[:, 1, :, None] * (1.0 + orders)  # of log Q
-                R = np.where(upper, size * _EPS * (2.0 - gap) / gap, R)
-            live = np.isfinite(log_diff)
-            lgam, k_log_v = _log_factorials(k.stop - 1)[k.start - 1:], orders * np.log(v)[:, None]
-            L = np.where(live, lgam + log_diff - k_log_v, -np.inf)
-            # with the roundings of the difference, of lgamma, log and the
-            # product, and of that sum
-            R = R + _EPS * (1.0 + 2.0 * (lgam + np.abs(log_diff) + np.abs(k_log_v)))
+            L = big + np.log(diff)
+            live = np.isfinite(L)
+            # with the roundings of d, of the difference and its log, and of L
+            R = ((R_big + ratio * R_small) / diff
+                 + _EPS * (2.0 + ratio * np.abs(d) / diff + 2.0 * np.abs(L)))
         Ds = []
         if density:
             # d/db int_a^b t^(k-1) e^(-v t) dt = b^(k-1) e^(-v b), and d/da is

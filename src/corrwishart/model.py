@@ -118,8 +118,6 @@ def spectrum_from_covariance(C, gap_tol: float = GAP_TOL_DEFAULT) -> Spectrum:
     `validate_spectrum`.  Rejects non-Hermitian (relative asymmetry above
     1e-12) and non positive definite input.
     """
-    from .montecarlo import hermitian_eigs
-
     C = np.asarray(C, dtype=complex)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"covariance must be square, got shape {C.shape}")
@@ -128,7 +126,7 @@ def spectrum_from_covariance(C, gap_tol: float = GAP_TOL_DEFAULT) -> Spectrum:
         raise ValueError("covariance must be finite and nonzero")
     if np.max(np.abs(C - C.conj().T)) > 1e-12 * scale:
         raise ValueError("covariance must be Hermitian to 1e-12 relative")
-    eigs = hermitian_eigs(C)
+    eigs = np.linalg.eigvalsh(C)
     if eigs[0] <= 0.0:
         raise ValueError("covariance must be positive definite")
     return validate_spectrum([1.0 / t for t in eigs], gap_tol=gap_tol)

@@ -3,13 +3,13 @@
 Every matrix entry of the eigenvalue-distribution formulas is a function of
 one variable at integer order, evaluated here for arrays of arguments:
 
-* P(a, x) and E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = Gamma(a) P(a, x) / x^a
-  for consecutive orders a_lo..a_hi.  Below x = a + 1, E_a = e^-x S_a / a
-  with S_a(x) = sum_k x^k / ((a+1)...(a+k)), summed at the top order only;
-  the lower orders follow from the positive downward recurrence
-  S_a = 1 + x S_(a+1) / (a+1).  From x = a + 1 on, integer order makes the
-  upper function the finite positive sum Q(a, x) = e^-x sum_(k<a) x^k / k!,
-  so no continued fraction is needed;
+* E_a(x) = int_0^1 t^(a-1) e^(-x t) dt for consecutive orders a_lo..a_hi.
+  Below x = a + 1, E_a = e^-x S_a / a with
+  S_a(x) = sum_k x^k / ((a+1)...(a+k)), summed at the top order only; the
+  lower orders follow from the positive downward recurrence
+  S_a = 1 + x S_(a+1) / (a+1).  From x = a + 1 on, E_a = Gamma(a) (1 - Q) / x^a,
+  where integer order makes Q(a, x) = e^-x sum_(k<a) x^k / k! a finite
+  positive sum, so no continued fraction is needed;
 * the finite sums int_0^inf (t + lam)^(a-1) e^(-s t) dt of the
   smallest-eigenvalue entries, by a positive recurrence in a;
 * g_n(x) = int_0^1 (1-t)^(n-1) e^(-x t) dt = e^-x 1F1(n; n+1; x) / n: from
@@ -32,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "log_gamma_entries",
-    "reg_lower_gamma_orders",
     "log_shifted_power_integrals",
     "log_doubly_g",
 ]
@@ -118,10 +117,13 @@ def log_shifted_power_integrals(a_lo: int, a_hi: int, lam, s) -> np.ndarray:
     return log_f
 
 
-def _lower_gamma(a_lo: int, a_hi: int, x):
-    """x as an array, the orders a_lo..a_hi, log S_a(x) (used where
-    x < a + 1) and Q(a, x) where x >= a + 1 (NaN below; None if no x
-    reaches a_lo + 1), orders last."""
+def log_gamma_entries(a_lo: int, a_hi: int, x) -> np.ndarray:
+    """log E_a(x) for the orders a_lo..a_hi (a new last axis), x > 0.
+
+    Below x = a + 1, -x - log a + log S_a: the large a log x and
+    log Gamma(a) never appear.  From x = a + 1 on,
+    log Gamma(a) + log1p(-Q) - a log x, with Q <= Q(a, a+1) < 1.
+    """
     x = np.asarray(x, dtype=float)
     orders = np.arange(a_lo, a_hi + 1)
     xs = np.minimum(x, a_hi + 1.0)
@@ -132,52 +134,15 @@ def _lower_gamma(a_lo: int, a_hi: int, x):
         # orders with x >= a + 1 may overflow here; they are not used
         for i in range(len(orders) - 2, -1, -1):
             S[..., i] = 1.0 + xs / (a_lo + i + 1.0) * S[..., i + 1]
+    log_e = np.log(S) - x[..., None] - np.log(orders)
     upper = x[..., None] >= orders + 1.0
-    q = None
-    if upper.any():
-        q = np.where(upper, np.exp(_log_exp_partial_sums(a_lo, a_hi, np.maximum(x, 1.0))
-                                   - x[..., None]), np.nan)
-    return x, orders, np.log(S), q
-
-
-def log_gamma_entries(a_lo: int, a_hi: int, x) -> np.ndarray:
-    """log E_a(x) for the orders a_lo..a_hi (a new last axis), x > 0.
-
-    Below x = a + 1, -x - log a + log S_a: the large a log x and
-    log Gamma(a) never appear.  From x = a + 1 on,
-    log Gamma(a) + log1p(-Q) - a log x, with Q <= Q(a, a+1) < 1.
-    """
-    x, orders, log_s, q = _lower_gamma(a_lo, a_hi, x)
-    log_e = log_s - x[..., None] - np.log(orders)
-    if q is None:
+    if not upper.any():
         return log_e
+    # Q masked below x = a + 1, where it may round to 1 or above
+    q = np.where(upper, np.exp(_log_exp_partial_sums(a_lo, a_hi, np.maximum(x, 1.0))
+                               - x[..., None]), np.nan)
     log_up = _log_factorials(a_hi)[a_lo - 1:] + np.log1p(-q) - orders * np.log(x)[..., None]
-    return np.where(np.isnan(q), log_e, log_up)
-
-
-def reg_lower_gamma_orders(a_lo: int, a_hi: int, x):
-    """P(a, x), its absolute error estimate and log P(a, x) for the orders
-    a_lo..a_hi (a new last axis) and x >= 0: x^a e^-x / a! S_a from its log
-    below x = a + 1, 1 - Q from there on.  The estimate is
-    (10 + terms + 2 (log a! + a |log x| + x)) eps times P, respectively Q,
-    plus half an ulp of P: terms counts the series and recurrence steps, or
-    the a terms of Q; the logs, rounded about twice, size what is
-    exponentiated.
-    """
-    x, orders, log_s, q = _lower_gamma(a_lo, a_hi, x)
-    q = np.full(log_s.shape, np.nan) if q is None else q
-    upper = ~np.isnan(q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a_log_x = orders * np.log(x)[..., None]
-        log_p = a_log_x - x[..., None] - _log_factorials(a_hi + 1)[a_lo:] + log_s
-        # at x = 0 the size is inf while P = 0 exactly: capped, it adds nothing
-        size = np.minimum(2.0 * (_log_factorials(a_hi + 1)[a_lo:] + np.abs(a_log_x)
-                                 + x[..., None]), 1e300)
-    log_p[upper] = np.log1p(-q[upper])
-    value = np.where(upper, 1.0 - np.where(upper, q, 0.0), np.exp(log_p))
-    terms = np.where(upper, orders, _gamma_series_terms(a_hi) + a_hi - orders) + size
-    err = ((10.0 + terms) * np.where(upper, q, value) + 0.5 * value) * _EPS + 1e-300
-    return value, err, log_p
+    return np.where(upper, log_up, log_e)
 
 
 def _kummer_log_sum(a: int, b: int, x, terms: int) -> np.ndarray:

@@ -401,6 +401,15 @@ class TestUnderflow:
         rep = cdf_max(row_case(4, 2, [1.0, 3.0]), 1e-100)
         assert rep.value == 0.0 and not any(w.startswith("underflow:") for w in rep.warnings)
 
+    def test_negative_underflow_reads_positive_zero(self):
+        # doubly 6x6 cdf_min at lam = 97 underflows from a negative sign (387
+        # digits lost): the report reads +0.0, which a CSV writes as 0
+        case = doubly_case(6, 6, [0.6, 1.08, 1.56, 2.04, 2.52, 3.0],
+                           [0.5, 1.2, 1.9, 2.6, 3.3, 4.0])
+        rep = cdf_min(case, 97.0)
+        assert any(w.startswith("cancellation:") for w in rep.warnings)
+        assert rep.value == 0.0 and math.copysign(1.0, rep.value) == 1.0
+
 
 class TestEstimateContractInTheTails:
     # row 2x1 survival e^(-lam s) (1 + lam s) far in its tail: the double
@@ -513,6 +522,8 @@ class TestStackedKernel:
         rep = fn(col_case(n, m, s), lam)
         assert rep.cancellation_digits == math.inf
         assert any(w.startswith("cancellation:") for w in rep.warnings)
+        # a value with no finite relative error claims no finite absolute one
+        assert rep.abs_error_estimate == math.inf
 
     def test_signs_and_magnitudes_against_numpy(self):
         # N = 1 to 7 at once: the determinants of positive entries take both signs
@@ -753,7 +764,8 @@ class TestDensityAgainstPreciseDerivative:
 @pytest.mark.parametrize("a,b", [(8.0, 30.0), (20.0, 30.0)])
 def test_prob_gap_where_p_rounds_to_one(n, m, s, a, b, monkeypatch):
     # P(k, s a) is 1 in double precision for the largest s: the entries come
-    # from the Q sums instead of a difference of P values
+    # from the difference of the tails e^(-s a) F_k(a, s) - e^(-s b) F_k(b, s)
+    # instead of a difference of lower integrals
     monkeypatch.setattr(extended, "_self_validated", lambda raw, dps, start: raw(dps))
     rep = prob_gap(row_case(n, m, s), a, b)
     exact = float(extended.prob_gap_row(n, m, s, mpmath.mpf(a), mpmath.mpf(b), 50).value)

@@ -13,8 +13,8 @@ from hypothesis import given, settings, strategies as st
 from corrwishart import extended
 from corrwishart.detform import (EvalConfig, _LAWS, _entries, _finalize, cdf_max, cdf_min,
                                  prob_gap)
-from corrwishart.model import (ColumnCorrelated, Dimensions, RowCorrelated, Spectrum,
-                               validate_spectrum)
+from corrwishart.model import (ColumnCorrelated, Dimensions, DoublyCorrelated, RowCorrelated,
+                               Spectrum, validate_spectrum)
 
 
 def evenly(lo, hi, count):
@@ -808,12 +808,18 @@ def test_builder_errors_within_their_ulps(name, law, args):
 
 
 ROW_8x6 = [0.5, 1.0, 1.7, 2.4, 3.3, 4.1]
+# the rows of ROW_8x6 and 12 more, for the gap orders 3..20
+GAP_ROWS = sorted(ROW_8x6 + [0.01, 0.05, 0.1, 0.2, 0.3, 0.7, 1.3, 2.0, 2.9, 5.0, 6.2, 7.9])
 ENTRY_CASES = [
     ("cdf_max_row", (8, 6, ROW_8x6), [(0.005,), (1.3,), (100.0,)]),
     ("cdf_min_row", (8, 6, ROW_8x6), [(0.005,), (1.3,), (100.0,)]),
-    # the last pair is on the Q branch, where s a reaches 155 and hi - lo
-    # cancels about 70 digits
-    ("prob_gap_row", (8, 6, ROW_8x6), [(0.5, 30.0), (0.005, 2.0), (38.0, 60.0)]),
+    # entries from the E differences where v a < k, else from the tails:
+    # (38, 60) reaches v a = 300, where b^k E_k(v b) - a^k E_k(v a) would
+    # cancel 130 digits; a = 5 (1 -+ 1e-9) sits just below and just above
+    # v a = k at v = 2.4, k = 12; then a = 1e-9, and b / a = 1.0001 and 100
+    ("prob_gap_row", (20, 18, GAP_ROWS),
+     [(0.5, 30.0), (0.005, 2.0), (38.0, 60.0), (5.0 * (1 - 1e-9), 10.0), (5.0 * (1 + 1e-9), 10.0),
+      (1e-9, 1.0001e-9), (1e-9, 1e-7), (2.0, 2.0002), (0.05, 5.0)]),
     ("cdf_max_col", (10, 6, evenly(0.5, 4.0, 10)), [(0.0047,), (1.3,), (100.0,)]),
     ("cdf_min_col", (5, 3, evenly(0.5, 4.0, 5)), [(0.005,), (1.3,), (100.0,)]),
     ("cdf_max_doubly", (6, 4, evenly(0.5, 2.5, 4), evenly(0.6, 1.8, 6)),
@@ -844,6 +850,61 @@ def test_double_entries_within_their_estimates(name, args, points):
                 for j, want in enumerate(row):
                     err = abs(mpmath.expm1(mpmath.mpf(L[g, i, j]) - mpmath.log(want)))
                     assert err <= R[g, i, j], (point, i, j, float(err / R[g, i, j]))
+
+
+# ---------------------------------------------------------------------------
+# the contract: a double-precision value without warnings lies within its
+# estimate of the 50-digit re-evaluation
+
+
+@st.composite
+def contract_cases(draw):
+    """(report function, case, point, the name of its `extended` function and
+    that function's arguments before the point): row, column and doubly max
+    and min up to 6 x 4 with lam in [0.02, 20], and the row gap with a in
+    [0.005, 5], b / a in [1.001, 100].  A spectrum's values are distinct, but
+    its first two coincide a quarter of the time."""
+    model, stat = draw(st.sampled_from([("row", "max"), ("row", "min"), ("row", "gap"),
+                                        ("col", "max"), ("col", "min"),
+                                        ("doubly", "max"), ("doubly", "min")]))
+    square = (model, stat) == ("doubly", "min")  # that law needs m = n
+    n = draw(st.integers(1, 4 if square else 6))
+    m = n if square else draw(st.integers(1, min(n, 4)))
+
+    def spectrum(size):
+        values = draw(st.lists(st.floats(0.1, 5.0), min_size=size, max_size=size, unique=True))
+        if size > 1 and draw(st.integers(0, 3)) == 0:
+            values[1] = values[0]
+        return validate_spectrum(values)
+
+    dims = Dimensions(n, m)
+    if model == "row":
+        case = RowCorrelated(dims, spectrum(m))
+    elif model == "col":
+        case = ColumnCorrelated(dims, spectrum(n))
+    else:
+        case = DoublyCorrelated(dims, spectrum(m), spectrum(n))
+    spectra = ((list(case.r),) if model == "doubly" else ()) + (list(case.s),)
+    if stat == "gap":
+        a = draw(st.floats(0.005, 5.0))
+        point, fn = (a, a * draw(st.floats(1.001, 100.0))), prob_gap
+    else:
+        point, fn = (draw(st.floats(0.02, 20.0)),), cdf_max if stat == "max" else cdf_min
+    name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{model}"
+    args = ((n,) if square else (n, m)) + spectra
+    return fn, case, point, name, args
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=250)
+@given(contract_cases())
+def test_unflagged_values_within_their_estimates(drawn):
+    fn, case, point, name, args = drawn
+    rep = fn(case, *point)
+    if rep.warnings:
+        return
+    want = getattr(extended, name)(*args, *point, 50).value
+    with mpmath.workdps(50):
+        assert abs(rep.value - want) <= rep.abs_error_estimate, (name, args, point)
 
 
 # ---------------------------------------------------------------------------
