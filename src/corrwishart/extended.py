@@ -6,18 +6,21 @@ bookkeeping.  A law is its description in `corrwishart.detform`
 (``_LAWS``, the same data the double path takes the logs of), evaluated by
 `_build`: the prefactor by `_pref`, and the matrix one column block at a
 time by `_block`, one evaluator for every entry family.  The order-indexed
-gamma and shifted-power families come one matrix row at a time from
-positive recurrences in the order, as in `corrwishart.specfun`
-(`_gamma_row`, `_shifted_power_row`); the others are evaluated entry by
-entry.  The test suite keeps an independent direct transcription of the
-formulas as an oracle.
+families come one matrix row at a time from positive recurrences in the
+order, as in `corrwishart.specfun`: the gamma rows (`_gamma_row`, behind
+the ``E``, ``lamE`` and ``gap`` families) on Python integers in fixed
+point, from the argument's exact mantissa and exponent, and the
+shifted-power rows (`_shifted_power_row`) in mpf arithmetic; the others
+are evaluated entry by entry.  The test suite keeps an independent direct
+transcription of the formulas as an oracle.
 
 Each block comes with a bound on its entries' relative error in ulps
 (units of u = 2^-p at the working precision p), and a matrix's bound is
 the largest of its blocks', an empty block's included.  The ulps are one
 per rounded operation, `_FN` per mpmath call, an argument's ulps times the
 function's sensitivity to it, and for a gap entry hi - lo the condition
-(|hi| + |lo|) / |hi - lo|.  `_evaluate` runs `_build` at each round's
+(|hi| e_hi + |lo| e_lo) / |hi - lo| of its ends' ulps, bounded from above
+in floats (`_condition`).  `_evaluate` runs `_build` at each round's
 precision, and `_bounded_det` (elimination on integers in units of 2^-p,
 with no singularity tolerance) turns those errors and its own roundings
 into a bound on the value.  A round is accepted when that bound is at most
@@ -34,10 +37,11 @@ entries differ.  `NotConverged` is raised when the next round would pass
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Any, NamedTuple
 
 import mpmath
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, mpf_exp, mpf_neg, round_nearest
 
 from .detform import _LAWS, _MAX_DPS
 
@@ -205,20 +209,87 @@ def _pref(p, lam):
 def _gamma_row(a_lo, a_hi, x, powers=None):
     """E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = gamma(a, x) / x^a, times
     ``powers[a - a_lo]`` when given (the scale^a of a scaled row), for the
-    orders a = a_lo..a_hi, x > 0: E_(a_hi) = e^-x 1F1(1; a+1; x) / a
-    (positive terms), the lower orders by E_a = (e^-x + x E_(a+1)) / a."""
-    ex = mpmath.exp(-x)
-    e = ex * mpmath.hyp1f1(1, a_hi + 1, x) / a_hi
-    row = [e]
+    orders a = a_lo..a_hi, x > 0, each within 1.1 ulps.
+
+    E_a = e^-x S_a / a with S_a = 1F1(1; a+1; x) >= 1, on Python integers
+    in fixed point with w = p + g bits (p the working precision, g =
+    8 + bit_length(p + a_hi) guard bits); x = m 2^e is taken exactly from
+    its mantissa and exponent, and each step is one floor division.  The top
+    order S_(a_hi) comes in units of 2^(t-w), 2^t <= S_(a_hi): below
+    x = a_hi + 1 (t = 0) from the series sum_j x^j / ((a+1)...(a+j)),
+    a = a_hi, summed until a term floors to zero; from x = a_hi + 1 on from
+    the finite sum a! x^-a (e^x - sum_(k<a) x^k / k!), e^x from mpmath at
+    w + 4 bits and the sum from its top term down (each term k / x times
+    the one above), whose subtraction loses at most a bit (the sum is below
+    e^x / 2 there), with t set so that the quotient has w + 1 bits.  Times
+    e^-x (mpmath, w bits), the lower orders follow from
+    e^-x S_a = e^-x + x e^-x S_(a+1) / (a+1), and each entry, times the
+    power's mantissa and divided by a, is rounded once to p bits.
+
+    Error, relative, in units of 2^-w.  The series takes J <= 2 (w + a + 2)
+    terms (those past the 2a + 4th fall by half each); each floor loses
+    under a unit, carried on by ratios x / (a+j) < 1, so the terms lose at
+    most J S_a and the tail past the zero term at most a + J + 1 units:
+    4w + 5a + 9 in all, as S_a >= 1.  The finite sum loses about a + 2
+    (its terms' floors against e^x / 2, e^x's own error, the quotient's
+    floor).  e^-x is charged mpmath's `_FN`, the product's floor 2, a
+    recurrence step 4 (its floor and e^-x's, against at least 2^(w-1)
+    units), as x S_(a+1) / (a+1) <= S_a carries the error on without growth,
+    and the division by a 2a.  With 2^g >= 256 (p + a_hi + 1), the
+    4w + 11a + 15 units are under a tenth of an ulp at p, and
+    the final rounding adds one, so a row is within 1.1 ulps: `_gamma_ulps`,
+    which charges at least ten besides x's own rounding, still covers it.
+    """
+    prec = mpmath.mp.prec
+    w = prec + 8 + (prec + a_hi).bit_length()
+    _, m, e, _ = x._mpf_
+    mul, f = m << max(e, 0), max(-e, 0)  # x = mul / 2^f
+    if x < a_hi + 1:
+        t, s = 0, 1 << w
+        term, k = s, a_hi
+        while term:
+            k += 1
+            term = (term * mul >> f) // k
+            s += term
+    else:
+        a = a_hi
+        em, ee = _mantissa(mpf_exp(x._mpf_, w + 4, round_nearest), w + 4)
+        # sum_(k<a) x^k / k! in units 2^ee, from its top term down
+        shift = e * (a - 1) - ee
+        term = (m ** (a - 1) << shift if shift >= 0 else m ** (a - 1) >> -shift)
+        term //= math.factorial(a - 1)
+        head = term
+        for k in range(a - 1, 0, -1):
+            term = (term * k << f) // mul
+            head += term
+        num, den = math.factorial(a) * (em - head), m ** a
+        shift = w + 1 + den.bit_length() - num.bit_length()
+        s = (num << shift if shift >= 0 else num >> -shift) // den
+        t = ee - e * a - shift + w
+    em, ee = _mantissa(mpf_exp(mpf_neg(x._mpf_), w, round_nearest), w)
+    # e^-x S_a in units of 2^(ee + t), at least 2^(w-1) of them
+    one = em >> t if t >= 0 else em << -t
+    s = em * s >> w
+    row = [s]
     for a in range(a_hi - 1, a_lo - 1, -1):
-        e = (ex + x * e) / a
-        row.append(e)
-    return [p * e for p, e in zip(powers, reversed(row))] if powers else row[::-1]
+        s = one + (s * mul >> f) // (a + 1)
+        row.append(s)
+    row.reverse()
+    make = mpmath.mp.make_mpf
+    scale = (p._mpf_ for p in powers) if powers else repeat((0, 1, 0, 1))
+    return [make(from_man_exp((-pm if sign else pm) * s // a, ee + t + pe, prec, round_nearest))
+            for a, s, (sign, pm, pe, _) in zip(range(a_lo, a_hi + 1), row, scale)]
+
+
+def _mantissa(t, bits):  # the positive mpf tuple t as man 2^exp, man of exactly ``bits`` bits
+    return t[1] << (bits - t[3]), t[2] - (bits - t[3])
 
 
 def _gamma_ulps(a_lo, a_hi, x, scaled=False):
-    """`_gamma_row`'s ulps: two calls and roundings atop, three roundings a
-    step, x for x's rounding (|d log E_a / d log x| <= x), and the scale's."""
+    """`_gamma_row`'s ulps: those of an mpf recurrence (two calls and
+    roundings atop, three roundings a step), which cover the fixed-point
+    row's 1.1, x for x's rounding (|d log E_a / d log x| <= x), and the
+    scale's."""
     return 2 * _FN + 2 + 3 * (a_hi - a_lo) + float(x) + (_FN + 1 if scaled else 0)
 
 
@@ -262,15 +333,38 @@ def _block(family, k, v, point):
                 _gamma_ulps(lo, hi, lam * max(v), family == "lamE"))
     # entries up - down, each within (|up| e_up + |down| e_down) / |up - down| + 1 ulps
     a, b = point
-    rows, worst = [], 0
+    rows, conds = [], []
     pb, pa = ([x ** i for i in k] for x in (b, a))
     for x in v:
         up, down = _gamma_row(lo, hi, x * b, pb), _gamma_row(lo, hi, x * a, pa)
         e_up, e_down = _gamma_ulps(lo, hi, x * b, True), _gamma_ulps(lo, hi, x * a, True)
         rows.append([u - d for u, d in zip(up, down)])
-        worst = max([worst] + [(e_up * abs(u) + e_down * abs(d)) / abs(g) + 1 if g else mpmath.inf
-                               for u, d, g in zip(up, down, rows[-1])])
-    return rows, worst
+        conds += [_condition(u, d, g, e_up, e_down) for u, d, g in zip(up, down, rows[-1])]
+    k, r = max(conds)
+    return rows, mpmath.ldexp(r, k) + 1 if k < math.inf else mpmath.inf
+
+
+def _condition(u, d, g, e_u, e_d):
+    """(k, r): r 2^k, r in [1/2, 1), bounds (e_u |u| + e_d |d|) / |g| from
+    above within a factor 1 + 2^-39, for mpfs u, d and g and ulps e_u, e_d
+    (floats), and k is infinite when g = 0; the pairs order as their
+    values.  Each mpf's top 53 mantissa bits (a float in [2^52, 2^53),
+    below its value by under 2^-52 of it) and its exponent, kept as an
+    integer, so the ratio never overflows: the truncations and the five
+    float roundings are within 2^-48, and the ratio is rounded up by
+    1 + 2^-40."""
+    if not g._mpf_[1]:
+        return math.inf, 1.0
+    (fu, xu), (fd, xd), (fg, xg) = _top(u._mpf_), _top(d._mpf_), _top(g._mpf_)
+    top = max(xu if fu else xd, xd if fd else xu) + 53  # a zero's exponent means nothing
+    r, k = math.frexp((e_u * math.ldexp(fu, xu - top) + e_d * math.ldexp(fd, xd - top))
+                      / fg * (1 + 2.0 ** -40))
+    return k + top - xg, r
+
+
+def _top(t):  # the mpf tuple t's top 53 mantissa bits as a float f, and e: f 2^e <= |t|
+    shift = t[3] - 53
+    return float(t[1] >> shift if shift > 0 else t[1] << -shift), t[2] + shift
 
 
 def _build(name, *args):

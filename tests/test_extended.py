@@ -251,6 +251,9 @@ def validated_mpf(raw, dps, start=None):
 
 ORDERS = 64
 XS = ["1e-8", "1e-3", "0.5", "3", "17.25", "63", "100", "200"]
+# the top order's turning point and 2^-40 relative on either side (exact at 53 bits)
+BRANCH_XS = [mpmath.mpf(ORDERS + 1) * (1 - mpmath.ldexp(1, -40)), mpmath.mpf(ORDERS + 1),
+             mpmath.mpf(ORDERS + 1) * (1 + mpmath.ldexp(1, -40)), "1e3", "2e4", "1e5"]
 
 
 def rel_gap(got, want):
@@ -315,6 +318,105 @@ class TestRowRecurrences:
                         want = (mpmath.gammainc(k, 0, sv * bv)
                                 - mpmath.gammainc(k, 0, sv * av)) / sv ** k
                         assert rel_gap(got, want) < 1e-50, (k, a, b, s)
+
+    # both branches of the top order, the series below x = a_hi + 1 and the
+    # finite sum from there on: x at a_hi + 1 and 2^-40 relative on either
+    # side of it, then far past it; rows within their allowance `_gamma_ulps`
+    # against mpmath.gammainc 30 digits up
+
+    @pytest.mark.parametrize("dps", [60, 400])
+    @pytest.mark.parametrize("a_lo", [1, ORDERS])
+    @pytest.mark.parametrize("x", BRANCH_XS)
+    def test_gamma_row_branches(self, x, a_lo, dps):
+        with mpmath.workdps(dps):
+            xv, u = mpmath.mpf(x), mpmath.ldexp(1, -mpmath.mp.prec)
+            row = extended._gamma_row(a_lo, ORDERS, xv)
+            ulps = extended._gamma_ulps(a_lo, ORDERS, xv)
+        with mpmath.workdps(dps + 30):
+            for a, got in enumerate(row, start=a_lo):
+                want = mpmath.gammainc(a, 0, xv) / xv ** a
+                assert abs(got - want) <= ulps * u * want, (a, x, dps)
+
+    @pytest.mark.parametrize("dps", [60, 400])
+    @pytest.mark.parametrize("a_lo", [1, ORDERS])
+    @pytest.mark.parametrize("x", BRANCH_XS)
+    def test_scaled_gamma_row_branches(self, x, a_lo, dps):
+        # lam^k E_k(lam s) = gamma(k, lam s) / s^k, with lam s = x exactly
+        with mpmath.workdps(dps):
+            u = mpmath.ldexp(1, -mpmath.mp.prec)
+            for s in ("0.5", "4"):
+                sv = mpmath.mpf(s)
+                lm = mpmath.mpf(x) / sv
+                powers = [lm ** k for k in range(a_lo, ORDERS + 1)]
+                row = extended._gamma_row(a_lo, ORDERS, lm * sv, powers)
+                ulps = extended._gamma_ulps(a_lo, ORDERS, lm * sv, True)
+                with mpmath.workdps(dps + 30):
+                    for k, got in enumerate(row, start=a_lo):
+                        want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
+                        assert abs(got - want) <= ulps * u * want, (k, x, s, dps)
+
+    @pytest.mark.parametrize("dps", [60, 400])
+    @pytest.mark.parametrize("a_lo", [1, ORDERS])
+    @pytest.mark.parametrize("lo,hi", list(zip(["1"] + BRANCH_XS, BRANCH_XS)))
+    def test_gamma_difference_branches(self, lo, hi, a_lo, dps):
+        # entries b^k E_k(s b) - a^k E_k(s a) with s a = lo and s b = hi, within
+        # the gap block's (e_up |up| + e_down |down|) / |up - down| + 1 ulps
+        with mpmath.workdps(dps):
+            u = mpmath.ldexp(1, -mpmath.mp.prec)
+            for s in ("0.5", "4"):
+                sv = mpmath.mpf(s)
+                av, bv = mpmath.mpf(lo) / sv, mpmath.mpf(hi) / sv
+                pb, pa = ([x ** k for k in range(a_lo, ORDERS + 1)] for x in (bv, av))
+                up = extended._gamma_row(a_lo, ORDERS, sv * bv, pb)
+                down = extended._gamma_row(a_lo, ORDERS, sv * av, pa)
+                e_up = extended._gamma_ulps(a_lo, ORDERS, sv * bv, True)
+                e_down = extended._gamma_ulps(a_lo, ORDERS, sv * av, True)
+                with mpmath.workdps(dps + 30):
+                    for k, hi_k, lo_k in zip(range(a_lo, ORDERS + 1), up, down):
+                        want = (mpmath.gammainc(k, 0, sv * bv)
+                                - mpmath.gammainc(k, 0, sv * av)) / sv ** k
+                        allowed = (e_up * abs(hi_k) + e_down * abs(lo_k) + abs(hi_k - lo_k)) * u
+                        assert abs((hi_k - lo_k) - want) <= allowed, (k, lo, hi, s, dps)
+
+
+def test_gap_condition_bounds_the_exact_ratio():
+    # random (up, down) pairs, a third of them cancelling 1000-1900 bits, so
+    # that the ratio passes 2^1024; the float-based condition is never below
+    # the exact ratio, at most (1 + 2^-39) times it, and finite with it
+    rng, beyond = np.random.default_rng(7), 0
+
+    def rand(lo, hi):  # a random mpf in [0.5, 1) times 2^e, lo <= e < hi
+        return mpmath.ldexp(mpmath.mpf(int(rng.integers(2 ** 62, 2 ** 63))) / 2 ** 63,
+                            int(rng.integers(lo, hi)))
+
+    with mpmath.workprec(2000):
+        for i in range(600):
+            up = rand(-3000, 3000) * (1 + rand(-60, 0))
+            if i % 3 == 0:
+                down = up * (1 - rand(-1900, -1000))
+            elif i % 3 == 1:
+                down = up * (1 - rand(-60, 0))
+            else:
+                down = rand(-3000, 3000)
+            if i % 5 == 0:
+                up, down = -up, -down
+            e_up, e_down = (float(v) for v in 10 + 1e5 * rng.random(2))
+            gap = up - down
+            k, r = extended._condition(up, down, gap, e_up, e_down)
+            assert gap and math.isfinite(k)
+            got = Fraction(r) * Fraction(2) ** k
+            want = (Fraction(e_up) * abs(exact(up)) + Fraction(e_down) * abs(exact(down))) \
+                / abs(exact(gap))
+            assert want <= got <= want * (1 + Fraction(1, 2 ** 39)), i
+            beyond += k > 1024
+        assert beyond >= 150
+        assert extended._condition(up, up, up - up, 10.0, 10.0)[0] == math.inf
+        # one end zero (a gap from a = 0), the other far below 2^-1074
+        tiny, zero = mpmath.ldexp(3, -3000), mpmath.mpf(0)
+        for u, d in ((tiny, zero), (zero, tiny)):
+            k, r = extended._condition(u, d, u - d, 10.0, 20.0)
+            want = 10 if d == 0 else 20
+            assert want <= Fraction(r) * Fraction(2) ** k <= want * (1 + Fraction(1, 2 ** 39))
 
 
 # ---------------------------------------------------------------------------
