@@ -49,7 +49,8 @@ from .model import (
     ModelCase,
     RowCorrelated,
 )
-from .specfun import _log_factorials, log_doubly_g, log_gamma_entries, log_shifted_power_integrals
+from .specfun import (_log_binomials, _log_factorials, log_doubly_g, log_gamma_entries,
+                      log_shifted_power_integrals)
 
 __all__ = [
     "EvalConfig",
@@ -88,7 +89,9 @@ def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
     each variable apart).  Scaling leaves X and Y similar, the values equal.
     The error is first order: roundoff 2 N eps on every scaled entry and the
     entry errors ``R`` through the sensitivity S (d value = -sum dA o S^T),
-    plus the largest entry error and a few roundings on every term.
+    plus the largest entry error and a few roundings on every term and on
+    every entry of X and Y, whose errors are within |A^-1| |dA| times those
+    and reach the value through d value / d X = (tr Y I - Y)^T (and X for Y).
     """
     G, N = len(A), A.shape[-1]
     dA = [A * D for D in log_derivs]
@@ -96,7 +99,7 @@ def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
     diag = [np.diagonal(x, axis1=-2, axis2=-1) for x in X]
     if len(X) == 1:
         value = diag[0].sum(axis=-1)
-        gross = np.abs(inv.swapaxes(-1, -2) * dA[0]).reshape(G, -1).sum(axis=-1)
+        gross = spread = np.abs(inv.swapaxes(-1, -2) * dA[0]).reshape(G, -1).sum(axis=-1)
         S = X[0]
     else:
         tr = [d.sum(axis=-1)[:, None, None] for d in diag]
@@ -106,11 +109,13 @@ def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
         gross = ((np.abs(outer) + np.abs(Xt)).reshape(G, -1).sum(axis=-1)
                  - 2.0 * np.abs(diag[0] * diag[1]).sum(axis=-1))
         S = tr[1] * X[0] + tr[0] * X[1] - X[0] @ X[1] - X[1] @ X[0]
+        spread = gross + sum((np.abs(inv) @ np.abs(d) * np.abs(t * np.eye(N) - Z).swapaxes(-1, -2))
+                             .reshape(G, -1).sum(axis=-1) for d, t, Z in zip(dA, tr[::-1], X[::-1]))
     with np.errstate(over="ignore", invalid="ignore"):  # an ill-conditioned member's error is inf
         S = np.abs(S @ inv)
         err = (2 * N * _EPS * S.reshape(G, -1).sum(axis=-1)
                + (R * np.abs(A) * S.swapaxes(-1, -2)).reshape(G, -1).sum(axis=-1)
-               + len(X) * (R.reshape(G, -1).max(axis=-1) + (N + 2) * _EPS) * gross)
+               + (R.reshape(G, -1).max(axis=-1) + (N + 2) * _EPS) * spread)
     return value, gross, err
 
 
@@ -361,7 +366,8 @@ class _Law(NamedTuple):
         g       g_n(lam k v) = int_0^1 (1-t)^(n-1) e^(-lam k v t) dt, n the matrix order
         lampow  (lam v)^k
         expr    e^(-lam k v)
-        gap     int_a^b t^(k-1) e^(-v t) dt = b^k E_k(v b) - a^k E_k(v a) at the point (a, b)
+        gap     int_a^b t^(k-1) e^(-v t) dt at the point (a, b), a positive sum of lamE
+                terms: e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) h^(i+1) E_(i+1)(v h), h = b - a
 
     A ``transposed`` law's determinant has these columns as its rows."""
 
@@ -438,41 +444,34 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool, tra
     its log-derivative arrays D (dA = A o D), less the family's constants:
     one for a lambda, two for a gap (in a, then b)."""
     if family == "gap":
-        # int_a^b t^(k-1) e^(-v t) dt = b^k E_k(v b) - a^k E_k(v a), and where
-        # v a >= k, where that difference would cancel, the difference of the
-        # tails e^(-v a) F_k(a, v) - e^(-v b) F_k(b, v): the logs of the larger
-        # (big) and smaller (small) term, errors R_big and R_small
-        orders, lo, hi = np.asarray(k), k.start, k.stop - 1
-        ends = points[:, :, None] * v
-        k_log = orders * np.log(points)[:, :, None, None]
-        log_e, R_e = _gamma_logs(lo, hi, ends, np.log(ends))
-        log_e = log_e + k_log
-        R_e = R_e + _EPS * (np.abs(k_log) + np.abs(log_e))
-        big, small, R_big, R_small = log_e[:, 1], log_e[:, 0], R_e[:, 1], R_e[:, 0]
-        tail = ends[:, 0, :, None] >= orders
-        if tail.any():
-            log_f, R_f = _row_min_logs(lo, hi, points.ravel(), v)
-            log_t = log_f.reshape(log_e.shape) - ends[..., None]
-            R_t = R_f.reshape(log_e.shape) + _EPS * (ends[..., None] + np.abs(log_t))
-            big, small = np.where(tail, log_t[:, 0], big), np.where(tail, log_t[:, 1], small)
-            R_big, R_small = np.where(tail, R_t[:, 0], R_big), np.where(tail, R_t[:, 1], R_small)
-        d = small - big
-        ratio, diff = np.exp(d), -np.expm1(d)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            L = big + np.log(diff)
-            live = np.isfinite(L)
-            # with the roundings of d, of the difference and its log, and of L
-            R = ((R_big + ratio * R_small) / diff
-                 + _EPS * (2.0 + ratio * np.abs(d) / diff + 2.0 * np.abs(L)))
+        # int_a^b t^(k-1) e^(-v t) dt = e^(-v a) a^(k-1) sum_(i<k) C(k-1, i) e^(u_i), h = b - a,
+        # u_i = log(h^(i+1) E_(i+1)(v h) / a^i): positive terms T (G, N, K, i), their
+        # log-sum-exp over i
+        orders, n = np.asarray(k), k.stop - 1
+        a, h = points[:, :1], points[:, 1:] - points[:, :1]
+        x, log_a, log_h, i1 = h * v, np.log(a)[..., None], np.log(h)[..., None], np.arange(1, n + 1)
+        log_e, R_e = _gamma_logs(1, n, x, np.log(x))
+        u = log_e + i1 * log_h - (i1 - 1) * log_a
+        # each term moves by at most i+1 relative roundings of h (through h^(i+1) and x)
+        R_u = R_e + _EPS * (i1 * (1.0 + np.abs(log_h)) + (i1 - 1) * np.abs(log_a) + 2.0 * np.abs(u))
+        T = _log_binomials(k.start, n) + u[:, :, None]
+        top = T.max(axis=-1)
+        w = np.exp(T - top[..., None])  # 0 for the -inf terms i >= k
+        total = w.sum(axis=-1)
+        k_log_a, va = (orders - 1) * log_a, (a * v)[..., None]
+        L = top + np.log(total) + k_log_a - va
+        # the terms' weighted mean, with the roundings of the sum, of its log
+        # and of L, and of log C(k-1, i) <= n
+        R = ((w * R_u[:, :, None]).sum(axis=-1) / total
+             + _EPS * (4.0 * n + 2.0 + np.abs(top) + 2.0 * np.abs(k_log_a) + va + np.abs(L)))
         Ds = []
         if density:
             # d/db int_a^b t^(k-1) e^(-v t) dt = b^(k-1) e^(-v b), and d/da is
-            # minus the same at a; zero entries (-inf logs) stay zero
+            # minus the same at a
             at = points[:, :, None, None]
             slope = np.exp((orders - 1) * np.log(at) - v[:, None] * at - L[:, None])
-            slope[~np.isfinite(L[:, None]).repeat(2, axis=1)] = 0.0
             Ds = [-slope[:, 0], slope[:, 1]]
-        return L, np.where(live, R, 1.0), Ds
+        return L, R, Ds
     lam = points[:, None, None]
     if family == "E":
         x = points[:, None] * v

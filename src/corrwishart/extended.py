@@ -8,19 +8,17 @@ bookkeeping.  A law is its description in `corrwishart.detform`
 time by `_block`, one evaluator for every entry family.  The order-indexed
 families come one matrix row at a time from positive recurrences in the
 order, as in `corrwishart.specfun`: the gamma rows (`_gamma_row`, behind
-the ``E``, ``lamE`` and ``gap`` families) on Python integers in fixed
-point, from the argument's exact mantissa and exponent, and the
-shifted-power rows (`_shifted_power_row`) in mpf arithmetic; the others
+the ``E``, ``lamE`` and ``gap`` families, a gap entry a positive sum
+over one row) on Python integers in fixed point, from the argument's
+exact mantissa and exponent, and the shifted-power rows (`_shifted_power_row`) in mpf arithmetic; the others
 are evaluated entry by entry.  The test suite keeps an independent direct
 transcription of the formulas as an oracle.
 
 Each block comes with a bound on its entries' relative error in ulps
 (units of u = 2^-p at the working precision p), and a matrix's bound is
 the largest of its blocks', an empty block's included.  The ulps are one
-per rounded operation, `_FN` per mpmath call, an argument's ulps times the
-function's sensitivity to it, and for a gap entry hi - lo the condition
-(|hi| e_hi + |lo| e_lo) / |hi - lo| of its ends' ulps, bounded from above
-in floats (`_condition`).  `_evaluate` runs `_build` at each round's
+per rounded operation, `_FN` per mpmath call, and an argument's ulps times
+the function's sensitivity to it.  `_evaluate` runs `_build` at each round's
 precision, and `_bounded_det` (elimination on integers in units of 2^-p,
 with no singularity tolerance) turns those errors and its own roundings
 into a bound on the value.  A round is accepted when that bound is at most
@@ -38,6 +36,7 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
+from operator import mul
 from typing import Any, NamedTuple
 
 import mpmath
@@ -237,8 +236,7 @@ def _gamma_row(a_lo, a_hi, x, powers=None):
     units), as x S_(a+1) / (a+1) <= S_a carries the error on without growth,
     and the division by a 2a.  With 2^g >= 256 (p + a_hi + 1), the
     4w + 11a + 15 units are under a tenth of an ulp at p, and
-    the final rounding adds one, so a row is within 1.1 ulps: `_gamma_ulps`,
-    which charges at least ten besides x's own rounding, still covers it.
+    the final rounding adds one, so a row is within 1.1 ulps (`_gamma_ulps`).
     """
     prec = mpmath.mp.prec
     w = prec + 8 + (prec + a_hi).bit_length()
@@ -285,12 +283,10 @@ def _mantissa(t, bits):  # the positive mpf tuple t as man 2^exp, man of exactly
     return t[1] << (bits - t[3]), t[2] - (bits - t[3])
 
 
-def _gamma_ulps(a_lo, a_hi, x, scaled=False):
-    """`_gamma_row`'s ulps: those of an mpf recurrence (two calls and
-    roundings atop, three roundings a step), which cover the fixed-point
-    row's 1.1, x for x's rounding (|d log E_a / d log x| <= x), and the
-    scale's."""
-    return 2 * _FN + 2 + 3 * (a_hi - a_lo) + float(x) + (_FN + 1 if scaled else 0)
+def _gamma_ulps(x, scaled=False):
+    """`_gamma_row`'s ulps: its own 1.1, x for x's rounding (|d log E_a /
+    d log x| <= x), and the scale's, one call."""
+    return 1.1 + float(x) + (_FN if scaled else 0)
 
 
 def _shifted_power_row(a_lo, a_hi, lam, s):
@@ -330,41 +326,33 @@ def _block(family, k, v, point):
     if family != "gap":  # E, or lamE: lam^k E_k with the scale's ulps on top
         powers = [lam ** a for a in k] if family == "lamE" else None
         return ([_gamma_row(lo, hi, lam * x, powers) for x in v],
-                _gamma_ulps(lo, hi, lam * max(v), family == "lamE"))
-    # entries up - down, each within (|up| e_up + |down| e_down) / |up - down| + 1 ulps
+                _gamma_ulps(lam * max(v), family == "lamE"))
+    # e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) h^(i+1) E_(i+1)(v h), h = b - a: the
+    # coefficients C(k-1, i) a^(k-1-i), formed once and truncated to w bits (under 2^(1-w)
+    # of each), are aligned within their column (times 2^-fe) and dotted exactly with a
+    # row's entries (times 2^-re), then times e^(-v a) at w bits and rounded once: within
+    # 1.1 ulps of the row's entries, as in `_gamma_row`.  h's rounding moves an entry by at
+    # most k ulps (|d log / d log h| <= i + 1 for each term), v a's rounding by v a ulps.
     a, b = point
-    rows, conds = [], []
-    pb, pa = ([x ** i for i in k] for x in (b, a))
+    h, prec, make = b - a, mpmath.mp.prec, mpmath.mp.make_mpf
+    w = prec + 8 + (prec + hi).bit_length()
+    _, am, ea, _ = a._mpf_
+    coefs = []
+    for c in k:
+        col = [(math.comb(c - 1, i) * am ** (c - 1 - i), ea * (c - 1 - i)) for i in range(c)]
+        col = [(f >> t, e + t) for f, e in col for t in [max(f.bit_length() - w, 0)]]
+        fe = min(e for _, e in col)
+        coefs.append(([f << e - fe for f, e in col], fe))
+    powers = [h ** i for i in range(1, hi + 1)]
+    rows = []
     for x in v:
-        up, down = _gamma_row(lo, hi, x * b, pb), _gamma_row(lo, hi, x * a, pa)
-        e_up, e_down = _gamma_ulps(lo, hi, x * b, True), _gamma_ulps(lo, hi, x * a, True)
-        rows.append([u - d for u, d in zip(up, down)])
-        conds += [_condition(u, d, g, e_up, e_down) for u, d, g in zip(up, down, rows[-1])]
-    k, r = max(conds)
-    return rows, mpmath.ldexp(r, k) + 1 if k < math.inf else mpmath.inf
-
-
-def _condition(u, d, g, e_u, e_d):
-    """(k, r): r 2^k, r in [1/2, 1), bounds (e_u |u| + e_d |d|) / |g| from
-    above within a factor 1 + 2^-39, for mpfs u, d and g and ulps e_u, e_d
-    (floats), and k is infinite when g = 0; the pairs order as their
-    values.  Each mpf's top 53 mantissa bits (a float in [2^52, 2^53),
-    below its value by under 2^-52 of it) and its exponent, kept as an
-    integer, so the ratio never overflows: the truncations and the five
-    float roundings are within 2^-48, and the ratio is rounded up by
-    1 + 2^-40."""
-    if not g._mpf_[1]:
-        return math.inf, 1.0
-    (fu, xu), (fd, xd), (fg, xg) = _top(u._mpf_), _top(d._mpf_), _top(g._mpf_)
-    top = max(xu if fu else xd, xd if fd else xu) + 53  # a zero's exponent means nothing
-    r, k = math.frexp((e_u * math.ldexp(fu, xu - top) + e_d * math.ldexp(fd, xd - top))
-                      / fg * (1 + 2.0 ** -40))
-    return k + top - xg, r
-
-
-def _top(t):  # the mpf tuple t's top 53 mantissa bits as a float f, and e: f 2^e <= |t|
-    shift = t[3] - 53
-    return float(t[1] >> shift if shift > 0 else t[1] << -shift), t[2] + shift
+        terms = [g._mpf_ for g in _gamma_row(1, hi, x * h, powers)]
+        re = min(t[2] for t in terms)
+        terms = [t[1] << t[2] - re for t in terms]
+        em, ee = _mantissa(mpf_exp(mpf_neg((x * a)._mpf_), w, round_nearest), w)
+        rows.append([make(from_man_exp(sum(map(mul, cs, terms)) * em, fe + re + ee, prec,
+                                       round_nearest)) for cs, fe in coefs])
+    return rows, _gamma_ulps(h * max(v), True) + hi + float(a * max(v)) + 1.1
 
 
 def _build(name, *args):

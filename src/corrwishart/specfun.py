@@ -79,6 +79,16 @@ def _log_factorials(count: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=512)
+def _log_binomials(k_lo: int, k_hi: int) -> np.ndarray:
+    """log C(k-1, i) for the orders k = k_lo..k_hi (rows) and i < k_hi
+    (columns), -inf where i >= k, read-only because every caller shares it."""
+    out = np.array([[math.log(math.comb(k - 1, i)) if i < k else -math.inf for i in range(k_hi)]
+                    for k in range(k_lo, k_hi + 1)])
+    out.setflags(write=False)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # array kernels
 

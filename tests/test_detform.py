@@ -726,6 +726,7 @@ def precise_partial(raw, point, monkeypatch):
 
 ROW6 = [0.5, 1.0, 1.7, 2.4, 3.3, 4.1]
 ROW4 = [0.5, 1.0, 1.8, 3.0]
+ROW2 = [0.5, 1.8]
 DOUBLY = {"4x3": (4, 3, [1.0, 1.7, 2.6], [0.8, 1.5, 2.6, 4.0]),
           "3x3": (3, 3, [1.0, 2.0, 3.2], [0.9, 1.8, 3.1])}
 ROW_DENSITIES = (
@@ -733,7 +734,12 @@ ROW_DENSITIES = (
       lambda x, dps: extended.cdf_max_row(8, 6, ROW6, x, dps).value) for lam in (1.1, 3.0)]
     + [(pdf_joint_minmax, row_case(6, 4, ROW4), (a, b),
         lambda x, y, dps: -extended.prob_gap_row(6, 4, ROW4, x, y, dps).value)
-       for a, b in [(0.02, 1.0), (0.1, 3.0), (0.3, 2.0), (0.5, 20.0), (8.0, 30.0), (20.0, 30.0)]])
+       for a, b in [(0.02, 1.0), (0.1, 3.0), (0.3, 2.0), (0.5, 20.0), (8.0, 30.0), (20.0, 30.0)]]
+    # near the diagonal, b / a = 1.01 and 1.0001: at 6 x 4 the determinant
+    # itself loses about 40 digits there
+    + [(pdf_joint_minmax, row_case(4, 2, ROW2), (a, b),
+        lambda x, y, dps: -extended.prob_gap_row(4, 2, ROW2, x, y, dps).value)
+       for a, b in [(0.3, 0.303), (2.0, 2.0002)]])
 
 
 class TestDensityAgainstPreciseDerivative:
@@ -763,9 +769,8 @@ class TestDensityAgainstPreciseDerivative:
 @pytest.mark.parametrize("n,m,s", [(4, 3, [0.5, 1.0, 3.0]), (6, 4, ROW4)])
 @pytest.mark.parametrize("a,b", [(8.0, 30.0), (20.0, 30.0)])
 def test_prob_gap_where_p_rounds_to_one(n, m, s, a, b, monkeypatch):
-    # P(k, s a) is 1 in double precision for the largest s: the entries come
-    # from the difference of the tails e^(-s a) F_k(a, s) - e^(-s b) F_k(b, s)
-    # instead of a difference of lower integrals
+    # P(k, s a) is 1 in double precision for the largest s, where a difference
+    # of lower integrals would cancel all its digits
     monkeypatch.setattr(extended, "_self_validated", lambda raw, dps, start: raw(dps))
     rep = prob_gap(row_case(n, m, s), a, b)
     exact = float(extended.prob_gap_row(n, m, s, mpmath.mpf(a), mpmath.mpf(b), 50).value)

@@ -260,6 +260,20 @@ def rel_gap(got, want):
     return abs(got - want) / abs(want)
 
 
+def gap_reference(k, s, a, b, dps):
+    """int_a^b t^(k-1) e^(-s t) dt = (gamma(k, s a) - gamma(k, s b)) / s^k to
+    ``dps`` digits.  mpmath may take it as a difference of two integrals,
+    which loses digits over a narrow interval, so the precision rises by 30
+    digits until two evaluations agree to ``dps`` digits."""
+    last, d = None, dps
+    while True:
+        with mpmath.workdps(d):
+            want = mpmath.gammainc(k, s * a, s * b) / s ** k
+            if last is not None and abs(want - last) <= abs(want) * mpmath.mpf(10) ** -dps:
+                return want
+        last, d = want, d + 30
+
+
 class TestRowRecurrences:
     @pytest.mark.parametrize("x", XS)
     def test_gamma_row(self, x):
@@ -302,22 +316,19 @@ class TestRowRecurrences:
                                            for i in range(a))
                         assert rel_gap(got, want) < 1e-50, (a, lam, s)
 
-    @pytest.mark.parametrize("a,b", [("0.05", "2"), ("1", "1.001"), ("3", "150")])
+    @pytest.mark.parametrize("a,b", [("0.05", "2"), ("1", "1.001"), ("3", "150"),
+                                     ("1", "1.000000001")])
     def test_gamma_difference(self, a, b):
-        # gap entries b^k E_k(s b) - a^k E_k(s a) = (gamma(k, s b) - gamma(k, s a)) / s^k,
-        # assembled as `prob_gap_row` does
+        # gap entries int_a^b t^(k-1) e^(-s t) dt = (gamma(k, s a) - gamma(k, s b)) / s^k,
+        # within the gap block's ulps
         with mpmath.workdps(60):
-            av, bv = mpmath.mpf(a), mpmath.mpf(b)
+            av, bv, u = mpmath.mpf(a), mpmath.mpf(b), mpmath.ldexp(1, -mpmath.mp.prec)
             for s in ("0.4", "1.3"):
                 sv = mpmath.mpf(s)
-                pb, pa = ([x ** k for k in range(1, ORDERS + 1)] for x in (bv, av))
-                row = [hi - lo for hi, lo in zip(extended._gamma_row(1, ORDERS, sv * bv, pb),
-                                                 extended._gamma_row(1, ORDERS, sv * av, pa))]
-                with mpmath.workdps(120):
-                    for k, got in enumerate(row, start=1):
-                        want = (mpmath.gammainc(k, 0, sv * bv)
-                                - mpmath.gammainc(k, 0, sv * av)) / sv ** k
-                        assert rel_gap(got, want) < 1e-50, (k, a, b, s)
+                (row,), ulps = extended._block("gap", range(1, ORDERS + 1), [sv], (av, bv))
+                for k, got in enumerate(row, start=1):
+                    want = gap_reference(k, sv, av, bv, 90)
+                    assert abs(got - want) <= ulps * u * want, (k, a, b, s)
 
     # both branches of the top order, the series below x = a_hi + 1 and the
     # finite sum from there on: x at a_hi + 1 and 2^-40 relative on either
@@ -331,7 +342,7 @@ class TestRowRecurrences:
         with mpmath.workdps(dps):
             xv, u = mpmath.mpf(x), mpmath.ldexp(1, -mpmath.mp.prec)
             row = extended._gamma_row(a_lo, ORDERS, xv)
-            ulps = extended._gamma_ulps(a_lo, ORDERS, xv)
+            ulps = extended._gamma_ulps(xv)
         with mpmath.workdps(dps + 30):
             for a, got in enumerate(row, start=a_lo):
                 want = mpmath.gammainc(a, 0, xv) / xv ** a
@@ -349,7 +360,7 @@ class TestRowRecurrences:
                 lm = mpmath.mpf(x) / sv
                 powers = [lm ** k for k in range(a_lo, ORDERS + 1)]
                 row = extended._gamma_row(a_lo, ORDERS, lm * sv, powers)
-                ulps = extended._gamma_ulps(a_lo, ORDERS, lm * sv, True)
+                ulps = extended._gamma_ulps(lm * sv, True)
                 with mpmath.workdps(dps + 30):
                     for k, got in enumerate(row, start=a_lo):
                         want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
@@ -357,66 +368,19 @@ class TestRowRecurrences:
 
     @pytest.mark.parametrize("dps", [60, 400])
     @pytest.mark.parametrize("a_lo", [1, ORDERS])
-    @pytest.mark.parametrize("lo,hi", list(zip(["1"] + BRANCH_XS, BRANCH_XS)))
+    @pytest.mark.parametrize("lo,hi", list(zip(["1"] + BRANCH_XS, BRANCH_XS))
+                             + [(BRANCH_XS[1], BRANCH_XS[1] * (1 + mpmath.mpf("1e-9")))])
     def test_gamma_difference_branches(self, lo, hi, a_lo, dps):
-        # entries b^k E_k(s b) - a^k E_k(s a) with s a = lo and s b = hi, within
-        # the gap block's (e_up |up| + e_down |down|) / |up - down| + 1 ulps
+        # gap entries with s a = lo and s b = hi, within the gap block's ulps
         with mpmath.workdps(dps):
             u = mpmath.ldexp(1, -mpmath.mp.prec)
             for s in ("0.5", "4"):
                 sv = mpmath.mpf(s)
                 av, bv = mpmath.mpf(lo) / sv, mpmath.mpf(hi) / sv
-                pb, pa = ([x ** k for k in range(a_lo, ORDERS + 1)] for x in (bv, av))
-                up = extended._gamma_row(a_lo, ORDERS, sv * bv, pb)
-                down = extended._gamma_row(a_lo, ORDERS, sv * av, pa)
-                e_up = extended._gamma_ulps(a_lo, ORDERS, sv * bv, True)
-                e_down = extended._gamma_ulps(a_lo, ORDERS, sv * av, True)
-                with mpmath.workdps(dps + 30):
-                    for k, hi_k, lo_k in zip(range(a_lo, ORDERS + 1), up, down):
-                        want = (mpmath.gammainc(k, 0, sv * bv)
-                                - mpmath.gammainc(k, 0, sv * av)) / sv ** k
-                        allowed = (e_up * abs(hi_k) + e_down * abs(lo_k) + abs(hi_k - lo_k)) * u
-                        assert abs((hi_k - lo_k) - want) <= allowed, (k, lo, hi, s, dps)
-
-
-def test_gap_condition_bounds_the_exact_ratio():
-    # random (up, down) pairs, a third of them cancelling 1000-1900 bits, so
-    # that the ratio passes 2^1024; the float-based condition is never below
-    # the exact ratio, at most (1 + 2^-39) times it, and finite with it
-    rng, beyond = np.random.default_rng(7), 0
-
-    def rand(lo, hi):  # a random mpf in [0.5, 1) times 2^e, lo <= e < hi
-        return mpmath.ldexp(mpmath.mpf(int(rng.integers(2 ** 62, 2 ** 63))) / 2 ** 63,
-                            int(rng.integers(lo, hi)))
-
-    with mpmath.workprec(2000):
-        for i in range(600):
-            up = rand(-3000, 3000) * (1 + rand(-60, 0))
-            if i % 3 == 0:
-                down = up * (1 - rand(-1900, -1000))
-            elif i % 3 == 1:
-                down = up * (1 - rand(-60, 0))
-            else:
-                down = rand(-3000, 3000)
-            if i % 5 == 0:
-                up, down = -up, -down
-            e_up, e_down = (float(v) for v in 10 + 1e5 * rng.random(2))
-            gap = up - down
-            k, r = extended._condition(up, down, gap, e_up, e_down)
-            assert gap and math.isfinite(k)
-            got = Fraction(r) * Fraction(2) ** k
-            want = (Fraction(e_up) * abs(exact(up)) + Fraction(e_down) * abs(exact(down))) \
-                / abs(exact(gap))
-            assert want <= got <= want * (1 + Fraction(1, 2 ** 39)), i
-            beyond += k > 1024
-        assert beyond >= 150
-        assert extended._condition(up, up, up - up, 10.0, 10.0)[0] == math.inf
-        # one end zero (a gap from a = 0), the other far below 2^-1074
-        tiny, zero = mpmath.ldexp(3, -3000), mpmath.mpf(0)
-        for u, d in ((tiny, zero), (zero, tiny)):
-            k, r = extended._condition(u, d, u - d, 10.0, 20.0)
-            want = 10 if d == 0 else 20
-            assert want <= Fraction(r) * Fraction(2) ** k <= want * (1 + Fraction(1, 2 ** 39))
+                (row,), ulps = extended._block("gap", range(a_lo, ORDERS + 1), [sv], (av, bv))
+                for k, got in enumerate(row, start=a_lo):
+                    want = gap_reference(k, sv, av, bv, dps + 30)
+                    assert abs(got - want) <= ulps * u * want, (k, lo, hi, s, dps)
 
 
 # ---------------------------------------------------------------------------
@@ -915,10 +879,10 @@ GAP_ROWS = sorted(ROW_8x6 + [0.01, 0.05, 0.1, 0.2, 0.3, 0.7, 1.3, 2.0, 2.9, 5.0,
 ENTRY_CASES = [
     ("cdf_max_row", (8, 6, ROW_8x6), [(0.005,), (1.3,), (100.0,)]),
     ("cdf_min_row", (8, 6, ROW_8x6), [(0.005,), (1.3,), (100.0,)]),
-    # entries from the E differences where v a < k, else from the tails:
     # (38, 60) reaches v a = 300, where b^k E_k(v b) - a^k E_k(v a) would
-    # cancel 130 digits; a = 5 (1 -+ 1e-9) sits just below and just above
-    # v a = k at v = 2.4, k = 12; then a = 1e-9, and b / a = 1.0001 and 100
+    # cancel 130 digits; a = 5 (1 -+ 1e-9) sits on either side of v a = k at
+    # v = 2.4, k = 12, where an entry from the tails would take over from the
+    # lower integrals; then a = 1e-9, and b / a = 1.0001 and 100
     ("prob_gap_row", (20, 18, GAP_ROWS),
      [(0.5, 30.0), (0.005, 2.0), (38.0, 60.0), (5.0 * (1 - 1e-9), 10.0), (5.0 * (1 + 1e-9), 10.0),
       (1e-9, 1.0001e-9), (1e-9, 1e-7), (2.0, 2.0002), (0.05, 5.0)]),
@@ -954,6 +918,19 @@ def test_double_entries_within_their_estimates(name, args, points):
                     assert err <= R[g, i, j], (point, i, j, float(err / R[g, i, j]))
 
 
+@pytest.mark.parametrize("ratio", [1 + 1e-6, 1.0001, 1.01])
+@pytest.mark.parametrize("a", [0.05, 0.7, 12.0])
+def test_narrow_gap_entries(a, ratio):
+    # the entries keep the digits of a / (b - a): within 1e-13 of 60 digits
+    s, b = [0.3, 1.1, 2.6, 4.9], a * ratio
+    L, _, _, _ = _entries(_LAWS["prob_gap_row"](12, 4, s), np.array([[a, b]]), False)
+    for i, v in enumerate(s):
+        for j, k in enumerate(range(9, 13)):
+            want = gap_reference(k, mpmath.mpf(v), mpmath.mpf(a), mpmath.mpf(b), 60)
+            with mpmath.workdps(60):
+                assert abs(mpmath.expm1(mpmath.mpf(L[0, i, j]) - mpmath.log(want))) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # the contract: a double-precision value without warnings lies within its
 # estimate of the 50-digit re-evaluation
@@ -964,7 +941,7 @@ def contract_cases(draw):
     """(report function, case, point, the name of its `extended` function and
     that function's arguments before the point): row, column and doubly max
     and min up to 6 x 4 with lam in [0.02, 20], and the row gap with a in
-    [0.005, 5], b / a in [1.001, 100].  A spectrum's values are distinct, but
+    [0.005, 5], b / a in [1 + 1e-6, 100].  A spectrum's values are distinct, but
     its first two coincide a quarter of the time."""
     model, stat = draw(st.sampled_from([("row", "max"), ("row", "min"), ("row", "gap"),
                                         ("col", "max"), ("col", "min"),
@@ -989,7 +966,7 @@ def contract_cases(draw):
     spectra = ((list(case.r),) if model == "doubly" else ()) + (list(case.s),)
     if stat == "gap":
         a = draw(st.floats(0.005, 5.0))
-        point, fn = (a, a * draw(st.floats(1.001, 100.0))), prob_gap
+        point, fn = (a, a * draw(st.floats(1 + 1e-6, 100.0))), prob_gap
     else:
         point, fn = (draw(st.floats(0.02, 20.0)),), cdf_max if stat == "max" else cdf_min
     name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{model}"
