@@ -5,13 +5,16 @@ determinant whose entries are incomplete-gamma, confluent-hypergeometric
 or pure-exponential values, multiplied by a prefactor of factorials,
 spectral powers and Vandermonde products.  Each law is described once, as
 data (`_LAWS`, which `corrwishart.extended` reads too): its prefactor, and
-its matrix as blocks of columns, each an entry family over a range of
-orders or over the other spectrum.  Raw magnitudes of those pieces
-overflow double precision long before the probabilities become
-interesting, so a law is evaluated on a grid of points as the logs of its
-entries and of its prefactor, held as arrays (`_entries`, `_log_pref`);
-each point's value is exponentiated only once, from its sign and log
-magnitude (`_finalize`).
+its matrix as blocks of columns, each one of seven entry families (`_Law`)
+over a range of orders or over the other spectrum.  The row model's three
+laws are one quantity, Pr(no eigenvalue outside an interval), read at
+three kinds of point: its ``gap`` family at (a, b), at a one-value point
+(lam,) as the tail (lam, inf), and at a = 0 as the ``lamE`` family.  Raw
+magnitudes of those pieces overflow double precision long before the
+probabilities become interesting, so a law is evaluated on a grid of
+points as the logs of its entries and of its prefactor, held as arrays
+(`_entries`, `_log_pref`); each point's value is exponentiated only once,
+from its sign and log magnitude (`_finalize`).
 
 The one genuine numerical weak point of these formulas is the Vandermonde
 ratio for clustered spectra.  The engine therefore measures the decimal
@@ -49,8 +52,8 @@ from .model import (
     ModelCase,
     RowCorrelated,
 )
-from .specfun import (_log_binomials, _log_factorials, log_doubly_g, log_gamma_entries,
-                      log_shifted_power_integrals)
+from .specfun import (_log_binomials, _log_exp_partial_sums, _log_factorials, log_doubly_g,
+                      log_gamma_entries)
 
 __all__ = [
     "EvalConfig",
@@ -321,14 +324,6 @@ def _gamma_logs(a_lo: int, a_hi: int, x: np.ndarray, log_scale) -> Tuple[np.ndar
     return log_gamma_entries(a_lo, a_hi, x), rel
 
 
-def _row_min_logs(a_lo: int, a_hi: int, lams, svals) -> Tuple[np.ndarray, np.ndarray]:
-    """log sum_i C(a-1, i) lam^(a-1-i) i! / s^(i+1), the smallest-eigenvalue
-    entries without their exponential factor: rows s, orders a_lo..a_hi."""
-    log_v = log_shifted_power_integrals(a_lo, a_hi, np.asarray(lams, dtype=float)[:, None],
-                                        np.asarray(svals, dtype=float))
-    return log_v, _EPS * (10.0 + np.arange(a_lo, a_hi + 1) + np.abs(log_v))
-
-
 # ---------------------------------------------------------------------------
 # laws: one description per (model, statistic), read as logs here
 # (`_log_pref`, `_entries`) and as mpfs by `extended._build`
@@ -358,16 +353,17 @@ class _Law(NamedTuple):
     (family, index), each column the family's entry at the rows' values for
     one index k, an order or a value of the other spectrum:
 
-        E       E_k(lam v) = int_0^1 t^(k-1) e^(-lam v t) dt
-        lamE    lam^k E_k(lam v)
+        lamE    lam^k E_k(lam v) = int_0^lam t^(k-1) e^(-v t) dt, the gap at a = 0,
+                E_k(x) = int_0^1 t^(k-1) e^(-x t) dt
         pow     v^k
         exp     e^(lam v) v^k
-        F       F_k(lam, v) = int_0^inf (t + lam)^(k-1) e^(-v t) dt
         g       g_n(lam k v) = int_0^1 (1-t)^(n-1) e^(-lam k v t) dt, n the matrix order
         lampow  (lam v)^k
         expr    e^(-lam k v)
         gap     int_a^b t^(k-1) e^(-v t) dt at the point (a, b), a positive sum of lamE
-                terms: e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) h^(i+1) E_(i+1)(v h), h = b - a
+                terms: e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) h^(i+1) E_(i+1)(v h), h = b - a;
+                at a one-value point (a,) the tail (a, inf),
+                (k-1)! / v^k e^(-v a) sum_(j<k) (v a)^j / j!
 
     A ``transposed`` law's determinant has these columns as its rows."""
 
@@ -379,33 +375,32 @@ class _Law(NamedTuple):
 
 # the families whose columns share a constant of the entries'
 # log-derivatives, sign * k / lam, and whose rows share the constant v
-_COL_CONST = {"E": -1, "lampow": 1}
-_ROW_CONST = ("F", "exp")
+_COL_CONST = {"lampow": 1}
+_ROW_CONST = ("exp",)
 
 
-def _row_norm(n: int, m: int, s, lam_power: int = 0, decay=()) -> _Pref:
+def _row_norm(n: int, m: int, s) -> _Pref:
     # normalization (spectral powers over factorials) divided by the
     # spectral Vandermonde; shared by every row-model law
-    return _Pref(m * (m - 1) // 2, ((n, s),), (), tuple(range(n - m + 1, n + 1)), (s,),
-                 lam_power, decay)
+    return _Pref(m * (m - 1) // 2, ((n, s),), (), tuple(range(n - m + 1, n + 1)), (s,))
 
 
-def _row_min(n: int, m: int, s) -> _Law:
-    # a row for each value that the prefactor's Vandermonde divides by: none
-    # at n = m, where the survival is e^(-lam sum s) times an empty determinant
-    rows = s if n > m else ()
-    return _Law(_row_norm(n, m, s, decay=s) if rows else _Pref(0, decay=s), rows,
-                (("F", range(n - len(rows) + 1, n + 1)),))
+def _row_gap(n: int, m: int, s) -> _Law:
+    # Pr(no eigenvalue outside the point's interval): (a, b), or at a
+    # one-value point (lam,) the tail (lam, inf)
+    return _Law(_row_norm(n, m, s), s, (("gap", range(n - m + 1, n + 1)),))
 
 
 # each law, keyed by the name of its mpmath re-evaluation `extended.<name>`
 # and taking its arguments without the points
 _LAWS = {
-    "cdf_max_row": lambda n, m, s: _Law(_row_norm(n, m, s, n * m - m * (m - 1) // 2), s,
-                                        (("E", range(n - m + 1, n + 1)),)),
-    "cdf_min_row": _row_min,
-    "prob_gap_row": lambda n, m, s: _Law(_row_norm(n, m, s), s,
-                                         (("gap", range(n - m + 1, n + 1)),)),
+    "cdf_max_row": lambda n, m, s: _Law(_row_norm(n, m, s), s,
+                                        (("lamE", range(n - m + 1, n + 1)),)),
+    # the gap's tail; at n = m its closed form e^(-lam sum s), times an
+    # empty determinant
+    "cdf_min_row": lambda n, m, s: (_row_gap(n, m, s) if n > m else
+                                    _Law(_Pref(0, decay=s), (), (("gap", range(n + 1, n + 1)),))),
+    "prob_gap_row": _row_gap,
     "cdf_max_col": lambda n, m, s: _Law(
         _Pref(m * (m - 1) // 2, ((m, s),), (m + 1,), tuple(range(2, m + 2)), (s,)), s,
         (("lamE", range(1, m + 1)), ("pow", range(n - m)))),
@@ -438,58 +433,62 @@ def _log_pref(p: _Pref, lams: np.ndarray) -> Tuple[int, np.ndarray]:
 
 
 def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool, transposed: bool):
-    """One column block of a law on a grid of points, rows ``v`` (N,), index
-    ``k``: its logs L and errors R (broadcastable to (G, N, K), or to
+    """One column block of a law on a grid of points (G, P), rows ``v`` (N,),
+    index ``k``: its logs L and errors R (broadcastable to (G, N, K), or to
     (G, K, N) for a ``transposed`` law) and, with ``density``, the list of
     its log-derivative arrays D (dA = A o D), less the family's constants:
-    one for a lambda, two for a gap (in a, then b)."""
+    one for a lambda or a tail, two for a gap (in a, then b)."""
     if family == "gap":
-        # int_a^b t^(k-1) e^(-v t) dt = e^(-v a) a^(k-1) sum_(i<k) C(k-1, i) e^(u_i), h = b - a,
-        # u_i = log(h^(i+1) E_(i+1)(v h) / a^i): positive terms T (G, N, K, i), their
-        # log-sum-exp over i
         orders, n = np.asarray(k), k.stop - 1
-        a, h = points[:, :1], points[:, 1:] - points[:, :1]
-        x, log_a, log_h, i1 = h * v, np.log(a)[..., None], np.log(h)[..., None], np.arange(1, n + 1)
-        log_e, R_e = _gamma_logs(1, n, x, np.log(x))
-        u = log_e + i1 * log_h - (i1 - 1) * log_a
-        # each term moves by at most i+1 relative roundings of h (through h^(i+1) and x)
-        R_u = R_e + _EPS * (i1 * (1.0 + np.abs(log_h)) + (i1 - 1) * np.abs(log_a) + 2.0 * np.abs(u))
-        T = _log_binomials(k.start, n) + u[:, :, None]
-        top = T.max(axis=-1)
-        w = np.exp(T - top[..., None])  # 0 for the -inf terms i >= k
-        total = w.sum(axis=-1)
-        k_log_a, va = (orders - 1) * log_a, (a * v)[..., None]
-        L = top + np.log(total) + k_log_a - va
-        # the terms' weighted mean, with the roundings of the sum, of its log
-        # and of L, and of log C(k-1, i) <= n
-        R = ((w * R_u[:, :, None]).sum(axis=-1) / total
-             + _EPS * (4.0 * n + 2.0 + np.abs(top) + 2.0 * np.abs(k_log_a) + va + np.abs(L)))
-        Ds = []
-        if density:
-            # d/db int_a^b t^(k-1) e^(-v t) dt = b^(k-1) e^(-v b), and d/da is
-            # minus the same at a
-            at = points[:, :, None, None]
-            slope = np.exp((orders - 1) * np.log(at) - v[:, None] * at - L[:, None])
-            Ds = [-slope[:, 0], slope[:, 1]]
-        return L, R, Ds
-    lam = points[:, None, None]
-    if family == "E":
-        x = points[:, None] * v
-        L, R = _gamma_logs(k.start, k.stop - 1, x, np.log(x))
-        # d/dlam E_k(lam v) = (e^-x / lam) - (k / lam) E_k(x), x = lam v
-        return L, R, [np.exp(-x[..., None] - L) / lam] if density else []
+        a = points[:, :1]
+        va = (a * v)[..., None]
+        if points.shape[1] == 1:
+            # the tail (a, inf): (k-1)! / v^k times e^(-v a) sum_(j<k) (v a)^j / j!,
+            # positive terms throughout
+            lgam, k_log_v = _log_factorials(n)[k.start - 1:], orders * np.log(v)[:, None]
+            L = (lgam - k_log_v) + (_log_exp_partial_sums(k.start, n, a * v) - va)
+            # the roundings of log (k-1)!, of k log v (with log v's), of v a, of
+            # the partial sum's terms (log j! and j log v a, j < k) and of the sums
+            R = _EPS * (10.0 + lgam + 2.0 * np.abs(k_log_v) + va + np.abs(L)
+                        + orders * (1.0 + 2.0 * np.abs(np.log(va))))
+        else:
+            # int_a^b t^(k-1) e^(-v t) dt = e^(-v a) a^(k-1) sum_(i<k) C(k-1, i) e^(u_i),
+            # h = b - a, u_i = log(h^(i+1) E_(i+1)(v h) / a^i): positive terms T (G, N, K, i),
+            # their log-sum-exp over i
+            h, log_a = points[:, 1:] - a, np.log(a)[..., None]
+            x, log_h, i1 = h * v, np.log(h)[..., None], np.arange(1, n + 1)
+            log_e, R_e = _gamma_logs(1, n, x, np.log(x))
+            u = log_e + i1 * log_h - (i1 - 1) * log_a
+            # each term moves by at most i+1 relative roundings of h (through h^(i+1) and x)
+            R_u = R_e + _EPS * (i1 * (1.0 + np.abs(log_h)) + (i1 - 1) * np.abs(log_a)
+                                + 2.0 * np.abs(u))
+            T = _log_binomials(k.start, n) + u[:, :, None]
+            top = T.max(axis=-1)
+            w = np.exp(T - top[..., None])  # 0 for the -inf terms i >= k
+            total = w.sum(axis=-1)
+            k_log_a = (orders - 1) * log_a
+            L = top + np.log(total) + k_log_a - va
+            # the terms' weighted mean, with the roundings of the sum, of its log
+            # and of L, and of log C(k-1, i) <= n
+            R = ((w * R_u[:, :, None]).sum(axis=-1) / total
+                 + _EPS * (4.0 * n + 2.0 + np.abs(top) + 2.0 * np.abs(k_log_a) + va + np.abs(L)))
+        if not density:
+            return L, R, []
+        # d/db int_a^b t^(k-1) e^(-v t) dt = b^(k-1) e^(-v b), and d/da is
+        # minus the same at a
+        at = points[:, :, None, None]
+        slope = np.exp((orders - 1) * np.log(at) - v[:, None] * at - L[:, None])
+        slope[:, 0] *= -1.0
+        return L, R, list(slope.swapaxes(0, 1))
+    lam = points[:, :, None]
     ks = np.asarray(k)
     if family == "lamE":
-        x = points[:, None] * v
+        x = points * v
         L, R = _gamma_logs(k.start, k.stop - 1, x, np.log(v))
         k_log_lam = ks * np.log(lam)
         L, R = L + k_log_lam, R + _EPS * np.abs(k_log_lam)
         # d/dlam lam^k E_k(lam v) = lam^(k-1) e^(-lam v)
         return L, R, [np.exp((ks - 1) * np.log(lam) - x[..., None] - L)] if density else []
-    if family == "F":
-        # d F_k / d lam = v F_k - lam^(k-1)
-        L, R = _row_min_logs(k.start, k.stop - 1, points, v)
-        return L, R, [-np.exp((ks - 1) * np.log(lam) - L)] if density else []
     # the other families broadcast v and k along the law's rows and columns
     v, ks = (v, ks[:, None]) if transposed else (v[:, None], ks)
     if family in ("g", "expr"):
@@ -510,7 +509,7 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool, tra
 
 
 def _entries(law: _Law, points: np.ndarray, density: bool):
-    """``law``'s matrix on a grid of points, the lambdas (G,) or the (a, b)
+    """``law``'s matrix on a grid of points, the lambdas (G, 1) or the (a, b)
     pairs (G, 2): its logs L and errors R and, with ``density``, the arrays
     D of its entries' log-derivatives less the blocks' constants, and those
     constants with the prefactor's log-derivative, c = (lam_power + sum of
@@ -541,8 +540,7 @@ def _entries(law: _Law, points: np.ndarray, density: bool):
     lam_power = law.pref.lam_power + sum(_COL_CONST[f] * sum(k) for f, k in law.blocks
                                          if f in _COL_CONST)
     decay, rows = sum(law.pref.decay), sum(law.rows) if row_const else 0
-    return L, R, Ds, [lam_power / lam - decay + rows
-                      for lam in (points if points.ndim == 1 else points[:, 0]).tolist()]
+    return L, R, Ds, [lam_power / lam - decay + rows for lam in points[:, 0].tolist()]
 
 
 _MODELS = {RowCorrelated: "row", ColumnCorrelated: "col", DoublyCorrelated: "doubly"}
@@ -603,7 +601,7 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     law = _LAWS[name](*args)
     # (a gap law has no lambda terms)
     pref_sign, logs = _log_pref(law.pref, grid[:, 0])
-    L, R, Ds, consts = _entries(law, grid if stat == "gap" else grid[:, 0], density)
+    L, R, Ds, consts = _entries(law, grid, density)
     sign, log_det, cancel, rel, *derivs = _det_from_logs(L, R, Ds)
     # every value also carries the rounding of the logs it is exponentiated from
     rel = rel + (5.0 + np.abs(logs) + np.abs(log_det)) * _EPS

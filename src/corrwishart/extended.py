@@ -8,11 +8,12 @@ bookkeeping.  A law is its description in `corrwishart.detform`
 time by `_block`, one evaluator for every entry family.  The order-indexed
 families come one matrix row at a time from positive recurrences in the
 order, as in `corrwishart.specfun`: the gamma rows (`_gamma_row`, behind
-the ``E``, ``lamE`` and ``gap`` families, a gap entry a positive sum
-over one row) on Python integers in fixed point, from the argument's
-exact mantissa and exponent, and the shifted-power rows (`_shifted_power_row`) in mpf arithmetic; the others
-are evaluated entry by entry.  The test suite keeps an independent direct
-transcription of the formulas as an oracle.
+the ``lamE`` and ``gap`` families) on Python integers in fixed point, from
+the argument's exact mantissa and exponent, a gap entry a positive sum over
+one row taken exactly by a Pascal recurrence in the order; and at a
+one-value point the ``gap`` family's tail rows (`_shifted_power_row`) in mpf
+arithmetic.  The others are evaluated entry by entry.  The test suite keeps
+an independent direct transcription of the formulas as an oracle.
 
 Each block comes with a bound on its entries' relative error in ulps
 (units of u = 2^-p at the working precision p), and a matrix's bound is
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from operator import mul
 from typing import Any, NamedTuple
 
 import mpmath
@@ -290,9 +290,10 @@ def _gamma_ulps(x, scaled=False):
 
 
 def _shifted_power_row(a_lo, a_hi, lam, s):
-    """F_a = sum_i C(a-1, i) lam^(a-1-i) i! / s^(i+1) for the orders
-    a = a_lo..a_hi, by F_1 = 1/s and F_(a+1) = lam^a / s + (a / s) F_a."""
-    power = f = 1 / s
+    """G_a = int_lam^inf t^(a-1) e^(-s t) dt = e^(-lam s) int_0^inf (t + lam)^(a-1) e^(-s t) dt
+    for the orders a = a_lo..a_hi: from G_1 = e^(-lam s) / s by the positive
+    steps G_(a+1) = lam^a e^(-lam s) / s + (a / s) G_a, three roundings each."""
+    power = f = mpmath.exp(-lam * s) / s
     row = []
     for a in range(1, a_hi + 1):
         if a >= a_lo:
@@ -321,38 +322,43 @@ def _block(family, k, v, point):
     if family == "lampow":  # sensitivity |k| < n to lam v (one rounding)
         return [[(lam * x) ** a for a in k] for x in v], len(v) + _FN
     lo, hi = k.start, k.stop - 1
-    if family == "F":  # three roundings a step, from one
-        return [_shifted_power_row(lo, hi, lam, x) for x in v], 3 * hi + 1
-    if family != "gap":  # E, or lamE: lam^k E_k with the scale's ulps on top
-        powers = [lam ** a for a in k] if family == "lamE" else None
-        return ([_gamma_row(lo, hi, lam * x, powers) for x in v],
-                _gamma_ulps(lam * max(v), family == "lamE"))
-    # e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) h^(i+1) E_(i+1)(v h), h = b - a: the
-    # coefficients C(k-1, i) a^(k-1-i), formed once and truncated to w bits (under 2^(1-w)
-    # of each), are aligned within their column (times 2^-fe) and dotted exactly with a
-    # row's entries (times 2^-re), then times e^(-v a) at w bits and rounded once: within
-    # 1.1 ulps of the row's entries, as in `_gamma_row`.  h's rounding moves an entry by at
-    # most k ulps (|d log / d log h| <= i + 1 for each term), v a's rounding by v a ulps.
-    a, b = point
-    h, prec, make = b - a, mpmath.mp.prec, mpmath.mp.make_mpf
+    if family == "lamE":  # lam^k E_k with the scale's ulps on top
+        return ([_gamma_row(lo, hi, lam * x, [lam ** a for a in k]) for x in v],
+                _gamma_ulps(lam * max(v), True))
+    # gap at the point (a, b), or (a,): v a's rounding moves an entry by at
+    # most v a ulps (an empty tail block, at n = m, has no v)
+    a = point[0]
+    va = float(a * max(v, default=0))
+    if len(point) == 1:
+        # the tail (a, inf): three roundings a step, from e^(-v a) / v (a
+        # call, a rounding and v a's)
+        return [_shifted_power_row(lo, hi, a, x) for x in v], 3 * hi + 1 + _FN + va
+    # e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) T_i, T_i = h^(i+1) E_(i+1)(v h), h = b - a:
+    # with a = A 2^g exactly (A an integer, g <= 0), the row's T_i aligned exactly
+    # to integers P_1^(i) (times 2^-re) and P_(c+1)^(i) = A P_c^(i) + P_c^(i+1) 2^-g,
+    # entry c is P_c^(0) 2^(re + (c-1) g), exact, times e^(-v a) at w bits and
+    # rounded once: within 1 ulp of the row's entries.  h's rounding moves an
+    # entry by at most k ulps (|d log / d log h| <= i + 1 for each term).
+    h, prec, make = point[1] - a, mpmath.mp.prec, mpmath.mp.make_mpf
     w = prec + 8 + (prec + hi).bit_length()
     _, am, ea, _ = a._mpf_
-    coefs = []
-    for c in k:
-        col = [(math.comb(c - 1, i) * am ** (c - 1 - i), ea * (c - 1 - i)) for i in range(c)]
-        col = [(f >> t, e + t) for f, e in col for t in [max(f.bit_length() - w, 0)]]
-        fe = min(e for _, e in col)
-        coefs.append(([f << e - fe for f, e in col], fe))
+    g = min(ea, 0)
+    A = am << ea - g
     powers = [h ** i for i in range(1, hi + 1)]
     rows = []
     for x in v:
-        terms = [g._mpf_ for g in _gamma_row(1, hi, x * h, powers)]
+        terms = [t._mpf_ for t in _gamma_row(1, hi, x * h, powers)]
         re = min(t[2] for t in terms)
-        terms = [t[1] << t[2] - re for t in terms]
+        P = [t[1] << t[2] - re for t in terms]
         em, ee = _mantissa(mpf_exp(mpf_neg((x * a)._mpf_), w, round_nearest), w)
-        rows.append([make(from_man_exp(sum(map(mul, cs, terms)) * em, fe + re + ee, prec,
-                                       round_nearest)) for cs, fe in coefs])
-    return rows, _gamma_ulps(h * max(v), True) + hi + float(a * max(v)) + 1.1
+        row = []
+        for c in range(1, hi + 1):
+            if c >= lo:
+                row.append(make(from_man_exp(P[0] * em, re + (c - 1) * g + ee, prec,
+                                             round_nearest)))
+            P = [A * p + (q << -g) for p, q in zip(P, P[1:])]
+        rows.append(row)
+    return rows, _gamma_ulps(h * max(v), True) + hi + va + 1
 
 
 def _build(name, *args):

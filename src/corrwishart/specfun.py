@@ -10,8 +10,9 @@ one variable at integer order, evaluated here for arrays of arguments:
   S_a = 1 + x S_(a+1) / (a+1).  From x = a + 1 on, E_a = Gamma(a) (1 - Q) / x^a,
   where integer order makes Q(a, x) = e^-x sum_(k<a) x^k / k! a finite
   positive sum, so no continued fraction is needed;
-* the finite sums int_0^inf (t + lam)^(a-1) e^(-s t) dt of the
-  smallest-eigenvalue entries, by a positive recurrence in a;
+* the exponential partial sums sum_(j<a) y^j / j! of the finite Q above,
+  which also give the row model's tail entries int_lam^inf t^(k-1) e^(-v t) dt
+  = (k-1)! / v^k e^(-v lam) sum_(j<k) (v lam)^j / j!;
 * g_n(x) = int_0^1 (1-t)^(n-1) e^(-x t) dt = e^-x 1F1(n; n+1; x) / n: from
   x = 2n on by the upward recurrence g_k = (1 - (k-1) g_(k-1)) / x, which
   amplifies relative errors by at most one per step, below by the positive
@@ -26,13 +27,11 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 
 import numpy as np
 
 __all__ = [
     "log_gamma_entries",
-    "log_shifted_power_integrals",
     "log_doubly_g",
 ]
 
@@ -101,30 +100,6 @@ def _log_exp_partial_sums(a_lo: int, a_hi: int, y) -> np.ndarray:
     shift = log_t.max(axis=-1, keepdims=True)
     with np.errstate(divide="ignore"):
         return shift + np.log(np.cumsum(np.exp(log_t - shift), axis=-1)[..., a_lo - 1:])
-
-
-def log_shifted_power_integrals(a_lo: int, a_hi: int, lam, s) -> np.ndarray:
-    """log F_a = log int_0^inf (t + lam)^(a-1) e^(-s t) dt
-    = log sum_i C(a-1, i) lam^(a-1-i) i! / s^(i+1) for the orders a_lo..a_hi
-    (a new last axis), lam, s > 0 broadcast together: from F_1 = 1/s by
-    the positive recurrence F_(a+1) = lam^a / s + (a / s) F_a, and where
-    that leaves the normal range from (a-1)! / s^a sum_(j<a) (lam s)^j / j!.
-    """
-    lam, s = np.asarray(lam, dtype=float), np.asarray(s, dtype=float)
-    out = np.empty(np.broadcast_shapes(lam.shape, s.shape) + (a_hi - a_lo + 1,))
-    power = F = 1.0 / s
-    with np.errstate(over="ignore"):
-        for a in range(1, a_hi + 1):
-            if a >= a_lo:
-                out[..., a - a_lo] = F
-            power = power * lam
-            F = power + a / s * F
-    bad = ~((out >= sys.float_info.min) & (out <= sys.float_info.max))
-    log_f = np.log(np.where(bad, 1.0, out))
-    if bad.any():
-        log_f[bad] = (_log_factorials(a_hi)[a_lo - 1:] - np.arange(a_lo, a_hi + 1)
-                      * np.log(s)[..., None] + _log_exp_partial_sums(a_lo, a_hi, lam * s))[bad]
-    return log_f
 
 
 def log_gamma_entries(a_lo: int, a_hi: int, x) -> np.ndarray:

@@ -18,9 +18,9 @@ from corrwishart.detform import (
     prob_gap,
 )
 from corrwishart.detform import (
+    _block,
     _det_from_logs,
     _grid,
-    _row_min_logs,
 )
 from corrwishart.model import (
     ColumnCorrelated,
@@ -83,7 +83,8 @@ class TestCdfMinRow:
         assert got == pytest.approx(oracle, rel=1e-10)
 
     def test_entry_constructions_agree(self):
-        # finite-sum entries vs the Tricomi route lam^a U(1, a+1, lam*s)
+        # the tail entries int_lam^inf t^(a-1) e^(-s t) dt, the gap family at
+        # the point (lam,), vs the Tricomi route e^(-lam s) lam^a U(1, a+1, lam s)
         rng = np.random.default_rng(31)
         worst = 0.0
         for _ in range(100):
@@ -93,9 +94,10 @@ class TestCdfMinRow:
             a = n - m + k
             lam = float(rng.uniform(0.05, 5.0))
             s = float(rng.uniform(0.1, 10.0))
-            fsum = math.exp(_row_min_logs(a, a, [lam], [s])[0][0, 0, 0])
-            u_route = lam ** a * float(mpmath.hyperu(1, a + 1, lam * s))
-            worst = max(worst, abs(fsum - u_route) / u_route)
+            tail = math.exp(_block("gap", range(a, a + 1), np.array([s]), np.array([[lam]]),
+                                   False, False)[0][0, 0, 0])
+            u_route = float(mpmath.exp(-lam * s) * lam ** a * mpmath.hyperu(1, a + 1, lam * s))
+            worst = max(worst, abs(tail - u_route) / u_route)
         assert worst <= 1e-11
 
 
@@ -739,7 +741,20 @@ ROW_DENSITIES = (
     # itself loses about 40 digits there
     + [(pdf_joint_minmax, row_case(4, 2, ROW2), (a, b),
         lambda x, y, dps: -extended.prob_gap_row(4, 2, ROW2, x, y, dps).value)
-       for a, b in [(0.3, 0.303), (2.0, 2.0002)]])
+       for a, b in [(0.3, 0.303), (2.0, 2.0002)]]
+    # the smallest eigenvalue's density, the gap's tail read at (lam,), and
+    # at n = m its closed form
+    + [(pdf_min, row_case(n, m, s), (lam,),
+        lambda x, dps, n=n, m=m, s=s: -extended.cdf_min_row(n, m, s, x, dps).value)
+       for n, m, s in [(6, 4, ROW4), (8, 6, ROW6)] for lam in (0.05, 0.5, 3.0)]
+    + [(pdf_min, row_case(4, 4, ROW4), (0.5,),
+        lambda x, dps: -extended.cdf_min_row(4, 4, ROW4, x, dps).value)])
+
+
+def density_id(fn, case, point):
+    # pdf_min runs on several cases at the same points
+    dims = f"{case.dims.n}x{case.dims.m}-" if fn is pdf_min else ""
+    return f"{fn.__name__}-{dims}{point}"
 
 
 class TestDensityAgainstPreciseDerivative:
@@ -757,13 +772,27 @@ class TestDensityAgainstPreciseDerivative:
         assert abs(rep.value - exact) <= rep.abs_error_estimate
 
     @pytest.mark.parametrize("fn,case,point,raw", ROW_DENSITIES,
-                             ids=[f"{fn.__name__}-{p}" for fn, _, p, _ in ROW_DENSITIES])
+                             ids=[density_id(fn, c, p) for fn, c, p, _ in ROW_DENSITIES])
     def test_row_densities(self, fn, case, point, raw, monkeypatch):
         rep = fn(case, *point)
         exact = precise_partial(raw, point, monkeypatch)
         assert abs(rep.value - exact) <= 1e-7 * abs(exact)
         if not any(w.startswith("cancellation:") for w in rep.warnings):
             assert abs(rep.value - exact) <= rep.abs_error_estimate
+
+
+@pytest.mark.parametrize("n,m,s", [(5, 3, [0.7, 1.5, 3.0]), (6, 4, ROW4), (8, 6, ROW6)])
+@pytest.mark.parametrize("a", [0.05, 0.5, 3.0])
+def test_tail_is_the_gap_with_b_deep_in_the_tail(n, m, s, a):
+    # Pr(lam_min >= a) against Pr(no eigenvalue outside (a, b)), which differ by
+    # at most Pr(lam_max > b): with e^(-b s_min) = e^-150 that is far below
+    # 40 digits
+    b = 150.0 / min(s)
+    tail, gap = cdf_min(row_case(n, m, s), a), prob_gap(row_case(n, m, s), a, b)
+    assert not tail.warnings and not gap.warnings
+    assert abs(tail.value - gap.value) <= tail.abs_error_estimate + gap.abs_error_estimate
+    tail, gap = extended.cdf_min_row(n, m, s, a, 40), extended.prob_gap_row(n, m, s, a, b, 40)
+    assert abs(tail.value - gap.value) <= (tail.bound + gap.bound) * tail.value
 
 
 @pytest.mark.parametrize("n,m,s", [(4, 3, [0.5, 1.0, 3.0]), (6, 4, ROW4)])

@@ -303,29 +303,29 @@ class TestRowRecurrences:
 
     @pytest.mark.parametrize("lam", ["1e-8", "0.2", "3", "200"])
     def test_shifted_power_row(self, lam):
+        # the tail entries int_lam^inf t^(a-1) e^(-s t) dt
         with mpmath.workdps(60):
             lm = mpmath.mpf(lam)
             for s in ("1e-3", "0.5", "4", "150"):
                 sv = mpmath.mpf(s)
                 row = extended._shifted_power_row(1, ORDERS, lm, sv)
                 assert extended._shifted_power_row(30, ORDERS, lm, sv) == row[29:]
-                with mpmath.workdps(90):
-                    for a, got in enumerate(row, start=1):
-                        want = mpmath.fsum(mpmath.binomial(a - 1, i) * lm ** (a - 1 - i)
-                                           * mpmath.factorial(i) / sv ** (i + 1)
-                                           for i in range(a))
-                        assert rel_gap(got, want) < 1e-50, (a, lam, s)
+                for a, got in enumerate(row, start=1):
+                    want = gap_reference(a, sv, lm, mpmath.inf, 90)
+                    assert rel_gap(got, want) < 1e-50, (a, lam, s)
 
     @pytest.mark.parametrize("a,b", [("0.05", "2"), ("1", "1.001"), ("3", "150"),
-                                     ("1", "1.000000001")])
+                                     ("1", "1.000000001"), ("1e-8", "inf"), ("0.2", "inf"),
+                                     ("3", "inf"), ("200", "inf")])
     def test_gamma_difference(self, a, b):
         # gap entries int_a^b t^(k-1) e^(-s t) dt = (gamma(k, s a) - gamma(k, s b)) / s^k,
-        # within the gap block's ulps
+        # within the gap block's ulps; b = inf is the tail, the block at the point (a,)
         with mpmath.workdps(60):
             av, bv, u = mpmath.mpf(a), mpmath.mpf(b), mpmath.ldexp(1, -mpmath.mp.prec)
             for s in ("0.4", "1.3"):
                 sv = mpmath.mpf(s)
-                (row,), ulps = extended._block("gap", range(1, ORDERS + 1), [sv], (av, bv))
+                point = (av,) if b == "inf" else (av, bv)
+                (row,), ulps = extended._block("gap", range(1, ORDERS + 1), [sv], point)
                 for k, got in enumerate(row, start=1):
                     want = gap_reference(k, sv, av, bv, 90)
                     assert abs(got - want) <= ulps * u * want, (k, a, b, s)
@@ -907,8 +907,7 @@ def precise_rows(name, args):
 
 @pytest.mark.parametrize("name,args,points", ENTRY_CASES, ids=[c[0] for c in ENTRY_CASES])
 def test_double_entries_within_their_estimates(name, args, points):
-    grid = np.array(points)
-    L, R, _, _ = _entries(_LAWS[name](*args), grid if len(points[0]) == 2 else grid[:, 0], False)
+    L, R, _, _ = _entries(_LAWS[name](*args), np.array(points), False)
     R = np.broadcast_to(R, L.shape)
     for g, point in enumerate(points):
         with mpmath.workdps(60):

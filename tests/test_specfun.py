@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from corrwishart import specfun as sf
+from corrwishart.detform import _block
 
 
 # ---------------------------------------------------------------------------
@@ -53,17 +54,22 @@ class TestArrayKernels:
     @pytest.mark.parametrize("a_lo,a_hi", [(1, 1), (1, 3), (2, 5), (3, 8), (8, 12), (16, 20),
                                            (150, 152)])
     def test_row_min_sums_against_mpmath(self, a_lo, a_hi):
-        # (150, 152) at s <= 0.1 leaves the double range of the recurrence
-        lam = np.geomspace(1e-3, 30.0, 9)[:, None]
+        # the smallest-eigenvalue entries int_lam^inf t^(a-1) e^(-s t) dt, the
+        # gap family at a one-value point: (a-1)! / s^a e^(-lam s) times the
+        # partial sum sum_(j<a) (lam s)^j / j!; (150, 152) at s <= 0.1 leaves
+        # the double range of the entries themselves
+        lam = np.geomspace(1e-3, 30.0, 9)
         s = np.array([0.01, 0.1, 0.7, 1.0, 3.3, 10.0])
-        got = sf.log_shifted_power_integrals(a_lo, a_hi, lam, s)
+        got, est, _ = _block("gap", range(a_lo, a_hi + 1), s, lam[:, None], False, False)
         with mpmath.workdps(40):
-            for i, l in enumerate(lam[:, 0]):
+            for i, l in enumerate(lam):
                 for j, sv in enumerate(s):
                     L, S = mpmath.mpf(float(l)), mpmath.mpf(float(sv))
                     for k, a in enumerate(range(a_lo, a_hi + 1)):
                         exact = mpmath.log(mpmath.fsum(
                             mpmath.binomial(a - 1, t) * L ** (a - 1 - t) * mpmath.factorial(t)
-                            / S ** (t + 1) for t in range(a)))
+                            / S ** (t + 1) for t in range(a))) - L * S
                         v = got[i, j, k]
-                        assert abs(v - exact) <= EPS * (10 + a + abs(v)), (a, l, sv)
+                        # (plus the rounding of the exponent lam s)
+                        assert abs(v - exact) <= EPS * (10 + a + abs(v) + l * sv), (a, l, sv)
+                        assert abs(v - exact) <= est[i, j, k], (a, l, sv)
