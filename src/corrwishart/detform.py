@@ -5,7 +5,7 @@ determinant whose entries are incomplete-gamma, confluent-hypergeometric
 or pure-exponential values, multiplied by a prefactor of factorials,
 spectral powers and Vandermonde products.  Each law is described once, as
 data (`_LAWS`, which `corrwishart.extended` reads too): its prefactor, and
-its matrix as blocks of columns, each one of seven entry families (`_Law`)
+its matrix as blocks of columns, each one of six entry families (`_Law`)
 over a range of orders or over the other spectrum.  The row model's three
 laws are one quantity, Pr(no eigenvalue outside an interval), read at
 three kinds of point: its ``gap`` family at (a, b), at a one-value point
@@ -358,24 +358,21 @@ class _Law(NamedTuple):
         pow     v^k
         exp     e^(lam v) v^k
         g       g_n(lam k v) = int_0^1 (1-t)^(n-1) e^(-lam k v t) dt, n the matrix order
-        lampow  (lam v)^k
         expr    e^(-lam k v)
         gap     int_a^b t^(k-1) e^(-v t) dt at the point (a, b), a positive sum of lamE
                 terms: e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) h^(i+1) E_(i+1)(v h), h = b - a;
                 at a one-value point (a,) the tail (a, inf),
                 (k-1)! / v^k e^(-v a) sum_(j<k) (v a)^j / j!
 
-    A ``transposed`` law's determinant has these columns as its rows."""
+    The doubly laws' rows run over s and their blocks over r (``g``,
+    ``expr``) or over the orders (``pow``)."""
 
     pref: _Pref
     rows: Sequence
     blocks: tuple
-    transposed: bool = False
 
 
-# the families whose columns share a constant of the entries'
-# log-derivatives, sign * k / lam, and whose rows share the constant v
-_COL_CONST = {"lampow": 1}
+# the families whose entries' log-derivatives share the row's constant v
 _ROW_CONST = ("exp",)
 
 
@@ -409,14 +406,15 @@ _LAWS = {
         (("pow", range(-1, -m - 1, -1)), ("exp", range(n - m)))),
     # prod_(k < m) k! / ((n-1)!)^m: anchored so that the m = n case is
     # exactly the square evaluation and the m < n case matches the iterated
-    # large-eigenvalue limit of it (the overall sign depends on n only)
+    # large-eigenvalue limit of it (the overall sign depends on n only); the
+    # power columns (lam v)^-k, k = 1..n-m, leave their lam^-k to the prefactor
     "cdf_max_doubly": lambda n, m, r, s: _Law(
         _Pref(n * (n - 1) // 2, ((n, r), (n, s)), tuple(range(2, m + 1)), (n,) * m, (r, s),
-              n * n - n * (n - 1) // 2), s,
-        (("g", r), ("lampow", range(-1, m - n - 1, -1))), True),
+              n * n - n * (n - 1) // 2 - (n - m) * (n - m + 1) // 2), s,
+        (("g", r), ("pow", range(-1, m - n - 1, -1)))),
     "cdf_min_doubly": lambda n, r, s: _Law(
         _Pref(n * (n - 1) // 2, (), tuple(range(2, n + 1)), (), (r, s), -(n * (n - 1) // 2)), s,
-        (("expr", r),), True),
+        (("expr", r),)),
 }
 
 
@@ -432,12 +430,12 @@ def _log_pref(p: _Pref, lams: np.ndarray) -> Tuple[int, np.ndarray]:
     return -1 if p.pairs % 2 else 1, logs
 
 
-def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool, transposed: bool):
+def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool):
     """One column block of a law on a grid of points (G, P), rows ``v`` (N,),
-    index ``k``: its logs L and errors R (broadcastable to (G, N, K), or to
-    (G, K, N) for a ``transposed`` law) and, with ``density``, the list of
-    its log-derivative arrays D (dA = A o D), less the family's constants:
-    one for a lambda or a tail, two for a gap (in a, then b)."""
+    index ``k``: its logs L and errors R (broadcastable to (G, N, K)) and,
+    with ``density``, the list of its log-derivative arrays D (dA = A o D),
+    less the rows' constants: one for a lambda or a tail, two for a gap (in
+    a, then b)."""
     if family == "gap":
         orders, n = np.asarray(k), k.stop - 1
         a = points[:, :1]
@@ -489,8 +487,7 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool, tra
         L, R = L + k_log_lam, R + _EPS * np.abs(k_log_lam)
         # d/dlam lam^k E_k(lam v) = lam^(k-1) e^(-lam v)
         return L, R, [np.exp((ks - 1) * np.log(lam) - x[..., None] - L)] if density else []
-    # the other families broadcast v and k along the law's rows and columns
-    v, ks = (v, ks[:, None]) if transposed else (v[:, None], ks)
+    v = v[:, None]
     if family in ("g", "expr"):
         x = lam * ks * v
         if family == "expr":
@@ -499,48 +496,39 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool, tra
         # g_n'(y) = -(g_n(y) - g_(n+1)(y))
         return (L, _EPS * (20.0 + x),
                 [x / lam * np.expm1(log_doubly_g(len(v) + 1, x) - L)] if density else [])
-    if family == "pow":
-        L = np.log(v) * ks
-    elif family == "exp":
-        L = lam * v + ks * np.log(v)
-    else:  # lampow
-        L = np.log(lam * v) * ks
+    L = np.log(v) * ks if family == "pow" else lam * v + ks * np.log(v)
     return L, _EPS * (5.0 + np.abs(L)), [0.0] if density else []
 
 
 def _entries(law: _Law, points: np.ndarray, density: bool):
     """``law``'s matrix on a grid of points, the lambdas (G, 1) or the (a, b)
     pairs (G, 2): its logs L and errors R and, with ``density``, the arrays
-    D of its entries' log-derivatives less the blocks' constants, and those
-    constants with the prefactor's log-derivative, c = (lam_power + sum of
-    the columns' k) / lam - sum decay + sum of the rows' v."""
+    D of its entries' log-derivatives less the rows' constants, and those
+    constants with the prefactor's log-derivative, c = lam_power / lam -
+    sum decay + sum of the rows' v."""
     v = np.asarray(law.rows, dtype=float)
     row_const = any(f in _ROW_CONST for f, _ in law.blocks)
     # (an empty block adds nothing, unless the matrix is empty)
     blocks = [b for b in law.blocks if len(b[1])] or law.blocks[:1]
     parts = []
     for family, k in blocks:
-        L, R, Ds = _block(family, k, v, points, density, law.transposed)
+        L, R, Ds = _block(family, k, v, points, density)
         if row_const and family not in _ROW_CONST:
             Ds = [D - v[:, None] for D in Ds]
         parts.append((L, R, *Ds))
     L, R, *Ds = parts[0]
     if len(parts) > 1 or L.ndim < 3:
-        # one (G, N, N) array each, a transposed law's blocks as its rows
+        # one (G, N, N) array each
         L, R, *Ds = out = [np.empty((len(points), len(v), len(v))) for _ in parts[0]]
         j = 0
         for (_, k), part in zip(blocks, parts):
-            cut = slice(j, j + len(k))
-            cut = (slice(None), cut) if law.transposed else (..., cut)
             for o, p in zip(out, part):
-                o[cut] = p
+                o[..., j:j + len(k)] = p
             j += len(k)
     if not density:
         return L, R, (), 0.0
-    lam_power = law.pref.lam_power + sum(_COL_CONST[f] * sum(k) for f, k in law.blocks
-                                         if f in _COL_CONST)
     decay, rows = sum(law.pref.decay), sum(law.rows) if row_const else 0
-    return L, R, Ds, [lam_power / lam - decay + rows for lam in points[:, 0].tolist()]
+    return L, R, Ds, [law.pref.lam_power / lam - decay + rows for lam in points[:, 0].tolist()]
 
 
 _MODELS = {RowCorrelated: "row", ColumnCorrelated: "col", DoublyCorrelated: "doubly"}
@@ -572,8 +560,9 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     go into one kernel call.  A density is sign * d(pref det) = sign * pref *
     det * (c + d det / det) by Jacobi's formula: each constant in c adds
     exactly its value, as every row and column of A^-T o A sums to one.  The
-    factor's cancellation counts with the determinant's, and its error adds
-    to the determinant's.
+    factor's digits lost, the larger of its terms' cancellation and its error
+    in units of eps, count with the determinant's cancellation, and its error
+    adds to the determinant's.
     """
     name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{_MODELS.get(type(case))}"
     if name not in _LAWS:
@@ -621,7 +610,8 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
             factor, lost = 1.0, 1.0
         elif factor:
             rel += (err + _EPS * abs(c)) / abs(factor)
-            lost = (abs(c) + gross) / abs(factor)
+            # the terms' cancellation, or the error Jacobi's formula carries
+            lost = max(abs(c) + gross, err / _EPS) / abs(factor)
         else:
             rel = lost = math.inf
         value_sign = pref_sign * sign * (dsign if factor > 0 else -dsign if factor else 0)

@@ -9,8 +9,9 @@ time by `_block`, one evaluator for every entry family.  The order-indexed
 families come one matrix row at a time from positive recurrences in the
 order, as in `corrwishart.specfun`: the gamma rows (`_gamma_row`, behind
 the ``lamE`` and ``gap`` families) on Python integers in fixed point, from
-the argument's exact mantissa and exponent, a gap entry a positive sum over
-one row taken exactly by a Pascal recurrence in the order; and at a
+the exact mantissas and exponents of the argument and of the scale whose
+powers multiply the row (lam, or the gap's b - a), a gap entry a positive
+sum over one row taken exactly by a Pascal recurrence in the order; and at a
 one-value point the ``gap`` family's tail rows (`_shifted_power_row`) in mpf
 arithmetic.  The others are evaluated entry by entry.  The test suite keeps
 an independent direct transcription of the formulas as an oracle.
@@ -36,7 +37,6 @@ entries differ.  `NotConverged` is raised when the next round would pass
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Any, NamedTuple
 
 import mpmath
@@ -205,10 +205,10 @@ def _pref(p, lam):
     return mpmath.fprod(num) / mpmath.fprod(den), (_FN + 1) * (len(num) + len(den)) + 1 + ulps
 
 
-def _gamma_row(a_lo, a_hi, x, powers=None):
+def _gamma_row(a_lo, a_hi, x, scale=None):
     """E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = gamma(a, x) / x^a, times
-    ``powers[a - a_lo]`` when given (the scale^a of a scaled row), for the
-    orders a = a_lo..a_hi, x > 0, each within 1.1 ulps.
+    ``scale``^a when given (an mpf > 0), for the orders a = a_lo..a_hi,
+    x > 0, each within 1.1 ulps.
 
     E_a = e^-x S_a / a with S_a = 1F1(1; a+1; x) >= 1, on Python integers
     in fixed point with w = p + g bits (p the working precision, g =
@@ -222,8 +222,10 @@ def _gamma_row(a_lo, a_hi, x, powers=None):
     the one above), whose subtraction loses at most a bit (the sum is below
     e^x / 2 there), with t set so that the quotient has w + 1 bits.  Times
     e^-x (mpmath, w bits), the lower orders follow from
-    e^-x S_a = e^-x + x e^-x S_(a+1) / (a+1), and each entry, times the
-    power's mantissa and divided by a, is rounded once to p bits.
+    e^-x S_a = e^-x + x e^-x S_(a+1) / (a+1).  A scale c = cm 2^ce gives
+    c^a = cm^a 2^(a ce) on integers, as c^(a-1) times cm, each power
+    truncated to w + 1 bits.  Each entry, times its power and divided by a,
+    is rounded once to p bits.
 
     Error, relative, in units of 2^-w.  The series takes J <= 2 (w + a + 2)
     terms (those past the 2a + 4th fall by half each); each floor loses
@@ -234,9 +236,11 @@ def _gamma_row(a_lo, a_hi, x, powers=None):
     floor).  e^-x is charged mpmath's `_FN`, the product's floor 2, a
     recurrence step 4 (its floor and e^-x's, against at least 2^(w-1)
     units), as x S_(a+1) / (a+1) <= S_a carries the error on without growth,
-    and the division by a 2a.  With 2^g >= 256 (p + a_hi + 1), the
-    4w + 11a + 15 units are under a tenth of an ulp at p, and
-    the final rounding adds one, so a row is within 1.1 ulps (`_gamma_ulps`).
+    and the division by a 2a.  A truncated power keeps at least w + 1 bits,
+    so each truncation loses under 2^-w of it, and c^a, after a of them,
+    under a units.  With 2^g >= 256 (p + a_hi + 1), the 4w + 12a + 15 units
+    are under a tenth of an ulp at p, and the final rounding adds one, so a
+    row is within 1.1 ulps (`_gamma_ulps`), a scaled row included.
     """
     prec = mpmath.mp.prec
     w = prec + 8 + (prec + a_hi).bit_length()
@@ -273,20 +277,27 @@ def _gamma_row(a_lo, a_hi, x, powers=None):
         s = one + (s * mul >> f) // (a + 1)
         row.append(s)
     row.reverse()
-    make = mpmath.mp.make_mpf
-    scale = (p._mpf_ for p in powers) if powers else repeat((0, 1, 0, 1))
-    return [make(from_man_exp((-pm if sign else pm) * s // a, ee + t + pe, prec, round_nearest))
-            for a, s, (sign, pm, pe, _) in zip(range(a_lo, a_hi + 1), row, scale)]
+    # scale^a as pm 2^pe, truncated to w + 1 bits
+    cm, ce = scale._mpf_[1:3] if scale else (1, 0)
+    pm, pe, out, make = 1, 0, [], mpmath.mp.make_mpf
+    for a in range(1, a_hi + 1):
+        pm *= cm
+        cut = max(pm.bit_length() - w - 1, 0)
+        pm, pe = pm >> cut, pe + ce + cut
+        if a >= a_lo:
+            out.append(make(from_man_exp(row[a - a_lo] * pm // a, ee + t + pe, prec,
+                                         round_nearest)))
+    return out
 
 
 def _mantissa(t, bits):  # the positive mpf tuple t as man 2^exp, man of exactly ``bits`` bits
     return t[1] << (bits - t[3]), t[2] - (bits - t[3])
 
 
-def _gamma_ulps(x, scaled=False):
-    """`_gamma_row`'s ulps: its own 1.1, x for x's rounding (|d log E_a /
-    d log x| <= x), and the scale's, one call."""
-    return 1.1 + float(x) + (_FN if scaled else 0)
+def _gamma_ulps(x):
+    """`_gamma_row`'s ulps: its own 1.1 and x for x's rounding (|d log E_a /
+    d log x| <= x); a scale's powers are exact within the 1.1."""
+    return 1.1 + float(x)
 
 
 def _shifted_power_row(a_lo, a_hi, lam, s):
@@ -319,12 +330,9 @@ def _block(family, k, v, point):
     if family == "exp":  # two calls and lam v's ulp times its size
         return ([[mpmath.exp(lam * x) * x ** a for a in k] for x in v],
                 2 * _FN + 1 + float(lam * max(v)))
-    if family == "lampow":  # sensitivity |k| < n to lam v (one rounding)
-        return [[(lam * x) ** a for a in k] for x in v], len(v) + _FN
     lo, hi = k.start, k.stop - 1
-    if family == "lamE":  # lam^k E_k with the scale's ulps on top
-        return ([_gamma_row(lo, hi, lam * x, [lam ** a for a in k]) for x in v],
-                _gamma_ulps(lam * max(v), True))
+    if family == "lamE":  # lam^k E_k, lam exact
+        return [_gamma_row(lo, hi, lam * x, lam) for x in v], _gamma_ulps(lam * max(v))
     # gap at the point (a, b), or (a,): v a's rounding moves an entry by at
     # most v a ulps (an empty tail block, at n = m, has no v)
     a = point[0]
@@ -344,10 +352,9 @@ def _block(family, k, v, point):
     _, am, ea, _ = a._mpf_
     g = min(ea, 0)
     A = am << ea - g
-    powers = [h ** i for i in range(1, hi + 1)]
     rows = []
     for x in v:
-        terms = [t._mpf_ for t in _gamma_row(1, hi, x * h, powers)]
+        terms = [t._mpf_ for t in _gamma_row(1, hi, x * h, h)]
         re = min(t[2] for t in terms)
         P = [t[1] << t[2] - re for t in terms]
         em, ee = _mantissa(mpf_exp(mpf_neg((x * a)._mpf_), w, round_nearest), w)
@@ -358,7 +365,7 @@ def _block(family, k, v, point):
                                              round_nearest)))
             P = [A * p + (q << -g) for p, q in zip(P, P[1:])]
         rows.append(row)
-    return rows, _gamma_ulps(h * max(v), True) + hi + va + 1
+    return rows, _gamma_ulps(h * max(v)) + hi + va + 1
 
 
 def _build(name, *args):
@@ -369,8 +376,6 @@ def _build(name, *args):
     law = _LAWS[name](*args[:-len(point)])
     blocks = [_block(family, k, law.rows, point) for family, k in law.blocks]
     rows = [sum(parts, []) for parts in zip(*(rows for rows, _ in blocks))]
-    if law.transposed:
-        rows = [list(col) for col in zip(*rows)]
     return (*_pref(law.pref, point[0]), rows, max(ulps for _, ulps in blocks))
 
 

@@ -208,13 +208,19 @@ def d_prime(kappa: Partition, m: int) -> float:
     """
     if len(kappa) > m:
         raise ValueError("partition has more parts than m")
-    sign, log_num = _log_poch(float(m), kappa.parts, m)
+    return math.exp(_log_d_prime(kappa.parts, m))
+
+
+def _log_d_prime(parts: tuple, m: int) -> float:
+    # log d'_kappa = log [m]_kappa - log fbar_m(kappa); [m]_kappa > 0 for
+    # integer partitions
+    _, log_num = _log_poch(float(m), parts, m)
     log_fbar = 0.0
-    kp = list(kappa.parts) + [0] * (m - len(kappa.parts))
+    kp = list(parts) + [0] * (m - len(parts))
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             log_fbar += math.log(j - i + kp[i - 1] - kp[j - 1]) - math.log(j - i)
-    return math.exp(log_num - log_fbar)
+    return log_num - log_fbar
 
 
 def _series_coefficient(a: float, b: float, parts: tuple, m: int) -> float:
@@ -225,14 +231,7 @@ def _series_coefficient(a: float, b: float, parts: tuple, m: int) -> float:
     sb, lb = _log_poch(b, parts, m)
     if sb == 0:
         raise ZeroDivisionError("pole of [b]_kappa does not cancel")
-    sm, lm = _log_poch(float(m), parts, m)
-    log_fbar = 0.0
-    kp = list(parts) + [0] * (m - len(parts))
-    for i in range(1, m + 1):
-        for j in range(i + 1, m + 1):
-            log_fbar += math.log(j - i + kp[i - 1] - kp[j - 1]) - math.log(j - i)
-    # d' = [m]_kappa / fbar; [m]_kappa > 0 for integer partitions.
-    return sa * sb * math.exp(la - lb - lm + log_fbar)
+    return sa * sb * math.exp(la - lb - _log_d_prime(parts, m))
 
 
 _DEFAULT_MAX_WEIGHT = 60

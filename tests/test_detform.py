@@ -95,7 +95,7 @@ class TestCdfMinRow:
             lam = float(rng.uniform(0.05, 5.0))
             s = float(rng.uniform(0.1, 10.0))
             tail = math.exp(_block("gap", range(a, a + 1), np.array([s]), np.array([[lam]]),
-                                   False, False)[0][0, 0, 0])
+                                   False)[0][0, 0, 0])
             u_route = float(mpmath.exp(-lam * s) * lam ** a * mpmath.hyperu(1, a + 1, lam * s))
             worst = max(worst, abs(tail - u_route) / u_route)
         assert worst <= 1e-11
@@ -264,6 +264,21 @@ class TestJointDensity:
         case = row_case(2, 2, [1.0, 2.0])
         with pytest.raises(ValueError):
             pdf_joint_minmax(case, 1.0, 0.5)
+
+    @pytest.mark.parametrize("a,b,flagged", [(0.2174, 0.2174 * (1 + 1e-5), True),
+                                             (0.3, 0.30003, True), (0.3, 0.303, False),
+                                             (0.3, 0.33, False)])
+    def test_near_the_diagonal(self, a, b, flagged, monkeypatch):
+        # at m = 2 Jacobi's formula can lose its digits to its error rather
+        # than to its terms' cancellation: at b / a = 1 + 1e-5 the terms cancel
+        # 11.5 digits while the value is off by a relative 1.24
+        rep = pdf_joint_minmax(row_case(4, 2, [0.955, 4.152]), a, b)
+        assert any(w.startswith("cancellation:") for w in rep.warnings) == flagged
+        if not flagged:
+            exact = precise_partial(
+                lambda x, y, dps: -extended.prob_gap_row(4, 2, [0.955, 4.152], x, y, dps).value,
+                (a, b), monkeypatch)
+            assert abs(rep.value - exact) <= rep.abs_error_estimate
 
 
 class TestStructuralProperties:

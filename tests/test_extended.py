@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from corrwishart import extended
 from corrwishart.detform import (EvalConfig, _LAWS, _entries, _finalize, cdf_max, cdf_min,
-                                 prob_gap)
+                                 pdf_max, pdf_min, prob_gap)
 from corrwishart.model import (ColumnCorrelated, Dimensions, DoublyCorrelated, RowCorrelated,
                                Spectrum, validate_spectrum)
 
@@ -289,17 +289,18 @@ class TestRowRecurrences:
 
     @pytest.mark.parametrize("lam", ["1e-6", "0.3", "2.5", "40"])
     def test_scaled_gamma_row_with_mpf_lambda(self, lam):
-        # column-model entries lam^k E_k(lam s) = gamma(k, lam s) / s^k
+        # column-model entries lam^k E_k(lam s) = gamma(k, lam s) / s^k, within
+        # the unscaled allowance (lam s's rounding included)
         with mpmath.workdps(60):
-            lm = mpmath.mpf(lam)
+            lm, u = mpmath.mpf(lam), mpmath.ldexp(1, -mpmath.mp.prec)
             for s in ("0.5", "1.7", "5"):
                 sv = mpmath.mpf(s)
-                powers = [lm ** k for k in range(1, ORDERS + 1)]
-                row = extended._gamma_row(1, ORDERS, lm * sv, powers)
+                row = extended._gamma_row(1, ORDERS, lm * sv, lm)
+                ulps = extended._gamma_ulps(lm * sv)
                 with mpmath.workdps(90):
                     for k, got in enumerate(row, start=1):
                         want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
-                        assert rel_gap(got, want) < 1e-50, (k, lam, s)
+                        assert abs(got - want) <= ulps * u * want, (k, lam, s)
 
     @pytest.mark.parametrize("lam", ["1e-8", "0.2", "3", "200"])
     def test_shifted_power_row(self, lam):
@@ -352,15 +353,16 @@ class TestRowRecurrences:
     @pytest.mark.parametrize("a_lo", [1, ORDERS])
     @pytest.mark.parametrize("x", BRANCH_XS)
     def test_scaled_gamma_row_branches(self, x, a_lo, dps):
-        # lam^k E_k(lam s) = gamma(k, lam s) / s^k, with lam s = x exactly
+        # lam^k E_k(lam s) = gamma(k, lam s) / s^k, with lam s = x exactly at
+        # s = 0.5 and 4; at s = 3 lam = x / 3 fills the mantissa, so that every
+        # power of it is truncated
         with mpmath.workdps(dps):
             u = mpmath.ldexp(1, -mpmath.mp.prec)
-            for s in ("0.5", "4"):
+            for s in ("0.5", "4", "3"):
                 sv = mpmath.mpf(s)
                 lm = mpmath.mpf(x) / sv
-                powers = [lm ** k for k in range(a_lo, ORDERS + 1)]
-                row = extended._gamma_row(a_lo, ORDERS, lm * sv, powers)
-                ulps = extended._gamma_ulps(lm * sv, True)
+                row = extended._gamma_row(a_lo, ORDERS, lm * sv, lm)
+                ulps = extended._gamma_ulps(lm * sv)
                 with mpmath.workdps(dps + 30):
                     for k, got in enumerate(row, start=a_lo):
                         want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
@@ -937,15 +939,17 @@ def test_narrow_gap_entries(a, ratio):
 
 @st.composite
 def contract_cases(draw):
-    """(report function, case, point, the name of its `extended` function and
-    that function's arguments before the point): row, column and doubly max
-    and min up to 6 x 4 with lam in [0.02, 20], and the row gap with a in
-    [0.005, 5], b / a in [1 + 1e-6, 100].  A spectrum's values are distinct, but
-    its first two coincide a quarter of the time."""
+    """(report function, case, point, the name of the `extended` CDF function
+    and that function's arguments before the point): row, column and doubly
+    max and min up to 6 x 4 with lam in [0.02, 20], the doubly densities of
+    both, and the row gap with a in [0.005, 5], b / a in [1 + 1e-6, 100].  A
+    spectrum's values are distinct, but its first two coincide a quarter of
+    the time."""
     model, stat = draw(st.sampled_from([("row", "max"), ("row", "min"), ("row", "gap"),
                                         ("col", "max"), ("col", "min"),
-                                        ("doubly", "max"), ("doubly", "min")]))
-    square = (model, stat) == ("doubly", "min")  # that law needs m = n
+                                        ("doubly", "max"), ("doubly", "min"),
+                                        ("doubly", "pdf_max"), ("doubly", "pdf_min")]))
+    square = model == "doubly" and stat.endswith("min")  # those laws need m = n
     n = draw(st.integers(1, 4 if square else 6))
     m = n if square else draw(st.integers(1, min(n, 4)))
 
@@ -967,8 +971,9 @@ def contract_cases(draw):
         a = draw(st.floats(0.005, 5.0))
         point, fn = (a, a * draw(st.floats(1 + 1e-6, 100.0))), prob_gap
     else:
-        point, fn = (draw(st.floats(0.02, 20.0)),), cdf_max if stat == "max" else cdf_min
-    name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{model}"
+        point = (draw(st.floats(0.02, 20.0)),)
+        fn = {"max": cdf_max, "min": cdf_min, "pdf_max": pdf_max, "pdf_min": pdf_min}[stat]
+    name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat[-3:]}_{model}"
     args = ((n,) if square else (n, m)) + spectra
     return fn, case, point, name, args
 
@@ -980,9 +985,17 @@ def test_unflagged_values_within_their_estimates(drawn):
     rep = fn(case, *point)
     if rep.warnings:
         return
-    want = getattr(extended, name)(*args, *point, 50).value
-    with mpmath.workdps(50):
-        assert abs(rep.value - want) <= rep.abs_error_estimate, (name, args, point)
+    law = getattr(extended, name)
+    with mpmath.workdps(60):
+        if fn in (pdf_max, pdf_min):
+            # a central difference of the 50-digit CDF, the survival's negated
+            lam = mpmath.mpf(point[0])
+            h = lam * mpmath.mpf(10) ** -15
+            want = (law(*args, lam + h, 50).value - law(*args, lam - h, 50).value) / (2 * h)
+            want = want if fn is pdf_max else -want
+        else:
+            want = law(*args, *point, 50).value
+        assert abs(rep.value - want) <= rep.abs_error_estimate, (fn.__name__, name, args, point)
 
 
 # ---------------------------------------------------------------------------

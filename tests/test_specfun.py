@@ -60,7 +60,7 @@ class TestArrayKernels:
         # the double range of the entries themselves
         lam = np.geomspace(1e-3, 30.0, 9)
         s = np.array([0.01, 0.1, 0.7, 1.0, 3.3, 10.0])
-        got, est, _ = _block("gap", range(a_lo, a_hi + 1), s, lam[:, None], False, False)
+        got, est, _ = _block("gap", range(a_lo, a_hi + 1), s, lam[:, None], False)
         with mpmath.workdps(40):
             for i, l in enumerate(lam):
                 for j, sv in enumerate(s):
