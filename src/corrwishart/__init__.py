@@ -28,7 +28,6 @@ from .montecarlo import (
     MCConfig,
     empirical_extreme_cdf,
     haar_hciz_estimate,
-    hermitian_eigs,
     sample_matrix,
 )
 from .schur_series import (
@@ -66,7 +65,6 @@ __all__ = [
     "MCConfig",
     "empirical_extreme_cdf",
     "haar_hciz_estimate",
-    "hermitian_eigs",
     "sample_matrix",
     "Partition",
     "SeriesValue",

@@ -69,8 +69,6 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _LN10 = math.log(10.0)
 _CLAMP_RESIDUAL = 1e-8
-# the most digits an mpmath re-evaluation may use (`extended` imports it)
-_MAX_DPS = 1600
 # the cancellation that flags a value, and the digits an escalated value is
 # certified to plus 10: a value is returned as a double, so more certified
 # digits would only cost time
@@ -114,18 +112,18 @@ def _jacobi(A: np.ndarray, inv: np.ndarray, log_derivs, R: np.ndarray):
         S = tr[1] * X[0] + tr[0] * X[1] - X[0] @ X[1] - X[1] @ X[0]
         spread = gross + sum((np.abs(inv) @ np.abs(d) * np.abs(t * np.eye(N) - Z).swapaxes(-1, -2))
                              .reshape(G, -1).sum(axis=-1) for d, t, Z in zip(dA, tr[::-1], X[::-1]))
-    with np.errstate(over="ignore", invalid="ignore"):  # an ill-conditioned member's error is inf
-        S = np.abs(S @ inv)
-        err = (2 * N * _EPS * S.reshape(G, -1).sum(axis=-1)
-               + (R * np.abs(A) * S.swapaxes(-1, -2)).reshape(G, -1).sum(axis=-1)
-               + (R.reshape(G, -1).max(axis=-1) + (N + 2) * _EPS) * spread)
+    S = np.abs(S @ inv)
+    err = (2 * N * _EPS * S.reshape(G, -1).sum(axis=-1)
+           + (R * np.abs(A) * S.swapaxes(-1, -2)).reshape(G, -1).sum(axis=-1)
+           + (R.reshape(G, -1).max(axis=-1) + (N + 2) * _EPS) * spread)
     return value, gross, err
 
 
 def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
                    log_derivs: Sequence[np.ndarray] = ()):
     """Determinants of a stack (G, N, N) of matrices given as logs of their
-    (positive) entries, from a single batched call.
+    (positive) entries, from a single batched call; ``entry_rel_err``, the
+    entries' relative errors, has the shape of ``log_entries``.
 
     Returns arrays over the stack: sign, log |det|, cancellation digits and
     relative error; with ``log_derivs`` (one or two arrays of the entries'
@@ -167,8 +165,6 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
         A[zero] = np.eye(N)
     shift = row_shift.sum(axis=-1) + np.log(col_scale).sum(axis=-1)
     R = np.asarray(entry_rel_err, dtype=float)
-    if R.shape != L.shape:
-        R = np.broadcast_to(R, L.shape)
 
     sign, log_abs = np.linalg.slogdet(A)
     singular = sign == 0
@@ -182,8 +178,10 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
         inv[~singular] = np.linalg.inv(A[~singular])
     else:
         inv = np.linalg.inv(A)
-    rel += (np.abs(inv.swapaxes(-1, -2)) * R * np.abs(A)).reshape(len(A), -1).sum(axis=-1)
-    derivs = _jacobi(A, inv, log_derivs, R) if len(log_derivs) else ()
+    # an ill-conditioned member's inverse overflows, its error then inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        rel += (np.abs(inv.swapaxes(-1, -2)) * R * np.abs(A)).reshape(len(A), -1).sum(axis=-1)
+        derivs = _jacobi(A, inv, log_derivs, R) if len(log_derivs) else ()
     if any_zero:
         sign[zero] = cancel[zero] = rel[zero] = 0.0
     return (sign, log_abs + shift, cancel, rel, *derivs)
@@ -475,7 +473,8 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool):
         # d/db int_a^b t^(k-1) e^(-v t) dt = b^(k-1) e^(-v b), and d/da is
         # minus the same at a
         at = points[:, :, None, None]
-        slope = np.exp((orders - 1) * np.log(at) - v[:, None] * at - L[:, None])
+        with np.errstate(over="ignore"):  # only where L has lost every digit
+            slope = np.exp((orders - 1) * np.log(at) - v[:, None] * at - L[:, None])
         slope[:, 0] *= -1.0
         return L, R, list(slope.swapaxes(0, 1))
     lam = points[:, :, None]
@@ -564,7 +563,12 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     in units of eps, count with the determinant's cancellation, and its error
     adds to the determinant's.
     """
-    name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{_MODELS.get(type(case))}"
+    model = _MODELS.get(type(case))
+    if model == "col" and stat != "gap" and case.dims.n == case.dims.m:
+        # at n = m, W = Z^H has the row model's density, as Tr(Z^H S Z) =
+        # Tr(S W^H W): the row laws, whose min is the exact e^(-lam sum s)
+        model = "row"
+    name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{model}"
     if name not in _LAWS:
         if stat == "gap":
             raise TypeError(f"{'joint density' if density else 'gap probability'} "
@@ -575,8 +579,15 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     else:
         points = [(_check_lambda(lam),) for lam in points]
     spectra = (case.r, case.s) if isinstance(case, DoublyCorrelated) else (case.s,)
-    warnings = [_PERTURBED] if any(sp.perturbed for sp in spectra) else []
     n, m = case.dims.n, case.dims.m
+    # lam v (doubly lam r s) must be a nonzero finite double in every entry,
+    # with room for the sums of up to n of them that the estimates form
+    # (checked on Python floats, which overflow and underflow without a warning)
+    lo, hi = (math.prod(f(sp) for sp in spectra) for f in (min, max))
+    for point in points:
+        if not (point[0] * lo > 0.0 and math.isfinite(point[-1] * hi * (n + 1))):
+            raise ValueError(f"lambda times the spectrum leaves the double range at {point}")
+    warnings = [_PERTURBED] if any(sp.perturbed for sp in spectra) else []
     if density and stat == "gap" and m == 1:
         # one eigenvalue cannot sit at two points
         return [EvalReport(0.0, 0.0, 0.0, list(warnings)) for _ in points]

@@ -42,7 +42,7 @@ from typing import Any, NamedTuple
 import mpmath
 from mpmath.libmp import from_man_exp, mpf_exp, mpf_neg, round_nearest
 
-from .detform import _LAWS, _MAX_DPS
+from .detform import _LAWS
 
 __all__ = ["NotConverged", "Round", "first_round", "cdf_max_row", "cdf_min_row", "cdf_max_col",
            "cdf_min_col", "cdf_max_doubly", "cdf_min_doubly", "prob_gap_row"]
@@ -53,6 +53,8 @@ __all__ = ["NotConverged", "Round", "first_round", "cdf_max_row", "cdf_min_row",
 _FN = 4
 # digits a retry adds beyond the shortfall its rejected round measured
 _GUARD = 5
+# the most digits a re-evaluation may use
+_MAX_DPS = 1600
 
 
 class NotConverged(ArithmeticError):
@@ -205,10 +207,10 @@ def _pref(p, lam):
     return mpmath.fprod(num) / mpmath.fprod(den), (_FN + 1) * (len(num) + len(den)) + 1 + ulps
 
 
-def _gamma_row(a_lo, a_hi, x, scale=None):
+def _gamma_row(a_lo, a_hi, x, scale):
     """E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = gamma(a, x) / x^a, times
-    ``scale``^a when given (an mpf > 0), for the orders a = a_lo..a_hi,
-    x > 0, each within 1.1 ulps.
+    ``scale``^a (a required mpf > 0; 1 gives the unscaled row), for the
+    orders a = a_lo..a_hi, x > 0, each within 1.1 ulps.
 
     E_a = e^-x S_a / a with S_a = 1F1(1; a+1; x) >= 1, on Python integers
     in fixed point with w = p + g bits (p the working precision, g =
@@ -278,7 +280,7 @@ def _gamma_row(a_lo, a_hi, x, scale=None):
         row.append(s)
     row.reverse()
     # scale^a as pm 2^pe, truncated to w + 1 bits
-    cm, ce = scale._mpf_[1:3] if scale else (1, 0)
+    cm, ce = scale._mpf_[1:3]
     pm, pe, out, make = 1, 0, [], mpmath.mp.make_mpf
     for a in range(1, a_hi + 1):
         pm *= cm

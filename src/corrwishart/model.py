@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 # Relative gap below which the Vandermonde denominators are considered
-# numerically degenerate, and the multiplicative nudge applied then.
+# numerically degenerate (a fixed rule), and the multiplicative nudge
+# applied then.
 GAP_TOL_DEFAULT = 1e-8
 PERTURB_EPS = 1e-6
 
@@ -72,13 +73,14 @@ class Spectrum:
         return iter(self.values)
 
 
-def validate_spectrum(raw: Sequence[float], gap_tol: float = GAP_TOL_DEFAULT) -> Spectrum:
+def validate_spectrum(raw: Sequence[float]) -> Spectrum:
     """Sort, positivity-check and degeneracy-break a raw spectrum.
 
     Values are sorted ascending.  If any relative gap (difference over the
-    spectrum mean) falls below ``gap_tol``, every value is nudged by
-    ``s_j -> s_j * (1 + j * PERTURB_EPS)`` (j = 1-based rank) and the result
-    re-checked; the returned Spectrum records whether that happened.
+    spectrum mean) falls below the fixed threshold `GAP_TOL_DEFAULT`, every
+    value is nudged by ``s_j -> s_j * (1 + j * PERTURB_EPS)`` (j = 1-based
+    rank) and the result re-checked; the returned Spectrum, strictly
+    increasing, records whether that happened.
 
     Raises ValueError for empty/nonfinite/nonpositive input, or if one
     perturbation pass does not separate the values.
@@ -99,19 +101,17 @@ def validate_spectrum(raw: Sequence[float], gap_tol: float = GAP_TOL_DEFAULT) ->
         mean = sum(vals) / len(vals)
         return min((b - a) / mean for a, b in zip(vals, vals[1:]))
 
-    if min_rel_gap(values) >= gap_tol:
+    if min_rel_gap(values) >= GAP_TOL_DEFAULT:
         return Spectrum(tuple(values), perturbed=False)
 
     nudged = [v * (1.0 + (j + 1) * PERTURB_EPS) for j, v in enumerate(values)]
-    if min_rel_gap(nudged) < gap_tol:
-        raise ValueError(
-            "spectrum remains degenerate after one perturbation pass; "
-            "separate the eigenvalues or lower gap_tol"
-        )
+    if min_rel_gap(nudged) < GAP_TOL_DEFAULT:
+        raise ValueError("spectrum remains degenerate after one perturbation pass; "
+                         "separate the eigenvalues")
     return Spectrum(tuple(nudged), perturbed=True)
 
 
-def spectrum_from_covariance(C, gap_tol: float = GAP_TOL_DEFAULT) -> Spectrum:
+def spectrum_from_covariance(C) -> Spectrum:
     """Spectrum of the inverse of a Hermitian positive definite covariance.
 
     Returns the sorted reciprocals of the eigenvalues of ``C``, validated by
@@ -129,7 +129,12 @@ def spectrum_from_covariance(C, gap_tol: float = GAP_TOL_DEFAULT) -> Spectrum:
     eigs = np.linalg.eigvalsh(C)
     if eigs[0] <= 0.0:
         raise ValueError("covariance must be positive definite")
-    return validate_spectrum([1.0 / t for t in eigs], gap_tol=gap_tol)
+    return validate_spectrum([1.0 / t for t in eigs])
+
+
+def _check_length(what: str, spectrum: Spectrum, name: str, size: int) -> None:
+    if len(spectrum) != size:
+        raise ValueError(f"{what} must have length {name}={size}, got {len(spectrum)}")
 
 
 @dataclass(frozen=True)
@@ -144,11 +149,7 @@ class RowCorrelated:
     s: Spectrum
 
     def __post_init__(self):
-        if len(self.s) != self.dims.m:
-            raise ValueError(
-                f"row-correlated spectrum must have length m={self.dims.m}, "
-                f"got {len(self.s)}"
-            )
+        _check_length("row-correlated spectrum", self.s, "m", self.dims.m)
 
 
 @dataclass(frozen=True)
@@ -163,11 +164,7 @@ class ColumnCorrelated:
     s: Spectrum
 
     def __post_init__(self):
-        if len(self.s) != self.dims.n:
-            raise ValueError(
-                f"column-correlated spectrum must have length n={self.dims.n}, "
-                f"got {len(self.s)}"
-            )
+        _check_length("column-correlated spectrum", self.s, "n", self.dims.n)
 
 
 @dataclass(frozen=True)
@@ -185,16 +182,8 @@ class DoublyCorrelated:
     s: Spectrum
 
     def __post_init__(self):
-        if len(self.r) != self.dims.m:
-            raise ValueError(
-                f"doubly-correlated r spectrum must have length m={self.dims.m}, "
-                f"got {len(self.r)}"
-            )
-        if len(self.s) != self.dims.n:
-            raise ValueError(
-                f"doubly-correlated s spectrum must have length n={self.dims.n}, "
-                f"got {len(self.s)}"
-            )
+        _check_length("doubly-correlated r spectrum", self.r, "m", self.dims.m)
+        _check_length("doubly-correlated s spectrum", self.s, "n", self.dims.n)
 
 
 ModelCase = Union[RowCorrelated, ColumnCorrelated, DoublyCorrelated]

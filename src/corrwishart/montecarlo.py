@@ -29,7 +29,6 @@ from .model import ColumnCorrelated, DoublyCorrelated, ModelCase, RowCorrelated
 __all__ = [
     "MCConfig",
     "EmpiricalCDF",
-    "hermitian_eigs",
     "sample_matrix",
     "empirical_extreme_cdf",
     "haar_hciz_estimate",
@@ -67,7 +66,7 @@ class MCConfig:
     confidence: float = 0.99
 
     def __post_init__(self):
-        if self.samples < 100:
+        if _check_u64("samples", self.samples) < 100:
             raise ValueError("need at least 100 samples")
         if not (0.0 < self.confidence < 1.0):
             raise ValueError("confidence must lie in (0, 1)")
@@ -174,6 +173,8 @@ def _complex_normals(seed: int, sample_indices: np.ndarray, n_entries: int,
 
 
 def _case_scales(case: ModelCase) -> Tuple[int, int, np.ndarray, np.ndarray]:
+    if not isinstance(case, (RowCorrelated, ColumnCorrelated, DoublyCorrelated)):
+        raise TypeError(f"unknown model case {type(case).__name__}")
     n, m = case.dims.n, case.dims.m
     row_scale = np.ones(n)
     col_scale = np.ones(m)
@@ -181,11 +182,9 @@ def _case_scales(case: ModelCase) -> Tuple[int, int, np.ndarray, np.ndarray]:
         col_scale = 1.0 / np.sqrt(np.array(case.s.values))
     elif isinstance(case, ColumnCorrelated):
         row_scale = 1.0 / np.sqrt(np.array(case.s.values))
-    elif isinstance(case, DoublyCorrelated):
+    else:
         col_scale = 1.0 / np.sqrt(np.array(case.r.values))
         row_scale = 1.0 / np.sqrt(np.array(case.s.values))
-    else:
-        raise TypeError(f"unknown model case {type(case).__name__}")
     return n, m, row_scale, col_scale
 
 
@@ -214,26 +213,7 @@ def sample_matrix(case: ModelCase, sample_index: int, master_seed: int) -> np.nd
 
 
 # ---------------------------------------------------------------------------
-# Hermitian eigenvalues by LAPACK
-
-
-def hermitian_eigs(H, with_vectors: bool = False):
-    """All eigenvalues of a complex Hermitian matrix, ascending.
-
-    LAPACK's Hermitian solver (`np.linalg.eigvalsh`).  With
-    ``with_vectors=True`` returns ``(eigenvalues, V)`` with columns of V the
-    eigenvectors.  Rejects non-finite matrices and matrices that are not
-    Hermitian to 1e-10 relative.
-    """
-    A = np.asarray(H, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {A.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("matrix must be finite")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if scale > 0 and np.max(np.abs(A - A.conj().T)) > 1e-10 * scale:
-        raise ValueError("matrix must be Hermitian to 1e-10 relative")
-    return np.linalg.eigh(A) if with_vectors else np.linalg.eigvalsh(A)
+# Gram eigenvalues by LAPACK
 
 
 def _gram_eigvals(z: np.ndarray) -> np.ndarray:

@@ -83,6 +83,39 @@ class TestErrorPaths:
                          "--spectrum", "1", "--grid", "0:1:5")
         assert rc == 2
 
+    @pytest.mark.parametrize("grid,message", [
+        ("0.1:1:5:cubic", "spacing must be linear or log"),
+        ("0.1:1:0", "at least one point"),
+        ("1:0.5:5", "stop must exceed start")])
+    def test_bad_grid_spec(self, grid, message, capsys):
+        rc, out, err = run(capsys, "cdf", "--case", "row", "--n", "2", "--m", "1",
+                           "--spectrum", "1", "--grid", grid)
+        assert rc == 2 and message in err and out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--n", "3", "--m", "2", "--spectrum", "1,2"], "--case is required"),
+        (["--case", "row", "--m", "2", "--spectrum", "1,2"], "--n and --m are required"),
+        (["--case", "row", "--n", "3", "--spectrum", "1,2"], "--n and --m are required")])
+    def test_table_without_case_or_dimensions(self, argv, message, capsys):
+        rc, out, err = run(capsys, "cdf", *argv)
+        assert rc == 2 and message in err and out == ""
+
+    @pytest.mark.parametrize("command,what", [(["gap"], "gap"),
+                                              (["pdf", "--stat", "joint"], "--stat joint")])
+    def test_pair_grids_required(self, command, what, capsys):
+        rc, out, err = run(capsys, *command, "--case", "row", "--n", "3", "--m", "2",
+                           "--spectrum", "1,2", "--a", "0.1:0.2:2")
+        assert rc == 2 and f"{what} needs --a and --b grids" in err and out == ""
+
+    def test_validate_doubly_min_rectangular_rejected_before_sampling(self, capsys,
+                                                                       monkeypatch):
+        from corrwishart import montecarlo
+        monkeypatch.setattr(montecarlo, "_extreme_eigs", never)
+        monkeypatch.setattr(montecarlo, "empirical_extreme_cdf", never)
+        rc, out, err = run(capsys, "validate", "--case", "double", "--n", "3", "--m", "2",
+                           "--r", "1,2", "--s", "1,2,3", "--stat", "min")
+        assert rc == 2 and "requires m = n" in err and out == ""
+
     @pytest.mark.parametrize("command,grids", [
         ("gap", ["--a", "0.1:inf:2", "--b", "1:2:2"]),
         ("gap", ["--a", "0.1:0.2:2", "--b", "nan:2:2"]),
@@ -253,6 +286,15 @@ class TestOtherCommands:
                          "--stat", "min", "--samples", "20000", "--seed", "42")
         assert rc == 0
         assert "PASS" in out
+
+    def test_validate_explicit_grid(self, capsys):
+        rc, out, _ = run(capsys, "validate", "--case", "row", "--n", "3", "--m", "2",
+                         "--spectrum", "1,2", "--grid", "0.5:4:5:linear",
+                         "--samples", "2000", "--seed", "1")
+        lines = out.strip().splitlines()
+        assert rc == 0 and lines[-1] == "validate: PASS"
+        assert [float(line.split(",")[0]) for line in lines[2:-1]] == \
+            [0.5, 1.375, 2.25, 3.125, 4.0]
 
     def test_validate_rejects_zero_samples(self, capsys):
         rc, out, err = run(capsys, "validate", "--case", "row", "--n", "3", "--m", "2",

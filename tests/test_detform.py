@@ -122,9 +122,13 @@ class TestColumnCase:
             assert c == pytest.approx(d, rel=1e-9)
 
     def test_min_square_exponential(self):
-        s = [1.0, 2.0, 3.0]
-        rep = cdf_min(col_case(3, 3, s), 0.3)
-        assert rep.value == pytest.approx(math.exp(-0.3 * 6.0), rel=1e-12)
+        # at n = m the column laws are the row laws, whose min is e^(-lam sum s)
+        # exactly; the clustered spectra lost 7.3e-9 (3x3) and 1.2e-4 (5x5)
+        # through the column law's Vandermonde ratio
+        for s in ([1.0, 2.0, 3.0], [1.0, 1.0001, 1.0002],
+                  [1.0, 1.001, 1.002, 1.003, 1.004]):
+            rep = cdf_min(col_case(len(s), len(s), s), 0.3)
+            assert rep.value == pytest.approx(math.exp(-0.3 * sum(s)), rel=1e-12)
 
 
 class TestDoublyCase:
@@ -428,6 +432,50 @@ class TestUnderflow:
         assert rep.value == 0.0 and math.copysign(1.0, rep.value) == 1.0
 
 
+class TestDoubleRange:
+    # lam v (doubly lam r s) beyond the double range used to overflow in the
+    # entries, whose -inf logs then read as an exact zero: 0.0 with an
+    # estimate of 1e-300 and no warning where the value is 1
+    HUGE = [1e150, 2e150, 3e150]
+
+    @pytest.mark.parametrize("fn,case,point", [
+        (cdf_max, row_case(5, 3, [0.5, 1.2, 2.0]), (9e307,)),
+        (cdf_max, col_case(3, 2, HUGE), (1e300,)),
+        (pdf_max, row_case(5, 3, HUGE), (1e300,)),
+        (cdf_min, row_case(5, 3, HUGE), (1e300,)),
+        (prob_gap, row_case(5, 3, [0.5, 1.2, 2.0]), (0.5, 9e307)),
+        # lam s underflowing to zero: the tail's log of it was nan, and the
+        # value 0.0 unflagged where it is 1
+        (cdf_min, row_case(5, 3, [1e-150, 2e-150, 3e-150]), (1e-175,))])
+    def test_point_outside_the_range_raises(self, fn, case, point):
+        with pytest.raises(ValueError, match="double range"):
+            fn(case, *point)
+
+    SWEEP = [row_case(5, 3, [0.5, 1.2, 2.0]), row_case(5, 3, HUGE),
+             row_case(12, 8, [0.3 + 0.4 * i for i in range(8)]),
+             col_case(3, 2, [0.5, 1.2, 2.0]), col_case(4, 2, [0.5, 1.2, 2.0, 3.1]),
+             doubly_case(3, 3, [0.5, 1.2, 2.0], [0.7, 1.1, 2.5]),
+             doubly_case(3, 2, [0.5, 1.2], [0.7, 1.1, 2.5])]
+
+    @pytest.mark.parametrize("fn", [cdf_max, cdf_min, pdf_max, pdf_min])
+    def test_sweep_returns_or_raises_without_numpy_warnings(self, fn):
+        # each call returns a report or raises ValueError, and no numpy
+        # warning escapes the engine; the points include the densities'
+        # former leaks (row 12x8 pdf_min from lam s ~ 1e53 on, and the gap
+        # slope at s ~ 1e150, lam s ~ 1e19)
+        lams = sorted([*np.geomspace(1e-300, 1.7e308, 40), 1e60, 4.7e-132, 1e-131])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for case in self.SWEEP:
+                for lam in lams:
+                    try:
+                        rep = fn(case, float(lam))
+                    except ValueError as exc:
+                        assert "double range" in str(exc) or "m = n" in str(exc)
+                    else:
+                        assert isinstance(rep.value, float)
+
+
 class TestEstimateContractInTheTails:
     # row 2x1 survival e^(-lam s) (1 + lam s) far in its tail: the double
     # value is exponentiated from logs of size lam s, whose rounding its
@@ -573,6 +621,10 @@ class TestStackedKernel:
 
 
 class TestGridPath:
+    def test_rejects_non_case(self):
+        with pytest.raises(TypeError, match="unknown model case"):
+            cdf_max(object(), 1.0)
+
     JOBS = [
         (["cdf", "--case", "row", "--n", "6", "--m", "4", "--spectrum", "0.5,1,1.8,3",
           "--stat", "max", "--grid", "0.3:40:6"], cdf_max, row_case(6, 4, [0.5, 1, 1.8, 3])),

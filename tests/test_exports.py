@@ -50,3 +50,29 @@ print("mpmath loaded:", "mpmath" in sys.modules)
     assert proc.returncode == 0, proc.stderr
     assert "cancellation:" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "mpmath loaded: False"
+
+
+def test_test_only_dependencies_stay_unloaded():
+    # scipy and hypothesis are test extras only: no path of the package may
+    # import them, in either precision, the CLI's Monte Carlo commands included
+    script = """
+import sys
+from corrwishart import (Dimensions, EvalConfig, MCConfig, RowCorrelated, cdf_max, cdf_min,
+                         haar_hciz_estimate, validate_spectrum)
+from corrwishart.cli import main
+row = RowCorrelated(Dimensions(5, 3), validate_spectrum([1.0, 1.0001, 1.0002]))
+cdf_max(row, 0.3)
+assert any(w.startswith("extended:") for w in cdf_min(row, 0.3, EvalConfig("extended")).warnings)
+main(["validate", "--case", "row", "--n", "3", "--m", "2", "--spectrum", "1,2",
+      "--samples", "500", "--grid", "0.5:4:3"])
+main(["crosscheck", "--case", "row", "--n", "4", "--m", "3", "--spectrum", "1,2,3"])
+haar_hciz_estimate(0.7, [1.0, 2.0], [1.0, 3.0], MCConfig(samples=200))
+print("loaded:", sorted(m for m in ("scipy", "hypothesis") if m in sys.modules))
+"""
+    src = os.path.dirname(os.path.dirname(corrwishart.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "crosscheck: PASS" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "loaded: []"

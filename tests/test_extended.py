@@ -279,8 +279,8 @@ class TestRowRecurrences:
     def test_gamma_row(self, x):
         with mpmath.workdps(60):
             xv = mpmath.mpf(x)
-            full = extended._gamma_row(1, ORDERS, xv)
-            tail = extended._gamma_row(40, ORDERS, xv)
+            full = extended._gamma_row(1, ORDERS, xv, mpmath.mpf(1))
+            tail = extended._gamma_row(40, ORDERS, xv, mpmath.mpf(1))
         assert len(full) == ORDERS and tail == full[39:]
         with mpmath.workdps(90):
             for a, got in enumerate(full, start=1):
@@ -342,7 +342,7 @@ class TestRowRecurrences:
     def test_gamma_row_branches(self, x, a_lo, dps):
         with mpmath.workdps(dps):
             xv, u = mpmath.mpf(x), mpmath.ldexp(1, -mpmath.mp.prec)
-            row = extended._gamma_row(a_lo, ORDERS, xv)
+            row = extended._gamma_row(a_lo, ORDERS, xv, mpmath.mpf(1))
             ulps = extended._gamma_ulps(xv)
         with mpmath.workdps(dps + 30):
             for a, got in enumerate(row, start=a_lo):

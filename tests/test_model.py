@@ -15,12 +15,12 @@ from corrwishart.model import (
 
 class TestValidateSpectrum:
     def test_clean_input_unchanged(self):
-        sp = validate_spectrum([1.0, 2.0, 3.0], gap_tol=1e-8)
+        sp = validate_spectrum([1.0, 2.0, 3.0])
         assert sp.values == (1.0, 2.0, 3.0)
         assert sp.perturbed is False
 
     def test_duplicates_are_nudged(self):
-        sp = validate_spectrum([1.0, 1.0], gap_tol=1e-8)
+        sp = validate_spectrum([1.0, 1.0])
         assert sp.perturbed is True
         assert sp.values == (1.0 * (1 + PERTURB_EPS), 1.0 * (1 + 2 * PERTURB_EPS))
 
@@ -38,9 +38,10 @@ class TestValidateSpectrum:
             validate_spectrum([1.0, float("nan")])
 
     def test_still_degenerate_after_nudge_raises(self):
-        # nudge separates by ~1e-6; a much larger gap_tol cannot be met
+        # the nudge leaves the two small values about 1e-9 apart, far below
+        # GAP_TOL_DEFAULT times the mean of 333
         with pytest.raises(ValueError):
-            validate_spectrum([1.0, 1.0], gap_tol=1e-3)
+            validate_spectrum([1e-3, 1e-3, 1e3])
 
     def test_idempotent(self):
         sp = validate_spectrum([3.0, 3.0, 1.0])
@@ -72,6 +73,12 @@ class TestSpectrumFromCovariance:
         with pytest.raises(ValueError):
             spectrum_from_covariance(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+    def test_rejects_non_square_and_zero(self):
+        with pytest.raises(ValueError, match="square"):
+            spectrum_from_covariance(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="nonzero"):
+            spectrum_from_covariance(np.zeros((2, 2)))
+
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
             spectrum_from_covariance(np.diag([1.0, -2.0]))
@@ -92,6 +99,8 @@ class TestCases:
             Dimensions(2, 3)
         with pytest.raises(ValueError):
             Dimensions(1, 0)
+        with pytest.raises(ValueError, match="integers"):
+            Dimensions(3.0, 2)
         assert Dimensions(3, 3).n == 3
 
     def test_row_length_check(self):
@@ -110,3 +119,5 @@ class TestCases:
         with pytest.raises(ValueError):
             DoublyCorrelated(Dimensions(3, 2), Spectrum((1.0, 2.0, 3.0)),
                              Spectrum((1.0, 2.0, 3.0)))
+        with pytest.raises(ValueError, match="s spectrum must have length n=3"):
+            DoublyCorrelated(Dimensions(3, 2), Spectrum((1.0, 2.0)), Spectrum((1.0, 2.0)))

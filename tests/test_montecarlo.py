@@ -17,7 +17,6 @@ from corrwishart.montecarlo import (
     dkw_epsilon,
     empirical_extreme_cdf,
     haar_hciz_estimate,
-    hermitian_eigs,
     sample_matrix,
 )
 from corrwishart.montecarlo import (
@@ -34,52 +33,7 @@ def row_case(n, m, s):
     return RowCorrelated(Dimensions(n, m), validate_spectrum(s))
 
 
-class TestHermitianEigs:
-    def test_diagonal(self):
-        w = hermitian_eigs(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(w, [1.0, 2.0, 3.0])
-
-    def test_pauli_like_2x2(self):
-        # characteristic polynomial of [[2, i], [-i, 2]] gives {1, 3}
-        w = hermitian_eigs(np.array([[2.0, 1j], [-1j, 2.0]]))
-        assert np.allclose(w, [1.0, 3.0], atol=1e-12)
-
-    def test_trace_preserved(self):
-        rng = np.random.default_rng(4)
-        for n in (2, 3, 6):
-            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            H = A + A.conj().T
-            w = hermitian_eigs(H)
-            assert np.sum(w) == pytest.approx(np.trace(H).real, rel=1e-12)
-
-    def test_matches_numpy_oracle(self):
-        rng = np.random.default_rng(8)
-        for n in (2, 4, 7):
-            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-            H = A @ A.conj().T
-            w = hermitian_eigs(H)
-            assert np.allclose(w, np.linalg.eigvalsh(H), rtol=1e-10, atol=1e-10)
-
-    def test_eigenpair_residuals(self):
-        rng = np.random.default_rng(12)
-        A = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-        H = A + A.conj().T
-        w, V = hermitian_eigs(H, with_vectors=True)
-        scale = np.linalg.norm(H)
-        for i in range(5):
-            resid = np.linalg.norm(H @ V[:, i] - w[i] * V[:, i])
-            assert resid <= 1e-10 * scale
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigs(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            hermitian_eigs(np.array([[1.0, math.nan], [math.nan, 2.0]]))
-        with pytest.raises(ValueError):
-            hermitian_eigs(np.diag([1.0, math.inf]))
-
+class TestGramEigvals:
     def test_batch_composition_does_not_change_results(self):
         # a sample whose Gram matrix is already diagonal, batched with a
         # dense one, must come out bit-identical to solving it alone
@@ -100,6 +54,10 @@ class TestSampling:
         z1 = sample_matrix(case, 11, 987654321)
         z2 = sample_matrix(case, 11, 987654321)
         assert np.array_equal(z1, z2)
+
+    def test_rejects_non_case(self):
+        with pytest.raises(TypeError, match="unknown model case"):
+            sample_matrix(object(), 0, 0)
 
     def test_batch_equals_single(self):
         case = row_case(2, 2, [1.0, 2.0])
@@ -339,6 +297,10 @@ class TestEmpiricalCDF:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MCConfig(samples=50)
+        for samples in (150.5, np.float64(200), True):
+            with pytest.raises(ValueError, match="samples must be an integer"):
+                MCConfig(samples=samples)
+        assert MCConfig(samples=np.int64(200)).samples == 200
         with pytest.raises(ValueError):
             MCConfig(samples=1000, confidence=1.0)
         with pytest.raises(ValueError):
