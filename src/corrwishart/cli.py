@@ -33,7 +33,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from typing import List, Optional
 
@@ -51,7 +50,6 @@ from .model import (
 )
 from .montecarlo import MCConfig
 
-_ENV_PRECISION = "CORRWISHART_PRECISION"
 _VALIDATION_POINTS = 30  # lambdas of a validate run without --grid
 # the sizes the Schur-series oracle is documented for (`corrwishart.schur_series`)
 _ORACLE_MAX_M, _ORACLE_MAX_N = 4, 8
@@ -123,11 +121,6 @@ def _jobspec(args) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
-def _eval_config(args) -> EvalConfig:
-    precision = args.precision or os.environ.get(_ENV_PRECISION) or "double"
-    return EvalConfig(precision=precision)
-
-
 def _ab_points(args, what):
     if args.a is None or args.b is None:
         raise ValueError(f"{what} needs --a and --b grids")
@@ -142,7 +135,7 @@ def _cmd_table(args) -> int:
     """``cdf``, ``pdf`` and ``gap``: one batched engine call over the job's
     points, written as one row per point."""
     case = _build_case(args)
-    cfg = _eval_config(args)
+    cfg = EvalConfig(args.precision or "double")
     if args.command == "gap" or args.stat == "joint":
         keys, stat = ["a", "b"], "gap"
         points = coords = _ab_points(args, "gap" if args.command == "gap" else "--stat joint")
@@ -191,7 +184,7 @@ def _cmd_crosscheck(args) -> int:
     if m > _ORACLE_MAX_M or n > _ORACLE_MAX_N:
         raise ValueError(f"crosscheck: the series oracle covers m <= {_ORACLE_MAX_M} and "
                          f"n <= {_ORACLE_MAX_N}, got n={n} m={m}")
-    cfg = _eval_config(args)
+    cfg = EvalConfig(args.precision or "double")
     tol = args.tol
     smax = max(case.s.values)
     lams = list(np.geomspace(0.15 / smax, 6.0 / smax, 12))
@@ -219,7 +212,7 @@ def _cmd_crosscheck(args) -> int:
 
 def _cmd_validate(args) -> int:
     case = _build_case(args)
-    cfg = _eval_config(args)
+    cfg = EvalConfig(args.precision or "double")
     stat = args.stat
     if (stat == "min" and isinstance(case, DoublyCorrelated)
             and case.dims.m != case.dims.n):

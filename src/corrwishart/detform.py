@@ -7,9 +7,11 @@ spectral powers and Vandermonde products.  Each law is described once, as
 data (`_LAWS`, which `corrwishart.extended` reads too): its prefactor, and
 its matrix as blocks of columns, each one of six entry families (`_Law`)
 over a range of orders or over the other spectrum.  The row model's three
-laws are one quantity, Pr(no eigenvalue outside an interval), read at
-three kinds of point: its ``gap`` family at (a, b), at a one-value point
-(lam,) as the tail (lam, inf), and at a = 0 as the ``lamE`` family.  Raw
+laws are one quantity, Pr(no eigenvalue outside an interval), a
+determinant of int_a^b t^(k-1) e^(-v t) dt, read at three kinds of point:
+at a = 0 as the ``lamE`` family, and at (a, b) and at a one-value point
+(lam,), the tail (lam, inf), as the ``gap`` family: one positive sum over
+a seed row, whose tail row is the interval's at b = inf.  Raw
 magnitudes of those pieces overflow double precision long before the
 probabilities become interesting, so a law is evaluated on a grid of
 points as the logs of its entries and of its prefactor, held as arrays
@@ -52,8 +54,7 @@ from .model import (
     ModelCase,
     RowCorrelated,
 )
-from .specfun import (_log_binomials, _log_exp_partial_sums, _log_factorials, log_doubly_g,
-                      log_gamma_entries)
+from .specfun import _log_binomials, _log_factorials, log_doubly_g, log_gamma_entries
 
 __all__ = [
     "EvalConfig",
@@ -304,27 +305,13 @@ def _check_pair(a: float, b: float) -> Tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# entry arrays
+# laws: one description per (model, statistic), read as logs here
+# (`_log_pref`, `_entries`) and as mpfs by `extended._build`
 #
 # A grid's entries, as logs of the (positive) values, come from the array
 # kernels in `specfun` with first-order relative error estimates that track
 # the absolute size of the log-space terms combined (x, a log x, lgamma):
 # an absolute error on a log is a relative error on the entry.
-
-
-def _gamma_logs(a_lo: int, a_hi: int, x: np.ndarray, log_scale) -> Tuple[np.ndarray, np.ndarray]:
-    """log int_0^1 t^(a-1) e^(-x t) dt for the orders a_lo..a_hi (last axis),
-    and its estimate with ``a |log_scale|`` for the size of a log x."""
-    orders = np.arange(a_lo, a_hi + 1)
-    lgam = _log_factorials(a_hi)[a_lo - 1:]  # lgamma(a) = log (a-1)! >= 0
-    rel = _EPS * (10.0 + lgam + np.abs(orders * log_scale[..., None])
-                  + np.minimum(x[..., None], orders + 1.0))
-    return log_gamma_entries(a_lo, a_hi, x), rel
-
-
-# ---------------------------------------------------------------------------
-# laws: one description per (model, statistic), read as logs here
-# (`_log_pref`, `_entries`) and as mpfs by `extended._build`
 
 
 class _Pref(NamedTuple):
@@ -357,10 +344,11 @@ class _Law(NamedTuple):
         exp     e^(lam v) v^k
         g       g_n(lam k v) = int_0^1 (1-t)^(n-1) e^(-lam k v t) dt, n the matrix order
         expr    e^(-lam k v)
-        gap     int_a^b t^(k-1) e^(-v t) dt at the point (a, b), a positive sum of lamE
-                terms: e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) h^(i+1) E_(i+1)(v h), h = b - a;
-                at a one-value point (a,) the tail (a, inf),
-                (k-1)! / v^k e^(-v a) sum_(j<k) (v a)^j / j!
+        gap     int_a^b t^(k-1) e^(-v t) dt at the point (a, b), the positive sum
+                e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) T_i over the seed row
+                T_i = int_0^h t^i e^(-v t) dt = h^(i+1) E_(i+1)(v h), h = b - a;
+                at a one-value point (a,) the tail (a, inf), the same sum at b = inf,
+                where T_i = i! / v^(i+1)
 
     The doubly laws' rows run over s and their blocks over r (``g``,
     ``expr``) or over the orders (``pow``)."""
@@ -435,39 +423,41 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool):
     less the rows' constants: one for a lambda or a tail, two for a gap (in
     a, then b)."""
     if family == "gap":
-        orders, n = np.asarray(k), k.stop - 1
-        a = points[:, :1]
-        va = (a * v)[..., None]
+        # int_a^b t^(k-1) e^(-v t) dt = e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) T_i with
+        # T_i = int_0^h t^i e^(-v t) dt, h = b - a: positive terms, from each point's
+        # seed row t = log T_i (i < n, last axis) and its estimate R_t
+        orders, n, i1 = np.asarray(k), k.stop - 1, np.arange(1, k.stop)
+        a, lgam = points[:, :1], _log_factorials(n)
         if points.shape[1] == 1:
-            # the tail (a, inf): (k-1)! / v^k times e^(-v a) sum_(j<k) (v a)^j / j!,
-            # positive terms throughout
-            lgam, k_log_v = _log_factorials(n)[k.start - 1:], orders * np.log(v)[:, None]
-            L = (lgam - k_log_v) + (_log_exp_partial_sums(k.start, n, a * v) - va)
-            # the roundings of log (k-1)!, of k log v (with log v's), of v a, of
-            # the partial sum's terms (log j! and j log v a, j < k) and of the sums
-            R = _EPS * (10.0 + lgam + 2.0 * np.abs(k_log_v) + va + np.abs(L)
-                        + orders * (1.0 + 2.0 * np.abs(np.log(va))))
+            # the tail (a, inf): T_i = i! / v^(i+1), its limit at b = inf, with the
+            # roundings of (i+1) log v (and of log v)
+            i1_log_v = i1 * np.log(v)[:, None]
+            t, R_t = lgam - i1_log_v, 2.0 * _EPS * np.abs(i1_log_v)
         else:
-            # int_a^b t^(k-1) e^(-v t) dt = e^(-v a) a^(k-1) sum_(i<k) C(k-1, i) e^(u_i),
-            # h = b - a, u_i = log(h^(i+1) E_(i+1)(v h) / a^i): positive terms T (G, N, K, i),
-            # their log-sum-exp over i
-            h, log_a = points[:, 1:] - a, np.log(a)[..., None]
-            x, log_h, i1 = h * v, np.log(h)[..., None], np.arange(1, n + 1)
-            log_e, R_e = _gamma_logs(1, n, x, np.log(x))
-            u = log_e + i1 * log_h - (i1 - 1) * log_a
-            # each term moves by at most i+1 relative roundings of h (through h^(i+1) and x)
-            R_u = R_e + _EPS * (i1 * (1.0 + np.abs(log_h)) + (i1 - 1) * np.abs(log_a)
-                                + 2.0 * np.abs(u))
-            T = _log_binomials(k.start, n) + u[:, :, None]
-            top = T.max(axis=-1)
-            w = np.exp(T - top[..., None])  # 0 for the -inf terms i >= k
-            total = w.sum(axis=-1)
-            k_log_a = (orders - 1) * log_a
-            L = top + np.log(total) + k_log_a - va
-            # the terms' weighted mean, with the roundings of the sum, of its log
-            # and of L, and of log C(k-1, i) <= n
-            R = ((w * R_u[:, :, None]).sum(axis=-1) / total
-                 + _EPS * (4.0 * n + 2.0 + np.abs(top) + 2.0 * np.abs(k_log_a) + va + np.abs(L)))
+            # T_i = h^(i+1) E_(i+1)(v h): E's estimate with (i+1) |log v h| for the size
+            # of its (i+1) log x, and i + 1 roundings of h (through h^(i+1) and x)
+            h = points[:, 1:] - a
+            x, log_h = h * v, np.log(h)[..., None]
+            t = log_gamma_entries(1, n, x) + i1 * log_h
+            R_t = _EPS * (np.minimum(x[..., None], i1 + 1.0)
+                          + i1 * (1.0 + np.abs(np.log(x))[..., None] + np.abs(log_h)))
+        # the terms (G, N, K, i), each with its a^(k-1-i), and their log-sum-exp over i
+        log_a = np.log(a)[..., None, None]
+        T = (_log_binomials(k.start, n) + ((orders - 1)[:, None] - np.arange(n)) * log_a
+             + t[..., None, :])
+        top = T.max(axis=-1)
+        T -= top[..., None]
+        w = np.exp(T, out=T)  # 0 for the -inf terms i >= k
+        total = w.sum(axis=-1)
+        va = (a * v)[..., None]
+        L = top + np.log(total) - va
+        # the terms' weighted mean of their seed's estimate and the roundings of log i!
+        # and of their sums; with those of log C(k-1, i) <= n, of (k-1-i) log a (with
+        # log a's) <= (k-1) |log a|, of the sum, of its log and of L
+        R_i = R_t + _EPS * (10.0 + lgam + 2.0 * np.abs(t))
+        R = ((w @ R_i[..., None])[..., 0] / total
+             + _EPS * (4.0 * n + 2.0 + 3.0 * np.abs((orders - 1) * log_a[..., 0])
+                       + np.abs(top) + va + np.abs(L)))
         if not density:
             return L, R, []
         # d/db int_a^b t^(k-1) e^(-v t) dt = b^(k-1) e^(-v b), and d/da is
@@ -480,10 +470,13 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool):
     lam = points[:, :, None]
     ks = np.asarray(k)
     if family == "lamE":
-        x = points * v
-        L, R = _gamma_logs(k.start, k.stop - 1, x, np.log(v))
-        k_log_lam = ks * np.log(lam)
-        L, R = L + k_log_lam, R + _EPS * np.abs(k_log_lam)
+        # lam^k E_k(lam v): E's estimate with k |log v| for the size of its k log x,
+        # and k log lam's rounding
+        x, k_log_lam = points * v, ks * np.log(lam)
+        L = log_gamma_entries(k.start, k.stop - 1, x) + k_log_lam
+        lgam = _log_factorials(k.stop - 1)[k.start - 1:]  # lgamma(k) = log (k-1)! >= 0
+        R = (_EPS * (10.0 + lgam + np.abs(ks * np.log(v)[:, None])
+                     + np.minimum(x[..., None], ks + 1.0)) + _EPS * np.abs(k_log_lam))
         # d/dlam lam^k E_k(lam v) = lam^(k-1) e^(-lam v)
         return L, R, [np.exp((ks - 1) * np.log(lam) - x[..., None] - L)] if density else []
     v = v[:, None]

@@ -56,15 +56,28 @@ class Dimensions:
             raise ValueError(f"require n >= m >= 1, got n={self.n}, m={self.m}")
 
 
+def _check_values(values) -> None:
+    if len(values) == 0:
+        raise ValueError("spectrum must be nonempty")
+    for v in values:
+        if not (math.isfinite(v) and v > 0.0):
+            raise ValueError(f"spectrum values must be finite and positive, got {v!r}")
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Strictly increasing positive eigenvalues of an inverse covariance."""
+    """Strictly increasing positive eigenvalues of an inverse covariance, else
+    ValueError (`validate_spectrum` sorts and separates raw values into one)."""
 
     values: tuple
     perturbed: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(float(v) for v in self.values)
+        _check_values(values)
+        if any(b <= a for a, b in zip(values, values[1:])):
+            raise ValueError(f"spectrum values must be strictly increasing, got {values!r}")
+        object.__setattr__(self, "values", values)
 
     def __len__(self):
         return len(self.values)
@@ -86,20 +99,16 @@ def validate_spectrum(raw: Sequence[float]) -> Spectrum:
     perturbation pass does not separate the values.
     """
     values = [float(v) for v in raw]
-    if len(values) == 0:
-        raise ValueError("spectrum must be nonempty")
-    for v in values:
-        if not math.isfinite(v):
-            raise ValueError(f"spectrum values must be finite, got {v!r}")
-        if v <= 0.0:
-            raise ValueError(f"spectrum values must be positive, got {v!r}")
+    _check_values(values)
     values.sort()
 
     def min_rel_gap(vals):
         if len(vals) == 1:
             return math.inf
-        mean = sum(vals) / len(vals)
-        return min((b - a) / mean for a, b in zip(vals, vals[1:]))
+        # in units of the largest value, so that the mean's sum cannot overflow
+        top = vals[-1]
+        mean = sum(v / top for v in vals) / len(vals)
+        return min((b - a) / top for a, b in zip(vals, vals[1:])) / mean
 
     if min_rel_gap(values) >= GAP_TOL_DEFAULT:
         return Spectrum(tuple(values), perturbed=False)

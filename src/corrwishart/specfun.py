@@ -10,9 +10,7 @@ one variable at integer order, evaluated here for arrays of arguments:
   S_a = 1 + x S_(a+1) / (a+1).  From x = a + 1 on, E_a = Gamma(a) (1 - Q) / x^a,
   where integer order makes Q(a, x) = e^-x sum_(k<a) x^k / k! a finite
   positive sum, so no continued fraction is needed;
-* the exponential partial sums sum_(j<a) y^j / j! of the finite Q above,
-  which also give the row model's tail entries int_lam^inf t^(k-1) e^(-v t) dt
-  = (k-1)! / v^k e^(-v lam) sum_(j<k) (v lam)^j / j!;
+* the exponential partial sums sum_(j<a) y^j / j! of the finite Q above;
 * g_n(x) = int_0^1 (1-t)^(n-1) e^(-x t) dt = e^-x 1F1(n; n+1; x) / n: from
   x = 2n on by the upward recurrence g_k = (1 - (k-1) g_(k-1)) / x, which
   amplifies relative errors by at most one per step, below by the positive
@@ -83,7 +81,7 @@ def _log_binomials(k_lo: int, k_hi: int) -> np.ndarray:
     """log C(k-1, i) for the orders k = k_lo..k_hi (rows) and i < k_hi
     (columns), -inf where i >= k, read-only because every caller shares it."""
     out = np.array([[math.log(math.comb(k - 1, i)) if i < k else -math.inf for i in range(k_hi)]
-                    for k in range(k_lo, k_hi + 1)])
+                    for k in range(k_lo, k_hi + 1)]).reshape(-1, k_hi)
     out.setflags(write=False)
     return out
 

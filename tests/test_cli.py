@@ -272,13 +272,15 @@ class TestOtherCommands:
         assert rc == 2 and out == ""
         assert "the series oracle covers m <= 4 and n <= 8" in err
 
-    def test_env_var_sets_precision(self, capsys, monkeypatch):
+    def test_environment_leaves_precision_alone(self, capsys, monkeypatch):
+        # a flagged value stays a double-precision one whatever the environment holds
+        argv = ("cdf", "--case", "row", "--n", "5", "--m", "3", "--spectrum", "1,1.0001,1.0002",
+                "--stat", "min", "--grid", "0.3:0.3:1")
+        monkeypatch.delenv("CORRWISHART_PRECISION", raising=False)
+        plain = run(capsys, *argv)
         monkeypatch.setenv("CORRWISHART_PRECISION", "extended")
-        rc, out, _ = run(capsys, "cdf", "--case", "row", "--n", "5", "--m", "3",
-                         "--spectrum", "1,1.0001,1.0002", "--stat", "min",
-                         "--grid", "0.3:0.3:1")
-        assert rc == 0
-        assert "extended:" in out.strip().splitlines()[1]
+        assert run(capsys, *argv) == plain
+        assert plain[0] == 0 and "extended:" not in plain[1]
 
     def test_validate_passes(self, capsys):
         rc, out, _ = run(capsys, "validate", "--case", "double", "--n", "2",
@@ -381,8 +383,7 @@ class TestRowsMatchTheApi:
          pdf_joint_minmax)],
         ids=["row-cdf-max", "column-cdf-min", "double-pdf-max", "row-pdf-min", "row-gap",
              "row-pdf-joint"])
-    def test_csv_and_json_rows(self, argv, call, capsys, monkeypatch):
-        monkeypatch.delenv("CORRWISHART_PRECISION", raising=False)
+    def test_csv_and_json_rows(self, argv, call, capsys):
         opts = dict(zip(argv[1::2], argv[2::2]))
         dims = Dimensions(int(opts["--n"]), int(opts["--m"]))
 
@@ -505,7 +506,7 @@ class TestShellRun:
     def test_exit_code(self, argv, code, tmp_path):
         config = tmp_path / "job.json"
         config.write_text(json.dumps({"grid": 5}))
-        env = {k: v for k, v in os.environ.items() if k != "CORRWISHART_PRECISION"}
+        env = dict(os.environ)
         src = os.path.dirname(os.path.dirname(corrwishart.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         proc = subprocess.run(

@@ -43,11 +43,24 @@ class TestValidateSpectrum:
         with pytest.raises(ValueError):
             validate_spectrum([1e-3, 1e-3, 1e3])
 
+    def test_huge_values_do_not_overflow_the_mean(self):
+        sp = validate_spectrum([1.5e308, 1e308])
+        assert sp.values == (1e308, 1.5e308)
+        assert sp.perturbed is False
+
     def test_idempotent(self):
         sp = validate_spectrum([3.0, 3.0, 1.0])
         again = validate_spectrum(sp.values)
         assert again.values == sp.values
         assert again.perturbed is False
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize("values", [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 1.0),
+                                        (1.0, float("inf")), (float("nan"), 1.0), ()])
+    def test_rejects_what_validation_would_not_return(self, values):
+        with pytest.raises(ValueError, match="spectrum"):
+            Spectrum(values)
 
 
 class TestSpectrumFromCovariance:
