@@ -5,29 +5,30 @@ arbitrary precision, whose unbounded exponent range needs no log-space
 bookkeeping.  A law is its description in `corrwishart.detform`
 (``_LAWS``, the same data the double path takes the logs of), evaluated by
 `_build`: the prefactor by `_pref`, and the matrix one column block at a
-time by `_block`, one evaluator for every entry family.  The order-indexed
-families come one matrix row at a time from positive recurrences in the
-order, as in `corrwishart.specfun`: the gamma rows (`_gamma_row`, behind
-the ``lamE`` and ``gap`` families) on Python integers in fixed point, from
-the exact mantissas and exponents of the argument and of the scale whose
-powers multiply the row (lam, or the gap's b - a), a gap entry a positive
-sum over one row taken exactly by a Pascal recurrence in the order; and at a
-one-value point the ``gap`` family's tail rows by `_shifted_power_row` in mpf
-arithmetic: the same sum at b = inf by its O(n) recurrence in the order, kept
-for speed (through the O(n^2) Pascal one, row 36x32's tail block at 333
-digits took 22-46 ms, not 11-20, and its `cdf_min` calls 49-74 ms, not
-34-57, on 2 x86_64 cores with mpmath's pure-Python backend).  The others are
-evaluated entry by entry.  The test suite keeps an independent direct
+time by `_block`, one evaluator for every entry family.  Python integers
+carry the work, from the exact mantissas and exponents of the inputs, with
+guard bits and one rounding per value: the prefactor, an exact rational
+times one exponential; the order-indexed families one matrix row at a time
+from positive recurrences in the order, as in `corrwishart.specfun` -- the
+gamma rows (`_gamma_row`, behind the ``lamE`` and ``gap`` families), with
+the powers of the scale that multiplies the row (lam, or the gap's b - a),
+a gap entry a positive sum over one row by a Pascal recurrence in the order,
+and at a one-value point the ``gap`` family's tail rows (`_shifted_power_row`,
+the same sum at b = inf as a partial sum of e^x, O(n) a row); and the
+doubly ``g`` entries from a positive series, or a finite sum at large
+arguments (`_g`).  The ``pow``, ``exp`` and ``expr`` entries are mpmath
+powers and exponentials.  The test suite keeps an independent direct
 transcription of the formulas as an oracle.
 
 Each block comes with a bound on its entries' relative error in ulps
 (units of u = 2^-p at the working precision p), and a matrix's bound is
-the largest of its blocks', an empty block's included.  The ulps are one
-per rounded operation, `_FN` per mpmath call, and an argument's ulps times
-the function's sensitivity to it.  `_evaluate` runs `_build` at each round's
-precision, and `_bounded_det` (elimination on integers in units of 2^-p,
-with no singularity tolerance) turns those errors and its own roundings
-into a bound on the value.  A round is accepted when that bound is at most
+the largest of its blocks', an empty block's included.  The ulps are 1.1
+for a value taken on integers and rounded once (the guard bits keep the
+rest under a tenth), one per other rounded operation, `_FN` per mpmath
+call, and an argument's ulps times the function's sensitivity to it.
+`_evaluate` runs `_build` at each round's precision, and `_bounded_det`
+(elimination on integers in units of 2^-p, with no singularity tolerance)
+turns those errors and its own roundings into a bound on the value.  A round is accepted when that bound is at most
 10^-(dps-10), with no second round to confirm it.  The first round runs at
 ``start`` (the engine's `first_round`: ``dps`` plus the digits its double
 path lost) or ``dps``.  One whose bound misses runs again, higher by the
@@ -51,9 +52,10 @@ from .detform import _LAWS
 __all__ = ["NotConverged", "Round", "first_round", "cdf_max_row", "cdf_min_row", "cdf_max_col",
            "cdf_min_col", "cdf_max_doubly", "cdf_min_doubly", "prob_gap_row"]
 
-# ulps charged per mpmath call (exp, hyp1f1, factorial, gamma, an integer
-# power): mpmath states no bound, but works with guard bits and rounds once;
-# `test_builder_errors_within_their_ulps` checks it against 60 more bits
+# ulps charged per mpmath call (an exponential, an integer power), in units
+# of its own precision: mpmath states no bound, but works with guard bits and
+# rounds once; `test_builder_errors_within_their_ulps` checks it against 60
+# more bits
 _FN = 4
 # digits a retry adds beyond the shortfall its rejected round measured
 _GUARD = 5
@@ -193,22 +195,58 @@ def _log2_sum(terms):  # log2 sum 2^t over terms, the largest finite
     return top + math.log2(sum(2.0 ** (t - top) for t in terms))
 
 
+def _product(*xs):
+    """The exact product of the mpfs ``xs`` as (man, exp), man 2^exp, man a
+    signed integer."""
+    man, exp = 1, 0
+    for x in xs:
+        sign, m, e, _ = x._mpf_
+        man, exp = (-man if sign else man) * m, exp + e
+    return man, exp
+
+
 def _pref(p, lam):
-    """The `detform._Pref` ``p`` at ``lam`` as an mpf, and its ulps: each
-    factor, the sign included, one operation on exact values charged as a
-    call, and the ulps of e^(-lam sum decay): len(decay) roundings of its
-    exponent, times the exponent's size."""
-    num, den, ulps = [(-1) ** p.pairs], [], 0
-    if p.lam_power:
-        (num if p.lam_power > 0 else den).append(lam ** abs(p.lam_power))
+    """The `detform._Pref` ``p`` at ``lam`` as an mpf, and its ulps, 1.1.
+
+    Every factor but the exponential is exact on Python integers, from the
+    mpf mantissas and exponents: the sign, Gamma(a) at an integer a as
+    (a-1)!, v^k and lam^lam_power as mantissa powers, and each Vandermonde
+    difference y - x from its spectrum's mantissas aligned to the spectrum's
+    least exponent, so that the product is num / den times a power of two.
+    lam sum decay is one exact integer times a power of two, and
+    e^(-lam sum decay) one `mpf_exp` of it at w = p + 8 bits, within `_FN`
+    units of 2^-w.  num times it over den is one floor division to at least
+    w + 1 bits (under a unit), rounded once to p bits: within 1 + (_FN + 1)
+    2^-8 < 1.1 ulps.
+    """
+    prec = mpmath.mp.prec
+    w = prec + 8
+    num, den, exp = (-1) ** p.pairs, 1, 0
+    for x, k in [(lam, p.lam_power)] + [(v, k) for k, vals in p.powers for v in vals]:
+        man, e = _product(x)
+        if k >= 0:
+            num *= man ** k
+        else:
+            den *= man ** -k
+        exp += e * k
+    num *= math.prod(math.factorial(a - 1) for a in p.above)
+    den *= math.prod(math.factorial(a - 1) for a in p.below)
+    for vals in p.vandermonde:
+        low = min((x._mpf_[2] for x in vals), default=0)
+        mans = [man << e - low for man, e in map(_product, vals)]
+        den *= math.prod(y - x for j, x in enumerate(mans) for y in mans[j + 1:])
+        exp -= low * (len(mans) * (len(mans) - 1) // 2)
     if p.decay:
-        x = lam * sum(p.decay)
-        num.append(mpmath.exp(-x))
-        ulps = len(p.decay) * float(x)
-    num += [mpmath.gamma(a) for a in p.above] + [v ** k for k, vals in p.powers for v in vals]
-    den += [y - x for v in p.vandermonde for j, x in enumerate(v) for y in v[j + 1:]]
-    den += [mpmath.gamma(a) for a in p.below]
-    return mpmath.fprod(num) / mpmath.fprod(den), (_FN + 1) * (len(num) + len(den)) + 1 + ulps
+        low = min(x._mpf_[2] for x in p.decay)
+        total = sum(man << e - low for man, e in map(_product, p.decay))
+        lm, le = _product(lam)
+        em, ee = _mantissa(mpf_exp(from_man_exp(-lm * total, le + low), w, round_nearest), w)
+        num, exp = num * em, exp + ee
+    sign, num, den = (num < 0) != (den < 0), abs(num), abs(den)
+    shift = w + 1 + den.bit_length() - num.bit_length()
+    q = (num << shift if shift >= 0 else num >> -shift) // den
+    return mpmath.mp.make_mpf(from_man_exp(-q if sign else q, exp - shift, prec,
+                                           round_nearest)), 1.1
 
 
 def _gamma_row(a_lo, a_hi, x, scale):
@@ -307,30 +345,118 @@ def _gamma_ulps(x):
 
 
 def _shifted_power_row(a_lo, a_hi, lam, s):
-    """G_a = int_lam^inf t^(a-1) e^(-s t) dt = e^(-lam s) int_0^inf (t + lam)^(a-1) e^(-s t) dt
-    for the orders a = a_lo..a_hi: from G_1 = e^(-lam s) / s by the positive
-    steps G_(a+1) = lam^a e^(-lam s) / s + (a / s) G_a, three roundings each."""
-    power = f = mpmath.exp(-lam * s) / s
-    row = []
+    """G_a = int_lam^inf t^(a-1) e^(-s t) dt = (a-1)! / s^a e^-x P_a, P_a =
+    sum_(j<a) x^j / j! and x = lam s, for the orders a = a_lo..a_hi, each
+    within 1.1 ulps.
+
+    On Python integers in fixed point with w = p + g bits, g = 8 +
+    2 bit_length(a_hi + 2), and x = mul 2^-f exactly from the two
+    mantissas.  The terms t_j = 2^w x^j / j! come from t_0 = 2^w, each
+    t_(j-1) mul 2^-f // j, and P_a is their running sum; c_a = (a-1)! e^-x
+    / s^a from c_1 = e^-x / s (e^-x by mpmath at w bits) by c_(a+1) =
+    c_a a / s, each one floor division to at least w + 1 bits.  Entry a is
+    c_a P_a, rounded once to p bits.  Everything is computed from a = 1,
+    so a row from a_lo > 1 is a slice of the row from 1.
+
+    Error, relative, in units of 2^-w.  Each step's two floors lose under
+    2 units, carried on by x / j, so t_i loses at most 2 t_i sum_(l<=i)
+    1 / t_l.  Summed over i < a, an l with t_l >= 2^w adds at most 2 P_a
+    2^-w, and one with t_l < 2^w lies past the peak of the terms (l > x),
+    where they fall, and adds at most 2a units: P_a, at least 2^w, loses
+    under 2a^2.  c_a loses under a + `_FN` (each floor under one, e^-x
+    mpmath's `_FN`).  With 2^g >= 256 (a_hi + 2)^2 the 2a^2 + a + 4 units
+    are under a tenth of an ulp at p, and the rounding adds one.
+    """
+    prec = mpmath.mp.prec
+    w = prec + 8 + 2 * (a_hi + 2).bit_length()
+    m, e = _product(lam, s)
+    mul, f = m << max(e, 0), max(-e, 0)
+    em, ee = _mantissa(mpf_exp(from_man_exp(-m, e), w, round_nearest), w)
+    _, sm, se, _ = s._mpf_
+    shift = 2 + sm.bit_length()
+    cm, ce = (em << shift) // sm, ee - se - shift
+    t = total = 1 << w
+    row, make = [], mpmath.mp.make_mpf
     for a in range(1, a_hi + 1):
         if a >= a_lo:
-            row.append(f)
-        power *= lam
-        f = power + a * f / s
+            row.append(make(from_man_exp(total * cm, ce - w, prec, round_nearest)))
+        t = (t * mul >> f) // a
+        total += t
+        cm *= a
+        shift = w + 1 + sm.bit_length() - cm.bit_length()
+        cm = (cm << shift if shift >= 0 else cm >> -shift) // sm
+        ce -= se + shift
     return row
+
+
+def _g(n, m, e):
+    """g_n(y) = int_0^1 (1-t)^(n-1) e^(-y t) dt = 1F1(1; n+1; -y) / n at
+    y = m 2^e > 0, taken exactly, within 1.1 ulps.
+
+    On Python integers in fixed point with w = p + g bits, g = 10 +
+    bit_length(n (p + 12n + 64)), and y = mul 2^-f.  Below y = 2n, from the
+    positive series g_n = e^-y sum_j y^j / (j! (n + j)): the terms t_j =
+    2^w y^j / j! from t_0 = 2^w, each t_(j-1) mul 2^-f // j, summed as
+    t_j // (n + j) from j = 0 until one past 2y floors to zero, times e^-y
+    from mpmath at w bits.  From y = 2n on, with work that does not grow
+    with y, from n integrations by parts, g_n = (1/y) sum_(k<n) (-1)^k t_k +
+    (-1)^n (n-1)! e^-y / y^n with t_k = (n-1)! / ((n-1-k)! y^k): t_0 = 2^w,
+    each t_(k-1) (n-k) 2^f // mul, the e^-y term left out from y = w on,
+    where it is under a unit, then one floor division by y.  The entry is
+    rounded once to p bits.
+
+    Error, relative, in units of 2^-w.  Series: each step's two floors lose
+    under 2 units, carried on by y / j, so t_j loses at most 2 sum_(d<j)
+    y^d / d! <= 2 e^y (the ratios from l to j multiply to y^(j-l) l! / j! <=
+    y^(j-l) / (j-l)!); with the summand's floor the J terms lose under
+    3J e^y units, and the terms past them, which fall by half each, at most
+    4 e^y.  By Jensen's inequality (1 / (n + j) is convex in j, under the
+    Poisson(y) weights) g_n(y) >= 1 / (n + y), so the sum is at least
+    2^w e^y / (n + y) and loses under (3J + 4) 3n, with J <= max(2e y, w) +
+    2 <= 12n + w + 2 terms.  e^-y adds `_FN`.  Finite sum: the ratios
+    (n-k) / y are at most 1/2, so each t_k loses under 2 units; the e^-y
+    term's floors and its `_FN`, or its omission, under `_FN` + 2; and as
+    y g_n(y) >= y / (n + y) >= 2/3, the sum, at least 2^(w-1), under
+    2 (2n + `_FN` + 2); the division adds one.  With 2^g >= 1024 n (p + 12n
+    + 64), either is under a tenth of an ulp at p, and the rounding adds one.
+    """
+    prec = mpmath.mp.prec
+    w = prec + 10 + (n * (prec + 12 * n + 64)).bit_length()
+    mul, f = m << max(e, 0), max(-e, 0)
+    if mul < 2 * n << f:
+        em, ee = _mantissa(mpf_exp(from_man_exp(-m, e), w, round_nearest), w)
+        t, j, top = 1 << w, 0, 2 * mul >> f
+        total = t // n
+        while t or j <= top:
+            j += 1
+            t = (t * mul >> f) // j
+            total += t // (n + j)
+        return mpmath.mp.make_mpf(from_man_exp(em * total, ee - w, prec, round_nearest))
+    t = total = 1 << w
+    for k in range(1, n):
+        t = (t * (n - k) << f) // mul
+        total += -t if k % 2 else t
+    if mul < w << f:  # (-1)^n (n-1)! e^-y / y^(n-1), in units of 2^-w
+        em, ee = _mantissa(mpf_exp(from_man_exp(-m, e), w, round_nearest), w)
+        shift, r = ee + w + f * (n - 1), math.factorial(n - 1) * em
+        r = (r << shift if shift >= 0 else r >> -shift) // mul ** (n - 1)
+        total += -r if n % 2 else r
+    shift = w + 1 + mul.bit_length() - total.bit_length()
+    return mpmath.mp.make_mpf(from_man_exp((total << shift) // mul, f - w - shift, prec,
+                                           round_nearest))
 
 
 def _block(family, k, v, point):
     """The rows (one list per value of ``v``) of a column block of a
     `detform._Law` at the point, and the ulps of its entries."""
-    lam = point[0]
+    lam, make = point[0], mpmath.mp.make_mpf
     if family in ("g", "expr"):
-        # 1F1(1; n+1; -y) = n int_0^1 (1-t)^(n-1) e^(-y t) dt and e^-y have
-        # sensitivity at most y to y = lam r v (two roundings)
-        n, y = len(v), 2 * float(lam * max(k) * max(v))
-        if family == "expr":
-            return [[mpmath.exp(-lam * r * x) for r in k] for x in v], y + _FN
-        return [[mpmath.hyp1f1(1, n + 1, -lam * r * x) / n for r in k] for x in v], y + _FN + 1
+        # y = lam r v taken exactly, so that no rounding of it is charged
+        ys = [[_product(lam, r, x) for r in k] for x in v]
+        if family == "expr":  # one call
+            return [[make(mpf_exp(from_man_exp(-m, e), mpmath.mp.prec, round_nearest))
+                     for m, e in row] for row in ys], _FN
+        return [[_g(len(v), m, e) for m, e in row] for row in ys], 1.1
     if family == "pow":  # one call
         return [[x ** a for a in k] for x in v], _FN
     if family == "exp":  # two calls and lam v's ulp times its size
@@ -339,22 +465,22 @@ def _block(family, k, v, point):
     lo, hi = k.start, k.stop - 1
     if family == "lamE":  # lam^k E_k, lam exact
         return [_gamma_row(lo, hi, lam * x, lam) for x in v], _gamma_ulps(lam * max(v))
-    # gap at the point (a, b), or (a,): v a's rounding moves an entry by at
-    # most v a ulps (an empty tail block, at n = m, has no v)
-    a = point[0]
-    va = float(a * max(v, default=0))
-    if len(point) == 1:
-        # the tail (a, inf): three roundings a step, from e^(-v a) / v (a
-        # call, a rounding and v a's)
-        return [_shifted_power_row(lo, hi, a, x) for x in v], 3 * hi + 1 + _FN + va
+    if len(point) == 1:  # the tail (a, inf), its argument v a exact
+        return [_shifted_power_row(lo, hi, lam, x) for x in v], 1.1
     # e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) T_i, T_i = h^(i+1) E_(i+1)(v h), h = b - a:
     # with a = A 2^g exactly (A an integer, g <= 0), the row's T_i aligned exactly
     # to integers P_1^(i) (times 2^-re) and P_(c+1)^(i) = A P_c^(i) + P_c^(i+1) 2^-g,
-    # entry c is P_c^(0) 2^(re + (c-1) g), exact, times e^(-v a) at w bits and
-    # rounded once: within 1 ulp of the row's entries.  h's rounding moves an
-    # entry by at most k ulps (|d log / d log h| <= i + 1 for each term).
-    h, prec, make = point[1] - a, mpmath.mp.prec, mpmath.mp.make_mpf
-    w = prec + 8 + (prec + hi).bit_length()
+    # entry c is P_c^(0) 2^(re + (c-1) g) times e^(-v a) (v a exact, mpmath at w
+    # bits) and rounded once.  The integers grow by A's length a level, so once a
+    # level's first one passes 2w bits the level is truncated, each integer by the
+    # same shift, so that its least keeps w + 1 bits: every P loses under 2^-w
+    # relative.  As the sums are positive, P_c^(0) is within c - 1 units of 2^-w,
+    # and with e^(-v a)'s `_FN`, hi + 4 units are under a tenth of an ulp at p
+    # (2^(w-p) >= 256 (p + hi)): within 1.1 ulps of the row's entries.  h's
+    # rounding moves an entry by at most k ulps (|d log / d log h| <= i + 1 for
+    # each term).
+    a, prec = point[0], mpmath.mp.prec
+    h, w = point[1] - a, prec + 8 + (prec + hi).bit_length()
     _, am, ea, _ = a._mpf_
     g = min(ea, 0)
     A = am << ea - g
@@ -363,22 +489,27 @@ def _block(family, k, v, point):
         terms = [t._mpf_ for t in _gamma_row(1, hi, x * h, h)]
         re = min(t[2] for t in terms)
         P = [t[1] << t[2] - re for t in terms]
-        em, ee = _mantissa(mpf_exp(mpf_neg((x * a)._mpf_), w, round_nearest), w)
+        m, e = _product(a, x)
+        em, ee = _mantissa(mpf_exp(from_man_exp(-m, e), w, round_nearest), w)
         row = []
         for c in range(1, hi + 1):
             if c >= lo:
                 row.append(make(from_man_exp(P[0] * em, re + (c - 1) * g + ee, prec,
                                              round_nearest)))
             P = [A * p + (q << -g) for p, q in zip(P, P[1:])]
+            if P and P[0].bit_length() > 2 * w:
+                cut = min(map(int.bit_length, P)) - w - 1
+                if cut > 0:
+                    P, re = [p >> cut for p in P], re + cut
         rows.append(row)
-    return rows, _gamma_ulps(h * max(v)) + hi + va + 1
+    return rows, _gamma_ulps(h * max(v)) + hi + 1.1
 
 
 def _build(name, *args):
     """The law `detform._LAWS[name]` at the point that ends ``args`` (lam, or
     a, b for the gap), at the working precision: (prefactor, its ulps, rows,
     their ulps), the ulps the most of any block's."""
-    point = args[-2:] if name == "prob_gap_row" else args[-1:]
+    point = [mpmath.mpf(x) for x in (args[-2:] if name == "prob_gap_row" else args[-1:])]
     law = _LAWS[name](*args[:-len(point)])
     blocks = [_block(family, k, law.rows, point) for family, k in law.blocks]
     rows = [sum(parts, []) for parts in zip(*(rows for rows, _ in blocks))]

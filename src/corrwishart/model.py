@@ -95,8 +95,8 @@ def validate_spectrum(raw: Sequence[float]) -> Spectrum:
     rank) and the result re-checked; the returned Spectrum, strictly
     increasing, records whether that happened.
 
-    Raises ValueError for empty/nonfinite/nonpositive input, or if one
-    perturbation pass does not separate the values.
+    Raises ValueError for empty/nonfinite/nonpositive input, if the nudge
+    overflows, or if one perturbation pass does not separate the values.
     """
     values = [float(v) for v in raw]
     _check_values(values)
@@ -114,6 +114,9 @@ def validate_spectrum(raw: Sequence[float]) -> Spectrum:
         return Spectrum(tuple(values), perturbed=False)
 
     nudged = [v * (1.0 + (j + 1) * PERTURB_EPS) for j, v in enumerate(values)]
+    if not math.isfinite(nudged[-1]):
+        raise ValueError(f"the nudged spectrum leaves the double range: {values[-1]!r} "
+                         f"times 1 + {len(values)} * {PERTURB_EPS!r} overflows")
     if min_rel_gap(nudged) < GAP_TOL_DEFAULT:
         raise ValueError("spectrum remains degenerate after one perturbation pass; "
                          "separate the eigenvalues")

@@ -386,6 +386,73 @@ class TestRowRecurrences:
 
 
 # ---------------------------------------------------------------------------
+# the integer kernels against independent references, at 136 bits and at
+# 540 bits, about the top of the escalation workload's rounds (156 digits)
+
+KERNEL_PRECS = [136, 540]
+
+
+def g_reference(n, y, prec):
+    """g_n(y) by Kummer's transformation (`_doubly_g`), 30 bits past ``prec``
+    and raised by 60 bits until two evaluations agree to that."""
+    last, p = None, prec + 30
+    while True:
+        with mpmath.workprec(p):
+            want = _doubly_g(n, y)
+        if last is not None and abs(want - last) <= abs(want) * mpmath.ldexp(1, -prec - 30):
+            return want
+        last, p = want, p + 60
+
+
+class TestKernelOracles:
+    @pytest.mark.parametrize("prec", KERNEL_PRECS)
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_g_entries(self, n, prec):
+        # the series below y = 2n, the finite sum from there (2n and 2^-40
+        # relative on either side), with and without its e^-y term (which is
+        # left out from y = w, a few bits above 136 and 540)
+        ys = ["1e-8", "1e-3", "0.3", "1", "6", "30", "100", "150", "170", "550", "580",
+              "1e4", "1e9"]
+        two_n = mpmath.mpf(2 * n)
+        ys += [two_n * (1 - mpmath.ldexp(1, -40)), two_n, two_n * (1 + mpmath.ldexp(1, -40))]
+        for y in ys:
+            with mpmath.workprec(prec):
+                yv, u = mpmath.mpf(y), mpmath.ldexp(1, -prec)
+                got = extended._g(n, *extended._product(yv))
+            want = g_reference(n, yv, prec)
+            with mpmath.workprec(prec + 60):
+                assert abs(got - want) <= 1.1 * u * want, (n, y, prec)
+
+    @pytest.mark.parametrize("prec", KERNEL_PRECS)
+    @pytest.mark.parametrize("lam", ["1e-8", "0.2", "3", "200"])
+    def test_shifted_power_row(self, lam, prec):
+        # the tail entries int_lam^inf t^(a-1) e^(-s t) dt within the tail
+        # block's ulps, and a row from a_lo a slice of the row from 1
+        dps = mpmath.libmp.prec_to_dps(prec)
+        for s in ("1e-3", "0.5", "4", "150"):
+            with mpmath.workprec(prec):
+                lm, sv, u = mpmath.mpf(lam), mpmath.mpf(s), mpmath.ldexp(1, -prec)
+                (row,), ulps = extended._block("gap", range(1, ORDERS + 1), [sv], (lm,))
+                assert extended._shifted_power_row(30, ORDERS, lm, sv) == row[29:]
+            for a, got in enumerate(row, start=1):
+                want = gap_reference(a, sv, lm, mpmath.inf, dps + 30)
+                with mpmath.workprec(prec + 100):
+                    assert abs(got - want) <= ulps * u * want, (a, lam, s, prec)
+
+    def test_gap_with_a_full_mantissa(self):
+        # a = 1/3 at 400 digits has a 1 331-bit mantissa, by which the gap's
+        # Pascal integers would grow a level without their truncation
+        with mpmath.workdps(400):
+            av, bv, u = mpmath.mpf(1) / 3, mpmath.mpf(2), mpmath.ldexp(1, -mpmath.mp.prec)
+            for s in ("0.4", "1.3"):
+                sv = mpmath.mpf(s)
+                (row,), ulps = extended._block("gap", range(1, ORDERS + 1), [sv], (av, bv))
+                for k, got in enumerate(row, start=1):
+                    want = gap_reference(k, sv, av, bv, 430)
+                    assert abs(got - want) <= ulps * u * want, (k, s)
+
+
+# ---------------------------------------------------------------------------
 # function level: the recurrences inside the formulas against the oracle,
 # on the shapes of the benchmark's escalation workload, and every law's
 # prefactor (which the double path shares) against its transcription
@@ -868,6 +935,38 @@ def test_builder_errors_within_their_ulps(name, law, args):
         for row, want_row in zip(rows, want_rows):
             for got, want in zip(row, want_row):
                 assert abs(got - want) <= ulps * tol * abs(want), name
+
+
+def exact_pref(p, lam, prec):
+    """The `detform._Pref` ``p`` of Fractions at the Fraction ``lam``: an exact
+    rational, times e^(-lam sum decay) from mpmath 100 bits past ``prec``."""
+    q = Fraction(-1) ** p.pairs * lam ** p.lam_power
+    for k, vals in p.powers:
+        for v in vals:
+            q *= v ** k
+    for a in p.above:
+        q *= math.factorial(a - 1)
+    for a in p.below:
+        q /= math.factorial(a - 1)
+    for vals in p.vandermonde:
+        for j, x in enumerate(vals):
+            for y in vals[j + 1:]:
+                q /= y - x
+    with mpmath.workprec(prec + 100):
+        x = lam * sum(p.decay, Fraction(0))
+        return (mpmath.mpf(q.numerator) / q.denominator
+                * mpmath.exp(-mpmath.mpf(x.numerator) / x.denominator))
+
+
+@pytest.mark.parametrize("prec", KERNEL_PRECS)
+@pytest.mark.parametrize("name,law,args", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
+def test_pref_against_exact_rationals(name, law, args, prec):
+    pref, ulps, _, _ = built(law, args, prec)
+    spectra = [[Fraction(v) for v in a] if isinstance(a, list) else a for a in args]
+    size = 2 if law == "prob_gap_row" else 1
+    want = exact_pref(_LAWS[law](*spectra[:-size]).pref, Fraction(args[-size]), prec)
+    with mpmath.workprec(prec + 100):
+        assert abs(pref - want) <= ulps * mpmath.ldexp(abs(want), -prec), name
 
 
 # ---------------------------------------------------------------------------

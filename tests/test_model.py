@@ -48,6 +48,13 @@ class TestValidateSpectrum:
         assert sp.values == (1e308, 1.5e308)
         assert sp.perturbed is False
 
+    def test_nudge_past_the_double_range_raises(self):
+        # the nudged values overflow: the message names the nudge, not an inf
+        # the caller never passed
+        with pytest.raises(ValueError, match="nudged spectrum leaves the double range") as info:
+            validate_spectrum([1.7976931348623157e308] * 2)
+        assert "inf" not in str(info.value)
+
     def test_idempotent(self):
         sp = validate_spectrum([3.0, 3.0, 1.0])
         again = validate_spectrum(sp.values)
