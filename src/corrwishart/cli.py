@@ -244,7 +244,7 @@ def _default_validation_grid(case, stat, mc) -> List[float]:
                          confidence=mc.confidence)
     vals = montecarlo._extreme_eigs(case, pilot_cfg, stat)
     lo, hi = np.quantile(vals, [0.02, 0.98])
-    lo = max(lo, 1e-12)
+    lo = max(lo, hi * 1e-12)
     return list(np.linspace(lo, hi, _VALIDATION_POINTS))
 
 

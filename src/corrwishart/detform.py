@@ -4,9 +4,9 @@ Each (model, statistic) pair reduces to a single m x m or n x n
 determinant whose entries are incomplete-gamma, confluent-hypergeometric
 or pure-exponential values, multiplied by a prefactor of factorials,
 spectral powers and Vandermonde products.  Each law is described once, as
-data (`_LAWS`, which `corrwishart.extended` reads too): its prefactor, and
-its matrix as blocks of columns, each one of six entry families (`_Law`)
-over a range of orders or over the other spectrum.  The row model's three
+data (`_LAWS`): its prefactor, and its matrix as blocks of columns, each
+one of six entry families (`_Law`) over a range of orders or over the
+other spectrum.  The row model's three
 laws are one quantity, Pr(no eigenvalue outside an interval), a
 determinant of int_a^b t^(k-1) e^(-v t) dt, read at three kinds of point:
 at a = 0 as the ``lamE`` family, and at (a, b) and at a one-value point
@@ -23,7 +23,8 @@ ratio for clustered spectra.  The engine therefore measures the decimal
 digits lost between the largest intermediate magnitude and the result
 (`cancellation_digits`), warns above a threshold, and -- when configured
 with ``precision="extended"`` -- re-runs the affected probability through
-the mpmath re-evaluation in `corrwishart.extended`.  When no round of
+the mpmath re-evaluation of the same law object, `extended.evaluate`,
+which reads the spectra and the point exactly.  When no round of
 that re-evaluation certifies itself within its precision limit, the
 double-precision value and its estimate are kept and a ``nonconverged:``
 warning says so.  A value that underflows a double carries its log10
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -230,13 +231,14 @@ class EvalReport:
 
 
 def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
-              cfg: EvalConfig, warnings: List[str],
-              extended_fn: Optional[Callable[[int, int], Any]],
+              cfg: EvalConfig, warnings: List[str], law: Optional[_Law], point: tuple,
               is_probability: bool) -> EvalReport:
     """One point's report from the sign and log magnitude of its value.
 
-    A value that rounds to 0.0 from a nonzero sign and a finite log
-    magnitude carries an ``underflow:`` warning with its log10 magnitude.
+    An escalation evaluates ``law`` (None: never escalated) at ``point`` in
+    mpmath (`extended.evaluate`).  A value that rounds to 0.0 from a nonzero
+    sign and a finite log magnitude carries an ``underflow:`` warning with
+    its log10 magnitude.
     """
     if sign == 0 or log_mag == -math.inf:
         value, log10_mag = 0.0, -math.inf
@@ -248,12 +250,12 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
             f"cancellation:{cancel:.1f} digits lost so the double-precision result "
             "is unreliable"
         )
-        if cfg.precision == "extended" and extended_fn is not None:
+        if cfg.precision == "extended" and law is not None:
             # mpmath loads on first escalation
             import mpmath
-            from .extended import NotConverged, first_round
+            from .extended import NotConverged, evaluate, first_round
             try:
-                r = extended_fn(_EXTENDED_DPS, first_round(_EXTENDED_DPS, cancel))
+                r = evaluate(law, point, _EXTENDED_DPS, first_round(_EXTENDED_DPS, cancel))
             except NotConverged as exc:
                 # the double-precision value and its estimate stand
                 warnings.append(
@@ -306,7 +308,7 @@ def _check_pair(a: float, b: float) -> Tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # laws: one description per (model, statistic), read as logs here
-# (`_log_pref`, `_entries`) and as mpfs by `extended._build`
+# (`_log_pref`, `_entries`) and, on escalation, by `extended.evaluate`
 #
 # A grid's entries, as logs of the (positive) values, come from the array
 # kernels in `specfun` with first-order relative error estimates that track
@@ -321,7 +323,8 @@ class _Pref(NamedTuple):
         * prod_(a in above) Gamma(a) / prod_(a in below) Gamma(a)
         / prod_(v in vandermonde) prod_(j < k) (v_k - v_j),
 
-    its spectra sequences of floats here and of mpfs in `extended`."""
+    its spectra sequences of floats, which `extended.evaluate` reads
+    exactly, from their binary digits."""
 
     pairs: int
     powers: tuple = ()
@@ -374,8 +377,9 @@ def _row_gap(n: int, m: int, s) -> _Law:
     return _Law(_row_norm(n, m, s), s, (("gap", range(n - m + 1, n + 1)),))
 
 
-# each law, keyed by the name of its mpmath re-evaluation `extended.<name>`
-# and taking its arguments without the points
+# each law, keyed by statistic and model (`_grid` forms the key), taking
+# the dimensions and spectra; `_grid` evaluates the one object it builds in
+# double precision and, on escalation, in mpmath
 _LAWS = {
     "cdf_max_row": lambda n, m, s: _Law(_row_norm(n, m, s), s,
                                         (("lamE", range(n - m + 1, n + 1)),)),
@@ -477,8 +481,11 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool):
         lgam = _log_factorials(k.stop - 1)[k.start - 1:]  # lgamma(k) = log (k-1)! >= 0
         R = (_EPS * (10.0 + lgam + np.abs(ks * np.log(v)[:, None])
                      + np.minimum(x[..., None], ks + 1.0)) + _EPS * np.abs(k_log_lam))
+        if not density:
+            return L, R, []
         # d/dlam lam^k E_k(lam v) = lam^(k-1) e^(-lam v)
-        return L, R, [np.exp((ks - 1) * np.log(lam) - x[..., None] - L)] if density else []
+        with np.errstate(over="ignore"):  # only where L has lost every digit
+            return L, R, [np.exp((ks - 1) * np.log(lam) - x[..., None] - L)]
     v = v[:, None]
     if family in ("g", "expr"):
         x = lam * ks * v
@@ -527,15 +534,6 @@ _MODELS = {RowCorrelated: "row", ColumnCorrelated: "col", DoublyCorrelated: "dou
 
 _PERTURBED = (f"perturbed:coincident spectrum values nudged apart in relative steps of "
               f"{PERTURB_EPS:g} (the value is that of the nudged spectrum)")
-
-
-def _ext(name: str, *args) -> Callable[[int, int], Any]:
-    """Deferred mpmath re-evaluation ``extended.<name>(*args, dps, start=start)``,
-    returning its certified `extended.Round`."""
-    def run(dps, start):
-        from . import extended
-        return getattr(extended, name)(*args, dps, start=start)
-    return run
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +600,7 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     logs = logs.tolist()
     if not density:
         return [_finalize(pref_sign * sign, log + log_det, rel, cancel, cfg, list(warnings),
-                          _ext(name, *args, *point), True)
+                          law, point, True)
                 for point, log, sign, log_det, cancel, rel
                 in zip(points, logs, *dets)]
     # the density of a survival (min, gap) is minus the derivative
@@ -620,7 +618,8 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
             rel = lost = math.inf
         value_sign = pref_sign * sign * (dsign if factor > 0 else -dsign if factor else 0)
         out.append(_finalize(value_sign, log + log_det + math.log(abs(factor or 1.0)), rel,
-                             max(cancel, math.log10(lost)), cfg, list(warnings), None, False))
+                             max(cancel, math.log10(lost)), cfg, list(warnings), None, (),
+                             False))
     return out
 
 

@@ -2,41 +2,40 @@
 
 The determinant expressions of the double-precision engine in mpmath
 arbitrary precision, whose unbounded exponent range needs no log-space
-bookkeeping.  A law is its description in `corrwishart.detform`
-(``_LAWS``, the same data the double path takes the logs of), evaluated by
-`_build`: the prefactor by `_pref`, and the matrix one column block at a
-time by `_block`, one evaluator for every entry family.  Python integers
-carry the work, from the exact mantissas and exponents of the inputs, with
+bookkeeping.  The one entry, `evaluate`, takes the law object the double
+path built (a `corrwishart.detform._Law`, with its float spectra) and a
+point, and evaluates it at each round's precision (`_build`): the
+prefactor by `_pref`, and the matrix one column block at a time by
+`_block`, one evaluator for every entry family.  Every input, an int, a
+float or an mpf, is read exactly as a mantissa and an exponent (`_digits`),
+and every argument is formed from those exactly (lam v, lam r v, the gap's
+b - a), so no argument is rounded.  Python integers carry the work, with
 guard bits and one rounding per value: the prefactor, an exact rational
-times one exponential; the order-indexed families one matrix row at a time
-from positive recurrences in the order, as in `corrwishart.specfun` -- the
-gamma rows (`_gamma_row`, behind the ``lamE`` and ``gap`` families), with
-the powers of the scale that multiplies the row (lam, or the gap's b - a),
-a gap entry a positive sum over one row by a Pascal recurrence in the order,
-and at a one-value point the ``gap`` family's tail rows (`_shifted_power_row`,
-the same sum at b = inf as a partial sum of e^x, O(n) a row); and the
-doubly ``g`` entries from a positive series, or a finite sum at large
-arguments (`_g`).  The ``pow``, ``exp`` and ``expr`` entries are mpmath
-powers and exponentials.  The test suite keeps an independent direct
+times one exponential; the ``pow`` and ``exp`` entries, mantissa powers
+times one exponential (`_rounded`); the gamma rows (`_gamma_row`, behind
+the ``lamE`` and ``gap`` families) from positive recurrences in the order,
+with the powers of the row's scale (lam, or b - a); a gap entry a positive
+sum over one such row by a Pascal recurrence; the tail rows
+(`_shifted_power_row`, the gap at b = inf, O(n) a row); and the doubly
+``g`` entries (`_g`).  Only the ``expr`` entries are one mpmath
+exponential each.  The test suite keeps an independent direct
 transcription of the formulas as an oracle.
 
 Each block comes with a bound on its entries' relative error in ulps
 (units of u = 2^-p at the working precision p), and a matrix's bound is
-the largest of its blocks', an empty block's included.  The ulps are 1.1
-for a value taken on integers and rounded once (the guard bits keep the
-rest under a tenth), one per other rounded operation, `_FN` per mpmath
-call, and an argument's ulps times the function's sensitivity to it.
-`_evaluate` runs `_build` at each round's precision, and `_bounded_det`
+the largest of its blocks': 1.1 for a value rounded once (the guard bits
+keep the rest under a tenth), 2.2 for a gap entry (a sum of rounded gamma
+rows, rounded once), `_FN` for an ``expr`` entry.  `_bounded_det`
 (elimination on integers in units of 2^-p, with no singularity tolerance)
-turns those errors and its own roundings into a bound on the value.  A round is accepted when that bound is at most
-10^-(dps-10), with no second round to confirm it.  The first round runs at
-``start`` (the engine's `first_round`: ``dps`` plus the digits its double
-path lost) or ``dps``.  One whose bound misses runs again, higher by the
-shortfall in digits plus `_GUARD`; one with no finite bound runs again at
-twice its digits.  An exact zero has no bound: no value of these laws is
-zero, so a zero only says that the precision was too low to see the
-entries differ.  `NotConverged` is raised when the next round would pass
-``_MAX_DPS``.  The public functions return the accepted `Round`.
+turns those and its own roundings into a bound on the value.  A round is
+accepted when that bound is at most 10^-(dps-10), with no second round to
+confirm it.  The first round runs at ``start`` (the engine's
+`first_round`: ``dps`` plus the digits its double path lost) or ``dps``.
+One whose bound misses runs again, higher by the shortfall in digits plus
+`_GUARD`; one with no finite bound runs again at twice its digits.  An
+exact zero has no bound: no value of these laws is zero, so a zero only
+says that the precision was too low to see the entries differ.
+`NotConverged` is raised when the next round would pass ``_MAX_DPS``.
 """
 
 from __future__ import annotations
@@ -45,17 +44,13 @@ import math
 from typing import Any, NamedTuple
 
 import mpmath
-from mpmath.libmp import from_man_exp, mpf_exp, mpf_neg, round_nearest
+from mpmath.libmp import from_int, from_man_exp, mpf_exp, round_nearest
 
-from .detform import _LAWS
+__all__ = ["NotConverged", "Round", "evaluate", "first_round"]
 
-__all__ = ["NotConverged", "Round", "first_round", "cdf_max_row", "cdf_min_row", "cdf_max_col",
-           "cdf_min_col", "cdf_max_doubly", "cdf_min_doubly", "prob_gap_row"]
-
-# ulps charged per mpmath call (an exponential, an integer power), in units
-# of its own precision: mpmath states no bound, but works with guard bits and
-# rounds once; `test_builder_errors_within_their_ulps` checks it against 60
-# more bits
+# the error charged to an mpmath exponential, in units of its own precision:
+# mpmath states no bound, but works with guard bits and rounds once;
+# `test_builder_errors_within_their_ulps` checks it against 60 more bits
 _FN = 4
 # digits a retry adds beyond the shortfall its rejected round measured
 _GUARD = 5
@@ -102,17 +97,14 @@ def _self_validated(raw, dps: int, start: int) -> Round:
         d += step
 
 
-def _evaluate(name: str, args, dps: int, start: int | None) -> Round:
-    """The accepted `Round` of ``pref * det(rows)``, ``(pref, pref_ulps, rows,
-    ulps) = _build(name, *args)``, from ``start`` (``dps`` when None).  Each
-    round promotes the arguments: integers (the dimensions) pass through,
-    sequences become lists of mpf, anything else one mpf."""
+def evaluate(law, point, dps=40, start=None) -> Round:
+    """The accepted `Round` of the `detform._Law` ``law`` at ``point`` (lam,
+    or a, b for a gap; ints, floats or mpfs, read exactly), pref * det(rows)
+    by `_build` and `_bounded_det` at each round's precision, from ``start``
+    digits (``dps`` when None)."""
     def raw(d):
         with mpmath.workdps(d):
-            pref, pref_ulps, rows, ulps = _build(name, *(
-                a if isinstance(a, int) else
-                [mpmath.mpf(v) for v in a] if isinstance(a, (list, tuple)) else
-                mpmath.mpf(a) for a in args))
+            pref, pref_ulps, rows, ulps = _build(law, point)
             det, bound = _bounded_det(rows, ulps)
             # the prefactor's and the product's ulps add; 1 + y covers products
             y = (pref_ulps + 1) * mpmath.ldexp(1, -mpmath.mp.prec)
@@ -195,69 +187,89 @@ def _log2_sum(terms):  # log2 sum 2^t over terms, the largest finite
     return top + math.log2(sum(2.0 ** (t - top) for t in terms))
 
 
+def _digits(x):
+    """The int, float or mpf ``x`` exactly as (man, exp), x = man 2^exp with
+    man a signed integer, odd unless x is 0: the one place every kernel reads
+    its inputs, so that none of them is rounded on the way in."""
+    if isinstance(x, float):
+        x, den = x.as_integer_ratio()  # den a power of two, x odd unless den is 1
+        if den > 1:
+            return x, 1 - den.bit_length()
+    sign, man, exp, _ = from_int(x) if isinstance(x, int) else x._mpf_
+    return -man if sign else man, exp
+
+
 def _product(*xs):
-    """The exact product of the mpfs ``xs`` as (man, exp), man 2^exp, man a
-    signed integer."""
+    """The exact product of ``xs`` (ints, floats or mpfs) as (man, exp)."""
     man, exp = 1, 0
     for x in xs:
-        sign, m, e, _ = x._mpf_
-        man, exp = (-man if sign else man) * m, exp + e
+        m, e = _digits(x)
+        man, exp = man * m, exp + e
     return man, exp
+
+
+def _rounded(num, den, exp):
+    """The rational num / den times 2^exp as an mpf, within 1 + 2^-8 ulps:
+    one floor division to at least w + 1 bits, w = p + 8 (under a unit of
+    2^-w), rounded once to the working precision p."""
+    prec = mpmath.mp.prec
+    sign, num, den = (num < 0) != (den < 0), abs(num), abs(den)
+    shift = prec + 9 + den.bit_length() - num.bit_length()
+    q = (num << shift if shift >= 0 else num >> -shift) // den
+    return mpmath.mp.make_mpf(from_man_exp(-q if sign else q, exp - shift, prec, round_nearest))
+
+
+def _exp_digits(man, exp, w):
+    """e^(man 2^exp) from one mpmath `mpf_exp` at w bits (within `_FN` units
+    of 2^-w), as (m, e), m of exactly w bits."""
+    _, m, e, bc = mpf_exp(from_man_exp(man, exp), w, round_nearest)
+    return m << (w - bc), e - (w - bc)
 
 
 def _pref(p, lam):
     """The `detform._Pref` ``p`` at ``lam`` as an mpf, and its ulps, 1.1.
 
     Every factor but the exponential is exact on Python integers, from the
-    mpf mantissas and exponents: the sign, Gamma(a) at an integer a as
+    inputs' digits (`_digits`): the sign, Gamma(a) at an integer a as
     (a-1)!, v^k and lam^lam_power as mantissa powers, and each Vandermonde
     difference y - x from its spectrum's mantissas aligned to the spectrum's
     least exponent, so that the product is num / den times a power of two.
     lam sum decay is one exact integer times a power of two, and
     e^(-lam sum decay) one `mpf_exp` of it at w = p + 8 bits, within `_FN`
-    units of 2^-w.  num times it over den is one floor division to at least
-    w + 1 bits (under a unit), rounded once to p bits: within 1 + (_FN + 1)
-    2^-8 < 1.1 ulps.
+    units of 2^-w.  num times it over den is rounded once by `_rounded`:
+    within 1 + (_FN + 1) 2^-8 < 1.1 ulps.
     """
-    prec = mpmath.mp.prec
-    w = prec + 8
     num, den, exp = (-1) ** p.pairs, 1, 0
     for x, k in [(lam, p.lam_power)] + [(v, k) for k, vals in p.powers for v in vals]:
-        man, e = _product(x)
-        if k >= 0:
-            num *= man ** k
-        else:
-            den *= man ** -k
-        exp += e * k
+        man, e = _digits(x)
+        num, den, exp = num * man ** max(k, 0), den * man ** max(-k, 0), exp + e * k
     num *= math.prod(math.factorial(a - 1) for a in p.above)
     den *= math.prod(math.factorial(a - 1) for a in p.below)
     for vals in p.vandermonde:
-        low = min((x._mpf_[2] for x in vals), default=0)
-        mans = [man << e - low for man, e in map(_product, vals)]
+        digits = [_digits(x) for x in vals]
+        low = min((e for _, e in digits), default=0)
+        mans = [man << e - low for man, e in digits]
         den *= math.prod(y - x for j, x in enumerate(mans) for y in mans[j + 1:])
         exp -= low * (len(mans) * (len(mans) - 1) // 2)
     if p.decay:
-        low = min(x._mpf_[2] for x in p.decay)
-        total = sum(man << e - low for man, e in map(_product, p.decay))
-        lm, le = _product(lam)
-        em, ee = _mantissa(mpf_exp(from_man_exp(-lm * total, le + low), w, round_nearest), w)
+        digits = [_digits(x) for x in p.decay]
+        low = min(e for _, e in digits)
+        total = sum(man << e - low for man, e in digits)
+        lm, le = _digits(lam)
+        em, ee = _exp_digits(-lm * total, le + low, mpmath.mp.prec + 8)
         num, exp = num * em, exp + ee
-    sign, num, den = (num < 0) != (den < 0), abs(num), abs(den)
-    shift = w + 1 + den.bit_length() - num.bit_length()
-    q = (num << shift if shift >= 0 else num >> -shift) // den
-    return mpmath.mp.make_mpf(from_man_exp(-q if sign else q, exp - shift, prec,
-                                           round_nearest)), 1.1
+    return _rounded(num, den, exp), 1.1
 
 
 def _gamma_row(a_lo, a_hi, x, scale):
     """E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = gamma(a, x) / x^a, times
-    ``scale``^a (a required mpf > 0; 1 gives the unscaled row), for the
-    orders a = a_lo..a_hi, x > 0, each within 1.1 ulps.
+    c^a, for the orders a = a_lo..a_hi, x > 0, each within 1.1 ulps; x =
+    m 2^e and the scale c = cm 2^ce > 0 (1 gives the unscaled row) come as
+    their exact digits, (m, e) and (cm, ce) (`_digits`).
 
     E_a = e^-x S_a / a with S_a = 1F1(1; a+1; x) >= 1, on Python integers
     in fixed point with w = p + g bits (p the working precision, g =
-    8 + bit_length(p + a_hi) guard bits); x = m 2^e is taken exactly from
-    its mantissa and exponent, and each step is one floor division.  The top
+    8 + bit_length(p + a_hi) guard bits), each step one floor division.  The top
     order S_(a_hi) comes in units of 2^(t-w), 2^t <= S_(a_hi): below
     x = a_hi + 1 (t = 0) from the series sum_j x^j / ((a+1)...(a+j)),
     a = a_hi, summed until a term floors to zero; from x = a_hi + 1 on from
@@ -266,7 +278,7 @@ def _gamma_row(a_lo, a_hi, x, scale):
     the one above), whose subtraction loses at most a bit (the sum is below
     e^x / 2 there), with t set so that the quotient has w + 1 bits.  Times
     e^-x (mpmath, w bits), the lower orders follow from
-    e^-x S_a = e^-x + x e^-x S_(a+1) / (a+1).  A scale c = cm 2^ce gives
+    e^-x S_a = e^-x + x e^-x S_(a+1) / (a+1).  The scale gives
     c^a = cm^a 2^(a ce) on integers, as c^(a-1) times cm, each power
     truncated to w + 1 bits.  Each entry, times its power and divided by a,
     is rounded once to p bits.
@@ -284,13 +296,13 @@ def _gamma_row(a_lo, a_hi, x, scale):
     so each truncation loses under 2^-w of it, and c^a, after a of them,
     under a units.  With 2^g >= 256 (p + a_hi + 1), the 4w + 12a + 15 units
     are under a tenth of an ulp at p, and the final rounding adds one, so a
-    row is within 1.1 ulps (`_gamma_ulps`), a scaled row included.
+    row is within 1.1 ulps, a scaled row included.
     """
     prec = mpmath.mp.prec
     w = prec + 8 + (prec + a_hi).bit_length()
-    _, m, e, _ = x._mpf_
+    m, e = x
     mul, f = m << max(e, 0), max(-e, 0)  # x = mul / 2^f
-    if x < a_hi + 1:
+    if mul < (a_hi + 1) << f:
         t, s = 0, 1 << w
         term, k = s, a_hi
         while term:
@@ -299,7 +311,7 @@ def _gamma_row(a_lo, a_hi, x, scale):
             s += term
     else:
         a = a_hi
-        em, ee = _mantissa(mpf_exp(x._mpf_, w + 4, round_nearest), w + 4)
+        em, ee = _exp_digits(m, e, w + 4)
         # sum_(k<a) x^k / k! in units 2^ee, from its top term down
         shift = e * (a - 1) - ee
         term = (m ** (a - 1) << shift if shift >= 0 else m ** (a - 1) >> -shift)
@@ -312,7 +324,7 @@ def _gamma_row(a_lo, a_hi, x, scale):
         shift = w + 1 + den.bit_length() - num.bit_length()
         s = (num << shift if shift >= 0 else num >> -shift) // den
         t = ee - e * a - shift + w
-    em, ee = _mantissa(mpf_exp(mpf_neg(x._mpf_), w, round_nearest), w)
+    em, ee = _exp_digits(-m, e, w)
     # e^-x S_a in units of 2^(ee + t), at least 2^(w-1) of them
     one = em >> t if t >= 0 else em << -t
     s = em * s >> w
@@ -322,7 +334,7 @@ def _gamma_row(a_lo, a_hi, x, scale):
         row.append(s)
     row.reverse()
     # scale^a as pm 2^pe, truncated to w + 1 bits
-    cm, ce = scale._mpf_[1:3]
+    cm, ce = scale
     pm, pe, out, make = 1, 0, [], mpmath.mp.make_mpf
     for a in range(1, a_hi + 1):
         pm *= cm
@@ -334,24 +346,14 @@ def _gamma_row(a_lo, a_hi, x, scale):
     return out
 
 
-def _mantissa(t, bits):  # the positive mpf tuple t as man 2^exp, man of exactly ``bits`` bits
-    return t[1] << (bits - t[3]), t[2] - (bits - t[3])
-
-
-def _gamma_ulps(x):
-    """`_gamma_row`'s ulps: its own 1.1 and x for x's rounding (|d log E_a /
-    d log x| <= x); a scale's powers are exact within the 1.1."""
-    return 1.1 + float(x)
-
-
 def _shifted_power_row(a_lo, a_hi, lam, s):
     """G_a = int_lam^inf t^(a-1) e^(-s t) dt = (a-1)! / s^a e^-x P_a, P_a =
     sum_(j<a) x^j / j! and x = lam s, for the orders a = a_lo..a_hi, each
     within 1.1 ulps.
 
     On Python integers in fixed point with w = p + g bits, g = 8 +
-    2 bit_length(a_hi + 2), and x = mul 2^-f exactly from the two
-    mantissas.  The terms t_j = 2^w x^j / j! come from t_0 = 2^w, each
+    2 bit_length(a_hi + 2), and x = mul 2^-f exactly from the digits of lam
+    and s.  The terms t_j = 2^w x^j / j! come from t_0 = 2^w, each
     t_(j-1) mul 2^-f // j, and P_a is their running sum; c_a = (a-1)! e^-x
     / s^a from c_1 = e^-x / s (e^-x by mpmath at w bits) by c_(a+1) =
     c_a a / s, each one floor division to at least w + 1 bits.  Entry a is
@@ -371,8 +373,8 @@ def _shifted_power_row(a_lo, a_hi, lam, s):
     w = prec + 8 + 2 * (a_hi + 2).bit_length()
     m, e = _product(lam, s)
     mul, f = m << max(e, 0), max(-e, 0)
-    em, ee = _mantissa(mpf_exp(from_man_exp(-m, e), w, round_nearest), w)
-    _, sm, se, _ = s._mpf_
+    em, ee = _exp_digits(-m, e, w)
+    sm, se = _digits(s)
     shift = 2 + sm.bit_length()
     cm, ce = (em << shift) // sm, ee - se - shift
     t = total = 1 << w
@@ -424,7 +426,7 @@ def _g(n, m, e):
     w = prec + 10 + (n * (prec + 12 * n + 64)).bit_length()
     mul, f = m << max(e, 0), max(-e, 0)
     if mul < 2 * n << f:
-        em, ee = _mantissa(mpf_exp(from_man_exp(-m, e), w, round_nearest), w)
+        em, ee = _exp_digits(-m, e, w)
         t, j, top = 1 << w, 0, 2 * mul >> f
         total = t // n
         while t or j <= top:
@@ -437,7 +439,7 @@ def _g(n, m, e):
         t = (t * (n - k) << f) // mul
         total += -t if k % 2 else t
     if mul < w << f:  # (-1)^n (n-1)! e^-y / y^(n-1), in units of 2^-w
-        em, ee = _mantissa(mpf_exp(from_man_exp(-m, e), w, round_nearest), w)
+        em, ee = _exp_digits(-m, e, w)
         shift, r = ee + w + f * (n - 1), math.factorial(n - 1) * em
         r = (r << shift if shift >= 0 else r >> -shift) // mul ** (n - 1)
         total += -r if n % 2 else r
@@ -448,97 +450,75 @@ def _g(n, m, e):
 
 def _block(family, k, v, point):
     """The rows (one list per value of ``v``) of a column block of a
-    `detform._Law` at the point, and the ulps of its entries."""
-    lam, make = point[0], mpmath.mp.make_mpf
-    if family in ("g", "expr"):
-        # y = lam r v taken exactly, so that no rounding of it is charged
-        ys = [[_product(lam, r, x) for r in k] for x in v]
+    `detform._Law` at the point, and the ulps of its entries: every argument
+    is formed exactly from the inputs' digits, so only the kernels round."""
+    lam, prec = point[0], mpmath.mp.prec
+    if family in ("g", "expr"):  # lam r v from digits read once a block
+        (lm, le), rs = _digits(lam), [_digits(r) for r in k]
+        ys = [[(lm * rm * xm, le + re + xe) for rm, re in rs] for xm, xe in map(_digits, v)]
         if family == "expr":  # one call
-            return [[make(mpf_exp(from_man_exp(-m, e), mpmath.mp.prec, round_nearest))
+            return [[mpmath.mp.make_mpf(mpf_exp(from_man_exp(-m, e), prec, round_nearest))
                      for m, e in row] for row in ys], _FN
         return [[_g(len(v), m, e) for m, e in row] for row in ys], 1.1
-    if family == "pow":  # one call
-        return [[x ** a for a in k] for x in v], _FN
-    if family == "exp":  # two calls and lam v's ulp times its size
-        return ([[mpmath.exp(lam * x) * x ** a for a in k] for x in v],
-                2 * _FN + 1 + float(lam * max(v)))
+    if family in ("pow", "exp"):
+        # v^a as a mantissa power, for exp times e^(lam v) at w = p + 8 bits
+        # (`_FN` units of 2^-w), each rounded once by `_rounded`
+        rows, w = [], prec + 8
+        for x in v:
+            em, ee = _exp_digits(*_product(lam, x), w) if family == "exp" else (1, 0)
+            xm, xe = _digits(x)
+            rows.append([_rounded(em * xm ** max(a, 0), xm ** max(-a, 0), ee + xe * a)
+                         for a in k])
+        return rows, 1.1
     lo, hi = k.start, k.stop - 1
-    if family == "lamE":  # lam^k E_k, lam exact
-        return [_gamma_row(lo, hi, lam * x, lam) for x in v], _gamma_ulps(lam * max(v))
-    if len(point) == 1:  # the tail (a, inf), its argument v a exact
+    if family == "lamE":  # lam^k E_k(lam v)
+        scale = _digits(lam)
+        return [_gamma_row(lo, hi, _product(lam, x), scale) for x in v], 1.1
+    if len(point) == 1:  # the tail (a, inf)
         return [_shifted_power_row(lo, hi, lam, x) for x in v], 1.1
-    # e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) T_i, T_i = h^(i+1) E_(i+1)(v h), h = b - a:
-    # with a = A 2^g exactly (A an integer, g <= 0), the row's T_i aligned exactly
-    # to integers P_1^(i) (times 2^-re) and P_(c+1)^(i) = A P_c^(i) + P_c^(i+1) 2^-g,
-    # entry c is P_c^(0) 2^(re + (c-1) g) times e^(-v a) (v a exact, mpmath at w
-    # bits) and rounded once.  The integers grow by A's length a level, so once a
-    # level's first one passes 2w bits the level is truncated, each integer by the
-    # same shift, so that its least keeps w + 1 bits: every P loses under 2^-w
-    # relative.  As the sums are positive, P_c^(0) is within c - 1 units of 2^-w,
-    # and with e^(-v a)'s `_FN`, hi + 4 units are under a tenth of an ulp at p
-    # (2^(w-p) >= 256 (p + hi)): within 1.1 ulps of the row's entries.  h's
-    # rounding moves an entry by at most k ulps (|d log / d log h| <= i + 1 for
-    # each term).
-    a, prec = point[0], mpmath.mp.prec
-    h, w = point[1] - a, prec + 8 + (prec + hi).bit_length()
-    _, am, ea, _ = a._mpf_
+    # e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) T_i, T_i = h^(i+1) E_(i+1)(v h), h = b - a
+    # exact: with a = A 2^g exactly (A an integer, g <= 0), the row's T_i aligned
+    # exactly to integers P_1^(i) (times 2^-re) and P_(c+1)^(i) = A P_c^(i) +
+    # P_c^(i+1) 2^-g, entry c is P_c^(0) 2^(re + (c-1) g) times e^(-v a) (v a exact,
+    # mpmath at w bits) and rounded once.  The integers grow by A's length a level, so
+    # once a level's first one passes 2w bits the level is truncated, each integer by
+    # the same shift, so that its least keeps w + 1 bits: every P loses under 2^-w
+    # relative.  As the sums are positive, P_c^(0) keeps the T_i's 1.1 ulps and is
+    # within c - 1 more units of 2^-w, and with e^(-v a)'s `_FN`, hi + 4 units are
+    # under a tenth of an ulp at p (2^(w-p) >= 256 (p + hi)): with the rounding, the
+    # entries are within 2.2 ulps.
+    (am, ea), (bm, eb) = _digits(lam), _digits(point[1])
+    low = min(ea, eb)
+    hm, he = _digits((bm << eb - low) - (am << ea - low))  # h = b - a, exactly
+    h, w = (hm, he + low), prec + 8 + (prec + hi).bit_length()
     g = min(ea, 0)
     A = am << ea - g
     rows = []
     for x in v:
-        terms = [t._mpf_ for t in _gamma_row(1, hi, x * h, h)]
-        re = min(t[2] for t in terms)
-        P = [t[1] << t[2] - re for t in terms]
-        m, e = _product(a, x)
-        em, ee = _mantissa(mpf_exp(from_man_exp(-m, e), w, round_nearest), w)
+        xm, xe = _digits(x)
+        terms = [_digits(t) for t in _gamma_row(1, hi, (xm * hm, xe + h[1]), h)]
+        re = min(e for _, e in terms)
+        P = [m << e - re for m, e in terms]
+        em, ee = _exp_digits(-am * xm, ea + xe, w)
         row = []
         for c in range(1, hi + 1):
             if c >= lo:
-                row.append(make(from_man_exp(P[0] * em, re + (c - 1) * g + ee, prec,
-                                             round_nearest)))
+                row.append(mpmath.mp.make_mpf(from_man_exp(P[0] * em, re + (c - 1) * g + ee,
+                                                           prec, round_nearest)))
             P = [A * p + (q << -g) for p, q in zip(P, P[1:])]
             if P and P[0].bit_length() > 2 * w:
                 cut = min(map(int.bit_length, P)) - w - 1
                 if cut > 0:
                     P, re = [p >> cut for p in P], re + cut
         rows.append(row)
-    return rows, _gamma_ulps(h * max(v)) + hi + 1.1
+    return rows, 2.2
 
 
-def _build(name, *args):
-    """The law `detform._LAWS[name]` at the point that ends ``args`` (lam, or
-    a, b for the gap), at the working precision: (prefactor, its ulps, rows,
-    their ulps), the ulps the most of any block's."""
-    point = [mpmath.mpf(x) for x in (args[-2:] if name == "prob_gap_row" else args[-1:])]
-    law = _LAWS[name](*args[:-len(point)])
+def _build(law, point):
+    """The `detform._Law` ``law`` at ``point`` at the working precision:
+    (prefactor, its ulps, rows, their ulps), the ulps the most of any
+    block's."""
     blocks = [_block(family, k, law.rows, point) for family, k in law.blocks]
     rows = [sum(parts, []) for parts in zip(*(rows for rows, _ in blocks))]
     return (*_pref(law.pref, point[0]), rows, max(ulps for _, ulps in blocks))
 
-
-def cdf_max_row(n, m, s, lam, dps=40, start=None):
-    return _evaluate("cdf_max_row", (n, m, s, lam), dps, start)
-
-
-def cdf_min_row(n, m, s, lam, dps=40, start=None):
-    return _evaluate("cdf_min_row", (n, m, s, lam), dps, start)
-
-
-def cdf_max_col(n, m, s, lam, dps=40, start=None):
-    return _evaluate("cdf_max_col", (n, m, s, lam), dps, start)
-
-
-def cdf_min_col(n, m, s, lam, dps=40, start=None):
-    return _evaluate("cdf_min_col", (n, m, s, lam), dps, start)
-
-
-def cdf_max_doubly(n, m, r, s, lam, dps=40, start=None):
-    return _evaluate("cdf_max_doubly", (n, m, r, s, lam), dps, start)
-
-
-def cdf_min_doubly(n, r, s, lam, dps=40, start=None):
-    return _evaluate("cdf_min_doubly", (n, r, s, lam), dps, start)
-
-
-def prob_gap_row(n, m, s, a, b, dps=40, start=None):
-    return _evaluate("prob_gap_row", (n, m, s, a, b), dps, start)

@@ -298,6 +298,24 @@ class TestOtherCommands:
         assert [float(line.split(",")[0]) for line in lines[2:-1]] == \
             [0.5, 1.375, 2.25, 3.125, 4.0]
 
+    @pytest.mark.parametrize("scale,stat", [(1e15, "max"), (1e11, "min")])
+    def test_validate_default_grid_is_scale_free(self, scale, stat, capsys):
+        # scaling the spectrum by c scales the eigenvalues by 1/c: the default
+        # grid follows them down, and the fractions are those of the unscaled
+        # case, with no floor at an absolute 1e-12
+        def table(spectrum):
+            rc, out, _ = run(capsys, "validate", "--case", "row", "--n", "3", "--m", "2",
+                             "--spectrum", spectrum, "--stat", stat, "--samples", "500",
+                             "--seed", "1")
+            assert rc == 0
+            return [[float(v) for v in line.split(",")] for line in out.strip().splitlines()[2:-1]]
+
+        plain, scaled = table("1,2"), table(f"{scale:g},{2 * scale:g}")
+        assert len(scaled) == len(plain) > 0
+        for (lam, frac, ana, _), (slam, sfrac, sana, _) in zip(plain, scaled):
+            assert slam * scale == pytest.approx(lam, rel=1e-5)
+            assert sfrac == frac and abs(sana - ana) <= 2e-6
+
     def test_validate_rejects_zero_samples(self, capsys):
         rc, out, err = run(capsys, "validate", "--case", "row", "--n", "3", "--m", "2",
                            "--spectrum", "1,2", "--samples", "0")

@@ -18,6 +18,7 @@ from corrwishart.detform import (
     prob_gap,
 )
 from corrwishart.detform import (
+    _LAWS,
     _block,
     _det_from_logs,
     _grid,
@@ -147,7 +148,7 @@ class TestDoublyCase:
         s = [1.0, 2.0, 3.5]
         lam = 1.1
         gen = cdf_max(doubly_case(3, 2, r, s), lam).value
-        pad = extended.cdf_max_doubly(3, 3, r + [1e9], s, lam, dps=60).value
+        pad = extended.evaluate(_LAWS["cdf_max_doubly"](3, 3, r + [1e9], s), (lam,), dps=60).value
         assert gen == pytest.approx(pad, rel=1e-7)
 
     def test_min_reduces_to_pure_exponential(self):
@@ -280,7 +281,8 @@ class TestJointDensity:
         assert any(w.startswith("cancellation:") for w in rep.warnings) == flagged
         if not flagged:
             exact = precise_partial(
-                lambda x, y, dps: -extended.prob_gap_row(4, 2, [0.955, 4.152], x, y, dps).value,
+                lambda x, y, dps: -extended.evaluate(_LAWS["prob_gap_row"](4, 2, [0.955, 4.152]),
+                                                     (x, y), dps).value,
                 (a, b), monkeypatch)
             assert abs(rep.value - exact) <= rep.abs_error_estimate
 
@@ -485,7 +487,7 @@ class TestEstimateContractInTheTails:
                                        ([1.0], 115.0), ([1.0], 300.0)])
     def test_unflagged_cdf_min_within_its_estimate(self, s, lam):
         rep = cdf_min(row_case(2, 1, s), lam)
-        want = extended.cdf_min_row(2, 1, s, lam, 50).value
+        want = extended.evaluate(_LAWS["cdf_min_row"](2, 1, s), (lam,), 50).value
         assert not rep.warnings
         with mpmath.workdps(50):
             assert abs(rep.value - want) <= rep.abs_error_estimate
@@ -499,6 +501,18 @@ class TestEstimateContractInTheTails:
         assert rep.value == 0.0
         assert [w.split(":")[0] for w in rep.warnings] == ["cancellation", "underflow"]
 
+    @pytest.mark.parametrize("case", [row_case(1, 1, [1.5e308]),
+                                      col_case(2, 1, [1e308, 1.5e308]),
+                                      col_case(3, 2, [1.0, 1e308, 1.5e308])],
+                             ids=["row 1x1", "column 2x1", "column 3x2"])
+    def test_subnormal_lambda_density_is_flagged(self, case):
+        # at lam = 1e-310 the lamE slope lam^(k-1) e^(-lam v) / entry overflows:
+        # the report is flagged and returned, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = pdf_max(case, 1e-310)
+        assert rep.warnings and rep.warnings[0].split(":")[0] in ("nonfinite", "cancellation")
+
 
 class TestExtendedAgreesWithDouble:
     # on well-separated spectra the mpmath re-evaluation and the log-space
@@ -508,19 +522,21 @@ class TestExtendedAgreesWithDouble:
     def test_all_cases(self):
         checks = [
             (lambda: cdf_max(row_case(4, 2, [1.0, 2.0]), 1.3).value,
-             lambda: extended.cdf_max_row(4, 2, [1.0, 2.0], 1.3).value),
+             lambda: extended.evaluate(_LAWS["cdf_max_row"](4, 2, [1.0, 2.0]), (1.3,)).value),
             (lambda: cdf_min(row_case(4, 2, [1.0, 2.0]), 0.4).value,
-             lambda: extended.cdf_min_row(4, 2, [1.0, 2.0], 0.4).value),
+             lambda: extended.evaluate(_LAWS["cdf_min_row"](4, 2, [1.0, 2.0]), (0.4,)).value),
             (lambda: cdf_max(col_case(3, 2, [1.0, 2.0, 3.0]), 1.1).value,
-             lambda: extended.cdf_max_col(3, 2, [1.0, 2.0, 3.0], 1.1).value),
+             lambda: extended.evaluate(_LAWS["cdf_max_col"](3, 2, [1.0, 2.0, 3.0]), (1.1,)).value),
             (lambda: cdf_min(col_case(3, 2, [1.0, 2.0, 3.0]), 0.2).value,
-             lambda: extended.cdf_min_col(3, 2, [1.0, 2.0, 3.0], 0.2).value),
+             lambda: extended.evaluate(_LAWS["cdf_min_col"](3, 2, [1.0, 2.0, 3.0]), (0.2,)).value),
             (lambda: cdf_max(doubly_case(3, 2, [1.0, 2.5], [1.0, 2.0, 3.5]), 1.1).value,
-             lambda: extended.cdf_max_doubly(3, 2, [1.0, 2.5], [1.0, 2.0, 3.5], 1.1).value),
+             lambda: extended.evaluate(_LAWS["cdf_max_doubly"](3, 2, [1.0, 2.5], [1.0, 2.0, 3.5]),
+                                       (1.1,)).value),
             (lambda: cdf_min(doubly_case(2, 2, [1.0, 2.0], [1.3, 2.7]), 0.7).value,
-             lambda: extended.cdf_min_doubly(2, [1.0, 2.0], [1.3, 2.7], 0.7).value),
+             lambda: extended.evaluate(_LAWS["cdf_min_doubly"](2, [1.0, 2.0], [1.3, 2.7]),
+                                       (0.7,)).value),
             (lambda: prob_gap(row_case(3, 2, [1.0, 2.0]), 0.4, 2.5).value,
-             lambda: extended.prob_gap_row(3, 2, [1.0, 2.0], 0.4, 2.5).value),
+             lambda: extended.evaluate(_LAWS["prob_gap_row"](3, 2, [1.0, 2.0]), (0.4, 2.5)).value),
         ]
         for fast, precise in checks:
             assert fast() == pytest.approx(precise(), rel=1e-11)
@@ -766,7 +782,8 @@ class TestSmallLambdaMinDensity:
         s = [0.8, 1.6, 2.4, 4.0]
         rep = pdf_min(col_case(4, 2, s), lam)
         exact = precise_survival_slope(
-            lambda x, dps: extended.cdf_min_col(4, 2, s, x, dps).value, lam, monkeypatch)
+            lambda x, dps: extended.evaluate(_LAWS["cdf_min_col"](4, 2, s), (x,), dps).value,
+            lam, monkeypatch)
         assert not rep.warnings
         assert abs(rep.value - exact) <= rep.abs_error_estimate
 
@@ -775,7 +792,8 @@ class TestSmallLambdaMinDensity:
         s = [0.7, 1.5, 3.0]
         rep = pdf_min(row_case(5, 3, s), lam)
         exact = precise_survival_slope(
-            lambda x, dps: extended.cdf_min_row(5, 3, s, x, dps).value, lam, monkeypatch)
+            lambda x, dps: extended.evaluate(_LAWS["cdf_min_row"](5, 3, s), (x,), dps).value,
+            lam, monkeypatch)
         assert not rep.warnings
         assert abs(rep.value - exact) <= rep.abs_error_estimate
 
@@ -800,22 +818,24 @@ DOUBLY = {"4x3": (4, 3, [1.0, 1.7, 2.6], [0.8, 1.5, 2.6, 4.0]),
           "3x3": (3, 3, [1.0, 2.0, 3.2], [0.9, 1.8, 3.1])}
 ROW_DENSITIES = (
     [(pdf_max, row_case(8, 6, ROW6), (lam,),
-      lambda x, dps: extended.cdf_max_row(8, 6, ROW6, x, dps).value) for lam in (1.1, 3.0)]
+      lambda x, dps: extended.evaluate(_LAWS["cdf_max_row"](8, 6, ROW6), (x,), dps).value)
+     for lam in (1.1, 3.0)]
     + [(pdf_joint_minmax, row_case(6, 4, ROW4), (a, b),
-        lambda x, y, dps: -extended.prob_gap_row(6, 4, ROW4, x, y, dps).value)
+        lambda x, y, dps: -extended.evaluate(_LAWS["prob_gap_row"](6, 4, ROW4), (x, y), dps).value)
        for a, b in [(0.02, 1.0), (0.1, 3.0), (0.3, 2.0), (0.5, 20.0), (8.0, 30.0), (20.0, 30.0)]]
     # near the diagonal, b / a = 1.01 and 1.0001: at 6 x 4 the determinant
     # itself loses about 40 digits there
     + [(pdf_joint_minmax, row_case(4, 2, ROW2), (a, b),
-        lambda x, y, dps: -extended.prob_gap_row(4, 2, ROW2, x, y, dps).value)
+        lambda x, y, dps: -extended.evaluate(_LAWS["prob_gap_row"](4, 2, ROW2), (x, y), dps).value)
        for a, b in [(0.3, 0.303), (2.0, 2.0002)]]
     # the smallest eigenvalue's density, the gap's tail read at (lam,), and
     # at n = m its closed form
     + [(pdf_min, row_case(n, m, s), (lam,),
-        lambda x, dps, n=n, m=m, s=s: -extended.cdf_min_row(n, m, s, x, dps).value)
+        lambda x, dps, n=n, m=m, s=s: -extended.evaluate(_LAWS["cdf_min_row"](n, m, s), (x,),
+                                                         dps).value)
        for n, m, s in [(6, 4, ROW4), (8, 6, ROW6)] for lam in (0.05, 0.5, 3.0)]
     + [(pdf_min, row_case(4, 4, ROW4), (0.5,),
-        lambda x, dps: -extended.cdf_min_row(4, 4, ROW4, x, dps).value)])
+        lambda x, dps: -extended.evaluate(_LAWS["cdf_min_row"](4, 4, ROW4), (x,), dps).value)])
 
 
 def density_id(fn, case, point):
@@ -833,7 +853,8 @@ class TestDensityAgainstPreciseDerivative:
     def test_doubly_pdf_max(self, kind, lam, monkeypatch):
         n, m, r, s = DOUBLY[kind]
         rep = pdf_max(doubly_case(n, m, r, s), lam)
-        exact = precise_partial(lambda x, dps: extended.cdf_max_doubly(n, m, r, s, x, dps).value,
+        law = _LAWS["cdf_max_doubly"](n, m, r, s)
+        exact = precise_partial(lambda x, dps: extended.evaluate(law, (x,), dps).value,
                                 (lam,), monkeypatch)
         assert abs(rep.value - exact) <= 1e-6 * exact
         assert abs(rep.value - exact) <= rep.abs_error_estimate
@@ -858,7 +879,8 @@ def test_tail_is_the_gap_with_b_deep_in_the_tail(n, m, s, a):
     tail, gap = cdf_min(row_case(n, m, s), a), prob_gap(row_case(n, m, s), a, b)
     assert not tail.warnings and not gap.warnings
     assert abs(tail.value - gap.value) <= tail.abs_error_estimate + gap.abs_error_estimate
-    tail, gap = extended.cdf_min_row(n, m, s, a, 40), extended.prob_gap_row(n, m, s, a, b, 40)
+    tail = extended.evaluate(_LAWS["cdf_min_row"](n, m, s), (a,), 40)
+    gap = extended.evaluate(_LAWS["prob_gap_row"](n, m, s), (a, b), 40)
     assert abs(tail.value - gap.value) <= (tail.bound + gap.bound) * tail.value
 
 
@@ -869,6 +891,7 @@ def test_prob_gap_where_p_rounds_to_one(n, m, s, a, b, monkeypatch):
     # of lower integrals would cancel all its digits
     monkeypatch.setattr(extended, "_self_validated", lambda raw, dps, start: raw(dps))
     rep = prob_gap(row_case(n, m, s), a, b)
-    exact = float(extended.prob_gap_row(n, m, s, mpmath.mpf(a), mpmath.mpf(b), 50).value)
+    exact = float(extended.evaluate(_LAWS["prob_gap_row"](n, m, s), (mpmath.mpf(a), mpmath.mpf(b)),
+                                    50).value)
     assert not rep.warnings
     assert abs(rep.value - exact) <= min(1e-9 * exact, rep.abs_error_estimate)

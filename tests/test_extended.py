@@ -30,7 +30,9 @@ def evenly(lo, hi, count):
 
 
 def exact(x):
-    """The mpf ``x`` as a Fraction, exactly."""
+    """The float or mpf ``x`` as a Fraction, exactly."""
+    if isinstance(x, float):
+        return Fraction(x)
     sign, man, exp, _ = x._mpf_
     return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
 
@@ -279,8 +281,8 @@ class TestRowRecurrences:
     def test_gamma_row(self, x):
         with mpmath.workdps(60):
             xv = mpmath.mpf(x)
-            full = extended._gamma_row(1, ORDERS, xv, mpmath.mpf(1))
-            tail = extended._gamma_row(40, ORDERS, xv, mpmath.mpf(1))
+            full = extended._gamma_row(1, ORDERS, extended._digits(xv), (1, 0))
+            tail = extended._gamma_row(40, ORDERS, extended._digits(xv), (1, 0))
         assert len(full) == ORDERS and tail == full[39:]
         with mpmath.workdps(90):
             for a, got in enumerate(full, start=1):
@@ -289,14 +291,15 @@ class TestRowRecurrences:
 
     @pytest.mark.parametrize("lam", ["1e-6", "0.3", "2.5", "40"])
     def test_scaled_gamma_row_with_mpf_lambda(self, lam):
-        # column-model entries lam^k E_k(lam s) = gamma(k, lam s) / s^k, within
-        # the unscaled allowance (lam s's rounding included)
+        # column-model entries lam^k E_k(lam s) = gamma(k, lam s) / s^k, with
+        # lam s exact, within 1.1 ulps
         with mpmath.workdps(60):
             lm, u = mpmath.mpf(lam), mpmath.ldexp(1, -mpmath.mp.prec)
             for s in ("0.5", "1.7", "5"):
                 sv = mpmath.mpf(s)
-                row = extended._gamma_row(1, ORDERS, lm * sv, lm)
-                ulps = extended._gamma_ulps(lm * sv)
+                row = extended._gamma_row(1, ORDERS, extended._product(lm, sv),
+                                          extended._digits(lm))
+                ulps = 1.1
                 with mpmath.workdps(90):
                     for k, got in enumerate(row, start=1):
                         want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
@@ -333,8 +336,8 @@ class TestRowRecurrences:
 
     # both branches of the top order, the series below x = a_hi + 1 and the
     # finite sum from there on: x at a_hi + 1 and 2^-40 relative on either
-    # side of it, then far past it; rows within their allowance `_gamma_ulps`
-    # against mpmath.gammainc 30 digits up
+    # side of it, then far past it; rows within 1.1 ulps against
+    # mpmath.gammainc 30 digits up
 
     @pytest.mark.parametrize("dps", [60, 400])
     @pytest.mark.parametrize("a_lo", [1, ORDERS])
@@ -342,8 +345,8 @@ class TestRowRecurrences:
     def test_gamma_row_branches(self, x, a_lo, dps):
         with mpmath.workdps(dps):
             xv, u = mpmath.mpf(x), mpmath.ldexp(1, -mpmath.mp.prec)
-            row = extended._gamma_row(a_lo, ORDERS, xv, mpmath.mpf(1))
-            ulps = extended._gamma_ulps(xv)
+            row = extended._gamma_row(a_lo, ORDERS, extended._digits(xv), (1, 0))
+            ulps = 1.1
         with mpmath.workdps(dps + 30):
             for a, got in enumerate(row, start=a_lo):
                 want = mpmath.gammainc(a, 0, xv) / xv ** a
@@ -361,8 +364,9 @@ class TestRowRecurrences:
             for s in ("0.5", "4", "3"):
                 sv = mpmath.mpf(s)
                 lm = mpmath.mpf(x) / sv
-                row = extended._gamma_row(a_lo, ORDERS, lm * sv, lm)
-                ulps = extended._gamma_ulps(lm * sv)
+                row = extended._gamma_row(a_lo, ORDERS, extended._product(lm, sv),
+                                          extended._digits(lm))
+                ulps = 1.1
                 with mpmath.workdps(dps + 30):
                     for k, got in enumerate(row, start=a_lo):
                         want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
@@ -402,6 +406,28 @@ def g_reference(n, y, prec):
         if last is not None and abs(want - last) <= abs(want) * mpmath.ldexp(1, -prec - 30):
             return want
         last, p = want, p + 60
+
+
+class TestDigits:
+    # every kernel reads its inputs through `_digits`: exactly, with an odd
+    # mantissa (zero is (0, 0))
+    @pytest.mark.parametrize("x", [0, 1, -12, 3 << 200, -(5 ** 90), 0.0, -0.0, 1.0, 4.0, -2.5,
+                                   0.1, -1e-300, 5e-324, -2.2250738585072014e-308 / 3,
+                                   1.7976931348623157e308, -1e300, np.float64(0.3)])
+    def test_ints_and_floats(self, x):
+        man, exp = extended._digits(x)
+        assert isinstance(man, int) and isinstance(exp, int)
+        assert Fraction(man) * Fraction(2) ** exp == Fraction(x)
+        assert man % 2 == 1 or man == exp == x == 0
+
+    def test_mpfs(self):
+        with mpmath.workdps(100):
+            xs = [mpmath.mpf(0), mpmath.mpf(1) / 3, -mpmath.mpf(2) / 3, mpmath.ldexp(-7, -5000),
+                  mpmath.ldexp(mpmath.mpf(5) / 7, 4000), mpmath.mpf("1e-320")]
+        for x in xs:
+            man, exp = extended._digits(x)
+            assert Fraction(man) * Fraction(2) ** exp == exact(x)
+            assert man % 2 == 1 or man == exp == x == 0
 
 
 class TestKernelOracles:
@@ -464,16 +490,16 @@ def _row_cases():
     for m in range(6, 13):
         s, n = evenly(0.5, 4.0, m), m + 4
         for lam in (0.5, 2.0):
-            yield f"row {n}x{m} max {lam}", extended.cdf_max_row, oracle_cdf_max_row, (n, m, s, lam)
-        yield f"row {n}x{m} min", extended.cdf_min_row, oracle_cdf_min_row, (n, m, s, 0.2)
-        yield f"row {n}x{m} gap", extended.prob_gap_row, oracle_prob_gap_row, (n, m, s, 0.05, 2.0)
+            yield f"row {n}x{m} max {lam}", "cdf_max_row", oracle_cdf_max_row, (n, m, s, lam)
+        yield f"row {n}x{m} min", "cdf_min_row", oracle_cdf_min_row, (n, m, s, 0.2)
+        yield f"row {n}x{m} gap", "prob_gap_row", oracle_prob_gap_row, (n, m, s, 0.05, 2.0)
     for m in (6, 8):
         s = evenly(0.5, 4.0, m + 2)
-        yield f"column {m + 2}x{m} max", extended.cdf_max_col, oracle_cdf_max_col, (m + 2, m, s, 0.5)
+        yield f"column {m + 2}x{m} max", "cdf_max_col", oracle_cdf_max_col, (m + 2, m, s, 0.5)
     clustered = [1.0, 1.0001, 1.0002]
-    yield "clustered row 5x3 min", extended.cdf_min_row, oracle_cdf_min_row, (5, 3, clustered, 0.3)
-    yield "clustered row 5x3 max", extended.cdf_max_row, oracle_cdf_max_row, (5, 3, clustered, 1.5)
-    yield ("row 8x6 narrow gap", extended.prob_gap_row, oracle_prob_gap_row,
+    yield "clustered row 5x3 min", "cdf_min_row", oracle_cdf_min_row, (5, 3, clustered, 0.3)
+    yield "clustered row 5x3 max", "cdf_max_row", oracle_cdf_max_row, (5, 3, clustered, 1.5)
+    yield ("row 8x6 narrow gap", "prob_gap_row", oracle_prob_gap_row,
            (8, 6, evenly(0.5, 4.0, 6), 1.0, 1.0001))
 
 
@@ -481,15 +507,15 @@ def _other_cases():
     # every other law, each prefactor against its own transcription; row
     # n = m is the prefactor alone in `corrwishart`, a full determinant here
     for n in (3, 4):
-        yield (f"row {n}x{n} min", extended.cdf_min_row, oracle_cdf_min_row,
+        yield (f"row {n}x{n} min", "cdf_min_row", oracle_cdf_min_row,
                (n, n, evenly(0.5, 4.0, n), 0.6))
-    yield ("column 5x3 min", extended.cdf_min_col, oracle_cdf_min_col,
+    yield ("column 5x3 min", "cdf_min_col", oracle_cdf_min_col,
            (5, 3, evenly(0.5, 4.0, 5), 0.8))
     r, s = evenly(0.5, 2.5, 4), evenly(0.6, 1.8, 6)
-    yield "doubly 6x4 max", extended.cdf_max_doubly, oracle_cdf_max_doubly, (6, 4, r, s, 0.7)
-    yield ("doubly 4x4 max", extended.cdf_max_doubly, oracle_cdf_max_doubly,
+    yield "doubly 6x4 max", "cdf_max_doubly", oracle_cdf_max_doubly, (6, 4, r, s, 0.7)
+    yield ("doubly 4x4 max", "cdf_max_doubly", oracle_cdf_max_doubly,
            (4, 4, r, s[:4], 1.3))
-    yield "doubly 4x4 min", extended.cdf_min_doubly, oracle_cdf_min_doubly, (4, r, s[:4], 0.4)
+    yield "doubly 4x4 min", "cdf_min_doubly", oracle_cdf_min_doubly, (4, r, s[:4], 0.4)
 
 
 ORACLE_CASES = list(_row_cases()) + list(_other_cases())
@@ -502,11 +528,12 @@ def oracle_value(name):
     return validated_mpf(oracle(*args), DPS)
 
 
-@pytest.mark.parametrize("name,fn,oracle,args", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
-def test_agrees_with_direct_transcription(name, fn, oracle, args, monkeypatch):
+@pytest.mark.parametrize("name,law,oracle,args", ORACLE_CASES, ids=[c[0] for c in ORACLE_CASES])
+def test_agrees_with_direct_transcription(name, law, oracle, args, monkeypatch):
     want = oracle_value(name)
     monkeypatch.setattr(extended, "_self_validated", validated_mpf)
-    got = fn(*args, DPS).value
+    size = 2 if law == "prob_gap_row" else 1
+    got = extended.evaluate(_LAWS[law](*args[:-size]), args[-size:], DPS).value
     assert want != 0
     assert rel_gap(got, want) <= mpmath.mpf(10) ** (10 - DPS), name
 
@@ -514,18 +541,18 @@ def test_agrees_with_direct_transcription(name, fn, oracle, args, monkeypatch):
 # the public API on the same shapes, through the real schedule: two are
 # left out, row 10x6 and 11x7 min, whose double path loses 7.6 and 11.1
 # digits and so never escalates
-PUBLIC = {extended.cdf_max_row: (RowCorrelated, cdf_max),
-          extended.cdf_min_row: (RowCorrelated, cdf_min),
-          extended.prob_gap_row: (RowCorrelated, prob_gap),
-          extended.cdf_max_col: (ColumnCorrelated, cdf_max)}
+PUBLIC = {"cdf_max_row": (RowCorrelated, cdf_max),
+          "cdf_min_row": (RowCorrelated, cdf_min),
+          "prob_gap_row": (RowCorrelated, prob_gap),
+          "cdf_max_col": (ColumnCorrelated, cdf_max)}
 ESCALATED_CASES = [c for c in _row_cases() if c[0] not in ("row 10x6 min", "row 11x7 min")]
 
 
-@pytest.mark.parametrize("name,fn,oracle,args", ESCALATED_CASES,
+@pytest.mark.parametrize("name,law,oracle,args", ESCALATED_CASES,
                          ids=[c[0] for c in ESCALATED_CASES])
-def test_escalated_report_against_oracle(name, fn, oracle, args):
+def test_escalated_report_against_oracle(name, law, oracle, args):
     want = oracle_value(name)
-    model, public = PUBLIC[fn]
+    model, public = PUBLIC[law]
     n, m, s = args[:3]
     rep = public(model(Dimensions(n, m), validate_spectrum(s)), *args[3:],
                  EvalConfig(precision="extended"))
@@ -588,15 +615,15 @@ class TestSchedule:
         # at lam = 1e-200 the rows E_a(lam s_j) agree to 200 digits: the rounds
         # at 40, 80 and 160 digits are exact zeros, the one at 320 sees them differ
         seen = rounds_of(monkeypatch)
-        r = extended.cdf_max_row(3, 2, [1.0, 2.0], 1e-200)
+        r = extended.evaluate(_LAWS["cdf_max_row"](3, 2, [1.0, 2.0]), (1e-200,))
         assert seen == [40, 80, 160, 320] and r.dps == 320
-        want = extended.cdf_max_row(3, 2, [1.0, 2.0], 1e-200, start=790)
+        want = extended.evaluate(_LAWS["cdf_max_row"](3, 2, [1.0, 2.0]), (1e-200,), start=790)
         assert want.dps == 790 and want.bound < mpmath.mpf(10) ** -500
         assert r.value != 0 and rel_gap(r.value, want.value) <= r.bound <= TOL
 
     def test_direct_call_takes_one_round(self, monkeypatch):
         seen = rounds_of(monkeypatch)
-        extended.cdf_max_row(6, 4, evenly(0.5, 4.0, 4), 2.0)
+        extended.evaluate(_LAWS["cdf_max_row"](6, 4, evenly(0.5, 4.0, 4)), (2.0,))
         assert seen == [40]
 
     @pytest.mark.parametrize("limit,start,last", [(130, 100, 120), (110, 100, 100),
@@ -620,14 +647,14 @@ class TestSchedule:
         monkeypatch.setattr(extended, "_MAX_DPS", 220)
         seen = []
 
-        def uncertified(name):
+        def uncertified(law, point):
             # a prefactor error of 2^p ulps, one unit: never within 10^-30
             seen.append(mpmath.mp.dps)
             return mpmath.mpf(1), 2 ** mpmath.mp.prec, [], 0
 
         monkeypatch.setattr(extended, "_build", uncertified)
         with pytest.raises(extended.NotConverged) as info:
-            extended._evaluate("uncertified", (), DPS, None)
+            extended.evaluate(None, (), DPS)
         assert info.value.dps == 220 and seen == [40, 76, 112, 148, 184, 220]
 
 
@@ -644,7 +671,7 @@ class TestNotConverged:
         monkeypatch.setattr(extended, "_MAX_DPS", 60)
         seen = rounds_of(monkeypatch)
         with pytest.raises(extended.NotConverged) as info:
-            extended.cdf_max_row(16, 12, evenly(0.5, 4.0, 12), 0.5)
+            extended.evaluate(_LAWS["cdf_max_row"](16, 12, evenly(0.5, 4.0, 12)), (0.5,))
         assert info.value.dps == seen[-1] == 40
 
     def test_report_keeps_double_value(self, monkeypatch):
@@ -911,16 +938,29 @@ def _builder_cases():
     for lam in (5.0, 40.0):
         yield f"doubly 6x6 max {lam}", "cdf_max_doubly", (6, 6, r, evenly(0.6, 3.0, 6), lam)
         yield f"doubly 6x6 min {lam}", "cdf_min_doubly", (6, r, evenly(0.6, 3.0, 6), lam)
+    # points that are not doubles, 1/3 and 2/3 to 100 digits (333-bit
+    # mantissas), read exactly at every precision
+    with mpmath.workdps(100):
+        third, two_thirds = mpmath.mpf(1) / 3, mpmath.mpf(2) / 3
+    s = evenly(0.5, 4.0, 6)
+    yield "row 10x6 max 1/3", "cdf_max_row", (10, 6, s, third)
+    yield "row 10x6 min 1/3", "cdf_min_row", (10, 6, s, third)
+    yield "row 10x6 gap (1/3, 2/3)", "prob_gap_row", (10, 6, s, third, two_thirds)
+    yield "column 8x6 max 1/3", "cdf_max_col", (8, 6, s + [5.0, 6.0], third)
+    yield "column 8x6 min 1/3", "cdf_min_col", (8, 6, s + [5.0, 6.0], third)
+    yield "doubly 6x6 max 1/3", "cdf_max_doubly", (6, 6, r, s, third)
+    yield "doubly 6x6 min 1/3", "cdf_min_doubly", (6, r, s, third)
 
 
 BUILDER_CASES = list(_builder_cases())
 
 
 def built(name, args, prec):
+    """`extended._build` at ``prec`` bits of the law ``_LAWS[name]`` at the
+    point that ends ``args`` (lam, or a, b for the gap)."""
+    size = 2 if name == "prob_gap_row" else 1
     with mpmath.workprec(prec):
-        return extended._build(name, *(a if isinstance(a, int) else
-                                       [mpmath.mpf(v) for v in a] if isinstance(a, list) else
-                                       mpmath.mpf(a) for a in args))
+        return extended._build(_LAWS[name](*args[:-size]), args[-size:])
 
 
 @pytest.mark.parametrize("name,law,args", BUILDER_CASES, ids=[c[0] for c in BUILDER_CASES])
@@ -964,7 +1004,7 @@ def test_pref_against_exact_rationals(name, law, args, prec):
     pref, ulps, _, _ = built(law, args, prec)
     spectra = [[Fraction(v) for v in a] if isinstance(a, list) else a for a in args]
     size = 2 if law == "prob_gap_row" else 1
-    want = exact_pref(_LAWS[law](*spectra[:-size]).pref, Fraction(args[-size]), prec)
+    want = exact_pref(_LAWS[law](*spectra[:-size]).pref, exact(args[-size]), prec)
     with mpmath.workprec(prec + 100):
         assert abs(pref - want) <= ulps * mpmath.ldexp(abs(want), -prec), name
 
@@ -1038,8 +1078,8 @@ def test_narrow_gap_entries(a, ratio):
 
 @st.composite
 def contract_cases(draw):
-    """(report function, case, point, the name of the `extended` CDF function
-    and that function's arguments before the point): row, column and doubly
+    """(report function, case, point, the name of the CDF's law in `_LAWS`
+    and that law's arguments): row, column and doubly
     max and min up to 6 x 4 with lam in [0.02, 20], the doubly densities of
     both, and the row gap with a in [0.005, 5], b / a in [1 + 1e-6, 100].  A
     spectrum's values are distinct, but its first two coincide a quarter of
@@ -1084,16 +1124,17 @@ def test_unflagged_values_within_their_estimates(drawn):
     rep = fn(case, *point)
     if rep.warnings:
         return
-    law = getattr(extended, name)
+    law = _LAWS[name](*args)
     with mpmath.workdps(60):
         if fn in (pdf_max, pdf_min):
             # a central difference of the 50-digit CDF, the survival's negated
             lam = mpmath.mpf(point[0])
             h = lam * mpmath.mpf(10) ** -15
-            want = (law(*args, lam + h, 50).value - law(*args, lam - h, 50).value) / (2 * h)
+            want = (extended.evaluate(law, (lam + h,), 50).value
+                    - extended.evaluate(law, (lam - h,), 50).value) / (2 * h)
             want = want if fn is pdf_max else -want
         else:
-            want = law(*args, *point, 50).value
+            want = extended.evaluate(law, point, 50).value
         assert abs(rep.value - want) <= rep.abs_error_estimate, (fn.__name__, name, args, point)
 
 
@@ -1109,7 +1150,7 @@ def test_column_min_underflow_is_escalated(n, m, s, lam, log10_value):
     case = ColumnCorrelated(Dimensions(n, m), validate_spectrum(s))
     rep = cdf_min(case, lam, EvalConfig(precision="extended"))
     assert any(w.startswith("extended:") for w in rep.warnings)
-    want = extended.cdf_min_col(n, m, s, lam, start=790).value
+    want = extended.evaluate(_LAWS["cdf_min_col"](n, m, s), (lam,), start=790).value
     assert abs(float(mpmath.log10(want)) - log10_value) < 1e-3
     if log10_value == 0.0:
         assert rep.value == float(want)
@@ -1127,7 +1168,7 @@ class TestColumnMinWideRows:
     def test_formula_against_exact_determinant(self, lam, monkeypatch):
         want = oracle_cdf_min_col(5, 3, COLUMN_5x3, lam)(80)
         monkeypatch.setattr(extended, "_self_validated", validated_mpf)
-        got = extended.cdf_min_col(5, 3, COLUMN_5x3, lam, DPS).value
+        got = extended.evaluate(_LAWS["cdf_min_col"](5, 3, COLUMN_5x3), (lam,), DPS).value
         assert rel_gap(got, want) <= 1e-25
 
     @pytest.mark.parametrize("lam", [80, 160])
@@ -1212,7 +1253,7 @@ class TestFirstRound:
 
     def test_direct_calls_start_at_dps(self, monkeypatch):
         seen = rounds_of(monkeypatch)
-        extended.cdf_max_row(6, 4, evenly(0.5, 4.0, 4), 2.0)
+        extended.evaluate(_LAWS["cdf_max_row"](6, 4, evenly(0.5, 4.0, 4)), (2.0,))
         assert seen[0] == 40
 
 
@@ -1229,14 +1270,16 @@ def test_escalated_underflow_keeps_log_magnitude():
     assert float(warning.rsplit("= ", 1)[1]) == pytest.approx(float(want), abs=1e-4)
 
 
-def test_exact_zeros_are_not_accepted_report():
+def test_exact_zeros_are_not_accepted_report(monkeypatch):
     # rounds that only ever give an exact zero end without a certified round:
     # the double-precision value and its estimate stand
-    def zeros(dps, start):
+    def zeros(law, point, dps, start):
         return extended._self_validated(
             lambda d: extended.Round(mpmath.mpf(0), mpmath.inf, d), dps, start)
 
-    rep = _finalize(1.0, -2.0, 1e-3, 20.0, EvalConfig(precision="extended"), [], zeros, True)
+    monkeypatch.setattr(extended, "evaluate", zeros)
+    rep = _finalize(1.0, -2.0, 1e-3, 20.0, EvalConfig(precision="extended"), [],
+                    _LAWS["cdf_max_row"](3, 2, [1.0, 2.0]), (1.0,), True)
     assert [w.split(":", 1)[0] for w in rep.warnings] == ["cancellation", "nonconverged"]
     assert "up to 960 digits" in rep.warnings[1]
     assert (rep.value, rep.abs_error_estimate) == (math.exp(-2.0), math.exp(-2.0) * 1e-3 + 1e-300)
