@@ -1283,3 +1283,36 @@ def test_exact_zeros_are_not_accepted_report(monkeypatch):
     assert [w.split(":", 1)[0] for w in rep.warnings] == ["cancellation", "nonconverged"]
     assert "up to 960 digits" in rep.warnings[1]
     assert (rep.value, rep.abs_error_estimate) == (math.exp(-2.0), math.exp(-2.0) * 1e-3 + 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# escalated public reports, pinned: value and warnings (each round's digits
+# and bound) of six `escalate`-style requests on evenly spaced spectra
+
+ESC_ROW = RowCorrelated(Dimensions(10, 6), validate_spectrum(evenly(0.5, 4.0, 6)))
+ESC_COLUMN = ColumnCorrelated(Dimensions(8, 6), validate_spectrum(evenly(0.5, 4.0, 8)))
+ESC_DOUBLY = DoublyCorrelated(Dimensions(6, 6), validate_spectrum(evenly(0.6, 3.0, 6)),
+                              validate_spectrum(evenly(0.5, 4.0, 6)))
+ESC_CLUSTERED = RowCorrelated(Dimensions(5, 3), validate_spectrum([1.0, 1.0001, 1.0002]))
+PINNED = [
+    ("row 10x6 cdf_max", cdf_max, ESC_ROW, (0.5,), 7.922503417334636e-56, 29.7, 70, "6.3e-56"),
+    ("row 10x6 prob_gap", prob_gap, ESC_ROW, (0.05, 2.0), 7.335447465613492e-25, 18.8, 59,
+     "2.7e-48"),
+    ("column 8x6 cdf_min", cdf_min, ESC_COLUMN, (0.05,), 0.9911286983161623, 15.5, 56,
+     "1.6e-44"),
+    ("doubly 6x6 cdf_max", cdf_max, ESC_DOUBLY, (0.5,), 1.0219884332457022e-23, 20.5, 61,
+     "2.2e-50"),
+    ("doubly 6x6 cdf_min", cdf_min, ESC_DOUBLY, (0.05,), 0.297076606208852, 24.4, 65, "2.3e-52"),
+    ("clustered row 5x3 cdf_min", cdf_min, ESC_CLUSTERED, (0.3,), 0.9712454173522059, 12.4, 53,
+     "4.1e-44"),
+]
+
+
+@pytest.mark.parametrize("fn,case,point,value,lost,dps,bound",
+                         [p[1:] for p in PINNED], ids=[p[0] for p in PINNED])
+def test_escalation_pinned(fn, case, point, value, lost, dps, bound):
+    rep = fn(case, *point, EvalConfig(precision="extended"))
+    assert rep.value == value
+    assert rep.warnings == [
+        f"cancellation:{lost} digits lost so the double-precision result is unreliable",
+        f"extended:re-evaluated at {dps} digits with relative error <= {bound}"]
