@@ -5,6 +5,9 @@ Subcommands:
 * ``cdf``        tabulate Pr(lambda_max <= x) or Pr(lambda_min >= x) on a grid
 * ``pdf``        tabulate the matching densities (or the joint min/max density)
 * ``gap``        tabulate the two-sided gap probability over an (a, b) grid
+
+The gap probability and the joint density take a row case, or a square
+(n = m) column case, which has the row model's eigenvalues.
 * ``crosscheck`` determinant engine vs. Schur-series oracle at m <= 4, n <= 8,
   on the values the engine vouches for (unflagged, or escalated)
 * ``validate``   determinant engine vs. Monte Carlo inside the DKW band
@@ -146,11 +149,15 @@ def _cmd_table(args) -> int:
     reports = detform._grid(case, stat, points, cfg, density=args.command == "pdf")
     columns = keys + ["value", "abs_error", "cancel_digits", "warnings"]
     if args.format == "json":
-        rows = [dict(zip(columns, (*point, rep.value, rep.abs_error_estimate,
-                                   rep.cancellation_digits, rep.warnings)))
+        def number(x):  # JSON has no Infinity or NaN: null, the row's warnings say why
+            return x if math.isfinite(x) else None
+
+        rows = [dict(zip(columns, (*point, *map(number, (rep.value, rep.abs_error_estimate,
+                                                         rep.cancellation_digits)),
+                                   rep.warnings)))
                 for point, rep in zip(coords, reports)]
         text = json.dumps({"jobspec": _jobspec(args), "rows": rows},
-                          indent=2, sort_keys=True) + "\n"
+                          indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
         lines = [",".join(columns)]
         for point, rep in zip(coords, reports):
@@ -284,9 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_command("cdf", _cmd_table, "tabulate an extreme-eigenvalue CDF")
     p_pdf = add_command("pdf", _cmd_table, "tabulate an extreme-eigenvalue density",
                         stats=("max", "min", "joint"))
-    p_pdf.add_argument("--a", help="grid for the smallest eigenvalue (joint)")
+    p_pdf.add_argument("--a", help="grid for the smallest eigenvalue (joint: row cases, "
+                       "or square column cases)")
     p_pdf.add_argument("--b", help="grid for the largest eigenvalue (joint)")
-    p_gap = add_command("gap", _cmd_table, "tabulate the two-sided gap probability",
+    p_gap = add_command("gap", _cmd_table, "tabulate the two-sided gap probability "
+                        "(row cases, or square column cases)",
                         stats=(), with_grid=False)
     p_gap.add_argument("--a", help="grid start:stop:points[:spacing] for a")
     p_gap.add_argument("--b", help="grid for b")

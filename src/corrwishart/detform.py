@@ -15,8 +15,11 @@ a seed row, whose tail row is the interval's at b = inf.  Raw
 magnitudes of those pieces overflow double precision long before the
 probabilities become interesting, so a law is evaluated on a grid of
 points as the logs of its entries and of its prefactor, held as arrays
-(`_entries`, `_log_pref`); each point's value is exponentiated only once,
-from its sign and log magnitude (`_finalize`).
+(`_entries`); each point's value is exponentiated only once, from its
+sign and log magnitude (`_finalize`).  What does not depend on the point
+-- the law object, its prefactor's sign and lambda-free log (`_pref_log`),
+the range check's bounds and the warnings every report starts from -- is
+built once per (case, statistic) and cached on the frozen case (`_plan`).
 
 The one genuine numerical weak point of these formulas is the Vandermonde
 ratio for clustered spectra.  The engine therefore measures the decimal
@@ -42,6 +45,7 @@ follow from the description.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -308,7 +312,7 @@ def _check_pair(a: float, b: float) -> Tuple[float, float]:
 
 # ---------------------------------------------------------------------------
 # laws: one description per (model, statistic), read as logs here
-# (`_log_pref`, `_entries`) and, on escalation, by `extended.evaluate`
+# (`_pref_log`, `_entries`) and, on escalation, by `extended.evaluate`
 #
 # A grid's entries, as logs of the (positive) values, come from the array
 # kernels in `specfun` with first-order relative error estimates that track
@@ -377,10 +381,16 @@ def _row_gap(n: int, m: int, s) -> _Law:
     return _Law(_row_norm(n, m, s), s, (("gap", range(n - m + 1, n + 1)),))
 
 
-# each law, keyed by statistic and model (`_grid` forms the key), taking
-# the dimensions and spectra; `_grid` evaluates the one object it builds in
-# double precision and, on escalation, in mpmath
-_LAWS = {
+def _tupled(build):
+    # the spectra as tuples (a tuple passes as itself), so that a law and its
+    # prefactor are hashable: `extended` caches the prefactor per `_Pref`
+    return lambda *args: build(*(a if isinstance(a, int) else tuple(a) for a in args))
+
+
+# each law, keyed by statistic and model (`_plan` forms the key), taking
+# the dimensions and spectra; `_grid` evaluates the one object its plan
+# holds in double precision and, on escalation, in mpmath
+_LAWS = {name: _tupled(build) for name, build in {
     "cdf_max_row": lambda n, m, s: _Law(_row_norm(n, m, s), s,
                                         (("lamE", range(n - m + 1, n + 1)),)),
     # the gap's tail; at n = m its closed form e^(-lam sum s), times an
@@ -405,19 +415,16 @@ _LAWS = {
     "cdf_min_doubly": lambda n, r, s: _Law(
         _Pref(n * (n - 1) // 2, (), tuple(range(2, n + 1)), (), (r, s), -(n * (n - 1) // 2)), s,
         (("expr", r),)),
-}
+}.items()}
 
 
-def _log_pref(p: _Pref, lams: np.ndarray) -> Tuple[int, np.ndarray]:
-    """The sign of ``p`` and its log at each lambda of ``lams``."""
+def _pref_log(p: _Pref) -> Tuple[int, float]:
+    """The sign of ``p`` and the log of its lambda-free part."""
     log = sum(map(math.lgamma, p.above)) + sum([k * sum(map(math.log, v)) for k, v in p.powers])
     for v in p.vandermonde:
         log -= sum([math.log(y - x) for j, x in enumerate(v) for y in v[j + 1:]])
     log -= sum(map(math.lgamma, p.below))
-    logs = log + p.lam_power * np.log(lams) if p.lam_power else np.full(len(lams), float(log))
-    if p.decay:
-        logs = logs - lams * sum(p.decay)
-    return -1 if p.pairs % 2 else 1, logs
+    return -1 if p.pairs % 2 else 1, float(log)
 
 
 def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool):
@@ -536,6 +543,46 @@ _PERTURBED = (f"perturbed:coincident spectrum values nudged apart in relative st
               f"{PERTURB_EPS:g} (the value is that of the nudged spectrum)")
 
 
+class _Plan(NamedTuple):
+    """What `_grid` needs of a (case, statistic) that does not depend on the
+    point: the law (None where the model has none for the statistic, or
+    the doubly smallest eigenvalue at m < n),
+    its prefactor's sign and lambda-free log (`_pref_log`) and its sum of
+    decay, the range check's smallest and largest products of the spectra,
+    and the warnings every report starts from."""
+
+    law: Optional[_Law]
+    sign: int
+    log: float
+    decay: float
+    lo: float
+    hi: float
+    warnings: tuple
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(case: ModelCase, stat: str) -> _Plan:
+    """The `_Plan` of ``case`` (a hashable, frozen model case) for ``stat``,
+    built once per case and statistic."""
+    model = _MODELS[type(case)]
+    n, m = case.dims.n, case.dims.m
+    if model == "col" and n == m:
+        # at n = m, W = Z^H has the row model's density, as Tr(Z^H S Z) =
+        # Tr(S W^H W), and Z Z^H the eigenvalues of Z^H Z: the row laws, the
+        # gap's included, whose min is the exact e^(-lam sum s)
+        model = "row"
+    name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{model}"
+    spectra = (case.r, case.s) if isinstance(case, DoublyCorrelated) else (case.s,)
+    args = (n, m, *(sp.values for sp in spectra))
+    if name == "cdf_min_doubly":
+        args = args[:1] + args[2:] if m == n else None
+    law = _LAWS[name](*args) if name in _LAWS and args else None
+    sign, log = _pref_log(law.pref) if law else (1, 0.0)
+    lo, hi = (math.prod(f(sp) for sp in spectra) for f in (min, max))
+    return _Plan(law, sign, log, sum(law.pref.decay) if law else 0.0, lo, hi,
+                 (_PERTURBED,) if any(sp.perturbed for sp in spectra) else ())
+
+
 # ---------------------------------------------------------------------------
 # the one entry: a statistic's law on a grid of points
 
@@ -546,7 +593,8 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     ``case``: its CDF (the gap probability), or with ``density`` its density
     (the joint min/max density for "gap").
 
-    The points are lambdas, or (a, b) pairs for "gap".  All the determinants
+    The points are lambdas, or (a, b) pairs for "gap".  The case's `_plan`,
+    cached, holds the law and its lambda-free parts; all the determinants
     go into one kernel call.  A density is sign * d(pref det) = sign * pref *
     det * (c + d det / det) by Jacobi's formula: each constant in c adds
     exactly its value, as every row and column of A^-T o A sums to one.  The
@@ -554,44 +602,37 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     in units of eps, count with the determinant's cancellation, and its error
     adds to the determinant's.
     """
-    model = _MODELS.get(type(case))
-    if model == "col" and stat != "gap" and case.dims.n == case.dims.m:
-        # at n = m, W = Z^H has the row model's density, as Tr(Z^H S Z) =
-        # Tr(S W^H W): the row laws, whose min is the exact e^(-lam sum s)
-        model = "row"
-    name = f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{model}"
-    if name not in _LAWS:
-        if stat == "gap":
-            raise TypeError(f"{'joint density' if density else 'gap probability'} "
-                            "is available for the row-correlated model only")
+    if type(case) not in _MODELS:
         raise TypeError(f"unknown model case {type(case).__name__}")
+    plan = _plan(case, stat)
+    if plan.law is None and stat == "gap":
+        raise TypeError(f"{'joint density' if density else 'gap probability'} is available "
+                        "for the row-correlated model and square column-correlated cases only")
     if stat == "gap":
         points = [_check_pair(a, b) for a, b in points]
     else:
         points = [(_check_lambda(lam),) for lam in points]
-    spectra = (case.r, case.s) if isinstance(case, DoublyCorrelated) else (case.s,)
-    n, m = case.dims.n, case.dims.m
+    n, lo, hi = case.dims.n, plan.lo, plan.hi
     # lam v (doubly lam r s) must be a nonzero finite double in every entry,
     # with room for the sums of up to n of them that the estimates form
     # (checked on Python floats, which overflow and underflow without a warning)
-    lo, hi = (math.prod(f(sp) for sp in spectra) for f in (min, max))
     for point in points:
         if not (point[0] * lo > 0.0 and math.isfinite(point[-1] * hi * (n + 1))):
             raise ValueError(f"lambda times the spectrum leaves the double range at {point}")
-    warnings = [_PERTURBED] if any(sp.perturbed for sp in spectra) else []
-    if density and stat == "gap" and m == 1:
+    warnings = plan.warnings
+    if density and stat == "gap" and case.dims.m == 1:
         # one eigenvalue cannot sit at two points
         return [EvalReport(0.0, 0.0, 0.0, list(warnings)) for _ in points]
-    args = (n, m, *(list(sp) for sp in spectra))
-    if name == "cdf_min_doubly":
-        if m != n:
-            raise ValueError("smallest-eigenvalue law for the doubly correlated model "
-                             "requires m = n")
-        args = args[:1] + args[2:]
+    law = plan.law
+    if law is None:  # the doubly smallest eigenvalue at m < n
+        raise ValueError("smallest-eigenvalue law for the doubly correlated model "
+                         "requires m = n")
     grid = np.asarray(points, dtype=float)
-    law = _LAWS[name](*args)
-    # (a gap law has no lambda terms)
-    pref_sign, logs = _log_pref(law.pref, grid[:, 0])
+    # the prefactor's log at each point (a gap law has no lambda terms)
+    lams, pref_sign, lam_power = grid[:, 0], plan.sign, law.pref.lam_power
+    logs = plan.log + lam_power * np.log(lams) if lam_power else np.full(len(lams), plan.log)
+    if plan.decay:
+        logs = logs - lams * plan.decay
     L, R, Ds, consts = _entries(law, grid, density)
     sign, log_det, cancel, rel, *derivs = _det_from_logs(L, R, Ds)
     # every value also carries the rounding of the logs it is exponentiated from
@@ -642,9 +683,10 @@ def cdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
     return _grid(case, "min", [lam], cfg)[0]
 
 
-def prob_gap(case: RowCorrelated, a: float, b: float,
+def prob_gap(case: ModelCase, a: float, b: float,
              cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
-    """Pr(no eigenvalue in (0, a) and none in (b, inf)), row model, 0 < a < b."""
+    """Pr(no eigenvalue in (0, a) and none in (b, inf)), 0 < a < b, for the
+    row model or a square column case (whose eigenvalues are the row's)."""
     return _grid(case, "gap", [(a, b)], cfg)[0]
 
 
@@ -668,9 +710,10 @@ def pdf_min(case: ModelCase, lam: float, cfg: EvalConfig = _DEFAULT_CONFIG) -> E
     return _grid(case, "min", [lam], cfg, density=True)[0]
 
 
-def pdf_joint_minmax(case: RowCorrelated, a: float, b: float,
+def pdf_joint_minmax(case: ModelCase, a: float, b: float,
                      cfg: EvalConfig = _DEFAULT_CONFIG) -> EvalReport:
-    """Joint density of (smallest, largest) eigenvalue at (a, b), row model.
+    """Joint density of (smallest, largest) eigenvalue at (a, b), for the
+    row model or a square column case.
 
     Minus the mixed partial of the `prob_gap` determinant formula, from one
     factorisation of its matrix by Jacobi's formula (each entry is an

@@ -11,15 +11,20 @@ float or an mpf, is read exactly as a mantissa and an exponent (`_digits`),
 and every argument is formed from those exactly (lam v, lam r v, the gap's
 b - a), so no argument is rounded.  Python integers carry the work, with
 guard bits and one rounding per value: the prefactor, an exact rational
-times one exponential; the ``pow`` and ``exp`` entries, mantissa powers
-times one exponential (`_rounded`); the gamma rows (`_gamma_row`, behind
-the ``lamE`` and ``gap`` families) from positive recurrences in the order,
-with the powers of the row's scale (lam, or b - a); a gap entry a positive
-sum over one such row by a Pascal recurrence; the tail rows
-(`_shifted_power_row`, the gap at b = inf, O(n) a row); and the doubly
-``g`` entries (`_g`).  Only the ``expr`` entries are one mpmath
-exponential each.  The test suite keeps an independent direct
-transcription of the formulas as an oracle.
+(its lambda-free part computed once per prefactor, `_pref_digits`) times
+lam^lam_power and one exponential; the ``pow`` and ``exp`` entries,
+mantissa powers times one exponential (`_rounded`); the gamma rows
+(`_gamma_row`, behind the ``lamE`` and ``gap`` families) from positive
+recurrences in the order, with the powers of the row's scale (lam, or
+b - a); a gap entry a positive sum over one such row by a Pascal
+recurrence; the tail rows (`_shifted_power_row`, the gap at b = inf, O(n)
+a row); and the doubly ``g`` entries (`_g`).  Only the ``expr`` entries
+are one mpmath exponential each.  Every entry is handed on as the exact
+integer pair (man, exp) that mpmath's round to nearest at the working
+precision gives (`_entry`), and `_bounded_det` eliminates on those
+integers: only the prefactor, the determinant and the `Round` are mpfs.
+The test suite keeps an independent direct transcription of the formulas
+as an oracle.
 
 Each block comes with a bound on its entries' relative error in ulps
 (units of u = 2^-p at the working precision p), and a matrix's bound is
@@ -40,6 +45,7 @@ says that the precision was too low to see the entries differ.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Any, NamedTuple
 
@@ -113,8 +119,9 @@ def evaluate(law, point, dps=40, start=None) -> Round:
 
 
 def _bounded_det(rows, ulps):
-    """(det, bound): the determinant of the rows of mpf at the working
-    precision p, and its relative error bound when each entry is within
+    """(det, bound): the determinant of the rows of entries (man, exp), each
+    man 2^exp at the working precision p as the kernels give it (`_entry`),
+    as an mpf, and its relative error bound when each entry is within
     ``ulps`` ulps (infinite for an exact zero).
 
     Columns, then rows, are scaled exactly by powers of two so that each
@@ -134,15 +141,16 @@ def _bounded_det(rows, ulps):
     1| <= d = n x (1 + n x) for n x <= 1, the bound is (u + d) / (1 - u - d).
     """
     prec, n, zero = mpmath.mp.prec, len(rows), (mpmath.mpf(0), mpmath.inf)
-    a = [[x._mpf_ for x in row] for row in rows]
-    # x = (sign, man, exp, bc) has |x| < 2^(exp + bc): the columns' tops, then the rows'
-    cols = [max((t[2] + t[3] for t in col if t[1]), default=None) for col in zip(*a)]
+    # |man 2^exp| < 2^(exp + bit_length(man)): the columns' tops, then the rows'
+    a = [[(m, e + m.bit_length()) for m, e in row] for row in rows]
+    cols = [max((t for m, t in col if m), default=None) for col in zip(*a)]
     if None in cols:
         return zero
-    tops = [max((t[2] + t[3] - c for t, c in zip(row, cols) if t[1]), default=None) for row in a]
+    tops = [max((t - c for (m, t), c in zip(row, cols) if m), default=None) for row in a]
     if None in tops:
         return zero
-    a = [[_fixed(t, prec - c - r) for t, c in zip(row, cols)] for row, r in zip(a, tops)]
+    a = [[_fixed(m, e, prec - c - r) for (m, e), c in zip(row, cols)]
+         for row, r in zip(rows, tops)]
     sums, det, half = [sum(map(abs, row)) for row in a], 1, 1 << (prec - 1)
     for k in range(n):
         p = max(range(k, n), key=lambda i: abs(a[i][k]))
@@ -177,9 +185,30 @@ def _bounded_det(rows, ulps):
     return det, d / (1 - d) if d < 1 else mpmath.inf
 
 
-def _fixed(t, shift):  # the mpf tuple t times 2^shift, rounded to the nearest integer
-    man, shift = -t[1] if t[0] else t[1], shift + t[2]
+def _fixed(man, exp, shift):  # man 2^(exp + shift), rounded to the nearest integer
+    shift += exp
     return man << shift if shift >= 0 else ((man >> (-shift - 1)) + 1) >> 1
+
+
+def _entry(man, exp):
+    """man 2^exp rounded to the nearest value of p bits, p the working
+    precision, ties to even, as (m, e) with m odd or 0 (then e = 0): the
+    digits mpmath's ``from_man_exp(man, exp, p, round_nearest)`` has, the
+    form in which every kernel hands its entries to `_bounded_det`."""
+    neg = man < 0
+    if neg:
+        man = -man
+    cut = man.bit_length() - mpmath.mp.prec
+    if cut > 0:  # t: man to one bit past p; up on its last bit unless a tie to even
+        t = man >> (cut - 1)
+        up = t & 1 and (t & 2 or man & ((1 << (cut - 1)) - 1))
+        man, exp = (t >> 1) + 1 if up else t >> 1, exp + cut
+    if not man & 1:
+        if not man:
+            return 0, 0
+        zeros = (man & -man).bit_length() - 1
+        man, exp = man >> zeros, exp + zeros
+    return -man if neg else man, exp
 
 
 def _log2_sum(terms):  # log2 sum 2^t over terms, the largest finite
@@ -209,14 +238,13 @@ def _product(*xs):
 
 
 def _rounded(num, den, exp):
-    """The rational num / den times 2^exp as an mpf, within 1 + 2^-8 ulps:
-    one floor division to at least w + 1 bits, w = p + 8 (under a unit of
-    2^-w), rounded once to the working precision p."""
-    prec = mpmath.mp.prec
+    """The rational num / den times 2^exp as an entry (`_entry`), within 1 +
+    2^-8 ulps: one floor division to at least w + 1 bits, w = p + 8 (under a
+    unit of 2^-w), rounded once to the working precision p."""
     sign, num, den = (num < 0) != (den < 0), abs(num), abs(den)
-    shift = prec + 9 + den.bit_length() - num.bit_length()
+    shift = mpmath.mp.prec + 9 + den.bit_length() - num.bit_length()
     q = (num << shift if shift >= 0 else num >> -shift) // den
-    return mpmath.mp.make_mpf(from_man_exp(-q if sign else q, exp - shift, prec, round_nearest))
+    return _entry(-q if sign else q, exp - shift)
 
 
 def _exp_digits(man, exp, w):
@@ -226,23 +254,20 @@ def _exp_digits(man, exp, w):
     return m << (w - bc), e - (w - bc)
 
 
-def _pref(p, lam):
-    """The `detform._Pref` ``p`` at ``lam`` as an mpf, and its ulps, 1.1.
-
-    Every factor but the exponential is exact on Python integers, from the
-    inputs' digits (`_digits`): the sign, Gamma(a) at an integer a as
-    (a-1)!, v^k and lam^lam_power as mantissa powers, and each Vandermonde
-    difference y - x from its spectrum's mantissas aligned to the spectrum's
-    least exponent, so that the product is num / den times a power of two.
-    lam sum decay is one exact integer times a power of two, and
-    e^(-lam sum decay) one `mpf_exp` of it at w = p + 8 bits, within `_FN`
-    units of 2^-w.  num times it over den is rounded once by `_rounded`:
-    within 1 + (_FN + 1) 2^-8 < 1.1 ulps.
-    """
+@functools.lru_cache(maxsize=256)
+def _pref_digits(p):
+    """The lambda-free part of the `detform._Pref` ``p``, exact on Python
+    integers from the inputs' digits (`_digits`): (num, den, exp, decay),
+    the sign, Gamma(a) at an integer a as (a-1)!, v^k as mantissa powers and
+    each Vandermonde difference y - x from its spectrum's mantissas aligned
+    to the spectrum's least exponent, as num / den times 2^exp, and sum
+    decay exactly as (man, exp) (None without decay).  It is the same at
+    every precision, so it is computed once per prefactor."""
     num, den, exp = (-1) ** p.pairs, 1, 0
-    for x, k in [(lam, p.lam_power)] + [(v, k) for k, vals in p.powers for v in vals]:
-        man, e = _digits(x)
-        num, den, exp = num * man ** max(k, 0), den * man ** max(-k, 0), exp + e * k
+    for k, vals in p.powers:
+        for v in vals:
+            man, e = _digits(v)
+            num, den, exp = num * man ** max(k, 0), den * man ** max(-k, 0), exp + e * k
     num *= math.prod(math.factorial(a - 1) for a in p.above)
     den *= math.prod(math.factorial(a - 1) for a in p.below)
     for vals in p.vandermonde:
@@ -251,21 +276,39 @@ def _pref(p, lam):
         mans = [man << e - low for man, e in digits]
         den *= math.prod(y - x for j, x in enumerate(mans) for y in mans[j + 1:])
         exp -= low * (len(mans) * (len(mans) - 1) // 2)
+    decay = None
     if p.decay:
         digits = [_digits(x) for x in p.decay]
         low = min(e for _, e in digits)
-        total = sum(man << e - low for man, e in digits)
-        lm, le = _digits(lam)
+        decay = sum(man << e - low for man, e in digits), low
+    return num, den, exp, decay
+
+
+def _pref(p, lam):
+    """The `detform._Pref` ``p`` at ``lam`` as an mpf, and its ulps, 1.1.
+
+    The lambda-free part is exact (`_pref_digits`), and so is lam^lam_power
+    as a mantissa power; lam sum decay is one exact integer times a power of
+    two, and e^(-lam sum decay) one `mpf_exp` of it at w = p + 8 bits,
+    within `_FN` units of 2^-w.  num times it over den is rounded once by
+    `_rounded`: within 1 + (_FN + 1) 2^-8 < 1.1 ulps.
+    """
+    num, den, exp, decay = _pref_digits(p)
+    (lm, le), k = _digits(lam), p.lam_power
+    num, den, exp = num * lm ** max(k, 0), den * lm ** max(-k, 0), exp + le * k
+    if decay:
+        total, low = decay
         em, ee = _exp_digits(-lm * total, le + low, mpmath.mp.prec + 8)
         num, exp = num * em, exp + ee
-    return _rounded(num, den, exp), 1.1
+    return mpmath.mpf(_rounded(num, den, exp)), 1.1
 
 
 def _gamma_row(a_lo, a_hi, x, scale):
     """E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = gamma(a, x) / x^a, times
-    c^a, for the orders a = a_lo..a_hi, x > 0, each within 1.1 ulps; x =
-    m 2^e and the scale c = cm 2^ce > 0 (1 gives the unscaled row) come as
-    their exact digits, (m, e) and (cm, ce) (`_digits`).
+    c^a, for the orders a = a_lo..a_hi, x > 0, each an entry (`_entry`)
+    within 1.1 ulps; x = m 2^e and the scale c = cm 2^ce > 0 (1 gives the
+    unscaled row) come as their exact digits, (m, e) and (cm, ce)
+    (`_digits`).
 
     E_a = e^-x S_a / a with S_a = 1F1(1; a+1; x) >= 1, on Python integers
     in fixed point with w = p + g bits (p the working precision, g =
@@ -335,21 +378,20 @@ def _gamma_row(a_lo, a_hi, x, scale):
     row.reverse()
     # scale^a as pm 2^pe, truncated to w + 1 bits
     cm, ce = scale
-    pm, pe, out, make = 1, 0, [], mpmath.mp.make_mpf
+    pm, pe, out = 1, 0, []
     for a in range(1, a_hi + 1):
         pm *= cm
         cut = max(pm.bit_length() - w - 1, 0)
         pm, pe = pm >> cut, pe + ce + cut
         if a >= a_lo:
-            out.append(make(from_man_exp(row[a - a_lo] * pm // a, ee + t + pe, prec,
-                                         round_nearest)))
+            out.append(_entry(row[a - a_lo] * pm // a, ee + t + pe))
     return out
 
 
 def _shifted_power_row(a_lo, a_hi, lam, s):
     """G_a = int_lam^inf t^(a-1) e^(-s t) dt = (a-1)! / s^a e^-x P_a, P_a =
     sum_(j<a) x^j / j! and x = lam s, for the orders a = a_lo..a_hi, each
-    within 1.1 ulps.
+    an entry (`_entry`) within 1.1 ulps.
 
     On Python integers in fixed point with w = p + g bits, g = 8 +
     2 bit_length(a_hi + 2), and x = mul 2^-f exactly from the digits of lam
@@ -378,10 +420,10 @@ def _shifted_power_row(a_lo, a_hi, lam, s):
     shift = 2 + sm.bit_length()
     cm, ce = (em << shift) // sm, ee - se - shift
     t = total = 1 << w
-    row, make = [], mpmath.mp.make_mpf
+    row = []
     for a in range(1, a_hi + 1):
         if a >= a_lo:
-            row.append(make(from_man_exp(total * cm, ce - w, prec, round_nearest)))
+            row.append(_entry(total * cm, ce - w))
         t = (t * mul >> f) // a
         total += t
         cm *= a
@@ -393,7 +435,7 @@ def _shifted_power_row(a_lo, a_hi, lam, s):
 
 def _g(n, m, e):
     """g_n(y) = int_0^1 (1-t)^(n-1) e^(-y t) dt = 1F1(1; n+1; -y) / n at
-    y = m 2^e > 0, taken exactly, within 1.1 ulps.
+    y = m 2^e > 0, taken exactly, as an entry (`_entry`) within 1.1 ulps.
 
     On Python integers in fixed point with w = p + g bits, g = 10 +
     bit_length(n (p + 12n + 64)), and y = mul 2^-f.  Below y = 2n, from the
@@ -433,7 +475,7 @@ def _g(n, m, e):
             j += 1
             t = (t * mul >> f) // j
             total += t // (n + j)
-        return mpmath.mp.make_mpf(from_man_exp(em * total, ee - w, prec, round_nearest))
+        return _entry(em * total, ee - w)
     t = total = 1 << w
     for k in range(1, n):
         t = (t * (n - k) << f) // mul
@@ -444,21 +486,21 @@ def _g(n, m, e):
         r = (r << shift if shift >= 0 else r >> -shift) // mul ** (n - 1)
         total += -r if n % 2 else r
     shift = w + 1 + mul.bit_length() - total.bit_length()
-    return mpmath.mp.make_mpf(from_man_exp((total << shift) // mul, f - w - shift, prec,
-                                           round_nearest))
+    return _entry((total << shift) // mul, f - w - shift)
 
 
 def _block(family, k, v, point):
     """The rows (one list per value of ``v``) of a column block of a
-    `detform._Law` at the point, and the ulps of its entries: every argument
-    is formed exactly from the inputs' digits, so only the kernels round."""
+    `detform._Law` at the point, each entry an integer pair (`_entry`), and
+    the ulps of its entries: every argument is formed exactly from the
+    inputs' digits, so only the kernels round."""
     lam, prec = point[0], mpmath.mp.prec
     if family in ("g", "expr"):  # lam r v from digits read once a block
         (lm, le), rs = _digits(lam), [_digits(r) for r in k]
         ys = [[(lm * rm * xm, le + re + xe) for rm, re in rs] for xm, xe in map(_digits, v)]
-        if family == "expr":  # one call
-            return [[mpmath.mp.make_mpf(mpf_exp(from_man_exp(-m, e), prec, round_nearest))
-                     for m, e in row] for row in ys], _FN
+        if family == "expr":  # one call, its (positive) normalized digits
+            return [[mpf_exp(from_man_exp(-m, e), prec, round_nearest)[1:3] for m, e in row]
+                     for row in ys], _FN
         return [[_g(len(v), m, e) for m, e in row] for row in ys], 1.1
     if family in ("pow", "exp"):
         # v^a as a mantissa power, for exp times e^(lam v) at w = p + 8 bits
@@ -496,15 +538,14 @@ def _block(family, k, v, point):
     rows = []
     for x in v:
         xm, xe = _digits(x)
-        terms = [_digits(t) for t in _gamma_row(1, hi, (xm * hm, xe + h[1]), h)]
+        terms = _gamma_row(1, hi, (xm * hm, xe + h[1]), h)
         re = min(e for _, e in terms)
         P = [m << e - re for m, e in terms]
         em, ee = _exp_digits(-am * xm, ea + xe, w)
         row = []
         for c in range(1, hi + 1):
             if c >= lo:
-                row.append(mpmath.mp.make_mpf(from_man_exp(P[0] * em, re + (c - 1) * g + ee,
-                                                           prec, round_nearest)))
+                row.append(_entry(P[0] * em, re + (c - 1) * g + ee))
             P = [A * p + (q << -g) for p, q in zip(P, P[1:])]
             if P and P[0].bit_length() > 2 * w:
                 cut = min(map(int.bit_length, P)) - w - 1
@@ -516,8 +557,8 @@ def _block(family, k, v, point):
 
 def _build(law, point):
     """The `detform._Law` ``law`` at ``point`` at the working precision:
-    (prefactor, its ulps, rows, their ulps), the ulps the most of any
-    block's."""
+    (prefactor, an mpf, its ulps, rows of integer pairs (`_entry`), their
+    ulps), the ulps the most of any block's."""
     blocks = [_block(family, k, law.rows, point) for family, k in law.blocks]
     rows = [sum(parts, []) for parts in zip(*(rows for rows, _ in blocks))]
     return (*_pref(law.pref, point[0]), rows, max(ulps for _, ulps in blocks))

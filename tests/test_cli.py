@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -45,6 +46,23 @@ class TestCdfCommand:
         assert payload["jobspec"]["case"] == "row"
         assert payload["jobspec"]["command"] == "cdf"
         assert len(payload["rows"]) == 3
+
+    @pytest.mark.parametrize("argv,nulls", [
+        (["cdf", "--case", "column", "--n", "3", "--m", "2", "--spectrum",
+          "1e-200,2e-200,3e-200", "--stat", "min", "--grid", "1:1:1"],
+         ["abs_error", "cancel_digits"]),
+        (["pdf", "--case", "row", "--n", "1", "--m", "1", "--spectrum", "1.5e308",
+          "--stat", "max", "--grid", "1e-310:1e-310:1"], ["abs_error", "value"])])
+    def test_json_nonfinite_numbers_are_null(self, argv, nulls, capsys):
+        # Infinity and NaN are not JSON (RFC 8259): a strict parser must read the output
+        def strict(name):
+            raise ValueError(f"non-JSON constant {name}")
+
+        rc, out, _ = run(capsys, *argv, "--format", "json")
+        assert rc == 0
+        (row,) = json.loads(out, parse_constant=strict)["rows"]
+        assert sorted(k for k, v in row.items() if v is None) == nulls
+        assert row["warnings"]
 
     def test_output_file_deterministic(self, tmp_path, capsys):
         target1 = tmp_path / "a.csv"
@@ -429,9 +447,13 @@ class TestRowsMatchTheApi:
         assert rc == 0
         rows = json.loads(out)["rows"]
         keys = header.split(",")[:width]
+
+        def number(x):  # JSON writes a nonfinite number as null
+            return x if math.isfinite(x) else None
         assert [([row[k] for k in keys], row["value"], row["abs_error"],
                  row["cancel_digits"], row["warnings"]) for row in rows] == [
-            (point, rep.value, rep.abs_error_estimate, rep.cancellation_digits, rep.warnings)
+            (point, *map(number, (rep.value, rep.abs_error_estimate, rep.cancellation_digits)),
+             rep.warnings)
             for point, rep in reports]
 
 

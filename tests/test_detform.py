@@ -22,6 +22,7 @@ from corrwishart.detform import (
     _block,
     _det_from_logs,
     _grid,
+    _plan,
 )
 from corrwishart.model import (
     ColumnCorrelated,
@@ -121,6 +122,19 @@ class TestColumnCase:
             c = cdf_min(col_case(3, 3, s), lam).value
             d = cdf_min(row_case(3, 3, s), lam).value
             assert c == pytest.approx(d, rel=1e-9)
+
+    def test_square_gap_is_the_row_gap(self):
+        # at n = m, Z Z^H and Z^H Z share their eigenvalues: the gap
+        # probability and the joint density are the row model's, bit for bit
+        s = [0.6, 1.1, 1.8]
+        extended_cfg = EvalConfig(precision="extended")
+        for n, cfg in [(3, EvalConfig()), (3, extended_cfg), (1, EvalConfig())]:
+            for fn in (prob_gap, pdf_joint_minmax):
+                for a, b in [(0.3, 4.0), (0.05, 2.0), (1.0, 1.001)]:
+                    col, row = (fn(case(n, n, s[:n]), a, b, cfg) for case in (col_case, row_case))
+                    assert (col.value, col.abs_error_estimate, col.cancellation_digits,
+                            col.warnings) == (row.value, row.abs_error_estimate,
+                                              row.cancellation_digits, row.warnings)
 
     def test_min_square_exponential(self):
         # at n = m the column laws are the row laws, whose min is e^(-lam sum s)
@@ -737,6 +751,67 @@ REJECTED = (
                          ids=[f"{fn.__name__}-{k}-{p}" for fn, k, p, _ in REJECTED])
 def test_entry_rejects(fn, kind, point, error):
     with pytest.raises(error):
+        fn(GRID_CASES[kind], *point)
+
+
+# ---------------------------------------------------------------------------
+# the per-case plan: a cache hit gives what a cold call gives, and no caller
+# can change what the cache holds
+
+
+def fields(reports):
+    return [(r.value, r.abs_error_estimate, r.cancellation_digits, r.warnings) for r in reports]
+
+
+PLAN_CASES = dict(GRID_CASES, column_square=col_case(3, 3, [0.6, 1.1, 1.8]),
+                  nudged=row_case(5, 3, [1.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["cdf", "density"])
+@pytest.mark.parametrize("stat", ["max", "min", "gap"])
+@pytest.mark.parametrize("kind", PLAN_CASES)
+def test_plan_cache_hit_equals_cold_call(kind, stat, density):
+    case = PLAN_CASES[kind]
+    points = [(0.3, 2.0), (0.05, 4.0)] if stat == "gap" else [0.05, 0.3, 2.0]
+
+    def reports():
+        try:
+            return fields(_grid(case, stat, points, EvalConfig(), density))
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    _plan.cache_clear()
+    cold = reports()
+    hits = _plan.cache_info().hits
+    assert reports() == cold
+    assert _plan.cache_info().hits == hits + 1
+
+
+def test_plan_warnings_are_not_shared():
+    case = row_case(5, 3, [1.0, 1.0, 1.0])
+    first = cdf_max(case, 0.3)
+    first.warnings.append("appended by a caller")
+    _grid(case, "max", [0.3])[0].warnings.clear()
+    assert cdf_max(case, 0.3).warnings == first.warnings[:-1] != []
+
+
+@pytest.mark.parametrize("case", [object(), [1]], ids=["object", "list"])
+def test_rejects_non_case_before_the_plan(case):
+    # a list is not hashable: the model check comes first
+    with pytest.raises(TypeError, match="unknown model case"):
+        cdf_max(case, 1.0)
+
+
+@pytest.mark.parametrize("fn,kind,point,error,match", [
+    (cdf_min, "doubly", (NAN,), ValueError, "lambda must be finite"),
+    (pdf_min, "doubly", (-1.0,), ValueError, "lambda must be finite"),
+    (cdf_min, "doubly", (1e308,), ValueError, "leaves the double range"),
+    (prob_gap, "doubly", (NAN, 2.0), TypeError, "gap probability"),
+    (pdf_joint_minmax, "column", (2.0, 1.0), TypeError, "joint density")])
+def test_first_of_two_faults_is_reported(fn, kind, point, error, match):
+    # the point is checked before the doubly m = n requirement, and the
+    # model's laws before the point
+    with pytest.raises(error, match=match):
         fn(GRID_CASES[kind], *point)
 
 

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath.libmp import from_man_exp, round_nearest
 
 from corrwishart import extended
 from corrwishart.detform import (EvalConfig, _LAWS, _entries, _finalize, cdf_max, cdf_min,
@@ -287,7 +288,7 @@ class TestRowRecurrences:
         with mpmath.workdps(90):
             for a, got in enumerate(full, start=1):
                 want = mpmath.gammainc(a, 0, xv) / xv ** a
-                assert rel_gap(got, want) < 1e-50, (a, x)
+                assert rel_gap(mpmath.mpf(got), want) < 1e-50, (a, x)
 
     @pytest.mark.parametrize("lam", ["1e-6", "0.3", "2.5", "40"])
     def test_scaled_gamma_row_with_mpf_lambda(self, lam):
@@ -303,7 +304,7 @@ class TestRowRecurrences:
                 with mpmath.workdps(90):
                     for k, got in enumerate(row, start=1):
                         want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
-                        assert abs(got - want) <= ulps * u * want, (k, lam, s)
+                        assert abs(mpmath.mpf(got) - want) <= ulps * u * want, (k, lam, s)
 
     @pytest.mark.parametrize("lam", ["1e-8", "0.2", "3", "200"])
     def test_shifted_power_row(self, lam):
@@ -316,7 +317,7 @@ class TestRowRecurrences:
                 assert extended._shifted_power_row(30, ORDERS, lm, sv) == row[29:]
                 for a, got in enumerate(row, start=1):
                     want = gap_reference(a, sv, lm, mpmath.inf, 90)
-                    assert rel_gap(got, want) < 1e-50, (a, lam, s)
+                    assert rel_gap(mpmath.mpf(got), want) < 1e-50, (a, lam, s)
 
     @pytest.mark.parametrize("a,b", [("0.05", "2"), ("1", "1.001"), ("3", "150"),
                                      ("1", "1.000000001"), ("1e-8", "inf"), ("0.2", "inf"),
@@ -332,7 +333,7 @@ class TestRowRecurrences:
                 (row,), ulps = extended._block("gap", range(1, ORDERS + 1), [sv], point)
                 for k, got in enumerate(row, start=1):
                     want = gap_reference(k, sv, av, bv, 90)
-                    assert abs(got - want) <= ulps * u * want, (k, a, b, s)
+                    assert abs(mpmath.mpf(got) - want) <= ulps * u * want, (k, a, b, s)
 
     # both branches of the top order, the series below x = a_hi + 1 and the
     # finite sum from there on: x at a_hi + 1 and 2^-40 relative on either
@@ -350,7 +351,7 @@ class TestRowRecurrences:
         with mpmath.workdps(dps + 30):
             for a, got in enumerate(row, start=a_lo):
                 want = mpmath.gammainc(a, 0, xv) / xv ** a
-                assert abs(got - want) <= ulps * u * want, (a, x, dps)
+                assert abs(mpmath.mpf(got) - want) <= ulps * u * want, (a, x, dps)
 
     @pytest.mark.parametrize("dps", [60, 400])
     @pytest.mark.parametrize("a_lo", [1, ORDERS])
@@ -370,7 +371,7 @@ class TestRowRecurrences:
                 with mpmath.workdps(dps + 30):
                     for k, got in enumerate(row, start=a_lo):
                         want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
-                        assert abs(got - want) <= ulps * u * want, (k, x, s, dps)
+                        assert abs(mpmath.mpf(got) - want) <= ulps * u * want, (k, x, s, dps)
 
     @pytest.mark.parametrize("dps", [60, 400])
     @pytest.mark.parametrize("a_lo", [1, ORDERS])
@@ -386,7 +387,7 @@ class TestRowRecurrences:
                 (row,), ulps = extended._block("gap", range(a_lo, ORDERS + 1), [sv], (av, bv))
                 for k, got in enumerate(row, start=a_lo):
                     want = gap_reference(k, sv, av, bv, dps + 30)
-                    assert abs(got - want) <= ulps * u * want, (k, lo, hi, s, dps)
+                    assert abs(mpmath.mpf(got) - want) <= ulps * u * want, (k, lo, hi, s, dps)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +431,44 @@ class TestDigits:
             assert man % 2 == 1 or man == exp == x == 0
 
 
+class TestEntry:
+    # every kernel rounds its entries through `_entry`: the digits of
+    # mpmath's from_man_exp at the working precision, round to nearest, even
+    @staticmethod
+    def mpmath_digits(man, exp, prec):
+        sign, m, e, _ = from_man_exp(man, exp, prec, round_nearest)
+        return -m if sign else m, e
+
+    @pytest.mark.parametrize("prec", [53, 136, 540])
+    def test_against_from_man_exp(self, prec):
+        rng = np.random.default_rng(prec)
+        mans = [int(rng.integers(1, 2 ** 62)) << int(rng.integers(0, 3 * prec))
+                | int(rng.integers(0, 2)) for _ in range(400)]
+        mans += [(1 << b) - 1 for b in range(1, 2 * prec)]  # carries to a power of two
+        # exact ties, with an even and with an odd kept mantissa, at several cuts
+        for cut in (1, 2, 7, 64, prec):
+            for kept in ((1 << (prec - 1)) + 2, (1 << (prec - 1)) + 3, (1 << prec) - 1):
+                mans.append((kept << cut) | (1 << (cut - 1)))
+        with mpmath.workprec(prec):
+            for man in mans + [0]:
+                for m in (man, -man):
+                    for exp in (-prec - 7, 0, 11):
+                        assert extended._entry(m, exp) == self.mpmath_digits(m, exp, prec), m
+
+    def test_every_block_family_returns_int_pairs(self):
+        with mpmath.workdps(40):
+            point = (mpmath.mpf("0.3"),)
+            blocks = [("lamE", range(2, 5), point), ("pow", range(-2, 2), point),
+                      ("exp", range(0, 3), point), ("g", (0.5, 1.5), point),
+                      ("expr", (0.5, 1.5), point), ("gap", range(2, 5), point),
+                      ("gap", range(2, 5), (0.3, 2.0))]
+            for family, k, at in blocks:
+                rows, _ = extended._block(family, k, [0.7, 1.9, 3.0], at)
+                assert len(rows) == 3 and all(len(row) == len(k) for row in rows)
+                for man, exp in (entry for row in rows for entry in row):
+                    assert type(man) is int and type(exp) is int and man % 2 == 1, family
+
+
 class TestKernelOracles:
     @pytest.mark.parametrize("prec", KERNEL_PRECS)
     @pytest.mark.parametrize("n", range(1, 13))
@@ -447,7 +486,7 @@ class TestKernelOracles:
                 got = extended._g(n, *extended._product(yv))
             want = g_reference(n, yv, prec)
             with mpmath.workprec(prec + 60):
-                assert abs(got - want) <= 1.1 * u * want, (n, y, prec)
+                assert abs(mpmath.mpf(got) - want) <= 1.1 * u * want, (n, y, prec)
 
     @pytest.mark.parametrize("prec", KERNEL_PRECS)
     @pytest.mark.parametrize("lam", ["1e-8", "0.2", "3", "200"])
@@ -463,7 +502,7 @@ class TestKernelOracles:
             for a, got in enumerate(row, start=1):
                 want = gap_reference(a, sv, lm, mpmath.inf, dps + 30)
                 with mpmath.workprec(prec + 100):
-                    assert abs(got - want) <= ulps * u * want, (a, lam, s, prec)
+                    assert abs(mpmath.mpf(got) - want) <= ulps * u * want, (a, lam, s, prec)
 
     def test_gap_with_a_full_mantissa(self):
         # a = 1/3 at 400 digits has a 1 331-bit mantissa, by which the gap's
@@ -475,7 +514,7 @@ class TestKernelOracles:
                 (row,), ulps = extended._block("gap", range(1, ORDERS + 1), [sv], (av, bv))
                 for k, got in enumerate(row, start=1):
                     want = gap_reference(k, sv, av, bv, 430)
-                    assert abs(got - want) <= ulps * u * want, (k, s)
+                    assert abs(mpmath.mpf(got) - want) <= ulps * u * want, (k, s)
 
 
 # ---------------------------------------------------------------------------
@@ -694,6 +733,11 @@ class TestNotConverged:
 # the determinant against exact rational arithmetic on the same entries
 
 
+def digits(rows):
+    """``rows`` of mpfs as `extended._bounded_det` takes them: exact (man, exp)."""
+    return [[extended._digits(x) for x in row] for row in rows]
+
+
 def dominant(n, rng):
     """A random diagonally dominant n x n matrix of mpf (at the working
     precision), both signs off the diagonal."""
@@ -723,7 +767,7 @@ class TestDet:
     def test_against_exact_fraction(self, n, dps, scaled):
         with mpmath.workdps(dps):
             rows = det_matrix(n, dps, scaled)
-            got = extended._bounded_det(rows, 0)[0]
+            got = extended._bounded_det(digits(rows), 0)[0]
         want = fraction_det([[exact(x) for x in row] for row in rows])
         assert want != 0
         assert abs(exact(got) - want) <= n * Fraction(10) ** (3 - dps) * abs(want)
@@ -733,15 +777,15 @@ class TestDet:
         with mpmath.workdps(40):
             rows = dominant(7, rng)
             rows[5] = list(rows[2])
-            assert extended._bounded_det(rows, 0)[0] == 0
+            assert extended._bounded_det(digits(rows), 0)[0] == 0
 
     def test_row_swap_flips_sign(self):
         rng = np.random.default_rng(6)
         with mpmath.workdps(40):
             rows = dominant(8, rng)
-            det = extended._bounded_det(rows, 0)[0]
+            det = extended._bounded_det(digits(rows), 0)[0]
             rows[1], rows[6] = rows[6], rows[1]
-            assert extended._bounded_det(rows, 0)[0] == -det != 0
+            assert extended._bounded_det(digits(rows), 0)[0] == -det != 0
 
     def test_tiny_rows_are_not_singular(self):
         # one row near 2^-3000 beside rows near one: no tolerance reads it as zero
@@ -749,7 +793,7 @@ class TestDet:
         with mpmath.workdps(40):
             rows = dominant(6, rng)
             rows[3] = [mpmath.ldexp(x, -3000) for x in rows[3]]
-            got = extended._bounded_det(rows, 0)[0]
+            got = extended._bounded_det(digits(rows), 0)[0]
         want = fraction_det([[exact(x) for x in row] for row in rows])
         assert abs(exact(got) - want) <= 6 * Fraction(10) ** -37 * abs(want)
 
@@ -762,7 +806,7 @@ class TestDet:
 def covered(rows, ulps=0):
     """The bound of `_bounded_det` on ``rows`` and the actual relative error
     of its determinant against the exact one (infinite for a zero)."""
-    got, bound = extended._bounded_det(rows, ulps)
+    got, bound = extended._bounded_det(digits(rows), ulps)
     want = fraction_det([[exact(x) for x in row] for row in rows])
     assert want != 0
     if got == 0:
@@ -804,7 +848,8 @@ class TestBound:
         # each of the 6 rows moves by twice its entries' 1000 ulps, at least
         with mpmath.workdps(40):
             rows = det_matrix(6, 40, False)
-            added = extended._bounded_det(rows, 1000)[1] - extended._bounded_det(rows, 0)[1]
+            added = (extended._bounded_det(digits(rows), 1000)[1]
+                     - extended._bounded_det(digits(rows), 0)[1])
             assert added >= 6 * 2 * 1000 * mpmath.ldexp(1, -mpmath.mp.prec)
 
 
@@ -863,14 +908,14 @@ class TestIntegerKernel:
             h = Fraction(1, 2)
             rows = unscaled([[h, h, u / 4], [h, h, -u / 3], [h, h / 2, h]])
             assert fraction_det([[exact(x) for x in row] for row in rows]) != 0
-            assert extended._bounded_det(rows, 0) == (0, mpmath.inf)
+            assert extended._bounded_det(digits(rows), 0) == (0, mpmath.inf)
 
     def test_empty_and_one_by_one(self):
         with mpmath.workdps(40):
-            assert extended._bounded_det([], 0)[0] == 1
+            assert extended._bounded_det(digits([]), 0)[0] == 1
             assert covered([])[1] == 0
             x = mpmath.mpf(-3) / 7
-            got, bound = extended._bounded_det([[mpmath.ldexp(x, 500)]], 4)
+            got, bound = extended._bounded_det(digits([[mpmath.ldexp(x, 500)]]), 4)
             u = mpmath.ldexp(1, -mpmath.mp.prec)
             assert got == mpmath.ldexp(x, 500)
             assert 8 * u <= bound <= 1024 * u  # the entry's 2 ulps u times 4, and more
@@ -900,7 +945,7 @@ def test_bound_covers_exact_determinant(case, dps):
                    for x, y in zip(rows[j], rows[i])]
     rows = [[mpmath.ldexp(x, k) for x in row] for row, k in zip(rows, scales)]
     with mpmath.workdps(dps):
-        got, bound = extended._bounded_det(rows, 0)
+        got, bound = extended._bounded_det(digits(rows), 0)
     want = fraction_det([[exact(x) for x in row] for row in rows])
     if got == 0 or want == 0:
         # no bound below one can hold for a singular matrix: d >= 1
@@ -973,7 +1018,7 @@ def test_builder_errors_within_their_ulps(name, law, args):
     with mpmath.workprec(prec + 200):
         assert abs(pref - want_pref) <= pref_ulps * tol * abs(want_pref), name
         for row, want_row in zip(rows, want_rows):
-            for got, want in zip(row, want_row):
+            for got, want in zip(map(mpmath.mpf, row), map(mpmath.mpf, want_row)):
                 assert abs(got - want) <= ulps * tol * abs(want), name
 
 
@@ -1053,7 +1098,7 @@ def test_double_entries_within_their_estimates(name, args, points):
     for g, point in enumerate(points):
         with mpmath.workdps(60):
             for i, row in enumerate(precise_rows(name, args + point)):
-                for j, want in enumerate(row):
+                for j, want in enumerate(map(mpmath.mpf, row)):
                     err = abs(mpmath.expm1(mpmath.mpf(L[g, i, j]) - mpmath.log(want)))
                     assert err <= R[g, i, j], (point, i, j, float(err / R[g, i, j]))
 

@@ -277,12 +277,11 @@ class TestEmpiricalCDF:
         norms = np.linalg.norm(gram, axis=(1, 2))
         assert np.all(w[:, 0] >= -1e-10 * norms)
 
-    def test_gap_probability_inside_binomial_band(self):
+    @staticmethod
+    def gap_inside_binomial_band(case, a, b):
         # the two-sided event {lambda_min >= a and lambda_max <= b} has no DKW
         # band, so use a plain binomial error bar at a fixed seed
         from corrwishart.detform import prob_gap
-        case = row_case(3, 2, [1.0, 2.0])
-        a, b = 0.35, 3.0
         N = 200000
         count = 0
         for start in range(0, N, 20000):
@@ -293,6 +292,14 @@ class TestEmpiricalCDF:
         ana = prob_gap(case, a, b).value
         se = math.sqrt(emp * (1 - emp) / N)
         assert abs(emp - ana) <= 4.0 * se
+
+    def test_gap_probability_inside_binomial_band(self):
+        self.gap_inside_binomial_band(row_case(3, 2, [1.0, 2.0]), 0.35, 3.0)
+
+    def test_square_column_gap_inside_binomial_band(self):
+        # the column sampler at n = m against the row law it is evaluated by
+        case = ColumnCorrelated(Dimensions(3, 3), validate_spectrum([0.6, 1.1, 1.8]))
+        self.gap_inside_binomial_band(case, 0.3, 4.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
