@@ -5,12 +5,12 @@ Subcommands:
 * ``cdf``        tabulate Pr(lambda_max <= x) or Pr(lambda_min >= x) on a grid
 * ``pdf``        tabulate the matching densities (or the joint min/max density)
 * ``gap``        tabulate the two-sided gap probability over an (a, b) grid
-
-The gap probability and the joint density take a row case, or a square
-(n = m) column case, which has the row model's eigenvalues.
 * ``crosscheck`` determinant engine vs. Schur-series oracle at m <= 4, n <= 8,
   on the values the engine vouches for (unflagged, or escalated)
 * ``validate``   determinant engine vs. Monte Carlo inside the DKW band
+
+The gap probability and the joint density take a row case, or a square
+(n = m) column case, which has the row model's eigenvalues.
 
 Spectra passed with ``--spectrum``/``--r``/``--s`` are eigenvalues of the
 *inverse* covariance matrix (the formulas' natural parameters), not of the

@@ -546,10 +546,10 @@ _PERTURBED = (f"perturbed:coincident spectrum values nudged apart in relative st
 class _Plan(NamedTuple):
     """What `_grid` needs of a (case, statistic) that does not depend on the
     point: the law (None where the model has none for the statistic, or
-    the doubly smallest eigenvalue at m < n),
-    its prefactor's sign and lambda-free log (`_pref_log`) and its sum of
-    decay, the range check's smallest and largest products of the spectra,
-    and the warnings every report starts from."""
+    for the doubly smallest eigenvalue at m < n), its prefactor's sign,
+    lambda-free log (`_pref_log`) and sum of decay, the range check's
+    smallest and largest products of the spectra, and the warnings every
+    report starts from."""
 
     law: Optional[_Law]
     sign: int
