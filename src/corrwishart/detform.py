@@ -75,11 +75,8 @@ __all__ = [
 _EPS = 2.220446049250313e-16
 _LN10 = math.log(10.0)
 _CLAMP_RESIDUAL = 1e-8
-# the cancellation that flags a value, and the digits an escalated value is
-# certified to plus 10: a value is returned as a double, so more certified
-# digits would only cost time
+# the cancellation that flags a value
 _WARN_DIGITS = 12.0
-_EXTENDED_DPS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +198,12 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
 class EvalConfig:
     """Precision policy for the determinant engine.
 
-    ``precision="double"`` never escalates; ``"extended"`` re-runs an
-    evaluation through mpmath when it lost more than `_WARN_DIGITS` digits
-    to cancellation, until one round's a-posteriori error bound certifies
-    it to 10^-(`_EXTENDED_DPS` - 10) = 10^-30 relative.  The first round runs
-    at `_EXTENDED_DPS` plus the digits the double-precision evaluation lost,
-    capped at 790 so that a retry fits within the 1600-digit limit
-    (`extended.first_round`).  A round whose bound misses runs again, higher
-    by the digits it fell short plus a guard of 5; a round with no finite
-    bound, an exact zero included, runs again at twice its digits.  When the
-    next round would pass 1600 digits, the double-precision value is kept
-    with a ``nonconverged:`` warning.
+    ``precision="double"`` never escalates; ``"extended"`` re-runs a
+    probability that lost more than `_WARN_DIGITS` digits to cancellation
+    through mpmath (`extended.evaluate`, which sizes its rounds from those
+    digits and certifies each value by its own error bound).  When no round
+    is certified within its digit limit, the double-precision value is kept
+    with a ``nonconverged:`` warning.  Densities are not escalated.
     """
 
     precision: str = "double"
@@ -257,9 +249,9 @@ def _finalize(sign: float, log_mag: float, rel_err: float, cancel: float,
         if cfg.precision == "extended" and law is not None:
             # mpmath loads on first escalation
             import mpmath
-            from .extended import NotConverged, evaluate, first_round
+            from .extended import NotConverged, evaluate
             try:
-                r = evaluate(law, point, _EXTENDED_DPS, first_round(_EXTENDED_DPS, cancel))
+                r = evaluate(law, point, cancel=cancel)
             except NotConverged as exc:
                 # the double-precision value and its estimate stand
                 warnings.append(
@@ -363,10 +355,6 @@ class _Law(NamedTuple):
     pref: _Pref
     rows: Sequence
     blocks: tuple
-
-
-# the families whose entries' log-derivatives share the row's constant v
-_ROW_CONST = ("exp",)
 
 
 def _row_norm(n: int, m: int, s) -> _Pref:
@@ -513,13 +501,14 @@ def _entries(law: _Law, points: np.ndarray, density: bool):
     constants with the prefactor's log-derivative, c = lam_power / lam -
     sum decay + sum of the rows' v."""
     v = np.asarray(law.rows, dtype=float)
-    row_const = any(f in _ROW_CONST for f, _ in law.blocks)
+    # the ``exp`` entries' log-derivatives share the row's constant v
+    row_const = any(f == "exp" for f, _ in law.blocks)
     # (an empty block adds nothing, unless the matrix is empty)
     blocks = [b for b in law.blocks if len(b[1])] or law.blocks[:1]
     parts = []
     for family, k in blocks:
         L, R, Ds = _block(family, k, v, points, density)
-        if row_const and family not in _ROW_CONST:
+        if row_const and family != "exp":
             Ds = [D - v[:, None] for D in Ds]
         parts.append((L, R, *Ds))
     L, R, *Ds = parts[0]
@@ -534,7 +523,8 @@ def _entries(law: _Law, points: np.ndarray, density: bool):
     if not density:
         return L, R, (), 0.0
     decay, rows = sum(law.pref.decay), sum(law.rows) if row_const else 0
-    return L, R, Ds, [law.pref.lam_power / lam - decay + rows for lam in points[:, 0].tolist()]
+    with np.errstate(over="ignore"):  # at a subnormal lambda, as Python's division
+        return L, R, Ds, law.pref.lam_power / points[:, 0] - decay + rows
 
 
 _MODELS = {RowCorrelated: "row", ColumnCorrelated: "col", DoublyCorrelated: "doubly"}
@@ -595,12 +585,13 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
 
     The points are lambdas, or (a, b) pairs for "gap".  The case's `_plan`,
     cached, holds the law and its lambda-free parts; all the determinants
-    go into one kernel call.  A density is sign * d(pref det) = sign * pref *
-    det * (c + d det / det) by Jacobi's formula: each constant in c adds
-    exactly its value, as every row and column of A^-T o A sums to one.  The
-    factor's digits lost, the larger of its terms' cancellation and its error
-    in units of eps, count with the determinant's cancellation, and its error
-    adds to the determinant's.
+    go into one kernel call and every report through one `_finalize` call.
+    A density is sign * d(pref det) = sign * pref * det * (c + d det / det)
+    by Jacobi's formula: each constant in c adds exactly its value, as every
+    row and column of A^-T o A sums to one.  The factor's log adds to the
+    value's and to its rounding charge; its digits lost, the larger of its
+    terms' cancellation and its error in units of eps, count with the
+    determinant's cancellation, and its error adds to the determinant's.
     """
     if type(case) not in _MODELS:
         raise TypeError(f"unknown model case {type(case).__name__}")
@@ -629,39 +620,40 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
                          "requires m = n")
     grid = np.asarray(points, dtype=float)
     # the prefactor's log at each point (a gap law has no lambda terms)
-    lams, pref_sign, lam_power = grid[:, 0], plan.sign, law.pref.lam_power
+    lams, lam_power = grid[:, 0], law.pref.lam_power
     logs = plan.log + lam_power * np.log(lams) if lam_power else np.full(len(lams), plan.log)
     if plan.decay:
         logs = logs - lams * plan.decay
     L, R, Ds, consts = _entries(law, grid, density)
     sign, log_det, cancel, rel, *derivs = _det_from_logs(L, R, Ds)
+    sign, cancel, log_factor, extra = plan.sign * sign, cancel.tolist(), 0.0, 0.0
+    if density:
+        deriv, gross, err = derivs
+        abs_c = np.abs(consts)
+        with np.errstate(all="ignore"):  # as Python's floats, which overflow silently
+            # an exact zero determinant decides: its factor is 1 and loses nothing
+            live = sign != 0
+            factor = np.where(live, consts + deriv, 1.0)
+            size = np.abs(factor)
+            extra = np.where(live, (err + _EPS * abs_c) / size, 0.0)
+            # the terms' cancellation, or the error Jacobi's formula carries; the
+            # max as Python's, which keeps a nan first and drops one second
+            terms, carried = abs_c + gross, err / _EPS
+            lost = np.where(live, np.where(carried > terms, carried, terms) / size, 1.0)
+        # the density of a survival (min, gap) is minus the derivative
+        sign = sign * (1.0 if stat == "max" else -1.0) * np.sign(factor)
+        # a zero factor gives a zero value with no finite estimate (extra is
+        # x / 0) and every digit lost
+        sizes = size.tolist()
+        log_factor = np.array([math.log(f) if f else 0.0 for f in sizes])
+        cancel = [max(c, math.log10(x) if f else math.inf)
+                  for c, x, f in zip(cancel, lost.tolist(), sizes)]
     # every value also carries the rounding of the logs it is exponentiated from
-    rel = rel + (5.0 + np.abs(logs) + np.abs(log_det)) * _EPS
-    dets = [a.tolist() for a in (sign, log_det, cancel, rel, *derivs)]
-    logs = logs.tolist()
-    if not density:
-        return [_finalize(pref_sign * sign, log + log_det, rel, cancel, cfg, list(warnings),
-                          law, point, True)
-                for point, log, sign, log_det, cancel, rel
-                in zip(points, logs, *dets)]
-    # the density of a survival (min, gap) is minus the derivative
-    dsign = 1.0 if stat == "max" else -1.0
-    out = []
-    for log, c, sign, log_det, cancel, rel, deriv, gross, err in zip(logs, consts, *dets):
-        factor = c + deriv
-        if sign == 0:  # an exact zero determinant decides
-            factor, lost = 1.0, 1.0
-        elif factor:
-            rel += (err + _EPS * abs(c)) / abs(factor)
-            # the terms' cancellation, or the error Jacobi's formula carries
-            lost = max(abs(c) + gross, err / _EPS) / abs(factor)
-        else:
-            rel = lost = math.inf
-        value_sign = pref_sign * sign * (dsign if factor > 0 else -dsign if factor else 0)
-        out.append(_finalize(value_sign, log + log_det + math.log(abs(factor or 1.0)), rel,
-                             max(cancel, math.log10(lost)), cfg, list(warnings), None, (),
-                             False))
-    return out
+    rel = rel + (5.0 + np.abs(logs) + np.abs(log_det) + np.abs(log_factor)) * _EPS + extra
+    values = (logs + log_det + log_factor).tolist()
+    return [_finalize(s, log, r, c, cfg, list(warnings), None if density else law, point,
+                      not density)
+            for point, s, log, r, c in zip(points, sign.tolist(), values, rel.tolist(), cancel)]
 
 
 # ---------------------------------------------------------------------------

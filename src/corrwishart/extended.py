@@ -34,8 +34,8 @@ rows, rounded once), `_FN` for an ``expr`` entry.  `_bounded_det`
 (elimination on integers in units of 2^-p, with no singularity tolerance)
 turns those and its own roundings into a bound on the value.  A round is
 accepted when that bound is at most 10^-(dps-10), with no second round to
-confirm it.  The first round runs at ``start`` (the engine's
-`first_round`: ``dps`` plus the digits its double path lost) or ``dps``.
+confirm it.  The first round runs at ``dps`` plus the digits the double
+path lost (``cancel``), at most (``_MAX_DPS`` - 20) // 2 (`_first_round`).
 One whose bound misses runs again, higher by the shortfall in digits plus
 `_GUARD`; one with no finite bound runs again at twice its digits.  An
 exact zero has no bound: no value of these laws is zero, so a zero only
@@ -52,7 +52,7 @@ from typing import Any, NamedTuple
 import mpmath
 from mpmath.libmp import from_int, from_man_exp, mpf_exp, round_nearest
 
-__all__ = ["NotConverged", "Round", "evaluate", "first_round"]
+__all__ = ["NotConverged", "Round", "evaluate"]
 
 # the error charged to an mpmath exponential, in units of its own precision:
 # mpmath states no bound, but works with guard bits and rounds once;
@@ -76,7 +76,7 @@ class NotConverged(ArithmeticError):
 Round = NamedTuple("Round", [("value", Any), ("bound", Any), ("dps", int)])
 
 
-def first_round(dps: int, cancel: float) -> int:
+def _first_round(dps: int, cancel: float) -> int:
     """The first precision after a double-precision evaluation lost ``cancel``
     digits: dps + ceil(cancel), at least ``dps`` and at most (``_MAX_DPS`` -
     20) // 2, the cap infinite cancellation takes, so that a retry fits."""
@@ -103,11 +103,11 @@ def _self_validated(raw, dps: int, start: int) -> Round:
         d += step
 
 
-def evaluate(law, point, dps=40, start=None) -> Round:
+def evaluate(law, point, dps=40, cancel=0.0) -> Round:
     """The accepted `Round` of the `detform._Law` ``law`` at ``point`` (lam,
     or a, b for a gap; ints, floats or mpfs, read exactly), pref * det(rows)
-    by `_build` and `_bounded_det` at each round's precision, from ``start``
-    digits (``dps`` when None)."""
+    by `_build` and `_bounded_det` at each round's precision, from the first
+    round `_first_round` sizes for ``cancel`` digits lost (``dps`` at 0)."""
     def raw(d):
         with mpmath.workdps(d):
             pref, pref_ulps, rows, ulps = _build(law, point)
@@ -115,7 +115,7 @@ def evaluate(law, point, dps=40, start=None) -> Round:
             # the prefactor's and the product's ulps add; 1 + y covers products
             y = (pref_ulps + 1) * mpmath.ldexp(1, -mpmath.mp.prec)
             return Round(pref * det, (bound + y) * (1 + y), d)
-    return _self_validated(raw, dps, dps if start is None else start)
+    return _self_validated(raw, dps, _first_round(dps, cancel))
 
 
 def _bounded_det(rows, ulps):

@@ -50,8 +50,11 @@ class Dimensions:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or not isinstance(self.m, int):
-            raise ValueError("dimensions must be integers")
+        for name, value in (("n", self.n), ("m", self.m)):
+            # a bool is an int and a numpy integer is not: reject the one, store the other
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError("dimensions must be integers")
+            object.__setattr__(self, name, int(value))
         if not (self.n >= self.m >= 1):
             raise ValueError(f"require n >= m >= 1, got n={self.n}, m={self.m}")
 

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from corrwishart import cli, extended
+from corrwishart import cli, detform, extended
 from corrwishart.detform import (
     EvalConfig,
     cdf_max,
@@ -478,8 +478,9 @@ class TestDoubleRange:
         # each call returns a report or raises ValueError, and no numpy
         # warning escapes the engine; the points include the densities'
         # former leaks (row 12x8 pdf_min from lam s ~ 1e53 on, and the gap
-        # slope at s ~ 1e150, lam s ~ 1e19)
-        lams = sorted([*np.geomspace(1e-300, 1.7e308, 40), 1e60, 4.7e-132, 1e-131])
+        # slope at s ~ 1e150, lam s ~ 1e19), and a subnormal lambda, where the
+        # doubly densities' constant lam_power / lam overflows
+        lams = sorted([*np.geomspace(1e-300, 1.7e308, 40), 1e60, 4.7e-132, 1e-131, 1e-310])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for case in self.SWEEP:
@@ -505,6 +506,55 @@ class TestEstimateContractInTheTails:
         assert not rep.warnings
         with mpmath.workdps(50):
             assert abs(rep.value - want) <= rep.abs_error_estimate
+
+    @pytest.mark.parametrize("stat", ["max", "min"])
+    def test_unflagged_gamma_density_within_its_estimate(self, stat):
+        # row n x 1: the one eigenvalue is Gamma(n, s), with density
+        # s^n lam^(n-1) e^(-s lam) / (n-1)!; a value exponentiated from logs of
+        # size s lam carries their rounding, log |d det / det| included
+        for n, s in itertools.product(range(1, 8), (0.3, 1.0, 2.7, 11.0)):
+            lams = np.geomspace(1e-3, 600.0 / s, 40).tolist()
+            reports = _grid(row_case(n, 1, [s]), stat, lams, density=True)
+            with mpmath.workdps(30):
+                for lam, rep in zip(lams, reports):
+                    want = mpmath.exp(n * mpmath.log(s) + (n - 1) * mpmath.log(lam)
+                                      - mpmath.mpf(s) * lam - mpmath.loggamma(n))
+                    assert not rep.warnings
+                    assert abs(rep.value - want) <= rep.abs_error_estimate, (n, s, lam)
+
+    def test_nan_density_factor_keeps_its_flag(self):
+        # the factor's digits lost read nan here (its error terms overflow):
+        # the determinant's cancellation still flags the value
+        case = doubly_case(4, 4, [1.906, 2.692, 3.033, 3.482], [0.925, 3.873, 4.564, 4.68])
+        rep = pdf_min(case, 103.4)
+        assert rep.value == 0.0 and rep.abs_error_estimate == math.inf
+        assert rep.cancellation_digits == pytest.approx(447.879, abs=1e-3)
+        assert rep.warnings == [
+            "cancellation:447.9 digits lost so the double-precision result is unreliable",
+            "underflow:value below the double range with log10|value| = -1644.6472"]
+
+    def test_density_factor_edge_cases(self, monkeypatch):
+        # kernel results at lam = 1, where c = lam_power / lam = -1 for doubly
+        # 2x2 min: a plain factor, an exact zero determinant, a zero factor, a
+        # nan term size, a negative factor and a singular member
+        nan, inf = math.nan, math.inf
+        kernel = [np.array(v) for v in ([1.0, 0.0, 1.0, 1.0, -1.0, 0.0],  # sign
+                                        [0.5, 0.0, 0.5, 0.5, 0.5, 0.0],  # log |det|
+                                        [1.0, 0.0, 2.0, 3.0, 1.0, inf],  # cancellation
+                                        [1e-15, 0.0, 1e-15, 1e-15, 1e-15, inf],  # rel
+                                        [3.0, 5.0, 1.0, 3.0, 0.5, nan],  # d det / det
+                                        [4.0, 5.0, 4.0, nan, 2.0, nan],  # its terms
+                                        [1e-14, 1e-14, 1e-14, 1e-14, 1e-13, nan])]  # its error
+        monkeypatch.setattr(detform, "_det_from_logs", lambda L, R, Ds: kernel)
+        case = doubly_case(2, 2, [1.0, 2.0], [1.5, 3.0])
+        reports = _grid(case, "min", [1.0] * 6, density=True)
+        flagged = ["cancellation:inf digits lost so the double-precision result is unreliable"]
+        assert [(r.value, r.cancellation_digits, r.warnings) for r in reports] == [
+            (2.198295027600171, 1.352529778863041, []), (0.0, 0.0, []), (0.0, inf, flagged),
+            (2.198295027600171, 3.0, []), (0.5495737569000427, 2.9545897701910033, []),
+            (0.0, inf, flagged)]
+        assert [r.abs_error_estimate for r in reports[1:3]] == [1e-300, inf]
+        assert reports[5].abs_error_estimate == inf
 
     def test_overflowing_density_sensitivity_is_flagged(self):
         # Jacobi's formula overflows its sensitivity products on this member:
@@ -970,3 +1020,86 @@ def test_prob_gap_where_p_rounds_to_one(n, m, s, a, b, monkeypatch):
                                     50).value)
     assert not rep.warnings
     assert abs(rep.value - exact) <= min(1e-9 * exact, rep.abs_error_estimate)
+
+
+# ---------------------------------------------------------------------------
+# the density factor over arrays against the per-point loop it replaced
+
+
+def scalar_density_factor(stat, cdf_args, consts, kernel):
+    """The per-point loop: each point's density `_finalize` arguments (sign,
+    log, rel, digits lost) and log |factor|, from its CDF's arguments, its
+    constant c and its kernel results; rel without the log |factor| charge."""
+    eps, dsign, out = 2.0 ** -52, 1.0 if stat == "max" else -1.0, []
+    for (sign_c, log_c, rel, _), c, sign, cancel, deriv, gross, err in zip(
+            cdf_args, consts, kernel[0], kernel[2], *kernel[4:]):
+        factor = c + deriv
+        if sign == 0:
+            factor, lost = 1.0, 1.0
+        elif factor:
+            rel += (err + eps * abs(c)) / abs(factor)
+            lost = max(abs(c) + gross, err / eps) / abs(factor)
+        else:
+            rel = lost = math.inf
+        log_factor = math.log(abs(factor or 1.0))
+        out.append((sign_c * (dsign if factor > 0 else -dsign if factor else 0),
+                    log_c + log_factor, rel, max(cancel, math.log10(lost)), log_factor))
+    return out
+
+
+NAN_FACTOR_4x4 = ([1.906, 2.692, 3.033, 3.482], [0.925, 3.873, 4.564, 4.68])
+SCALAR_LOOP_JOBS = {
+    "row 8x6 max": (row_case(8, 6, ROW6), "max", np.geomspace(0.05, 40.0, 23)),
+    "row 5x3 min": (row_case(5, 3, [0.7, 1.5, 3.0]), "min", np.geomspace(0.005, 30.0, 23)),
+    "row 5x3 clustered max": (row_case(5, 3, [1.0, 1.0001, 1.0002]), "max",
+                              np.geomspace(1e-3, 40.0, 23)),
+    "column 4x2 min": (col_case(4, 2, [0.8, 1.6, 2.4, 4.0]), "min", np.geomspace(0.01, 30.0, 23)),
+    "column 5x3 max": (col_case(5, 3, [0.5, 1.0, 2.0, 3.0, 4.0]), "max",
+                       np.geomspace(0.05, 40.0, 23)),
+    "doubly 3x3 max": (doubly_case(3, 3, [0.6, 0.9, 1.8], [0.5, 1.0, 2.0]), "max",
+                       np.geomspace(0.05, 60.0, 23)),
+    "doubly 4x4 min": (doubly_case(4, 4, *NAN_FACTOR_4x4), "min", np.linspace(1.4, 103.4, 23)),
+    "row 4x2 joint": (row_case(4, 2, ROW2), "gap",
+                      np.stack([np.geomspace(0.02, 2.0, 23), np.geomspace(0.5, 30.0, 23)], 1)),
+}
+
+
+@pytest.mark.parametrize("job", SCALAR_LOOP_JOBS)
+def test_density_factor_matches_the_scalar_loop(job, monkeypatch):
+    # values and digits lost equal, as IEEE operations on the same inputs;
+    # the estimate adds the rounding of log |factor| and nothing else
+    case, stat, points = SCALAR_LOOP_JOBS[job]
+    points, args, kernels, consts = points.tolist(), [], [], []
+    finalize, kernel, entries = detform._finalize, detform._det_from_logs, detform._entries
+
+    def capture_finalize(sign, log_mag, rel, cancel, *rest):
+        args.append((sign, log_mag, rel, cancel))
+        return finalize(sign, log_mag, rel, cancel, *rest)
+
+    def capture_kernel(*call):
+        out = kernel(*call)
+        kernels.append([a.tolist() for a in out])
+        return out
+
+    def capture_entries(*call):
+        out = entries(*call)
+        consts.append(out[3])
+        return out
+
+    for name, fn in [("_finalize", capture_finalize), ("_det_from_logs", capture_kernel),
+                     ("_entries", capture_entries)]:
+        monkeypatch.setattr(detform, name, fn)
+    _grid(case, stat, points)
+    cdf_args = args[:]
+    del args[:]
+    _grid(case, stat, points, density=True)
+    want = scalar_density_factor(stat, cdf_args, consts[-1].tolist(), kernels[-1])
+    assert len(args) == len(want) == len(points)
+    for (sign, log, rel, cancel), (sign_r, log_r, rel_r, cancel_r, log_factor) in zip(args, want):
+        assert repr((log, cancel)) == repr((log_r, cancel_r))
+        assert sign == sign_r or math.isnan(log)  # a nan factor's value is nan either way
+        if math.isfinite(rel_r):
+            assert rel >= rel_r
+            assert rel == pytest.approx(rel_r + abs(log_factor) * 2.0 ** -52, rel=2.0 ** -50)
+        else:
+            assert not math.isfinite(rel)

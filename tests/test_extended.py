@@ -656,7 +656,7 @@ class TestSchedule:
         seen = rounds_of(monkeypatch)
         r = extended.evaluate(_LAWS["cdf_max_row"](3, 2, [1.0, 2.0]), (1e-200,))
         assert seen == [40, 80, 160, 320] and r.dps == 320
-        want = extended.evaluate(_LAWS["cdf_max_row"](3, 2, [1.0, 2.0]), (1e-200,), start=790)
+        want = extended.evaluate(_LAWS["cdf_max_row"](3, 2, [1.0, 2.0]), (1e-200,), cancel=math.inf)
         assert want.dps == 790 and want.bound < mpmath.mpf(10) ** -500
         assert r.value != 0 and rel_gap(r.value, want.value) <= r.bound <= TOL
 
@@ -1195,7 +1195,7 @@ def test_column_min_underflow_is_escalated(n, m, s, lam, log10_value):
     case = ColumnCorrelated(Dimensions(n, m), validate_spectrum(s))
     rep = cdf_min(case, lam, EvalConfig(precision="extended"))
     assert any(w.startswith("extended:") for w in rep.warnings)
-    want = extended.evaluate(_LAWS["cdf_min_col"](n, m, s), (lam,), start=790).value
+    want = extended.evaluate(_LAWS["cdf_min_col"](n, m, s), (lam,), cancel=math.inf).value
     assert abs(float(mpmath.log10(want)) - log10_value) < 1e-3
     if log10_value == 0.0:
         assert rep.value == float(want)
@@ -1261,7 +1261,7 @@ class TestFirstRound:
         # at 40 digits the 57 lost leave nothing certified: the bound rejects
         # the round, and the retry lands on the oracle
         case = RowCorrelated(Dimensions(12, 8), validate_spectrum(evenly(0.5, 4.0, 8)))
-        monkeypatch.setattr(extended, "first_round", lambda dps, cancel: dps)
+        monkeypatch.setattr(extended, "_first_round", lambda dps, cancel: dps)
         seen = rounds_of(monkeypatch)
         rep = cdf_max(case, 0.5, EvalConfig(precision="extended"))
         assert seen[0] == DPS and len(seen) > 1
@@ -1294,7 +1294,7 @@ class TestFirstRound:
     @pytest.mark.parametrize("cancel,first", [(0.0, 40), (12.5, 53), (57.3, 98),
                                               (1e6, 790), (math.inf, 790)])
     def test_bounds(self, cancel, first):
-        assert extended.first_round(40, cancel) == first
+        assert extended._first_round(40, cancel) == first
 
     def test_direct_calls_start_at_dps(self, monkeypatch):
         seen = rounds_of(monkeypatch)
@@ -1318,9 +1318,9 @@ def test_escalated_underflow_keeps_log_magnitude():
 def test_exact_zeros_are_not_accepted_report(monkeypatch):
     # rounds that only ever give an exact zero end without a certified round:
     # the double-precision value and its estimate stand
-    def zeros(law, point, dps, start):
-        return extended._self_validated(
-            lambda d: extended.Round(mpmath.mpf(0), mpmath.inf, d), dps, start)
+    def zeros(law, point, dps=40, cancel=0.0):
+        return extended._self_validated(lambda d: extended.Round(mpmath.mpf(0), mpmath.inf, d),
+                                        dps, extended._first_round(dps, cancel))
 
     monkeypatch.setattr(extended, "evaluate", zeros)
     rep = _finalize(1.0, -2.0, 1e-3, 20.0, EvalConfig(precision="extended"), [],

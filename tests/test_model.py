@@ -121,7 +121,11 @@ class TestCases:
             Dimensions(1, 0)
         with pytest.raises(ValueError, match="integers"):
             Dimensions(3.0, 2)
+        with pytest.raises(ValueError, match="integers"):
+            Dimensions(True, True)
         assert Dimensions(3, 3).n == 3
+        dims = Dimensions(np.int64(5), np.int32(3))
+        assert dims == Dimensions(5, 3) and type(dims.n) is int and type(dims.m) is int
 
     def test_row_length_check(self):
         with pytest.raises(ValueError):
