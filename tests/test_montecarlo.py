@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from corrwishart.montecarlo import (
 from corrwishart.montecarlo import (
     _BLOCK,
     _complex_normals,
+    _extreme_eigs,
     _gram_eigvals,
     _haar_unitaries,
     _philox_rounds,
@@ -235,6 +237,73 @@ class TestStreamPinned:
                                     MCConfig(samples=5000, master_seed=11))
         assert digest(np.asarray(emp.fractions)) == \
             "cbeba81910e4e6cb26431a3d193d0612ab8cee6029eecd5284252e8041798502"
+
+
+ROW_16X12 = row_case(16, 12, list(np.linspace(0.5, 4.0, 12)))
+DOUBLY_3X3 = DoublyCorrelated(Dimensions(3, 3), validate_spectrum([1.0, 2.0, 3.2]),
+                              validate_spectrum([0.9, 1.8, 3.1]))
+# n -> (r, s, lam)
+HAAR_CASES = {2: ([1.0, 2.0], [1.0, 3.0], 0.7), 3: ([1.0, 1.7, 2.6], [0.8, 1.9, 3.1], 0.5),
+              6: ([0.6, 1.0, 1.5, 2.1, 2.8, 3.6], [0.5, 0.9, 1.4, 2.0, 2.7, 3.5], 0.2)}
+
+
+def traced_peak(call):
+    """``call()`` and the peak of what it allocated, in MB (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        out = call()
+        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture(scope="module")
+def row_16x12_cdf_run():
+    # one 45 000-sample run on a 1000-point grid, for its digest and its memory peak
+    grid = list(np.linspace(15.0, 90.0, 1000))
+    return traced_peak(lambda: empirical_extreme_cdf(ROW_16X12, "max", grid,
+                                                     MCConfig(samples=45000, master_seed=1618)))
+
+
+class TestRunsPinned:
+    """Whole runs past the 20 000 samples that were once evaluated together,
+    pinned like the stream (numpy 2.4, x86-64)."""
+
+    @pytest.mark.parametrize("n,samples,want", [
+        (2, 20000, "98bea5a09157fd90c42f6f98a44dc60e11b8b4b10b6022f3eae917c8fd0ebbae"),
+        (2, 45000, "5153728bf63055f66df7a5ba575560952bda2c836ae01a2c8c4915a64e49c985"),
+        (3, 20000, "552f23ca28d73322576fe2e96e571cb069ea892d8b730e595ade2787330cd3fc"),
+        (3, 45000, "28b83318909ef8e5c2b654d9eff06040d40e7825e3245270c01e4e37173ceee7"),
+        (6, 20000, "61e6986dd6cccff9fc87ff17bba3190d5e5d8076cece03ccf9a5f3194c0fe764"),
+        (6, 45000, "879abb80a72809c53321632beac651cd2cbaf3b171829c5bc3b70808d8e5bd13"),
+    ])
+    def test_haar_estimate_digest(self, n, samples, want):
+        r, s, lam = HAAR_CASES[n]
+        got = haar_hciz_estimate(lam, r, s, MCConfig(samples=samples, master_seed=2718))
+        assert digest(np.array(got)) == want
+
+    @pytest.mark.parametrize("case,stat,want", [
+        (ROW_16X12, "max", "f809ced49f61d667909f3d73073828f799ac9761e077fcef4498583c930eae58"),
+        (ROW_16X12, "min", "3cea244b27578a5fa139f6d7ba3e0871091e731ffc5ef0bb65066338b7bdfd7f"),
+        (DOUBLY_3X3, "max", "18822719ad18b7044f97daf3a702ea06a09428251396eba8a5b3a276c60dd392"),
+        (DOUBLY_3X3, "min", "37abe0321c8eec2623756b49bb5fc826c7209ed0a26baf8c0af9fd2b49f3be32"),
+    ], ids=["row16x12-max", "row16x12-min", "doubly3x3-max", "doubly3x3-min"])
+    def test_extreme_eigs_digest(self, case, stat, want):
+        got = _extreme_eigs(case, MCConfig(samples=45000, master_seed=1618), stat)
+        assert got.shape == (45000,)
+        assert digest(got) == want
+
+    def test_row_cdf_digest(self, row_16x12_cdf_run):
+        emp, _ = row_16x12_cdf_run
+        assert digest(np.asarray(emp.fractions)) == \
+            "2ba4eb55bec2541607bf6d72fcd84313b1f9aa070853f47004fdd368c048b14d"
+
+    def test_doubly_min_cdf_digest(self):
+        emp = empirical_extreme_cdf(DOUBLY_3X3, "min", list(np.geomspace(1e-4, 1.0, 40)),
+                                    MCConfig(samples=45000, master_seed=1618))
+        assert digest(np.asarray(emp.fractions)) == \
+            "48e782cd32ce65d7a19ffb000b6a8a83fc1ece281e76dc756ce415fe041467ca"
 
 
 class TestEmpiricalCDF:
