@@ -135,8 +135,9 @@ def _ab_points(args, what):
 
 
 def _cmd_table(args) -> int:
-    """``cdf``, ``pdf`` and ``gap``: one batched engine call over the job's
-    points, written as one row per point."""
+    """``cdf``, ``pdf`` and ``gap``: one engine call over the job's points,
+    which it evaluates in batched chunks of bounded memory, written as one
+    row per point."""
     case = _build_case(args)
     cfg = EvalConfig(args.precision or "double")
     if args.command == "gap" or args.stat == "joint":

@@ -15,8 +15,9 @@ a seed row, whose tail row is the interval's at b = inf.  Raw
 magnitudes of those pieces overflow double precision long before the
 probabilities become interesting, so a law is evaluated on a grid of
 points as the logs of its entries and of its prefactor, held as arrays
-(`_entries`); each point's value is exponentiated only once, from its
-sign and log magnitude (`_finalize`).  What does not depend on the point
+(`_entries`) for chunks of points of bounded size; each point's value
+is exponentiated only once, from its sign and log magnitude
+(`_finalize`).  What does not depend on the point
 -- the law object, its prefactor's sign and lambda-free log (`_pref_log`),
 the range check's bounds and the warnings every report starts from -- is
 built once per (case, statistic) and cached on the frozen case (`_plan`).
@@ -59,7 +60,8 @@ from .model import (
     ModelCase,
     RowCorrelated,
 )
-from .specfun import _log_binomials, _log_factorials, log_doubly_g, log_gamma_entries
+from .specfun import (_gamma_series_terms, _log_binomials, _log_factorials, _poisson_terms,
+                      log_doubly_g, log_gamma_entries)
 
 __all__ = [
     "EvalConfig",
@@ -577,6 +579,28 @@ def _plan(case: ModelCase, stat: str) -> _Plan:
 # the one entry: a statistic's law on a grid of points
 
 
+# elements of the largest temporary one chunk of `_grid` points may form
+_GRID_ELEMENTS = 2 ** 18
+
+
+def _point_elements(law: _Law) -> int:
+    """Elements one point adds to the largest temporary of ``law``'s
+    evaluation: the gap block's (N, K, n) terms where the law has one, else
+    the larger of the (N, N) kernel arrays and the entries' series, (N, K,
+    terms) of a ``g`` block's Kummer sums and (N, terms) of a ``lamE``
+    block's gamma series and partial sums."""
+    N = len(law.rows)
+    size = max(N * N, 1)  # (an empty matrix still has its point)
+    for family, k in law.blocks:
+        if family == "gap":
+            size = max(size, N * len(k) * (k.stop - 1))
+        elif family == "lamE":
+            size = max(size, N * max(_gamma_series_terms(k.stop - 1), k.stop - 1))
+        elif family == "g":  # (order N + 1: a density's g_(N+1), the longer series)
+            size = max(size, N * len(k) * _poisson_terms(2.0 * (N + 1)))
+    return size
+
+
 def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
           density: bool = False) -> List[EvalReport]:
     """One report per point of the ``stat`` law ("max", "min" or "gap") of
@@ -584,14 +608,11 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     (the joint min/max density for "gap").
 
     The points are lambdas, or (a, b) pairs for "gap".  The case's `_plan`,
-    cached, holds the law and its lambda-free parts; all the determinants
-    go into one kernel call and every report through one `_finalize` call.
-    A density is sign * d(pref det) = sign * pref * det * (c + d det / det)
-    by Jacobi's formula: each constant in c adds exactly its value, as every
-    row and column of A^-T o A sums to one.  The factor's log adds to the
-    value's and to its rounding charge; its digits lost, the larger of its
-    terms' cancellation and its error in units of eps, count with the
-    determinant's cancellation, and its error adds to the determinant's.
+    cached, holds the law and its lambda-free parts.  The points go through
+    the kernel in chunks (`_chunk_reports`), each of at most
+    `_GRID_ELEMENTS` elements in its largest temporary (`_point_elements`),
+    so memory does not grow with the grid; a point's report never depends
+    on its chunk-mates, so it keeps its bits under any chunking.
     """
     if type(case) not in _MODELS:
         raise TypeError(f"unknown model case {type(case).__name__}")
@@ -610,14 +631,31 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     for point in points:
         if not (point[0] * lo > 0.0 and math.isfinite(point[-1] * hi * (n + 1))):
             raise ValueError(f"lambda times the spectrum leaves the double range at {point}")
-    warnings = plan.warnings
     if density and stat == "gap" and case.dims.m == 1:
         # one eigenvalue cannot sit at two points
-        return [EvalReport(0.0, 0.0, 0.0, list(warnings)) for _ in points]
-    law = plan.law
-    if law is None:  # the doubly smallest eigenvalue at m < n
+        return [EvalReport(0.0, 0.0, 0.0, list(plan.warnings)) for _ in points]
+    if plan.law is None:  # the doubly smallest eigenvalue at m < n
         raise ValueError("smallest-eigenvalue law for the doubly correlated model "
                          "requires m = n")
+    step = max(1, _GRID_ELEMENTS // _point_elements(plan.law))
+    return [report for start in range(0, len(points), step)
+            for report in _chunk_reports(plan, stat, points[start:start + step], cfg, density)]
+
+
+def _chunk_reports(plan: _Plan, stat: str, points: list, cfg: EvalConfig,
+                   density: bool) -> List[EvalReport]:
+    """The reports of one chunk of checked `_grid` points: all its
+    determinants go into one kernel call and every report through one
+    `_finalize` call.
+
+    A density is sign * d(pref det) = sign * pref * det * (c + d det / det)
+    by Jacobi's formula: each constant in c adds exactly its value, as every
+    row and column of A^-T o A sums to one.  The factor's log adds to the
+    value's and to its rounding charge; its digits lost, the larger of its
+    terms' cancellation and its error in units of eps, count with the
+    determinant's cancellation, and its error adds to the determinant's.
+    """
+    law = plan.law
     grid = np.asarray(points, dtype=float)
     # the prefactor's log at each point (a gap law has no lambda terms)
     lams, lam_power = grid[:, 0], law.pref.lam_power
@@ -651,7 +689,7 @@ def _grid(case: ModelCase, stat: str, points, cfg: EvalConfig = _DEFAULT_CONFIG,
     # every value also carries the rounding of the logs it is exponentiated from
     rel = rel + (5.0 + np.abs(logs) + np.abs(log_det) + np.abs(log_factor)) * _EPS + extra
     values = (logs + log_det + log_factor).tolist()
-    return [_finalize(s, log, r, c, cfg, list(warnings), None if density else law, point,
+    return [_finalize(s, log, r, c, cfg, list(plan.warnings), None if density else law, point,
                       not density)
             for point, s, log, r, c in zip(points, sign.tolist(), values, rel.tolist(), cancel)]
 

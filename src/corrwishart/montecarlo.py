@@ -14,6 +14,15 @@ sample count no matter how the samples are batched or ordered.
 Generation is blocked and in place: the cipher rounds and the Box-Muller
 map run on preallocated buffers of about 16k counters, written straight
 into the output.  The stream is bit-identical to earlier releases.
+
+The rest of a run works one such block of samples at a time: each block's
+Gram matrices and eigenvalues, its extreme eigenvalues counted against
+the grid by a sorted search, and its Haar traces and exponentials.  Memory
+therefore does not grow with the sample count (only `_extreme_eigs`'s
+output, one double a sample, does), and every output keeps the bits of
+whole-run evaluation: a sample's values never depend on its block-mates,
+integer counts add exactly, and the Haar sums are still taken over the
+same 20 000-sample buffers (`_CHUNK`).
 """
 
 from __future__ import annotations
@@ -124,6 +133,11 @@ def _philox_rounds(x0, x1, x2, x3, seed: int):
     return x0, x1, x2, x3
 
 
+def _block_samples(n_entries: int) -> int:
+    """Whole samples of ``n_entries`` values in one generation block."""
+    return max(1, _BLOCK // max(n_entries, 1))
+
+
 def _complex_normals(seed: int, sample_indices: np.ndarray, n_entries: int,
                      purpose: int) -> np.ndarray:
     """Standard complex Gaussians, E|g|^2 = 1, shape (len(indices), n_entries).
@@ -136,7 +150,7 @@ def _complex_normals(seed: int, sample_indices: np.ndarray, n_entries: int,
     idx = np.asarray(sample_indices, dtype=np.uint64)
     out = np.empty((idx.size, n_entries), dtype=np.complex128)
     flat = out.reshape(-1)
-    step = max(1, _BLOCK // max(n_entries, 1))        # samples per block
+    step = _block_samples(n_entries)
     size = min(step, idx.size) * n_entries
     x0, x1, x2, x3 = (np.empty(size, dtype=np.uint64) for _ in range(4))
     radius, angle, trig = (np.empty(size) for _ in range(3))
@@ -227,16 +241,22 @@ def _gram_eigvals(z: np.ndarray) -> np.ndarray:
 # empirical CDFs
 
 
-_CHUNK = 20000
+def _extreme_blocks(case: ModelCase, cfg: MCConfig, which: str):
+    """The ``which`` ("max" or "min") extreme eigenvalue of each sample, one
+    generation block of samples at a time, in sample order."""
+    step = _block_samples(case.dims.n * case.dims.m)
+    for start in range(0, cfg.samples, step):
+        idx = np.arange(start, min(start + step, cfg.samples), dtype=np.uint64)
+        w = _gram_eigvals(_sample_batch(case, idx, cfg.master_seed))
+        yield w[:, -1] if which == "max" else w[:, 0]
 
 
 def _extreme_eigs(case: ModelCase, cfg: MCConfig, which: str) -> np.ndarray:
-    n, m = case.dims.n, case.dims.m
     out = np.empty(cfg.samples)
-    for start in range(0, cfg.samples, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, cfg.samples), dtype=np.uint64)
-        w = _gram_eigvals(_sample_batch(case, idx, cfg.master_seed))
-        out[start:start + len(idx)] = w[:, -1] if which == "max" else w[:, 0]
+    start = 0
+    for values in _extreme_blocks(case, cfg, which):
+        out[start:start + len(values)] = values
+        start += len(values)
     return out
 
 
@@ -245,20 +265,23 @@ def empirical_extreme_cdf(case: ModelCase, stat: str, grid: Sequence[float],
     """Empirical CDF of the chosen extreme eigenvalue over a lambda grid.
 
     For ``stat="max"`` accumulates Pr-hat(lambda_max <= g); for ``"min"``
-    Pr-hat(lambda_min >= g).  Counts per grid point are integers, so the
-    result does not depend on chunking or evaluation order.
+    Pr-hat(lambda_min >= g).  Each block of samples adds its integer counts
+    per grid point, by a sorted search, so the result does not depend on
+    the blocking or evaluation order.
     """
     if stat not in ("max", "min"):
         raise ValueError(f"stat must be 'max' or 'min', got {stat!r}")
     grid = [float(g) for g in grid]
     if any(b <= a for a, b in zip(grid, grid[1:])) or not all(0 < g < math.inf for g in grid):
         raise ValueError("grid must be finite, positive and strictly increasing")
-    values = _extreme_eigs(case, cfg, stat)
     garr = np.asarray(grid)
-    if stat == "max":
-        counts = (values[:, None] <= garr[None, :]).sum(axis=0)
-    else:
-        counts = (values[:, None] >= garr[None, :]).sum(axis=0)
+    counts = np.zeros(len(grid), dtype=np.int64)
+    for values in _extreme_blocks(case, cfg, stat):
+        values = np.sort(values)
+        if stat == "max":  # values <= g
+            counts += np.searchsorted(values, garr, side="right")
+        else:  # values >= g
+            counts += len(values) - np.searchsorted(values, garr, side="left")
     fractions = counts / float(cfg.samples)
     return EmpiricalCDF(tuple(grid), tuple(fractions.tolist()),
                         dkw_epsilon(cfg.samples, cfg.confidence), cfg.samples)
@@ -266,6 +289,11 @@ def empirical_extreme_cdf(case: ModelCase, stat: str, grid: Sequence[float],
 
 # ---------------------------------------------------------------------------
 # Haar-unitary matrix integral
+
+
+# samples per sum of the Haar estimate: the sums keep the bits that
+# whole-run evaluation, 20 000 samples at a time, gave
+_CHUNK = 20000
 
 
 def _haar_unitaries(n: int, sample_indices: np.ndarray, master_seed: int) -> np.ndarray:
@@ -305,15 +333,19 @@ def haar_hciz_estimate(lam: float, r: Sequence[float], s: Sequence[float],
     if not all(0 < v < math.inf for v in [lam, *rv, *sv]):
         raise ValueError("lam and the spectra must be finite and positive")
     n = len(rv)
+    step = _block_samples(n * n)
+    buffer = np.empty(min(_CHUNK, cfg.samples))
     total = 0.0
     total_sq = 0.0
-    for start in range(0, cfg.samples, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, cfg.samples), dtype=np.uint64)
-        V = _haar_unitaries(n, idx, cfg.master_seed)
-        absV2 = np.abs(V) ** 2
-        # Tr(R V^H S V) = sum_{l,j} s_l r_j |V_{l j}|^2
-        tr = np.einsum("blj,l,j->b", absV2, sv, rv)
-        vals = np.exp(-lam * tr)
+    for chunk in range(0, cfg.samples, _CHUNK):
+        vals = buffer[:min(_CHUNK, cfg.samples - chunk)]
+        for start in range(0, len(vals), step):
+            idx = np.arange(chunk + start, chunk + min(start + step, len(vals)),
+                            dtype=np.uint64)
+            absV2 = np.abs(_haar_unitaries(n, idx, cfg.master_seed)) ** 2
+            # Tr(R V^H S V) = sum_{l,j} s_l r_j |V_{l j}|^2
+            tr = np.einsum("blj,l,j->b", absV2, sv, rv)
+            vals[start:start + len(idx)] = np.exp(-lam * tr)
         total += float(vals.sum())
         total_sq += float((vals ** 2).sum())
     mean = total / cfg.samples

@@ -23,6 +23,7 @@ from corrwishart.detform import (
     _det_from_logs,
     _grid,
     _plan,
+    _point_elements,
 )
 from corrwishart.model import (
     ColumnCorrelated,
@@ -762,6 +763,15 @@ GRID_JOBS = (
        for kind in GRID_CASES if kind != "doubly"]
     + [("_prob_gap_grid", prob_gap, "row"), ("_pdf_joint_grid", pdf_joint_minmax, "row")])
 
+# every law in both precisions, and a clustered case whose every value escalates
+CHUNK_CASES = dict(GRID_CASES, clustered=row_case(5, 3, [1.0, 1.0001, 1.0002]))
+CHUNK_JOBS = [(kind, stat, density, EvalConfig(precision))
+              for kind in CHUNK_CASES for stat in ("max", "min", "gap")
+              for density in (False, True) for precision in ("double", "extended")
+              if (density, precision) != (True, "extended")
+              and (stat != "gap" or kind in ("row", "row_square", "clustered"))
+              and (kind, stat) != ("doubly", "min")]
+
 
 class TestGridEqualsPointCalls:
     # a G-point grid equals G one-point public calls bit for bit: the entry
@@ -781,6 +791,38 @@ class TestGridEqualsPointCalls:
             one = fn(case, *(point if isinstance(point, tuple) else (point,)))
             assert (rep.value, rep.abs_error_estimate, rep.cancellation_digits, rep.warnings) == \
                 (one.value, one.abs_error_estimate, one.cancellation_digits, one.warnings)
+
+    @pytest.mark.parametrize("kind,stat,density,cfg", CHUNK_JOBS,
+                             ids=[f"{k}-{s}-{'pdf' if d else 'cdf'}-{c.precision}"
+                                  for k, s, d, c in CHUNK_JOBS])
+    def test_chunks_equal_one_kernel_call(self, kind, stat, density, cfg, monkeypatch):
+        # a grid cut into chunks of 4 points reports what one kernel call does,
+        # escalated reports included
+        case = CHUNK_CASES[kind]
+        points = self.PAIRS if stat == "gap" else self.LAMS
+        kernel, sizes = detform._det_from_logs, []
+
+        def counted(L, *rest):
+            sizes.append(len(L))
+            return kernel(L, *rest)
+
+        monkeypatch.setattr(detform, "_det_from_logs", counted)
+        whole = fields(_grid(case, stat, points, cfg, density))
+        monkeypatch.setattr(detform, "_GRID_ELEMENTS", 4 * _point_elements(_plan(case, stat).law))
+        assert fields(_grid(case, stat, points, cfg, density)) == whole
+        assert sizes == [len(points)] + [4] * (len(points) // 4) + [len(points) % 4]
+
+
+@pytest.mark.parametrize("stat,points", [
+    ("min", list(np.geomspace(0.5, 200.0, 200))),
+    ("gap", [(a, b) for a in np.geomspace(0.05, 2.0, 10) for b in np.geomspace(5.0, 200.0, 20)]),
+], ids=["cdf_min", "prob_gap"])
+def test_grid_memory_is_bounded(stat, points, traced_peak):
+    # one stack of 200 points' gap terms took 66 MB (cdf_min) and 71 MB (prob_gap)
+    case = row_case(36, 32, list(np.linspace(0.5, 4.0, 32)))
+    reports, peak = traced_peak(lambda: _grid(case, stat, points))
+    assert len(reports) == 200
+    assert peak < 16.0
 
 
 PUBLIC = [(cdf_max, (0.3,)), (cdf_min, (1.0,)), (pdf_max, (0.3,)), (pdf_min, (1.0,)),

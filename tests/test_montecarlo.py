@@ -1,6 +1,6 @@
 import hashlib
 import math
-import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -22,6 +22,7 @@ from corrwishart.montecarlo import (
 )
 from corrwishart.montecarlo import (
     _BLOCK,
+    _CHUNK,
     _complex_normals,
     _extreme_eigs,
     _gram_eigvals,
@@ -247,19 +248,8 @@ HAAR_CASES = {2: ([1.0, 2.0], [1.0, 3.0], 0.7), 3: ([1.0, 1.7, 2.6], [0.8, 1.9, 
               6: ([0.6, 1.0, 1.5, 2.1, 2.8, 3.6], [0.5, 0.9, 1.4, 2.0, 2.7, 3.5], 0.2)}
 
 
-def traced_peak(call):
-    """``call()`` and the peak of what it allocated, in MB (tracemalloc)."""
-    tracemalloc.start()
-    try:
-        out = call()
-        peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 @pytest.fixture(scope="module")
-def row_16x12_cdf_run():
+def row_16x12_cdf_run(traced_peak):
     # one 45 000-sample run on a 1000-point grid, for its digest and its memory peak
     grid = list(np.linspace(15.0, 90.0, 1000))
     return traced_peak(lambda: empirical_extreme_cdf(ROW_16X12, "max", grid,
@@ -304,6 +294,97 @@ class TestRunsPinned:
                                     MCConfig(samples=45000, master_seed=1618))
         assert digest(np.asarray(emp.fractions)) == \
             "48e782cd32ce65d7a19ffb000b6a8a83fc1ece281e76dc756ce415fe041467ca"
+
+
+def run_config(samples, seed):
+    """What the blocked loops read of an `MCConfig`, without its 100-sample
+    floor, so that a run of one sample or one block - 1 reaches them."""
+    return types.SimpleNamespace(samples=samples, master_seed=seed, confidence=0.99)
+
+
+def reference_extremes(case, samples, seed):
+    """Every sample's (smallest, largest) eigenvalue from one unblocked batch."""
+    w = _gram_eigvals(_sample_batch(case, np.arange(samples, dtype=np.uint64), seed))
+    return w[:, 0], w[:, -1]
+
+
+def reference_haar(lam, r, s, samples, seed):
+    """The Haar estimate from one unblocked batch of unitaries, its sums
+    taken per 20 000 samples, as whole-run evaluation took them."""
+    rv, sv = np.asarray(r), np.asarray(s)
+    absV2 = np.abs(_haar_unitaries(len(rv), np.arange(samples, dtype=np.uint64), seed)) ** 2
+    vals = np.exp(-lam * np.einsum("blj,l,j->b", absV2, sv, rv))
+    total = total_sq = 0.0
+    for start in range(0, samples, 20000):
+        chunk = vals[start:start + 20000]
+        total += float(chunk.sum())
+        total_sq += float((chunk ** 2).sum())
+    mean = total / samples
+    return mean, math.sqrt(max(total_sq / samples - mean * mean, 0.0) / samples)
+
+
+def boundary_counts(entries, largest):
+    """1, one generation block - 1, one block and one block + 1 samples, for
+    samples of ``entries`` values, and 20 001 (past `_CHUNK`) when the
+    unblocked reference stays small (``largest``)."""
+    block = _BLOCK // entries
+    return sorted({1, max(block - 1, 1), block, block + 1}
+                  | ({_CHUNK + 1} if _CHUNK * entries <= largest else set()))
+
+
+BLOCK_CASES = {
+    "row1x1": row_case(1, 1, [1.0]),
+    "doubly3x3": DOUBLY_3X3,
+    "row4x3": row_case(4, 3, [0.7, 1.5, 3.0]),
+    "column6x4": ColumnCorrelated(Dimensions(6, 4),
+                                  validate_spectrum([0.6, 1.1, 1.8, 2.7, 3.4, 4.0])),
+    "row8x6": row_case(8, 6, [0.5, 1.0, 1.7, 2.4, 3.3, 4.1]),
+    "row16x12": ROW_16X12,
+}
+# (a 20 001-sample run of row 16x12 is pinned above at 45 000 samples)
+BLOCK_RUNS = [(kind, samples) for kind, case in BLOCK_CASES.items()
+              for samples in boundary_counts(case.dims.n * case.dims.m, 24 * 20000)]
+HAAR_RUNS = [(n, samples) for n in range(1, 7) for samples in boundary_counts(n * n, 36 * 20000)]
+
+
+class TestBlockBoundaries:
+    """A run cut into generation blocks gives what one unblocked batch gives,
+    bit for bit, wherever the last block ends."""
+
+    @pytest.mark.parametrize("kind,samples", BLOCK_RUNS,
+                             ids=[f"{k}-{s}" for k, s in BLOCK_RUNS])
+    def test_extremes_and_counts_equal_one_batch(self, kind, samples):
+        case = BLOCK_CASES[kind]
+        cfg = run_config(samples, 4242)
+        lo, hi = reference_extremes(case, samples, 4242)
+        assert np.array_equal(_extreme_eigs(case, cfg, "min"), lo)
+        assert np.array_equal(_extreme_eigs(case, cfg, "max"), hi)
+        for stat, want in (("min", lo), ("max", hi)):
+            # grid points at sample values, where a count must take its ties
+            grid = np.unique(np.concatenate([want[::max(1, samples // 9)],
+                                             np.quantile(want, [0.1, 0.5, 0.9])]))
+            grid = grid[grid > 0.0]
+            below = want[:, None] <= grid if stat == "max" else want[:, None] >= grid
+            emp = empirical_extreme_cdf(case, stat, grid.tolist(), cfg)
+            assert emp.fractions == tuple((below.sum(axis=0) / float(samples)).tolist())
+
+    @pytest.mark.parametrize("n,samples", HAAR_RUNS, ids=[f"n{n}-{s}" for n, s in HAAR_RUNS])
+    def test_haar_equals_one_batch(self, n, samples):
+        r, s = np.linspace(0.5, 3.0, n).tolist(), np.linspace(0.8, 2.5, n).tolist()
+        got = haar_hciz_estimate(0.4, r, s, run_config(samples, 99))
+        assert repr(got) == repr(reference_haar(0.4, r, s, samples, 99))
+
+
+class TestMemoryBounded:
+    # counting once formed a (samples x grid) matrix (164 MB here), and the
+    # Haar and eigenvalue stages held 20 000 samples' arrays (27 MB at n = 6)
+    def test_row_cdf(self, row_16x12_cdf_run):
+        assert row_16x12_cdf_run[1] < 10.0
+
+    def test_haar(self, traced_peak):
+        r, s, lam = HAAR_CASES[6]
+        assert traced_peak(lambda: haar_hciz_estimate(
+            lam, r, s, MCConfig(samples=20000, master_seed=2718)))[1] < 5.0
 
 
 class TestEmpiricalCDF:
