@@ -160,12 +160,11 @@ def _cmd_table(args) -> int:
         text = json.dumps({"jobspec": _jobspec(args), "rows": rows},
                           indent=2, sort_keys=True, allow_nan=False) + "\n"
     else:
-        lines = [",".join(columns)]
-        for point, rep in zip(coords, reports):
-            nums = (*point, rep.value, rep.abs_error_estimate, rep.cancellation_digits)
-            lines.append(",".join([f"{x:.17g}" for x in nums]
-                                  + [";".join(rep.warnings).replace(",", " ")]))
-        text = "\n".join(lines) + "\n"
+        row = ",".join(["%.17g"] * (len(columns) - 1) + ["%s"])
+        text = "\n".join([",".join(columns)] + [
+            row % (*point, rep.value, rep.abs_error_estimate, rep.cancellation_digits,
+                   ";".join(rep.warnings).replace(",", " "))
+            for point, rep in zip(coords, reports)]) + "\n"
     if args.output:
         with open(args.output, "w", newline="\n") as fh:
             fh.write(text)

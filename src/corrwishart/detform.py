@@ -134,11 +134,10 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
     relative error; with ``log_derivs`` (one or two arrays of the entries'
     log-derivatives) also d det / det, its terms' magnitudes and its error by
     Jacobi's formula (`_jacobi`).  Each member's rows, then columns, are
-    shifted in log space to a largest entry of one before exponentiating.  A
-    member with a row of zeros (-inf logs) is an exact zero (sign 0, no
-    cancellation), and an empty (G, 0, 0) stack is one (sign 1, log 0, no
-    cancellation and no error).  A column that underflows to zero under its
-    rows' shifts is not exact: it leaves its member singular.
+    shifted in log space to a largest entry of one before exponentiating.  An
+    empty (G, 0, 0) stack is one (sign 1, log 0, no cancellation and no
+    error).  A column that underflows to zero under its rows' shifts leaves
+    its member singular.
 
     The cancellation is the Hadamard bound over |det| of the scaled matrix A
     in decimal digits.  The error is the roundoff N eps (1 + growth), with
@@ -153,21 +152,12 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
         one, zero = np.ones(len(L)), np.zeros(len(L))
         return (one, zero, zero, zero) + (zero,) * (3 if len(log_derivs) else 0)
     row_shift = L.max(axis=-1)
-    dead_rows = ~np.isfinite(row_shift)
-    zero = dead_rows.any(axis=-1)
-    any_zero = zero.any()
-    if any_zero:
-        row_shift[dead_rows] = 0.0
     A = np.exp(L - row_shift[..., None])
     col_scale = A.max(axis=-2)
     underflowed = col_scale == 0.0
     if underflowed.any():
         col_scale[underflowed] = 1.0  # the column stays zero
-    if any_zero:
-        col_scale[zero] = 1.0
     A /= col_scale[:, None, :]
-    if any_zero:
-        A[zero] = np.eye(N)
     shift = row_shift.sum(axis=-1) + np.log(col_scale).sum(axis=-1)
     R = np.asarray(entry_rel_err, dtype=float)
 
@@ -187,8 +177,6 @@ def _det_from_logs(log_entries: np.ndarray, entry_rel_err: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         rel += (np.abs(inv.swapaxes(-1, -2)) * R * np.abs(A)).reshape(len(A), -1).sum(axis=-1)
         derivs = _jacobi(A, inv, log_derivs, R) if len(log_derivs) else ()
-    if any_zero:
-        sign[zero] = cancel[zero] = rel[zero] = 0.0
     return (sign, log_abs + shift, cancel, rel, *derivs)
 
 
@@ -485,7 +473,9 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool):
             return L, R, [np.exp((ks - 1) * np.log(lam) - x[..., None] - L)]
     v = v[:, None]
     if family in ("g", "expr"):
-        x = lam * ks * v
+        with np.errstate(over="ignore"):  # lam r may overflow where lam r s fits
+            x = lam * ks * v
+        x = np.where(np.isinf(x), lam * (ks * v), x)
         if family == "expr":
             return -x, _EPS * (5.0 + x), [-(v * ks)] if density else []
         L = log_doubly_g(len(v), x)
@@ -514,7 +504,7 @@ def _entries(law: _Law, points: np.ndarray, density: bool):
             Ds = [D - v[:, None] for D in Ds]
         parts.append((L, R, *Ds))
     L, R, *Ds = parts[0]
-    if len(parts) > 1 or L.ndim < 3:
+    if len(parts) > 1:
         # one (G, N, N) array each
         L, R, *Ds = out = [np.empty((len(points), len(v), len(v))) for _ in parts[0]]
         j = 0

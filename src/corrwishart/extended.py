@@ -167,8 +167,6 @@ def _bounded_det(rows, ulps):
                 row[k + 1:] = [x - ((f * y + half) >> prec) for x, y in zip(row[k + 1:], tail)]
     det = mpmath.mp.make_mpf(from_man_exp(det, sum(cols) + sum(tops) - n * prec, prec,
                                           round_nearest))
-    if not mpmath.isfinite(ulps):
-        return det, mpmath.inf
     lg = [[math.log2(abs(x)) - prec if x else -math.inf for x in row] for row in a]
     # G 1 in log2, in units of u^2: n (n / u + max|U_kk| / u) / 2 + ulps (2 s + n)
     le = float(mpmath.log(ulps, 2)) if ulps else -math.inf

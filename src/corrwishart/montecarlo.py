@@ -252,12 +252,8 @@ def _extreme_blocks(case: ModelCase, cfg: MCConfig, which: str):
 
 
 def _extreme_eigs(case: ModelCase, cfg: MCConfig, which: str) -> np.ndarray:
-    out = np.empty(cfg.samples)
-    start = 0
-    for values in _extreme_blocks(case, cfg, which):
-        out[start:start + len(values)] = values
-        start += len(values)
-    return out
+    # (copies: a view would keep its block's every eigenvalue alive)
+    return np.concatenate([v.copy() for v in _extreme_blocks(case, cfg, which)])
 
 
 def empirical_extreme_cdf(case: ModelCase, stat: str, grid: Sequence[float],

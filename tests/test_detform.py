@@ -468,6 +468,13 @@ class TestDoubleRange:
         with pytest.raises(ValueError, match="double range"):
             fn(case, *point)
 
+    def test_lam_r_past_the_range_is_not_an_exact_zero(self):
+        # at lam = the largest double, lam r overflows but lam r s = 3.6e8 is
+        # admitted: Pr(|z|^2 <= lam) = 1 - e^(-lam r s) for doubly 1x1, which
+        # read as an unflagged exact 0.0 while lam r s was formed as (lam r) s
+        rep = cdf_max(doubly_case(1, 1, [2.0], [1e-300]), 1.7976931348623157e308)
+        assert abs(rep.value - 1.0) <= rep.abs_error_estimate < 1e-6
+
     SWEEP = [row_case(5, 3, [0.5, 1.2, 2.0]), row_case(5, 3, HUGE),
              row_case(12, 8, [0.3 + 0.4 * i for i in range(8)]),
              col_case(3, 2, [0.5, 1.2, 2.0]), col_case(4, 2, [0.5, 1.2, 2.0, 3.1]),
@@ -492,6 +499,77 @@ class TestDoubleRange:
                         assert "double range" in str(exc) or "m = n" in str(exc)
                     else:
                         assert isinstance(rep.value, float)
+
+
+# every `_LAWS` law, as (model, n, m, stat), and the square column case,
+# which `_plan` reads with the row laws
+FINITE_ENTRY_CASES = [("row", 5, 3, "max"), ("row", 5, 3, "min"), ("row", 3, 3, "min"),
+                      ("row", 5, 3, "gap"), ("col", 4, 2, "max"), ("col", 4, 2, "min"),
+                      ("col", 3, 3, "max"), ("col", 3, 3, "min"), ("col", 3, 3, "gap"),
+                      ("doubly", 3, 2, "max"), ("doubly", 3, 3, "max"),
+                      ("doubly", 3, 3, "min")]
+# spectra from 0.01 to 1000, and near 1e-300 and 1e300 (a doubly case's s;
+# its r spans 0.01 to 1000)
+SCALES = {"wide": lambda k: np.geomspace(0.01, 1000.0, k),
+          "tiny": lambda k: np.geomspace(1.0, 3.0, k) * 1e-300,
+          "huge": lambda k: np.geomspace(1.0, 3.0, k) * 1e300}
+
+
+def test_finite_entry_cases_cover_every_law():
+    names = {f"{'prob_gap' if stat == 'gap' else 'cdf_' + stat}_{model}"
+             for model, n, m, stat in FINITE_ENTRY_CASES if not (model == "col" and n == m)}
+    assert names == set(_LAWS)
+
+
+def range_ends(case, stat):
+    """The smallest and largest lambda that `_grid` admits for ``case``:
+    lambda min s just above the smallest double, and lambda max s (n + 1)
+    just below the largest (doubly lambda r s)."""
+    plan, n = _plan(case, stat), case.dims.n
+    lo = 5e-324 / plan.lo / 2  # (a product of at least half of 5e-324 rounds up)
+    while not lo * plan.lo > 0.0:
+        lo = math.nextafter(lo, math.inf)
+    while math.nextafter(lo, 0.0) * plan.lo > 0.0:
+        lo = math.nextafter(lo, 0.0)
+    hi = min(1.7976931348623157e308 / (plan.hi * (n + 1)), 1.7976931348623157e308)
+    while not math.isfinite(hi * plan.hi * (n + 1)):
+        hi = math.nextafter(hi, 0.0)
+    while math.isfinite(math.nextafter(hi, math.inf) * plan.hi * (n + 1)):
+        hi = math.nextafter(hi, math.inf)
+    return lo, hi
+
+
+@pytest.mark.parametrize("density", [False, True], ids=["cdf", "pdf"])
+@pytest.mark.parametrize("scale", sorted(SCALES))
+@pytest.mark.parametrize("model,n,m,stat", FINITE_ENTRY_CASES)
+def test_no_law_yields_a_minus_inf_entry_log(model, n, m, stat, scale, density):
+    # at every point `_grid` admits, each entry log is finite: no member of a
+    # kernel stack has a row of zeros.  Tried at the ends of the range, and for
+    # the gap and joint density at b / a = 1 + 1e-12
+    spectrum = SCALES[scale]
+    if model == "row":
+        case = row_case(n, m, spectrum(m))
+    elif model == "col":
+        case = col_case(n, m, spectrum(n))
+    else:
+        case = doubly_case(n, m, SCALES["wide"](m), spectrum(n))
+    lo, hi = range_ends(case, stat)
+    lams = [lo, *np.exp(np.linspace(math.log(lo), math.log(hi), 7)[1:-1]).tolist(), hi]
+    points = lams
+    if stat == "gap":
+        points = [(a, min(a * (1 + 1e-12), hi)) for a in lams]
+        points = [(a, b) for a, b in points if b > a] + [(lo, hi)]
+    for beyond in (math.nextafter(lo, 0.0), math.nextafter(hi, math.inf)):
+        with pytest.raises(ValueError):
+            _grid(case, stat, [(beyond, hi) if stat == "gap" else beyond], density=density)
+    grid = np.array(points).reshape(len(points), -1)
+    with warnings.catch_warnings():
+        # the gap block takes the log of v h where it underflows to zero: a
+        # numpy warning, and an infinite estimate, beside a finite entry log
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert len(_grid(case, stat, points, density=density)) == len(points)
+        L = detform._entries(_plan(case, stat).law, grid, density)[0]
+    assert np.isfinite(L).all()
 
 
 class TestEstimateContractInTheTails:
@@ -635,17 +713,6 @@ class TestStackedKernel:
             assert math.isfinite(cancel[g])
             assert math.isfinite(rel[g])
             assert log_mag[g] == pytest.approx(np.linalg.slogdet(np.exp(L[g]))[1], rel=1e-12)
-
-    def test_zero_members_are_exact(self):
-        # a row of zeros: an exact zero with no cancellation and no error,
-        # beside an untouched member
-        rng = np.random.default_rng(9)
-        L = rng.normal(size=(2, 3, 3))
-        L[0, 1] = -np.inf
-        sign, log_mag, cancel, rel = _det_from_logs(L, np.full(L.shape, 1e-16))
-        assert sign[0] == 0 and cancel[0] == 0 and rel[0] == 0
-        assert sign[1] != 0
-        assert log_mag[1] == pytest.approx(np.linalg.slogdet(np.exp(L[1]))[1], rel=1e-12)
 
     def test_underflowed_column_is_flagged(self):
         # a column 800 e-folds under its rows underflows, but its entries are

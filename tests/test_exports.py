@@ -14,7 +14,8 @@ MODULES = ["corrwishart"] + ["corrwishart." + m.name
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
-    # the __all__ lists are kept by hand; a deleted function must leave them too
+    # each module's __all__ is kept by hand (the package joins them); a deleted
+    # function must leave it too
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing

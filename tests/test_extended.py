@@ -910,6 +910,18 @@ class TestIntegerKernel:
             assert fraction_det([[exact(x) for x in row] for row in rows]) != 0
             assert extended._bounded_det(digits(rows), 0) == (0, mpmath.inf)
 
+    @pytest.mark.parametrize("zeros", ["column", "row"])
+    def test_zero_line_is_exactly_zero(self, zeros):
+        # a column or a row of zeros: an exact zero, with no bound
+        with mpmath.workdps(40):
+            rows = dominant(4, np.random.default_rng(10))
+            for j in range(4):
+                if zeros == "row":
+                    rows[2][j] = mpmath.mpf(0)
+                else:
+                    rows[j][1] = mpmath.mpf(0)
+            assert extended._bounded_det(digits(rows), 0) == (0, mpmath.inf)
+
     def test_empty_and_one_by_one(self):
         with mpmath.workdps(40):
             assert extended._bounded_det(digits([]), 0)[0] == 1

@@ -92,6 +92,9 @@ class TestPartitions:
         assert Partition((2, 1, 0, 0)).parts == (2, 1)
         assert Partition((3, 1)).weight == 4
 
+    def test_negative_weight_is_empty(self):
+        assert list(partitions(-1, 3, 2)) == []
+
 
 class TestSchurPoly:
     def test_single_row_is_power_sum_of_h(self):
@@ -155,6 +158,21 @@ class TestPochhammerAndDPrime:
         for p in partitions(5, None, 3):
             assert d_prime(p, 3) > 0.0
 
+    def test_d_prime_rejects_more_parts_than_m(self):
+        with pytest.raises(ValueError, match="more parts than m"):
+            d_prime(Partition((2, 1, 1)), 2)
+
+    def test_zero_factor(self):
+        # (-1)(0)(1): the rising factorial passes through zero
+        assert pochhammer_partition(-1.0, Partition((3,)), 1) == 0.0
+        # row 2 starts at a - 1 = 0
+        assert pochhammer_partition(1.0, Partition((2, 1)), 2) == 0.0
+
+    def test_negative_factor(self):
+        # row 1: (1/2)(3/2), row 2: (-1/2)(1/2)
+        assert pochhammer_partition(0.5, Partition((2, 2)), 2) == pytest.approx(-0.1875,
+                                                                             rel=1e-15)
+
 
 class TestHyp1F1Multivar:
     def test_all_zero_arguments(self):
@@ -185,6 +203,10 @@ class TestHyp1F1Multivar:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             hyp1f1_multivar(2.0, 1.0, [0.1, 0.2], max_weight=5)
+
+    def test_rejects_no_variables(self):
+        with pytest.raises(ValueError, match="at least one variable"):
+            hyp1f1_multivar(2.0, 3.0, [], max_weight=5)
 
 
 class TestSeriesCdfs:
@@ -224,6 +246,15 @@ class TestSeriesCdfs:
         got = cdf_min(case, 0.4).value
         oracle = cdf_min_schur(0.4, case.dims, case.s.values)
         assert got == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("fn", [cdf_max_schur, cdf_min_schur])
+    @pytest.mark.parametrize("lam,s,match", [(0.5, [1.0, 2.0, 3.0], "length m=2"),
+                                             (0.5, [1.0], "length m=2"),
+                                             (0.0, [1.0, 2.0], "positive"),
+                                             (-0.5, [1.0, 2.0], "positive")])
+    def test_rejects_bad_arguments(self, fn, lam, s, match):
+        with pytest.raises(ValueError, match=match):
+            fn(lam, Dimensions(3, 2), s)
 
 
 class TestF3Identity:
