@@ -33,6 +33,7 @@ no value to compare).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -221,12 +222,10 @@ def _cmd_validate(args) -> int:
     case = _build_case(args)
     cfg = EvalConfig(args.precision or "double")
     stat = args.stat
-    if (stat == "min" and isinstance(case, DoublyCorrelated)
-            and case.dims.m != case.dims.n):
-        raise ValueError("the doubly correlated smallest-eigenvalue law requires m = n")
+    detform._grid(case, stat, [], cfg)  # the engine's refusal of a law it lacks
+    given = {"master_seed": args.seed, "confidence": args.confidence}
     mc = MCConfig(samples=200000 if args.samples is None else args.samples,
-                  master_seed=0 if args.seed is None else args.seed,
-                  confidence=0.99 if args.confidence is None else args.confidence)
+                  **{k: v for k, v in given.items() if v is not None})
     if args.grid:
         grid = _parse_grid(args.grid)
     else:
@@ -247,8 +246,7 @@ def _cmd_validate(args) -> int:
 
 
 def _default_validation_grid(case, stat, mc) -> List[float]:
-    pilot_cfg = MCConfig(samples=min(2000, mc.samples), master_seed=mc.master_seed,
-                         confidence=mc.confidence)
+    pilot_cfg = dataclasses.replace(mc, samples=min(2000, mc.samples))
     vals = montecarlo._extreme_eigs(case, pilot_cfg, stat)
     lo, hi = np.quantile(vals, [0.02, 0.98])
     lo = max(lo, hi * 1e-12)

@@ -335,7 +335,8 @@ class _Law(NamedTuple):
         expr    e^(-lam k v)
         gap     int_a^b t^(k-1) e^(-v t) dt at the point (a, b), the positive sum
                 e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) T_i over the seed row
-                T_i = int_0^h t^i e^(-v t) dt = h^(i+1) E_(i+1)(v h), h = b - a;
+                T_i = int_0^h t^i e^(-v t) dt = h^(i+1) E_(i+1)(v h), h = b - a,
+                the ``lamE`` row at lam = b - a;
                 at a one-value point (a,) the tail (a, inf), the same sum at b = inf,
                 where T_i = i! / v^(i+1)
 
@@ -415,21 +416,16 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool):
         # int_a^b t^(k-1) e^(-v t) dt = e^(-v a) sum_(i<k) C(k-1, i) a^(k-1-i) T_i with
         # T_i = int_0^h t^i e^(-v t) dt, h = b - a: positive terms, from each point's
         # seed row t = log T_i (i < n, last axis) and its estimate R_t
-        orders, n, i1 = np.asarray(k), k.stop - 1, np.arange(1, k.stop)
+        orders, n = np.asarray(k), k.stop - 1
         a, lgam = points[:, :1], _log_factorials(n)
         if points.shape[1] == 1:
             # the tail (a, inf): T_i = i! / v^(i+1), its limit at b = inf, with the
             # roundings of (i+1) log v (and of log v)
-            i1_log_v = i1 * np.log(v)[:, None]
+            i1_log_v = np.arange(1, n + 1) * np.log(v)[:, None]
             t, R_t = lgam - i1_log_v, 2.0 * _EPS * np.abs(i1_log_v)
         else:
-            # T_i = h^(i+1) E_(i+1)(v h): E's estimate with (i+1) |log v h| for the size
-            # of its (i+1) log x, and i + 1 roundings of h (through h^(i+1) and x)
-            h = points[:, 1:] - a
-            x, log_h = h * v, np.log(h)[..., None]
-            t = log_gamma_entries(1, n, x) + i1 * log_h
-            R_t = _EPS * (np.minimum(x[..., None], i1 + 1.0)
-                          + i1 * (1.0 + np.abs(np.log(x))[..., None] + np.abs(log_h)))
+            # T_i = h^(i+1) E_(i+1)(v h), the lamE row at lam = h, and its estimate
+            t, R_t, _ = _block("lamE", range(1, n + 1), v, points[:, 1:] - a, False)
         # the terms (G, N, K, i), each with its a^(k-1-i), and their log-sum-exp over i
         log_a = np.log(a)[..., None, None]
         T = (_log_binomials(k.start, n) + ((orders - 1)[:, None] - np.arange(n)) * log_a

@@ -10,19 +10,19 @@ estimate of the doubly correlated smallest-eigenvalue law.
 Randomness is counter based: every value drawn for sample i is a pure
 function of (master_seed, i), generated by a vectorized Philox4x32-10
 block cipher.  Results are therefore bit-identical for a fixed seed and
-sample count no matter how the samples are batched or ordered.
-Generation is blocked and in place: the cipher rounds and the Box-Muller
-map run on preallocated buffers of about 16k counters, written straight
-into the output.  The stream is bit-identical to earlier releases.
+sample count no matter how the samples are batched or ordered, and the
+stream is bit-identical to earlier releases.
 
-The rest of a run works one such block of samples at a time: each block's
-Gram matrices and eigenvalues, its extreme eigenvalues counted against
-the grid by a sorted search, and its Haar traces and exponentials.  Memory
-therefore does not grow with the sample count (only `_extreme_eigs`'s
-output, one double a sample, does), and every output keeps the bits of
-whole-run evaluation: a sample's values never depend on its block-mates,
-integer counts add exactly, and the Haar sums are still taken over the
-same 20 000-sample buffers (`_CHUNK`).
+A run works one generation block of samples at a time: the callers cut
+the sample indices with `_index_blocks` into blocks of whole samples,
+about 16k values (`_BLOCK`) each, and `_complex_normals` draws each
+request in place in one pass.  Each block's Gram matrices and eigenvalues, its extreme
+eigenvalues counted against the grid by a sorted search, and its Haar
+traces and exponentials follow.  Memory therefore does not grow with the
+sample count (only `_extreme_eigs`'s output, one double a sample, does),
+and every output keeps the bits of whole-run evaluation: a sample's values
+never depend on its block-mates, integer counts add exactly, and the Haar
+sums are still taken over the same 20 000-sample buffers (`_CHUNK`).
 """
 
 from __future__ import annotations
@@ -133,9 +133,12 @@ def _philox_rounds(x0, x1, x2, x3, seed: int):
     return x0, x1, x2, x3
 
 
-def _block_samples(n_entries: int) -> int:
-    """Whole samples of ``n_entries`` values in one generation block."""
-    return max(1, _BLOCK // max(n_entries, 1))
+def _index_blocks(start: int, stop: int, n_entries: int):
+    """The sample indices start..stop - 1 as uint64 arrays of whole samples
+    of ``n_entries`` values, about `_BLOCK` values (one generation block) each."""
+    step = max(1, _BLOCK // n_entries)
+    for lo in range(start, stop, step):
+        yield np.arange(lo, min(lo + step, stop), dtype=np.uint64)
 
 
 def _complex_normals(seed: int, sample_indices: np.ndarray, n_entries: int,
@@ -144,71 +147,50 @@ def _complex_normals(seed: int, sample_indices: np.ndarray, n_entries: int,
 
     Entry b of sample i is a pure function of (seed, i, b, purpose): one
     Philox block supplies two 64-bit uniforms, turned into a complex normal
-    by the Box-Muller map.  Whole samples are generated about `_BLOCK`
-    counters at a time in reused buffers.
+    by the Box-Muller map, in place and in one pass over the request.
     """
     idx = np.asarray(sample_indices, dtype=np.uint64)
     out = np.empty((idx.size, n_entries), dtype=np.complex128)
+    c0, c1 = np.repeat(idx & _M32, n_entries), np.repeat(idx >> _SHIFT32, n_entries)
+    c2 = np.tile(np.arange(n_entries, dtype=np.uint64), idx.size)
+    c3 = np.full(out.size, purpose, dtype=np.uint64)
+    _philox_rounds(c0, c1, c2, c3, seed)
+    r, a, t = (np.empty(out.size) for _ in range(3))
+    # two 64-bit uniforms hi 2^32 + lo: the words are below 2^32, so their
+    # int64 views convert exactly, and the sum rounds once, as a uint64 cast would
+    for u, hi, lo in ((r, c0, c1), (a, c2, c3)):
+        u[...] = hi.view(np.int64)
+        np.multiply(u, _TWO32, out=u)
+        np.add(u, lo.view(np.int64), out=u)
+    np.add(r, 1.0, out=r)
+    np.multiply(r, _TWO_M64, out=r)                # u1 in (0, 1]
+    np.log(r, out=r)
+    np.negative(r, out=r)
+    np.sqrt(r, out=r)                              # Rayleigh for E|g|^2 = 1
+    np.multiply(a, _TWO_M64, out=a)                # u2 in [0, 1)
+    np.multiply(a, 2.0 * np.pi, out=a)
     flat = out.reshape(-1)
-    step = _block_samples(n_entries)
-    size = min(step, idx.size) * n_entries
-    x0, x1, x2, x3 = (np.empty(size, dtype=np.uint64) for _ in range(4))
-    radius, angle, trig = (np.empty(size) for _ in range(3))
-    entries = np.arange(n_entries, dtype=np.uint64)
-    for start in range(0, idx.size, step):
-        rows = idx[start:start + step]
-        k = rows.size * n_entries
-        c0, c1, c2, c3 = x0[:k], x1[:k], x2[:k], x3[:k]
-        c0.reshape(rows.size, n_entries)[...] = (rows & _M32)[:, None]
-        c1.reshape(rows.size, n_entries)[...] = (rows >> _SHIFT32)[:, None]
-        c2.reshape(rows.size, n_entries)[...] = entries
-        c3[...] = purpose
-        _philox_rounds(c0, c1, c2, c3, seed)
-        r, a, t = radius[:k], angle[:k], trig[:k]
-        # two 64-bit uniforms hi 2^32 + lo: the words are below 2^32, so their
-        # int64 views convert exactly, and the sum rounds once, as a uint64 cast would
-        for u, hi, lo in ((r, c0, c1), (a, c2, c3)):
-            u[...] = hi.view(np.int64)
-            np.multiply(u, _TWO32, out=u)
-            np.add(u, lo.view(np.int64), out=u)
-        np.add(r, 1.0, out=r)
-        np.multiply(r, _TWO_M64, out=r)                # u1 in (0, 1]
-        np.log(r, out=r)
-        np.negative(r, out=r)
-        np.sqrt(r, out=r)                              # Rayleigh for E|g|^2 = 1
-        np.multiply(a, _TWO_M64, out=a)                # u2 in [0, 1)
-        np.multiply(a, 2.0 * np.pi, out=a)
-        dst = flat[start * n_entries:start * n_entries + k]
-        np.cos(a, out=t)
-        np.multiply(r, t, out=dst.real)
-        np.sin(a, out=t)
-        np.multiply(r, t, out=dst.imag)
+    np.cos(a, out=t)
+    np.multiply(r, t, out=flat.real)
+    np.sin(a, out=t)
+    np.multiply(r, t, out=flat.imag)
     return out
-
-
-def _case_scales(case: ModelCase) -> Tuple[int, int, np.ndarray, np.ndarray]:
-    if not isinstance(case, (RowCorrelated, ColumnCorrelated, DoublyCorrelated)):
-        raise TypeError(f"unknown model case {type(case).__name__}")
-    n, m = case.dims.n, case.dims.m
-    row_scale = np.ones(n)
-    col_scale = np.ones(m)
-    if isinstance(case, RowCorrelated):
-        col_scale = 1.0 / np.sqrt(np.array(case.s.values))
-    elif isinstance(case, ColumnCorrelated):
-        row_scale = 1.0 / np.sqrt(np.array(case.s.values))
-    else:
-        col_scale = 1.0 / np.sqrt(np.array(case.r.values))
-        row_scale = 1.0 / np.sqrt(np.array(case.s.values))
-    return n, m, row_scale, col_scale
 
 
 def _sample_batch(case: ModelCase, sample_indices: np.ndarray,
                   master_seed: int) -> np.ndarray:
-    n, m, row_scale, col_scale = _case_scales(case)
-    g = _complex_normals(master_seed, sample_indices, n * m, _PURPOSE_GAUSSIAN)
-    z = g.reshape(len(sample_indices), n, m)
-    z *= row_scale[None, :, None]
-    z *= col_scale[None, None, :]
+    # scales only the sides the model correlates: the rows by s^-1/2, the
+    # columns by r^-1/2 (the row model's s^-1/2)
+    if not isinstance(case, (RowCorrelated, ColumnCorrelated, DoublyCorrelated)):
+        raise TypeError(f"unknown model case {type(case).__name__}")
+    n, m = case.dims.n, case.dims.m
+    z = _complex_normals(master_seed, sample_indices, n * m, _PURPOSE_GAUSSIAN)
+    z = z.reshape(len(sample_indices), n, m)
+    if not isinstance(case, RowCorrelated):
+        z *= 1.0 / np.sqrt(np.array(case.s.values))[:, None]
+    if not isinstance(case, ColumnCorrelated):
+        cols = case.r if isinstance(case, DoublyCorrelated) else case.s
+        z *= 1.0 / np.sqrt(np.array(cols.values))
     return z
 
 
@@ -244,9 +226,7 @@ def _gram_eigvals(z: np.ndarray) -> np.ndarray:
 def _extreme_blocks(case: ModelCase, cfg: MCConfig, which: str):
     """The ``which`` ("max" or "min") extreme eigenvalue of each sample, one
     generation block of samples at a time, in sample order."""
-    step = _block_samples(case.dims.n * case.dims.m)
-    for start in range(0, cfg.samples, step):
-        idx = np.arange(start, min(start + step, cfg.samples), dtype=np.uint64)
+    for idx in _index_blocks(0, cfg.samples, case.dims.n * case.dims.m):
         w = _gram_eigvals(_sample_batch(case, idx, cfg.master_seed))
         yield w[:, -1] if which == "max" else w[:, 0]
 
@@ -329,19 +309,13 @@ def haar_hciz_estimate(lam: float, r: Sequence[float], s: Sequence[float],
     if not all(0 < v < math.inf for v in [lam, *rv, *sv]):
         raise ValueError("lam and the spectra must be finite and positive")
     n = len(rv)
-    step = _block_samples(n * n)
-    buffer = np.empty(min(_CHUNK, cfg.samples))
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = 0.0
     for chunk in range(0, cfg.samples, _CHUNK):
-        vals = buffer[:min(_CHUNK, cfg.samples - chunk)]
-        for start in range(0, len(vals), step):
-            idx = np.arange(chunk + start, chunk + min(start + step, len(vals)),
-                            dtype=np.uint64)
-            absV2 = np.abs(_haar_unitaries(n, idx, cfg.master_seed)) ** 2
-            # Tr(R V^H S V) = sum_{l,j} s_l r_j |V_{l j}|^2
-            tr = np.einsum("blj,l,j->b", absV2, sv, rv)
-            vals[start:start + len(idx)] = np.exp(-lam * tr)
+        # Tr(R V^H S V) = sum_{l,j} s_l r_j |V_{l j}|^2, one generation block at a time
+        vals = np.concatenate([
+            np.exp(-lam * np.einsum("blj,l,j->b",
+                                    np.abs(_haar_unitaries(n, idx, cfg.master_seed)) ** 2, sv, rv))
+            for idx in _index_blocks(chunk, min(chunk + _CHUNK, cfg.samples), n * n)])
         total += float(vals.sum())
         total_sq += float((vals ** 2).sum())
     mean = total / cfg.samples

@@ -121,10 +121,11 @@ def log_gamma_entries(a_lo: int, a_hi: int, x) -> np.ndarray:
     upper = x[..., None] >= orders + 1.0
     if not upper.any():
         return log_e
-    # Q masked below x = a + 1, where it may round to 1 or above
-    q = np.where(upper, np.exp(_log_exp_partial_sums(a_lo, a_hi, np.maximum(x, 1.0))
-                               - x[..., None]), np.nan)
-    log_up = _log_factorials(a_hi)[a_lo - 1:] + np.log1p(-q) - orders * np.log(x)[..., None]
+    # Q masked below x = a + 1, where it may round to 1 or above; every lane
+    # used has x >= 2, so the logs take max(x, 1), finite where x underflowed
+    xu = np.maximum(x, 1.0)
+    q = np.where(upper, np.exp(_log_exp_partial_sums(a_lo, a_hi, xu) - x[..., None]), np.nan)
+    log_up = _log_factorials(a_hi)[a_lo - 1:] + np.log1p(-q) - orders * np.log(xu)[..., None]
     return np.where(upper, log_up, log_e)
 
 

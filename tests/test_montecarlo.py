@@ -75,8 +75,9 @@ class TestSampling:
                          validate_spectrum([0.5, 1.5, 2.5])),
     ], ids=["1x1", "row3x2", "doubly3x3"])
     def test_batch_equals_single_across_blocks(self, case):
-        # generation walks whole samples in blocks of about _BLOCK counters;
-        # a sample's bits must not depend on where a block boundary falls
+        # the runs cut their samples into blocks of about _BLOCK counters
+        # (`_index_blocks`); a sample's bits must not depend on where a block
+        # boundary falls, nor on the size of the request that draws it
         N = _BLOCK + 6
         batch = _sample_batch(case, np.arange(N, dtype=np.uint64), 2024)
         step = max(1, _BLOCK // (case.dims.n * case.dims.m))
