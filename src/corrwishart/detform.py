@@ -61,7 +61,7 @@ from .model import (
     RowCorrelated,
 )
 from .specfun import (_gamma_series_terms, _log_binomials, _log_factorials, _poisson_terms,
-                      log_doubly_g, log_gamma_entries)
+                      doubly_g_slope, log_doubly_g, log_gamma_entries)
 
 __all__ = [
     "EvalConfig",
@@ -474,10 +474,23 @@ def _block(family: str, k, v: np.ndarray, points: np.ndarray, density: bool):
         x = np.where(np.isinf(x), lam * (ks * v), x)
         if family == "expr":
             return -x, _EPS * (5.0 + x), [-(v * ks)] if density else []
-        L = log_doubly_g(len(v), x)
-        # g_n'(y) = -(g_n(y) - g_(n+1)(y))
-        return (L, _EPS * (20.0 + x),
-                [x / lam * np.expm1(log_doubly_g(len(v) + 1, x) - L)] if density else [])
+        n = len(v)
+        L = log_doubly_g(n, x)
+        # below 2n the series, with x's two roundings through |d log g / d log x| <= x;
+        # from 2n the recurrence, each step within 3u (u = eps / 2) as (k-1) g_(k-1)
+        # < 1/2, x's roundings through a sensitivity at most n, and log's rounding,
+        # u (5n + |L|), and D = -q_n / lam (`doubly_g_slope`) within u (11n + 10):
+        # eps (6n + 5 + |L|) bounds both
+        big = x >= 2.0 * n
+        R = np.where(big, _EPS * (6.0 * n + 5.0 + np.abs(L)), _EPS * (20.0 + x))
+        if not density:
+            return L, R, []
+        # g_n'(y) = -(g_n(y) - g_(n+1)(y)): below 2n D = (y / lam) expm1(L' - L),
+        # L' = log g_(n+1); from 2n on -q_n / lam, without that difference's cancellation
+        D = x / lam * np.expm1(log_doubly_g(n + 1, x) - L)
+        if big.any():
+            D[big] = -doubly_g_slope(n, x[big]) / np.broadcast_to(lam, x.shape)[big]
+        return L, R, [D]
     L = np.log(v) * ks if family == "pow" else lam * v + ks * np.log(v)
     return L, _EPS * (5.0 + np.abs(L)), [0.0] if density else []
 
@@ -645,9 +658,13 @@ def _chunk_reports(plan: _Plan, stat: str, points: list, cfg: EvalConfig,
     grid = np.asarray(points, dtype=float)
     # the prefactor's log at each point (a gap law has no lambda terms)
     lams, lam_power = grid[:, 0], law.pref.lam_power
-    logs = plan.log + lam_power * np.log(lams) if lam_power else np.full(len(lams), plan.log)
+    lam_log = lam_power * np.log(lams) if lam_power else np.zeros(len(lams))
+    logs = plan.log + lam_log
+    # its terms may cancel (lam^k against v^-k far in a tail): each is rounded
+    pref_size = abs(plan.log) + np.abs(lam_log)
     if plan.decay:
         logs = logs - lams * plan.decay
+        pref_size = pref_size + lams * abs(plan.decay)
     L, R, Ds, consts = _entries(law, grid, density)
     sign, log_det, cancel, rel, *derivs = _det_from_logs(L, R, Ds)
     sign, cancel, log_factor, extra = plan.sign * sign, cancel.tolist(), 0.0, 0.0
@@ -673,7 +690,7 @@ def _chunk_reports(plan: _Plan, stat: str, points: list, cfg: EvalConfig,
         cancel = [max(c, math.log10(x) if f else math.inf)
                   for c, x, f in zip(cancel, lost.tolist(), sizes)]
     # every value also carries the rounding of the logs it is exponentiated from
-    rel = rel + (5.0 + np.abs(logs) + np.abs(log_det) + np.abs(log_factor)) * _EPS + extra
+    rel = rel + (5.0 + pref_size + np.abs(log_det) + np.abs(log_factor)) * _EPS + extra
     values = (logs + log_det + log_factor).tolist()
     return [_finalize(s, log, r, c, cfg, list(plan.warnings), None if density else law, point,
                       not density)

@@ -14,12 +14,16 @@ guard bits and one rounding per value: the prefactor, an exact rational
 (its lambda-free part computed once per prefactor, `_pref_digits`) times
 lam^lam_power and one exponential; the ``pow`` and ``exp`` entries,
 mantissa powers times one exponential (`_rounded`); the gamma rows
-(`_gamma_row`, behind the ``lamE`` and ``gap`` families) from positive
-recurrences in the order, with the powers of the row's scale (lam, or
-b - a); a gap entry a positive sum over one such row by a Pascal
-recurrence; the tail rows (`_shifted_power_row`, the gap at b = inf, O(n)
-a row); and the doubly ``g`` entries (`_g`).  Only the ``expr`` entries
-are one mpmath exponential each.  Every entry is handed on as the exact
+(`_gamma_row`, behind the ``lamE`` and ``gap`` families), the top order from
+a series or a finite sum, whichever is shorter at the argument
+(`_gamma_lift`), the others by a positive recurrence in the order, with the
+powers of the row's scale (lam, or b - a; `_powers`, once a block); a gap
+entry a positive sum over one such row by a Pascal recurrence; the tail
+rows (`_shifted_power_row`, the gap at b = inf, O(n) a row); and the
+doubly ``g`` entries (`_g`), likewise a series or an n-term finite sum
+(`_g_lift`).  Each finite sum carries guard bits, set from the argument,
+for its cancellation and for the growth of its floored terms.  Only the
+``expr`` entries are one mpmath exponential each.  Every entry is handed on as the exact
 integer pair (man, exp) that mpmath's round to nearest at the working
 precision gives (`_entry`), and `_bounded_det` eliminates on those
 integers: only the prefactor, the determinant and the `Round` are mpfs.
@@ -62,6 +66,7 @@ _FN = 4
 _GUARD = 5
 # the most digits a re-evaluation may use
 _MAX_DPS = 1600
+_LOG2E = 1 / math.log(2)
 
 
 class NotConverged(ArithmeticError):
@@ -153,7 +158,8 @@ def _bounded_det(rows, ulps):
          for row, r in zip(rows, tops)]
     sums, det, half = [sum(map(abs, row)) for row in a], 1, 1 << (prec - 1)
     for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(a[i][k]))
+        col = [abs(row[k]) for row in a[k:]]
+        p = k + col.index(max(col))  # the first largest, as max with a key
         pivot = a[p][k]
         if not pivot:
             return zero
@@ -169,7 +175,7 @@ def _bounded_det(rows, ulps):
                                           round_nearest))
     lg = [[math.log2(abs(x)) - prec if x else -math.inf for x in row] for row in a]
     # G 1 in log2, in units of u^2: n (n / u + max|U_kk| / u) / 2 + ulps (2 s + n)
-    le = float(mpmath.log(ulps, 2)) if ulps else -math.inf
+    le = math.log2(ulps) if ulps else -math.inf
     top = max((abs(row[k]) for k, row in enumerate(a)), default=0)
     y = []  # M(L)^-1 G 1, then M(U)^-1 of it
     for i, row in enumerate(lg):
@@ -301,6 +307,22 @@ def _pref(p, lam):
     return mpmath.mpf(_rounded(num, den, exp)), 1.1
 
 
+def _gamma_lift(a, mul, f, prec):
+    """c, with 2^c >= e^x a! / x^a at x = mul 2^-f < a + 1, the bits the
+    finite sum of `_gamma_row` cancels, when its a terms at c more bits
+    are shorter than the series at precision ``prec``, else None.  The
+    series takes about a p / c terms at small x; the sum is used while
+    (2c)^2 <= a p, where it measured faster (it also forms e^x to more
+    bits than the series forms e^-x)."""
+    low = 2 * a * (f - mul.bit_length())  # 2c >= -2a log2 x: x is small
+    if low > 0 and low * low > a * prec:
+        return None
+    lx = math.log2(mul) - f
+    # floats within 2^-30 of each term here: the one bit added covers them
+    c = max(math.ceil(2.0 ** lx * _LOG2E + math.lgamma(a + 1) * _LOG2E - a * lx) + 1, 0)
+    return c if 4 * c * c <= a * prec else None
+
+
 def _gamma_row(a_lo, a_hi, x, scale):
     """E_a(x) = int_0^1 t^(a-1) e^(-x t) dt = gamma(a, x) / x^a, times
     c^a, for the orders a = a_lo..a_hi, x > 0, each an entry (`_entry`)
@@ -311,14 +333,19 @@ def _gamma_row(a_lo, a_hi, x, scale):
     E_a = e^-x S_a / a with S_a = 1F1(1; a+1; x) >= 1, on Python integers
     in fixed point with w = p + g bits (p the working precision, g =
     8 + bit_length(p + a_hi) guard bits), each step one floor division.  The top
-    order S_(a_hi) comes in units of 2^(t-w), 2^t <= S_(a_hi): below
-    x = a_hi + 1 (t = 0) from the series sum_j x^j / ((a+1)...(a+j)),
-    a = a_hi, summed until a term floors to zero; from x = a_hi + 1 on from
-    the finite sum a! x^-a (e^x - sum_(k<a) x^k / k!), e^x from mpmath at
-    w + 4 bits and the sum from its top term down (each term k / x times
-    the one above), whose subtraction loses at most a bit (the sum is below
-    e^x / 2 there), with t set so that the quotient has w + 1 bits.  Times
-    e^-x (mpmath, w bits), the lower orders follow from
+    order S_(a_hi) comes in units of 2^(t-w), 2^t <= S_(a_hi), from the
+    shorter of two forms (`_gamma_lift`).  The series sum_j x^j / ((a+1)...(a+j)),
+    a = a_hi, summed until a term floors to zero (t = 0), where its terms
+    fall fast, at small x.  Else the finite sum a! x^-a D, D = e^x - sum_(k<a)
+    x^k / k! = sum_(k>=a) x^k / k!, with t set so that the quotient has
+    w + 1 bits.  From x = a + 1 on, D > e^x / 2 (the Poisson(x) median is
+    above a - 1), and the sum is taken in units of 2^ee, e^x = em 2^ee
+    from mpmath at w + 4 bits, from its top term down, each term k / x <= 1
+    times the one above.  Below x = a + 1 it is taken from its first term
+    up, t_0 = 2^W and each t_(k-1) x // k, at W = w + c + bit_length(a^2 + 2)
+    bits, 2^c >= e^x a! / x^a, against e^x from mpmath at W + 4 + ceil(1.5 x)
+    bits.  e^-x is the reciprocal of that e^x, at w bits, or, with the
+    series, from mpmath at w bits.  Times e^-x, the lower orders follow from
     e^-x S_a = e^-x + x e^-x S_(a+1) / (a+1).  The scale gives
     c^a = cm^a 2^(a ce) on integers, as c^(a-1) times cm, each power
     truncated to w + 1 bits.  Each entry, times its power and divided by a,
@@ -328,10 +355,18 @@ def _gamma_row(a_lo, a_hi, x, scale):
     terms (those past the 2a + 4th fall by half each); each floor loses
     under a unit, carried on by ratios x / (a+j) < 1, so the terms lose at
     most J S_a and the tail past the zero term at most a + J + 1 units:
-    4w + 5a + 9 in all, as S_a >= 1.  The finite sum loses about a + 2
-    (its terms' floors against e^x / 2, e^x's own error, the quotient's
-    floor).  e^-x is charged mpmath's `_FN`, the product's floor 2, a
-    recurrence step 4 (its floor and e^-x's, against at least 2^(w-1)
+    4w + 5a + 9 in all, as S_a >= 1.  The finite sum from the top down
+    loses about a + 2 (its terms' floors against e^x / 2, e^x's own error,
+    the quotient's floor).  From the bottom up, with the exact terms u_k =
+    2^W x^k / k!, each step's two floors lose under 2 units, carried on by
+    x / k, so t_k loses under 2 sum_(l<=k) u_k / u_l; the u_k rise and then
+    fall, so u_l >= min(u_0, u_k) and t_k loses under 2k max(1, u_k / 2^W)
+    <= 2k e^x units: the growth of the floored terms.  With e^x's `_FN`
+    units of its last bit and its floor (under 2 units), D, at least
+    2^W x^a / a!, loses under (a^2 + 2) e^x units, so under 2^-w relative;
+    the quotient's floor adds one.  e^-x is charged mpmath's `_FN` (as a
+    reciprocal, its floor and e^x's error, under 3), the product's floor 2,
+    a recurrence step 4 (its floor and e^-x's, against at least 2^(w-1)
     units), as x S_(a+1) / (a+1) <= S_a carries the error on without growth,
     and the division by a 2a.  A truncated power keeps at least w + 1 bits,
     so each truncation loses under 2^-w of it, and c^a, after a of them,
@@ -343,15 +378,8 @@ def _gamma_row(a_lo, a_hi, x, scale):
     w = prec + 8 + (prec + a_hi).bit_length()
     m, e = x
     mul, f = m << max(e, 0), max(-e, 0)  # x = mul / 2^f
-    if mul < (a_hi + 1) << f:
-        t, s = 0, 1 << w
-        term, k = s, a_hi
-        while term:
-            k += 1
-            term = (term * mul >> f) // k
-            s += term
-    else:
-        a = a_hi
+    a = a_hi
+    if mul >= (a + 1) << f:
         em, ee = _exp_digits(m, e, w + 4)
         # sum_(k<a) x^k / k! in units 2^ee, from its top term down
         shift = e * (a - 1) - ee
@@ -361,11 +389,31 @@ def _gamma_row(a_lo, a_hi, x, scale):
         for k in range(a - 1, 0, -1):
             term = (term * k << f) // mul
             head += term
-        num, den = math.factorial(a) * (em - head), m ** a
+        diff, unit = em - head, ee
+    elif (c := _gamma_lift(a, mul, f, prec)) is None:
+        t, s, diff = 0, 1 << w, None
+        term, k = s, a
+        while term:
+            k += 1
+            term = (term * mul >> f) // k
+            s += term
+        em, ee = _exp_digits(-m, e, w)
+    else:  # sum_(k<a) x^k / k! in units 2^-W, from its bottom term up
+        W = w + c + (a * a + 2).bit_length()
+        em, ee = _exp_digits(m, e, W + 5 + (3 * mul >> f + 1))
+        term = head = 1 << W
+        for k in range(1, a):
+            term = (term * mul >> f) // k
+            head += term
+        diff, unit = (em >> -W - ee) - head, -W
+    if diff is not None:  # a finite sum
+        num, den = math.factorial(a) * diff, m ** a
         shift = w + 1 + den.bit_length() - num.bit_length()
         s = (num << shift if shift >= 0 else num >> -shift) // den
-        t = ee - e * a - shift + w
-    em, ee = _exp_digits(-m, e, w)
+        t = unit - e * a - shift + w
+        # e^-x = 1 / e^x, at least 2^(w-1) units of 2^ee
+        bl = em.bit_length()
+        em, ee = (1 << w + bl - 1) // em, -ee - (w + bl - 1)
     # e^-x S_a in units of 2^(ee + t), at least 2^(w-1) of them
     one = em >> t if t >= 0 else em << -t
     s = em * s >> w
@@ -374,16 +422,23 @@ def _gamma_row(a_lo, a_hi, x, scale):
         s = one + (s * mul >> f) // (a + 1)
         row.append(s)
     row.reverse()
-    # scale^a as pm 2^pe, truncated to w + 1 bits
-    cm, ce = scale
-    pm, pe, out = 1, 0, []
-    for a in range(1, a_hi + 1):
+    powers = _powers(scale, a_hi, w)[a_lo - 1:]
+    return [_entry(s * pm // a, ee + t + pe)
+            for a, s, (pm, pe) in zip(range(a_lo, a_hi + 1), row, powers)]
+
+
+@functools.lru_cache(maxsize=256)
+def _powers(scale, a_hi, w):
+    """c^a as (pm, pe), c^a ~ pm 2^pe, for a = 1..a_hi and the scale c = cm
+    2^ce given as (cm, ce): c^(a-1) times cm, truncated to w + 1 bits.  A
+    block's rows share their scale, so its powers are formed once."""
+    (cm, ce), pm, pe, out = scale, 1, 0, []
+    for _ in range(a_hi):
         pm *= cm
         cut = max(pm.bit_length() - w - 1, 0)
         pm, pe = pm >> cut, pe + ce + cut
-        if a >= a_lo:
-            out.append(_entry(row[a - a_lo] * pm // a, ee + t + pe))
-    return out
+        out.append((pm, pe))
+    return tuple(out)
 
 
 def _shifted_power_row(a_lo, a_hi, lam, s):
@@ -431,21 +486,42 @@ def _shifted_power_row(a_lo, a_hi, lam, s):
     return row
 
 
+def _g_lift(n, mul, f, prec):
+    """l, with 2^l >= M (n + y) / y at y = mul 2^-f, M = (n-1)! / ((n-1-K)!
+    y^K) >= 1 the finite sum's largest term over its first, K the number of
+    its ratios (n-k) / y above one, when its n terms at l more bits are
+    shorter than the series at precision ``prec``, else None.  The series
+    takes about n p / l terms at small y; the sum is used while l^2 <= n p,
+    where it measured faster."""
+    if mul >= n << f:  # K = 0 and n / y <= 1
+        return 2
+    low = n * (f - mul.bit_length()) + 2  # l >= 2 - n log2 y: y is small
+    if low > 0 and low * low > n * prec:
+        return None
+    K = min(n - 1 - (mul >> f), n - 1)
+    ly = math.log2(mul) - f
+    # log2 (1 + n / y) <= log2 (n / y) + 1; the floats are within 2^-30 of
+    # each term here, which the one bit added covers
+    lift = math.ceil((math.lgamma(n) - math.lgamma(n - K)) * _LOG2E - K * ly + math.log2(n) - ly + 2)
+    return lift if lift * lift <= n * prec else None
+
+
 def _g(n, m, e):
     """g_n(y) = int_0^1 (1-t)^(n-1) e^(-y t) dt = 1F1(1; n+1; -y) / n at
     y = m 2^e > 0, taken exactly, as an entry (`_entry`) within 1.1 ulps.
 
-    On Python integers in fixed point with w = p + g bits, g = 10 +
-    bit_length(n (p + 12n + 64)), and y = mul 2^-f.  Below y = 2n, from the
-    positive series g_n = e^-y sum_j y^j / (j! (n + j)): the terms t_j =
-    2^w y^j / j! from t_0 = 2^w, each t_(j-1) mul 2^-f // j, summed as
-    t_j // (n + j) from j = 0 until one past 2y floors to zero, times e^-y
-    from mpmath at w bits.  From y = 2n on, with work that does not grow
-    with y, from n integrations by parts, g_n = (1/y) sum_(k<n) (-1)^k t_k +
-    (-1)^n (n-1)! e^-y / y^n with t_k = (n-1)! / ((n-1-k)! y^k): t_0 = 2^w,
-    each t_(k-1) (n-k) 2^f // mul, the e^-y term left out from y = w on,
-    where it is under a unit, then one floor division by y.  The entry is
-    rounded once to p bits.
+    On Python integers in fixed point with w bits and y = mul 2^-f, from
+    the shorter of two forms (`_g_lift`).  At small y, the positive series
+    g_n = e^-y sum_j y^j / (j! (n + j)) at w = p + 10 + bit_length(n (p +
+    12n + 64)): the terms t_j = 2^w y^j / j! from t_0 = 2^w, each t_(j-1)
+    mul 2^-f // j, summed as t_j // (n + j) from j = 0 until one past 2y
+    floors to zero, times e^-y from mpmath at w bits.  Else the sum from n
+    integrations by parts, g_n = (1/y) sum_(k<n) (-1)^k t_k + (-1)^n (n-1)!
+    e^-y / y^n with t_k = (n-1)! / ((n-1-k)! y^k), at w = p + l + 4 +
+    bit_length(n^2 + 2 `_FN` + 6), 2^l >= M (n + y) / y (`_g_lift`): t_0 =
+    2^w, each t_(k-1) (n-k) 2^f // mul, the e^-y term (e^-y from mpmath at
+    w bits) left out from y = max(w, n) on, where it is under a unit, then one
+    floor division by y.  The entry is rounded once to p bits.
 
     Error, relative, in units of 2^-w.  Series: each step's two floors lose
     under 2 units, carried on by y / j, so t_j loses at most 2 sum_(d<j)
@@ -455,17 +531,23 @@ def _g(n, m, e):
     4 e^y.  By Jensen's inequality (1 / (n + j) is convex in j, under the
     Poisson(y) weights) g_n(y) >= 1 / (n + y), so the sum is at least
     2^w e^y / (n + y) and loses under (3J + 4) 3n, with J <= max(2e y, w) +
-    2 <= 12n + w + 2 terms.  e^-y adds `_FN`.  Finite sum: the ratios
-    (n-k) / y are at most 1/2, so each t_k loses under 2 units; the e^-y
-    term's floors and its `_FN`, or its omission, under `_FN` + 2; and as
-    y g_n(y) >= y / (n + y) >= 2/3, the sum, at least 2^(w-1), under
-    2 (2n + `_FN` + 2); the division adds one.  With 2^g >= 1024 n (p + 12n
-    + 64), either is under a tenth of an ulp at p, and the rounding adds one.
+    2 <= 12n + w + 2 terms.  e^-y adds `_FN`.  With 2^(w-p) >= 1024 n (p +
+    12n + 64) that is under a tenth of an ulp at p.  Finite sum: each floor
+    loses under a unit, carried on by the ratios (n-k) / y, so t_k loses
+    under sum_(l<=k) u_k / u_l for the exact terms u_k; they rise while
+    (n-k) / y > 1 and then fall, so u_l >= min(u_0, u_k) and t_k loses under
+    k M units, M = max u_k / 2^w: the growth of the floored terms, n^2 M / 2
+    in all.  The e^-y term, at most 2^w M, loses `_FN` M to e^-y and 2 to
+    its floors, or under a unit left out.  The sum, 2^w y
+    g_n(y) >= 2^w y / (n + y) by Jensen, so loses under (n^2 / 2 + `_FN` +
+    2) 2^l, and the division adds one: with the guard bits, under a tenth
+    of an ulp at p.  The rounding adds one.
     """
     prec = mpmath.mp.prec
-    w = prec + 10 + (n * (prec + 12 * n + 64)).bit_length()
     mul, f = m << max(e, 0), max(-e, 0)
-    if mul < 2 * n << f:
+    lift = _g_lift(n, mul, f, prec)
+    if lift is None:
+        w = prec + 10 + (n * (prec + 12 * n + 64)).bit_length()
         em, ee = _exp_digits(-m, e, w)
         t, j, top = 1 << w, 0, 2 * mul >> f
         total = t // n
@@ -474,11 +556,12 @@ def _g(n, m, e):
             t = (t * mul >> f) // j
             total += t // (n + j)
         return _entry(em * total, ee - w)
+    w = prec + lift + 4 + (n * n + 2 * _FN + 6).bit_length()
     t = total = 1 << w
     for k in range(1, n):
         t = (t * (n - k) << f) // mul
         total += -t if k % 2 else t
-    if mul < w << f:  # (-1)^n (n-1)! e^-y / y^(n-1), in units of 2^-w
+    if mul < max(w, n) << f:  # (-1)^n (n-1)! e^-y / y^(n-1), in units of 2^-w
         em, ee = _exp_digits(-m, e, w)
         shift, r = ee + w + f * (n - 1), math.factorial(n - 1) * em
         r = (r << shift if shift >= 0 else r >> -shift) // mul ** (n - 1)

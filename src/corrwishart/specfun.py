@@ -30,6 +30,7 @@ import numpy as np
 
 __all__ = [
     "log_gamma_entries",
+    "doubly_g_slope",
     "log_doubly_g",
 ]
 
@@ -136,6 +137,21 @@ def _kummer_log_sum(a: int, b: int, x, terms: int) -> np.ndarray:
     weights = np.cumprod((a + i - 1.0) / (b + i - 1.0))
     powers = np.cumprod(np.asarray(x, dtype=float)[..., None] / i, axis=-1)
     return np.log1p((powers * weights).sum(axis=-1))
+
+
+def doubly_g_slope(n: int, x) -> np.ndarray:
+    """q_n(x) = -x g_n'(x) / g_n(x) = x (g_n(x) - g_(n+1)(x)) / g_n(x) for an
+    array x >= 2n: from q_1 = 1 - x / (e^x - 1) by q_(k+1) = 1 - k q_k /
+    (x - q_k), which follows from x g_(k+1) = 1 - k g_k.  Each q_k is in
+    [1/2, 1] and each step subtracts a positive term below 1/2 from 1, so
+    the relative error grows by at most 1 + 1/(x-1) and 4u a step: within
+    u (11n + 8) in all, u the unit roundoff."""
+    x = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore"):  # e^x overflows to inf far out, where q_1 = 1
+        q = 1.0 - x / np.expm1(x)
+    for k in range(1, n):
+        q = 1.0 - k * q / (x - q)
+    return q
 
 
 def log_doubly_g(n: int, x) -> np.ndarray:

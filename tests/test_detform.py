@@ -597,6 +597,20 @@ class TestEstimateContractInTheTails:
         with mpmath.workdps(50):
             assert abs(rep.value - want) <= rep.abs_error_estimate
 
+    @pytest.mark.parametrize("r,s,lam,bound", [([2.0], [0.01], 1e306, 1e-10),
+                                              ([0.5, 0.75], [1e-300, 2e-300], 1e308, 1e-4)])
+    def test_far_doubly_cdf_max_estimate(self, r, s, lam, bound):
+        # past y = 2n the g entries charge their recurrence's eps (6n + 5 +
+        # |log g|), not eps y (2e304 at 1x1, 5e7..1.5e8 at 2x2).  The 2x2
+        # determinant's leading terms 1 / (lam r s) have rank one, so it loses
+        # 8.8 digits and its value is clamped: the estimate covers the residual
+        rep = cdf_max(doubly_case(len(r), len(s), r, s), lam)
+        assert rep.value == 1.0 and rep.abs_error_estimate < bound
+        clamped = [w for w in rep.warnings if w.startswith("clamp:")]
+        assert rep.warnings == clamped
+        for w in clamped:
+            assert rep.abs_error_estimate >= float(w.split()[1])
+
     @pytest.mark.parametrize("stat", ["max", "min"])
     def test_unflagged_gamma_density_within_its_estimate(self, stat):
         # row n x 1: the one eigenvalue is Gamma(n, s), with density

@@ -3,6 +3,7 @@ independent oracle, its round schedule and its non-convergence report."""
 
 import functools
 import math
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -277,6 +278,40 @@ def gap_reference(k, s, a, b, dps):
         last, d = want, d + 30
 
 
+# the kernels at 136 bits and at 540 bits, about the top of the escalation
+# workload's rounds (156 digits)
+KERNEL_PRECS = [136, 540]
+# the orders of the crossover checks, and their fixed arguments besides 2n
+# (for g) or a_hi + 1 (for a gamma row)
+CROSS_ORDERS = [1, 3, 8, 16, 32]
+CROSS_ARGS = [5e-324, 1e-300, 1e-3, 1e3]
+
+
+def first_true(pred, lo, hi):
+    """The least double x in (lo, hi] with pred(x), for pred false at lo and
+    true at hi, by bisection on the doubles' ordinals."""
+    assert not pred(lo) and pred(hi)
+    a, b = (struct.unpack("<q", struct.pack("<d", x))[0] for x in (lo, hi))
+    while b - a > 1:
+        mid = (a + b) // 2
+        if pred(struct.unpack("<d", struct.pack("<q", mid))[0]):
+            b = mid
+        else:
+            a = mid
+    return struct.unpack("<d", struct.pack("<q", b))[0]
+
+
+def fixed_point(x):
+    """The double x > 0 as (mul, f), x = mul 2^-f, as the kernels read it."""
+    m, e = extended._digits(x)
+    return m << max(e, 0), max(-e, 0)
+
+
+def ulp_around(x):
+    """x and the doubles one ulp below and above it."""
+    return [math.nextafter(x, 0.0), x, math.nextafter(x, math.inf)]
+
+
 class TestRowRecurrences:
     @pytest.mark.parametrize("x", XS)
     def test_gamma_row(self, x):
@@ -373,6 +408,30 @@ class TestRowRecurrences:
                         want = mpmath.gammainc(k, 0, lm * sv) / sv ** k
                         assert abs(mpmath.mpf(got) - want) <= ulps * u * want, (k, x, s, dps)
 
+    @pytest.mark.parametrize("prec", KERNEL_PRECS)
+    @pytest.mark.parametrize("a_hi", CROSS_ORDERS)
+    def test_gamma_row_crossovers(self, a_hi, prec):
+        # one ulp on either side of the change from the series to the finite
+        # sum from its first term (`_gamma_lift`) and of x = a_hi + 1, where
+        # the sum from its top term takes over, and the fixed arguments;
+        # within 1.1 ulps of mpmath.gammainc 100 bits up, and a row from
+        # a_lo a slice of the row from 1
+        def finite(x):
+            mul, f = fixed_point(x)
+            return mul >= (a_hi + 1) << f or extended._gamma_lift(a_hi, mul, f, prec) is not None
+        cross = first_true(finite, 5e-324, a_hi + 1.0)
+        for x in ulp_around(cross) + ulp_around(a_hi + 1.0) + CROSS_ARGS:
+            with mpmath.workprec(prec):
+                u, digits = mpmath.ldexp(1, -prec), extended._digits(x)
+                full = extended._gamma_row(1, a_hi, digits, (1, 0))
+                for a_lo in {(a_hi + 1) // 2, a_hi}:
+                    assert extended._gamma_row(a_lo, a_hi, digits, (1, 0)) == full[a_lo - 1:]
+            with mpmath.workprec(prec + 100):
+                xv = mpmath.mpf(x)
+                for a, got in enumerate(full, start=1):
+                    want = mpmath.gammainc(a, 0, xv) / xv ** a
+                    assert abs(mpmath.mpf(got) - want) <= 1.1 * u * want, (a, x, prec)
+
     @pytest.mark.parametrize("dps", [60, 400])
     @pytest.mark.parametrize("a_lo", [1, ORDERS])
     @pytest.mark.parametrize("lo,hi", list(zip(["1"] + BRANCH_XS, BRANCH_XS))
@@ -391,10 +450,7 @@ class TestRowRecurrences:
 
 
 # ---------------------------------------------------------------------------
-# the integer kernels against independent references, at 136 bits and at
-# 540 bits, about the top of the escalation workload's rounds (156 digits)
-
-KERNEL_PRECS = [136, 540]
+# the integer kernels against independent references, at `KERNEL_PRECS`
 
 
 def g_reference(n, y, prec):
@@ -486,6 +542,24 @@ class TestKernelOracles:
                 got = extended._g(n, *extended._product(yv))
             want = g_reference(n, yv, prec)
             with mpmath.workprec(prec + 60):
+                assert abs(mpmath.mpf(got) - want) <= 1.1 * u * want, (n, y, prec)
+
+    @pytest.mark.parametrize("prec", KERNEL_PRECS)
+    @pytest.mark.parametrize("n", CROSS_ORDERS)
+    def test_g_crossovers(self, n, prec):
+        # one ulp on either side of the change from the series to the finite
+        # sum (`_g_lift`) and of y = n, where the sum's lift takes its short
+        # form, and the fixed arguments, 2n among them; within 1.1 ulps of
+        # the reference 100 bits up
+        cross = first_true(lambda y: extended._g_lift(n, *fixed_point(y), prec) is not None,
+                           5e-324, float(n))
+        assert extended._g_lift(n, *fixed_point(math.nextafter(cross, 0.0)), prec) is None
+        for y in ulp_around(cross) + ulp_around(float(n)) + CROSS_ARGS + [2.0 * n]:
+            with mpmath.workprec(prec):
+                u = mpmath.ldexp(1, -prec)
+                got = extended._g(n, *extended._digits(y))
+            want = g_reference(n, mpmath.mpf(y), prec + 70)
+            with mpmath.workprec(prec + 100):
                 assert abs(mpmath.mpf(got) - want) <= 1.1 * u * want, (n, y, prec)
 
     @pytest.mark.parametrize("prec", KERNEL_PRECS)
@@ -1086,8 +1160,9 @@ ENTRY_CASES = [
       (1e-9, 1.0001e-9), (1e-9, 1e-7), (2.0, 2.0002), (0.05, 5.0)]),
     ("cdf_max_col", (10, 6, evenly(0.5, 4.0, 10)), [(0.0047,), (1.3,), (100.0,)]),
     ("cdf_min_col", (5, 3, evenly(0.5, 4.0, 5)), [(0.005,), (1.3,), (100.0,)]),
+    # the g entries far in the tail too, lam r s from 3e299 to 4.5e300
     ("cdf_max_doubly", (6, 4, evenly(0.5, 2.5, 4), evenly(0.6, 1.8, 6)),
-     [(0.005,), (1.3,), (100.0,)]),
+     [(0.005,), (1.3,), (100.0,), (1e300,)]),
     ("cdf_min_doubly", (4, evenly(0.5, 2.5, 4), evenly(0.6, 1.8, 4)), [(0.005,), (1.3,), (100.0,)]),
 ]
 
@@ -1344,13 +1419,17 @@ def test_exact_zeros_are_not_accepted_report(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # escalated public reports, pinned: value and warnings (each round's digits
-# and bound) of six `escalate`-style requests on evenly spaced spectra
+# and bound) of eight `escalate`-style requests on evenly spaced spectra
 
 ESC_ROW = RowCorrelated(Dimensions(10, 6), validate_spectrum(evenly(0.5, 4.0, 6)))
 ESC_COLUMN = ColumnCorrelated(Dimensions(8, 6), validate_spectrum(evenly(0.5, 4.0, 8)))
 ESC_DOUBLY = DoublyCorrelated(Dimensions(6, 6), validate_spectrum(evenly(0.6, 3.0, 6)),
                               validate_spectrum(evenly(0.5, 4.0, 6)))
 ESC_CLUSTERED = RowCorrelated(Dimensions(5, 3), validate_spectrum([1.0, 1.0001, 1.0002]))
+# the two heaviest `escalate` requests: 100 g entries, and gap rows at 134 digits
+ESC_DOUBLY_8 = DoublyCorrelated(Dimensions(8, 8), validate_spectrum(evenly(0.6, 3.0, 8)),
+                                validate_spectrum(evenly(0.5, 4.0, 8)))
+ESC_ROW_16 = RowCorrelated(Dimensions(16, 12), validate_spectrum(evenly(0.5, 4.0, 12)))
 PINNED = [
     ("row 10x6 cdf_max", cdf_max, ESC_ROW, (0.5,), 7.922503417334636e-56, 29.7, 70, "6.3e-56"),
     ("row 10x6 prob_gap", prob_gap, ESC_ROW, (0.05, 2.0), 7.335447465613492e-25, 18.8, 59,
@@ -1362,6 +1441,10 @@ PINNED = [
     ("doubly 6x6 cdf_min", cdf_min, ESC_DOUBLY, (0.05,), 0.297076606208852, 24.4, 65, "2.3e-52"),
     ("clustered row 5x3 cdf_min", cdf_min, ESC_CLUSTERED, (0.3,), 0.9712454173522059, 12.4, 53,
      "4.1e-44"),
+    ("doubly 8x8 cdf_max", cdf_max, ESC_DOUBLY_8, (0.5,), 1.6762193787020518e-47, 43.0, 84,
+     "3.7e-67"),
+    ("row 16x12 prob_gap", prob_gap, ESC_ROW_16, (0.05, 2.0), 3.4388564239691214e-112, 93.4, 134,
+     "1.3e-104"),
 ]
 
 
